@@ -211,6 +211,8 @@ def _load_cochain(path: str, A: AlgebroidPresentation) -> list[MultiDer]:
 
 
 def cmd_deform(args) -> int:
+    if args.order is not None and args.order < 1:
+        raise _InputError(f"--order must be at least 1, got {args.order}")
     A = _load_presentation(args)
     if args.nijenhuis:
         N = BundleMap(_load_matrix(args.nijenhuis, A))
@@ -236,7 +238,7 @@ def cmd_deform(args) -> int:
     if not args.mu1:
         raise _InputError("provide --nijenhuis FILE or --mu1 FILE")
     mus = _load_cochain(args.mu1, A)
-    order = args.order or len(mus)
+    order = args.order if args.order is not None else len(mus)
     while len(mus) < order:
         mus.append(MultiDer.zero(2, A.rank, A.n))
     deform = FormalDeformation(A, mus[:order])
@@ -254,6 +256,8 @@ def cmd_deform(args) -> int:
 
 
 def cmd_hierarchy(args) -> int:
+    if args.alpha_max is not None and args.alpha_max < 0:
+        raise _InputError(f"--alpha-max must be non-negative, got {args.alpha_max}")
     A = _load_presentation(args)
     if args.flows:
         halves = args.flows.split(";")

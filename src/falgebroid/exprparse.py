@@ -210,9 +210,12 @@ _KNOWN_KEYS = {"name", "description", "base_vars", "rank", "product", "bracket",
 
 
 def parse_presentation(document):
-    """Build a validated AlgebroidPresentation from a JSON document.
+    """Build a shape-checked AlgebroidPresentation from a JSON document.
 
-    Accepts JSON text or an already decoded dictionary.
+    Accepts JSON text or an already decoded dictionary. Field names, the
+    rank, tensor and matrix shapes and every expression are checked; the
+    structure laws are not (``AlgebroidPresentation.validate`` is not
+    called, and the ``check`` functions test the laws).
     """
     from .algebroid import AlgebroidPresentation, Section
 

@@ -5,12 +5,23 @@ coefficients. Rational functions keep a normalized numerator/denominator
 pair: the gcd is cancelled and the denominator is made monic under the
 graded lexicographic order, so equal functions have identical
 representations and equality never relies on sampling.
+
+Gcds come from ``Poly.gcd_cofactors``: the heuristic GCDHEU on integer
+coefficients, whose candidate is kept only when it divides both inputs
+exactly and reaches degree bounds taken from images modulo a prime, with
+the primitive PRS gcd as the fallback when it gives up. The cofactors it
+returns are the reduced parts, so nothing is divided twice.
+Sums and products of rational functions follow Henrici: a sum cancels
+``gcd(b, d)`` of the denominators before cross-multiplying and then only
+what that gcd can still share with the numerator, and a product cancels
+across ``gcd(a, d)`` and ``gcd(c, b)`` first, so its result is reduced.
+Operands with constant denominators skip all of this.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd, lcm as int_lcm
+from math import gcd as int_gcd, isqrt, lcm as int_lcm
 
 from .errors import DivisionByZero, NotDivisible, ShapeError
 
@@ -19,6 +30,208 @@ Rational = Fraction
 
 def _grlex_key(exp: tuple[int, ...]) -> tuple:
     return (sum(exp), exp)
+
+
+# Retries of the heuristic gcd before falling back to the PRS gcd.
+HEU_GCD_MAX = 6
+
+
+def _integer_primitive(terms: dict) -> tuple[Fraction, dict]:
+    """Split ``terms`` as ``scale * ints`` with integer coefficients of content 1."""
+    denom = int_lcm(*(c.denominator for c in terms.values()))
+    ints = {e: c.numerator * (denom // c.denominator) for e, c in terms.items()}
+    content = int_gcd(*ints.values())
+    if content != 1:
+        ints = {e: c // content for e, c in ints.items()}
+    return Fraction(content, denom), ints
+
+
+def _evaluate(f: dict, v: int, x: int) -> dict:
+    """Substitute the integer ``x`` for variable ``v``."""
+    powers = [1]
+    out: dict = {}
+    for e, c in f.items():
+        k = e[v]
+        while len(powers) <= k:
+            powers.append(powers[-1] * x)
+        key = e[:v] + (0,) + e[v + 1 :]
+        out[key] = out.get(key, 0) + c * powers[k]
+    return {e: c for e, c in out.items() if c}
+
+
+def _interpolate(h: dict, x: int, v: int) -> dict:
+    """Read the coefficients of ``h`` as symmetric base-``x`` digits in variable ``v``."""
+    out: dict = {}
+    half = x // 2
+    i = 0
+    while h:
+        rest = {}
+        for e, c in h.items():
+            d = c % x
+            if d > half:
+                d -= x
+            if d:
+                out[e[:v] + (i,) + e[v + 1 :]] = d
+            q = (c - d) // x
+            if q:
+                rest[e] = q
+        h = rest
+        i += 1
+    return out
+
+
+def _div_exact(f: dict, h: dict) -> dict | None:
+    """Quotient ``f / h`` over the integers, or None if ``h`` does not divide ``f``."""
+    lead = max(h)
+    lc = h[lead]
+    tail = [(e, c) for e, c in h.items() if e != lead]
+    rem = dict(f)
+    quot = {}
+    while rem:
+        e = max(rem)
+        q, r = divmod(rem.pop(e), lc)
+        if r:
+            return None
+        qe = tuple(a - b for a, b in zip(e, lead))
+        if min(qe) < 0:
+            return None
+        quot[qe] = q
+        for he, hc in tail:
+            t = tuple(a + b for a, b in zip(qe, he))
+            c = rem.get(t, 0) - q * hc
+            if c:
+                rem[t] = c
+            else:
+                rem.pop(t, None)
+    return quot
+
+
+# Images of a gcd are taken modulo this prime, at points that are powers of
+# its primitive root 7 (so fixed, and spread over the field).
+_PRIME = 2**31 - 1
+_IMAGE_POINTS = 2
+
+
+def _image_mod_p(f: dict, v: int, k: int) -> list[int]:
+    """Coefficients in variable ``v`` of ``f`` at the ``k``-th point, modulo the prime."""
+    n = len(next(iter(f)))
+    point = [pow(7, 1 + j + 97 * k, _PRIME) for j in range(n)]
+    coeffs = [0] * (max(e[v] for e in f) + 1)
+    for e, c in f.items():
+        for j, d in enumerate(e):
+            if d and j != v:
+                c = c * pow(point[j], d, _PRIME)
+        coeffs[e[v]] = (coeffs[e[v]] + c) % _PRIME
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _gcd_degree_mod_p(a: list[int], b: list[int]) -> int:
+    """Degree of the gcd of two univariate polynomials over the integers modulo the prime."""
+    while b:
+        inv = pow(b[-1], -1, _PRIME)
+        while len(a) >= len(b):
+            q = a[-1] * inv % _PRIME
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - q * c) % _PRIME
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _gcd_degree_bounds(f: dict, g: dict) -> list[int]:
+    """Upper bounds on the degree of ``gcd(f, g)`` in each variable.
+
+    ``gcd(f, g)`` maps into the gcd of the images of ``f`` and ``g`` at a
+    point modulo a prime, keeping its degree whenever a leading coefficient
+    of ``f`` or ``g`` survives there, so that image's degree bounds it.
+    """
+    n = len(next(iter(f)))
+    bounds = []
+    for v in range(n):
+        df = max(e[v] for e in f)
+        dg = max(e[v] for e in g)
+        bound = min(df, dg)
+        for k in range(_IMAGE_POINTS):
+            if not bound:
+                break
+            fi = _image_mod_p(f, v, k)
+            gi = _image_mod_p(g, v, k)
+            if len(fi) - 1 == df or len(gi) - 1 == dg:
+                bound = min(bound, _gcd_degree_mod_p(fi, gi))
+        bounds.append(bound)
+    return bounds
+
+
+def _heu_gcd(f: dict, g: dict, bounds: list[int] | None = None) -> tuple[dict, dict, dict] | None:
+    """GCDHEU on nonzero integer polynomials: ``(h, f/h, g/h)``, or None on failure.
+
+    A candidate ``h`` must divide both inputs exactly. When ``bounds`` are
+    given (upper bounds on the gcd's degree in each variable), it must also
+    reach them: a common divisor that does is the gcd. Exponent tuples are
+    lex-ordered, so ``max`` gives the lex-leading term, and the first
+    variable that occurs is evaluated first.
+    """
+    n = len(next(iter(f)))
+    active = [v for v in range(n) if any(e[v] for e in f) or any(e[v] for e in g)]
+    if not active:
+        zero = (0,) * n
+        a, b = f[zero], g[zero]
+        h = int_gcd(a, b)
+        return {zero: h}, {zero: a // h}, {zero: b // h}
+    v = active[0]
+    content = int_gcd(*f.values(), *g.values())
+    if content != 1:
+        f = {e: c // content for e, c in f.items()}
+        g = {e: c // content for e, c in g.items()}
+    f_norm = max(abs(c) for c in f.values())
+    g_norm = max(abs(c) for c in g.values())
+    # the usual GCDHEU start: about twice the smaller norm, capped near 99*sqrt of it
+    b = 2 * min(f_norm, g_norm) + 29
+    x = max(min(b, 99 * isqrt(b)), 2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4)
+
+    def reaches_bounds(h):
+        return bounds is None or all(max(e[i] for e in h) == d for i, d in enumerate(bounds))
+
+    for _ in range(HEU_GCD_MAX):
+        ff = _evaluate(f, v, x)
+        gg = _evaluate(g, v, x)
+        if ff and gg:
+            found = _heu_gcd(ff, gg)
+            if found is None:
+                return None
+            hh, cff, cfg = found
+            h = _interpolate(hh, x, v)
+            hc = int_gcd(*h.values())
+            if hc != 1:
+                h = {e: c // hc for e, c in h.items()}
+            if reaches_bounds(h):
+                cf = _div_exact(f, h)
+                if cf is not None:
+                    cg = _div_exact(g, h)
+                    if cg is not None:
+                        return _scaled(h, content), cf, cg
+            cf = _interpolate(cff, x, v)
+            h = _div_exact(f, cf)
+            if h is not None and reaches_bounds(h):
+                cg = _div_exact(g, h)
+                if cg is not None:
+                    return _scaled(h, content), cf, cg
+            cg = _interpolate(cfg, x, v)
+            h = _div_exact(g, cg)
+            if h is not None and reaches_bounds(h):
+                cf = _div_exact(f, h)
+                if cf is not None:
+                    return _scaled(h, content), cf, cg
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    return None
+
+
+def _scaled(h: dict, c: int) -> dict:
+    return h if c == 1 else {e: v * c for e, v in h.items()}
 
 
 class Poly:
@@ -187,14 +400,10 @@ class Poly:
         """Scale to integer coefficients with content 1 and positive leading coefficient."""
         if self.is_zero():
             return self
-        denom = int_lcm(*(c.denominator for c in self.terms.values()))
-        ints = {exp: int(c * denom) for exp, c in self.terms.items()}
-        content = 0
-        for v in ints.values():
-            content = int_gcd(content, abs(v))
+        _, ints = _integer_primitive(self.terms)
         _, lead = self.leading()
         sign = -1 if lead < 0 else 1
-        return Poly(self.nvars, {exp: Fraction(v * sign, content) for exp, v in ints.items()})
+        return Poly(self.nvars, {exp: Fraction(v * sign) for exp, v in ints.items()})
 
     def _main_var(self) -> int:
         best = -1
@@ -226,15 +435,71 @@ class Poly:
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
-        """Greatest common divisor, primitive with positive leading coefficient."""
-        if a.is_zero():
-            return b._to_integer_primitive()
-        if b.is_zero():
-            return a._to_integer_primitive()
-        return Poly._gcd_prim(a._to_integer_primitive(), b._to_integer_primitive())
+        """Greatest common divisor, primitive with positive leading coefficient.
+
+        Integer coefficients with content 1, and a positive grlex leading
+        coefficient; ``gcd(0, 0)`` is zero. It is the first entry of
+        ``gcd_cofactors``: a heuristic GCDHEU candidate, kept only when it
+        divides both inputs exactly and reaches degree bounds taken modulo
+        a prime, or else the primitive PRS gcd.
+        """
+        return Poly.gcd_cofactors(a, b)[0]
+
+    @staticmethod
+    def gcd_cofactors(a: "Poly", b: "Poly") -> tuple["Poly", "Poly", "Poly"]:
+        """Return ``(g, a/g, b/g)`` with ``g = Poly.gcd(a, b)``.
+
+        Works on the integer-primitive forms. First, the images of both
+        inputs at fixed points modulo a prime bound the gcd's degree in
+        each variable from above; if every bound is 0 the inputs are
+        coprime. Otherwise the heuristic GCDHEU (Char, Geddes and Gonnet,
+        J. Symb. Comput. 1989) evaluates at large integers down to an
+        integer gcd and rebuilds a candidate from its symmetric base-xi
+        digits. A candidate is kept only if it divides both inputs exactly
+        and reaches every degree bound, which proves it is the gcd. After
+        ``HEU_GCD_MAX`` evaluation points without one, the primitive PRS gcd
+        is used instead.
+        """
+        n = a.nvars
+        if not a.terms or not b.terms:
+            if not a.terms and not b.terms:
+                return a, a, b
+            other = b if not a.terms else a
+            g = other._to_integer_primitive()
+            lead, c = g.leading()
+            scale = Poly.const(n, other.terms[lead] / c)
+            return (g, Poly.zero(n), scale) if not a.terms else (g, scale, Poly.zero(n))
+        if a.is_constant() or b.is_constant():
+            return Poly.const(n, 1), a, b
+        sa, fa = _integer_primitive(a.terms)
+        sb, fb = _integer_primitive(b.terms)
+        bounds = _gcd_degree_bounds(fa, fb)
+        if not any(bounds):
+            return Poly.const(n, 1), a, b
+        found = _heu_gcd(fa, fb, bounds)
+        if found is None:
+            g = Poly._gcd_prim(a._to_integer_primitive(), b._to_integer_primitive())
+            return g, a.exact_div(g), b.exact_div(g)
+        g, ca, cb = found
+        lead = max(g, key=_grlex_key)
+        if g[lead] < 0:
+            g = {e: -c for e, c in g.items()}
+            sa, sb = -sa, -sb
+        if len(g) == 1 and lead == (0,) * n:
+            return Poly.const(n, 1), a, b
+        return (
+            Poly(n, {e: Fraction(c) for e, c in g.items()}),
+            Poly(n, {e: c * sa for e, c in ca.items()}),
+            Poly(n, {e: c * sb for e, c in cb.items()}),
+        )
 
     @staticmethod
     def _gcd_prim(a: "Poly", b: "Poly") -> "Poly":
+        """Primitive PRS gcd of integer-primitive polynomials.
+
+        The fallback of ``gcd_cofactors``, and the reference the heuristic
+        is tested against; it never calls the heuristic.
+        """
         v = max(a._main_var(), b._main_var())
         if v < 0:
             return Poly.const(a.nvars, 1)
@@ -258,7 +523,10 @@ class Poly:
         coeffs = self._univariate_view(v)
         content = Poly.zero(self.nvars)
         for p in coeffs.values():
-            content = Poly.gcd(content, p)
+            if content.is_zero():
+                content = p._to_integer_primitive()
+            else:
+                content = Poly._gcd_prim(content, p._to_integer_primitive())
             if content.is_constant():
                 break
         if content.is_constant():
@@ -337,10 +605,11 @@ class RatFunc:
             if c == 1:
                 return num, den
             return num.scale(1 / c), Poly.const(num.nvars, 1)
-        g = Poly.gcd(num, den)
-        if not g.is_constant():
-            num = num.exact_div(g)
-            den = den.exact_div(g)
+        _, num, den = Poly.gcd_cofactors(num, den)
+        return RatFunc._monic(num, den)
+
+    @staticmethod
+    def _monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         _, lead = den.leading()
         if lead != 1:
             num = num.scale(1 / lead)
@@ -421,7 +690,7 @@ class RatFunc:
             return self
         if self.den.is_constant() and other.den.is_constant():
             return RatFunc(self.num + other.num, _normal=True)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        return self._henrici_sum(other.num, other.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         if not other.num.terms:
@@ -430,7 +699,24 @@ class RatFunc:
             return -other
         if self.den.is_constant() and other.den.is_constant():
             return RatFunc(self.num - other.num, _normal=True)
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self._henrici_sum(-other.num, other.den)
+
+    def _henrici_sum(self, c: Poly, d: Poly) -> "RatFunc":
+        """``a/b + c/d`` for reduced operands, cancelling only what can cancel.
+
+        With ``g = gcd(b, d)``, ``b = g*b1`` and ``d = g*d1``, the sum is
+        ``(a*d1 + c*b1) / (g*b1*d1)`` and its numerator is coprime to
+        ``b1*d1``, so only ``gcd(numerator, g)`` is left to cancel.
+        """
+        a, b = self.num, self.den
+        if b == d:
+            return RatFunc(a + c, b)
+        g, b1, d1 = Poly.gcd_cofactors(b, d)
+        num = a * d1 + c * b1
+        if not num.terms:
+            return RatFunc.zero(num.nvars)
+        _, num, g1 = Poly.gcd_cofactors(num, g)
+        return RatFunc(*RatFunc._monic(num, g1 * b1 * d1), _normal=True)
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den, _normal=True)
@@ -444,12 +730,23 @@ class RatFunc:
             return self
         if self.den.is_constant() and other.den.is_constant():
             return RatFunc(self.num * other.num, _normal=True)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return RatFunc._cross_cancel(self.num, self.den, other.num, other.den)
+
+    @staticmethod
+    def _cross_cancel(a: Poly, b: Poly, c: Poly, d: Poly) -> "RatFunc":
+        """``(a/b) * (c/d)`` for reduced operands: cancel ``gcd(a, d)`` and ``gcd(c, b)`` first."""
+        _, a, d = Poly.gcd_cofactors(a, d)
+        _, c, b = Poly.gcd_cofactors(c, b)
+        return RatFunc(*RatFunc._monic(a * c, b * d), _normal=True)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
             raise DivisionByZero("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        if other.is_constant():
+            return self.scale(1 / other.constant_value())
+        if not self.num.terms:
+            return self
+        return RatFunc._cross_cancel(self.num, self.den, other.den, other.num)
 
     def scale(self, c) -> "RatFunc":
         return RatFunc(self.num.scale(c), self.den, _normal=Fraction(c) != 0)
@@ -458,14 +755,20 @@ class RatFunc:
         if n < 0:
             if self.is_zero():
                 raise DivisionByZero("zero to a negative power")
-            return RatFunc(self.den ** (-n), self.num ** (-n))
-        return RatFunc(self.num**n, self.den**n)
+            return RatFunc(*RatFunc._monic(self.den ** (-n), self.num ** (-n)), _normal=True)
+        return RatFunc(self.num**n, self.den**n, _normal=True)
 
     def derivative(self, i: int) -> "RatFunc":
         if self.den.is_constant():
             return RatFunc(self.num.derivative(i), self.den, _normal=True)
-        num = self.num.derivative(i) * self.den - self.num * self.den.derivative(i)
-        return RatFunc(num, self.den * self.den)
+        # with b = g*b1 and b' = g*c1 for g = gcd(b, b'), (a/b)' = t / (g*b1^2)
+        # where t = a'*b1 - a*c1 shares no factor with b1, so only gcd(t, g) cancels
+        g, b1, c1 = Poly.gcd_cofactors(self.den, self.den.derivative(i))
+        t = self.num.derivative(i) * b1 - self.num * c1
+        if not t.terms:
+            return RatFunc.zero(t.nvars)
+        _, t, g1 = Poly.gcd_cofactors(t, g)
+        return RatFunc(*RatFunc._monic(t, g1 * b1 * b1), _normal=True)
 
     def extend(self, nvars: int, offset: int = 0) -> "RatFunc":
         return RatFunc(self.num.extend(nvars, offset), self.den.extend(nvars, offset), _normal=True)
@@ -478,23 +781,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"
-
-
-def poly_arith(a: RatFunc, b: RatFunc, op: str) -> RatFunc:
-    """Apply a named arithmetic operation, for callers driven by text input."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ShapeError(f"unknown operation {op!r}")
-
-
-def partial_derive(f: RatFunc, i: int) -> RatFunc:
-    return f.derivative(i)
 
 
 class VectorField:
@@ -547,10 +833,6 @@ class VectorField:
 
     def __repr__(self):
         return f"VectorField({list(self.comps)!r})"
-
-
-def vf_apply(v: VectorField, f: RatFunc) -> RatFunc:
-    return v.apply(f)
 
 
 def vf_bracket(v: VectorField, w: VectorField) -> VectorField:

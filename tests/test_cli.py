@@ -172,6 +172,21 @@ def test_deform_requires_an_input(capsys):
     assert run(["deform", "--fixture", "SS2"], capsys)[0] == 2
 
 
+def test_deform_order_below_one_exits_2(tmp_path, capsys):
+    struct, mu = qu4_files(tmp_path)
+    for order in ("0", "-1"):
+        code, out, err = run(["deform", str(struct), "--mu1", str(mu), "--order", order], capsys)
+        assert code == 2
+        assert "--order must be at least 1" in err
+        assert "semiclassical" not in out
+
+
+def test_hierarchy_negative_alpha_max_exits_2(capsys):
+    code, _, err = run(["hierarchy", "--fixture", "SS2", "--alpha-max", "-1"], capsys)
+    assert code == 2
+    assert "--alpha-max must be non-negative" in err
+
+
 def test_hierarchy_commands(tmp_path, capsys):
     code, _, _ = run(["hierarchy", "--fixture", "SS2", "--alpha-max", "2"], capsys)
     assert code == 0
