@@ -9,6 +9,9 @@ identities can be verified exactly on symbolic arguments.
 
 from __future__ import annotations
 
+from itertools import chain, combinations, combinations_with_replacement
+from itertools import product as iproduct
+
 from .errors import MissingStructure, ShapeError
 from .linalg import solve
 from .report import Report
@@ -121,34 +124,6 @@ class AlgebroidPresentation:
                 raise ShapeError(f"anchor must be {r}x{n}")
         if self.identity is not None and self.identity.rank != r:
             raise ShapeError("identity section has wrong rank")
-
-    def validate(self):
-        """Check the mathematical invariants of the stored tensors."""
-        r = self.rank
-        for k in range(r):
-            for i in range(r):
-                for j in range(i):
-                    if self.product[k][i][j] != self.product[k][j][i]:
-                        raise ShapeError(f"product not symmetric at k={k}, i={i}, j={j}")
-        if self.bracket is not None:
-            for k in range(r):
-                for i in range(r):
-                    for j in range(i + 1):
-                        if self.bracket[k][i][j] != -self.bracket[k][j][i]:
-                            raise ShapeError(f"bracket not antisymmetric at k={k}, i={i}, j={j}")
-        if self.bracket is not None and self.prelie is not None:
-            for k in range(r):
-                for i in range(r):
-                    for j in range(r):
-                        if self.bracket[k][i][j] != self.prelie[k][i][j] - self.prelie[k][j][i]:
-                            raise ShapeError(f"bracket disagrees with prelie commutator at k={k}, i={i}, j={j}")
-        if self.n == 0 and self.anchor is not None:
-            pass  # anchor over a point is an r x 0 matrix, vacuously zero
-        if self.identity is not None:
-            for i in range(r):
-                if self.multiply(self.identity, self.basis(i)) != self.basis(i):
-                    raise ShapeError(f"declared identity does not fix E_{i + 1}")
-        return self
 
     # -- frames and sections ------------------------------------------
 
@@ -302,30 +277,6 @@ class AlgebroidPresentation:
         return f"E{i + 1}"
 
 
-def multiply(A: AlgebroidPresentation, X: Section, Y: Section) -> Section:
-    return A.multiply(X, Y)
-
-
-def bracket(A: AlgebroidPresentation, X: Section, Y: Section) -> Section:
-    return A.bracket_of(X, Y)
-
-
-def prelie(A: AlgebroidPresentation, X: Section, Y: Section) -> Section:
-    return A.prelie_of(X, Y)
-
-
-def P_tensor(A: AlgebroidPresentation, X: Section, Y: Section, Z: Section) -> Section:
-    return A.p_tensor(X, Y, Z)
-
-
-def Phi(A, X, Y, Z, W) -> Section:
-    return A.phi(X, Y, Z, W)
-
-
-def Psi(A, X, Y, Z) -> Section:
-    return A.psi(X, Y, Z)
-
-
 def tensors_equal(t1: Tensor, t2: Tensor) -> bool:
     return all(
         c1 == c2
@@ -335,44 +286,69 @@ def tensors_equal(t1: Tensor, t2: Tensor) -> bool:
     )
 
 
-# -- checkers ------------------------------------------------------------
+# -- law engine ------------------------------------------------------------
+#
+# Every law is a residual that must vanish on labelled test sections: the
+# frame E_i in tensorial slots, and also the frame scaled by each base
+# variable, u^m·E_i, in slots where a Leibniz rule could break the law.
 
 
-def _basis_args(A: AlgebroidPresentation):
-    """Basis sections labelled by name."""
+def _frame_args(A: AlgebroidPresentation):
+    """The frame sections E_i, labelled by name."""
     return [(A.basis_name(i), A.basis(i)) for i in range(A.rank)]
 
 
-def _scaled_args(A: AlgebroidPresentation):
-    """Basis sections scaled by each base variable, the differential test set."""
-    out = []
-    for m in range(A.n):
-        name = A.base_vars[m]
-        for i in range(A.rank):
-            out.append((f"{name}*{A.basis_name(i)}", A.scaled_basis(m, i)))
-    return out
+def _scaled_args(A: AlgebroidPresentation, variables=None):
+    """The frame scaled by each base variable (or by those listed), u^m·E_i."""
+    ms = range(A.n) if variables is None else variables
+    return [(f"{A.base_vars[m]}*{A.basis_name(i)}", A.scaled_basis(m, i)) for m in ms for i in range(A.rank)]
+
+
+def _prelie_tuples(frame, scaled):
+    """Frame triples, then triples with each slot in turn scaled."""
+    return chain(
+        iproduct(frame, frame, frame),
+        iproduct(scaled, frame, frame),
+        iproduct(frame, scaled, frame),
+        iproduct(frame, frame, scaled),
+    )
+
+
+def _record(A: AlgebroidPresentation, report: Report, law: str, instance: str, res: Section):
+    """Record one instance; the residual is formatted only when it is nonzero."""
+    if res.is_zero():
+        report.add(law, instance, True)
+    else:
+        report.add(law, instance, False, A.fmt(res))
+
+
+def _sweep(A: AlgebroidPresentation, report: Report, table, prefix: str = "") -> Report:
+    """Run a law table into ``report`` and return it.
+
+    Each row is (argument tuples, (law, residual), ...). Every tuple of
+    labelled arguments is one instance, named ``prefix(name,...)``, and
+    the row's laws are checked on it in turn.
+    """
+    for cases, *laws in table:
+        for case in cases:
+            instance = prefix + "(" + ",".join(name for name, _ in case) + ")"
+            args = [arg for _, arg in case]
+            for law, residual in laws:
+                _record(A, report, law, instance, residual(*args))
+    return report
+
+
+# -- checkers ------------------------------------------------------------
 
 
 def check_comm_assoc(A: AlgebroidPresentation) -> Report:
     """Commutativity and associativity of the product on the frame."""
-    report = Report("commutative associative algebroid")
-    r = A.rank
-    for i in range(r):
-        for j in range(i + 1, r):
-            ok = all(A.product[k][i][j] == A.product[k][j][i] for k in range(r))
-            witness = None
-            if not ok:
-                diff = A.multiply(A.basis(i), A.basis(j)) - A.multiply(A.basis(j), A.basis(i))
-                witness = A.fmt(diff)
-            report.add("product-symmetry", f"({A.basis_name(i)},{A.basis_name(j)})", ok, witness)
-    basis = _basis_args(A)
-    for ni, X in basis:
-        for nj, Y in basis:
-            XY = A.multiply(X, Y)
-            for nk, Z in basis:
-                res = A.multiply(XY, Z) - A.multiply(X, A.multiply(Y, Z))
-                report.add("associativity", f"({ni},{nj},{nk})", res.is_zero(), A.fmt(res))
-    return report
+    mul = A.multiply
+    frame = _frame_args(A)
+    return _sweep(A, Report("commutative associative algebroid"), [
+        (combinations(frame, 2), ("product-symmetry", lambda X, Y: mul(X, Y) - mul(Y, X))),
+        (iproduct(frame, repeat=3), ("associativity", lambda X, Y, Z: mul(mul(X, Y), Z) - mul(X, mul(Y, Z)))),
+    ])
 
 
 def check_lie_algebroid(A: AlgebroidPresentation) -> Report:
@@ -386,24 +362,12 @@ def check_lie_algebroid(A: AlgebroidPresentation) -> Report:
         raise MissingStructure("bracket")
     if A.n > 0 and A.anchor is None:
         raise MissingStructure("anchor")
-    report = Report("Lie algebroid")
-    r = A.rank
-    for i in range(r):
-        for j in range(i, r):
-            ok = all(A.bracket[k][i][j] == -A.bracket[k][j][i] for k in range(r))
-            witness = None
-            if not ok:
-                diff = A.bracket_of(A.basis(i), A.basis(j)) + A.bracket_of(A.basis(j), A.basis(i))
-                witness = A.fmt(diff)
-            report.add("bracket-antisymmetry", f"({A.basis_name(i)},{A.basis_name(j)})", ok, witness)
-    basis = _basis_args(A)
-    firsts = basis + _scaled_args(A)
-    for ni, X in firsts:
-        for nj, Y in basis:
-            for nk, Z in basis:
-                res = A.jacobiator(X, Y, Z)
-                report.add("jacobi", f"({ni},{nj},{nk})", res.is_zero(), A.fmt(res))
-    return report
+    br = A.bracket_of
+    frame = _frame_args(A)
+    return _sweep(A, Report("Lie algebroid"), [
+        (combinations_with_replacement(frame, 2), ("bracket-antisymmetry", lambda X, Y: br(X, Y) + br(Y, X))),
+        (iproduct(frame + _scaled_args(A), frame, frame), ("jacobi", A.jacobiator)),
+    ])
 
 
 def check_f_algebroid(A: AlgebroidPresentation) -> Report:
@@ -415,14 +379,7 @@ def check_f_algebroid(A: AlgebroidPresentation) -> Report:
     report = Report("F-algebroid")
     report.extend_from(check_comm_assoc(A))
     report.extend_from(check_lie_algebroid(A))
-    basis = _basis_args(A)
-    for ni, X in basis:
-        for nj, Y in basis:
-            for nk, Z in basis:
-                for nl, W in basis:
-                    res = A.phi(X, Y, Z, W)
-                    report.add("hertling-manin", f"({ni},{nj},{nk},{nl})", res.is_zero(), A.fmt(res))
-    return report
+    return _sweep(A, report, [(iproduct(_frame_args(A), repeat=4), ("hertling-manin", A.phi))])
 
 
 def check_pre_lie_algebroid(A: AlgebroidPresentation) -> Report:
@@ -438,35 +395,11 @@ def check_pre_lie_algebroid(A: AlgebroidPresentation) -> Report:
         raise MissingStructure("prelie")
     if A.n > 0 and A.anchor is None:
         raise MissingStructure("anchor")
-    report = Report("pre-Lie algebroid")
-    basis = _basis_args(A)
-
-    def sweep(args1, args2, args3):
-        for ni, X in args1:
-            for nj, Y in args2:
-                for nk, Z in args3:
-                    res = A.prelie_associator(X, Y, Z) - A.prelie_associator(Y, X, Z)
-                    report.add("pre-lie-symmetry", f"({ni},{nj},{nk})", res.is_zero(), A.fmt(res))
-
-    sweep(basis, basis, basis)
-    scaled = _scaled_args(A)
-    sweep(scaled, basis, basis)
-    sweep(basis, scaled, basis)
-    sweep(basis, basis, scaled)
-    return report
-
-
-def _psi_sweep(A: AlgebroidPresentation, report: Report, require_zero: bool):
-    basis = _basis_args(A)
-    for ni, X in basis:
-        for nj, Y in basis:
-            for nk, Z in basis:
-                if require_zero:
-                    res = A.psi(X, Y, Z)
-                    report.add("psi-vanishing", f"({ni},{nj},{nk})", res.is_zero(), A.fmt(res))
-                else:
-                    res = A.psi(X, Y, Z) - A.psi(Y, X, Z)
-                    report.add("psi-symmetry", f"({ni},{nj},{nk})", res.is_zero(), A.fmt(res))
+    assoc = A.prelie_associator
+    return _sweep(A, Report("pre-Lie algebroid"), [
+        (_prelie_tuples(_frame_args(A), _scaled_args(A)),
+         ("pre-lie-symmetry", lambda X, Y, Z: assoc(X, Y, Z) - assoc(Y, X, Z))),
+    ])
 
 
 def check_pre_f(A: AlgebroidPresentation) -> Report:
@@ -474,8 +407,9 @@ def check_pre_f(A: AlgebroidPresentation) -> Report:
     report = Report("pre-F-algebroid")
     report.extend_from(check_comm_assoc(A))
     report.extend_from(check_pre_lie_algebroid(A))
-    _psi_sweep(A, report, require_zero=False)
-    return report
+    return _sweep(A, report, [
+        (iproduct(_frame_args(A), repeat=3), ("psi-symmetry", lambda X, Y, Z: A.psi(X, Y, Z) - A.psi(Y, X, Z))),
+    ])
 
 
 def check_prelie_com(A: AlgebroidPresentation) -> Report:
@@ -483,8 +417,7 @@ def check_prelie_com(A: AlgebroidPresentation) -> Report:
     report = Report("PreLie-Com algebroid")
     report.extend_from(check_comm_assoc(A))
     report.extend_from(check_pre_lie_algebroid(A))
-    _psi_sweep(A, report, require_zero=True)
-    return report
+    return _sweep(A, report, [(iproduct(_frame_args(A), repeat=3), ("psi-vanishing", A.psi))])
 
 
 def sub_adjacent(A: AlgebroidPresentation) -> AlgebroidPresentation:
@@ -514,25 +447,21 @@ def find_identity(A: AlgebroidPresentation):
 
 
 def check_anchor_leibniz(A: AlgebroidPresentation) -> Report:
-    """Regression: bracket(E_i, f·E_j) = f·bracket(E_i,E_j) + a(E_i)(f)·E_j.
+    """Regression: [X, Y] = sum_k Y^k·[X,E_k] + a(X)(Y^k)·E_k on (E_i, u^m·E_j).
 
-    Holds by construction of the evaluator; kept as a guard against
-    regressions in the Leibniz expansion.
+    On these pairs the expansion reads [E_i, f·E_j] = f·[E_i,E_j] +
+    a(E_i)(f)·E_j. It holds by construction of the evaluator; kept as a
+    guard against regressions in the Leibniz expansion.
     """
-    report = Report("anchor Leibniz rule")
-    for m in range(A.n):
-        f = A.var_fn(m)
-        for i in range(A.rank):
-            for j in range(A.rank):
-                lhs = A.bracket_of(A.basis(i), A.scaled_basis(m, j))
-                rhs = A.bracket_of(A.basis(i), A.basis(j)).scale_fn(f) + A.basis(j).scale_fn(
-                    A.anchor_vf(i).apply(f)
-                )
-                res = lhs - rhs
-                report.add(
-                    "leibniz",
-                    f"({A.basis_name(i)},{A.base_vars[m]}*{A.basis_name(j)})",
-                    res.is_zero(),
-                    A.fmt(res),
-                )
-    return report
+
+    def leibniz(X: Section, Y: Section) -> Section:
+        aX = A.anchor_of(X)
+        rhs = A.zero_section()
+        for k, yk in enumerate(Y.components):
+            if not yk.is_zero():
+                rhs = rhs + A.bracket_of(X, A.basis(k)).scale_fn(yk) + A.basis(k).scale_fn(aX.apply(yk))
+        return A.bracket_of(X, Y) - rhs
+
+    frame = _frame_args(A)
+    pairs = [pair for m in range(A.n) for pair in iproduct(frame, _scaled_args(A, [m]))]
+    return _sweep(A, Report("anchor Leibniz rule"), [(pairs, ("leibniz", leibniz))])

@@ -1,18 +1,18 @@
 """Command line front end.
 
 Exit codes: 0 all checks pass, 1 a verification fails, 2 bad input or
-usage. Reports print as text to stdout; --json writes the same report
-as a machine-readable document. FALG_THREADS caps the worker pool used
-for independent law checks; output order is deterministic regardless.
+usage. A well-formed eventual identity that is not invertible at the
+generic point (``dual --ev 0,0``) is a verification failure, exit 1.
+Reports print as text to stdout; --json writes the same report as a
+machine-readable document. ``check`` with several laws reports each
+(law, instance) pair once, at its first occurrence.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .algebroid import (
     AlgebroidPresentation,
@@ -83,15 +83,6 @@ def _load_presentation(args) -> AlgebroidPresentation:
     return parse_presentation(text)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("FALG_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
-
-
 def _emit(report: Report, json_path: str | None) -> int:
     print(report.summary())
     if json_path:
@@ -119,14 +110,12 @@ def cmd_check(args) -> int:
         if law not in _LAWS:
             raise _InputError(f"unknown law {law!r}; known: {', '.join(sorted(_LAWS))}")
     report = Report(f"check {args.fixture or args.file}")
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda l: _LAWS[l](A), laws))
-    else:
-        results = [_LAWS[law](A) for law in laws]
-    for sub in results:
-        report.extend_from(sub)
+    seen = set()
+    for law in laws:
+        for c in _LAWS[law](A).checks:
+            if (c.law, c.instance) not in seen:
+                seen.add((c.law, c.instance))
+                report.checks.append(c)
     return _emit(report, args.json)
 
 

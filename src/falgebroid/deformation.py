@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import product as iproduct
 
-from .algebroid import AlgebroidPresentation, Section
+from .algebroid import AlgebroidPresentation, Section, _frame_args, _prelie_tuples, _scaled_args, _sweep
 from .constructions import FiniteAlgebra
 from .errors import (
     ArityMismatch,
@@ -162,10 +163,6 @@ class MultiDer:
         return out
 
 
-def multider_eval(omega: MultiDer, args: list[Section]) -> Section:
-    return omega.eval(list(args))
-
-
 def as_prelie(A: AlgebroidPresentation) -> AlgebroidPresentation:
     """View a commutative associative algebroid as pre-Lie with zero anchor."""
     if A.prelie is not None:
@@ -286,11 +283,9 @@ def _order_k_residual(deform: FormalDeformation, k: int, X: Section, Y: Section,
     """Order-k associator-symmetry residual of the deformed product."""
     A = deform.base
     total = Section.zero(A.rank, A.n)
-    for i in range(k + 1):
-        mi = deform.mu(i)
-        mj = deform.mu(k - i)
-        if mi is None or mj is None:
-            continue
+    # only i and k - i up to the stored order have cochains
+    for i in range(max(0, k - deform.order), min(k, deform.order) + 1):
+        mi, mj = deform.mu(i), deform.mu(k - i)
         term = (
             mi.eval([mj.eval([X, Y]), Z])
             - mi.eval([X, mj.eval([Y, Z])])
@@ -313,27 +308,10 @@ def check_n_deformation(deform: FormalDeformation) -> Report:
     A = deform.base
     report = Report(f"pre-Lie {deform.order}-deformation")
     top = 2 * deform.order if deform.formal else deform.order
-    basis = [(A.basis_name(i), A.basis(i)) for i in range(A.rank)]
-    scaled = [
-        (f"{A.base_vars[m]}*{A.basis_name(i)}", A.scaled_basis(m, i))
-        for m in range(A.n)
-        for i in range(A.rank)
-    ]
+    frame, scaled = _frame_args(A), _scaled_args(A)
     for k in range(top + 1):
-        triples = [(basis, basis, basis)]
-        if A.n > 0:
-            triples += [(scaled, basis, basis), (basis, scaled, basis), (basis, basis, scaled)]
-        for args1, args2, args3 in triples:
-            for ni, X in args1:
-                for nj, Y in args2:
-                    for nk, Z in args3:
-                        res = _order_k_residual(deform, k, X, Y, Z)
-                        report.add(
-                            "pre-lie-rule",
-                            f"order {k} ({ni},{nj},{nk})",
-                            res.is_zero(),
-                            A.fmt(res),
-                        )
+        rule = partial(_order_k_residual, deform, k)
+        _sweep(A, report, [(_prelie_tuples(frame, scaled), ("pre-lie-rule", rule))], prefix=f"order {k} ")
     return report
 
 
@@ -345,10 +323,7 @@ def semiclassical_limit(deform: FormalDeformation) -> AlgebroidPresentation:
     """
     if deform.order < 1:
         raise NotADeformation("semi-classical limit needs order >= 1")
-    check = check_n_deformation(deform)
-    if not check.overall:
-        fail = check.failures()[0]
-        raise NotADeformation(f"{fail.instance}: {fail.witness}")
+    check_n_deformation(deform).require(NotADeformation)
     A = deform.base
     mu1 = deform.mus[0]
     r = A.rank
@@ -379,21 +354,6 @@ def obstruction(deform: FormalDeformation, verify: bool = True) -> MultiDer:
     r = A.rank
     basis = [A.basis(i) for i in range(r)]
 
-    def theta_val(X: Section, Y: Section, Z: Section) -> Section:
-        total = Section.zero(r, A.n)
-        for i in range(1, n + 1):
-            j = n + 1 - i
-            if j < 1 or j > n:
-                continue
-            mi, mj = deform.mus[i - 1], deform.mus[j - 1]
-            total = total + (
-                mi.eval([mj.eval([X, Y]), Z])
-                - mi.eval([X, mj.eval([Y, Z])])
-                - mi.eval([mj.eval([Y, X]), Z])
-                + mi.eval([Y, mj.eval([X, Z])])
-            )
-        return total
-
     def theta_sigma(X: Section, Y: Section) -> VectorField:
         total = VectorField.zero(A.n)
         for i in range(1, n + 1):
@@ -409,7 +369,7 @@ def obstruction(deform: FormalDeformation, verify: bool = True) -> MultiDer:
         3,
         r,
         A.n,
-        lambda idx: theta_val(basis[idx[0]], basis[idx[1]], basis[idx[2]]),
+        lambda idx: _order_k_residual(deform, n + 1, basis[idx[0]], basis[idx[1]], basis[idx[2]]),
         lambda idx: theta_sigma(basis[idx[0]], basis[idx[1]]),
     )
     if verify:
@@ -438,10 +398,7 @@ def extend(deform: FormalDeformation, psi: MultiDer) -> FormalDeformation:
         )
         raise ObstructionNonzero(bad)
     extended = FormalDeformation(A, deform.mus + [psi], formal=deform.formal)
-    check = check_n_deformation(extended)
-    if not check.overall:
-        fail = check.failures()[0]
-        raise NotADeformation(f"{fail.instance}: {fail.witness}")
+    check_n_deformation(extended).require(NotADeformation)
     return extended
 
 

@@ -11,8 +11,19 @@ by an eventual identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
+from itertools import product as iproduct
 
-from .algebroid import AlgebroidPresentation, Section
+from .algebroid import (
+    AlgebroidPresentation,
+    Section,
+    _frame_args,
+    _record,
+    _scaled_args,
+    _sweep,
+    find_identity,
+    tensors_equal,
+)
 from .errors import MissingStructure, NotEventual, NotNijenhuis, ShapeError
 from .linalg import invert
 from .report import Report
@@ -96,21 +107,16 @@ def is_pseudo_eventual_identity(A: AlgebroidPresentation, E: Section) -> Report:
     frame pairs span all cases.
     """
     e = _require_identity(A)
-    report = Report("pseudo-eventual identity")
     factor = A.bracket_of(e, E)
-    for i in range(A.rank):
-        Ei = A.basis(i)
-        lhs_i = A.multiply(factor, Ei)
-        for j in range(A.rank):
-            Ej = A.basis(j)
-            res = A.p_tensor(E, Ei, Ej) - A.multiply(lhs_i, Ej)
-            report.add(
-                "pseudo-eventual-identity",
-                f"({A.basis_name(i)},{A.basis_name(j)})",
-                res.is_zero(),
-                A.fmt(res),
-            )
-    return report
+    left = cache(partial(A.multiply, factor))  # [e,ℰ]·X, shared by every Y
+    frame = _frame_args(A)
+
+    def residual(X: Section, Y: Section) -> Section:
+        return A.p_tensor(E, X, Y) - A.multiply(left(X), Y)
+
+    return _sweep(A, Report("pseudo-eventual identity"), [
+        (iproduct(frame, frame), ("pseudo-eventual-identity", residual)),
+    ])
 
 
 def is_pre_f_eventual_identity(A: AlgebroidPresentation, E: Section) -> Report:
@@ -121,29 +127,20 @@ def is_pre_f_eventual_identity(A: AlgebroidPresentation, E: Section) -> Report:
     it costs little and guards mutated inputs.
     """
     e = _require_identity(A)
-    report = Report("pre-F eventual identity")
     factor = A.prelie_of(E, e)
-    for i in range(A.rank):
-        Ei = A.basis(i)
-        fi = A.multiply(factor, Ei)
-        pi = A.prelie_of(Ei, E)
-        for j in range(A.rank):
-            Ej = A.basis(j)
-            res1 = A.psi(E, Ei, Ej) + A.multiply(fi, Ej)
-            report.add(
-                "psi-eventual-relation",
-                f"({A.basis_name(i)},{A.basis_name(j)})",
-                res1.is_zero(),
-                A.fmt(res1),
-            )
-            res2 = A.multiply(pi, Ej) - A.multiply(A.prelie_of(Ej, E), Ei)
-            report.add(
-                "prelie-eventual-symmetry",
-                f"({A.basis_name(i)},{A.basis_name(j)})",
-                res2.is_zero(),
-                A.fmt(res2),
-            )
-    return report
+    left = cache(partial(A.multiply, factor))  # (ℰ*e)·X, shared by every Y
+    first = cache(lambda X: A.prelie_of(X, E))  # X*ℰ in the first slot, shared by every Y
+    frame = _frame_args(A)
+
+    def relation(X: Section, Y: Section) -> Section:
+        return A.psi(E, X, Y) + A.multiply(left(X), Y)
+
+    def symmetry(X: Section, Y: Section) -> Section:
+        return A.multiply(first(X), Y) - A.multiply(A.prelie_of(Y, E), X)
+
+    return _sweep(A, Report("pre-F eventual identity"), [
+        (iproduct(frame, frame), ("psi-eventual-relation", relation), ("prelie-eventual-symmetry", symmetry)),
+    ])
 
 
 def multiplication_matrix(A: AlgebroidPresentation, E: Section) -> BundleMap:
@@ -186,28 +183,23 @@ def _dual_product(A: AlgebroidPresentation, E: Section):
     return tensor
 
 
-def dubrovin_dual(A: AlgebroidPresentation, E: Section) -> DualityCertificate:
-    """Dual presentation with product X·Y·ℰ, same bracket and anchor."""
-    report = is_pseudo_eventual_identity(A, E)
-    if not report.overall:
-        fail = report.failures()[0]
-        raise NotEventual(f"{fail.instance}: {fail.witness}")
+def _dual(A: AlgebroidPresentation, E: Section, checker) -> DualityCertificate:
+    """Dual with product X·Y·ℰ once ``checker`` accepts ℰ; other structures are kept."""
+    checker(A, E).require(NotEventual)
     inverse = invert_section(A, E)
     dual = A.with_structures(product=_dual_product(A, E), identity=inverse)
     e_dagger = A.multiply(inverse, inverse)
     return DualityCertificate(A, E, dual=dual, inverse=inverse, e_dagger=e_dagger)
+
+
+def dubrovin_dual(A: AlgebroidPresentation, E: Section) -> DualityCertificate:
+    """Dual presentation with product X·Y·ℰ, same bracket and anchor."""
+    return _dual(A, E, is_pseudo_eventual_identity)
 
 
 def pre_f_dual(A: AlgebroidPresentation, E: Section) -> DualityCertificate:
     """Pre-F dual: keeps the pre-Lie operation and anchor, swaps the product."""
-    report = is_pre_f_eventual_identity(A, E)
-    if not report.overall:
-        fail = report.failures()[0]
-        raise NotEventual(f"{fail.instance}: {fail.witness}")
-    inverse = invert_section(A, E)
-    dual = A.with_structures(product=_dual_product(A, E), identity=inverse)
-    e_dagger = A.multiply(inverse, inverse)
-    return DualityCertificate(A, E, dual=dual, inverse=inverse, e_dagger=e_dagger)
+    return _dual(A, E, is_pre_f_eventual_identity)
 
 
 def verify_certificate(cert: DualityCertificate, pre_f: bool = False) -> Report:
@@ -215,12 +207,9 @@ def verify_certificate(cert: DualityCertificate, pre_f: bool = False) -> Report:
     A, dual = cert.original, cert.dual
     report = Report("duality certificate")
     res = A.multiply(cert.ev_identity, cert.inverse) - _require_identity(A)
-    report.add("inverse-law", "ev·inverse = e", res.is_zero(), A.fmt(res))
+    _record(A, report, "inverse-law", "ev·inverse = e", res)
     res = cert.e_dagger - A.multiply(cert.inverse, cert.inverse)
-    report.add("e-dagger-law", "e† = inverse²", res.is_zero(), A.fmt(res))
-
-    from .algebroid import find_identity, tensors_equal
-
+    _record(A, report, "e-dagger-law", "e† = inverse²", res)
     found = find_identity(dual)
     ok = found is not None and (found - cert.inverse).is_zero()
     report.add(
@@ -255,9 +244,7 @@ def ev_identity_closure(A: AlgebroidPresentation, E1: Section, E2: Section, mode
         sub = checker(A, E)
         report.add("premise", f"{name} eventual", sub.overall,
                    None if sub.overall else sub.failures()[0].witness)
-    if not report.overall:
-        fail = report.failures()[0]
-        raise NotEventual(f"{fail.instance}: {fail.witness}")
+    report.require(NotEventual)
     prod = A.multiply(E1, E2)
     sub = checker(A, prod)
     report.add("product-closure", f"E1·E2 = [{A.fmt(prod)}]", sub.overall,
@@ -275,23 +262,14 @@ def ev_identity_closure(A: AlgebroidPresentation, E1: Section, E2: Section, mode
 _MODES = ("comm", "lie", "prelie", "f", "pre_f")
 
 
-def _torsion_pairs(A: AlgebroidPresentation, differential: bool):
-    from .algebroid import _basis_args, _scaled_args
+def _torsion(N: BundleMap, op):
+    """Residual of the Nijenhuis torsion identity of N for the operation op."""
 
-    basis = _basis_args(A)
-    firsts = basis + _scaled_args(A) if differential else basis
-    seconds = basis + _scaled_args(A) if differential else basis
-    return firsts, seconds
+    def residual(X: Section, Y: Section) -> Section:
+        NX, NY = N.apply(X), N.apply(Y)
+        return op(NX, NY) - N.apply(op(NX, Y) + op(X, NY) - N.apply(op(X, Y)))
 
-
-def _check_torsion(A: AlgebroidPresentation, N: BundleMap, op, law: str, report: Report, differential: bool):
-    firsts, seconds = _torsion_pairs(A, differential)
-    for ni, X in firsts:
-        NX = N.apply(X)
-        for nj, Y in seconds:
-            NY = N.apply(Y)
-            res = op(NX, NY) - N.apply(op(NX, Y) + op(X, NY) - N.apply(op(X, Y)))
-            report.add(law, f"({ni},{nj})", res.is_zero(), A.fmt(res))
+    return residual
 
 
 def is_nijenhuis(A: AlgebroidPresentation, N: BundleMap, on: str) -> Report:
@@ -305,18 +283,20 @@ def is_nijenhuis(A: AlgebroidPresentation, N: BundleMap, on: str) -> Report:
         raise ShapeError(f"unknown Nijenhuis mode {on!r}")
     if N.rank != A.rank:
         raise ShapeError("bundle map rank mismatch")
-    report = Report(f"Nijenhuis operator ({on})")
+    frame = _frame_args(A)
+    both = frame + _scaled_args(A)
+    table = []
     if on in ("comm", "f", "pre_f"):
-        _check_torsion(A, N, A.multiply, "nijenhuis-comm", report, differential=False)
+        table.append((iproduct(frame, frame), ("nijenhuis-comm", _torsion(N, A.multiply))))
     if on in ("lie", "f"):
         if A.bracket is None:
             raise MissingStructure("bracket")
-        _check_torsion(A, N, A.bracket_of, "nijenhuis-lie", report, differential=True)
+        table.append((iproduct(both, both), ("nijenhuis-lie", _torsion(N, A.bracket_of))))
     if on in ("prelie", "pre_f"):
         if A.prelie is None:
             raise MissingStructure("prelie")
-        _check_torsion(A, N, A.prelie_of, "nijenhuis-prelie", report, differential=True)
-    return report
+        table.append((iproduct(both, both), ("nijenhuis-prelie", _torsion(N, A.prelie_of))))
+    return _sweep(A, Report(f"Nijenhuis operator ({on})"), table)
 
 
 def _deformed_tensor(A: AlgebroidPresentation, N: BundleMap, op):
@@ -380,11 +360,6 @@ def deform_by_nijenhuis(A: AlgebroidPresentation, N: BundleMap, on: str | None =
 
 def nijenhuis_from_eventual(A: AlgebroidPresentation, E: Section) -> BundleMap:
     """Multiplication by a verified eventual identity, as a bundle map."""
-    if A.bracket is not None:
-        report = is_pseudo_eventual_identity(A, E)
-    else:
-        report = is_pre_f_eventual_identity(A, E)
-    if not report.overall:
-        fail = report.failures()[0]
-        raise NotEventual(f"{fail.instance}: {fail.witness}")
+    checker = is_pseudo_eventual_identity if A.bracket is not None else is_pre_f_eventual_identity
+    checker(A, E).require(NotEventual)
     return multiplication_matrix(A, E)

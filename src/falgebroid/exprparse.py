@@ -214,8 +214,7 @@ def parse_presentation(document):
 
     Accepts JSON text or an already decoded dictionary. Field names, the
     rank, tensor and matrix shapes and every expression are checked; the
-    structure laws are not (``AlgebroidPresentation.validate`` is not
-    called, and the ``check`` functions test the laws).
+    structure laws are not (the ``check`` functions test them).
     """
     from .algebroid import AlgebroidPresentation, Section
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .algebroid import AlgebroidPresentation, Section
+from .algebroid import AlgebroidPresentation, Section, _record
 from .duality import is_pseudo_eventual_identity
 from .errors import (
     JetOrderOverflow,
@@ -206,12 +206,8 @@ def flows_commute(F: HydroFlow, G: HydroFlow, names: list[str] | None = None) ->
     report = Report("flow commutation")
     names = names or [f"u{i + 1}" for i in range(F.n)]
     for i, res in enumerate(commutator_residual(F, G)):
-        report.add(
-            "flow-commutation",
-            f"component {names[i]}",
-            res.is_zero(),
-            res.format(names),
-        )
+        ok = res.is_zero()
+        report.add("flow-commutation", f"component {names[i]}", ok, None if ok else res.format(names))
     return report
 
 
@@ -246,13 +242,7 @@ def check_flat_condition(T: AlgebroidPresentation, nabla: Connection, X: Section
                 continue
             lhs = T.multiply(nabla.covariant_derivative(T, j, X), T.basis(l))
             rhs = T.multiply(nabla.covariant_derivative(T, l, X), T.basis(j))
-            diff = lhs - rhs
-            report.add(
-                "egorov-symmetry",
-                f"({T.basis_name(j)},{T.basis_name(l)})",
-                diff.is_zero(),
-                T.fmt(diff),
-            )
+            _record(T, report, "egorov-symmetry", f"({T.basis_name(j)},{T.basis_name(l)})", lhs - rhs)
     return report
 
 

@@ -39,6 +39,13 @@ class Report:
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.passed]
 
+    def require(self, error: type[Exception]) -> "Report":
+        """Raise ``error`` naming the first failing instance, if any."""
+        if not self.overall:
+            fail = self.failures()[0]
+            raise error(f"{fail.instance}: {fail.witness}")
+        return self
+
     def to_dict(self) -> dict:
         return {
             "subject": self.subject,

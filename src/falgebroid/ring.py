@@ -848,45 +848,3 @@ def vf_bracket(v: VectorField, w: VectorField) -> VectorField:
                 c = c - w.comps[i] * v.comps[mu].derivative(i)
         comps.append(c)
     return VectorField(comps)
-
-
-class HSeries:
-    """Truncated formal power series in a deformation parameter.
-
-    Coefficients may be any payloads supporting the operations used:
-    addition for series addition, multiplication for series products.
-    Terms beyond ``order`` are discarded.
-    """
-
-    __slots__ = ("order", "coeffs", "zero_payload")
-
-    def __init__(self, order: int, coeffs, zero_payload):
-        coeffs = list(coeffs)
-        if len(coeffs) > order + 1:
-            coeffs = coeffs[: order + 1]
-        while len(coeffs) < order + 1:
-            coeffs.append(zero_payload)
-        self.order = order
-        self.coeffs = coeffs
-        self.zero_payload = zero_payload
-
-    def __add__(self, other: "HSeries") -> "HSeries":
-        order = min(self.order, other.order)
-        return HSeries(order, [a + b for a, b in zip(self.coeffs, other.coeffs)], self.zero_payload)
-
-    def __mul__(self, other: "HSeries") -> "HSeries":
-        order = min(self.order, other.order)
-        out = []
-        for k in range(order + 1):
-            acc = self.zero_payload
-            for i in range(k + 1):
-                acc = acc + self.coeffs[i] * other.coeffs[k - i]
-            out.append(acc)
-        return HSeries(order, out, self.zero_payload)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )

@@ -8,7 +8,6 @@ import random
 from fractions import Fraction
 
 from falgebroid.algebroid import (
-    Phi,
     Section,
     check_f_algebroid,
     check_prelie_com,
@@ -82,9 +81,9 @@ def test_criterion_2_phi_tensoriality():
                 for Y in basis:
                     for Z in basis:
                         for W in basis:
-                            base = Phi(A, X, Y, Z, W).scale_fn(f)
-                            ok &= (Phi(A, X.scale_fn(f), Y, Z, W) - base).is_zero()
-                            ok &= (Phi(A, X, Y, Z.scale_fn(f), W) - base).is_zero()
+                            base = A.phi(X, Y, Z, W).scale_fn(f)
+                            ok &= (A.phi(X.scale_fn(f), Y, Z, W) - base).is_zero()
+                            ok &= (A.phi(X, Y, Z.scale_fn(f), W) - base).is_zero()
     report_line(2, "tensoriality of the compatibility tensor", ok)
 
 

@@ -6,8 +6,6 @@ import pytest
 
 from falgebroid.algebroid import (
     AlgebroidPresentation,
-    Phi,
-    Psi,
     Section,
     check_anchor_leibniz,
     check_comm_assoc,
@@ -136,9 +134,9 @@ def test_phi_tensoriality_on_ss2():
             for Y in basis:
                 for Z in basis:
                     for W in basis:
-                        base = Phi(A, X, Y, Z, W).scale_fn(f)
-                        assert Phi(A, X.scale_fn(f), Y, Z, W) - base == Section.zero(2, 2)
-                        assert Phi(A, X, Y, Z.scale_fn(f), W) - base == Section.zero(2, 2)
+                        base = A.phi(X, Y, Z, W).scale_fn(f)
+                        assert A.phi(X.scale_fn(f), Y, Z, W) - base == Section.zero(2, 2)
+                        assert A.phi(X, Y, Z.scale_fn(f), W) - base == Section.zero(2, 2)
 
 
 def test_psi_vanishes_on_prelie_com_fixture():
@@ -147,7 +145,7 @@ def test_psi_vanishes_on_prelie_com_fixture():
     for X in basis:
         for Y in basis:
             for Z in basis:
-                assert Psi(A, X, Y, Z).is_zero()
+                assert A.psi(X, Y, Z).is_zero()
 
 
 def test_find_identity():
@@ -211,3 +209,58 @@ def test_identity_consequences():
     # identity times arbitrary section with function coefficients
     X = Section([RatFunc.var(2, 0) ** 2, RatFunc.var(2, 1) + RatFunc.one(2)])
     assert A.multiply(e, X) == X
+
+
+# -- report invariants of the law engine ----------------------------------
+
+SHIPPED = ("FM2", "ACT2", "SS1", "SS2", "SS3", "TR", "TR2", "POISSON_SEED", "DN2_2")
+
+
+def _carried_laws(A):
+    """The ``falg check`` laws whose structures A carries."""
+    from falgebroid.cli import _LAWS
+
+    needs = {"lie": A.bracket, "f-algebroid": A.bracket, "pre-lie": A.prelie, "pre-f": A.prelie, "prelie-com": A.prelie}
+    return [law for law in _LAWS if needs.get(law, A.product) is not None]
+
+
+def _mutants():
+    """One mutant per law family, each failing its checker."""
+    ss2 = load_fixture("SS2")
+    u1, u2 = RatFunc.var(2, 0), RatFunc.var(2, 1)
+    t = _mutate_tensor(ss2.bracket, 0, 0, 1, u2)
+    hm = ss2.with_structures(bracket=_mutate_tensor(t, 0, 1, 0, -u2))
+    tr2 = load_fixture("TR2")
+    bad_prelie = tr2.with_structures(prelie=_mutate_tensor(tr2.prelie, 0, 0, 1, RatFunc.var(2, 0)))
+    return [
+        ("comm-assoc", ss2.with_structures(product=_mutate_tensor(ss2.product, 0, 0, 1, u1))),
+        ("lie", ss2.with_structures(bracket=_mutate_tensor(ss2.bracket, 0, 0, 0, RatFunc.one(2)))),
+        ("f-algebroid", hm),
+        ("pre-lie", bad_prelie),
+        ("pre-f", bad_prelie),
+        ("prelie-com", bad_prelie),
+    ]
+
+
+def _engine_cases():
+    cases = [(name, law, load_fixture(name), True) for name in SHIPPED for law in _carried_laws(load_fixture(name))]
+    cases += [(f"mutant-{law}", law, A, False) for law, A in _mutants()]
+    return [pytest.param(A, law, passes, id=f"{name}-{law}") for name, law, A, passes in cases]
+
+
+@pytest.mark.parametrize("A,law,passes", _engine_cases())
+def test_engine_report_invariants(A, law, passes):
+    from falgebroid.cli import _LAWS
+    from falgebroid.exprparse import parse_expr
+
+    report = _LAWS[law](A)
+    assert report.overall == passes
+    pairs = [(c.law, c.instance) for c in report.checks]
+    assert len(pairs) == len(set(pairs))
+    for c in report.checks:
+        if c.passed:
+            assert c.witness is None
+        else:
+            assert c.witness
+            values = [parse_expr(t, A.base_vars) for t in c.witness.split(", ")]
+            assert len(values) == A.rank and any(not v.is_zero() for v in values)

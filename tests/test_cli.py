@@ -207,13 +207,28 @@ def test_fixtures_listing(capsys):
     assert "SS<n>" in out and "FM2" in out
 
 
-def test_thread_env_does_not_change_report(tmp_path, capsys, monkeypatch):
-    report_a = tmp_path / "a.json"
-    report_b = tmp_path / "b.json"
-    run(["check", "--fixture", "SS2", "--json", str(report_a)], capsys)
-    monkeypatch.setenv("FALG_THREADS", "4")
-    run(["check", "--fixture", "SS2", "--json", str(report_b)], capsys)
-    assert json.loads(report_a.read_text()) == json.loads(report_b.read_text())
+def test_default_check_reports_each_pair_once(tmp_path, capsys):
+    # SS2 carries a bracket and a pre-Lie operation, so the default check
+    # runs f-algebroid and pre-f, which share the product laws
+    paths = {}
+    for tag, extra in (("default", []), ("f", ["--law", "f-algebroid"]), ("pre-f", ["--law", "pre-f"])):
+        paths[tag] = tmp_path / f"{tag}.json"
+        code, _, _ = run(["check", "--fixture", "SS2", *extra, "--json", str(paths[tag])], capsys)
+        assert code == 0
+    pairs = {
+        tag: [(c["law"], c["instance"]) for c in json.loads(path.read_text())["checks"]]
+        for tag, path in paths.items()
+    }
+    assert len(pairs["default"]) == len(set(pairs["default"]))
+    assert set(pairs["default"]) == set(pairs["f"]) | set(pairs["pre-f"])
+
+
+def test_dual_singular_ev_exits_1(capsys):
+    # a well-formed section that is not invertible is a verification outcome
+    for ev in ("0,0", "u1,0"):
+        code, _, err = run(["dual", "--fixture", "SS2", "--ev", ev], capsys)
+        assert code == 1
+        assert "verification failed: matrix is singular" in err
 
 
 def test_seed_flag_accepted(capsys):

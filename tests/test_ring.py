@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from falgebroid import ring
 from falgebroid.errors import DivisionByZero, NotDivisible
 from falgebroid.exprparse import parse_expr
-from falgebroid.ring import HSeries, Poly, RatFunc, VectorField, vf_bracket
+from falgebroid.ring import Poly, RatFunc, VectorField, vf_bracket
 
 NVARS = 2
 
@@ -245,17 +245,3 @@ def test_vector_field_jacobi(x, y, z):
 def test_vector_field_bracket_action(x, y, f):
     # [x, y](f) = x(y(f)) - y(x(f))
     assert vf_bracket(x, y).apply(f) == x.apply(y.apply(f)) - y.apply(x.apply(f))
-
-
-def test_hseries_truncated_arithmetic():
-    F = Fraction
-    a = HSeries(3, [F(1), F(2), F(0), F(1)], F(0))
-    b = HSeries(3, [F(0), F(1), F(1), F(0)], F(0))
-    c = HSeries(3, [F(2), F(0), F(3), F(0)], F(0))
-    assert (a + b) + c == a + (b + c)
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    # truncation: orders above 3 never appear
-    assert len((a * b).coeffs) == 4
-    # explicit product check: (1 + 2h + h^3)(h + h^2) = h + 3h^2 + 2h^3 + O(h^4)
-    assert (a * b).coeffs == [F(0), F(1), F(3), F(2)]
