@@ -60,11 +60,11 @@ from .hierarchy import (
     Connection,
     HierarchyData,
     HydroFlow,
-    JetPoly,
     check_flat_condition,
     eventual_identity_flows,
     flow_from_section,
     flows_commute,
+    jet_names,
     principal_hierarchy,
     total_x,
 )

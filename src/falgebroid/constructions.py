@@ -206,7 +206,8 @@ def direct_product(A1: AlgebroidPresentation, A2: AlgebroidPresentation) -> Alge
 
 
 def _poly_lcm(a: Poly, b: Poly) -> Poly:
-    return (a * b).exact_div(Poly.gcd(a, b))
+    _, a1, _ = Poly.gcd_cofactors(a, b)
+    return a1 * b
 
 
 def _monomial_coords(polys: list[Poly]):

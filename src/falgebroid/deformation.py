@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import product as iproduct
 
 from .algebroid import AlgebroidPresentation, Section, _frame_args, _prelie_tuples, _scaled_args, _sweep
@@ -262,12 +262,14 @@ class FormalDeformation:
     def mu(self, k: int) -> MultiDer | None:
         """The degree-2 cochain at order k, or None beyond the stored order."""
         if k == 0:
-            return self.mu0()
+            return self.mu0
         if k <= self.order:
             return self.mus[k - 1]
         return None
 
+    @cached_property
     def mu0(self) -> MultiDer:
+        """The base product as a degree-2 cochain, built once per deformation."""
         A = self.base
         return MultiDer.build(
             2, A.rank, A.n, lambda idx: A.multiply(A.basis(idx[0]), A.basis(idx[1]))

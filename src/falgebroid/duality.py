@@ -44,12 +44,6 @@ class BundleMap:
         if any(len(row) != r for row in self.matrix):
             raise ShapeError("bundle map matrix must be square")
 
-    @staticmethod
-    def identity(rank: int, nvars: int) -> "BundleMap":
-        one = RatFunc.one(nvars)
-        zero = RatFunc.zero(nvars)
-        return BundleMap([[one if k == j else zero for j in range(rank)] for k in range(rank)])
-
     @property
     def rank(self) -> int:
         return len(self.matrix)

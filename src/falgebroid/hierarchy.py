@@ -2,14 +2,19 @@
 
 A section of a tangent presentation induces the quasilinear flow
 ``u^i_t = V^i_j(u) u^j_x`` with ``V^i_j = sum_k c^i_{jk} X^k``. Flow
-commutators are computed exactly in a second-order jet ring: flows are
-first order, so their commutators involve at most u_xx.
+commutators are computed exactly in the second-order jet ring: flows are
+first order, so their commutators involve at most u_xx. A jet function is
+a plain ``RatFunc`` in the 3n variables of ``jet_names`` (u, u_x, u_xx).
+The total derivative D_x and the flow derivative are ``VectorField``s on
+that ring, D_x = (u_x, u_xx, 0) and the prolonged flow (K, D_x K, 0) for
+the velocities K, so every derivative is ``VectorField.apply``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import combinations
 
 from .algebroid import AlgebroidPresentation, Section, _record
@@ -24,108 +29,35 @@ from .errors import (
     ShapeError,
 )
 from .report import Report
-from .ring import Poly, RatFunc
+from .ring import Poly, RatFunc, VectorField
 
 
-class JetPoly:
-    """Polynomial in u^i_x and u^i_xx with rational-function coefficients in u.
-
-    Exponent tuples have length 2n: the first n slots are u_x exponents,
-    the last n are u_xx exponents. Zero coefficients are dropped.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict):
-        self.n = n
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
-
-    @staticmethod
-    def zero(n: int) -> "JetPoly":
-        return JetPoly(n, {})
-
-    @staticmethod
-    def coeff(n: int, f: RatFunc) -> "JetPoly":
-        return JetPoly(n, {(0,) * (2 * n): f})
-
-    @staticmethod
-    def u_x(n: int, i: int) -> "JetPoly":
-        e = [0] * (2 * n)
-        e[i] = 1
-        return JetPoly(n, {tuple(e): RatFunc.one(n)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, JetPoly) and self.n == other.n and self.terms == other.terms
-
-    def __add__(self, other: "JetPoly") -> "JetPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = out.get(e)
-            out[e] = c if cur is None else cur + c
-        return JetPoly(self.n, out)
-
-    def __neg__(self) -> "JetPoly":
-        return JetPoly(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "JetPoly") -> "JetPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "JetPoly") -> "JetPoly":
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                cur = out.get(e)
-                out[e] = c if cur is None else cur + c
-        return JetPoly(self.n, out)
-
-    def format(self, names: list[str]) -> str:
-        if not self.terms:
-            return "0"
-        jet_names = [f"{v}_x" for v in names] + [f"{v}_xx" for v in names]
-        parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            factors = []
-            cs = c.format(names)
-            if cs != "1" or not any(e):
-                factors.append(cs if ("+" not in cs and "- " not in cs) else f"({cs})")
-            for slot, p in enumerate(e):
-                if p == 1:
-                    factors.append(jet_names[slot])
-                elif p > 1:
-                    factors.append(f"{jet_names[slot]}^{p}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+def jet_names(names: list[str]) -> list[str]:
+    """Variables of the jet ring, in order: u, then u_x, then u_xx."""
+    return list(names) + [f"{v}_x" for v in names] + [f"{v}_xx" for v in names]
 
 
-def total_x(f: JetPoly) -> JetPoly:
+@cache
+def _total_x_field(n: int) -> VectorField:
+    """D_x on the jet ring in 3n variables: u to u_x to u_xx to 0."""
+    m = 3 * n
+    return VectorField([RatFunc.var(m, i) for i in range(n, m)] + [RatFunc.zero(m)] * n)
+
+
+def _jet_n(f: RatFunc, message: str) -> int:
+    """Base dimension of a jet function; raise if it depends on any u_xx."""
+    n, rem = divmod(f.nvars, 3)
+    if rem:
+        raise ShapeError("a jet function has 3n variables (u, u_x, u_xx)")
+    if any(any(e[2 * n :]) for p in (f.num, f.den) for e in p.terms):
+        raise JetOrderOverflow(message)
+    return n
+
+
+def total_x(f: RatFunc) -> RatFunc:
     """Total x-derivative: u^i to u^i_x to u^i_xx; beyond that overflows."""
-    n = f.n
-    out = JetPoly.zero(n)
-    for e, c in f.terms.items():
-        # chain rule through the u-dependence of the coefficient
-        for i in range(n):
-            d = c.derivative(i)
-            if not d.is_zero():
-                out = out + JetPoly(n, {e: d}) * JetPoly.u_x(n, i)
-        # Leibniz over the jet variables
-        for slot, p in enumerate(e):
-            if p == 0:
-                continue
-            if slot >= n:
-                raise JetOrderOverflow(
-                    "total derivative of a u_xx term leaves the supported jet range"
-                )
-            lowered = list(e)
-            lowered[slot] -= 1
-            lowered[slot + n] += 1
-            out = out + JetPoly(n, {tuple(lowered): c * RatFunc.const(n, p)})
-    return out
+    n = _jet_n(f, "total derivative of a u_xx term leaves the supported jet range")
+    return _total_x_field(n).apply(f)
 
 
 @dataclass(frozen=True)
@@ -138,35 +70,27 @@ class HydroFlow:
     def n(self) -> int:
         return len(self.V)
 
-    def velocity(self, i: int) -> JetPoly:
-        """The right-hand side of the i-th equation as a jet polynomial."""
-        n = self.n
-        out = JetPoly.zero(n)
-        for j in range(n):
-            if not self.V[i][j].is_zero():
-                out = out + JetPoly.coeff(n, self.V[i][j]) * JetPoly.u_x(n, j)
-        return out
+    @cached_property
+    def prolonged(self) -> VectorField:
+        """The flow as a derivation of the jet ring: (K, D_x K, 0) for velocities K."""
+        n, m = self.n, 3 * self.n
+        K = []
+        for row in self.V:
+            k = RatFunc.zero(m)
+            for j, v in enumerate(row):
+                if not v.is_zero():
+                    k = k + v.extend(m) * RatFunc.var(m, n + j)
+            K.append(k)
+        return VectorField(K + [total_x(k) for k in K] + [RatFunc.zero(m)] * n)
 
-    def derive(self, f: JetPoly) -> JetPoly:
-        """Time derivative of a first-order jet polynomial along the flow."""
-        n = self.n
-        out = JetPoly.zero(n)
-        for e, c in f.terms.items():
-            for i in range(n):
-                d = c.derivative(i)
-                if not d.is_zero():
-                    out = out + JetPoly(n, {e: d}) * self.velocity(i)
-            for slot, p in enumerate(e):
-                if p == 0:
-                    continue
-                if slot >= n:
-                    raise JetOrderOverflow("flow derivative applied past first-order jets")
-                lowered = list(e)
-                lowered[slot] -= 1
-                out = out + JetPoly(n, {tuple(lowered): c * RatFunc.const(n, p)}) * total_x(
-                    self.velocity(slot)
-                )
-        return out
+    def velocity(self, i: int) -> RatFunc:
+        """The right-hand side of the i-th equation as a jet function."""
+        return self.prolonged.comps[i]
+
+    def derive(self, f: RatFunc) -> RatFunc:
+        """Time derivative of a first-order jet function along the flow."""
+        _jet_n(f, "flow derivative applied past first-order jets")
+        return self.prolonged.apply(f)
 
 
 def _require_tangent(T: AlgebroidPresentation):
@@ -195,7 +119,7 @@ def flow_from_section(T: AlgebroidPresentation, X: Section) -> HydroFlow:
     return HydroFlow(tuple(V))
 
 
-def commutator_residual(F: HydroFlow, G: HydroFlow) -> list[JetPoly]:
+def commutator_residual(F: HydroFlow, G: HydroFlow) -> list[RatFunc]:
     """Per-component jet residual of the commutator of two flows."""
     if F.n != G.n:
         raise ShapeError("flows live on different base dimensions")
@@ -205,9 +129,10 @@ def commutator_residual(F: HydroFlow, G: HydroFlow) -> list[JetPoly]:
 def flows_commute(F: HydroFlow, G: HydroFlow, names: list[str] | None = None) -> Report:
     report = Report("flow commutation")
     names = names or [f"u{i + 1}" for i in range(F.n)]
+    jets = jet_names(names)
     for i, res in enumerate(commutator_residual(F, G)):
         ok = res.is_zero()
-        report.add("flow-commutation", f"component {names[i]}", ok, None if ok else res.format(names))
+        report.add("flow-commutation", f"component {names[i]}", ok, None if ok else res.format(jets))
     return report
 
 

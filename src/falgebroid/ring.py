@@ -25,8 +25,6 @@ from math import gcd as int_gcd, isqrt, lcm as int_lcm
 
 from .errors import DivisionByZero, NotDivisible, ShapeError
 
-Rational = Fraction
-
 
 def _grlex_key(exp: tuple[int, ...]) -> tuple:
     return (sum(exp), exp)
@@ -287,11 +285,6 @@ class Poly:
         if not self.is_constant():
             raise ShapeError("polynomial is not constant")
         return next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        if self.is_zero():
-            return -1
-        return max(sum(exp) for exp in self.terms)
 
     def degree_in(self, i: int) -> int:
         if self.is_zero():

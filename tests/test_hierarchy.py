@@ -16,15 +16,16 @@ from falgebroid.errors import (
     NotTangent,
     ShapeError,
 )
+from falgebroid.exprparse import parse_expr
 from falgebroid.hierarchy import (
     Connection,
     HydroFlow,
-    JetPoly,
     check_flat_condition,
     commutator_residual,
     eventual_identity_flows,
     flow_from_section,
     flows_commute,
+    jet_names,
     principal_hierarchy,
     total_x,
 )
@@ -37,31 +38,46 @@ def rfu(terms):
     return RatFunc(Poly.from_terms(2, {e: Fraction(c) for e, c in terms.items()}))
 
 
+def jet(terms):
+    """Polynomial in the 6 jet variables (u1, u2, u1_x, u2_x, u1_xx, u2_xx)."""
+    return RatFunc(Poly.from_terms(6, {e: Fraction(c) for e, c in terms.items()}))
+
+
+def test_jet_names():
+    assert jet_names(U) == ["u1", "u2", "u1_x", "u2_x", "u1_xx", "u2_xx"]
+
+
 def test_total_x_basics():
-    u1 = JetPoly.coeff(2, RatFunc.var(2, 0))
-    assert total_x(u1) == JetPoly.u_x(2, 0)
+    u1 = RatFunc.var(2, 0).extend(6)
+    assert total_x(u1) == RatFunc.var(6, 2)
     # Leibniz: D_x(u1 * u2_x) = u1_x u2_x + u1 u2_xx
-    f = u1 * JetPoly.u_x(2, 1)
+    f = u1 * RatFunc.var(6, 3)
     out = total_x(f)
-    expected = JetPoly.u_x(2, 0) * JetPoly.u_x(2, 1) + u1 * JetPoly(
-        2, {(0, 0, 0, 1): RatFunc.one(2)}
-    )
+    expected = RatFunc.var(6, 2) * RatFunc.var(6, 3) + u1 * RatFunc.var(6, 5)
     assert out == expected
+    assert out.format(jet_names(U)) == "u1*u2_xx + u1_x*u2_x"
     # chain rule on a pure coefficient
-    g = JetPoly.coeff(2, rfu({(2, 1): 1}))
+    g = rfu({(2, 1): 1}).extend(6)
     chain = total_x(g)
-    assert chain == JetPoly(
-        2,
-        {
-            (1, 0, 0, 0): rfu({(1, 1): 2}),
-            (0, 1, 0, 0): rfu({(2, 0): 1}),
-        },
-    )
+    assert chain == jet({(1, 1, 1, 0, 0, 0): 2, (2, 0, 0, 1, 0, 0): 1})
 
 
 def test_total_x_overflow():
-    with pytest.raises(JetOrderOverflow):
-        total_x(JetPoly(2, {(0, 0, 1, 0): RatFunc.one(2)}))
+    with pytest.raises(JetOrderOverflow, match="leaves the supported jet range"):
+        total_x(RatFunc.var(6, 4))
+
+
+def test_flow_derive_overflow():
+    F, _ = designated_pair()
+    with pytest.raises(JetOrderOverflow, match="flow derivative applied past first-order jets"):
+        F.derive(RatFunc.var(6, 5))
+    # first-order jets stay in range
+    assert F.derive(RatFunc.var(6, 2)) == total_x(F.velocity(0))
+
+
+def test_jet_function_shape():
+    with pytest.raises(ShapeError):
+        total_x(RatFunc.var(2, 0))
 
 
 def test_flow_from_section_examples():
@@ -102,7 +118,7 @@ def designated_pair():
 def test_designated_noncommuting_pair():
     F, G = designated_pair()
     res = commutator_residual(F, G)
-    assert res[0].format(U) == "u1*u1_x*u2_x"
+    assert res[0].format(jet_names(U)) == "u1*u1_x*u2_x"
     assert res[1].is_zero()
     report = flows_commute(F, G, U)
     assert not report.overall
@@ -231,3 +247,61 @@ def test_fifty_seeded_eventual_identity_flow_pairs():
         E2 = random_diagonal_section(rng, n)
         report = eventual_identity_flows(T, E1, E2)
         assert report.overall, (trial, report.summary())
+
+
+def seeded_flows(rng):
+    """Flows on SS_n of a random diagonal section and of a section mixing the coordinates."""
+    n = rng.choice([1, 2, 3])
+    T = semisimple(n)
+    diag = flow_from_section(T, random_diagonal_section(rng, n))
+    two = RatFunc.const(n, 2)
+    mixed = Section(
+        [
+            RatFunc.const(n, rng.randint(-3, 3)) * RatFunc.var(n, (i + 1) % n) / (RatFunc.var(n, i) + two)
+            for i in range(n)
+        ]
+    )
+    mixed = flow_from_section(T, mixed)
+    return n, diag, mixed
+
+
+def random_base_function(rng, n):
+    terms = {}
+    for _ in range(3):
+        exps = tuple(rng.randint(0, 2) for _ in range(n))
+        terms[exps] = Fraction(rng.randint(-3, 3))
+    num = Poly.from_terms(n, terms)
+    den = Poly.from_terms(n, {tuple(rng.randint(0, 1) for _ in range(n)): Fraction(1), (0,) * n: Fraction(2)})
+    if num.is_zero():
+        num = Poly.var(n, 0)
+    return RatFunc(num, den)
+
+
+def test_prolonged_flow_commutes_with_total_x():
+    rng = random.Random(20261018)
+    for trial in range(30):
+        n, diag, mixed = seeded_flows(rng)
+        f = random_base_function(rng, n).extend(3 * n)
+        for F in (diag, mixed):
+            assert F.derive(total_x(f)) == total_x(F.derive(f)), trial
+
+
+def test_failing_flow_witness_reparses():
+    rng = random.Random(7)
+    seen = 0
+    for trial in range(30):
+        n, diag, mixed = seeded_flows(rng)
+        names = [f"u{i + 1}" for i in range(n)]
+        report = flows_commute(diag, mixed, names)
+        residuals = commutator_residual(diag, mixed)
+        for check, res in zip(report.checks, residuals):
+            if check.passed:
+                assert res.is_zero() and check.witness is None
+                continue
+            seen += 1
+            assert parse_expr(check.witness, jet_names(names)) == res, (trial, check.witness)
+    assert seen
+    F, G = designated_pair()
+    witness = flows_commute(F, G, U).failures()[0].witness
+    assert witness == "u1*u1_x*u2_x"
+    assert parse_expr(witness, jet_names(U)) == commutator_residual(F, G)[0]
