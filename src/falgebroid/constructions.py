@@ -211,13 +211,13 @@ def _poly_lcm(a: Poly, b: Poly) -> Poly:
 
 
 def _monomial_coords(polys: list[Poly]):
-    monos = sorted({exp for p in polys for exp in p.terms})
+    monos = sorted({exp for p in polys for exp in p.coeffs})
     pos = {m: i for i, m in enumerate(monos)}
     vecs = []
     for p in polys:
         v = [Fraction(0)] * len(monos)
-        for exp, c in p.terms.items():
-            v[pos[exp]] = c
+        for exp, c in p.coeffs.items():
+            v[pos[exp]] = Fraction(c, p.denom)
         vecs.append(v)
     return vecs
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
+from math import lcm as int_lcm
 
 from .algebroid import AlgebroidPresentation, Section, _record
 from .duality import is_pseudo_eventual_identity
@@ -49,7 +50,7 @@ def _jet_n(f: RatFunc, message: str) -> int:
     n, rem = divmod(f.nvars, 3)
     if rem:
         raise ShapeError("a jet function has 3n variables (u, u_x, u_xx)")
-    if any(any(e[2 * n :]) for p in (f.num, f.den) for e in p.terms):
+    if any(any(e[2 * n :]) for p in (f.num, f.den) for e in p.coeffs):
         raise JetOrderOverflow(message)
     return n
 
@@ -198,18 +199,19 @@ def eventual_identity_flows(T: AlgebroidPresentation, E1: Section, E2: Section) 
 
 
 def _poly_antiderivative(p: Poly, m: int) -> Poly:
-    terms = {}
-    for exps, c in p.terms.items():
+    scale = int_lcm(*(e[m] + 1 for e in p.coeffs))
+    coeffs = {}
+    for exps, c in p.coeffs.items():
         e = list(exps)
         e[m] += 1
-        terms[tuple(e)] = c / Fraction(e[m])
-    return Poly.from_terms(p.nvars, terms)
+        coeffs[tuple(e)] = c * (scale // e[m])
+    return Poly.from_ints(p.nvars, coeffs, p.denom * scale)
 
 
 def _poly_zero_tail(p: Poly, start: int) -> Poly:
     """Set variables with index > start to zero."""
-    terms = {e: c for e, c in p.terms.items() if all(x == 0 for x in e[start + 1 :])}
-    return Poly.from_terms(p.nvars, terms)
+    coeffs = {e: c for e, c in p.coeffs.items() if not any(e[start + 1 :])}
+    return Poly.from_ints(p.nvars, coeffs, p.denom)
 
 
 def _path_integrate(rhs_rows: list[list[RatFunc]], nvars: int) -> list[RatFunc]:

@@ -1,7 +1,8 @@
 """Exact multivariate rational function arithmetic.
 
-Polynomials are sparse dictionaries mapping exponent tuples to Fraction
-coefficients. Rational functions keep a normalized numerator/denominator
+Polynomials are sparse dictionaries mapping exponent tuples to integer
+numerators over one positive common denominator, so the ring kernels run on
+Python ints. Rational functions keep a normalized numerator/denominator
 pair: the gcd is cancelled and the denominator is made monic under the
 graded lexicographic order, so equal functions have identical
 representations and equality never relies on sampling.
@@ -21,7 +22,9 @@ Operands with constant denominators skip all of this.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd as int_gcd, isqrt, lcm as int_lcm
+from operator import add
 
 from .errors import DivisionByZero, NotDivisible, ShapeError
 
@@ -34,14 +37,14 @@ def _grlex_key(exp: tuple[int, ...]) -> tuple:
 HEU_GCD_MAX = 6
 
 
-def _integer_primitive(terms: dict) -> tuple[Fraction, dict]:
-    """Split ``terms`` as ``scale * ints`` with integer coefficients of content 1."""
-    denom = int_lcm(*(c.denominator for c in terms.values()))
-    ints = {e: c.numerator * (denom // c.denominator) for e, c in terms.items()}
-    content = int_gcd(*ints.values())
-    if content != 1:
-        ints = {e: c // content for e, c in ints.items()}
-    return Fraction(content, denom), ints
+def _cancel(coeffs: dict, denom: int) -> tuple[dict, int]:
+    """Divide integer ``coeffs`` and ``denom`` by their common factor (zero gets 1)."""
+    if denom == 1:
+        return coeffs, 1
+    g = int_gcd(denom, *coeffs.values())
+    if g == 1:
+        return coeffs, denom
+    return {e: c // g for e, c in coeffs.items()}, denom // g
 
 
 def _evaluate(f: dict, v: int, x: int) -> dict:
@@ -233,15 +236,27 @@ def _scaled(h: dict, c: int) -> dict:
 
 
 class Poly:
-    """Sparse polynomial in ``nvars`` variables over the rationals."""
+    """Sparse polynomial in ``nvars`` variables over the rationals.
 
-    __slots__ = ("nvars", "terms")
+    Its value is ``sum(coeffs[e] * x**e) / denom``: ``coeffs`` maps exponent
+    tuples to nonzero ints and ``denom`` is a positive int coprime to their
+    content (1 for zero), so the representation is unique. ``terms`` gives
+    the ``{exponent: Fraction}`` view.
+    """
 
-    def __init__(self, nvars: int, terms: dict[tuple[int, ...], Fraction]):
+    __slots__ = ("nvars", "coeffs", "denom")
+
+    def __init__(self, nvars: int, coeffs: dict[tuple[int, ...], int], denom: int = 1):
         self.nvars = nvars
-        self.terms = terms
+        self.coeffs = coeffs
+        self.denom = denom
 
     # -- constructors ------------------------------------------------
+
+    @staticmethod
+    def from_ints(nvars: int, coeffs: dict[tuple[int, ...], int], denom: int = 1) -> "Poly":
+        """``sum(coeffs[e] * x**e) / denom`` for nonzero ints and ``denom > 0``, in normal form."""
+        return Poly(nvars, *_cancel(coeffs, denom))
 
     @staticmethod
     def zero(nvars: int) -> "Poly":
@@ -249,18 +264,19 @@ class Poly:
 
     @staticmethod
     def const(nvars: int, c) -> "Poly":
-        if type(c) is not Fraction:
+        if type(c) is not int:
             c = Fraction(c)
-        if c == 0:
-            return Poly(nvars, {})
-        return Poly(nvars, {(0,) * nvars: c})
+            if c.denominator != 1:
+                return Poly(nvars, {(0,) * nvars: c.numerator}, c.denominator)
+            c = c.numerator
+        return Poly(nvars, {(0,) * nvars: c} if c else {})
 
     @staticmethod
     def var(nvars: int, i: int) -> "Poly":
         if not 0 <= i < nvars:
             raise ShapeError(f"variable index {i} out of range for {nvars} variables")
         exp = tuple(1 if j == i else 0 for j in range(nvars))
-        return Poly(nvars, {exp: Fraction(1)})
+        return Poly(nvars, {exp: 1})
 
     @staticmethod
     def from_terms(nvars: int, terms: dict) -> "Poly":
@@ -269,68 +285,85 @@ class Poly:
             c = Fraction(c)
             if c != 0:
                 clean[tuple(exp)] = c
-        return Poly(nvars, clean)
+        # over the lcm of the reduced denominators the numerators are already coprime to it
+        denom = int_lcm(*(c.denominator for c in clean.values()))
+        return Poly(nvars, {e: c.numerator * (denom // c.denominator) for e, c in clean.items()}, denom)
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The coefficients as ``{exponent: Fraction}``, built on each access."""
+        return {e: Fraction(c, self.denom) for e, c in self.coeffs.items()}
 
     # -- predicates --------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
+        return not any(any(exp) for exp in self.coeffs)
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise ShapeError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.coeffs.values())), self.denom)
 
     def degree_in(self, i: int) -> int:
-        if self.is_zero():
-            return -1
-        return max(exp[i] for exp in self.terms)
+        return max((exp[i] for exp in self.coeffs), default=-1)
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         """Leading term under graded lexicographic order."""
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+        exp = max(self.coeffs, key=_grlex_key)
+        return exp, Fraction(self.coeffs[exp], self.denom)
 
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp, Fraction(0)) + c
-            if s == 0:
-                terms.pop(exp, None)
+        a, b, denom = self.coeffs, other.coeffs, self.denom
+        if denom != other.denom:
+            g = int_gcd(denom, other.denom)
+            ma, mb = other.denom // g, denom // g
+            a = {e: c * ma for e, c in a.items()}
+            b = {e: c * mb for e, c in b.items()} if mb != 1 else b
+            denom *= ma
+        else:
+            a = dict(a)
+        for exp, c in b.items():
+            s = a.get(exp, 0) + c
+            if s:
+                a[exp] = s
             else:
-                terms[exp] = s
-        return Poly(self.nvars, terms)
+                del a[exp]
+        return Poly(self.nvars, *_cancel(a, denom))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {exp: -c for exp, c in self.terms.items()})
+        return Poly(self.nvars, {exp: -c for exp, c in self.coeffs.items()}, self.denom)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(exp, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(exp, None)
-                else:
-                    terms[exp] = s
-        return Poly(self.nvars, terms)
+        # Henrici: with both operands reduced, cancelling gcd(self.denom,
+        # content(other)) and gcd(other.denom, content(self)) reduces the product
+        a, db = _cancel(self.coeffs, other.denom)
+        b, da = _cancel(other.coeffs, self.denom)
+        terms: dict[tuple[int, ...], int] = {}
+        get = terms.get
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                exp = tuple(map(add, e1, e2))
+                terms[exp] = get(exp, 0) + c1 * c2
+        return Poly(self.nvars, {e: c for e, c in terms.items() if c}, da * db)
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
         if c == 0:
             return Poly.zero(self.nvars)
-        return Poly(self.nvars, {exp: k * c for exp, k in self.terms.items()})
+        coeffs, q = _cancel(self.coeffs, c.denominator)
+        g = int_gcd(self.denom, c.numerator)
+        p = c.numerator // g
+        return Poly(self.nvars, {exp: k * p for exp, k in coeffs.items()}, self.denom // g * q)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -345,20 +378,19 @@ class Poly:
         return result
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
+        if not isinstance(other, Poly):
+            return False
+        return self.coeffs == other.coeffs and self.denom == other.denom and self.nvars == other.nvars
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.denom, frozenset(self.coeffs.items())))
 
     def derivative(self, i: int) -> "Poly":
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in self.terms.items():
-            if exp[i] == 0:
-                continue
-            new = list(exp)
-            new[i] -= 1
-            terms[tuple(new)] = c * exp[i]
-        return Poly(self.nvars, terms)
+        terms: dict[tuple[int, ...], int] = {}
+        for exp, c in self.coeffs.items():
+            if exp[i]:
+                terms[exp[:i] + (exp[i] - 1,) + exp[i + 1 :]] = c * exp[i]
+        return Poly(self.nvars, *_cancel(terms, self.denom))
 
     def extend(self, nvars: int, offset: int = 0) -> "Poly":
         """Reinterpret in a larger variable list, original vars shifted by offset."""
@@ -366,7 +398,7 @@ class Poly:
             raise ShapeError("extension does not fit")
         pad_left = (0,) * offset
         pad_right = (0,) * (nvars - offset - self.nvars)
-        return Poly(nvars, {pad_left + exp + pad_right: c for exp, c in self.terms.items()})
+        return Poly(nvars, {pad_left + exp + pad_right: c for exp, c in self.coeffs.items()}, self.denom)
 
     # -- division and gcd --------------------------------------------
 
@@ -376,55 +408,31 @@ class Poly:
             raise DivisionByZero("exact division by zero polynomial")
         if other.is_constant():
             return self.scale(1 / other.constant_value())
-        lead_exp, lead_c = other.leading()
-        rem = self
-        quot: dict[tuple[int, ...], Fraction] = {}
-        while not rem.is_zero():
-            rexp, rc = rem.leading()
-            qexp = tuple(a - b for a, b in zip(rexp, lead_exp))
-            if any(e < 0 for e in qexp):
-                raise NotDivisible("leading term not divisible")
-            qc = rc / lead_c
-            quot[qexp] = qc
-            rem = rem - other * Poly(self.nvars, {qexp: qc})
-        return Poly(self.nvars, quot)
+        # a primitive divisor over Q divides over Z too (Gauss's lemma)
+        content = int_gcd(*other.coeffs.values())
+        quot = _div_exact(self.coeffs, {e: c // content for e, c in other.coeffs.items()})
+        if quot is None:
+            raise NotDivisible("leading term not divisible")
+        return Poly.from_ints(self.nvars, {e: c * other.denom for e, c in quot.items()}, self.denom * content)
 
     def _to_integer_primitive(self) -> "Poly":
-        """Scale to integer coefficients with content 1 and positive leading coefficient."""
+        """Integer coefficients with content 1 and positive leading coefficient."""
         if self.is_zero():
             return self
-        _, ints = _integer_primitive(self.terms)
-        _, lead = self.leading()
-        sign = -1 if lead < 0 else 1
-        return Poly(self.nvars, {exp: Fraction(v * sign) for exp, v in ints.items()})
+        content = int_gcd(*self.coeffs.values())
+        if self.coeffs[max(self.coeffs, key=_grlex_key)] < 0:
+            content = -content
+        return Poly(self.nvars, {exp: c // content for exp, c in self.coeffs.items()})
 
     def _main_var(self) -> int:
-        best = -1
-        for exp in self.terms:
-            for i in range(self.nvars - 1, best, -1):
-                if exp[i] > 0 and i > best:
-                    best = i
-        return best
+        return max((i for exp in self.coeffs for i, d in enumerate(exp) if d), default=-1)
 
     def _univariate_view(self, v: int) -> dict[int, "Poly"]:
         """Coefficients of powers of variable ``v``, as polynomials in the rest."""
         coeffs: dict[int, dict] = {}
-        for exp, c in self.terms.items():
-            d = exp[v]
-            rest = list(exp)
-            rest[v] = 0
-            coeffs.setdefault(d, {})[tuple(rest)] = c
-        return {d: Poly(self.nvars, t) for d, t in coeffs.items()}
-
-    @staticmethod
-    def _from_univariate(v: int, coeffs: dict[int, "Poly"], nvars: int) -> "Poly":
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for d, p in coeffs.items():
-            for exp, c in p.terms.items():
-                new = list(exp)
-                new[v] += d
-                terms[tuple(new)] = c
-        return Poly(nvars, terms)
+        for exp, c in self.coeffs.items():
+            coeffs.setdefault(exp[v], {})[exp[:v] + (0,) + exp[v + 1 :]] = c
+        return {d: Poly.from_ints(self.nvars, t, self.denom) for d, t in coeffs.items()}
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
@@ -442,10 +450,10 @@ class Poly:
     def gcd_cofactors(a: "Poly", b: "Poly") -> tuple["Poly", "Poly", "Poly"]:
         """Return ``(g, a/g, b/g)`` with ``g = Poly.gcd(a, b)``.
 
-        Works on the integer-primitive forms. First, the images of both
-        inputs at fixed points modulo a prime bound the gcd's degree in
-        each variable from above; if every bound is 0 the inputs are
-        coprime. Otherwise the heuristic GCDHEU (Char, Geddes and Gonnet,
+        Works on the primitive parts of the integer numerators. First, the
+        images of both inputs at fixed points modulo a prime bound the gcd's
+        degree in each variable from above; if every bound is 0 the inputs
+        are coprime. Otherwise the heuristic GCDHEU (Char, Geddes and Gonnet,
         J. Symb. Comput. 1989) evaluates at large integers down to an
         integer gcd and rebuilds a candidate from its symmetric base-xi
         digits. A candidate is kept only if it divides both inputs exactly
@@ -454,18 +462,19 @@ class Poly:
         is used instead.
         """
         n = a.nvars
-        if not a.terms or not b.terms:
-            if not a.terms and not b.terms:
+        if not a.coeffs or not b.coeffs:
+            if not a.coeffs and not b.coeffs:
                 return a, a, b
-            other = b if not a.terms else a
+            other = b if not a.coeffs else a
             g = other._to_integer_primitive()
-            lead, c = g.leading()
-            scale = Poly.const(n, other.terms[lead] / c)
-            return (g, Poly.zero(n), scale) if not a.terms else (g, scale, Poly.zero(n))
+            scale = Poly.const(n, other.leading()[1] / g.leading()[1])
+            return (g, Poly.zero(n), scale) if not a.coeffs else (g, scale, Poly.zero(n))
         if a.is_constant() or b.is_constant():
             return Poly.const(n, 1), a, b
-        sa, fa = _integer_primitive(a.terms)
-        sb, fb = _integer_primitive(b.terms)
+        sa = int_gcd(*a.coeffs.values())
+        sb = int_gcd(*b.coeffs.values())
+        fa = {e: c // sa for e, c in a.coeffs.items()}
+        fb = {e: c // sb for e, c in b.coeffs.items()}
         bounds = _gcd_degree_bounds(fa, fb)
         if not any(bounds):
             return Poly.const(n, 1), a, b
@@ -480,10 +489,11 @@ class Poly:
             sa, sb = -sa, -sb
         if len(g) == 1 and lead == (0,) * n:
             return Poly.const(n, 1), a, b
+        # the cofactors are primitive, so their numerators stay coprime to the denominators
         return (
-            Poly(n, {e: Fraction(c) for e, c in g.items()}),
-            Poly(n, {e: c * sa for e, c in ca.items()}),
-            Poly(n, {e: c * sb for e, c in cb.items()}),
+            Poly(n, g),
+            Poly(n, {e: c * sa for e, c in ca.items()}, a.denom),
+            Poly(n, {e: c * sb for e, c in cb.items()}, b.denom),
         )
 
     @staticmethod
@@ -513,9 +523,8 @@ class Poly:
         return (cont * pp)._to_integer_primitive()
 
     def _content_pp(self, v: int) -> tuple["Poly", "Poly"]:
-        coeffs = self._univariate_view(v)
         content = Poly.zero(self.nvars)
-        for p in coeffs.values():
+        for p in self._univariate_view(v).values():
             if content.is_zero():
                 content = p._to_integer_primitive()
             else:
@@ -524,8 +533,7 @@ class Poly:
                 break
         if content.is_constant():
             return Poly.const(self.nvars, 1), self._to_integer_primitive()
-        pp = {d: p.exact_div(content) for d, p in coeffs.items()}
-        return content, Poly._from_univariate(v, pp, self.nvars)
+        return content, self.exact_div(content)
 
     @staticmethod
     def _prem(a: "Poly", b: "Poly", v: int) -> "Poly":
@@ -536,7 +544,7 @@ class Poly:
         while not r.is_zero() and r.degree_in(v) >= db:
             dr = r.degree_in(v)
             rc = r._univariate_view(v)[dr]
-            shift = Poly(a.nvars, {tuple(dr - db if i == v else 0 for i in range(a.nvars)): Fraction(1)})
+            shift = Poly(a.nvars, {tuple(dr - db if i == v else 0 for i in range(a.nvars)): 1})
             r = bc * r - rc * shift * b
         return r
 
@@ -544,9 +552,10 @@ class Poly:
         """Render as expression text that the parser accepts."""
         if self.is_zero():
             return "0"
+        terms = self.terms
         parts = []
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[exp]
+        for exp in sorted(terms, key=_grlex_key, reverse=True):
+            c = terms[exp]
             factors = []
             for i, e in enumerate(exp):
                 if e == 1:
@@ -567,7 +576,7 @@ class Poly:
         return " ".join(parts)
 
     def __repr__(self):
-        return f"Poly({self.nvars}, {self.terms!r})"
+        return f"Poly({self.nvars}, {self.coeffs!r}, {self.denom})"
 
 
 class RatFunc:
@@ -593,42 +602,29 @@ class RatFunc:
             raise DivisionByZero("zero denominator")
         if num.is_zero():
             return num, Poly.const(num.nvars, 1)
-        if den.is_constant():
-            c = den.constant_value()
-            if c == 1:
-                return num, den
-            return num.scale(1 / c), Poly.const(num.nvars, 1)
-        _, num, den = Poly.gcd_cofactors(num, den)
+        if not den.is_constant():
+            _, num, den = Poly.gcd_cofactors(num, den)
         return RatFunc._monic(num, den)
 
     @staticmethod
     def _monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-        _, lead = den.leading()
-        if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
+        lead = den.coeffs[max(den.coeffs, key=_grlex_key)]
+        if lead != 1 or den.denom != 1:
+            s = Fraction(den.denom, lead)
+            num, den = num.scale(s), den.scale(s)
         return num, den
 
     # -- constructors ------------------------------------------------
 
-    _zero_cache: dict = {}
-    _one_cache: dict = {}
-
     @staticmethod
+    @cache
     def zero(nvars: int) -> "RatFunc":
-        cached = RatFunc._zero_cache.get(nvars)
-        if cached is None:
-            cached = RatFunc(Poly.zero(nvars), _normal=False)
-            RatFunc._zero_cache[nvars] = cached
-        return cached
+        return RatFunc(Poly.zero(nvars), _normal=False)
 
     @staticmethod
+    @cache
     def one(nvars: int) -> "RatFunc":
-        cached = RatFunc._one_cache.get(nvars)
-        if cached is None:
-            cached = RatFunc(Poly.const(nvars, 1), _normal=False)
-            RatFunc._one_cache[nvars] = cached
-        return cached
+        return RatFunc(Poly.const(nvars, 1), _normal=False)
 
     @staticmethod
     def const(nvars: int, c) -> "RatFunc":
@@ -648,8 +644,8 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_one(self) -> bool:
-        t = self.num.terms
-        if len(t) != 1:
+        t = self.num.coeffs
+        if len(t) != 1 or self.num.denom != 1:
             return False
         ((exp, c),) = t.items()
         return c == 1 and not any(exp) and self.den.is_constant()
@@ -677,18 +673,18 @@ class RatFunc:
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        if not self.num.terms:
+        if not self.num.coeffs:
             return other
-        if not other.num.terms:
+        if not other.num.coeffs:
             return self
         if self.den.is_constant() and other.den.is_constant():
             return RatFunc(self.num + other.num, _normal=True)
         return self._henrici_sum(other.num, other.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
-        if not other.num.terms:
+        if not other.num.coeffs:
             return self
-        if not self.num.terms:
+        if not self.num.coeffs:
             return -other
         if self.den.is_constant() and other.den.is_constant():
             return RatFunc(self.num - other.num, _normal=True)
@@ -706,7 +702,7 @@ class RatFunc:
             return RatFunc(a + c, b)
         g, b1, d1 = Poly.gcd_cofactors(b, d)
         num = a * d1 + c * b1
-        if not num.terms:
+        if not num.coeffs:
             return RatFunc.zero(num.nvars)
         _, num, g1 = Poly.gcd_cofactors(num, g)
         return RatFunc(*RatFunc._monic(num, g1 * b1 * d1), _normal=True)
@@ -715,7 +711,7 @@ class RatFunc:
         return RatFunc(-self.num, self.den, _normal=True)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        if not self.num.terms or not other.num.terms:
+        if not self.num.coeffs or not other.num.coeffs:
             return RatFunc.zero(self.num.nvars)
         if self.is_one():
             return other
@@ -737,7 +733,7 @@ class RatFunc:
             raise DivisionByZero("division by zero rational function")
         if other.is_constant():
             return self.scale(1 / other.constant_value())
-        if not self.num.terms:
+        if not self.num.coeffs:
             return self
         return RatFunc._cross_cancel(self.num, self.den, other.den, other.num)
 
@@ -758,7 +754,7 @@ class RatFunc:
         # where t = a'*b1 - a*c1 shares no factor with b1, so only gcd(t, g) cancels
         g, b1, c1 = Poly.gcd_cofactors(self.den, self.den.derivative(i))
         t = self.num.derivative(i) * b1 - self.num * c1
-        if not t.terms:
+        if not t.coeffs:
             return RatFunc.zero(t.nvars)
         _, t, g1 = Poly.gcd_cofactors(t, g)
         return RatFunc(*RatFunc._monic(t, g1 * b1 * b1), _normal=True)
