@@ -18,50 +18,84 @@ from .report import Report
 from .ring import RatFunc, VectorField
 
 Tensor = list  # rank x rank x rank nested lists of RatFunc, output-index major
+Table = list  # compiled tensor: table[i][j] = ((k, c), ...), the nonzero E_k-components c of E_i∘E_j
 
 
 class Section:
-    """Element of the free module spanned by the frame, r components."""
+    """Element of the free module spanned by the frame, r components.
 
-    __slots__ = ("components",)
+    Only the nonzero components are stored: ``entries`` holds ``(k, RatFunc)``
+    pairs in ascending k, next to ``rank`` and ``nvars``, so the stored form is
+    unique. ``Section(components)`` takes the dense components, and
+    ``components`` is the dense tuple, built on each read.
+    """
+
+    __slots__ = ("entries", "rank", "nvars")
 
     def __init__(self, components):
-        self.components = tuple(components)
+        components = tuple(components)
+        self.entries = tuple((k, c) for k, c in enumerate(components) if c.num.coeffs)
+        self.rank, self.nvars = len(components), components[0].nvars if components else 0
+
+    @staticmethod
+    def _of(entries: tuple, rank: int, nvars: int) -> "Section":
+        s = object.__new__(Section)
+        s.entries, s.rank, s.nvars = entries, rank, nvars
+        return s
+
+    @staticmethod
+    def _from_dict(acc: dict, rank: int, nvars: int) -> "Section":
+        """The section with components ``acc[k]``, exact zeros dropped."""
+        if len(acc) > 1:
+            entries = tuple((k, acc[k]) for k in sorted(acc) if acc[k].num.coeffs)
+        else:  # at most one component, the common case: no sort and no generator
+            entries = tuple(acc.items()) if acc and next(iter(acc.values())).num.coeffs else ()
+        return Section._of(entries, rank, nvars)
 
     @staticmethod
     def zero(rank: int, nvars: int) -> "Section":
-        return Section(RatFunc.zero(nvars) for _ in range(rank))
+        return Section._of((), rank, nvars)
 
     @staticmethod
     def basis(rank: int, nvars: int, i: int) -> "Section":
-        return Section(
-            RatFunc.const(nvars, 1) if j == i else RatFunc.zero(nvars) for j in range(rank)
-        )
+        return Section._of(((i, RatFunc.one(nvars)),), rank, nvars)
 
     @property
-    def rank(self) -> int:
-        return len(self.components)
+    def components(self) -> tuple:
+        out = [RatFunc.zero(self.nvars)] * self.rank
+        for k, c in self.entries:
+            out[k] = c
+        return tuple(out)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
+        return not self.entries
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Section) and self.components == other.components
+        return isinstance(other, Section) and (self.rank, self.nvars, self.entries) == (other.rank, other.nvars, other.entries)
 
     def __hash__(self):
-        return hash(self.components)
+        return hash((self.rank, self.entries))
 
     def __add__(self, other: "Section") -> "Section":
-        return Section(a + b for a, b in zip(self.components, other.components))
+        if self.rank != other.rank:
+            raise ShapeError(f"cannot combine sections of ranks {self.rank} and {other.rank}")
+        if not other.entries or not self.entries:
+            return other if not self.entries else self
+        acc = dict(self.entries)
+        for k, c in other.entries:
+            cur = acc.get(k)
+            acc[k] = c if cur is None else cur + c
+        return Section._from_dict(acc, self.rank, self.nvars)
 
     def __sub__(self, other: "Section") -> "Section":
-        return Section(a - b for a, b in zip(self.components, other.components))
+        return self + -other
 
     def __neg__(self) -> "Section":
-        return Section(-a for a in self.components)
+        return Section._of(tuple((k, -c) for k, c in self.entries), self.rank, self.nvars)
 
     def scale_fn(self, f: RatFunc) -> "Section":
-        return Section(f * a for a in self.components)
+        entries = tuple((k, f * c) for k, c in self.entries) if f.num.coeffs else ()
+        return Section._of(entries, self.rank, self.nvars)
 
     def format(self, names: list[str]) -> str:
         return ", ".join(c.format(names) for c in self.components)
@@ -70,16 +104,11 @@ class Section:
         return f"Section({list(self.components)!r})"
 
 
-def _index_tensor(tensor: Tensor, rank: int) -> dict:
-    """Sparse lookup (i, j) -> list of (k, coefficient) with nonzero entries."""
-    index: dict[tuple[int, int], list] = {}
-    for k in range(rank):
-        for i in range(rank):
-            for j in range(rank):
-                val = tensor[k][i][j]
-                if not val.is_zero():
-                    index.setdefault((i, j), []).append((k, val))
-    return index
+def _compile(tensor: Tensor | None, rank: int) -> Table | None:
+    """The table of a tensor's nonzero structure constants; None for no tensor."""
+    if tensor is not None:
+        r = range(rank)
+        return [[tuple((k, m[i][j]) for k, m in enumerate(tensor) if not m[i][j].is_zero()) for j in r] for i in r]
 
 
 class AlgebroidPresentation:
@@ -88,12 +117,15 @@ class AlgebroidPresentation:
     ``product``, ``bracket`` and ``prelie`` are rank³ nested lists with
     the output index first: product[k][i][j] is the E_k-component of
     E_i·E_j. ``anchor`` is a list of rank rows, row i holding the
-    components of the vector field a(E_i). A zero-dimensional base
-    (no variables) encodes an algebra over a point.
+    components of the vector field a(E_i). ``n`` is the number of base
+    variables; n = 0 encodes an algebra over a point. The tensors are
+    compiled once, here, into ``Table``s of their nonzero constants,
+    which evaluation contracts with the nonzeros of its arguments.
     """
 
     def __init__(self, base_vars, rank, product, bracket=None, prelie=None, anchor=None, identity=None):
         self.base_vars = list(base_vars)
+        self.n = len(self.base_vars)
         self.rank = rank
         self.product = product
         self.bracket = bracket
@@ -101,14 +133,9 @@ class AlgebroidPresentation:
         self.anchor = anchor
         self.identity = identity
         self._check_shapes()
-        self._product_index = None
-        self._bracket_index = None
-        self._prelie_index = None
-        self._anchor_vfs = None
-
-    @property
-    def n(self) -> int:
-        return len(self.base_vars)
+        self._tables = {"product": _compile(product, rank), "bracket": _compile(bracket, rank), "prelie": _compile(prelie, rank)}
+        self._anchor_vfs = [VectorField.zero(self.n)] * rank if anchor is None else [VectorField(row) for row in anchor]
+        self._nonzero_anchors = {i: vf for i, vf in enumerate(self._anchor_vfs) if not vf.is_zero()}
 
     def _check_shapes(self):
         r, n = self.rank, self.n
@@ -141,84 +168,73 @@ class AlgebroidPresentation:
         return self.basis(i).scale_fn(self.var_fn(m))
 
     def anchor_vf(self, i: int) -> VectorField:
-        if self._anchor_vfs is None:
-            if self.anchor is None:
-                self._anchor_vfs = [VectorField.zero(self.n) for _ in range(self.rank)]
-            else:
-                self._anchor_vfs = [VectorField(row) for row in self.anchor]
         return self._anchor_vfs[i]
 
     def anchor_of(self, X: Section) -> VectorField:
         out = VectorField.zero(self.n)
-        for i, xi in enumerate(X.components):
-            if not xi.is_zero():
-                out = out + self.anchor_vf(i).scale_fn(xi)
+        for i, xi in X.entries:
+            out = out + self._anchor_vfs[i].scale_fn(xi)
         return out
 
     # -- evaluation ----------------------------------------------------
 
-    def _contract(self, index: dict, X: Section, Y: Section) -> list[RatFunc]:
-        out = [RatFunc.zero(self.n) for _ in range(self.rank)]
-        for i, xi in enumerate(X.components):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(Y.components):
-                if yj.is_zero():
-                    continue
-                entries = index.get((i, j))
-                if not entries:
+    @staticmethod
+    def _contract(table: Table, X: Section, Y: Section) -> dict:
+        """The E_k-components of sum X^i Y^j E_i∘E_j, keyed by k, from the nonzeros only."""
+        out = {}
+        for i, xi in X.entries:
+            row = table[i]
+            for j, yj in Y.entries:
+                cell = row[j]
+                if not cell:
                     continue
                 w = xi * yj
-                for k, val in entries:
-                    out[k] = out[k] + w * val
+                for k, c in cell:
+                    t = w * c
+                    cur = out.get(k)
+                    out[k] = t if cur is None else cur + t
         return out
 
     def multiply(self, X: Section, Y: Section) -> Section:
         if X.rank != self.rank or Y.rank != self.rank:
             raise ShapeError("section rank mismatch")
-        if self._product_index is None:
-            self._product_index = _index_tensor(self.product, self.rank)
-        return Section(self._contract(self._product_index, X, Y))
+        return Section._from_dict(self._contract(self._tables["product"], X, Y), self.rank, self.n)
 
-    def _derivation_terms(self, X: Section, Y: Section) -> list[RatFunc]:
-        """Components of sum_i X^i a(E_i)(Y^k) E_k."""
-        out = [RatFunc.zero(self.n) for _ in range(self.rank)]
-        if self.n == 0:
-            return out
-        for i, xi in enumerate(X.components):
-            if xi.is_zero():
+    def _derivation_terms(self, out: dict, X: Section, Y: Section, sign: int = 1):
+        """Add sign * sum_i X^i a(E_i)(Y^k) E_k into the components ``out``."""
+        for i, xi in X.entries:
+            a_i = self._nonzero_anchors.get(i)
+            if a_i is None:
                 continue
-            a_i = self.anchor_vf(i)
-            if a_i.is_zero():
-                continue
-            for k in range(self.rank):
-                d = a_i.apply(Y.components[k])
-                if not d.is_zero():
-                    out[k] = out[k] + xi * d
-        return out
+            for k, yk in Y.entries:
+                d = a_i.apply(yk)
+                if d.is_zero():
+                    continue
+                t = xi * d if sign > 0 else -(xi * d)
+                cur = out.get(k)
+                out[k] = t if cur is None else cur + t
+
+    def _require(self, name: str) -> Table:
+        """The table of the named operation; MissingStructure without it or a needed anchor."""
+        table = self._tables[name]
+        if table is None:
+            raise MissingStructure(name)
+        if self.n > 0 and self.anchor is None:
+            raise MissingStructure("anchor")
+        return table
 
     def bracket_of(self, X: Section, Y: Section) -> Section:
-        if self.bracket is None:
-            raise MissingStructure("bracket")
-        if self.n > 0 and self.anchor is None:
-            raise MissingStructure("anchor")
-        if self._bracket_index is None:
-            self._bracket_index = _index_tensor(self.bracket, self.rank)
-        out = self._contract(self._bracket_index, X, Y)
-        plus = self._derivation_terms(X, Y)
-        minus = self._derivation_terms(Y, X)
-        return Section(a + p - m for a, p, m in zip(out, plus, minus))
+        out = self._contract(self._require("bracket"), X, Y)
+        if self._nonzero_anchors:
+            self._derivation_terms(out, X, Y)
+            self._derivation_terms(out, Y, X, -1)
+        return Section._from_dict(out, self.rank, self.n)
 
     def prelie_of(self, X: Section, Y: Section) -> Section:
-        if self.prelie is None:
-            raise MissingStructure("prelie")
-        if self.n > 0 and self.anchor is None:
-            raise MissingStructure("anchor")
-        if self._prelie_index is None:
-            self._prelie_index = _index_tensor(self.prelie, self.rank)
-        out = self._contract(self._prelie_index, X, Y)
-        plus = self._derivation_terms(X, Y)
-        return Section(a + p for a, p in zip(out, plus))
+        out = self._contract(self._require("prelie"), X, Y)
+        if self._nonzero_anchors:
+            self._derivation_terms(out, X, Y)
+        return Section._from_dict(out, self.rank, self.n)
 
     # -- derived tensors ------------------------------------------------
 
@@ -278,12 +294,7 @@ class AlgebroidPresentation:
 
 
 def tensors_equal(t1: Tensor, t2: Tensor) -> bool:
-    return all(
-        c1 == c2
-        for m1, m2 in zip(t1, t2)
-        for r1, r2 in zip(m1, m2)
-        for c1, c2 in zip(r1, r2)
-    )
+    return all(c1 == c2 for m1, m2 in zip(t1, t2) for r1, r2 in zip(m1, m2) for c1, c2 in zip(r1, r2))
 
 
 # -- law engine ------------------------------------------------------------
@@ -316,10 +327,8 @@ def _prelie_tuples(frame, scaled):
 
 def _record(A: AlgebroidPresentation, report: Report, law: str, instance: str, res: Section):
     """Record one instance; the residual is formatted only when it is nonzero."""
-    if res.is_zero():
-        report.add(law, instance, True)
-    else:
-        report.add(law, instance, False, A.fmt(res))
+    passed = res.is_zero()
+    report.add(law, instance, passed, None if passed else A.fmt(res))
 
 
 def _sweep(A: AlgebroidPresentation, report: Report, table, prefix: str = "") -> Report:
@@ -358,10 +367,7 @@ def check_lie_algebroid(A: AlgebroidPresentation) -> Report:
     sensitive to anchor inconsistencies: the scaled residual picks up
     (a([Y,Z]) - [a(Y),a(Z)])(f)·X on top of f times the basis residual.
     """
-    if A.bracket is None:
-        raise MissingStructure("bracket")
-    if A.n > 0 and A.anchor is None:
-        raise MissingStructure("anchor")
+    A._require("bracket")
     br = A.bracket_of
     frame = _frame_args(A)
     return _sweep(A, Report("Lie algebroid"), [
@@ -391,10 +397,7 @@ def check_pre_lie_algebroid(A: AlgebroidPresentation) -> Report:
     the sub-adjacent bracket, since the scaled residual contains
     ([a(X),a(Y)] - a(X*Y - Y*X))(f)·Z.
     """
-    if A.prelie is None:
-        raise MissingStructure("prelie")
-    if A.n > 0 and A.anchor is None:
-        raise MissingStructure("anchor")
+    A._require("prelie")
     assoc = A.prelie_associator
     return _sweep(A, Report("pre-Lie algebroid"), [
         (_prelie_tuples(_frame_args(A), _scaled_args(A)),
@@ -432,8 +435,7 @@ def sub_adjacent(A: AlgebroidPresentation) -> AlgebroidPresentation:
 def find_identity(A: AlgebroidPresentation):
     """Solve e·E_i = E_i for a section e; None when no identity exists."""
     r, n = A.rank, A.n
-    rows = []
-    rhs = []
+    rows, rhs = [], []
     zero = RatFunc.zero(n)
     one = RatFunc.const(n, 1)
     for i in range(r):
@@ -441,9 +443,7 @@ def find_identity(A: AlgebroidPresentation):
             rows.append([A.product[k][j][i] for j in range(r)])
             rhs.append(one if i == k else zero)
     sol = solve(rows, rhs, zero, one)
-    if sol is None:
-        return None
-    return Section(sol)
+    return None if sol is None else Section(sol)
 
 
 def check_anchor_leibniz(A: AlgebroidPresentation) -> Report:
@@ -457,9 +457,8 @@ def check_anchor_leibniz(A: AlgebroidPresentation) -> Report:
     def leibniz(X: Section, Y: Section) -> Section:
         aX = A.anchor_of(X)
         rhs = A.zero_section()
-        for k, yk in enumerate(Y.components):
-            if not yk.is_zero():
-                rhs = rhs + A.bracket_of(X, A.basis(k)).scale_fn(yk) + A.basis(k).scale_fn(aX.apply(yk))
+        for k, yk in Y.entries:
+            rhs = rhs + A.bracket_of(X, A.basis(k)).scale_fn(yk) + A.basis(k).scale_fn(aX.apply(yk))
         return A.bracket_of(X, Y) - rhs
 
     frame = _frame_args(A)

@@ -54,7 +54,7 @@ from .errors import (
 from .exprparse import parse_expr, parse_presentation, presentation_to_document
 from .hierarchy import Connection, flow_from_section, flows_commute, principal_hierarchy
 from .report import Report
-from .ring import RatFunc, VectorField
+from .ring import VectorField
 
 _LAWS = {
     "comm-assoc": check_comm_assoc,
@@ -175,25 +175,24 @@ def _load_cochain(path: str, A: AlgebroidPresentation) -> list[MultiDer]:
         D_raw = doc["D"]
         if not isinstance(D_raw, list) or len(D_raw) != r:
             raise SchemaError(f"{path_k}.D", f"expected {r} matrices")
-        D = {}
+        cols = []  # cols[k][i][j], parsed in document order
         for k, mat in enumerate(D_raw):
+            if not isinstance(mat, list) or len(mat) != r:
+                raise SchemaError(f"{path_k}.D[{k}]", f"expected {r} rows")
+            cols.append([])
             for i, row in enumerate(mat):
-                for j, cell in enumerate(row):
-                    f = parse_expr(cell, A.base_vars)
-                    key = (i, j)
-                    cur = D.get(key)
-                    comps = list(cur.components) if cur else [RatFunc.zero(n)] * r
-                    comps[k] = f
-                    D[key] = Section(comps)
-        for i in range(r):
-            for j in range(r):
-                D.setdefault((i, j), Section.zero(r, n))
+                if not isinstance(row, list) or len(row) != r:
+                    raise SchemaError(f"{path_k}.D[{k}][{i}]", f"expected {r} cells")
+                cols[k].append([parse_expr(cell, A.base_vars) for cell in row])
+        D = {(i, j): Section(col[i][j] for col in cols) for i in range(r) for j in range(r)}
         sigma = {(i,): VectorField.zero(n) for i in range(r)}
         if doc.get("sigma") is not None:
             rows = doc["sigma"]
             if not isinstance(rows, list) or len(rows) != r:
                 raise SchemaError(f"{path_k}.sigma", f"expected {r} rows")
             for i, row in enumerate(rows):
+                if not isinstance(row, list) or len(row) != n:
+                    raise SchemaError(f"{path_k}.sigma[{i}]", f"expected {n} cells")
                 sigma[(i,)] = VectorField([parse_expr(cell, A.base_vars) for cell in row])
         out.append(MultiDer(2, r, n, D, sigma))
     return out

@@ -122,9 +122,8 @@ class MultiDer:
         for s in lead:
             new = []
             for idx, w in terms:
-                for i, c in enumerate(s.components):
-                    if not c.is_zero():
-                        new.append((idx + (i,), w * c))
+                for i, c in s.entries:
+                    new.append((idx + (i,), w * c))
             terms = new
         return terms
 
@@ -135,18 +134,14 @@ class MultiDer:
         last = args[-1]
         out = [RatFunc.zero(self.nvars) for _ in range(self.rank)]
         for idx, w in self._lead_terms(list(args[:-1])):
-            for i, c in enumerate(last.components):
-                if c.is_zero():
-                    continue
-                sec = self.D[idx + (i,)]
+            for i, c in last.entries:
                 wc = w * c
-                for k, v in enumerate(sec.components):
-                    if not v.is_zero():
-                        out[k] = out[k] + wc * v
+                for k, v in self.D[idx + (i,)].entries:
+                    out[k] = out[k] + wc * v
             vf = self.sigma[idx]
             if not vf.is_zero():
-                for k in range(self.rank):
-                    d = vf.apply(last.components[k])
+                for k, c in last.entries:
+                    d = vf.apply(c)
                     if not d.is_zero():
                         out[k] = out[k] + w * d
         return Section(out)
@@ -330,10 +325,10 @@ def semiclassical_limit(deform: FormalDeformation) -> AlgebroidPresentation:
     mu1 = deform.mus[0]
     r = A.rank
     vals = [
-        [mu1.eval([A.basis(i), A.basis(j)]) - mu1.eval([A.basis(j), A.basis(i)]) for j in range(r)]
+        [(mu1.eval([A.basis(i), A.basis(j)]) - mu1.eval([A.basis(j), A.basis(i)])).components for j in range(r)]
         for i in range(r)
     ]
-    bracket = [[[vals[i][j].components[k] for j in range(r)] for i in range(r)] for k in range(r)]
+    bracket = [[[vals[i][j][k] for j in range(r)] for i in range(r)] for k in range(r)]
     anchor = [list(mu1.sigma[(i,)].comps) for i in range(r)]
     return AlgebroidPresentation(
         base_vars=A.base_vars,
@@ -456,8 +451,8 @@ def _signed_permutations(head):
 def _coords(md: MultiDer, r: int, degree: int) -> list[Fraction]:
     vec = []
     for head, last, k in _der_index_tuples(r, degree):
-        c = md.D[head + (last,)].components[k]
-        vec.append(c.num.constant_value() / c.den.constant_value())
+        c = dict(md.D[head + (last,)].entries).get(k)
+        vec.append(Fraction(0) if c is None else c.constant_value())
     return vec
 
 

@@ -51,13 +51,11 @@ class BundleMap:
     def apply(self, X: Section) -> Section:
         if X.rank != self.rank:
             raise ShapeError("section rank mismatch")
-        nvars = X.components[0].nvars
         out = []
         for k in range(self.rank):
-            acc = RatFunc.zero(nvars)
-            for j, xj in enumerate(X.components):
-                if not xj.is_zero():
-                    acc = acc + self.matrix[k][j] * xj
+            acc = RatFunc.zero(X.nvars)
+            for j, xj in X.entries:
+                acc = acc + self.matrix[k][j] * xj
             out.append(acc)
         return Section(out)
 
@@ -145,9 +143,8 @@ def multiplication_matrix(A: AlgebroidPresentation, E: Section) -> BundleMap:
         row = []
         for j in range(r):
             acc = RatFunc.zero(n)
-            for i, ei in enumerate(E.components):
-                if not ei.is_zero():
-                    acc = acc + ei * A.product[k][i][j]
+            for i, ei in E.entries:
+                acc = acc + ei * A.product[k][i][j]
             row.append(acc)
         matrix.append(row)
     return BundleMap(matrix)
@@ -162,8 +159,8 @@ def invert_section(A: AlgebroidPresentation, E: Section) -> Section:
     out = []
     for k in range(A.rank):
         acc = RatFunc.zero(n)
-        for j in range(A.rank):
-            acc = acc + Minv[k][j] * e.components[j]
+        for j, ej in e.entries:
+            acc = acc + Minv[k][j] * ej
         out.append(acc)
     return Section(out)
 
@@ -171,9 +168,9 @@ def invert_section(A: AlgebroidPresentation, E: Section) -> Section:
 def _dual_product(A: AlgebroidPresentation, E: Section):
     r = A.rank
     tensor = []
-    cols = [[A.multiply(A.multiply(A.basis(i), A.basis(j)), E) for j in range(r)] for i in range(r)]
+    cols = [[A.multiply(A.multiply(A.basis(i), A.basis(j)), E).components for j in range(r)] for i in range(r)]
     for k in range(r):
-        tensor.append([[cols[i][j].components[k] for j in range(r)] for i in range(r)])
+        tensor.append([[cols[i][j][k] for j in range(r)] for i in range(r)])
     return tensor
 
 
@@ -303,9 +300,9 @@ def _deformed_tensor(A: AlgebroidPresentation, N: BundleMap, op):
         for j in range(r):
             Ej = A.basis(j)
             NEj = N.apply(Ej)
-            row.append(op(NEi, Ej) + op(Ei, NEj) - N.apply(op(Ei, Ej)))
+            row.append((op(NEi, Ej) + op(Ei, NEj) - N.apply(op(Ei, Ej))).components)
         vals.append(row)
-    return [[[vals[i][j].components[k] for j in range(r)] for i in range(r)] for k in range(r)]
+    return [[[vals[i][j][k] for j in range(r)] for i in range(r)] for k in range(r)]
 
 
 def deform_by_nijenhuis(A: AlgebroidPresentation, N: BundleMap, on: str | None = None) -> AlgebroidPresentation:

@@ -113,8 +113,8 @@ def flow_from_section(T: AlgebroidPresentation, X: Section) -> HydroFlow:
         row = []
         for j in range(r):
             acc = RatFunc.zero(T.n)
-            for k in range(r):
-                acc = acc + T.product[i][j][k] * X.components[k]
+            for k, xk in X.entries:
+                acc = acc + T.product[i][j][k] * xk
             row.append(acc)
         V.append(tuple(row))
     return HydroFlow(tuple(V))
@@ -150,11 +150,11 @@ class Connection:
 
     def covariant_derivative(self, T: AlgebroidPresentation, j: int, X: Section) -> Section:
         """(nabla_{d_j} X)^i = d_j X^i + gamma^i_{jk} X^k."""
-        comps = [X.components[i].derivative(j) for i in range(T.rank)]
+        comps = [c.derivative(j) for c in X.components]
         if self.gamma is not None:
             for i in range(T.rank):
-                for k in range(T.rank):
-                    comps[i] = comps[i] + self.gamma[i][j][k] * X.components[k]
+                for k, xk in X.entries:
+                    comps[i] = comps[i] + self.gamma[i][j][k] * xk
         return Section(comps)
 
 
@@ -273,13 +273,8 @@ def principal_hierarchy(
         data.table[(p, 0)] = X
         prev = X
         for alpha in range(1, alpha_max + 1):
-            rhs = [
-                [
-                    T.multiply(prev, T.basis(j)).components[i]
-                    for j in range(n)
-                ]
-                for i in range(T.rank)
-            ]
+            cols = [T.multiply(prev, T.basis(j)).components for j in range(n)]
+            rhs = [[cols[j][i] for j in range(n)] for i in range(T.rank)]
             for i in range(T.rank):
                 for j in range(n):
                     for l in range(j + 1, n):

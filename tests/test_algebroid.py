@@ -1,8 +1,11 @@
 """Structure-law checks: fixtures pass, mutants fail with witnesses."""
 
+import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from falgebroid.algebroid import (
     AlgebroidPresentation,
@@ -20,7 +23,8 @@ from falgebroid.algebroid import (
 )
 from falgebroid.constructions import FiniteAlgebra, load_fixture
 from falgebroid.errors import MissingStructure, ShapeError
-from falgebroid.ring import RatFunc
+from falgebroid.ring import RatFunc, VectorField
+from test_ring import DEADLINE, fractions, ratfuncs
 
 
 def _mutate_tensor(tensor, k, i, j, value):
@@ -264,3 +268,128 @@ def test_engine_report_invariants(A, law, passes):
             assert c.witness
             values = [parse_expr(t, A.base_vars) for t in c.witness.split(", ")]
             assert len(values) == A.rank and any(not v.is_zero() for v in values)
+
+
+# -- sparse sections against the dense oracle ------------------------------
+#
+# Test-only copies of the dense Section arithmetic and of the dense
+# contraction that visits every (i, j) pair. Normal forms are unique, so
+# the sparse evaluator must agree with them component for component.
+
+
+def _dense_add(xs, ys):
+    return tuple(a + b for a, b in zip(xs, ys))
+
+
+def _dense_sub(xs, ys):
+    return tuple(a - b for a, b in zip(xs, ys))
+
+
+def _dense_contract(A, tensor, xs, ys):
+    out = [RatFunc.zero(A.n)] * A.rank
+    for i, xi in enumerate(xs):
+        for j, yj in enumerate(ys):
+            if xi.is_zero() or yj.is_zero():
+                continue
+            w = xi * yj
+            for k in range(A.rank):
+                out[k] = out[k] + w * tensor[k][i][j]
+    return tuple(out)
+
+
+def _dense_derivation(A, xs, ys):
+    """Components of sum_i X^i a(E_i)(Y^k) E_k."""
+    out = [RatFunc.zero(A.n)] * A.rank
+    for i, xi in enumerate(xs):
+        a_i = VectorField(A.anchor[i]) if A.anchor is not None else VectorField.zero(A.n)
+        for k in range(A.rank):
+            out[k] = out[k] + xi * a_i.apply(ys[k])
+    return tuple(out)
+
+
+def _seeded_mutant():
+    """SS2 with one seeded random constant changed in each of its three tensors."""
+    rng = random.Random(17)
+    A = load_fixture("SS2")
+    u1, u2 = RatFunc.var(2, 0), RatFunc.var(2, 1)
+
+    def value():
+        return u1 * RatFunc.const(2, rng.randint(-3, 3)) + u2 * u2 * RatFunc.const(2, rng.randint(1, 3))
+
+    def pos():
+        return rng.randrange(2), rng.randrange(2), rng.randrange(2)
+
+    return A.with_structures(
+        product=_mutate_tensor(A.product, *pos(), value()),
+        bracket=_mutate_tensor(A.bracket, *pos(), value()),
+        prelie=_mutate_tensor(A.prelie, *pos(), value()),
+    )
+
+
+@cache
+def _oracle_case(name):
+    return _seeded_mutant() if name == "mutant" else load_fixture(name)
+
+
+def _sections(A):
+    """Random sections over A: components from the ring strategies, often zero."""
+    zero = RatFunc.zero(A.n)
+    if A.n == 0:
+        coeff = fractions.map(lambda c: RatFunc.const(0, c))
+    else:
+        assert A.n == 2
+        coeff = ratfuncs()
+    return st.lists(st.one_of(st.just(zero), coeff), min_size=A.rank, max_size=A.rank).map(Section)
+
+
+@pytest.mark.parametrize("name", ["SS2", "TR2", "ACT2", "DN2_2", "mutant"])
+@settings(max_examples=40, deadline=DEADLINE)
+@given(data=st.data())
+def test_sparse_evaluation_matches_dense_oracle(name, data):
+    A = _oracle_case(name)
+    X, Y = data.draw(_sections(A)), data.draw(_sections(A))
+    xs, ys = X.components, Y.components
+    assert A.multiply(X, Y).components == _dense_contract(A, A.product, xs, ys)
+    plus, minus = _dense_derivation(A, xs, ys), _dense_derivation(A, ys, xs)
+    if A.bracket is not None:
+        want = _dense_sub(_dense_add(_dense_contract(A, A.bracket, xs, ys), plus), minus)
+        assert A.bracket_of(X, Y).components == want
+    if A.prelie is not None:
+        assert A.prelie_of(X, Y).components == _dense_add(_dense_contract(A, A.prelie, xs, ys), plus)
+    assert (X + Y).components == _dense_add(xs, ys)
+    assert (X - Y).components == _dense_sub(xs, ys)
+    assert (-X).components == tuple(-c for c in xs)
+    f = ys[0]
+    assert X.scale_fn(f).components == tuple(f * c for c in xs)
+    # sections built sparse (by evaluation) equal and hash like those built dense
+    for s in (X, A.multiply(X, Y), X - X, X.scale_fn(f)):
+        assert Section(s.components) == s
+        assert hash(Section(s.components)) == hash(s)
+        assert s.is_zero() == all(c.is_zero() for c in s.components)
+
+
+def test_section_components_round_trip_with_zeros():
+    zero, f = RatFunc.zero(2), RatFunc.var(2, 1)
+    for dense in ([f, zero, zero], [zero, zero, f], [zero, f, zero], [zero, zero], [f]):
+        s = Section(dense)
+        assert s.components == tuple(dense)
+        assert s.rank == len(dense) and s.nvars == 2
+        assert s.entries == tuple((k, c) for k, c in enumerate(dense) if not c.is_zero())
+        assert Section(s.components) == s and hash(Section(s.components)) == hash(s)
+    assert Section([zero, zero]) == Section.zero(2, 2)
+    assert Section([zero, RatFunc.one(2)]) == Section.basis(2, 2, 1)
+    # the same components over a different rank or base are a different section
+    assert Section([zero, zero]) != Section.zero(3, 2)
+    assert Section([zero, zero]) != Section.zero(2, 1)
+
+
+def test_section_rank_mismatch_raises():
+    one = RatFunc.one(2)
+    X, Y = Section([one, one]), Section([one])
+    for combine in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ShapeError):
+            combine(X, Y)
+        with pytest.raises(ShapeError):
+            combine(Y, X)
+    with pytest.raises(ShapeError):
+        X + Section.zero(1, 2)

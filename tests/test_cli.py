@@ -168,6 +168,23 @@ def test_deform_corrupted_mu1_exits_1(tmp_path, capsys):
     assert "pre-lie-rule" in out
 
 
+def test_deform_malformed_mu1_shapes_exit_2(tmp_path, capsys):
+    zero = [["0", "0"], ["0", "0"]]
+    cases = [
+        ({"D": [[["0"]], [["0"]]]}, "$.D[0]"),
+        ({"D": [[["0", "0", "1"], ["0", "0"]], zero]}, "$.D[0][0]"),
+        ({"D": [zero, zero], "sigma": [["1"], ["0"]]}, "$.sigma[0]"),
+        ([{"D": [zero, zero]}, {"D": [zero, [["0", "0"], ["0"]]]}], "[1].D[1][1]"),
+    ]
+    for doc, where in cases:
+        mu = tmp_path / "mu1.json"
+        mu.write_text(json.dumps(doc))
+        code, out, err = run(["deform", "--fixture", "SS2", "--mu1", str(mu)], capsys)
+        assert code == 2
+        assert f"{where}: expected 2 " in err
+        assert "overall" not in out
+
+
 def test_deform_requires_an_input(capsys):
     assert run(["deform", "--fixture", "SS2"], capsys)[0] == 2
 
