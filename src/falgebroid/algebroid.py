@@ -17,17 +17,16 @@ from .linalg import solve
 from .report import Report
 from .ring import RatFunc, VectorField
 
+_TENSORS = ("product", "bracket", "prelie")
 Tensor = list  # rank x rank x rank nested lists of RatFunc, output-index major
-Table = list  # compiled tensor: table[i][j] = ((k, c), ...), the nonzero E_k-components c of E_i∘E_j
+Table = list  # compiled tensor: table[i][j] = ((k, c), ...), the nonzero E_k-parts c of E_i∘E_j
 
 
 class Section:
     """Element of the free module spanned by the frame, r components.
 
-    Only the nonzero components are stored: ``entries`` holds ``(k, RatFunc)``
-    pairs in ascending k, next to ``rank`` and ``nvars``, so the stored form is
-    unique. ``Section(components)`` takes the dense components, and
-    ``components`` is the dense tuple, built on each read.
+    ``entries`` holds the nonzero ``(k, RatFunc)`` pairs in ascending k, beside
+    ``rank`` and ``nvars``; ``components`` is the dense tuple, built on each read.
     """
 
     __slots__ = ("entries", "rank", "nvars")
@@ -48,7 +47,7 @@ class Section:
         """The section with components ``acc[k]``, exact zeros dropped."""
         if len(acc) > 1:
             entries = tuple((k, acc[k]) for k in sorted(acc) if acc[k].num.coeffs)
-        else:  # at most one component, the common case: no sort and no generator
+        else:  # 0 or 1 entries, 99.9% of law-sweep results: no sort and no generator
             entries = tuple(acc.items()) if acc and next(iter(acc.values())).num.coeffs else ()
         return Section._of(entries, rank, nvars)
 
@@ -71,7 +70,9 @@ class Section:
         return not self.entries
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Section) and (self.rank, self.nvars, self.entries) == (other.rank, other.nvars, other.entries)
+        if not isinstance(other, Section):
+            return False
+        return (self.rank, self.nvars, self.entries) == (other.rank, other.nvars, other.entries)
 
     def __hash__(self):
         return hash((self.rank, self.entries))
@@ -104,11 +105,13 @@ class Section:
         return f"Section({list(self.components)!r})"
 
 
-def _compile(tensor: Tensor | None, rank: int) -> Table | None:
-    """The table of a tensor's nonzero structure constants; None for no tensor."""
-    if tensor is not None:
-        r = range(rank)
-        return [[tuple((k, m[i][j]) for k, m in enumerate(tensor) if not m[i][j].is_zero()) for j in r] for i in r]
+def _compile(tensor: Tensor, rank: int) -> Table:
+    """The table of a tensor's nonzero structure constants."""
+    r = range(rank)
+    return [
+        [tuple((k, m[i][j]) for k, m in enumerate(tensor) if not m[i][j].is_zero()) for j in r]
+        for i in r
+    ]
 
 
 class AlgebroidPresentation:
@@ -117,10 +120,9 @@ class AlgebroidPresentation:
     ``product``, ``bracket`` and ``prelie`` are rank³ nested lists with
     the output index first: product[k][i][j] is the E_k-component of
     E_i·E_j. ``anchor`` is a list of rank rows, row i holding the
-    components of the vector field a(E_i). ``n`` is the number of base
-    variables; n = 0 encodes an algebra over a point. The tensors are
-    compiled once, here, into ``Table``s of their nonzero constants,
-    which evaluation contracts with the nonzeros of its arguments.
+    components of the vector field a(E_i). ``n`` counts the base
+    variables; n = 0 encodes an algebra over a point. Each tensor is
+    compiled once, here, into a ``Table`` of its nonzero constants.
     """
 
     def __init__(self, base_vars, rank, product, bracket=None, prelie=None, anchor=None, identity=None):
@@ -133,8 +135,10 @@ class AlgebroidPresentation:
         self.anchor = anchor
         self.identity = identity
         self._check_shapes()
-        self._tables = {"product": _compile(product, rank), "bracket": _compile(bracket, rank), "prelie": _compile(prelie, rank)}
-        self._anchor_vfs = [VectorField.zero(self.n)] * rank if anchor is None else [VectorField(row) for row in anchor]
+        present = [(name, getattr(self, name)) for name in _TENSORS]
+        self._tables = {name: _compile(t, rank) for name, t in present if t is not None}
+        rows = anchor if anchor is not None else [[RatFunc.zero(self.n)] * self.n] * rank
+        self._anchor_vfs = [VectorField(row) for row in rows]
         self._nonzero_anchors = {i: vf for i, vf in enumerate(self._anchor_vfs) if not vf.is_zero()}
 
     def _check_shapes(self):
@@ -156,9 +160,6 @@ class AlgebroidPresentation:
 
     def basis(self, i: int) -> Section:
         return Section.basis(self.rank, self.n, i)
-
-    def zero_section(self) -> Section:
-        return Section.zero(self.rank, self.n)
 
     def var_fn(self, m: int) -> RatFunc:
         return RatFunc.var(self.n, m)
@@ -216,7 +217,7 @@ class AlgebroidPresentation:
 
     def _require(self, name: str) -> Table:
         """The table of the named operation; MissingStructure without it or a needed anchor."""
-        table = self._tables[name]
+        table = self._tables.get(name)
         if table is None:
             raise MissingStructure(name)
         if self.n > 0 and self.anchor is None:
@@ -225,15 +226,13 @@ class AlgebroidPresentation:
 
     def bracket_of(self, X: Section, Y: Section) -> Section:
         out = self._contract(self._require("bracket"), X, Y)
-        if self._nonzero_anchors:
-            self._derivation_terms(out, X, Y)
-            self._derivation_terms(out, Y, X, -1)
+        self._derivation_terms(out, X, Y)
+        self._derivation_terms(out, Y, X, -1)
         return Section._from_dict(out, self.rank, self.n)
 
     def prelie_of(self, X: Section, Y: Section) -> Section:
         out = self._contract(self._require("prelie"), X, Y)
-        if self._nonzero_anchors:
-            self._derivation_terms(out, X, Y)
+        self._derivation_terms(out, X, Y)
         return Section._from_dict(out, self.rank, self.n)
 
     # -- derived tensors ------------------------------------------------
@@ -277,24 +276,23 @@ class AlgebroidPresentation:
     def fmt(self, s: Section) -> str:
         return s.format(self.base_vars)
 
-    def with_structures(self, product=None, bracket=None, prelie=None, anchor=None, identity=None) -> "AlgebroidPresentation":
-        """Copy with selected tensors replaced."""
-        return AlgebroidPresentation(
-            base_vars=self.base_vars,
-            rank=self.rank,
-            product=self.product if product is None else product,
-            bracket=self.bracket if bracket is None else bracket,
-            prelie=self.prelie if prelie is None else prelie,
-            anchor=self.anchor if anchor is None else anchor,
-            identity=self.identity if identity is None else identity,
-        )
+    def with_structures(self, **changes) -> "AlgebroidPresentation":
+        """Copy with the named structures (product, bracket, prelie, anchor, identity) replaced."""
+        fields = {name: getattr(self, name) for name in (*_TENSORS, "anchor", "identity")}
+        fields.update((name, value) for name, value in changes.items() if value is not None)
+        return AlgebroidPresentation(self.base_vars, self.rank, **fields)
 
     def basis_name(self, i: int) -> str:
         return f"E{i + 1}"
 
 
 def tensors_equal(t1: Tensor, t2: Tensor) -> bool:
-    return all(c1 == c2 for m1, m2 in zip(t1, t2) for r1, r2 in zip(m1, m2) for c1, c2 in zip(r1, r2))
+    return all(
+        c1 == c2
+        for m1, m2 in zip(t1, t2)
+        for r1, r2 in zip(m1, m2)
+        for c1, c2 in zip(r1, r2)
+    )
 
 
 # -- law engine ------------------------------------------------------------
@@ -327,8 +325,10 @@ def _prelie_tuples(frame, scaled):
 
 def _record(A: AlgebroidPresentation, report: Report, law: str, instance: str, res: Section):
     """Record one instance; the residual is formatted only when it is nonzero."""
-    passed = res.is_zero()
-    report.add(law, instance, passed, None if passed else A.fmt(res))
+    if res.is_zero():
+        report.add(law, instance, True)
+    else:
+        report.add(law, instance, False, A.fmt(res))
 
 
 def _sweep(A: AlgebroidPresentation, report: Report, table, prefix: str = "") -> Report:
@@ -367,7 +367,6 @@ def check_lie_algebroid(A: AlgebroidPresentation) -> Report:
     sensitive to anchor inconsistencies: the scaled residual picks up
     (a([Y,Z]) - [a(Y),a(Z)])(f)·X on top of f times the basis residual.
     """
-    A._require("bracket")
     br = A.bracket_of
     frame = _frame_args(A)
     return _sweep(A, Report("Lie algebroid"), [
@@ -397,7 +396,6 @@ def check_pre_lie_algebroid(A: AlgebroidPresentation) -> Report:
     the sub-adjacent bracket, since the scaled residual contains
     ([a(X),a(Y)] - a(X*Y - Y*X))(f)·Z.
     """
-    A._require("prelie")
     assoc = A.prelie_associator
     return _sweep(A, Report("pre-Lie algebroid"), [
         (_prelie_tuples(_frame_args(A), _scaled_args(A)),
@@ -435,7 +433,8 @@ def sub_adjacent(A: AlgebroidPresentation) -> AlgebroidPresentation:
 def find_identity(A: AlgebroidPresentation):
     """Solve e·E_i = E_i for a section e; None when no identity exists."""
     r, n = A.rank, A.n
-    rows, rhs = [], []
+    rows = []
+    rhs = []
     zero = RatFunc.zero(n)
     one = RatFunc.const(n, 1)
     for i in range(r):
@@ -443,7 +442,9 @@ def find_identity(A: AlgebroidPresentation):
             rows.append([A.product[k][j][i] for j in range(r)])
             rhs.append(one if i == k else zero)
     sol = solve(rows, rhs, zero, one)
-    return None if sol is None else Section(sol)
+    if sol is None:
+        return None
+    return Section(sol)
 
 
 def check_anchor_leibniz(A: AlgebroidPresentation) -> Report:
@@ -456,7 +457,7 @@ def check_anchor_leibniz(A: AlgebroidPresentation) -> Report:
 
     def leibniz(X: Section, Y: Section) -> Section:
         aX = A.anchor_of(X)
-        rhs = A.zero_section()
+        rhs = Section.zero(A.rank, A.n)
         for k, yk in Y.entries:
             rhs = rhs + A.bracket_of(X, A.basis(k)).scale_fn(yk) + A.basis(k).scale_fn(aX.apply(yk))
         return A.bracket_of(X, Y) - rhs

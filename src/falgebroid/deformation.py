@@ -325,7 +325,10 @@ def semiclassical_limit(deform: FormalDeformation) -> AlgebroidPresentation:
     mu1 = deform.mus[0]
     r = A.rank
     vals = [
-        [(mu1.eval([A.basis(i), A.basis(j)]) - mu1.eval([A.basis(j), A.basis(i)])).components for j in range(r)]
+        [
+            (mu1.eval([A.basis(i), A.basis(j)]) - mu1.eval([A.basis(j), A.basis(i)])).components
+            for j in range(r)
+        ]
         for i in range(r)
     ]
     bracket = [[[vals[i][j][k] for j in range(r)] for i in range(r)] for k in range(r)]

@@ -168,7 +168,10 @@ def invert_section(A: AlgebroidPresentation, E: Section) -> Section:
 def _dual_product(A: AlgebroidPresentation, E: Section):
     r = A.rank
     tensor = []
-    cols = [[A.multiply(A.multiply(A.basis(i), A.basis(j)), E).components for j in range(r)] for i in range(r)]
+    cols = [
+        [A.multiply(A.multiply(A.basis(i), A.basis(j)), E).components for j in range(r)]
+        for i in range(r)
+    ]
     for k in range(r):
         tensor.append([[cols[i][j][k] for j in range(r)] for i in range(r)])
     return tensor
