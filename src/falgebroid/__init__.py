@@ -50,6 +50,7 @@ from .duality import (
     is_nijenhuis,
     is_pre_f_eventual_identity,
     is_pseudo_eventual_identity,
+    nijenhuis_deformation,
     nijenhuis_from_eventual,
     pre_f_dual,
     verify_certificate,

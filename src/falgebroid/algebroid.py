@@ -235,6 +235,18 @@ class AlgebroidPresentation:
         self._derivation_terms(out, X, Y)
         return Section._from_dict(out, self.rank, self.n)
 
+    def tensor_of(self, op) -> Tensor:
+        """The tensor t with t[k][i][j] the E_k-part of op(E_i, E_j)."""
+        r = range(self.rank)
+        vals = [[op(self.basis(i), self.basis(j)).components for j in r] for i in r]
+        return [[[vals[i][j][k] for j in r] for i in r] for k in r]
+
+    def matrix_of(self, f) -> list:
+        """The matrix m with m[k][j] the E_k-part of f(E_j)."""
+        r = range(self.rank)
+        cols = [f(self.basis(j)).components for j in r]
+        return [[cols[j][k] for j in r] for k in r]
+
     # -- derived tensors ------------------------------------------------
 
     def p_tensor(self, X: Section, Y: Section, Z: Section) -> Section:

@@ -34,9 +34,8 @@ from .deformation import (
 )
 from .duality import (
     BundleMap,
-    deform_by_nijenhuis,
     dubrovin_dual,
-    is_nijenhuis,
+    nijenhuis_deformation,
     pre_f_dual,
     verify_certificate,
 )
@@ -51,7 +50,7 @@ from .errors import (
     UnknownFixture,
     UnknownVariable,
 )
-from .exprparse import parse_expr, parse_presentation, presentation_to_document
+from .exprparse import parse_array, parse_expr, parse_presentation, presentation_to_document
 from .hierarchy import Connection, flow_from_section, flows_commute, principal_hierarchy
 from .report import Report
 from .ring import VectorField
@@ -140,31 +139,19 @@ def cmd_dual(args) -> int:
     return _emit(report, args.json)
 
 
-def _load_matrix(path: str, A: AlgebroidPresentation):
+def _load_json(path: str):
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise _InputError(str(exc)) from None
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from None
-    r = A.rank
-    if not isinstance(raw, list) or len(raw) != r or any(
-        not isinstance(row, list) or len(row) != r for row in raw
-    ):
-        raise SchemaError("$", f"expected a {r}x{r} matrix of expression strings")
-    return [[parse_expr(cell, A.base_vars) for cell in row] for row in raw]
 
 
 def _load_cochain(path: str, A: AlgebroidPresentation) -> list[MultiDer]:
     """Load one or more degree-2 cochains: {"D": c[k][i][j], "sigma": rows}."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise _InputError(str(exc)) from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON: {exc}") from None
+    raw = _load_json(path)
     docs = raw if isinstance(raw, list) else [raw]
     r, n = A.rank, A.n
     out = []
@@ -172,28 +159,12 @@ def _load_cochain(path: str, A: AlgebroidPresentation) -> list[MultiDer]:
         path_k = f"[{pos}]" if isinstance(raw, list) else "$"
         if not isinstance(doc, dict) or "D" not in doc:
             raise SchemaError(path_k, "expected an object with a 'D' tensor")
-        D_raw = doc["D"]
-        if not isinstance(D_raw, list) or len(D_raw) != r:
-            raise SchemaError(f"{path_k}.D", f"expected {r} matrices")
-        cols = []  # cols[k][i][j], parsed in document order
-        for k, mat in enumerate(D_raw):
-            if not isinstance(mat, list) or len(mat) != r:
-                raise SchemaError(f"{path_k}.D[{k}]", f"expected {r} rows")
-            cols.append([])
-            for i, row in enumerate(mat):
-                if not isinstance(row, list) or len(row) != r:
-                    raise SchemaError(f"{path_k}.D[{k}][{i}]", f"expected {r} cells")
-                cols[k].append([parse_expr(cell, A.base_vars) for cell in row])
-        D = {(i, j): Section(col[i][j] for col in cols) for i in range(r) for j in range(r)}
+        tensor = parse_array(doc["D"], (r, r, r), A.base_vars, f"{path_k}.D")
+        D = {(i, j): Section(mat[i][j] for mat in tensor) for i in range(r) for j in range(r)}
         sigma = {(i,): VectorField.zero(n) for i in range(r)}
         if doc.get("sigma") is not None:
-            rows = doc["sigma"]
-            if not isinstance(rows, list) or len(rows) != r:
-                raise SchemaError(f"{path_k}.sigma", f"expected {r} rows")
-            for i, row in enumerate(rows):
-                if not isinstance(row, list) or len(row) != n:
-                    raise SchemaError(f"{path_k}.sigma[{i}]", f"expected {n} cells")
-                sigma[(i,)] = VectorField([parse_expr(cell, A.base_vars) for cell in row])
+            rows = parse_array(doc["sigma"], (r, n), A.base_vars, f"{path_k}.sigma")
+            sigma = {(i,): VectorField(row) for i, row in enumerate(rows)}
         out.append(MultiDer(2, r, n, D, sigma))
     return out
 
@@ -203,12 +174,11 @@ def cmd_deform(args) -> int:
         raise _InputError(f"--order must be at least 1, got {args.order}")
     A = _load_presentation(args)
     if args.nijenhuis:
-        N = BundleMap(_load_matrix(args.nijenhuis, A))
-        mode = "f" if A.bracket is not None else "pre_f" if A.prelie is not None else "comm"
+        rows = parse_array(_load_json(args.nijenhuis), (A.rank, A.rank), A.base_vars, "$")
         report = Report("nijenhuis deformation")
-        report.extend_from(is_nijenhuis(A, N, mode))
-        if report.overall:
-            deformed = deform_by_nijenhuis(A, N)
+        torsion, deformed = nijenhuis_deformation(A, BundleMap(rows))
+        report.extend_from(torsion)
+        if deformed is not None:
             law = (
                 check_f_algebroid
                 if deformed.bracket is not None

@@ -166,7 +166,7 @@ def direct_product(A1: AlgebroidPresentation, A2: AlgebroidPresentation) -> Alge
     def block_tensor(t1, t2):
         if t1 is None or t2 is None:
             return None
-        out = [[[zero for _ in range(r)] for _ in range(r)] for _ in range(r)]
+        out = _zero_tensor(r, n)
         for k in range(r1):
             for i in range(r1):
                 for j in range(r1):
@@ -273,8 +273,8 @@ def poisson_seed(functions: list[RatFunc], base_vars: list[str] | None = None) -
         return [RatFunc.const(n, c) for c in sol]
 
     zero = RatFunc.zero(n)
-    product = [[[zero for _ in range(r)] for _ in range(r)] for _ in range(r)]
-    bracket = [[[zero for _ in range(r)] for _ in range(r)] for _ in range(r)]
+    product = _zero_tensor(r, n)
+    bracket = _zero_tensor(r, n)
     for i in range(r):
         for j in range(i, r):
             coeffs = expand(functions[i] * functions[j], f"E{i + 1}*E{j + 1}")
@@ -414,8 +414,8 @@ def derivation_algebroid(n: int, degree_cap: int = 3) -> AlgebroidPresentation:
     r = len(basis)
     zero = RatFunc.zero(0)
     one = RatFunc.const(0, 1)
-    product = [[[zero for _ in range(r)] for _ in range(r)] for _ in range(r)]
-    prelie = [[[zero for _ in range(r)] for _ in range(r)] for _ in range(r)]
+    product = _zero_tensor(r, 0)
+    prelie = _zero_tensor(r, 0)
     for a, (alpha, i) in enumerate(basis):
         for b, (beta, j) in enumerate(basis):
             gamma = tuple(x + y for x, y in zip(alpha, beta))

@@ -323,19 +323,11 @@ def semiclassical_limit(deform: FormalDeformation) -> AlgebroidPresentation:
     check_n_deformation(deform).require(NotADeformation)
     A = deform.base
     mu1 = deform.mus[0]
-    r = A.rank
-    vals = [
-        [
-            (mu1.eval([A.basis(i), A.basis(j)]) - mu1.eval([A.basis(j), A.basis(i)])).components
-            for j in range(r)
-        ]
-        for i in range(r)
-    ]
-    bracket = [[[vals[i][j][k] for j in range(r)] for i in range(r)] for k in range(r)]
-    anchor = [list(mu1.sigma[(i,)].comps) for i in range(r)]
+    bracket = A.tensor_of(lambda X, Y: mu1.eval([X, Y]) - mu1.eval([Y, X]))
+    anchor = [list(mu1.sigma[(i,)].comps) for i in range(A.rank)]
     return AlgebroidPresentation(
         base_vars=A.base_vars,
-        rank=r,
+        rank=A.rank,
         product=A.product,
         bracket=bracket,
         anchor=anchor,

@@ -137,44 +137,19 @@ def is_pre_f_eventual_identity(A: AlgebroidPresentation, E: Section) -> Report:
 
 def multiplication_matrix(A: AlgebroidPresentation, E: Section) -> BundleMap:
     """Matrix of left multiplication by E in the frame."""
-    r, n = A.rank, A.n
-    matrix = []
-    for k in range(r):
-        row = []
-        for j in range(r):
-            acc = RatFunc.zero(n)
-            for i, ei in E.entries:
-                acc = acc + ei * A.product[k][i][j]
-            row.append(acc)
-        matrix.append(row)
-    return BundleMap(matrix)
+    return BundleMap(A.matrix_of(partial(A.multiply, E)))
 
 
 def invert_section(A: AlgebroidPresentation, E: Section) -> Section:
     """Section ℰ^{-1} with ℰ·ℰ^{-1} = e; NotInvertible if none exists."""
     e = _require_identity(A)
-    n = A.n
     M = multiplication_matrix(A, E).matrix
-    Minv = invert(M, RatFunc.zero(n), RatFunc.one(n))
-    out = []
-    for k in range(A.rank):
-        acc = RatFunc.zero(n)
-        for j, ej in e.entries:
-            acc = acc + Minv[k][j] * ej
-        out.append(acc)
-    return Section(out)
+    inverse = invert(M, RatFunc.zero(A.n), RatFunc.one(A.n))
+    return BundleMap(inverse).apply(e)
 
 
 def _dual_product(A: AlgebroidPresentation, E: Section):
-    r = A.rank
-    tensor = []
-    cols = [
-        [A.multiply(A.multiply(A.basis(i), A.basis(j)), E).components for j in range(r)]
-        for i in range(r)
-    ]
-    for k in range(r):
-        tensor.append([[cols[i][j][k] for j in range(r)] for i in range(r)])
-    return tensor
+    return A.tensor_of(lambda X, Y: A.multiply(A.multiply(X, Y), E))
 
 
 def _dual(A: AlgebroidPresentation, E: Section, checker) -> DualityCertificate:
@@ -226,13 +201,14 @@ def verify_certificate(cert: DualityCertificate, pre_f: bool = False) -> Report:
     return report
 
 
-def ev_identity_closure(A: AlgebroidPresentation, E1: Section, E2: Section, mode: str | None = None) -> Report:
+def _eventual_checker(A: AlgebroidPresentation):
+    """The eventual-identity check for A: pseudo-eventual with a bracket, pre-F without."""
+    return is_pseudo_eventual_identity if A.bracket is not None else is_pre_f_eventual_identity
+
+
+def ev_identity_closure(A: AlgebroidPresentation, E1: Section, E2: Section) -> Report:
     """Products (and brackets, in the F case) of eventual identities stay eventual."""
-    if mode is None:
-        mode = "pre_f" if A.bracket is None else "f"
-    if mode not in ("f", "pre_f"):
-        raise ShapeError(f"unknown closure mode {mode!r}")
-    checker = is_pseudo_eventual_identity if mode == "f" else is_pre_f_eventual_identity
+    checker = _eventual_checker(A)
     report = Report("eventual identity closure")
     for name, E in (("E1", E1), ("E2", E2)):
         sub = checker(A, E)
@@ -243,7 +219,7 @@ def ev_identity_closure(A: AlgebroidPresentation, E1: Section, E2: Section, mode
     sub = checker(A, prod)
     report.add("product-closure", f"E1·E2 = [{A.fmt(prod)}]", sub.overall,
                None if sub.overall else sub.failures()[0].witness)
-    if mode == "f":
+    if A.bracket is not None:
         br = A.bracket_of(E1, E2)
         sub = checker(A, br)
         report.add("bracket-closure", f"[E1,E2] = [{A.fmt(br)}]", sub.overall,
@@ -256,12 +232,22 @@ def ev_identity_closure(A: AlgebroidPresentation, E1: Section, E2: Section, mode
 _MODES = ("comm", "lie", "prelie", "f", "pre_f")
 
 
+def _deformed_op(N, op):
+    """The deformed operation μ_N(X, Y) = μ(NX, Y) + μ(X, NY) - N μ(X, Y), N given as a function."""
+
+    def deformed(X: Section, Y: Section) -> Section:
+        return op(N(X), Y) + op(X, N(Y)) - N(op(X, Y))
+
+    return deformed
+
+
 def _torsion(N: BundleMap, op):
-    """Residual of the Nijenhuis torsion identity of N for the operation op."""
+    """Residual of the Nijenhuis torsion identity μ(NX, NY) = N μ_N(X, Y)."""
+    apply = cache(N.apply)  # each test section recurs in many pairs; map it by N once
+    deformed = _deformed_op(apply, op)
 
     def residual(X: Section, Y: Section) -> Section:
-        NX, NY = N.apply(X), N.apply(Y)
-        return op(NX, NY) - N.apply(op(NX, Y) + op(X, NY) - N.apply(op(X, Y)))
+        return op(apply(X), apply(Y)) - N.apply(deformed(X, Y))
 
     return residual
 
@@ -293,67 +279,47 @@ def is_nijenhuis(A: AlgebroidPresentation, N: BundleMap, on: str) -> Report:
     return _sweep(A, Report(f"Nijenhuis operator ({on})"), table)
 
 
-def _deformed_tensor(A: AlgebroidPresentation, N: BundleMap, op):
-    r = A.rank
-    vals = []
-    for i in range(r):
-        Ei = A.basis(i)
-        NEi = N.apply(Ei)
-        row = []
-        for j in range(r):
-            Ej = A.basis(j)
-            NEj = N.apply(Ej)
-            row.append((op(NEi, Ej) + op(Ei, NEj) - N.apply(op(Ei, Ej))).components)
-        vals.append(row)
-    return [[[vals[i][j][k] for j in range(r)] for i in range(r)] for k in range(r)]
+def nijenhuis_deformation(
+    A: AlgebroidPresentation, N: BundleMap
+) -> tuple[Report, AlgebroidPresentation | None]:
+    """The torsion report of N and, when it passes, the presentation deformed by N.
 
-
-def deform_by_nijenhuis(A: AlgebroidPresentation, N: BundleMap, on: str | None = None) -> AlgebroidPresentation:
-    """Deformed presentation with structures twisted by N and anchor a∘N."""
-    if on is None:
-        if A.bracket is not None:
-            on = "f"
-        elif A.prelie is not None:
-            on = "pre_f"
-        else:
-            on = "comm"
+    N is checked on every structure A carries: product and bracket when A
+    has a bracket, else product and pre-Lie operation, else the product.
+    The deformed presentation carries the checked structures twisted by
+    N, the anchor a∘N and no identity; it is None when the report fails.
+    """
+    on = "f" if A.bracket is not None else "pre_f" if A.prelie is not None else "comm"
     report = is_nijenhuis(A, N, on)
     if not report.overall:
-        fail = report.failures()[0]
-        raise NotNijenhuis(f"{fail.law} {fail.instance}: {fail.witness}")
-
-    product = _deformed_tensor(A, N, A.multiply)
-    bracket = None
-    prelie = None
-    if on in ("lie", "f") and A.bracket is not None:
-        bracket = _deformed_tensor(A, N, A.bracket_of)
-    if on in ("prelie", "pre_f") and A.prelie is not None:
-        prelie = _deformed_tensor(A, N, A.prelie_of)
+        return report, None
     anchor = None
     if A.anchor is not None:
-        n = A.n
-        anchor = []
-        for i in range(A.rank):
-            row = [RatFunc.zero(n) for _ in range(n)]
-            for k in range(A.rank):
-                coeff = N.matrix[k][i]
-                if not coeff.is_zero():
-                    for mu in range(n):
-                        row[mu] = row[mu] + coeff * A.anchor[k][mu]
-            anchor.append(row)
-    return AlgebroidPresentation(
-        base_vars=A.base_vars,
-        rank=A.rank,
-        product=product,
-        bracket=bracket,
-        prelie=prelie,
+        anchor = [A.anchor_of(N.apply(A.basis(i))).comps for i in range(A.rank)]
+
+    def twist(op):
+        return A.tensor_of(_deformed_op(N.apply, op))
+
+    return report, AlgebroidPresentation(
+        A.base_vars,
+        A.rank,
+        twist(A.multiply),
+        bracket=twist(A.bracket_of) if on == "f" else None,
+        prelie=twist(A.prelie_of) if on == "pre_f" else None,
         anchor=anchor,
-        identity=None,
     )
+
+
+def deform_by_nijenhuis(A: AlgebroidPresentation, N: BundleMap) -> AlgebroidPresentation:
+    """The presentation deformed by N, as in ``nijenhuis_deformation``; NotNijenhuis if N fails."""
+    report, deformed = nijenhuis_deformation(A, N)
+    if deformed is None:
+        fail = report.failures()[0]
+        raise NotNijenhuis(f"{fail.law} {fail.instance}: {fail.witness}")
+    return deformed
 
 
 def nijenhuis_from_eventual(A: AlgebroidPresentation, E: Section) -> BundleMap:
     """Multiplication by a verified eventual identity, as a bundle map."""
-    checker = is_pseudo_eventual_identity if A.bracket is not None else is_pre_f_eventual_identity
-    checker(A, E).require(NotEventual)
+    _eventual_checker(A)(A, E).require(NotEventual)
     return multiplication_matrix(A, E)

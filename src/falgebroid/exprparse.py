@@ -169,41 +169,25 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _parse_tensor(raw, rank: int, variables: list[str], path: str):
-    """Parse a k-major rank x rank x rank nested array of expression strings."""
-    if not isinstance(raw, list) or len(raw) != rank:
-        raise SchemaError(path, f"expected list of {rank} matrices")
-    tensor = []
-    for k, mat in enumerate(raw):
-        if not isinstance(mat, list) or len(mat) != rank:
-            raise SchemaError(f"{path}[{k}]", f"expected {rank} rows")
-        rows = []
-        for i, row in enumerate(mat):
-            if not isinstance(row, list) or len(row) != rank:
-                raise SchemaError(f"{path}[{k}][{i}]", f"expected {rank} entries")
-            entries = []
-            for j, cell in enumerate(row):
-                if not isinstance(cell, str):
-                    raise SchemaError(f"{path}[{k}][{i}][{j}]", "expected expression string")
-                entries.append(parse_expr(cell, variables))
-            rows.append(entries)
-        tensor.append(rows)
-    return tensor
+_LEVELS = ("entries", "rows", "matrices")  # what a list holds, by the depth below it
 
 
-def _parse_matrix(raw, nrows: int, ncols: int, variables: list[str], path: str):
-    if not isinstance(raw, list) or len(raw) != nrows:
-        raise SchemaError(path, f"expected {nrows} rows")
-    rows = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != ncols:
-            raise SchemaError(f"{path}[{i}]", f"expected {ncols} entries")
-        rows.append([parse_expr(cell, variables) if isinstance(cell, str) else _bad(f"{path}[{i}][{j}]") for j, cell in enumerate(row)])
-    return rows
+def parse_array(raw, shape: tuple, variables: list[str], path: str):
+    """Parse a nested array of expression strings with the given shape.
 
-
-def _bad(path):
-    raise SchemaError(path, "expected expression string")
+    ``shape`` lists the length at each depth: (r, r, r) for a tensor,
+    (rows, cols) for a matrix, (r,) for a section. A list of the wrong
+    length or a non-string entry raises SchemaError naming its exact
+    path, ``path[i][j]...``.
+    """
+    if not shape:
+        if not isinstance(raw, str):
+            raise SchemaError(path, "expected expression string")
+        return parse_expr(raw, variables)
+    size, inner = shape[0], shape[1:]
+    if not isinstance(raw, list) or len(raw) != size:
+        raise SchemaError(path, f"expected {size} {_LEVELS[len(inner)]}")
+    return [parse_array(item, inner, variables, f"{path}[{i}]") for i, item in enumerate(raw)]
 
 
 _KNOWN_KEYS = {"name", "description", "base_vars", "rank", "product", "bracket", "prelie", "anchor", "identity"}
@@ -242,27 +226,24 @@ def parse_presentation(document):
     if not isinstance(rank, int) or rank < 1:
         raise SchemaError("rank", "expected integer >= 1")
 
-    product = _parse_tensor(_require(doc, "product", ""), rank, base_vars, "product")
+    product = parse_array(_require(doc, "product", ""), (rank,) * 3, base_vars, "product")
 
     bracket = None
     if doc.get("bracket") is not None:
-        bracket = _parse_tensor(doc["bracket"], rank, base_vars, "bracket")
+        bracket = parse_array(doc["bracket"], (rank,) * 3, base_vars, "bracket")
     prelie = None
     if doc.get("prelie") is not None:
-        prelie = _parse_tensor(doc["prelie"], rank, base_vars, "prelie")
+        prelie = parse_array(doc["prelie"], (rank,) * 3, base_vars, "prelie")
 
     anchor = None
     if doc.get("anchor") is not None:
-        anchor = _parse_matrix(doc["anchor"], rank, n, base_vars, "anchor")
+        anchor = parse_array(doc["anchor"], (rank, n), base_vars, "anchor")
     if anchor is None and n > 0 and (bracket is not None or prelie is not None):
         raise SchemaError("anchor", "anchor required when bracket or prelie is present over a base")
 
     identity = None
     if doc.get("identity") is not None:
-        raw = doc["identity"]
-        if not isinstance(raw, list) or len(raw) != rank:
-            raise SchemaError("identity", f"expected {rank} expression strings")
-        identity = Section([parse_expr(cell, base_vars) if isinstance(cell, str) else _bad(f"identity[{i}]") for i, cell in enumerate(raw)])
+        identity = Section(parse_array(doc["identity"], (rank,), base_vars, "identity"))
 
     try:
         return AlgebroidPresentation(

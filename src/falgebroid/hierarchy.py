@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import combinations
 from math import lcm as int_lcm
 
@@ -107,17 +107,8 @@ def _require_tangent(T: AlgebroidPresentation):
 def flow_from_section(T: AlgebroidPresentation, X: Section) -> HydroFlow:
     """Hydrodynamic flow with velocity matrix V^i_j = sum_k c^i_{jk} X^k."""
     _require_tangent(T)
-    r = T.rank
-    V = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            acc = RatFunc.zero(T.n)
-            for k, xk in X.entries:
-                acc = acc + T.product[i][j][k] * xk
-            row.append(acc)
-        V.append(tuple(row))
-    return HydroFlow(tuple(V))
+    V = T.matrix_of(lambda Ej: T.multiply(Ej, X))
+    return HydroFlow(tuple(tuple(row) for row in V))
 
 
 def commutator_residual(F: HydroFlow, G: HydroFlow) -> list[RatFunc]:
@@ -273,8 +264,7 @@ def principal_hierarchy(
         data.table[(p, 0)] = X
         prev = X
         for alpha in range(1, alpha_max + 1):
-            cols = [T.multiply(prev, T.basis(j)).components for j in range(n)]
-            rhs = [[cols[j][i] for j in range(n)] for i in range(T.rank)]
+            rhs = T.matrix_of(partial(T.multiply, prev))
             for i in range(T.rank):
                 for j in range(n):
                     for l in range(j + 1, n):

@@ -170,18 +170,24 @@ def test_deform_corrupted_mu1_exits_1(tmp_path, capsys):
 
 def test_deform_malformed_mu1_shapes_exit_2(tmp_path, capsys):
     zero = [["0", "0"], ["0", "0"]]
+    zero3 = [zero, zero]
+    shape, cell = "expected 2 ", "expected expression string"
     cases = [
-        ({"D": [[["0"]], [["0"]]]}, "$.D[0]"),
-        ({"D": [[["0", "0", "1"], ["0", "0"]], zero]}, "$.D[0][0]"),
-        ({"D": [zero, zero], "sigma": [["1"], ["0"]]}, "$.sigma[0]"),
-        ([{"D": [zero, zero]}, {"D": [zero, [["0", "0"], ["0"]]]}], "[1].D[1][1]"),
+        ("--mu1", {"D": [[["0"]], [["0"]]]}, "$.D[0]", shape),
+        ("--mu1", {"D": [[["0", "0", "1"], ["0", "0"]], zero]}, "$.D[0][0]", shape),
+        ("--mu1", {"D": zero3, "sigma": [["1"], ["0"]]}, "$.sigma[0]", shape),
+        ("--mu1", [{"D": zero3}, {"D": [zero, [["0", "0"], ["0"]]]}], "[1].D[1][1]", shape),
+        ("--mu1", {"D": [[[1, "0"], ["0", "0"]], zero]}, "$.D[0][0][0]", cell),
+        ("--nijenhuis", [["0", "0"]], "$", shape),
+        ("--nijenhuis", [["0", "0"], ["0"]], "$[1]", shape),
+        ("--nijenhuis", [[1, "0"], ["0", "0"]], "$[0][0]", cell),
     ]
-    for doc, where in cases:
-        mu = tmp_path / "mu1.json"
-        mu.write_text(json.dumps(doc))
-        code, out, err = run(["deform", "--fixture", "SS2", "--mu1", str(mu)], capsys)
+    for flag, doc, where, reason in cases:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["deform", "--fixture", "SS2", flag, str(path)], capsys)
         assert code == 2
-        assert f"{where}: expected 2 " in err
+        assert f"{where}: {reason}" in err
         assert "overall" not in out
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from falgebroid.algebroid import AlgebroidPresentation, Section
 from falgebroid.constructions import load_fixture, semisimple
+from falgebroid.duality import multiplication_matrix
 from falgebroid.errors import (
     JetOrderOverflow,
     NonPolynomialAntiderivative,
@@ -90,6 +91,23 @@ def test_flow_from_section_examples():
     assert G.V == ((u1, zero), (zero, u2))
     Z = flow_from_section(T, Section([zero, zero]))
     assert all(c.is_zero() for row in Z.V for c in row)
+
+
+def test_flow_and_multiplication_matrix_match_dense_formulas():
+    # a rank-2 tangent presentation whose product is not commutative,
+    # so a swapped argument order changes both matrices
+    u1, u2 = RatFunc.var(2, 0), RatFunc.var(2, 1)
+    zero, one = RatFunc.zero(2), RatFunc.one(2)
+    c = RatFunc.const
+    product = [[[u1, c(2, 2)], [u2, one]], [[zero, u1 * u2], [c(2, 3), u2]]]
+    T = AlgebroidPresentation(U, 2, product, anchor=[[one, zero], [zero, one]])
+    X = Section([u2, u1 + one])
+    V = flow_from_section(T, X).V
+    M = multiplication_matrix(T, X).matrix
+    for a in range(2):
+        for b in range(2):
+            assert V[a][b] == sum((product[a][b][k] * X.components[k] for k in range(2)), zero)
+            assert M[a][b] == sum((X.components[i] * product[a][i][b] for i in range(2)), zero)
 
 
 def test_flow_requires_tangent_presentation():
