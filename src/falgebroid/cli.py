@@ -129,7 +129,7 @@ def cmd_dual(args) -> int:
     A = _load_presentation(args)
     E = _parse_section(args.ev, A, "--ev")
     cert = pre_f_dual(A, E) if args.pre_f else dubrovin_dual(A, E)
-    report = verify_certificate(cert, pre_f=args.pre_f)
+    report = verify_certificate(cert)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(presentation_to_document(cert.dual), fh, indent=2)
@@ -179,12 +179,8 @@ def cmd_deform(args) -> int:
         torsion, deformed = nijenhuis_deformation(A, BundleMap(rows))
         report.extend_from(torsion)
         if deformed is not None:
-            law = (
-                check_f_algebroid
-                if deformed.bracket is not None
-                else check_pre_f if deformed.prelie is not None else check_comm_assoc
-            )
-            report.extend_from(law(deformed))
+            for law in _default_laws(deformed):
+                report.extend_from(_LAWS[law](deformed))
             doc = presentation_to_document(deformed)
             if args.out:
                 with open(args.out, "w") as fh:

@@ -7,6 +7,11 @@ bracket. A commutative associative algebroid is treated as a pre-Lie
 algebroid with zero anchor, which makes the coboundary of any cochain
 have vanishing symbol; the anchor data of a deformation therefore lives
 entirely in the symbols of the deforming cochains.
+
+Over a point a degree-p cochain is its coordinate vector: the E_k-components
+at frame tuples whose p - 1 leading slots strictly increase. Coboundary
+matrices evaluate d only at those tuples, and point cohomology comes from
+one elimination of [image of d | kernel of d].
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import product as iproduct
+from itertools import combinations, permutations, product as iproduct
 
 from .algebroid import AlgebroidPresentation, Section, _frame_args, _prelie_tuples, _scaled_args, _sweep
 from .constructions import FiniteAlgebra
@@ -27,7 +32,7 @@ from .errors import (
     ObstructionNonzero,
     ShapeError,
 )
-from .linalg import independent_from, nullspace, rank as mat_rank, solve
+from .linalg import nullspace, rref, solve
 from .report import Report
 from .ring import RatFunc, VectorField, vf_bracket
 
@@ -350,8 +355,6 @@ def obstruction(deform: FormalDeformation, verify: bool = True) -> MultiDer:
         total = VectorField.zero(A.n)
         for i in range(1, n + 1):
             j = n + 1 - i
-            if j < 1 or j > n:
-                continue
             mi, mj = deform.mus[i - 1], deform.mus[j - 1]
             total = total + mi.sigma_eval([mj.eval([X, Y]) - mj.eval([Y, X])])
             total = total - vf_bracket(mi.sigma_eval([X]), mj.sigma_eval([Y]))
@@ -397,70 +400,56 @@ def extend(deform: FormalDeformation, psi: MultiDer) -> FormalDeformation:
 # -- cohomology over a point ----------------------------------------------
 
 
+def _coord_args(r: int, degree: int) -> list[tuple]:
+    """Frame index tuples of the coordinates: strictly increasing leading slots, free last slot."""
+    return [head + (last,) for head in combinations(range(r), degree - 1) for last in range(r)]
+
+
 def _der_index_tuples(r: int, degree: int):
-    """Coordinate index tuples: strictly increasing leading slots, free last slot and output."""
-    if degree == 1:
-        heads = [()]
-    else:
-        heads = []
-
-        def rec(start, depth, acc):
-            if depth == 0:
-                heads.append(tuple(acc))
-                return
-            for t in range(start, r):
-                rec(t + 1, depth - 1, acc + [t])
-
-        rec(0, degree - 1, [])
-    return [(head, last, k) for head in heads for last in range(r) for k in range(r)]
+    """Coordinate index tuples (head, last, k): the E_k-component at frame tuple head + (last,)."""
+    return [(idx[:-1], idx[-1], k) for idx in _coord_args(r, degree) for k in range(r)]
 
 
-def _basis_multider(r: int, degree: int, head, last: int, k: int) -> MultiDer:
-    """Point cochain supported on one antisymmetry orbit."""
-    zero = Section.zero(r, 0)
-    md = MultiDer.zero(degree, r, 0)
-    D = dict(md.D)
-    if degree == 1:
-        D[(last,)] = Section.basis(r, 0, k)
-    else:
-        for perm, sign in _signed_permutations(head):
-            cur = D[perm + (last,)]
-            delta = Section.basis(r, 0, k)
-            if sign < 0:
-                delta = -delta
-            D[perm + (last,)] = cur + delta
-    return MultiDer(degree, r, 0, D, md.sigma)
-
-
-def _signed_permutations(head):
-    from itertools import permutations
-
-    base = list(head)
-    out = []
-    for perm in permutations(range(len(base))):
-        inv = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b])
-        out.append((tuple(base[p] for p in perm), -1 if inv % 2 else 1))
-    return out
-
-
-def _coords(md: MultiDer, r: int, degree: int) -> list[Fraction]:
+def _point_coords(sections, r: int) -> list[Fraction]:
+    """The E_k-coordinates of point sections, concatenated."""
     vec = []
-    for head, last, k in _der_index_tuples(r, degree):
-        c = dict(md.D[head + (last,)].entries).get(k)
-        vec.append(Fraction(0) if c is None else c.constant_value())
+    for s in sections:
+        col = [Fraction(0)] * r
+        for k, c in s.entries:
+            col[k] = c.constant_value()
+        vec += col
     return vec
 
 
+def _coords(md: MultiDer, r: int, degree: int) -> list[Fraction]:
+    return _point_coords((md.D[idx] for idx in _coord_args(r, degree)), r)
+
+
+def _vector_to_multider(vec, r: int, degree: int) -> MultiDer:
+    """The point cochain with coordinates vec, antisymmetric in its leading slots."""
+    acc = {}
+    for c, (head, last, k) in zip(vec, _der_index_tuples(r, degree)):
+        if c == 0:
+            continue
+        for perm in permutations(range(degree - 1)):
+            odd = sum(a > b for a, b in combinations(perm, 2)) % 2
+            idx = tuple(head[t] for t in perm) + (last,)
+            acc.setdefault(idx, {})[k] = RatFunc.const(0, -c if odd else c)
+    md = MultiDer.zero(degree, r, 0)
+    md.D.update({idx: Section._from_dict(entries, r, 0) for idx, entries in acc.items()})
+    return md
+
+
 def _d_matrix(A: AlgebroidPresentation, degree: int) -> list[list[Fraction]]:
-    """Matrix of the coboundary from degree to degree+1, in coordinate columns."""
+    """Matrix of the coboundary from degree to degree+1: target coordinate rows, source columns."""
     r = A.rank
-    src = _der_index_tuples(r, degree)
-    dst = _der_index_tuples(r, degree + 1)
+    args = [[A.basis(i) for i in idx] for idx in _coord_args(r, degree + 1)]
+    n = len(_der_index_tuples(r, degree))
     cols = []
-    for head, last, k in src:
-        md = _basis_multider(r, degree, head, last, k)
-        cols.append(_coords(d_def(A, md), r, degree + 1))
-    return [[cols[j][i] for j in range(len(src))] for i in range(len(dst))]
+    for j in range(n):
+        omega = _vector_to_multider([int(i == j) for i in range(n)], r, degree)
+        cols.append(_point_coords((d_def_eval(A, omega, a) for a in args), r))
+    return [list(row) for row in zip(*cols)]
 
 
 @dataclass
@@ -472,17 +461,12 @@ class CohomologyResult:
     representatives: list[MultiDer]
 
 
-def _vector_to_multider(vec, r: int, degree: int) -> MultiDer:
-    md = MultiDer.zero(degree, r, 0)
-    for coeff, (head, last, k) in zip(vec, _der_index_tuples(r, degree)):
-        if coeff == 0:
-            continue
-        md = md + _basis_multider(r, degree, head, last, k).scale(coeff)
-    return md
-
-
 def cohomology_point(algebra: FiniteAlgebra, degree: int) -> CohomologyResult:
-    """Deformation cohomology of an algebra over a point by rank-nullity."""
+    """Deformation cohomology of an algebra over a point by one elimination.
+
+    In the rref of [image of d_in | kernel of d_out] the image pivots count the
+    coboundaries, and the kernel pivots are cocycles independent modulo them.
+    """
     if degree not in (2, 3):
         raise ShapeError("cohomology degree must be 2 or 3")
     A = as_prelie(algebra.to_presentation())
@@ -492,33 +476,20 @@ def cohomology_point(algebra: FiniteAlgebra, degree: int) -> CohomologyResult:
     zero, one = Fraction(0), Fraction(1)
     d_in = _d_matrix(A, degree - 1)
     d_out = _d_matrix(A, degree)
-    # composition must vanish: rows of d_out times columns of d_in
-    ncols = len(d_in[0]) if d_in else 0
-    for i in range(len(d_out)):
-        for j in range(ncols):
-            acc = zero
-            for t in range(len(d_in)):
-                acc += d_out[i][t] * d_in[t][j]
-            if acc != 0:
-                raise FalgError("coboundary composition is nonzero; internal error")
-    image_dim = mat_rank(d_in, zero, one) if d_in and d_in[0] else 0
-    src_dim = len(_der_index_tuples(r, degree))
-    if d_out:
-        kernel = nullspace(d_out, zero, one)
-    else:
-        # the target space is zero-dimensional, so every cochain is closed
-        kernel = [[one if i == j else zero for i in range(src_dim)] for j in range(src_dim)]
-    cocycle_dim = len(kernel)
-    image_cols = []
-    if d_in and d_in[0]:
-        ncols_in = len(d_in[0])
-        image_cols = [[d_in[i][j] for i in range(len(d_in))] for j in range(ncols_in)]
-    reps_vecs = independent_from(image_cols, kernel, zero, one)
-    reps = [_vector_to_multider(v, r, degree) for v in reps_vecs]
+    sparse_in = [[(t, v) for t, v in enumerate(col) if v] for col in zip(*d_in)]  # d is sparse
+    if any(sum(row[t] * v for t, v in col) for row in d_out for col in sparse_in):
+        raise FalgError("coboundary composition is nonzero; internal error")
+    # a zero row fixes the column count when the target space is zero-dimensional (degree > rank);
+    # there every cochain is closed
+    kernel = nullspace(d_out + [[zero] * len(_der_index_tuples(r, degree))], zero, one)
+    n_in = len(d_in[0]) if d_in else 0
+    _, pivots = rref([row + [v[i] for v in kernel] for i, row in enumerate(d_in)], zero, one)
+    image_dim = sum(c < n_in for c in pivots)
+    reps = [_vector_to_multider(kernel[c - n_in], r, degree) for c in pivots if c >= n_in]
     return CohomologyResult(
         degree=degree,
-        dim=cocycle_dim - image_dim,
-        cocycle_dim=cocycle_dim,
+        dim=len(kernel) - image_dim,
+        cocycle_dim=len(kernel),
         coboundary_dim=image_dim,
         representatives=reps,
     )

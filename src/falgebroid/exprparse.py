@@ -177,13 +177,16 @@ def parse_array(raw, shape: tuple, variables: list[str], path: str):
 
     ``shape`` lists the length at each depth: (r, r, r) for a tensor,
     (rows, cols) for a matrix, (r,) for a section. A list of the wrong
-    length or a non-string entry raises SchemaError naming its exact
-    path, ``path[i][j]...``.
+    length, a non-string entry or an expression that does not parse
+    raises SchemaError naming its exact path, ``path[i][j]...``.
     """
     if not shape:
         if not isinstance(raw, str):
             raise SchemaError(path, "expected expression string")
-        return parse_expr(raw, variables)
+        try:
+            return parse_expr(raw, variables)
+        except (ExprSyntaxError, UnknownVariable) as exc:
+            raise SchemaError(path, str(exc)) from None
     size, inner = shape[0], shape[1:]
     if not isinstance(raw, list) or len(raw) != size:
         raise SchemaError(path, f"expected {size} {_LEVELS[len(inner)]}")

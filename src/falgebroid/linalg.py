@@ -91,17 +91,3 @@ def invert(matrix: list[list], zero, one) -> list[list]:
     if pivots != list(range(n)):
         raise NotInvertible("matrix is singular")
     return [row[n:] for row in rows]
-
-
-def independent_from(span_vectors: list[list], candidates: list[list], zero, one) -> list[list]:
-    """Select candidates that extend the span of the given vectors, greedily."""
-    current = [list(v) for v in span_vectors]
-    base_rank = rank(current, zero, one) if current else 0
-    chosen = []
-    for cand in candidates:
-        trial = current + [list(cand)]
-        if rank(trial, zero, one) > base_rank:
-            current = trial
-            base_rank += 1
-            chosen.append(cand)
-    return chosen

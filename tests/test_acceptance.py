@@ -96,12 +96,12 @@ def test_criterion_3_dubrovin_involution():
     expected_product = [[[u1, zero], [zero, zero]], [[zero, zero], [zero, u2]]]
     expected_identity = (one / u1, one / u2)
     ok = True
-    for builder, pre_f in ((dubrovin_dual, False), (pre_f_dual, True)):
+    for builder in (dubrovin_dual, pre_f_dual):
         cert = builder(A, E)
         ok &= tensors_equal(cert.dual.product, expected_product)
         ok &= cert.dual.identity.components == expected_identity
         ok &= cert.e_dagger.components == (one / u1 ** 2, one / u2 ** 2)
-        ok &= verify_certificate(cert, pre_f=pre_f).overall  # includes involution
+        ok &= verify_certificate(cert).overall  # includes involution
     report_line(3, "eventual-identity dual involution", ok)
 
 

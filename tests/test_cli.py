@@ -172,6 +172,7 @@ def test_deform_malformed_mu1_shapes_exit_2(tmp_path, capsys):
     zero = [["0", "0"], ["0", "0"]]
     zero3 = [zero, zero]
     shape, cell = "expected 2 ", "expected expression string"
+    syntax = "at position 3: expected integer, variable or '('"
     cases = [
         ("--mu1", {"D": [[["0"]], [["0"]]]}, "$.D[0]", shape),
         ("--mu1", {"D": [[["0", "0", "1"], ["0", "0"]], zero]}, "$.D[0][0]", shape),
@@ -181,6 +182,8 @@ def test_deform_malformed_mu1_shapes_exit_2(tmp_path, capsys):
         ("--nijenhuis", [["0", "0"]], "$", shape),
         ("--nijenhuis", [["0", "0"], ["0"]], "$[1]", shape),
         ("--nijenhuis", [[1, "0"], ["0", "0"]], "$[0][0]", cell),
+        ("--nijenhuis", [["u1+", "0"], ["0", "0"]], "$[0][0]", syntax),
+        ("--mu1", {"D": [[["u1+", "0"], ["0", "0"]], zero]}, "$.D[0][0][0]", syntax),
     ]
     for flag, doc, where, reason in cases:
         path = tmp_path / "input.json"

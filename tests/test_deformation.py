@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from falgebroid.algebroid import Section, check_f_algebroid
+from falgebroid.algebroid import AlgebroidPresentation, Section, check_f_algebroid
 from falgebroid.constructions import FiniteAlgebra, fm2_algebra, load_fixture
 from falgebroid.deformation import (
     FormalDeformation,
@@ -248,6 +248,103 @@ def test_cohomology_degree_three():
     with pytest.raises(ShapeError):
         cohomology_point(alg, 4)
 
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_point_cochain_coordinates_round_trip(degree):
+    from falgebroid.deformation import _coords, _der_index_tuples, _vector_to_multider
+
+    rng = random.Random(degree)
+    r = 3
+    vec = [Fraction(rng.randint(-2, 2)) for _ in _der_index_tuples(r, degree)]
+    md = _vector_to_multider(vec, r, degree)
+    assert _coords(md, r, degree) == vec
+    assert md.is_zero() == (not any(vec))
+    for idx, s in md.D.items():
+        head, last = idx[:-1], idx[-1]
+        if len(set(head)) < len(head):
+            assert s.is_zero()
+        for a in range(len(head) - 1):
+            swapped = head[:a] + (head[a + 1], head[a]) + head[a + 2:]
+            assert md.D[swapped + (last,)] == -s
+
+
+def d_matrix_through_d_def(A, degree, columns=None):
+    """The coboundary matrix column by column: d_def of each basis cochain, read as coordinates."""
+    from falgebroid.deformation import _coords, _der_index_tuples, _vector_to_multider
+
+    r = A.rank
+    n, m = len(_der_index_tuples(r, degree)), len(_der_index_tuples(r, degree + 1))
+    cols = {}
+    for j in range(n) if columns is None else columns:
+        basis_cochain = _vector_to_multider([int(i == j) for i in range(n)], r, degree)
+        cols[j] = _coords(d_def(A, basis_cochain), r, degree + 1)
+    return cols, m
+
+
+def random_prelie_presentation(rng, r):
+    """Point presentation with random, mostly non-commutative product and pre-Lie constants."""
+    def tensor():
+        return [
+            [[RatFunc.const(0, rng.choice([0, 0, 1, -1, 2, Fraction(1, 2)])) for _ in range(r)]
+             for _ in range(r)]
+            for _ in range(r)
+        ]
+
+    return AlgebroidPresentation([], r, tensor(), prelie=tensor(), anchor=[[] for _ in range(r)])
+
+
+def assert_d_matrix_matches_d_def(A, degree, columns=None):
+    from falgebroid.deformation import _d_matrix
+
+    got = _d_matrix(A, degree)
+    cols, m = d_matrix_through_d_def(A, degree, columns)
+    assert len(got) == m
+    for j, col in cols.items():
+        assert [row[j] for row in got] == col, (degree, j)
+
+
+POINT_ALGEBRAS = {
+    "FM2": fm2_algebra,
+    "Q[u]/u^3": lambda: truncated_poly_algebra(3),
+    "Q[u]/u^4": lambda: truncated_poly_algebra(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_ALGEBRAS))
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_d_matrix_matches_d_def_oracle(name, degree):
+    A = as_prelie(POINT_ALGEBRAS[name]().to_presentation())
+    columns = None
+    if A.rank == 4 and degree == 3:
+        # the d_def route costs about 60 ms per column here; check a seeded 12 of the 96
+        columns = random.Random(8).sample(range(96), 12)
+    assert_d_matrix_matches_d_def(A, degree, columns)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_d_matrix_matches_d_def_on_random_prelie_constants(seed):
+    rng = random.Random(seed)
+    r = 2 + seed % 3
+    A = random_prelie_presentation(rng, r)
+    for degree in (1, 2, 3) if r < 4 else (1, 2):
+        assert_d_matrix_matches_d_def(A, degree)
+
+
+@pytest.mark.parametrize(
+    "name, degree, expected",
+    [
+        ("FM2", 2, (2, 5, 3)),
+        ("FM2", 3, (1, 4, 3)),
+        ("Q[u]/u^3", 2, (6, 13, 7)),
+        ("Q[u]/u^3", 3, (6, 20, 14)),
+        ("Q[u]/u^4", 2, (12, 25, 13)),
+    ],
+)
+def test_cohomology_point_dimensions(name, degree, expected):
+    res = cohomology_point(POINT_ALGEBRAS[name](), degree)
+    assert (res.dim, res.cocycle_dim, res.coboundary_dim) == expected
+    assert len(res.representatives) == res.dim
 
 def test_equivalence_separates_coboundary_shifts():
     alg = fm2_algebra()

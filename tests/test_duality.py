@@ -1,5 +1,7 @@
 """Eventual-identity duals and Nijenhuis deformations."""
 
+import random
+
 import pytest
 
 from falgebroid.algebroid import (
@@ -70,7 +72,7 @@ def test_dubrovin_dual_closed_form_on_ss2():
 def test_pre_f_dual_on_ss2():
     A = load_fixture("SS2")
     cert = pre_f_dual(A, euler(2))
-    assert verify_certificate(cert, pre_f=True).overall
+    assert verify_certificate(cert).overall
     assert check_pre_f(cert.dual).overall
 
 
@@ -107,6 +109,27 @@ def diag_n(A):
     zero = RatFunc.zero(2)
     return BundleMap([[u1, zero], [zero, u2]])
 
+
+
+def test_bundle_map_apply_and_compose_match_dense_formulas():
+    rng = random.Random(11)
+    u1, u2, one = RatFunc.var(2, 0), RatFunc.var(2, 1), RatFunc.one(2)
+    pool = [RatFunc.zero(2)] * 3 + [one, u1, u2 - one - one, u1 * u2, one / (u1 + one)]
+    for r in (1, 2, 3, 4):
+        for _ in range(10):
+            M = [[rng.choice(pool) for _ in range(r)] for _ in range(r)]
+            P = [[rng.choice(pool) for _ in range(r)] for _ in range(r)]
+            X = Section([rng.choice(pool) for _ in range(r)])
+            image = BundleMap(M).apply(X)
+            xs = X.components
+            dense = [sum((M[k][j] * xs[j] for j in range(r)), RatFunc.zero(2)) for k in range(r)]
+            assert image.components == tuple(dense)
+            assert image.entries == tuple((k, c) for k, c in enumerate(dense) if not c.is_zero())
+            product = BundleMap(M).compose(BundleMap(P)).matrix
+            assert product == [
+                [sum((M[k][t] * P[t][j] for t in range(r)), RatFunc.zero(2)) for j in range(r)]
+                for k in range(r)
+            ]
 
 def test_nijenhuis_all_modes_on_ss2():
     A = load_fixture("SS2")

@@ -178,6 +178,20 @@ def test_schema_shape_and_type_errors():
         parse_presentation(doc)
 
 
+
+def test_schema_expression_errors_name_their_path():
+    doc = doc_ss1()
+    doc["product"] = [[["v"]]]
+    with pytest.raises(SchemaError) as e:
+        parse_presentation(doc)
+    assert e.value.path == "product[0][0][0]"
+    assert str(e.value) == "product[0][0][0]: unknown variable 'v'"
+    doc = doc_ss1()
+    doc["identity"] = ["u1+"]
+    with pytest.raises(SchemaError) as e:
+        parse_presentation(doc)
+    assert str(e.value) == "identity[0]: at position 3: expected integer, variable or '('"
+
 def test_schema_anchor_required_with_bracket():
     doc = doc_ss1()
     del doc["anchor"]
