@@ -1,8 +1,11 @@
 """Command line front end.
 
 Exit codes: 0 all checks pass, 1 a verification fails, 2 bad input or
-usage. A well-formed eventual identity that is not invertible at the
-generic point (``dual --ev 0,0``) is a verification failure, exit 1.
+usage. The exception type decides: an ``InputError`` exits 2 and any
+other ``FalgError`` exits 1. Files are read by ``_read`` and written by
+``_write_json``, which turn an ``OSError`` into an ``InputError``. A
+well-formed eventual identity that is not invertible at the generic
+point (``dual --ev 0,0``) is a verification failure, exit 1.
 Reports print as text to stdout; --json writes the same report as a
 machine-readable document. ``check`` with several laws reports each
 (law, instance) pair once, at its first occurrence.
@@ -39,18 +42,8 @@ from .duality import (
     pre_f_dual,
     verify_certificate,
 )
-from .errors import (
-    ExprSyntaxError,
-    FalgError,
-    MissingStructure,
-    NotCompatible,
-    NotTangent,
-    SchemaError,
-    ShapeError,
-    UnknownFixture,
-    UnknownVariable,
-)
-from .exprparse import parse_array, parse_expr, parse_presentation, presentation_to_document
+from .errors import FalgError, InputError, SchemaError
+from .exprparse import decode_json, parse_array, parse_presentation, presentation_to_document
 from .hierarchy import Connection, flow_from_section, flows_commute, principal_hierarchy
 from .report import Report
 from .ring import VectorField
@@ -65,29 +58,41 @@ _LAWS = {
 }
 
 
-class _InputError(Exception):
-    pass
+def _read(path: str) -> bytes:
+    """The contents of the file at ``path``; InputError if it cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(str(exc)) from None
+
+
+def _write_json(path: str | None, doc) -> None:
+    """Write ``doc`` as indented JSON to ``path``, or print it when no path is given."""
+    if not path:
+        print(json.dumps(doc, indent=2))
+        return
+    try:
+        with open(path, "w") as fh:
+            # streamed, not built as one string: a report can hold tens of thousands of checks
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _load_presentation(args) -> AlgebroidPresentation:
-    if getattr(args, "fixture", None):
+    if args.fixture:
         return load_fixture(args.fixture)
-    if not getattr(args, "file", None):
-        raise _InputError("provide a structure file or --fixture NAME")
-    try:
-        with open(args.file) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _InputError(str(exc)) from None
-    return parse_presentation(text)
+    if not args.file:
+        raise InputError("provide a structure file or --fixture NAME")
+    return parse_presentation(_read(args.file))
 
 
 def _emit(report: Report, json_path: str | None) -> int:
     print(report.summary())
     if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(json_path, report.to_dict())
     return 0 if report.overall else 1
 
 
@@ -105,9 +110,6 @@ def _default_laws(A: AlgebroidPresentation) -> list[str]:
 def cmd_check(args) -> int:
     A = _load_presentation(args)
     laws = args.law or _default_laws(A)
-    for law in laws:
-        if law not in _LAWS:
-            raise _InputError(f"unknown law {law!r}; known: {', '.join(sorted(_LAWS))}")
     report = Report(f"check {args.fixture or args.file}")
     seen = set()
     for law in laws:
@@ -119,10 +121,7 @@ def cmd_check(args) -> int:
 
 
 def _parse_section(text: str, A: AlgebroidPresentation, what: str) -> Section:
-    parts = [p for p in text.split(",")]
-    if len(parts) != A.rank:
-        raise _InputError(f"{what}: expected {A.rank} comma-separated components")
-    return Section([parse_expr(p, A.base_vars) for p in parts])
+    return Section(parse_array(text.split(","), (A.rank,), A.base_vars, what))
 
 
 def cmd_dual(args) -> int:
@@ -130,28 +129,13 @@ def cmd_dual(args) -> int:
     E = _parse_section(args.ev, A, "--ev")
     cert = pre_f_dual(A, E) if args.pre_f else dubrovin_dual(A, E)
     report = verify_certificate(cert)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(presentation_to_document(cert.dual), fh, indent=2)
-            fh.write("\n")
-    else:
-        print(json.dumps(presentation_to_document(cert.dual), indent=2))
+    _write_json(args.out, presentation_to_document(cert.dual))
     return _emit(report, args.json)
-
-
-def _load_json(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise _InputError(str(exc)) from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON: {exc}") from None
 
 
 def _load_cochain(path: str, A: AlgebroidPresentation) -> list[MultiDer]:
     """Load one or more degree-2 cochains: {"D": c[k][i][j], "sigma": rows}."""
-    raw = _load_json(path)
+    raw = decode_json(_read(path))
     docs = raw if isinstance(raw, list) else [raw]
     r, n = A.rank, A.n
     out = []
@@ -171,26 +155,20 @@ def _load_cochain(path: str, A: AlgebroidPresentation) -> list[MultiDer]:
 
 def cmd_deform(args) -> int:
     if args.order is not None and args.order < 1:
-        raise _InputError(f"--order must be at least 1, got {args.order}")
+        raise InputError(f"--order must be at least 1, got {args.order}")
     A = _load_presentation(args)
     if args.nijenhuis:
-        rows = parse_array(_load_json(args.nijenhuis), (A.rank, A.rank), A.base_vars, "$")
+        rows = parse_array(decode_json(_read(args.nijenhuis)), (A.rank, A.rank), A.base_vars, "$")
         report = Report("nijenhuis deformation")
         torsion, deformed = nijenhuis_deformation(A, BundleMap(rows))
         report.extend_from(torsion)
         if deformed is not None:
             for law in _default_laws(deformed):
                 report.extend_from(_LAWS[law](deformed))
-            doc = presentation_to_document(deformed)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    json.dump(doc, fh, indent=2)
-                    fh.write("\n")
-            else:
-                print(json.dumps(doc, indent=2))
+            _write_json(args.out, presentation_to_document(deformed))
         return _emit(report, args.json)
     if not args.mu1:
-        raise _InputError("provide --nijenhuis FILE or --mu1 FILE")
+        raise InputError("provide --nijenhuis FILE or --mu1 FILE")
     mus = _load_cochain(args.mu1, A)
     order = args.order if args.order is not None else len(mus)
     while len(mus) < order:
@@ -211,12 +189,12 @@ def cmd_deform(args) -> int:
 
 def cmd_hierarchy(args) -> int:
     if args.alpha_max is not None and args.alpha_max < 0:
-        raise _InputError(f"--alpha-max must be non-negative, got {args.alpha_max}")
+        raise InputError(f"--alpha-max must be non-negative, got {args.alpha_max}")
     A = _load_presentation(args)
     if args.flows:
         halves = args.flows.split(";")
         if len(halves) != 2:
-            raise _InputError("--flows expects two ';'-separated section expressions")
+            raise InputError("--flows expects two ';'-separated section expressions")
         X = _parse_section(halves[0], A, "--flows")
         Y = _parse_section(halves[1], A, "--flows")
         F = flow_from_section(A, X)
@@ -297,17 +275,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (
-        _InputError,
-        SchemaError,
-        ExprSyntaxError,
-        UnknownVariable,
-        UnknownFixture,
-        ShapeError,
-        NotTangent,
-        NotCompatible,
-        MissingStructure,
-    ) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FalgError as exc:

@@ -137,19 +137,23 @@ class MultiDer:
         if len(args) != self.degree:
             raise ArityMismatch(f"expected {self.degree} arguments, got {len(args)}")
         last = args[-1]
-        out = [RatFunc.zero(self.nvars) for _ in range(self.rank)]
+        out = {}
         for idx, w in self._lead_terms(list(args[:-1])):
             for i, c in last.entries:
                 wc = w * c
                 for k, v in self.D[idx + (i,)].entries:
-                    out[k] = out[k] + wc * v
+                    t = wc * v
+                    cur = out.get(k)
+                    out[k] = t if cur is None else cur + t
             vf = self.sigma[idx]
             if not vf.is_zero():
                 for k, c in last.entries:
                     d = vf.apply(c)
                     if not d.is_zero():
-                        out[k] = out[k] + w * d
-        return Section(out)
+                        t = w * d
+                        cur = out.get(k)
+                        out[k] = t if cur is None else cur + t
+        return Section._from_dict(out, self.rank, self.nvars)
 
     def sigma_eval(self, args: list[Section]) -> VectorField:
         """Function-multilinear extension of the symbol."""
@@ -247,13 +251,11 @@ class FormalDeformation:
     """Deformation of a commutative associative algebroid, stored to finite order.
 
     ``mus`` lists the degree-2 cochains mu_1..mu_n; mu_0 is the base
-    product with zero symbol. ``formal`` asserts that all higher
-    cochains vanish, which strengthens the order conditions checked.
+    product with zero symbol.
     """
 
     base: AlgebroidPresentation
     mus: list[MultiDer] = field(default_factory=list)
-    formal: bool = False
 
     @property
     def order(self) -> int:
@@ -303,15 +305,12 @@ def check_n_deformation(deform: FormalDeformation) -> Report:
 
     Checked on basis triples and, over a positive-dimensional base, on
     triples with each slot scaled by each base variable; the scaled
-    instances exercise the symbol (anchor) compatibilities. With the
-    formal flag, orders up to 2n are checked since all higher cochains
-    vanish and conditions beyond 2n are then vacuous.
+    instances exercise the symbol (anchor) compatibilities.
     """
     A = deform.base
     report = Report(f"pre-Lie {deform.order}-deformation")
-    top = 2 * deform.order if deform.formal else deform.order
     frame, scaled = _frame_args(A), _scaled_args(A)
-    for k in range(top + 1):
+    for k in range(deform.order + 1):
         rule = partial(_order_k_residual, deform, k)
         _sweep(A, report, [(_prelie_tuples(frame, scaled), ("pre-lie-rule", rule))], prefix=f"order {k} ")
     return report
@@ -392,7 +391,7 @@ def extend(deform: FormalDeformation, psi: MultiDer) -> FormalDeformation:
             next((v.format(A.base_vars) for v in residual.sigma.values() if not v.is_zero()), "0"),
         )
         raise ObstructionNonzero(bad)
-    extended = FormalDeformation(A, deform.mus + [psi], formal=deform.formal)
+    extended = FormalDeformation(A, deform.mus + [psi])
     check_n_deformation(extended).require(NotADeformation)
     return extended
 

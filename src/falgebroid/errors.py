@@ -1,13 +1,21 @@
 """Structured exceptions shared across the package.
 
 Every failure mode that callers are expected to handle gets its own class
-here, so that tests and the command line tool can distinguish bad input
-from genuine mathematical failure.
+here. Bad input derives from InputError, so that tests and the command
+line tool can tell it from genuine mathematical failure by its type.
 """
 
 
 class FalgError(Exception):
     """Base class for all library errors."""
+
+
+class InputError(FalgError):
+    """Input the caller must fix; the command line exits 2.
+
+    Every other FalgError is a failed verification, and the command
+    line exits 1 on it.
+    """
 
 
 class DivisionByZero(FalgError):
@@ -18,7 +26,7 @@ class NotDivisible(FalgError):
     """Exact polynomial division requested where none exists."""
 
 
-class ExprSyntaxError(FalgError):
+class ExprSyntaxError(InputError):
     """Malformed expression text.
 
     Carries the character position of the failure and a short
@@ -31,7 +39,7 @@ class ExprSyntaxError(FalgError):
         super().__init__(f"at position {position}: expected {expected}")
 
 
-class UnknownVariable(FalgError):
+class UnknownVariable(InputError):
     """Expression references a variable not in scope."""
 
     def __init__(self, name: str, position: int = -1):
@@ -40,7 +48,7 @@ class UnknownVariable(FalgError):
         super().__init__(f"unknown variable {name!r}")
 
 
-class SchemaError(FalgError):
+class SchemaError(InputError):
     """Structure document violates the input schema."""
 
     def __init__(self, path: str, reason: str):
@@ -49,7 +57,7 @@ class SchemaError(FalgError):
         super().__init__(f"{path}: {reason}")
 
 
-class ShapeError(FalgError):
+class ShapeError(InputError):
     """Tensor or matrix has inconsistent dimensions."""
 
 
@@ -72,7 +80,7 @@ class NotClosed(FalgError):
         super().__init__(f"span not closed under product: {witness}")
 
 
-class UnknownFixture(FalgError):
+class UnknownFixture(InputError):
     """Fixture name not recognized."""
 
 
@@ -108,7 +116,7 @@ class BaseNotPoint(FalgError):
     """Operation requires an algebra over a point (no base variables)."""
 
 
-class NotCompatible(FalgError):
+class NotCompatible(InputError):
     """Recursion data fails its cross-derivative compatibility test."""
 
 
@@ -120,7 +128,7 @@ class NotFlat(FalgError):
     """Proposed flat basis is not flat for the given connection."""
 
 
-class NotTangent(FalgError):
+class NotTangent(InputError):
     """Operation requires the tangent algebroid presentation."""
 
 
@@ -136,5 +144,5 @@ class JetOrderOverflow(FalgError):
     """Total x-derivative would exceed the supported jet order."""
 
 
-class MissingStructure(FalgError):
+class MissingStructure(InputError):
     """Presentation lacks a tensor required by the requested operation."""

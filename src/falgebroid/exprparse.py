@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import DivisionByZero, ExprSyntaxError, SchemaError, ShapeError, UnknownVariable
+from .errors import DivisionByZero, ExprSyntaxError, SchemaError, UnknownVariable
 from .ring import RatFunc
 
 _OPS = set("+-*/^()")
@@ -163,9 +163,21 @@ def print_expr(f: RatFunc, variables: list[str]) -> str:
 # -- structure files -----------------------------------------------------
 
 
-def _require(doc: dict, key: str, path: str):
+def decode_json(data):
+    """Decode a JSON document from UTF-8 bytes or text.
+
+    Bytes that are not UTF-8, malformed JSON and nesting too deep to
+    decode all raise SchemaError at ``$``.
+    """
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise SchemaError("$", f"invalid JSON: {exc}") from None
+
+
+def _require(doc: dict, key: str):
     if key not in doc:
-        raise SchemaError(f"{path}{key}", "missing required field")
+        raise SchemaError(key, "missing required field")
     return doc[key]
 
 
@@ -199,37 +211,32 @@ _KNOWN_KEYS = {"name", "description", "base_vars", "rank", "product", "bracket",
 def parse_presentation(document):
     """Build a shape-checked AlgebroidPresentation from a JSON document.
 
-    Accepts JSON text or an already decoded dictionary. Field names, the
-    rank, tensor and matrix shapes and every expression are checked; the
-    structure laws are not (the ``check`` functions test them).
+    Accepts JSON text, UTF-8 bytes (both read with ``decode_json``) or an
+    already decoded dictionary. Field names, the rank, tensor and matrix
+    shapes and every expression are checked; the structure laws are not
+    (the ``check`` functions test them).
     """
     from .algebroid import AlgebroidPresentation, Section
 
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"invalid JSON: {exc}") from None
-    else:
-        doc = document
+    doc = decode_json(document) if isinstance(document, (str, bytes)) else document
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected a JSON object")
     for key in doc:
         if key not in _KNOWN_KEYS:
             raise SchemaError(key, "unknown field")
 
-    base_vars = _require(doc, "base_vars", "")
+    base_vars = _require(doc, "base_vars")
     if not isinstance(base_vars, list) or not all(isinstance(v, str) and v for v in base_vars):
         raise SchemaError("base_vars", "expected list of variable names")
     if len(set(base_vars)) != len(base_vars):
         raise SchemaError("base_vars", "duplicate variable names")
     n = len(base_vars)
 
-    rank = _require(doc, "rank", "")
+    rank = _require(doc, "rank")
     if not isinstance(rank, int) or rank < 1:
         raise SchemaError("rank", "expected integer >= 1")
 
-    product = parse_array(_require(doc, "product", ""), (rank,) * 3, base_vars, "product")
+    product = parse_array(_require(doc, "product"), (rank,) * 3, base_vars, "product")
 
     bracket = None
     if doc.get("bracket") is not None:
@@ -248,20 +255,15 @@ def parse_presentation(document):
     if doc.get("identity") is not None:
         identity = Section(parse_array(doc["identity"], (rank,), base_vars, "identity"))
 
-    try:
-        return AlgebroidPresentation(
-            base_vars=list(base_vars),
-            rank=rank,
-            product=product,
-            bracket=bracket,
-            prelie=prelie,
-            anchor=anchor,
-            identity=identity,
-        )
-    except ShapeError:
-        raise
-    except ValueError as exc:
-        raise SchemaError("$", str(exc)) from None
+    return AlgebroidPresentation(
+        base_vars=list(base_vars),
+        rank=rank,
+        product=product,
+        bracket=bracket,
+        prelie=prelie,
+        anchor=anchor,
+        identity=identity,
+    )
 
 
 def presentation_to_document(A) -> dict:

@@ -1,19 +1,13 @@
 """Exact linear algebra over any field whose elements support +, -, *, /.
 
 Used with Fraction entries for finite dimensional cohomology and with
-RatFunc entries for identity sections and section inversion.
+RatFunc entries for identity sections and section inversion. Both types
+define ``__bool__`` as "is nonzero", so ``not x`` is the zero test.
 """
 
 from __future__ import annotations
 
 from .errors import NotInvertible
-
-
-def _is_zero(x) -> bool:
-    z = getattr(x, "is_zero", None)
-    if z is not None:
-        return z()
-    return x == 0
 
 
 def rref(matrix: list[list], zero, one) -> tuple[list[list], list[int]]:
@@ -26,7 +20,7 @@ def rref(matrix: list[list], zero, one) -> tuple[list[list], list[int]]:
     for c in range(ncols):
         pivot = None
         for i in range(r, nrows):
-            if not _is_zero(rows[i][c]):
+            if rows[i][c]:
                 pivot = i
                 break
         if pivot is None:
@@ -35,7 +29,7 @@ def rref(matrix: list[list], zero, one) -> tuple[list[list], list[int]]:
         inv = one / rows[r][c]
         rows[r] = [inv * x for x in rows[r]]
         for i in range(nrows):
-            if i != r and not _is_zero(rows[i][c]):
+            if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)

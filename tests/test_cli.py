@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from falgebroid.cli import main
 from falgebroid.exprparse import parse_expr, parse_presentation
 
@@ -103,7 +105,61 @@ def test_dual_pre_f_failure_exits_1(capsys):
 
 
 def test_dual_bad_ev_arity_exits_2(capsys):
-    assert run(["dual", "--fixture", "SS2", "--ev", "u1"], capsys)[0] == 2
+    code, _, err = run(["dual", "--fixture", "SS2", "--ev", "u1"], capsys)
+    assert code == 2
+    assert "error: --ev: expected 2 entries" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dual", "--ev", "u1+,0"], "--ev[0]: at position 3: expected integer, variable or '('"),
+        (["dual", "--ev", "u1,v"], "--ev[1]: unknown variable 'v'"),
+        (["hierarchy", "--flows", "u2,0;u1"], "--flows: expected 2 entries"),
+    ],
+    ids=["ev-syntax", "ev-variable", "flows-count"],
+)
+def test_section_argument_errors_name_their_path(argv, message, capsys):
+    code, out, err = run([*argv, "--fixture", "SS2"], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
+def _write_bytes(tmp_path, data):
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+_NOT_UTF8 = b'{"base_vars": ["\xff"]}'
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda d: ["check", _write_bytes(d, _NOT_UTF8)],
+        lambda d: ["deform", "--fixture", "SS2", "--mu1", _write_bytes(d, _NOT_UTF8)],
+        lambda d: ["deform", "--fixture", "SS2", "--nijenhuis", _write_bytes(d, _NOT_UTF8)],
+        lambda d: ["check", _write_bytes(d, _DEEP)],
+        lambda d: ["check", "--fixture", "SS1", "--json", str(d / "missing" / "r.json")],
+        lambda d: ["dual", "--fixture", "SS2", "--ev", "u1,u2", "--out", str(d / "missing" / "d")],
+    ],
+    ids=[
+        "structure-not-utf8",
+        "mu1-not-utf8",
+        "nijenhuis-not-utf8",
+        "deep-json",
+        "json-missing-dir",
+        "out-missing-dir",
+    ],
+)
+def test_unreadable_input_and_unwritable_output_exit_2(argv, tmp_path, capsys):
+    # main returns instead of raising: no exception escapes it
+    code, _, err = run(argv(tmp_path), capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def nij_file(tmp_path):
