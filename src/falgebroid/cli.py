@@ -195,8 +195,8 @@ def cmd_hierarchy(args) -> int:
         halves = args.flows.split(";")
         if len(halves) != 2:
             raise InputError("--flows expects two ';'-separated section expressions")
-        X = _parse_section(halves[0], A, "--flows")
-        Y = _parse_section(halves[1], A, "--flows")
+        X = _parse_section(halves[0], A, "--flows[0]")
+        Y = _parse_section(halves[1], A, "--flows[1]")
         F = flow_from_section(A, X)
         G = flow_from_section(A, Y)
         return _emit(flows_commute(F, G, A.base_vars), args.json)

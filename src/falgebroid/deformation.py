@@ -10,8 +10,9 @@ entirely in the symbols of the deforming cochains.
 
 Over a point a degree-p cochain is its coordinate vector: the E_k-components
 at frame tuples whose p - 1 leading slots strictly increase. Coboundary
-matrices evaluate d only at those tuples, and point cohomology comes from
-one elimination of [image of d | kernel of d].
+matrices are read off the pre-Lie structure constants, one target coordinate
+per row, with d_def kept as their oracle; point cohomology comes from one
+elimination of [image of d | kernel of d].
 """
 
 from __future__ import annotations
@@ -409,19 +410,15 @@ def _der_index_tuples(r: int, degree: int):
     return [(idx[:-1], idx[-1], k) for idx in _coord_args(r, degree) for k in range(r)]
 
 
-def _point_coords(sections, r: int) -> list[Fraction]:
-    """The E_k-coordinates of point sections, concatenated."""
+def _coords(md: MultiDer, r: int, degree: int) -> list[Fraction]:
+    """The coordinate vector of a point cochain: its E_k-components at the coordinate tuples."""
     vec = []
-    for s in sections:
+    for idx in _coord_args(r, degree):
         col = [Fraction(0)] * r
-        for k, c in s.entries:
+        for k, c in md.D[idx].entries:
             col[k] = c.constant_value()
         vec += col
     return vec
-
-
-def _coords(md: MultiDer, r: int, degree: int) -> list[Fraction]:
-    return _point_coords((md.D[idx] for idx in _coord_args(r, degree)), r)
 
 
 def _vector_to_multider(vec, r: int, degree: int) -> MultiDer:
@@ -440,15 +437,49 @@ def _vector_to_multider(vec, r: int, degree: int) -> MultiDer:
 
 
 def _d_matrix(A: AlgebroidPresentation, degree: int) -> list[list[Fraction]]:
-    """Matrix of the coboundary from degree to degree+1: target coordinate rows, source columns."""
+    """Matrix of the coboundary from degree to degree+1: target coordinate rows, source columns.
+
+    Read off the pre-Lie structure constants P (E_a⋆E_b = Σ_k P[a][b][k] E_k), with
+    [E_a, E_b] = E_a⋆E_b − E_b⋆E_a: for the frame tuple head + (last,) of a target row, each
+    x_i in head contributes x_i⋆ω(…, last), ω(…, x_i)⋆last and −ω(…, x_i⋆last), and each pair
+    x_i, x_j contributes ω([x_i, x_j], …, last), with the signs of d_def_eval.
+    """
     r = A.rank
-    args = [[A.basis(i) for i in idx] for idx in _coord_args(r, degree + 1)]
-    n = len(_der_index_tuples(r, degree))
-    cols = []
-    for j in range(n):
-        omega = _vector_to_multider([int(i == j) for i in range(n)], r, degree)
-        cols.append(_point_coords((d_def_eval(A, omega, a) for a in args), r))
-    return [list(row) for row in zip(*cols)]
+    P = [[{k: c.constant_value() for k, c in cell} for cell in row] for row in A._require("prelie")]
+    heads = {h: i for i, h in enumerate(combinations(range(r), degree - 1))}
+    zero, ncols = Fraction(0), len(heads) * r * r
+    rows = []
+    for *head, last in _coord_args(r, degree + 1):
+        acc = [{} for _ in range(r)]  # acc[k][column] for the row of component k
+
+        def add(k, lead, slot, m, c):
+            """Add c·ω(E_lead…, E_slot)_m to component k; lead is sorted with its sign."""
+            if len(set(lead)) < len(lead):
+                return
+            if sum(a > b for a, b in combinations(lead, 2)) % 2:
+                c = -c
+            j = (heads[tuple(sorted(lead))] * r + slot) * r + m
+            acc[k][j] = acc[k].get(j, 0) + c
+
+        for i, a in enumerate(head):
+            s = 1 if i % 2 == 0 else -1
+            rest = head[:i] + head[i + 1:]
+            for m in range(r):
+                for k, c in P[a][m].items():
+                    add(k, rest, last, m, s * c)
+                for k, c in P[m][last].items():
+                    add(k, rest, a, m, s * c)
+            for m, c in P[a][last].items():
+                for k in range(r):
+                    add(k, rest, m, k, -s * c)
+            for j in range(i + 1, len(head)):
+                b, others = head[j], rest[:j - 1] + rest[j:]
+                bracket = {m: P[a][b].get(m, 0) - P[b][a].get(m, 0) for m in {*P[a][b], *P[b][a]}}
+                for m, c in bracket.items():
+                    for k in range(r):
+                        add(k, [m] + others, last, k, (1 if (i + j) % 2 == 0 else -1) * c)
+        rows += [[entries.get(j, zero) for j in range(ncols)] for entries in acc]
+    return rows
 
 
 @dataclass
@@ -475,8 +506,9 @@ def cohomology_point(algebra: FiniteAlgebra, degree: int) -> CohomologyResult:
     zero, one = Fraction(0), Fraction(1)
     d_in = _d_matrix(A, degree - 1)
     d_out = _d_matrix(A, degree)
-    sparse_in = [[(t, v) for t, v in enumerate(col) if v] for col in zip(*d_in)]  # d is sparse
-    if any(sum(row[t] * v for t, v in col) for row in d_out for col in sparse_in):
+    sparse_in = [{t: v for t, v in enumerate(col) if v} for col in zip(*d_in)]  # d is sparse
+    sparse_out = [[(t, w) for t, w in enumerate(row) if w] for row in d_out]
+    if any(sum(w * col[t] for t, w in row if t in col) for row in sparse_out for col in sparse_in):
         raise FalgError("coboundary composition is nonzero; internal error")
     # a zero row fixes the column count when the target space is zero-dimensional (degree > rank);
     # there every cochain is closed

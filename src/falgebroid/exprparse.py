@@ -3,7 +3,8 @@
 Expressions use standard infix notation over declared variables with
 integer literals, +, -, *, /, unary minus and ^ with non-negative
 integer exponents. There is no implicit multiplication. Parsing
-evaluates directly into exact rational functions.
+evaluates directly into exact rational functions. An expression nested
+too deeply for the recursive descent is an ExprSyntaxError.
 
 Structure files are JSON documents with fields base_vars, rank,
 product, bracket, prelie, anchor and identity; tensor entries are
@@ -152,7 +153,11 @@ def parse_expr(text: str, variables: list[str]) -> RatFunc:
     """Parse expression text over the given variable names into a RatFunc."""
     if not isinstance(text, str) or not text.strip():
         raise ExprSyntaxError(0, "non-empty expression")
-    return _Parser(_tokenize(text), variables).parse()
+    parser = _Parser(_tokenize(text), variables)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExprSyntaxError(parser.peek().pos, "expression nested less deeply") from None
 
 
 def print_expr(f: RatFunc, variables: list[str]) -> str:

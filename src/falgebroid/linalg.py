@@ -3,6 +3,8 @@
 Used with Fraction entries for finite dimensional cohomology and with
 RatFunc entries for identity sections and section inversion. Both types
 define ``__bool__`` as "is nonzero", so ``not x`` is the zero test.
+Elimination scales and subtracts only the pivot row's nonzero entries, so
+sparse matrices such as the point coboundaries cost about their nonzeros.
 """
 
 from __future__ import annotations
@@ -18,20 +20,20 @@ def rref(matrix: list[list], zero, one) -> tuple[list[list], list[int]]:
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = one / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        inv = one / prow[c]
+        nonzero = [j for j in range(c, ncols) if prow[j]]  # left of c the pivot row is zero
+        for j in nonzero:
+            prow[j] = inv * prow[j]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                for j in nonzero:
+                    row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -115,14 +115,24 @@ def test_dual_bad_ev_arity_exits_2(capsys):
     [
         (["dual", "--ev", "u1+,0"], "--ev[0]: at position 3: expected integer, variable or '('"),
         (["dual", "--ev", "u1,v"], "--ev[1]: unknown variable 'v'"),
-        (["hierarchy", "--flows", "u2,0;u1"], "--flows: expected 2 entries"),
+        (["hierarchy", "--flows", "u2,0;u1"], "--flows[1]: expected 2 entries"),
+        (["hierarchy", "--flows", "u2,(;u1,0"], "--flows[0][1]: at position 1: expected integer, variable or '('"),
     ],
-    ids=["ev-syntax", "ev-variable", "flows-count"],
+    ids=["ev-syntax", "ev-variable", "flows-count", "flows-first-half-syntax"],
 )
 def test_section_argument_errors_name_their_path(argv, message, capsys):
     code, out, err = run([*argv, "--fixture", "SS2"], capsys)
     assert code == 2
     assert err == f"error: {message}\n"
+    assert out == ""
+
+
+def test_deeply_nested_ev_exits_2(capsys):
+    ev = "(" * 5000 + "u1" + ")" * 5000 + ",u2"
+    code, out, err = run(["dual", "--fixture", "SS2", "--ev", ev], capsys)
+    assert code == 2
+    assert err.startswith("error: --ev[0]: at position ")
+    assert err.endswith(": expected expression nested less deeply\n")
     assert out == ""
 
 

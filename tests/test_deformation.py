@@ -308,10 +308,11 @@ POINT_ALGEBRAS = {
     "FM2": fm2_algebra,
     "Q[u]/u^3": lambda: truncated_poly_algebra(3),
     "Q[u]/u^4": lambda: truncated_poly_algebra(4),
+    "Q[u]/u^5": lambda: truncated_poly_algebra(5),
 }
 
 
-@pytest.mark.parametrize("name", sorted(POINT_ALGEBRAS))
+@pytest.mark.parametrize("name", ["FM2", "Q[u]/u^3", "Q[u]/u^4"])
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_d_matrix_matches_d_def_oracle(name, degree):
     A = as_prelie(POINT_ALGEBRAS[name]().to_presentation())
@@ -339,6 +340,8 @@ def test_d_matrix_matches_d_def_on_random_prelie_constants(seed):
         ("Q[u]/u^3", 2, (6, 13, 7)),
         ("Q[u]/u^3", 3, (6, 20, 14)),
         ("Q[u]/u^4", 2, (12, 25, 13)),
+        ("Q[u]/u^4", 3, (18, 57, 39)),
+        ("Q[u]/u^5", 2, (20, 41, 21)),
     ],
 )
 def test_cohomology_point_dimensions(name, degree, expected):

@@ -68,6 +68,17 @@ def test_unknown_variable():
 def test_division_by_zero_is_a_syntax_error():
     with pytest.raises(ExprSyntaxError):
         parse_expr("1/0", VARS)
+
+
+_NESTED = "(" * 5000 + "u1" + ")" * 5000
+
+
+@pytest.mark.parametrize("text", [_NESTED, "-" * 5000 + "u1"], ids=["parentheses", "unary-minus"])
+def test_deep_nesting_is_a_syntax_error(text):
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_expr(text, VARS)
+    assert e.value.expected == "expression nested less deeply"
+    assert 0 < e.value.position < len(text)
     with pytest.raises(ExprSyntaxError):
         parse_expr("u1/(u2 - u2)", VARS)
 
@@ -191,6 +202,12 @@ def test_schema_expression_errors_name_their_path():
     with pytest.raises(SchemaError) as e:
         parse_presentation(doc)
     assert str(e.value) == "identity[0]: at position 3: expected integer, variable or '('"
+    doc = doc_ss1()
+    doc["product"][0][0][0] = _NESTED
+    with pytest.raises(SchemaError) as e:
+        parse_presentation(doc)
+    assert e.value.path == "product[0][0][0]"
+    assert str(e.value).endswith(": expected expression nested less deeply")
 
 def test_schema_anchor_required_with_bracket():
     doc = doc_ss1()
