@@ -223,12 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", nargs="?", help="structure file (JSON)")
         p.add_argument("--fixture", help="built-in fixture name (see 'fixtures')")
         p.add_argument("--json", metavar="PATH", help="also write the report as JSON")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=0,
-            help="seed for randomized sub-checks (deterministic checks ignore it)",
-        )
 
     p = sub.add_parser("check", help="verify structure laws")
     common(p)

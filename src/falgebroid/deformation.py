@@ -8,8 +8,10 @@ algebroid with zero anchor, which makes the coboundary of any cochain
 have vanishing symbol; the anchor data of a deformation therefore lives
 entirely in the symbols of the deforming cochains.
 
-Over a point a degree-p cochain is its coordinate vector: the E_k-components
-at frame tuples whose p - 1 leading slots strictly increase. Coboundary
+Cochains alternate in every slot but the last, as in Dzhumadildaev's pre-Lie
+complex; MultiDer.build enforces it, evaluating only where the leading slots
+strictly increase. Over a point a degree-p cochain is therefore its
+coordinate vector: the E_k-components at those frame tuples. Coboundary
 matrices are read off the pre-Lie structure constants, one target coordinate
 per row, with d_def kept as their oracle; point cohomology comes from one
 elimination of [image of d | kernel of d].
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import combinations, permutations, product as iproduct
+from itertools import combinations, product as iproduct
 
 from .algebroid import AlgebroidPresentation, Section, _frame_args, _prelie_tuples, _scaled_args, _sweep
 from .constructions import FiniteAlgebra
@@ -38,13 +40,19 @@ from .report import Report
 from .ring import RatFunc, VectorField, vf_bracket
 
 
+def _sorted_sign(lead) -> tuple[tuple, int]:
+    """The sorted leading slots and the sign of the sorting permutation, 0 when an index repeats."""
+    key = tuple(sorted(lead))
+    return key, 0 if len(set(key)) < len(key) else (-1) ** sum(a > b for a, b in combinations(lead, 2))
+
+
 class MultiDer:
-    """Multiderivation of fixed degree in a fixed frame.
+    """Multiderivation of fixed degree in a fixed frame, alternating in its leading slots.
 
     D maps every index tuple of length ``degree`` to a Section; sigma
     maps every index tuple of length ``degree - 1`` to a VectorField.
-    Antisymmetry in the leading slots is the caller's responsibility
-    when building by hand; the derived constructors preserve it.
+    ``build`` makes both alternate in the ``degree - 1`` leading slots; a
+    cochain assembled by hand must alternate there too.
     """
 
     __slots__ = ("degree", "rank", "nvars", "D", "sigma")
@@ -60,22 +68,30 @@ class MultiDer:
 
     @staticmethod
     def zero(degree: int, rank: int, nvars: int) -> "MultiDer":
-        zs = Section.zero(rank, nvars)
-        zv = VectorField.zero(nvars)
-        D = {idx: zs for idx in iproduct(range(rank), repeat=degree)}
-        sigma = {idx: zv for idx in iproduct(range(rank), repeat=degree - 1)}
-        return MultiDer(degree, rank, nvars, D, sigma)
+        return MultiDer.build(degree, rank, nvars, lambda idx: Section.zero(rank, nvars))
 
     @staticmethod
     def build(degree: int, rank: int, nvars: int, d_fn, sigma_fn=None) -> "MultiDer":
-        """Construct from functions on index tuples."""
-        D = {idx: d_fn(idx) for idx in iproduct(range(rank), repeat=degree)}
+        """Construct from functions on index tuples whose leading slots strictly increase.
+
+        Every other tuple takes the value at its sorted leading slots times the
+        sign of the sort, or zero when an index repeats.
+        """
         zv = VectorField.zero(nvars)
-        sigma = {
-            idx: (sigma_fn(idx) if sigma_fn is not None else zv)
-            for idx in iproduct(range(rank), repeat=degree - 1)
-        }
-        return MultiDer(degree, rank, nvars, D, sigma)
+
+        def alternating(fn, zero, length):
+            out = {}
+            for idx in iproduct(range(rank), repeat=length):  # in lexicographic order, so out[key] is set
+                lead, sign = _sorted_sign(idx[:degree - 1])
+                key = lead + idx[degree - 1:]
+                if sign and key == idx:
+                    out[idx] = fn(idx)
+                else:
+                    out[idx] = zero if not sign else out[key] if sign > 0 else -out[key]
+            return out
+
+        D = alternating(d_fn, Section.zero(rank, nvars), degree)
+        return MultiDer(degree, rank, nvars, D, alternating(sigma_fn or (lambda idx: zv), zv, degree - 1))
 
     def is_zero(self) -> bool:
         return all(s.is_zero() for s in self.D.values()) and all(
@@ -340,11 +356,11 @@ def semiclassical_limit(deform: FormalDeformation) -> AlgebroidPresentation:
     )
 
 
-def obstruction(deform: FormalDeformation, verify: bool = True) -> MultiDer:
+def obstruction(deform: FormalDeformation) -> MultiDer:
     """Degree-3 obstruction cochain to extending past the stored order.
 
-    When ``verify`` is set, asserts that the obstruction is closed for
-    the coboundary of the base viewed as pre-Lie.
+    Raises FalgError unless the obstruction is closed for the coboundary of
+    the base viewed as pre-Lie, which holds for every valid deformation.
     """
     A = deform.base
     n = deform.order
@@ -367,10 +383,8 @@ def obstruction(deform: FormalDeformation, verify: bool = True) -> MultiDer:
         lambda idx: _order_k_residual(deform, n + 1, basis[idx[0]], basis[idx[1]], basis[idx[2]]),
         lambda idx: theta_sigma(basis[idx[0]], basis[idx[1]]),
     )
-    if verify:
-        closed = d_def(as_prelie(A), theta)
-        if not closed.is_zero():
-            raise FalgError("obstruction cochain is not closed; deformation data invalid")
+    if not d_def(as_prelie(A), theta).is_zero():
+        raise FalgError("obstruction cochain is not closed; deformation data invalid")
     return theta
 
 
@@ -384,7 +398,7 @@ def extend(deform: FormalDeformation, psi: MultiDer) -> FormalDeformation:
     if psi.degree != 2:
         raise ShapeError("extension cochain must have degree 2")
     A = deform.base
-    theta = obstruction(deform, verify=False)
+    theta = obstruction(deform)
     residual = theta - d_def(as_prelie(A), psi)
     if not residual.is_zero():
         bad = next(
@@ -405,11 +419,6 @@ def _coord_args(r: int, degree: int) -> list[tuple]:
     return [head + (last,) for head in combinations(range(r), degree - 1) for last in range(r)]
 
 
-def _der_index_tuples(r: int, degree: int):
-    """Coordinate index tuples (head, last, k): the E_k-component at frame tuple head + (last,)."""
-    return [(idx[:-1], idx[-1], k) for idx in _coord_args(r, degree) for k in range(r)]
-
-
 def _coords(md: MultiDer, r: int, degree: int) -> list[Fraction]:
     """The coordinate vector of a point cochain: its E_k-components at the coordinate tuples."""
     vec = []
@@ -422,18 +431,9 @@ def _coords(md: MultiDer, r: int, degree: int) -> list[Fraction]:
 
 
 def _vector_to_multider(vec, r: int, degree: int) -> MultiDer:
-    """The point cochain with coordinates vec, antisymmetric in its leading slots."""
-    acc = {}
-    for c, (head, last, k) in zip(vec, _der_index_tuples(r, degree)):
-        if c == 0:
-            continue
-        for perm in permutations(range(degree - 1)):
-            odd = sum(a > b for a, b in combinations(perm, 2)) % 2
-            idx = tuple(head[t] for t in perm) + (last,)
-            acc.setdefault(idx, {})[k] = RatFunc.const(0, -c if odd else c)
-    md = MultiDer.zero(degree, r, 0)
-    md.D.update({idx: Section._from_dict(entries, r, 0) for idx, entries in acc.items()})
-    return md
+    """The point cochain with coordinates vec."""
+    cols = {idx: vec[t * r:(t + 1) * r] for t, idx in enumerate(_coord_args(r, degree))}
+    return MultiDer.build(degree, r, 0, lambda idx: Section([RatFunc.const(0, c) for c in cols[idx]]))
 
 
 def _d_matrix(A: AlgebroidPresentation, degree: int) -> list[list[Fraction]]:
@@ -454,12 +454,10 @@ def _d_matrix(A: AlgebroidPresentation, degree: int) -> list[list[Fraction]]:
 
         def add(k, lead, slot, m, c):
             """Add c·ω(E_lead…, E_slot)_m to component k; lead is sorted with its sign."""
-            if len(set(lead)) < len(lead):
-                return
-            if sum(a > b for a, b in combinations(lead, 2)) % 2:
-                c = -c
-            j = (heads[tuple(sorted(lead))] * r + slot) * r + m
-            acc[k][j] = acc[k].get(j, 0) + c
+            lead, sign = _sorted_sign(lead)
+            if sign:
+                j = (heads[lead] * r + slot) * r + m
+                acc[k][j] = acc[k].get(j, 0) + sign * c
 
         for i, a in enumerate(head):
             s = 1 if i % 2 == 0 else -1
@@ -512,7 +510,7 @@ def cohomology_point(algebra: FiniteAlgebra, degree: int) -> CohomologyResult:
         raise FalgError("coboundary composition is nonzero; internal error")
     # a zero row fixes the column count when the target space is zero-dimensional (degree > rank);
     # there every cochain is closed
-    kernel = nullspace(d_out + [[zero] * len(_der_index_tuples(r, degree))], zero, one)
+    kernel = nullspace(d_out + [[zero] * (len(_coord_args(r, degree)) * r)], zero, one)
     n_in = len(d_in[0]) if d_in else 0
     _, pivots = rref([row + [v[i] for v in kernel] for i, row in enumerate(d_in)], zero, one)
     image_dim = sum(c < n_in for c in pivots)

@@ -43,9 +43,9 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token(ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", text[i:j], i))
             i = j
@@ -238,7 +238,7 @@ def parse_presentation(document):
     n = len(base_vars)
 
     rank = _require(doc, "rank")
-    if not isinstance(rank, int) or rank < 1:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise SchemaError("rank", "expected integer >= 1")
 
     product = parse_array(_require(doc, "product"), (rank,) * 3, base_vars, "product")

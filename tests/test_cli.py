@@ -33,6 +33,13 @@ def test_check_bad_file_exits_2(tmp_path, capsys):
     assert "unknown field" in err
 
 
+def test_check_boolean_rank_exits_2(tmp_path, capsys):
+    path = tmp_path / "rank.json"
+    path.write_text('{"base_vars": [], "rank": true, "product": [[["1"]]]}')
+    code, out, err = run(["check", str(path)], capsys)
+    assert (code, out, err) == (2, "", "error: rank: expected integer >= 1\n")
+
+
 def test_check_missing_input_exits_2(capsys):
     assert run(["check"], capsys)[0] == 2
     assert run(["check", "--fixture", "NOPE"], capsys)[0] == 2
@@ -117,8 +124,10 @@ def test_dual_bad_ev_arity_exits_2(capsys):
         (["dual", "--ev", "u1,v"], "--ev[1]: unknown variable 'v'"),
         (["hierarchy", "--flows", "u2,0;u1"], "--flows[1]: expected 2 entries"),
         (["hierarchy", "--flows", "u2,(;u1,0"], "--flows[0][1]: at position 1: expected integer, variable or '('"),
+        (["dual", "--ev", "²,u2"], "--ev[0]: at position 0: expected valid token, found '²'"),
+        (["dual", "--ev", "u1^²,u2"], "--ev[0]: at position 3: expected valid token, found '²'"),
     ],
-    ids=["ev-syntax", "ev-variable", "flows-count", "flows-first-half-syntax"],
+    ids=["ev-syntax", "ev-variable", "flows-count", "flows-first-half-syntax", "ev-superscript", "ev-superscript-exponent"],
 )
 def test_section_argument_errors_name_their_path(argv, message, capsys):
     code, out, err = run([*argv, "--fixture", "SS2"], capsys)
@@ -323,6 +332,7 @@ def test_dual_singular_ev_exits_1(capsys):
         assert "verification failed: matrix is singular" in err
 
 
-def test_seed_flag_accepted(capsys):
-    code, _, _ = run(["check", "--fixture", "SS1", "--seed", "42"], capsys)
-    assert code == 0
+def test_seed_flag_rejected(capsys):
+    code, _, err = run(["check", "--fixture", "SS1", "--seed", "42"], capsys)
+    assert code == 2
+    assert "unrecognized arguments: --seed" in err

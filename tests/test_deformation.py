@@ -1,5 +1,7 @@
 """Formal deformations, the coboundary complex, and point cohomology."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from falgebroid.constructions import FiniteAlgebra, fm2_algebra, load_fixture
 from falgebroid.deformation import (
     FormalDeformation,
     MultiDer,
+    _order_k_residual,
     as_prelie,
     check_n_deformation,
     cohomology_point,
@@ -216,8 +219,68 @@ def test_seeded_valid_one_deformations_have_closed_obstruction():
             mu1 = mu1 + rep.scale(Fraction(rng.randint(-2, 2)))
         deform = FormalDeformation(base, [mu1])
         assert check_n_deformation(deform).overall
-        theta = obstruction(deform, verify=False)
+        theta = obstruction(deform)
         assert d_def(P, theta).is_zero()
+
+
+@pytest.mark.parametrize("name", ["TR", "TR2", "SS2", "SS3", "FM2"])
+def test_d_def_matches_the_coboundary_formula_at_every_index_tuple(name):
+    """d_def evaluates only sorted leading slots; the formula, at all tuples, is the oracle."""
+    A = as_prelie(fm2_algebra().to_presentation()) if name == "FM2" else load_fixture(name)
+    r = A.rank
+    basis = [A.basis(i) for i in range(r)]
+    rng = random.Random(name)
+    for degree in (1, 2, 3):  # build makes a random degree-3 cochain alternate
+        md = rand_multider(rng, degree, r, A.n)
+        for omega in (md, d_def(A, md)) if degree < 3 else (md,):
+            d = d_def(A, omega)
+            for idx in itertools.product(range(r), repeat=omega.degree + 1):
+                assert d.D[idx] == d_def_eval(A, omega, [basis[i] for i in idx]), (degree, idx)
+            for idx in itertools.product(range(r), repeat=omega.degree):
+                assert d.sigma[idx] == d_def_sigma_eval(A, omega, [basis[i] for i in idx]), (degree, idx)
+
+
+def test_obstruction_matches_the_residual_at_every_basis_triple():
+    alg = truncated_poly_algebra(4)
+    A = alg.to_presentation()
+    P = as_prelie(A)
+    rng = random.Random(4)
+    mu1 = d_def(P, rand_multider(rng, 1, A.rank, 0))
+    for rep in cohomology_point(alg, 2).representatives:
+        mu1 = mu1 + rep.scale(Fraction(rng.randint(-2, 2)))
+    deform = FormalDeformation(A, [mu1])
+    theta = obstruction(deform)
+    assert not theta.is_zero()
+    basis = [A.basis(i) for i in range(A.rank)]
+    for idx in itertools.product(range(A.rank), repeat=3):
+        assert theta.D[idx] == _order_k_residual(deform, 2, *(basis[i] for i in idx)), idx
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_build_evaluates_only_strictly_increasing_leading_slots(degree):
+    r = 4
+    calls = {"d": [], "sigma": []}
+    ones = [RatFunc.const(0, 1)] * r
+
+    def d_fn(idx):
+        calls["d"].append(idx)
+        return Section(ones)
+
+    def sigma_fn(idx):
+        calls["sigma"].append(idx)
+        return VectorField([])
+
+    md = MultiDer.build(degree, r, 0, d_fn, sigma_fn)
+    assert len(calls["d"]) == math.comb(r, degree - 1) * r
+    assert len(calls["sigma"]) == math.comb(r, degree - 1)
+    assert all(list(idx[:-1]) == sorted(set(idx[:-1])) for idx in calls["d"])
+    for idx, s in md.D.items():
+        head = idx[:-1]
+        if len(set(head)) < len(head):
+            assert s.is_zero(), idx
+        else:
+            odd = sum(a > b for a, b in itertools.combinations(head, 2)) % 2
+            assert s == (-Section(ones) if odd else Section(ones)), idx
 
 
 # -- cohomology over a point -----------------------------------------------
@@ -252,11 +315,11 @@ def test_cohomology_degree_three():
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_point_cochain_coordinates_round_trip(degree):
-    from falgebroid.deformation import _coords, _der_index_tuples, _vector_to_multider
+    from falgebroid.deformation import _coord_args, _coords, _vector_to_multider
 
     rng = random.Random(degree)
     r = 3
-    vec = [Fraction(rng.randint(-2, 2)) for _ in _der_index_tuples(r, degree)]
+    vec = [Fraction(rng.randint(-2, 2)) for _ in range(len(_coord_args(r, degree)) * r)]
     md = _vector_to_multider(vec, r, degree)
     assert _coords(md, r, degree) == vec
     assert md.is_zero() == (not any(vec))
@@ -271,10 +334,10 @@ def test_point_cochain_coordinates_round_trip(degree):
 
 def d_matrix_through_d_def(A, degree, columns=None):
     """The coboundary matrix column by column: d_def of each basis cochain, read as coordinates."""
-    from falgebroid.deformation import _coords, _der_index_tuples, _vector_to_multider
+    from falgebroid.deformation import _coord_args, _coords, _vector_to_multider
 
     r = A.rank
-    n, m = len(_der_index_tuples(r, degree)), len(_der_index_tuples(r, degree + 1))
+    n, m = len(_coord_args(r, degree)) * r, len(_coord_args(r, degree + 1)) * r
     cols = {}
     for j in range(n) if columns is None else columns:
         basis_cochain = _vector_to_multider([int(i == j) for i in range(n)], r, degree)

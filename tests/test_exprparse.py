@@ -59,6 +59,14 @@ def test_syntax_errors_carry_positions():
         parse_expr("u1 u2", VARS)  # no implicit multiplication
 
 
+@pytest.mark.parametrize("text, position", [("²", 0), ("u1^²", 3), ("1²", 1)])
+def test_unicode_digits_are_not_integers(text, position):
+    # str.isdigit() holds for superscripts, which int() rejects
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_expr(text, VARS)
+    assert (e.value.position, e.value.expected) == (position, "valid token, found '²'")
+
+
 def test_unknown_variable():
     with pytest.raises(UnknownVariable) as e:
         parse_expr("u1 + q", VARS)
@@ -187,6 +195,11 @@ def test_schema_shape_and_type_errors():
     doc["rank"] = 0
     with pytest.raises(SchemaError):
         parse_presentation(doc)
+    doc = doc_ss1()
+    doc["rank"] = True  # a bool is an int in Python, but not a rank
+    with pytest.raises(SchemaError) as e:
+        parse_presentation(doc)
+    assert str(e.value) == "rank: expected integer >= 1"
 
 
 
