@@ -11,6 +11,7 @@ commuting hierarchies of hydrodynamic flows.
 from .algebroid import (
     AlgebroidPresentation,
     Section,
+    VectorField,
     check_comm_assoc,
     check_f_algebroid,
     check_lie_algebroid,
@@ -70,6 +71,6 @@ from .hierarchy import (
     total_x,
 )
 from .report import Check, Report
-from .ring import Poly, RatFunc, VectorField
+from .ring import Poly, RatFunc
 
 __version__ = "0.1.0"

@@ -4,7 +4,9 @@ A presentation fixes a global frame E_1..E_r over a polynomial base with
 variables u^1..u^n. The product, bracket and pre-Lie operation are given
 by structure tensors of rational functions; evaluation on general
 sections expands the Leibniz rules through the anchor, so differential
-identities can be verified exactly on symbolic arguments.
+identities can be verified exactly on symbolic arguments. A vector field is
+a section of the tangent frame d/du^1..d/du^n: ``VectorField`` is the
+``Section`` of rank n, and the anchor sends sections to it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import product as iproduct
 from .errors import MissingStructure, ShapeError
 from .linalg import solve
 from .report import Report
-from .ring import RatFunc, VectorField
+from .ring import RatFunc
 
 _TENSORS = ("product", "bracket", "prelie")
 Tensor = list  # rank x rank x rank nested lists of RatFunc, output-index major
@@ -27,6 +29,7 @@ class Section:
 
     ``entries`` holds the nonzero ``(k, RatFunc)`` pairs in ascending k, beside
     ``rank`` and ``nvars``; ``components`` is the dense tuple, built on each read.
+    Arithmetic builds the operand's own type, so ``VectorField`` inherits it.
     """
 
     __slots__ = ("entries", "rank", "nvars")
@@ -36,20 +39,20 @@ class Section:
         self.entries = tuple((k, c) for k, c in enumerate(components) if c.num.coeffs)
         self.rank, self.nvars = len(components), components[0].nvars if components else 0
 
-    @staticmethod
-    def _of(entries: tuple, rank: int, nvars: int) -> "Section":
-        s = object.__new__(Section)
+    @classmethod
+    def _of(cls, entries: tuple, rank: int, nvars: int) -> "Section":
+        s = object.__new__(cls)
         s.entries, s.rank, s.nvars = entries, rank, nvars
         return s
 
-    @staticmethod
-    def _from_dict(acc: dict, rank: int, nvars: int) -> "Section":
+    @classmethod
+    def _from_dict(cls, acc: dict, rank: int, nvars: int) -> "Section":
         """The section with components ``acc[k]``, exact zeros dropped."""
         if len(acc) > 1:
             entries = tuple((k, acc[k]) for k in sorted(acc) if acc[k].num.coeffs)
         else:  # 0 or 1 entries, 99.9% of law-sweep results: no sort and no generator
             entries = tuple(acc.items()) if acc and next(iter(acc.values())).num.coeffs else ()
-        return Section._of(entries, rank, nvars)
+        return cls._of(entries, rank, nvars)
 
     @staticmethod
     def zero(rank: int, nvars: int) -> "Section":
@@ -86,23 +89,51 @@ class Section:
         for k, c in other.entries:
             cur = acc.get(k)
             acc[k] = c if cur is None else cur + c
-        return Section._from_dict(acc, self.rank, self.nvars)
+        return self._from_dict(acc, self.rank, self.nvars)
 
     def __sub__(self, other: "Section") -> "Section":
         return self + -other
 
     def __neg__(self) -> "Section":
-        return Section._of(tuple((k, -c) for k, c in self.entries), self.rank, self.nvars)
+        return self._of(tuple((k, -c) for k, c in self.entries), self.rank, self.nvars)
 
     def scale_fn(self, f: RatFunc) -> "Section":
         entries = tuple((k, f * c) for k, c in self.entries) if f.num.coeffs else ()
-        return Section._of(entries, self.rank, self.nvars)
+        return self._of(entries, self.rank, self.nvars)
 
     def format(self, names: list[str]) -> str:
         return ", ".join(c.format(names) for c in self.components)
 
     def __repr__(self):
-        return f"Section({list(self.components)!r})"
+        return f"{type(self).__name__}({list(self.components)!r})"
+
+
+class VectorField(Section):
+    """Derivation of the coefficient ring, the section sum v^m d/du^m of the tangent frame; rank = nvars."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, nvars: int) -> "VectorField":
+        return cls._of((), nvars, nvars)
+
+    def apply(self, f: RatFunc) -> RatFunc:
+        """Apply as a derivation to a coefficient function."""
+        out = RatFunc.zero(f.nvars)
+        for m, v in self.entries:
+            out = out + v * f.derivative(m)
+        return out
+
+    def format(self, names: list[str]) -> str:
+        return "[" + super().format(names) + "]"
+
+
+def vf_bracket(v: VectorField, w: VectorField) -> VectorField:
+    """Commutator [v, w]^m = v(w^m) - w(v^m)."""
+    if v.rank != w.rank:
+        raise ShapeError(f"cannot bracket vector fields of sizes {v.rank} and {w.rank}")
+    vw = VectorField._from_dict({m: v.apply(c) for m, c in w.entries}, w.rank, w.nvars)
+    return vw - VectorField._from_dict({m: w.apply(c) for m, c in v.entries}, v.rank, v.nvars)
 
 
 def _compile(tensor: Tensor, rank: int) -> Table:
@@ -137,9 +168,8 @@ class AlgebroidPresentation:
         self._check_shapes()
         present = [(name, getattr(self, name)) for name in _TENSORS]
         self._tables = {name: _compile(t, rank) for name, t in present if t is not None}
-        rows = anchor if anchor is not None else [[RatFunc.zero(self.n)] * self.n] * rank
-        self._anchor_vfs = [VectorField(row) for row in rows]
-        self._nonzero_anchors = {i: vf for i, vf in enumerate(self._anchor_vfs) if not vf.is_zero()}
+        fields = enumerate(map(VectorField, anchor or ()))
+        self._anchors = {i: vf for i, vf in fields if vf.entries}  # the nonzero a(E_i)
 
     def _check_shapes(self):
         r, n = self.rank, self.n
@@ -168,13 +198,11 @@ class AlgebroidPresentation:
         """Section u^m · E_i, the spanning test argument for differential laws."""
         return self.basis(i).scale_fn(self.var_fn(m))
 
-    def anchor_vf(self, i: int) -> VectorField:
-        return self._anchor_vfs[i]
-
     def anchor_of(self, X: Section) -> VectorField:
         out = VectorField.zero(self.n)
         for i, xi in X.entries:
-            out = out + self._anchor_vfs[i].scale_fn(xi)
+            if i in self._anchors:
+                out = out + self._anchors[i].scale_fn(xi)
         return out
 
     # -- evaluation ----------------------------------------------------
@@ -204,7 +232,7 @@ class AlgebroidPresentation:
     def _derivation_terms(self, out: dict, X: Section, Y: Section, sign: int = 1):
         """Add sign * sum_i X^i a(E_i)(Y^k) E_k into the components ``out``."""
         for i, xi in X.entries:
-            a_i = self._nonzero_anchors.get(i)
+            a_i = self._anchors.get(i)
             if a_i is None:
                 continue
             for k, yk in Y.entries:

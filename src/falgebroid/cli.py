@@ -20,6 +20,7 @@ import sys
 from .algebroid import (
     AlgebroidPresentation,
     Section,
+    VectorField,
     check_comm_assoc,
     check_f_algebroid,
     check_lie_algebroid,
@@ -46,7 +47,6 @@ from .errors import FalgError, InputError, SchemaError
 from .exprparse import decode_json, parse_array, parse_presentation, presentation_to_document
 from .hierarchy import Connection, flow_from_section, flows_commute, principal_hierarchy
 from .report import Report
-from .ring import VectorField
 
 _LAWS = {
     "comm-assoc": check_comm_assoc,
@@ -154,6 +154,10 @@ def _load_cochain(path: str, A: AlgebroidPresentation) -> list[MultiDer]:
 
 
 def cmd_deform(args) -> int:
+    if args.nijenhuis and args.order is not None:
+        raise InputError("--order applies only to --mu1, not to --nijenhuis")
+    if args.mu1 and args.out:
+        raise InputError("--out applies only to --nijenhuis, not to --mu1")
     if args.order is not None and args.order < 1:
         raise InputError(f"--order must be at least 1, got {args.order}")
     A = _load_presentation(args)
@@ -167,8 +171,6 @@ def cmd_deform(args) -> int:
                 report.extend_from(_LAWS[law](deformed))
             _write_json(args.out, presentation_to_document(deformed))
         return _emit(report, args.json)
-    if not args.mu1:
-        raise InputError("provide --nijenhuis FILE or --mu1 FILE")
     mus = _load_cochain(args.mu1, A)
     order = args.order if args.order is not None else len(mus)
     while len(mus) < order:
@@ -244,10 +246,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("deform", "nijenhuis"):
         p = sub.add_parser(name, help="Nijenhuis or formal deformation checks")
         common(p)
-        p.add_argument("--nijenhuis", metavar="FILE", help="bundle-map matrix file (JSON)")
-        p.add_argument("--mu1", metavar="FILE", help="deformation cochain file (JSON)")
-        p.add_argument("--order", type=int, help="deformation order (pads with zeros)")
-        p.add_argument("--out", help="write the deformed structure file here")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--nijenhuis", metavar="FILE", help="bundle-map matrix file (JSON)")
+        source.add_argument("--mu1", metavar="FILE", help="deformation cochain file (JSON)")
+        p.add_argument("--order", type=int, help="deformation order (pads with zeros; --mu1 only)")
+        p.add_argument("--out", help="write the deformed structure file here (--nijenhuis only)")
         p.set_defaults(func=cmd_deform)
 
     p = sub.add_parser("hierarchy", help="flow commutation and the principal hierarchy")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .algebroid import AlgebroidPresentation, Section, check_f_algebroid, check_pre_f
+from .algebroid import AlgebroidPresentation, Section, VectorField, check_f_algebroid, check_pre_f, vf_bracket
 from .errors import (
     NotAHomomorphism,
     NotClosed,
@@ -22,7 +22,7 @@ from .errors import (
     UnknownFixture,
 )
 from .linalg import solve
-from .ring import Poly, RatFunc, VectorField, vf_bracket
+from .ring import Poly, RatFunc
 
 
 def _zero_tensor(r: int, n: int):
@@ -85,7 +85,7 @@ class ActionSpec:
         if len(self.rho) != self.algebra.dim:
             raise ShapeError("rho must give one vector field per basis element")
         for v in self.rho:
-            if v.nvars != n:
+            if v.rank != n:
                 raise ShapeError("rho vector field dimension mismatch")
         for i in range(self.algebra.dim):
             for j in range(i + 1, self.algebra.dim):
@@ -114,7 +114,7 @@ def _lift_algebra(spec: ActionSpec, use_prelie: bool) -> AlgebroidPresentation:
         product=_const_tensor(alg.product, n),
         bracket=None if use_prelie else _const_tensor(alg.bracket, n),
         prelie=_const_tensor(alg.prelie, n) if use_prelie else None,
-        anchor=[list(v.comps) for v in spec.rho],
+        anchor=[list(v.components) for v in spec.rho],
         identity=ident,
     )
 

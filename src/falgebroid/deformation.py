@@ -22,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import combinations, product as iproduct
+from itertools import chain, combinations, product as iproduct
+from operator import add, sub
 
-from .algebroid import AlgebroidPresentation, Section, _frame_args, _prelie_tuples, _scaled_args, _sweep
+from .algebroid import AlgebroidPresentation, Section, VectorField, vf_bracket
+from .algebroid import _frame_args, _prelie_tuples, _scaled_args, _sweep
 from .constructions import FiniteAlgebra
 from .errors import (
     ArityMismatch,
@@ -37,7 +39,7 @@ from .errors import (
 )
 from .linalg import nullspace, rref, solve
 from .report import Report
-from .ring import RatFunc, VectorField, vf_bracket
+from .ring import RatFunc
 
 
 def _sorted_sign(lead) -> tuple[tuple, int]:
@@ -94,9 +96,7 @@ class MultiDer:
         return MultiDer(degree, rank, nvars, D, alternating(sigma_fn or (lambda idx: zv), zv, degree - 1))
 
     def is_zero(self) -> bool:
-        return all(s.is_zero() for s in self.D.values()) and all(
-            v.is_zero() for v in self.sigma.values()
-        )
+        return all(s.is_zero() for s in chain(self.D.values(), self.sigma.values()))
 
     def __eq__(self, other) -> bool:
         return (
@@ -106,27 +106,19 @@ class MultiDer:
             and self.sigma == other.sigma
         )
 
-    def __add__(self, other: "MultiDer") -> "MultiDer":
+    def _combine(self, other: "MultiDer", op) -> "MultiDer":
+        """op applied slot by slot to both maps, D and sigma."""
         if self.degree != other.degree:
             raise ArityMismatch("degree mismatch")
-        return MultiDer(
-            self.degree,
-            self.rank,
-            self.nvars,
-            {idx: s + other.D[idx] for idx, s in self.D.items()},
-            {idx: v + other.sigma[idx] for idx, v in self.sigma.items()},
-        )
+        D = {idx: op(s, other.D[idx]) for idx, s in self.D.items()}
+        sigma = {idx: op(v, other.sigma[idx]) for idx, v in self.sigma.items()}
+        return MultiDer(self.degree, self.rank, self.nvars, D, sigma)
+
+    def __add__(self, other: "MultiDer") -> "MultiDer":
+        return self._combine(other, add)
 
     def __sub__(self, other: "MultiDer") -> "MultiDer":
-        if self.degree != other.degree:
-            raise ArityMismatch("degree mismatch")
-        return MultiDer(
-            self.degree,
-            self.rank,
-            self.nvars,
-            {idx: s - other.D[idx] for idx, s in self.D.items()},
-            {idx: v - other.sigma[idx] for idx, v in self.sigma.items()},
-        )
+        return self._combine(other, sub)
 
     def scale(self, c) -> "MultiDer":
         f = RatFunc.const(self.nvars, c)
@@ -345,7 +337,7 @@ def semiclassical_limit(deform: FormalDeformation) -> AlgebroidPresentation:
     A = deform.base
     mu1 = deform.mus[0]
     bracket = A.tensor_of(lambda X, Y: mu1.eval([X, Y]) - mu1.eval([Y, X]))
-    anchor = [list(mu1.sigma[(i,)].comps) for i in range(A.rank)]
+    anchor = [list(mu1.sigma[(i,)].components) for i in range(A.rank)]
     return AlgebroidPresentation(
         base_vars=A.base_vars,
         rank=A.rank,
@@ -512,7 +504,7 @@ def cohomology_point(algebra: FiniteAlgebra, degree: int) -> CohomologyResult:
     # there every cochain is closed
     kernel = nullspace(d_out + [[zero] * (len(_coord_args(r, degree)) * r)], zero, one)
     n_in = len(d_in[0]) if d_in else 0
-    _, pivots = rref([row + [v[i] for v in kernel] for i, row in enumerate(d_in)], zero, one)
+    _, pivots = rref([row + [v[i] for v in kernel] for i, row in enumerate(d_in)], one)
     image_dim = sum(c < n_in for c in pivots)
     reps = [_vector_to_multider(kernel[c - n_in], r, degree) for c in pivots if c >= n_in]
     return CohomologyResult(

@@ -293,7 +293,7 @@ def nijenhuis_deformation(
         return report, None
     anchor = None
     if A.anchor is not None:
-        anchor = [A.anchor_of(N.apply(A.basis(i))).comps for i in range(A.rank)]
+        anchor = [A.anchor_of(N.apply(A.basis(i))).components for i in range(A.rank)]
 
     def twist(op):
         return A.tensor_of(_deformed_op(N.apply, op))

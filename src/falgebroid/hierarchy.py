@@ -18,7 +18,7 @@ from functools import cache, cached_property, partial
 from itertools import combinations
 from math import lcm as int_lcm
 
-from .algebroid import AlgebroidPresentation, Section, _record
+from .algebroid import AlgebroidPresentation, Section, VectorField, _record
 from .duality import is_pseudo_eventual_identity
 from .errors import (
     JetOrderOverflow,
@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
 )
 from .report import Report
-from .ring import Poly, RatFunc, VectorField
+from .ring import Poly, RatFunc
 
 
 def jet_names(names: list[str]) -> list[str]:
@@ -86,7 +86,7 @@ class HydroFlow:
 
     def velocity(self, i: int) -> RatFunc:
         """The right-hand side of the i-th equation as a jet function."""
-        return self.prolonged.comps[i]
+        return self.prolonged.components[i]
 
     def derive(self, f: RatFunc) -> RatFunc:
         """Time derivative of a first-order jet function along the flow."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .errors import NotInvertible
 
 
-def rref(matrix: list[list], zero, one) -> tuple[list[list], list[int]]:
+def rref(matrix: list[list], one) -> tuple[list[list], list[int]]:
     """Reduced row echelon form. Returns (rows, pivot column indices)."""
     rows = [list(r) for r in matrix]
     nrows = len(rows)
@@ -41,10 +41,10 @@ def rref(matrix: list[list], zero, one) -> tuple[list[list], list[int]]:
     return rows, pivots
 
 
-def rank(matrix: list[list], zero, one) -> int:
+def rank(matrix: list[list], one) -> int:
     if not matrix:
         return 0
-    return len(rref(matrix, zero, one)[1])
+    return len(rref(matrix, one)[1])
 
 
 def solve(matrix: list[list], rhs: list, zero, one) -> list | None:
@@ -52,7 +52,7 @@ def solve(matrix: list[list], rhs: list, zero, one) -> list | None:
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     aug = [list(matrix[i]) + [rhs[i]] for i in range(nrows)]
-    rows, pivots = rref(aug, zero, one)
+    rows, pivots = rref(aug, one)
     if ncols in pivots:
         return None
     sol = [zero] * ncols
@@ -67,7 +67,7 @@ def nullspace(matrix: list[list], zero, one) -> list[list]:
     ncols = len(matrix[0]) if nrows else 0
     if nrows == 0:
         return [[one if i == j else zero for i in range(ncols)] for j in range(ncols)]
-    rows, pivots = rref(matrix, zero, one)
+    rows, pivots = rref(matrix, one)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -83,7 +83,7 @@ def invert(matrix: list[list], zero, one) -> list[list]:
     """Inverse of a square matrix, raising NotInvertible when singular."""
     n = len(matrix)
     aug = [list(matrix[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
-    rows, pivots = rref(aug, zero, one)
+    rows, pivots = rref(aug, one)
     if pivots != list(range(n)):
         raise NotInvertible("matrix is singular")
     return [row[n:] for row in rows]

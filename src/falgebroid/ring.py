@@ -1,11 +1,13 @@
-"""Exact multivariate rational function arithmetic.
+"""Exact multivariate polynomial and rational function arithmetic.
 
-Polynomials are sparse dictionaries mapping exponent tuples to integer
-numerators over one positive common denominator, so the ring kernels run on
-Python ints. Rational functions keep a normalized numerator/denominator
-pair: the gcd is cancelled and the denominator is made monic under the
-graded lexicographic order, so equal functions have identical
-representations and equality never relies on sampling.
+This module holds the coefficient ring only; a vector field is a section
+of the tangent frame, ``algebroid.VectorField``. Polynomials are sparse
+dictionaries mapping exponent tuples to integer numerators over one
+positive common denominator, so the ring kernels run on Python ints.
+Rational functions keep a normalized numerator/denominator pair: the gcd
+is cancelled and the denominator is made monic under the graded
+lexicographic order, so equal functions have identical representations
+and equality never relies on sampling.
 
 Gcds come from ``Poly.gcd_cofactors``: the heuristic GCDHEU on integer
 coefficients, whose candidate is kept only when it divides both inputs
@@ -771,69 +773,3 @@ class RatFunc:
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"
 
-
-class VectorField:
-    """Derivation of the coefficient ring, one component per base variable."""
-
-    __slots__ = ("comps",)
-
-    def __init__(self, comps):
-        self.comps = tuple(comps)
-
-    @staticmethod
-    def zero(nvars: int) -> "VectorField":
-        return VectorField(RatFunc.zero(nvars) for _ in range(nvars))
-
-    @property
-    def nvars(self) -> int:
-        return len(self.comps)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VectorField) and self.comps == other.comps
-
-    def __hash__(self):
-        return hash(self.comps)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(a + b for a, b in zip(self.comps, other.comps))
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(a - b for a, b in zip(self.comps, other.comps))
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(-a for a in self.comps)
-
-    def scale_fn(self, f: RatFunc) -> "VectorField":
-        return VectorField(f * a for a in self.comps)
-
-    def apply(self, f: RatFunc) -> RatFunc:
-        """Apply as a derivation to a coefficient function."""
-        out = RatFunc.zero(f.nvars)
-        for i, v in enumerate(self.comps):
-            if not v.is_zero():
-                out = out + v * f.derivative(i)
-        return out
-
-    def format(self, names: list[str]) -> str:
-        return "[" + ", ".join(c.format(names) for c in self.comps) + "]"
-
-    def __repr__(self):
-        return f"VectorField({list(self.comps)!r})"
-
-
-def vf_bracket(v: VectorField, w: VectorField) -> VectorField:
-    """Commutator of two vector fields."""
-    n = v.nvars
-    comps = []
-    for mu in range(n):
-        c = RatFunc.zero(n)
-        for i in range(n):
-            if not v.comps[i].is_zero():
-                c = c + v.comps[i] * w.comps[mu].derivative(i)
-            if not w.comps[i].is_zero():
-                c = c - w.comps[i] * v.comps[mu].derivative(i)
-        comps.append(c)
-    return VectorField(comps)

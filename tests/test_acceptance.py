@@ -167,7 +167,7 @@ def test_criterion_6_cohomology_point():
     res = cohomology_point(alg, 2)
     d1 = _d_matrix(P, 1)
     d2 = _d_matrix(P, 2)
-    ok = res.coboundary_dim == mat_rank(d1, zero, one)
+    ok = res.coboundary_dim == mat_rank(d1, one)
     ok &= res.cocycle_dim == len(nullspace(d2, zero, one))
     ok &= res.dim == res.cocycle_dim - res.coboundary_dim
     for rep in res.representatives:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from falgebroid.algebroid import (
     AlgebroidPresentation,
     Section,
+    VectorField,
     check_anchor_leibniz,
     check_comm_assoc,
     check_f_algebroid,
@@ -20,10 +21,11 @@ from falgebroid.algebroid import (
     find_identity,
     sub_adjacent,
     tensors_equal,
+    vf_bracket,
 )
 from falgebroid.constructions import FiniteAlgebra, load_fixture
 from falgebroid.errors import MissingStructure, ShapeError
-from falgebroid.ring import RatFunc, VectorField
+from falgebroid.ring import RatFunc
 from test_ring import DEADLINE, fractions, ratfuncs
 
 
@@ -272,9 +274,10 @@ def test_engine_report_invariants(A, law, passes):
 
 # -- sparse sections against the dense oracle ------------------------------
 #
-# Test-only copies of the dense Section arithmetic and of the dense
-# contraction that visits every (i, j) pair. Normal forms are unique, so
-# the sparse evaluator must agree with them component for component.
+# Test-only copies of the dense Section arithmetic, of the dense
+# contraction that visits every (i, j) pair and of the dense vector field.
+# Normal forms are unique, so the sparse evaluator must agree with them
+# component for component.
 
 
 def _dense_add(xs, ys):
@@ -297,11 +300,71 @@ def _dense_contract(A, tensor, xs, ys):
     return tuple(out)
 
 
+class DenseVectorField:
+    """The dense-tuple vector field that the sparse ``VectorField`` replaced.
+
+    Kept only as the oracle: every operation must give the same components
+    as ``VectorField``.
+    """
+
+    def __init__(self, comps):
+        self.comps = tuple(comps)
+
+    @staticmethod
+    def zero(nvars):
+        return DenseVectorField(RatFunc.zero(nvars) for _ in range(nvars))
+
+    def __add__(self, other):
+        return DenseVectorField(a + b for a, b in zip(self.comps, other.comps))
+
+    def __sub__(self, other):
+        return DenseVectorField(a - b for a, b in zip(self.comps, other.comps))
+
+    def __neg__(self):
+        return DenseVectorField(-a for a in self.comps)
+
+    def scale_fn(self, f):
+        return DenseVectorField(f * a for a in self.comps)
+
+    def apply(self, f):
+        out = RatFunc.zero(f.nvars)
+        for i, v in enumerate(self.comps):
+            if not v.is_zero():
+                out = out + v * f.derivative(i)
+        return out
+
+
+def dense_vf_bracket(v, w):
+    n = len(v.comps)
+    comps = []
+    for mu in range(n):
+        c = RatFunc.zero(n)
+        for i in range(n):
+            if not v.comps[i].is_zero():
+                c = c + v.comps[i] * w.comps[mu].derivative(i)
+            if not w.comps[i].is_zero():
+                c = c - w.comps[i] * v.comps[mu].derivative(i)
+        comps.append(c)
+    return DenseVectorField(comps)
+
+
+def _dense_anchor(A, i):
+    return DenseVectorField(A.anchor[i]) if A.anchor is not None else DenseVectorField.zero(A.n)
+
+
+def _dense_anchor_of(A, xs):
+    """Components of a(X) = sum_i X^i a(E_i)."""
+    out = DenseVectorField.zero(A.n)
+    for i, xi in enumerate(xs):
+        out = out + _dense_anchor(A, i).scale_fn(xi)
+    return out.comps
+
+
 def _dense_derivation(A, xs, ys):
     """Components of sum_i X^i a(E_i)(Y^k) E_k."""
     out = [RatFunc.zero(A.n)] * A.rank
     for i, xi in enumerate(xs):
-        a_i = VectorField(A.anchor[i]) if A.anchor is not None else VectorField.zero(A.n)
+        a_i = _dense_anchor(A, i)
         for k in range(A.rank):
             out[k] = out[k] + xi * a_i.apply(ys[k])
     return tuple(out)
@@ -331,15 +394,16 @@ def _oracle_case(name):
     return _seeded_mutant() if name == "mutant" else load_fixture(name)
 
 
-def _sections(A):
-    """Random sections over A: components from the ring strategies, often zero."""
+def _sections(A, rank=None, cls=Section):
+    """Random sections over A (of ``rank``, by default A's): components from the ring strategies, often zero."""
     zero = RatFunc.zero(A.n)
     if A.n == 0:
         coeff = fractions.map(lambda c: RatFunc.const(0, c))
     else:
         assert A.n == 2
         coeff = ratfuncs()
-    return st.lists(st.one_of(st.just(zero), coeff), min_size=A.rank, max_size=A.rank).map(Section)
+    size = A.rank if rank is None else rank
+    return st.lists(st.one_of(st.just(zero), coeff), min_size=size, max_size=size).map(cls)
 
 
 @pytest.mark.parametrize("name", ["SS2", "TR2", "ACT2", "DN2_2", "mutant"])
@@ -366,6 +430,16 @@ def test_sparse_evaluation_matches_dense_oracle(name, data):
         assert Section(s.components) == s
         assert hash(Section(s.components)) == hash(s)
         assert s.is_zero() == all(c.is_zero() for c in s.components)
+    # vector fields: the anchor's image and random fields over A's base
+    V, W = data.draw(_sections(A, A.n, VectorField)), data.draw(_sections(A, A.n, VectorField))
+    assert A.anchor_of(X).components == _dense_anchor_of(A, xs)
+    for v, w in ((V, W), (A.anchor_of(X), A.anchor_of(Y))):
+        dv, dw = DenseVectorField(v.components), DenseVectorField(w.components)
+        for got, want in ((v + w, dv + dw), (v - w, dv - dw), (-v, -dv), (v.scale_fn(f), dv.scale_fn(f)),
+                          (vf_bracket(v, w), dense_vf_bracket(dv, dw))):
+            assert type(got) is VectorField and got.components == want.comps
+            assert VectorField(got.components) == got and hash(VectorField(got.components)) == hash(got)
+        assert v.apply(f) == dv.apply(f) and w.apply(ys[-1]) == dw.apply(ys[-1])
 
 
 def test_section_components_round_trip_with_zeros():
@@ -393,3 +467,16 @@ def test_section_rank_mismatch_raises():
             combine(Y, X)
     with pytest.raises(ShapeError):
         X + Section.zero(1, 2)
+
+
+def test_vector_field_size_mismatch_raises():
+    u, v = RatFunc.var(2, 0), RatFunc.var(1, 0)
+    X, Y = VectorField([u, u]), VectorField([v])
+    for combine in (lambda a, b: a + b, lambda a, b: a - b, vf_bracket):
+        with pytest.raises(ShapeError):
+            combine(X, Y)
+        with pytest.raises(ShapeError):
+            combine(Y, X)
+    with pytest.raises(ShapeError):
+        X + VectorField.zero(1)
+    assert X + VectorField.zero(2) == X and VectorField.zero(2).rank == VectorField.zero(2).nvars == 2

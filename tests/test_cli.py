@@ -270,7 +270,24 @@ def test_deform_malformed_mu1_shapes_exit_2(tmp_path, capsys):
 
 
 def test_deform_requires_an_input(capsys):
-    assert run(["deform", "--fixture", "SS2"], capsys)[0] == 2
+    code, out, err = run(["deform", "--fixture", "SS2"], capsys)
+    assert (code, out) == (2, "")
+    assert "one of the arguments --nijenhuis --mu1 is required" in err
+
+
+def test_deform_rejects_options_of_the_other_input(tmp_path, capsys):
+    struct, mu = qu4_files(tmp_path)
+    N, out_path = nij_file(tmp_path), tmp_path / "o.json"
+    cases = [
+        (["--fixture", "SS2", "--nijenhuis", str(N), "--mu1", str(mu)], "not allowed with argument"),
+        (["--fixture", "SS2", "--nijenhuis", str(N), "--order", "3"], "--order applies only to --mu1"),
+        ([str(struct), "--mu1", str(mu), "--out", str(out_path)], "--out applies only to --nijenhuis"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(["deform", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert message in err and "Traceback" not in err
+        assert not out_path.exists()
 
 
 def test_deform_order_below_one_exits_2(tmp_path, capsys):

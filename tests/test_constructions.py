@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from falgebroid.algebroid import (
+    VectorField,
     check_f_algebroid,
     check_pre_f,
     check_prelie_com,
@@ -30,7 +31,7 @@ from falgebroid.errors import (
     NotFManifoldAlgebra,
     UnknownFixture,
 )
-from falgebroid.ring import Poly, RatFunc, VectorField
+from falgebroid.ring import Poly, RatFunc
 
 
 def test_fm2_algebra_is_f_manifold_algebra():
@@ -119,7 +120,7 @@ def test_poisson_seed_constants():
     assert A.rank == 1
     assert check_f_algebroid(A).overall
     # constant functions have zero Hamiltonian vector field
-    assert A.anchor_vf(0).is_zero()
+    assert A.anchor_of(A.basis(0)).is_zero()
 
 
 def test_poisson_seed_fixture():

@@ -14,7 +14,7 @@ from falgebroid.ring import RatFunc
 from test_ring import DEADLINE, NVARS, ratfuncs
 
 
-def dense_rref(matrix, zero, one):
+def dense_rref(matrix, one):
     """The elimination before the sparse row update: scales and subtracts every entry of a row."""
     rows = [list(r) for r in matrix]
     nrows = len(rows)
@@ -45,7 +45,7 @@ def dense_rref(matrix, zero, one):
 
 def results(matrix, rhs, zero, one):
     """rref, solve, nullspace and invert (or NotInvertible) of one matrix."""
-    out = [linalg.rref(matrix, zero, one), linalg.solve(matrix, rhs, zero, one), linalg.nullspace(matrix, zero, one)]
+    out = [linalg.rref(matrix, one), linalg.solve(matrix, rhs, zero, one), linalg.nullspace(matrix, zero, one)]
     if len(matrix) == len(matrix[0]):
         try:
             out.append(linalg.invert(matrix, zero, one))

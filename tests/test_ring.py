@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from falgebroid import ring
 from falgebroid.errors import DivisionByZero, NotDivisible
 from falgebroid.exprparse import parse_expr
-from falgebroid.ring import Poly, RatFunc, VectorField, vf_bracket
+from falgebroid.algebroid import VectorField, vf_bracket
+from falgebroid.ring import Poly, RatFunc
 
 NVARS = 2
 
