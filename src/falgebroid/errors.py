@@ -26,6 +26,10 @@ class NotDivisible(FalgError):
     """Exact polynomial division requested where none exists."""
 
 
+class DegreeOverflow(FalgError):
+    """A polynomial would pass the total degree ``ring.MAX_DEGREE``."""
+
+
 class ExprSyntaxError(InputError):
     """Malformed expression text.
 

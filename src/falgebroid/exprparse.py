@@ -4,7 +4,9 @@ Expressions use standard infix notation over declared variables with
 integer literals, +, -, *, /, unary minus and ^ with non-negative
 integer exponents. There is no implicit multiplication. Parsing
 evaluates directly into exact rational functions. An expression nested
-too deeply for the recursive descent is an ExprSyntaxError.
+too deeply for the recursive descent, an exponent above
+``ring.MAX_DEGREE`` and a result whose degree would pass it are
+ExprSyntaxErrors.
 
 Structure files are JSON documents with fields base_vars, rank,
 product, bracket, prelie, anchor and identity; tensor entries are
@@ -15,8 +17,8 @@ from __future__ import annotations
 
 import json
 
-from .errors import DivisionByZero, ExprSyntaxError, SchemaError, UnknownVariable
-from .ring import RatFunc
+from .errors import DegreeOverflow, DivisionByZero, ExprSyntaxError, SchemaError, UnknownVariable
+from .ring import MAX_DEGREE, RatFunc
 
 _OPS = set("+-*/^()")
 
@@ -126,8 +128,12 @@ class _Parser:
             tok = self.peek()
             if tok.kind != "int":
                 raise ExprSyntaxError(tok.pos, "non-negative integer exponent")
+            # leading zeros stripped, so that no huge literal reaches int()
+            digits = tok.text.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+                raise ExprSyntaxError(tok.pos, f"exponent at most {MAX_DEGREE}")
             self.advance()
-            value = value ** int(tok.text)
+            value = value ** int(digits)
         return value
 
     def atom(self) -> RatFunc:
@@ -158,6 +164,8 @@ def parse_expr(text: str, variables: list[str]) -> RatFunc:
         return parser.parse()
     except RecursionError:
         raise ExprSyntaxError(parser.peek().pos, "expression nested less deeply") from None
+    except DegreeOverflow:
+        raise ExprSyntaxError(parser.peek().pos, f"total degree at most {MAX_DEGREE}") from None
 
 
 def print_expr(f: RatFunc, variables: list[str]) -> str:

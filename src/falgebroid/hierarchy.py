@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
 )
 from .report import Report
-from .ring import Poly, RatFunc
+from .ring import MAX_DEGREE, Poly, RatFunc, exponent_shift
 
 
 def jet_names(names: list[str]) -> list[str]:
@@ -50,7 +50,9 @@ def _jet_n(f: RatFunc, message: str) -> int:
     n, rem = divmod(f.nvars, 3)
     if rem:
         raise ShapeError("a jet function has 3n variables (u, u_x, u_xx)")
-    if any(any(e[2 * n :]) for p in (f.num, f.den) for e in p.coeffs):
+    # the u_xx exponents are the lowest n fields of a monomial key
+    u_xx = (1 << exponent_shift(3 * n, 2 * n - 1)) - 1 if n else 0
+    if any(k & u_xx for p in (f.num, f.den) for k in p.coeffs):
         raise JetOrderOverflow(message)
     return n
 
@@ -190,19 +192,17 @@ def eventual_identity_flows(T: AlgebroidPresentation, E1: Section, E2: Section) 
 
 
 def _poly_antiderivative(p: Poly, m: int) -> Poly:
-    scale = int_lcm(*(e[m] + 1 for e in p.coeffs))
-    coeffs = {}
-    for exps, c in p.coeffs.items():
-        e = list(exps)
-        e[m] += 1
-        coeffs[tuple(e)] = c * (scale // e[m])
-    return Poly.from_ints(p.nvars, coeffs, p.denom * scale)
+    s = exponent_shift(p.nvars, m)
+    powers = {k: (k >> s & MAX_DEGREE) + 1 for k in p.coeffs}
+    scale = int_lcm(*powers.values())
+    coeffs = {k: c * (scale // powers[k]) for k, c in p.coeffs.items()}
+    return Poly.from_ints(p.nvars, coeffs, p.denom * scale) * Poly.var(p.nvars, m)
 
 
 def _poly_zero_tail(p: Poly, start: int) -> Poly:
     """Set variables with index > start to zero."""
-    coeffs = {e: c for e, c in p.coeffs.items() if not any(e[start + 1 :])}
-    return Poly.from_ints(p.nvars, coeffs, p.denom)
+    tail = (1 << exponent_shift(p.nvars, start)) - 1
+    return Poly.from_ints(p.nvars, {k: c for k, c in p.coeffs.items() if not k & tail}, p.denom)
 
 
 def _path_integrate(rhs_rows: list[list[RatFunc]], nvars: int) -> list[RatFunc]:

@@ -1,24 +1,27 @@
 """Exact multivariate polynomial and rational function arithmetic.
 
 This module holds the coefficient ring only; a vector field is a section
-of the tangent frame, ``algebroid.VectorField``. Polynomials are sparse
-dictionaries mapping exponent tuples to integer numerators over one
-positive common denominator, so the ring kernels run on Python ints.
-Rational functions keep a normalized numerator/denominator pair: the gcd
-is cancelled and the denominator is made monic under the graded
-lexicographic order, so equal functions have identical representations
-and equality never relies on sampling.
+of the tangent frame, ``algebroid.VectorField``. A polynomial maps packed
+monomial keys to integer numerators over one positive common denominator,
+so the ring kernels run on Python ints. The key of x_1^e_1 ... x_n^e_n is
+one int of n + 1 fields of 16 bits: the total degree in the top field,
+then e_1 down to e_n in the lowest (Johnson, EUROSAM 1974; Monagan and
+Pearce, CASC 2007). Plain int order is then the graded lexicographic
+order, and the key of a product of monomials is the sum of their keys.
+No field is larger than the total degree, so none can carry while that
+stays at most ``MAX_DEGREE``; a product or power that would pass it
+raises ``DegreeOverflow``. The gcd and exact division kernels work on
+exponent tuples, unpacked once per call.
 
-Gcds come from ``Poly.gcd_cofactors``: the heuristic GCDHEU on integer
-coefficients, whose candidate is kept only when it divides both inputs
-exactly and reaches degree bounds taken from images modulo a prime, with
-the primitive PRS gcd as the fallback when it gives up. The cofactors it
-returns are the reduced parts, so nothing is divided twice.
-Sums and products of rational functions follow Henrici: a sum cancels
-``gcd(b, d)`` of the denominators before cross-multiplying and then only
-what that gcd can still share with the numerator, and a product cancels
-across ``gcd(a, d)`` and ``gcd(c, b)`` first, so its result is reduced.
-Operands with constant denominators skip all of this.
+Rational functions keep a normalized numerator/denominator pair: the gcd
+(``Poly.gcd_cofactors``) is cancelled and the denominator is made monic
+under the graded lexicographic order, so equal functions have identical
+representations and equality never relies on sampling. Sums and products
+follow Henrici: a sum cancels ``gcd(b, d)`` of the denominators before
+cross-multiplying and then only what that gcd can still share with the
+numerator, and a product cancels across ``gcd(a, d)`` and ``gcd(c, b)``
+first, so its result is reduced. Operands with constant denominators
+skip all of this.
 """
 
 from __future__ import annotations
@@ -26,17 +29,37 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd as int_gcd, isqrt, lcm as int_lcm
-from operator import add
 
-from .errors import DivisionByZero, NotDivisible, ShapeError
+from .errors import DegreeOverflow, DivisionByZero, NotDivisible, ShapeError
 
-
-def _grlex_key(exp: tuple[int, ...]) -> tuple:
-    return (sum(exp), exp)
-
+# Width of one exponent field of a monomial key, and the largest total degree.
+_W = 16
+MAX_DEGREE = 2**_W - 1
 
 # Retries of the heuristic gcd before falling back to the PRS gcd.
 HEU_GCD_MAX = 6
+
+
+def exponent_shift(nvars: int, i: int) -> int:
+    """Bit offset of the exponent of variable ``i`` in a monomial key."""
+    if not 0 <= i < nvars:
+        raise ShapeError(f"variable index {i} out of range for {nvars} variables")
+    return _W * (nvars - 1 - i)
+
+
+def _key(exp: tuple[int, ...]) -> int:
+    """The packed key of an exponent tuple."""
+    key = sum(exp)
+    if key > MAX_DEGREE:
+        raise DegreeOverflow(f"total degree {key} exceeds {MAX_DEGREE}")
+    for e in exp:
+        key = key << _W | e
+    return key
+
+
+def _exps(key: int, nvars: int) -> tuple[int, ...]:
+    """The exponent tuple of a packed key."""
+    return tuple(key >> s & MAX_DEGREE for s in range(_W * (nvars - 1), -1, -_W))
 
 
 def _cancel(coeffs: dict, denom: int) -> tuple[dict, int]:
@@ -237,18 +260,25 @@ def _scaled(h: dict, c: int) -> dict:
     return h if c == 1 else {e: v * c for e, v in h.items()}
 
 
+def _var_key(nvars: int, i: int) -> int:
+    """The key of the monomial x_i."""
+    return 1 << _W * nvars | 1 << exponent_shift(nvars, i)
+
+
 class Poly:
     """Sparse polynomial in ``nvars`` variables over the rationals.
 
-    Its value is ``sum(coeffs[e] * x**e) / denom``: ``coeffs`` maps exponent
-    tuples to nonzero ints and ``denom`` is a positive int coprime to their
-    content (1 for zero), so the representation is unique. ``terms`` gives
-    the ``{exponent: Fraction}`` view.
+    Its value is ``sum(coeffs[k] * x**exp(k)) / denom``: ``coeffs`` maps
+    packed monomial keys (see the module docstring) to nonzero ints and
+    ``denom`` is a positive int coprime to their content (1 for zero), so
+    the representation is unique. The constant monomial has key 0, and
+    ``max(coeffs)`` is the graded lexicographic leading term. ``terms``
+    gives the ``{exponent tuple: Fraction}`` view.
     """
 
     __slots__ = ("nvars", "coeffs", "denom")
 
-    def __init__(self, nvars: int, coeffs: dict[tuple[int, ...], int], denom: int = 1):
+    def __init__(self, nvars: int, coeffs: dict[int, int], denom: int = 1):
         self.nvars = nvars
         self.coeffs = coeffs
         self.denom = denom
@@ -256,8 +286,8 @@ class Poly:
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def from_ints(nvars: int, coeffs: dict[tuple[int, ...], int], denom: int = 1) -> "Poly":
-        """``sum(coeffs[e] * x**e) / denom`` for nonzero ints and ``denom > 0``, in normal form."""
+    def from_ints(nvars: int, coeffs: dict[int, int], denom: int = 1) -> "Poly":
+        """``sum(coeffs[k] * x**exp(k)) / denom`` for nonzero ints and ``denom > 0``, in normal form."""
         return Poly(nvars, *_cancel(coeffs, denom))
 
     @staticmethod
@@ -269,32 +299,33 @@ class Poly:
         if type(c) is not int:
             c = Fraction(c)
             if c.denominator != 1:
-                return Poly(nvars, {(0,) * nvars: c.numerator}, c.denominator)
+                return Poly(nvars, {0: c.numerator}, c.denominator)
             c = c.numerator
-        return Poly(nvars, {(0,) * nvars: c} if c else {})
+        return Poly(nvars, {0: c} if c else {})
 
     @staticmethod
     def var(nvars: int, i: int) -> "Poly":
-        if not 0 <= i < nvars:
-            raise ShapeError(f"variable index {i} out of range for {nvars} variables")
-        exp = tuple(1 if j == i else 0 for j in range(nvars))
-        return Poly(nvars, {exp: 1})
+        return Poly(nvars, {_var_key(nvars, i): 1})
 
     @staticmethod
     def from_terms(nvars: int, terms: dict) -> "Poly":
+        """The polynomial with ``{exponent tuple: coefficient}`` terms."""
         clean = {}
         for exp, c in terms.items():
+            exp = tuple(exp)
+            if len(exp) != nvars or min(exp, default=0) < 0:
+                raise ShapeError(f"exponent {exp} is not {nvars} non-negative integers")
             c = Fraction(c)
             if c != 0:
-                clean[tuple(exp)] = c
+                clean[_key(exp)] = c
         # over the lcm of the reduced denominators the numerators are already coprime to it
         denom = int_lcm(*(c.denominator for c in clean.values()))
-        return Poly(nvars, {e: c.numerator * (denom // c.denominator) for e, c in clean.items()}, denom)
+        return Poly(nvars, {k: c.numerator * (denom // c.denominator) for k, c in clean.items()}, denom)
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
-        """The coefficients as ``{exponent: Fraction}``, built on each access."""
-        return {e: Fraction(c, self.denom) for e, c in self.coeffs.items()}
+        """The coefficients as ``{exponent tuple: Fraction}``, built on each access."""
+        return {_exps(k, self.nvars): Fraction(c, self.denom) for k, c in self.coeffs.items()}
 
     # -- predicates --------------------------------------------------
 
@@ -302,22 +333,21 @@ class Poly:
         return not self.coeffs
 
     def is_constant(self) -> bool:
-        return not any(any(exp) for exp in self.coeffs)
+        return not any(self.coeffs)
 
     def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_constant():
             raise ShapeError("polynomial is not constant")
-        return Fraction(next(iter(self.coeffs.values())), self.denom)
+        return Fraction(self.coeffs.get(0, 0), self.denom)
 
     def degree_in(self, i: int) -> int:
-        return max((exp[i] for exp in self.coeffs), default=-1)
+        s = exponent_shift(self.nvars, i)
+        return max((k >> s & MAX_DEGREE for k in self.coeffs), default=-1)
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         """Leading term under graded lexicographic order."""
-        exp = max(self.coeffs, key=_grlex_key)
-        return exp, Fraction(self.coeffs[exp], self.denom)
+        k = max(self.coeffs)
+        return _exps(k, self.nvars), Fraction(self.coeffs[k], self.denom)
 
     # -- arithmetic --------------------------------------------------
 
@@ -350,13 +380,15 @@ class Poly:
         # content(other)) and gcd(other.denom, content(self)) reduces the product
         a, db = _cancel(self.coeffs, other.denom)
         b, da = _cancel(other.coeffs, self.denom)
-        terms: dict[tuple[int, ...], int] = {}
+        if a and b and (max(a) >> _W * self.nvars) + (max(b) >> _W * self.nvars) > MAX_DEGREE:
+            raise DegreeOverflow(f"product of total degree over {MAX_DEGREE}")
+        terms: dict[int, int] = {}
         get = terms.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                exp = tuple(map(add, e1, e2))
-                terms[exp] = get(exp, 0) + c1 * c2
-        return Poly(self.nvars, {e: c for e, c in terms.items() if c}, da * db)
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                terms[k] = get(k, 0) + c1 * c2
+        return Poly(self.nvars, {k: c for k, c in terms.items() if c}, da * db)
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
@@ -370,13 +402,15 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ShapeError("negative polynomial power")
-        result = Poly.const(self.nvars, 1)
-        base = self
+        if self.coeffs and (max(self.coeffs) >> _W * self.nvars) * n > MAX_DEGREE:
+            raise DegreeOverflow(f"power of total degree over {MAX_DEGREE}")
+        result, base = Poly.const(self.nvars, 1), self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -388,19 +422,17 @@ class Poly:
         return hash((self.nvars, self.denom, frozenset(self.coeffs.items())))
 
     def derivative(self, i: int) -> "Poly":
-        terms: dict[tuple[int, ...], int] = {}
-        for exp, c in self.coeffs.items():
-            if exp[i]:
-                terms[exp[:i] + (exp[i] - 1,) + exp[i + 1 :]] = c * exp[i]
+        s, step = exponent_shift(self.nvars, i), _var_key(self.nvars, i)
+        terms = {k - step: c * e for k, c in self.coeffs.items() if (e := k >> s & MAX_DEGREE)}
         return Poly(self.nvars, *_cancel(terms, self.denom))
 
     def extend(self, nvars: int, offset: int = 0) -> "Poly":
         """Reinterpret in a larger variable list, original vars shifted by offset."""
         if offset + self.nvars > nvars:
             raise ShapeError("extension does not fit")
-        pad_left = (0,) * offset
-        pad_right = (0,) * (nvars - offset - self.nvars)
-        return Poly(nvars, {pad_left + exp + pad_right: c for exp, c in self.coeffs.items()}, self.denom)
+        s, low = _W * self.nvars, _W * (nvars - offset - self.nvars)
+        body = (1 << s) - 1
+        return Poly(nvars, {k >> s << _W * nvars | (k & body) << low: c for k, c in self.coeffs.items()}, self.denom)
 
     # -- division and gcd --------------------------------------------
 
@@ -411,57 +443,51 @@ class Poly:
         if other.is_constant():
             return self.scale(1 / other.constant_value())
         # a primitive divisor over Q divides over Z too (Gauss's lemma)
+        n = self.nvars
         content = int_gcd(*other.coeffs.values())
-        quot = _div_exact(self.coeffs, {e: c // content for e, c in other.coeffs.items()})
+        divisor = {_exps(k, n): c // content for k, c in other.coeffs.items()}
+        quot = _div_exact({_exps(k, n): c for k, c in self.coeffs.items()}, divisor)
         if quot is None:
             raise NotDivisible("leading term not divisible")
-        return Poly.from_ints(self.nvars, {e: c * other.denom for e, c in quot.items()}, self.denom * content)
+        return Poly.from_ints(n, {_key(e): c * other.denom for e, c in quot.items()}, self.denom * content)
 
     def _to_integer_primitive(self) -> "Poly":
         """Integer coefficients with content 1 and positive leading coefficient."""
         if self.is_zero():
             return self
         content = int_gcd(*self.coeffs.values())
-        if self.coeffs[max(self.coeffs, key=_grlex_key)] < 0:
+        if self.coeffs[max(self.coeffs)] < 0:
             content = -content
         return Poly(self.nvars, {exp: c // content for exp, c in self.coeffs.items()})
 
     def _main_var(self) -> int:
-        return max((i for exp in self.coeffs for i, d in enumerate(exp) if d), default=-1)
+        return max((i for i in range(self.nvars) if self.degree_in(i) > 0), default=-1)
 
     def _univariate_view(self, v: int) -> dict[int, "Poly"]:
         """Coefficients of powers of variable ``v``, as polynomials in the rest."""
+        s, step = exponent_shift(self.nvars, v), _var_key(self.nvars, v)
         coeffs: dict[int, dict] = {}
-        for exp, c in self.coeffs.items():
-            coeffs.setdefault(exp[v], {})[exp[:v] + (0,) + exp[v + 1 :]] = c
+        for k, c in self.coeffs.items():
+            d = k >> s & MAX_DEGREE
+            coeffs.setdefault(d, {})[k - d * step] = c
         return {d: Poly.from_ints(self.nvars, t, self.denom) for d, t in coeffs.items()}
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
-        """Greatest common divisor, primitive with positive leading coefficient.
-
-        Integer coefficients with content 1, and a positive grlex leading
-        coefficient; ``gcd(0, 0)`` is zero. It is the first entry of
-        ``gcd_cofactors``: a heuristic GCDHEU candidate, kept only when it
-        divides both inputs exactly and reaches degree bounds taken modulo
-        a prime, or else the primitive PRS gcd.
-        """
+        """First of ``gcd_cofactors``: content 1, positive grlex leading coefficient; ``gcd(0, 0)`` is 0."""
         return Poly.gcd_cofactors(a, b)[0]
 
     @staticmethod
     def gcd_cofactors(a: "Poly", b: "Poly") -> tuple["Poly", "Poly", "Poly"]:
         """Return ``(g, a/g, b/g)`` with ``g = Poly.gcd(a, b)``.
 
-        Works on the primitive parts of the integer numerators. First, the
-        images of both inputs at fixed points modulo a prime bound the gcd's
-        degree in each variable from above; if every bound is 0 the inputs
-        are coprime. Otherwise the heuristic GCDHEU (Char, Geddes and Gonnet,
-        J. Symb. Comput. 1989) evaluates at large integers down to an
-        integer gcd and rebuilds a candidate from its symmetric base-xi
-        digits. A candidate is kept only if it divides both inputs exactly
-        and reaches every degree bound, which proves it is the gcd. After
-        ``HEU_GCD_MAX`` evaluation points without one, the primitive PRS gcd
-        is used instead.
+        On the primitive integer numerators, as exponent tuples: images at
+        fixed points modulo a prime bound the gcd's degree in each variable
+        (all 0: coprime). GCDHEU (Char, Geddes and Gonnet, J. Symb. Comput.
+        1989) then evaluates at large integers down to an integer gcd and
+        rebuilds candidates from symmetric base-xi digits; one that divides
+        both inputs and reaches every bound is the gcd. After
+        ``HEU_GCD_MAX`` points without one, the primitive PRS gcd is used.
         """
         n = a.nvars
         if not a.coeffs or not b.coeffs:
@@ -475,8 +501,8 @@ class Poly:
             return Poly.const(n, 1), a, b
         sa = int_gcd(*a.coeffs.values())
         sb = int_gcd(*b.coeffs.values())
-        fa = {e: c // sa for e, c in a.coeffs.items()}
-        fb = {e: c // sb for e, c in b.coeffs.items()}
+        fa = {_exps(k, n): c // sa for k, c in a.coeffs.items()}
+        fb = {_exps(k, n): c // sb for k, c in b.coeffs.items()}
         bounds = _gcd_degree_bounds(fa, fb)
         if not any(bounds):
             return Poly.const(n, 1), a, b
@@ -484,12 +510,12 @@ class Poly:
         if found is None:
             g = Poly._gcd_prim(a._to_integer_primitive(), b._to_integer_primitive())
             return g, a.exact_div(g), b.exact_div(g)
-        g, ca, cb = found
-        lead = max(g, key=_grlex_key)
+        g, ca, cb = ({_key(e): c for e, c in t.items()} for t in found)
+        lead = max(g)
         if g[lead] < 0:
             g = {e: -c for e, c in g.items()}
             sa, sb = -sa, -sb
-        if len(g) == 1 and lead == (0,) * n:
+        if lead == 0:
             return Poly.const(n, 1), a, b
         # the cofactors are primitive, so their numerators stay coprime to the denominators
         return (
@@ -500,11 +526,7 @@ class Poly:
 
     @staticmethod
     def _gcd_prim(a: "Poly", b: "Poly") -> "Poly":
-        """Primitive PRS gcd of integer-primitive polynomials.
-
-        The fallback of ``gcd_cofactors``, and the reference the heuristic
-        is tested against; it never calls the heuristic.
-        """
+        """Primitive PRS gcd, without the heuristic: the fallback of ``gcd_cofactors`` and its test reference."""
         v = max(a._main_var(), b._main_var())
         if v < 0:
             return Poly.const(a.nvars, 1)
@@ -546,7 +568,7 @@ class Poly:
         while not r.is_zero() and r.degree_in(v) >= db:
             dr = r.degree_in(v)
             rc = r._univariate_view(v)[dr]
-            shift = Poly(a.nvars, {tuple(dr - db if i == v else 0 for i in range(a.nvars)): 1})
+            shift = Poly(a.nvars, {(dr - db) * _var_key(a.nvars, v): 1})
             r = bc * r - rc * shift * b
         return r
 
@@ -554,23 +576,12 @@ class Poly:
         """Render as expression text that the parser accepts."""
         if self.is_zero():
             return "0"
-        terms = self.terms
         parts = []
-        for exp in sorted(terms, key=_grlex_key, reverse=True):
-            c = terms[exp]
-            factors = []
-            for i, e in enumerate(exp):
-                if e == 1:
-                    factors.append(names[i])
-                elif e > 1:
-                    factors.append(f"{names[i]}^{e}")
-            mono = "*".join(factors)
+        for k in sorted(self.coeffs, reverse=True):
+            c = Fraction(self.coeffs[k], self.denom)
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, _exps(k, self.nvars)) if e)
             coeff = abs(c)
-            if coeff == 1 and mono:
-                text = mono
-            else:
-                cs = str(coeff.numerator) if coeff.denominator == 1 else f"{coeff.numerator}/{coeff.denominator}"
-                text = f"{cs}*{mono}" if mono else cs
+            text = mono if coeff == 1 and mono else f"{coeff}*{mono}" if mono else str(coeff)
             if not parts:
                 parts.append(text if c > 0 else f"-{text}")
             else:
@@ -578,7 +589,8 @@ class Poly:
         return " ".join(parts)
 
     def __repr__(self):
-        return f"Poly({self.nvars}, {self.coeffs!r}, {self.denom})"
+        exps = {_exps(k, self.nvars): c for k, c in self.coeffs.items()}
+        return f"Poly({self.nvars}, {exps!r}, {self.denom})"
 
 
 class RatFunc:
@@ -610,7 +622,7 @@ class RatFunc:
 
     @staticmethod
     def _monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-        lead = den.coeffs[max(den.coeffs, key=_grlex_key)]
+        lead = den.coeffs[max(den.coeffs)]
         if lead != 1 or den.denom != 1:
             s = Fraction(den.denom, lead)
             num, den = num.scale(s), den.scale(s)
@@ -647,10 +659,7 @@ class RatFunc:
 
     def is_one(self) -> bool:
         t = self.num.coeffs
-        if len(t) != 1 or self.num.denom != 1:
-            return False
-        ((exp, c),) = t.items()
-        return c == 1 and not any(exp) and self.den.is_constant()
+        return len(t) == 1 and t.get(0) == 1 and self.num.denom == 1 and self.den.is_constant()
 
     def is_polynomial(self) -> bool:
         return self.den.is_constant()
@@ -675,31 +684,19 @@ class RatFunc:
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        if not self.num.coeffs:
-            return other
-        if not other.num.coeffs:
-            return self
-        if self.den.is_constant() and other.den.is_constant():
-            return RatFunc(self.num + other.num, _normal=True)
-        return self._henrici_sum(other.num, other.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        if not other.num.coeffs:
-            return self
-        if not self.num.coeffs:
-            return -other
-        if self.den.is_constant() and other.den.is_constant():
-            return RatFunc(self.num - other.num, _normal=True)
-        return self._henrici_sum(-other.num, other.den)
-
-    def _henrici_sum(self, c: Poly, d: Poly) -> "RatFunc":
         """``a/b + c/d`` for reduced operands, cancelling only what can cancel.
 
         With ``g = gcd(b, d)``, ``b = g*b1`` and ``d = g*d1``, the sum is
         ``(a*d1 + c*b1) / (g*b1*d1)`` and its numerator is coprime to
         ``b1*d1``, so only ``gcd(numerator, g)`` is left to cancel.
         """
-        a, b = self.num, self.den
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a.coeffs:
+            return other
+        if not c.coeffs:
+            return self
+        if b.is_constant() and d.is_constant():
+            return RatFunc(a + c, _normal=True)
         if b == d:
             return RatFunc(a + c, b)
         g, b1, d1 = Poly.gcd_cofactors(b, d)
@@ -708,6 +705,9 @@ class RatFunc:
             return RatFunc.zero(num.nvars)
         _, num, g1 = Poly.gcd_cofactors(num, g)
         return RatFunc(*RatFunc._monic(num, g1 * b1 * d1), _normal=True)
+
+    def __sub__(self, other: "RatFunc") -> "RatFunc":
+        return self + -other
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den, _normal=True)
@@ -767,8 +767,7 @@ class RatFunc:
     def format(self, names: list[str]) -> str:
         if self.den.is_constant():
             return self.num.format(names)
-        num = self.num.format(names)
-        return f"({num})/({self.den.format(names)})"
+        return f"({self.num.format(names)})/({self.den.format(names)})"
 
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"

@@ -145,6 +145,25 @@ def test_deeply_nested_ev_exits_2(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "ev, message",
+    [
+        ("u1^65536,u2", "--ev[0]: at position 3: expected exponent at most 65535"),
+        ("u1^40000*u1^40000,u2", "--ev[0]: at position 17: expected total degree at most 65535"),
+    ],
+)
+def test_degree_over_max_exits_2(ev, message, capsys):
+    assert run(["dual", "--fixture", "SS2", "--ev", ev], capsys) == (2, "", f"error: {message}\n")
+
+
+def test_degree_over_max_in_structure_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"base_vars": ["u1"], "rank": 1, "product": [[["u1^40000*u1^40000"]]]}')
+    code, out, err = run(["check", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: product[0][0][0]: at position 17: expected total degree at most 65535\n"
+
+
 def _write_bytes(tmp_path, data):
     path = tmp_path / "input.json"
     path.write_bytes(data)

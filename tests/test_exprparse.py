@@ -13,7 +13,7 @@ from falgebroid.exprparse import (
     presentation_to_document,
     print_expr,
 )
-from falgebroid.ring import Poly, RatFunc
+from falgebroid.ring import MAX_DEGREE, Poly, RatFunc
 
 VARS = ["u1", "u2"]
 
@@ -76,6 +76,28 @@ def test_unknown_variable():
 def test_division_by_zero_is_a_syntax_error():
     with pytest.raises(ExprSyntaxError):
         parse_expr("1/0", VARS)
+
+
+def test_exponent_above_max_degree_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_expr("u1^65536", VARS)
+    assert (e.value.position, e.value.expected) == (3, f"exponent at most {MAX_DEGREE}")
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_expr("u2 + u1^" + "9" * 5000, VARS)
+    assert e.value.position == 8
+
+
+def test_degree_overflow_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_expr("u1^40000*u1^40000", VARS)
+    assert e.value.expected == f"total degree at most {MAX_DEGREE}"
+    with pytest.raises(ExprSyntaxError):
+        parse_expr("(u1*u2)^40000", VARS)
+
+
+def test_max_degree_still_parses():
+    assert parse_expr("u1^65535", VARS).num.degree_in(0) == MAX_DEGREE
+    assert parse_expr("u1^00065535", VARS) == parse_expr("u1^32768*u1^32767", VARS)
 
 
 _NESTED = "(" * 5000 + "u1" + ")" * 5000
@@ -221,6 +243,11 @@ def test_schema_expression_errors_name_their_path():
         parse_presentation(doc)
     assert e.value.path == "product[0][0][0]"
     assert str(e.value).endswith(": expected expression nested less deeply")
+    doc = doc_ss1()
+    doc["product"][0][0][0] = "u1^40000*u1^40000"
+    with pytest.raises(SchemaError) as e:
+        parse_presentation(doc)
+    assert str(e.value) == f"product[0][0][0]: at position 17: expected total degree at most {MAX_DEGREE}"
 
 def test_schema_anchor_required_with_bracket():
     doc = doc_ss1()

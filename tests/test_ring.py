@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from falgebroid import ring
-from falgebroid.errors import DivisionByZero, NotDivisible
+from falgebroid.errors import DegreeOverflow, DivisionByZero, NotDivisible, ShapeError
 from falgebroid.exprparse import parse_expr
 from falgebroid.algebroid import VectorField, vf_bracket
-from falgebroid.ring import Poly, RatFunc
+from falgebroid.ring import MAX_DEGREE, Poly, RatFunc
 
 NVARS = 2
 
@@ -261,11 +261,15 @@ def test_poly_equality_respects_nvars():
     assert Poly.from_terms(2, {(0, 0): Fraction(1, 2)}) == Poly.const(2, Fraction(1, 2))
 
 
+def grlex(exp):
+    return (sum(exp), exp)
+
+
 class FracPoly:
-    """The Fraction-coefficient polynomial kernel that the integer kernel replaced.
+    """The Fraction-coefficient kernel on exponent tuples, replaced by the integer and then the packed-key kernel.
 
     Kept only as the oracle: every operation must give the same
-    ``{exponent: Fraction}`` terms as ``Poly``.
+    ``{exponent tuple: Fraction}`` terms as ``Poly``.
     """
 
     def __init__(self, nvars, terms):
@@ -283,8 +287,11 @@ class FracPoly:
         return all(all(e == 0 for e in exp) for exp in self.terms)
 
     def leading(self):
-        exp = max(self.terms, key=lambda e: (sum(e), e))
+        exp = max(self.terms, key=grlex)
         return exp, self.terms[exp]
+
+    def degree_in(self, i):
+        return max((exp[i] for exp in self.terms), default=-1)
 
     def __add__(self, other):
         terms = dict(self.terms)
@@ -353,6 +360,31 @@ class FracPoly:
             rem = rem - other * FracPoly(self.nvars, {qexp: rc / lead_c})
         return FracPoly(self.nvars, quot)
 
+    def format(self, names):
+        if self.is_zero():
+            return "0"
+        parts = []
+        for exp in sorted(self.terms, key=grlex, reverse=True):
+            c = self.terms[exp]
+            factors = []
+            for i, e in enumerate(exp):
+                if e == 1:
+                    factors.append(names[i])
+                elif e > 1:
+                    factors.append(f"{names[i]}^{e}")
+            mono = "*".join(factors)
+            coeff = abs(c)
+            if coeff == 1 and mono:
+                text = mono
+            else:
+                cs = str(coeff.numerator) if coeff.denominator == 1 else f"{coeff.numerator}/{coeff.denominator}"
+                text = f"{cs}*{mono}" if mono else cs
+            if not parts:
+                parts.append(text if c > 0 else f"-{text}")
+            else:
+                parts.append(f"+ {text}" if c > 0 else f"- {text}")
+        return " ".join(parts)
+
 
 def outcome(op):
     try:
@@ -393,6 +425,22 @@ def assert_kernel_matches_fractions(a, b):
         assert a.leading() == fa.leading()
     if a.is_constant():
         assert a.constant_value() == fa.terms.get((0,) * a.nvars, 0)
+    for i in range(a.nvars):
+        assert a.degree_in(i) == fa.degree_in(i)
+    names = [f"x{i}" for i in range(a.nvars)]
+    assert a.format(names) == fa.format(names)
+    assert_cofactors_match_fractions(a, b)
+
+
+def assert_cofactors_match_fractions(a, b):
+    """``gcd_cofactors``: ``g`` times each cofactor gives back the input, in the Fraction kernel."""
+    g, ca, cb = Poly.gcd_cofactors(a, b)
+    fg = FracPoly.of(g)
+    assert (fg * FracPoly.of(ca)).terms == a.terms
+    assert (fg * FracPoly.of(cb)).terms == b.terms
+    if not g.is_zero():
+        assert fg.leading()[1] > 0
+        assert all(c.denominator == 1 for c in fg.terms.values())
 
 
 def fraction_normal(num, den, gcd):
@@ -446,3 +494,71 @@ def test_jet_kernel_matches_fraction_kernel(seed):
     assert_kernel_matches_fractions(a, b)
     # the PRS gcd blows up in 6 variables; Poly.gcd is checked against it above
     assert_ratfunc_matches_fractions(RatFunc(a, jet_poly(rng, 2)), RatFunc(b), Poly.gcd)
+
+
+def test_gcd_cofactors_match_fraction_kernel_on_a3_discriminant():
+    D, a, b = A3_D, A3_A, A3_B
+    for x, y in [(D * a, D * b), (D * D, D * a), (a * b, b)]:
+        assert_cofactors_match_fractions(x, y)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(min_value=0, max_value=MAX_DEGREE // n)] * n), min_size=1)
+    )
+)
+def test_packed_key_order_is_grlex(exps):
+    n = len(exps[0])
+    keys = {e: next(iter(Poly.from_terms(n, {e: 1}).coeffs)) for e in exps}
+    assert sorted(exps, key=keys.__getitem__) == sorted(exps, key=grlex)
+    assert len(set(keys.values())) == len(keys)
+
+
+@given(polys())
+def test_terms_round_trip(a):
+    assert Poly.from_terms(a.nvars, a.terms) == a
+
+
+def test_terms_round_trip_at_max_degree():
+    terms = {(MAX_DEGREE, 0, 0): Fraction(1, 3), (0, MAX_DEGREE, 0): Fraction(-2), (1, 2, 3): Fraction(5)}
+    p = Poly.from_terms(3, terms)
+    assert p.terms == terms
+    assert Poly.from_terms(3, p.terms) == p
+    assert [p.degree_in(i) for i in range(3)] == [MAX_DEGREE, MAX_DEGREE, 3]
+    assert p.derivative(0).terms == {(MAX_DEGREE - 1, 0, 0): Fraction(MAX_DEGREE, 3), (0, 2, 3): Fraction(5)}
+    assert p.extend(5, 1).terms == {(0, *e, 0): c for e, c in terms.items()}
+    assert repr(Poly.var(2, 1) ** 2) == "Poly(2, {(0, 2): 1}, 1)"
+
+
+def test_variable_index_out_of_range_raises_shape_error():
+    p = Poly.var(2, 1) ** 2
+    f = RatFunc(p, Poly.var(2, 0) + Poly.const(2, 1))
+    for i in (-1, 2):
+        with pytest.raises(ShapeError):
+            p.derivative(i)
+        with pytest.raises(ShapeError):
+            p.degree_in(i)
+        with pytest.raises(ShapeError):
+            RatFunc(p).derivative(i)
+        with pytest.raises(ShapeError):
+            f.derivative(i)
+        with pytest.raises(ShapeError):
+            Poly.zero(2).derivative(i)
+
+
+def test_degree_over_max_raises_degree_overflow():
+    u1, u2 = Poly.var(2, 0), Poly.var(2, 1)
+    assert (u1**MAX_DEGREE).degree_in(0) == MAX_DEGREE
+    assert (u1 ** (MAX_DEGREE - 1) * u2).leading() == ((MAX_DEGREE - 1, 1), 1)
+    with pytest.raises(DegreeOverflow):
+        u1 ** (MAX_DEGREE + 1)
+    with pytest.raises(DegreeOverflow):
+        u1**40000 * u2**40000
+    with pytest.raises(DegreeOverflow):
+        # rejected before any product is formed
+        (u1 * u2 + u1) ** 40000
+    with pytest.raises(DegreeOverflow):
+        Poly.from_terms(2, {(40000, 40000): 1})
+    with pytest.raises(ShapeError):
+        Poly.from_terms(2, {(1, 0, 0): 1})
