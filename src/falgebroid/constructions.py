@@ -211,13 +211,14 @@ def _poly_lcm(a: Poly, b: Poly) -> Poly:
 
 
 def _monomial_coords(polys: list[Poly]):
-    monos = sorted({exp for p in polys for exp in p.coeffs})
+    terms = [p.terms for p in polys]
+    monos = sorted({exp for t in terms for exp in t})
     pos = {m: i for i, m in enumerate(monos)}
     vecs = []
-    for p in polys:
+    for t in terms:
         v = [Fraction(0)] * len(monos)
-        for exp, c in p.coeffs.items():
-            v[pos[exp]] = Fraction(c, p.denom)
+        for exp, c in t.items():
+            v[pos[exp]] = c
         vecs.append(v)
     return vecs
 

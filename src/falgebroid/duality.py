@@ -186,16 +186,9 @@ def verify_certificate(cert: DualityCertificate) -> Report:
         ok,
         None if ok else (dual.fmt(found) if found is not None else "none"),
     )
-    back = cert.checker(dual, cert.e_dagger)
-    report.add("e-dagger-eventual", "e† eventual on dual", back.overall,
-               None if back.overall else back.failures()[0].witness)
+    report.add_verdict("e-dagger-eventual", "e† eventual on dual", cert.checker(dual, cert.e_dagger))
     double = _dual_product(dual, cert.e_dagger)
-    report.add(
-        "involution",
-        "dual twice at e† = original product",
-        tensors_equal(double, A.product),
-        None,
-    )
+    report.add("involution", "dual twice at e† = original product", tensors_equal(double, A.product))
     return report
 
 
@@ -209,19 +202,13 @@ def ev_identity_closure(A: AlgebroidPresentation, E1: Section, E2: Section) -> R
     checker = _eventual_checker(A)
     report = Report("eventual identity closure")
     for name, E in (("E1", E1), ("E2", E2)):
-        sub = checker(A, E)
-        report.add("premise", f"{name} eventual", sub.overall,
-                   None if sub.overall else sub.failures()[0].witness)
+        report.add_verdict("premise", f"{name} eventual", checker(A, E))
     report.require(NotEventual)
     prod = A.multiply(E1, E2)
-    sub = checker(A, prod)
-    report.add("product-closure", f"E1·E2 = [{A.fmt(prod)}]", sub.overall,
-               None if sub.overall else sub.failures()[0].witness)
+    report.add_verdict("product-closure", f"E1·E2 = [{A.fmt(prod)}]", checker(A, prod))
     if A.bracket is not None:
         br = A.bracket_of(E1, E2)
-        sub = checker(A, br)
-        report.add("bracket-closure", f"[E1,E2] = [{A.fmt(br)}]", sub.overall,
-                   None if sub.overall else sub.failures()[0].witness)
+        report.add_verdict("bracket-closure", f"[E1,E2] = [{A.fmt(br)}]", checker(A, br))
     return report
 
 

@@ -30,6 +30,10 @@ class DegreeOverflow(FalgError):
     """A polynomial would pass the total degree ``ring.MAX_DEGREE``."""
 
 
+class CoefficientOverflow(FalgError):
+    """A coefficient has more digits than ``sys.get_int_max_str_digits()`` lets Python write."""
+
+
 class ExprSyntaxError(InputError):
     """Malformed expression text.
 

@@ -5,7 +5,8 @@ integer literals, +, -, *, /, unary minus and ^ with non-negative
 integer exponents. There is no implicit multiplication. Parsing
 evaluates directly into exact rational functions. An expression nested
 too deeply for the recursive descent, an exponent above
-``ring.MAX_DEGREE`` and a result whose degree would pass it are
+``ring.MAX_DEGREE``, a result whose degree would pass it and an integer
+longer than Python reads (``sys.get_int_max_str_digits()``) are
 ExprSyntaxErrors.
 
 Structure files are JSON documents with fields base_vars, rank,
@@ -16,6 +17,7 @@ expression strings.
 from __future__ import annotations
 
 import json
+import sys
 
 from .errors import DegreeOverflow, DivisionByZero, ExprSyntaxError, SchemaError, UnknownVariable
 from .ring import MAX_DEGREE, RatFunc
@@ -140,7 +142,11 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return RatFunc.const(self.nvars, int(tok.text))
+            try:
+                value = int(tok.text)
+            except ValueError:
+                raise ExprSyntaxError(tok.pos, f"integer of at most {sys.get_int_max_str_digits()} digits") from None
+            return RatFunc.const(self.nvars, value)
         if tok.kind == "ident":
             self.advance()
             i = self.index.get(tok.text)

@@ -13,10 +13,8 @@ the velocities K, so every derivative is ``VectorField.apply``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import combinations
-from math import lcm as int_lcm
 
 from .algebroid import AlgebroidPresentation, Section, VectorField, _record
 from .duality import is_pseudo_eventual_identity
@@ -30,7 +28,7 @@ from .errors import (
     ShapeError,
 )
 from .report import Report
-from .ring import MAX_DEGREE, Poly, RatFunc, exponent_shift
+from .ring import Poly, RatFunc
 
 
 def jet_names(names: list[str]) -> list[str]:
@@ -50,9 +48,7 @@ def _jet_n(f: RatFunc, message: str) -> int:
     n, rem = divmod(f.nvars, 3)
     if rem:
         raise ShapeError("a jet function has 3n variables (u, u_x, u_xx)")
-    # the u_xx exponents are the lowest n fields of a monomial key
-    u_xx = (1 << exponent_shift(3 * n, 2 * n - 1)) - 1 if n else 0
-    if any(k & u_xx for p in (f.num, f.den) for k in p.coeffs):
+    if max(f.variables(), default=-1) >= 2 * n:
         raise JetOrderOverflow(message)
     return n
 
@@ -191,38 +187,23 @@ def eventual_identity_flows(T: AlgebroidPresentation, E1: Section, E2: Section) 
 # -- principal hierarchy --------------------------------------------------
 
 
-def _poly_antiderivative(p: Poly, m: int) -> Poly:
-    s = exponent_shift(p.nvars, m)
-    powers = {k: (k >> s & MAX_DEGREE) + 1 for k in p.coeffs}
-    scale = int_lcm(*powers.values())
-    coeffs = {k: c * (scale // powers[k]) for k, c in p.coeffs.items()}
-    return Poly.from_ints(p.nvars, coeffs, p.denom * scale) * Poly.var(p.nvars, m)
-
-
-def _poly_zero_tail(p: Poly, start: int) -> Poly:
-    """Set variables with index > start to zero."""
-    tail = (1 << exponent_shift(p.nvars, start)) - 1
-    return Poly.from_ints(p.nvars, {k: c for k, c in p.coeffs.items() if not k & tail}, p.denom)
-
-
 def _path_integrate(rhs_rows: list[list[RatFunc]], nvars: int) -> list[RatFunc]:
-    """Solve d_j f^i = R^i_j by integrating along the coordinate path from 0.
+    """Solve d_j f^i = R^i_j by integrating along the ray from 0.
 
-    Requires polynomial right-hand sides; the compatibility of the
-    system must be checked by the caller.
+    f = sum_m u^m * sum c*u^e/(|e| + 1) over the terms c*u^e of R_m, the
+    potential that vanishes at 0. Requires polynomial right-hand sides;
+    the compatibility of the system must be checked by the caller.
     """
     out = []
     for row in rhs_rows:
-        acc = Poly.zero(nvars)
-        for m in range(nvars):
-            r = row[m]
+        terms: dict = {}
+        for m, r in enumerate(row):
             if not r.is_polynomial():
-                raise NonPolynomialAntiderivative(
-                    "recursion right-hand side is not polynomial"
-                )
-            p = r.num.scale(Fraction(1) / r.den.constant_value())
-            acc = acc + _poly_antiderivative(_poly_zero_tail(p, m), m)
-        out.append(RatFunc(acc))
+                raise NonPolynomialAntiderivative("recursion right-hand side is not polynomial")
+            for e, c in r.num.terms.items():  # a constant denominator is 1
+                e = e[:m] + (e[m] + 1,) + e[m + 1 :]  # times u^m, so sum(e) is |e| + 1
+                terms[e] = terms.get(e, 0) + c / sum(e)
+        out.append(RatFunc(Poly.from_terms(nvars, terms)))
     return out
 
 
@@ -274,19 +255,13 @@ def principal_hierarchy(
                                 f"alpha={alpha}, component {i + 1}, pair ({j + 1},{l + 1}): "
                                 f"{diff.format(T.base_vars)}"
                             )
-            comps = _path_integrate(rhs, n)
-            nxt = Section(comps)
-            data.table[(p, alpha)] = nxt
-            prev = nxt
+            prev = data.table[(p, alpha)] = Section(_path_integrate(rhs, n))
     for key, X in data.table.items():
         data.flows[key] = flow_from_section(T, X)
     commutation = Report("hierarchy flow commutation")
-    keys = sorted(data.flows)
-    for a, b in combinations(keys, 2):
+    for a, b in combinations(sorted(data.flows), 2):
         sub = flows_commute(data.flows[a], data.flows[b], T.base_vars)
-        ok = sub.overall
-        witness = None if ok else sub.failures()[0].witness
-        commutation.add("flow-commutation", f"{a} vs {b}", ok, witness)
+        commutation.add_verdict("flow-commutation", f"{a} vs {b}", sub)
     data.commutation = commutation
     if not commutation.overall:
         fail = commutation.failures()[0]

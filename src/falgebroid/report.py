@@ -33,6 +33,10 @@ class Report:
     def add(self, law: str, instance: str, passed: bool, witness: str | None = None):
         self.checks.append(Check(law, instance, passed, witness if not passed else None))
 
+    def add_verdict(self, law: str, instance: str, sub: "Report"):
+        """Record ``sub``'s overall verdict as one check, witnessed by its first failure."""
+        self.add(law, instance, sub.overall, None if sub.overall else sub.failures()[0].witness)
+
     def extend_from(self, other: "Report"):
         self.checks.extend(other.checks)
 

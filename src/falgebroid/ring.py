@@ -10,8 +10,8 @@ Pearce, CASC 2007). Plain int order is then the graded lexicographic
 order, and the key of a product of monomials is the sum of their keys.
 No field is larger than the total degree, so none can carry while that
 stays at most ``MAX_DEGREE``; a product or power that would pass it
-raises ``DegreeOverflow``. The gcd and exact division kernels work on
-exponent tuples, unpacked once per call.
+raises ``DegreeOverflow``. Every kernel, gcd and exact division included,
+works on the keys; only the exponent-tuple views decode or build them.
 
 Rational functions keep a normalized numerator/denominator pair: the gcd
 (``Poly.gcd_cofactors``) is cancelled and the denominator is made monic
@@ -26,11 +26,13 @@ skip all of this.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import gcd as int_gcd, isqrt, lcm as int_lcm
+from operator import or_
 
-from .errors import DegreeOverflow, DivisionByZero, NotDivisible, ShapeError
+from .errors import CoefficientOverflow, DegreeOverflow, DivisionByZero, NotDivisible, ShapeError
 
 # Width of one exponent field of a monomial key, and the largest total degree.
 _W = 16
@@ -40,11 +42,16 @@ MAX_DEGREE = 2**_W - 1
 HEU_GCD_MAX = 6
 
 
-def exponent_shift(nvars: int, i: int) -> int:
+def _shift(nvars: int, i: int) -> int:
     """Bit offset of the exponent of variable ``i`` in a monomial key."""
     if not 0 <= i < nvars:
         raise ShapeError(f"variable index {i} out of range for {nvars} variables")
     return _W * (nvars - 1 - i)
+
+
+def _var_key(nvars: int, i: int) -> int:
+    """The key of the monomial x_i."""
+    return 1 << _W * nvars | 1 << _shift(nvars, i)
 
 
 def _key(exp: tuple[int, ...]) -> int:
@@ -62,6 +69,17 @@ def _exps(key: int, nvars: int) -> tuple[int, ...]:
     return tuple(key >> s & MAX_DEGREE for s in range(_W * (nvars - 1), -1, -_W))
 
 
+def _variables(keys, nvars: int) -> list[int]:
+    """Indices of the variables that occur in any of the monomial ``keys``, found in one OR pass."""
+    seen = reduce(or_, keys, 0)
+    return [i for i, s in enumerate(range(_W * (nvars - 1), -1, -_W)) if seen >> s & MAX_DEGREE]
+
+
+def _degrees(keys, nvars: int) -> list[int]:
+    """The largest exponent of each variable over the monomial ``keys``."""
+    return [max(k >> _shift(nvars, i) & MAX_DEGREE for k in keys) for i in range(nvars)]
+
+
 def _cancel(coeffs: dict, denom: int) -> tuple[dict, int]:
     """Divide integer ``coeffs`` and ``denom`` by their common factor (zero gets 1)."""
     if denom == 1:
@@ -72,58 +90,63 @@ def _cancel(coeffs: dict, denom: int) -> tuple[dict, int]:
     return {e: c // g for e, c in coeffs.items()}, denom // g
 
 
-def _evaluate(f: dict, v: int, x: int) -> dict:
-    """Substitute the integer ``x`` for variable ``v``."""
+def _evaluate(f: dict, n: int, v: int, x: int) -> dict:
+    """Substitute the integer ``x`` for variable ``v``: each key drops its power of x_v."""
+    s, step = _shift(n, v), _var_key(n, v)
     powers = [1]
     out: dict = {}
-    for e, c in f.items():
-        k = e[v]
-        while len(powers) <= k:
+    for k, c in f.items():
+        d = k >> s & MAX_DEGREE
+        while len(powers) <= d:
             powers.append(powers[-1] * x)
-        key = e[:v] + (0,) + e[v + 1 :]
-        out[key] = out.get(key, 0) + c * powers[k]
-    return {e: c for e, c in out.items() if c}
+        k -= d * step
+        out[k] = out.get(k, 0) + c * powers[d]
+    return {k: c for k, c in out.items() if c}
 
 
-def _interpolate(h: dict, x: int, v: int) -> dict:
+def _interpolate(h: dict, x: int, n: int, v: int) -> dict:
     """Read the coefficients of ``h`` as symmetric base-``x`` digits in variable ``v``."""
+    step = _var_key(n, v)
     out: dict = {}
     half = x // 2
-    i = 0
+    power = 0
     while h:
         rest = {}
-        for e, c in h.items():
+        for k, c in h.items():
             d = c % x
             if d > half:
                 d -= x
             if d:
-                out[e[:v] + (i,) + e[v + 1 :]] = d
+                # a power past MAX_DEGREE carries out of its field, but then the total
+                # degree passes every input's, so _div_exact rejects the candidate
+                out[k + power] = d
             q = (c - d) // x
             if q:
-                rest[e] = q
+                rest[k] = q
         h = rest
-        i += 1
+        power += step
     return out
 
 
-def _div_exact(f: dict, h: dict) -> dict | None:
+def _div_exact(f: dict, h: dict, n: int) -> dict | None:
     """Quotient ``f / h`` over the integers, or None if ``h`` does not divide ``f``."""
+    low = sum(1 << _W * j for j in range(1, n + 1))
     lead = max(h)
     lc = h[lead]
-    tail = [(e, c) for e, c in h.items() if e != lead]
+    tail = [(k, c) for k, c in h.items() if k != lead]
     rem = dict(f)
     quot = {}
     while rem:
         e = max(rem)
         q, r = divmod(rem.pop(e), lc)
-        if r:
-            return None
-        qe = tuple(a - b for a, b in zip(e, lead))
-        if min(qe) < 0:
+        # lead divides e when no field borrowed from the one above: a borrow flips
+        # that field's lowest bit, one of the bits of low, in e ^ lead ^ qe
+        qe = e - lead
+        if r or qe < 0 or (e ^ lead ^ qe) & low:
             return None
         quot[qe] = q
-        for he, hc in tail:
-            t = tuple(a + b for a, b in zip(qe, he))
+        for hk, hc in tail:
+            t = qe + hk
             c = rem.get(t, 0) - q * hc
             if c:
                 rem[t] = c
@@ -138,16 +161,17 @@ _PRIME = 2**31 - 1
 _IMAGE_POINTS = 2
 
 
-def _image_mod_p(f: dict, v: int, k: int) -> list[int]:
+def _image_mod_p(f: dict, n: int, v: int, k: int) -> list[int]:
     """Coefficients in variable ``v`` of ``f`` at the ``k``-th point, modulo the prime."""
-    n = len(next(iter(f)))
-    point = [pow(7, 1 + j + 97 * k, _PRIME) for j in range(n)]
-    coeffs = [0] * (max(e[v] for e in f) + 1)
-    for e, c in f.items():
-        for j, d in enumerate(e):
-            if d and j != v:
-                c = c * pow(point[j], d, _PRIME)
-        coeffs[e[v]] = (coeffs[e[v]] + c) % _PRIME
+    others = [(_shift(n, j), pow(7, 1 + j + 97 * k, _PRIME)) for j in range(n) if j != v]
+    s = _shift(n, v)
+    coeffs = [0] * (max(key >> s & MAX_DEGREE for key in f) + 1)
+    for key, c in f.items():
+        for t, x in others:
+            if d := key >> t & MAX_DEGREE:
+                c = c * pow(x, d, _PRIME)
+        d = key >> s & MAX_DEGREE
+        coeffs[d] = (coeffs[d] + c) % _PRIME
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
@@ -168,46 +192,41 @@ def _gcd_degree_mod_p(a: list[int], b: list[int]) -> int:
     return len(a) - 1
 
 
-def _gcd_degree_bounds(f: dict, g: dict) -> list[int]:
+def _gcd_degree_bounds(f: dict, g: dict, n: int) -> list[int]:
     """Upper bounds on the degree of ``gcd(f, g)`` in each variable.
 
     ``gcd(f, g)`` maps into the gcd of the images of ``f`` and ``g`` at a
     point modulo a prime, keeping its degree whenever a leading coefficient
     of ``f`` or ``g`` survives there, so that image's degree bounds it.
     """
-    n = len(next(iter(f)))
     bounds = []
-    for v in range(n):
-        df = max(e[v] for e in f)
-        dg = max(e[v] for e in g)
+    for v, (df, dg) in enumerate(zip(_degrees(f, n), _degrees(g, n))):
         bound = min(df, dg)
         for k in range(_IMAGE_POINTS):
             if not bound:
                 break
-            fi = _image_mod_p(f, v, k)
-            gi = _image_mod_p(g, v, k)
+            fi = _image_mod_p(f, n, v, k)
+            gi = _image_mod_p(g, n, v, k)
             if len(fi) - 1 == df or len(gi) - 1 == dg:
                 bound = min(bound, _gcd_degree_mod_p(fi, gi))
         bounds.append(bound)
     return bounds
 
 
-def _heu_gcd(f: dict, g: dict, bounds: list[int] | None = None) -> tuple[dict, dict, dict] | None:
-    """GCDHEU on nonzero integer polynomials: ``(h, f/h, g/h)``, or None on failure.
+def _heu_gcd(f: dict, g: dict, n: int, bounds: list[int] | None = None) -> tuple[dict, dict, dict] | None:
+    """GCDHEU on nonzero integer polynomials in ``n`` variables: ``(h, f/h, g/h)``, or None on failure.
 
     A candidate ``h`` must divide both inputs exactly. When ``bounds`` are
     given (upper bounds on the gcd's degree in each variable), it must also
-    reach them: a common divisor that does is the gcd. Exponent tuples are
-    lex-ordered, so ``max`` gives the lex-leading term, and the first
-    variable that occurs is evaluated first.
+    reach them: a common divisor that does is the gcd. The first variable
+    that occurs is evaluated first. Below the total-degree field key order
+    is lexicographic, so ``lex`` finds the lex-leading coefficients.
     """
-    n = len(next(iter(f)))
-    active = [v for v in range(n) if any(e[v] for e in f) or any(e[v] for e in g)]
+    active = _variables(f.keys() | g.keys(), n)
     if not active:
-        zero = (0,) * n
-        a, b = f[zero], g[zero]
+        a, b = f[0], g[0]
         h = int_gcd(a, b)
-        return {zero: h}, {zero: a // h}, {zero: b // h}
+        return {0: h}, {0: a // h}, {0: b // h}
     v = active[0]
     content = int_gcd(*f.values(), *g.values())
     if content != 1:
@@ -215,41 +234,42 @@ def _heu_gcd(f: dict, g: dict, bounds: list[int] | None = None) -> tuple[dict, d
         g = {e: c // content for e, c in g.items()}
     f_norm = max(abs(c) for c in f.values())
     g_norm = max(abs(c) for c in g.values())
+    lex = ((1 << _W * n) - 1).__and__
     # the usual GCDHEU start: about twice the smaller norm, capped near 99*sqrt of it
     b = 2 * min(f_norm, g_norm) + 29
-    x = max(min(b, 99 * isqrt(b)), 2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4)
+    x = max(min(b, 99 * isqrt(b)), 2 * min(f_norm // abs(f[max(f, key=lex)]), g_norm // abs(g[max(g, key=lex)])) + 4)
 
     def reaches_bounds(h):
-        return bounds is None or all(max(e[i] for e in h) == d for i, d in enumerate(bounds))
+        return bounds is None or _degrees(h, n) == bounds
 
     for _ in range(HEU_GCD_MAX):
-        ff = _evaluate(f, v, x)
-        gg = _evaluate(g, v, x)
+        ff = _evaluate(f, n, v, x)
+        gg = _evaluate(g, n, v, x)
         if ff and gg:
-            found = _heu_gcd(ff, gg)
+            found = _heu_gcd(ff, gg, n)
             if found is None:
                 return None
             hh, cff, cfg = found
-            h = _interpolate(hh, x, v)
+            h = _interpolate(hh, x, n, v)
             hc = int_gcd(*h.values())
             if hc != 1:
                 h = {e: c // hc for e, c in h.items()}
             if reaches_bounds(h):
-                cf = _div_exact(f, h)
+                cf = _div_exact(f, h, n)
                 if cf is not None:
-                    cg = _div_exact(g, h)
+                    cg = _div_exact(g, h, n)
                     if cg is not None:
                         return _scaled(h, content), cf, cg
-            cf = _interpolate(cff, x, v)
-            h = _div_exact(f, cf)
+            cf = _interpolate(cff, x, n, v)
+            h = _div_exact(f, cf, n)
             if h is not None and reaches_bounds(h):
-                cg = _div_exact(g, h)
+                cg = _div_exact(g, h, n)
                 if cg is not None:
                     return _scaled(h, content), cf, cg
-            cg = _interpolate(cfg, x, v)
-            h = _div_exact(g, cg)
+            cg = _interpolate(cfg, x, n, v)
+            h = _div_exact(g, cg, n)
             if h is not None and reaches_bounds(h):
-                cf = _div_exact(f, h)
+                cf = _div_exact(f, h, n)
                 if cf is not None:
                     return _scaled(h, content), cf, cg
         x = 73794 * x * isqrt(isqrt(x)) // 27011
@@ -258,11 +278,6 @@ def _heu_gcd(f: dict, g: dict, bounds: list[int] | None = None) -> tuple[dict, d
 
 def _scaled(h: dict, c: int) -> dict:
     return h if c == 1 else {e: v * c for e, v in h.items()}
-
-
-def _var_key(nvars: int, i: int) -> int:
-    """The key of the monomial x_i."""
-    return 1 << _W * nvars | 1 << exponent_shift(nvars, i)
 
 
 class Poly:
@@ -341,7 +356,7 @@ class Poly:
         return Fraction(self.coeffs.get(0, 0), self.denom)
 
     def degree_in(self, i: int) -> int:
-        s = exponent_shift(self.nvars, i)
+        s = _shift(self.nvars, i)
         return max((k >> s & MAX_DEGREE for k in self.coeffs), default=-1)
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
@@ -422,7 +437,7 @@ class Poly:
         return hash((self.nvars, self.denom, frozenset(self.coeffs.items())))
 
     def derivative(self, i: int) -> "Poly":
-        s, step = exponent_shift(self.nvars, i), _var_key(self.nvars, i)
+        s, step = _shift(self.nvars, i), _var_key(self.nvars, i)
         terms = {k - step: c * e for k, c in self.coeffs.items() if (e := k >> s & MAX_DEGREE)}
         return Poly(self.nvars, *_cancel(terms, self.denom))
 
@@ -443,13 +458,12 @@ class Poly:
         if other.is_constant():
             return self.scale(1 / other.constant_value())
         # a primitive divisor over Q divides over Z too (Gauss's lemma)
-        n = self.nvars
         content = int_gcd(*other.coeffs.values())
-        divisor = {_exps(k, n): c // content for k, c in other.coeffs.items()}
-        quot = _div_exact({_exps(k, n): c for k, c in self.coeffs.items()}, divisor)
+        divisor = {k: c // content for k, c in other.coeffs.items()}
+        quot = _div_exact(self.coeffs, divisor, self.nvars)
         if quot is None:
             raise NotDivisible("leading term not divisible")
-        return Poly.from_ints(n, {_key(e): c * other.denom for e, c in quot.items()}, self.denom * content)
+        return Poly.from_ints(self.nvars, {k: c * other.denom for k, c in quot.items()}, self.denom * content)
 
     def _to_integer_primitive(self) -> "Poly":
         """Integer coefficients with content 1 and positive leading coefficient."""
@@ -461,11 +475,11 @@ class Poly:
         return Poly(self.nvars, {exp: c // content for exp, c in self.coeffs.items()})
 
     def _main_var(self) -> int:
-        return max((i for i in range(self.nvars) if self.degree_in(i) > 0), default=-1)
+        return max(_variables(self.coeffs, self.nvars), default=-1)
 
     def _univariate_view(self, v: int) -> dict[int, "Poly"]:
         """Coefficients of powers of variable ``v``, as polynomials in the rest."""
-        s, step = exponent_shift(self.nvars, v), _var_key(self.nvars, v)
+        s, step = _shift(self.nvars, v), _var_key(self.nvars, v)
         coeffs: dict[int, dict] = {}
         for k, c in self.coeffs.items():
             d = k >> s & MAX_DEGREE
@@ -481,13 +495,13 @@ class Poly:
     def gcd_cofactors(a: "Poly", b: "Poly") -> tuple["Poly", "Poly", "Poly"]:
         """Return ``(g, a/g, b/g)`` with ``g = Poly.gcd(a, b)``.
 
-        On the primitive integer numerators, as exponent tuples: images at
-        fixed points modulo a prime bound the gcd's degree in each variable
-        (all 0: coprime). GCDHEU (Char, Geddes and Gonnet, J. Symb. Comput.
-        1989) then evaluates at large integers down to an integer gcd and
-        rebuilds candidates from symmetric base-xi digits; one that divides
-        both inputs and reaches every bound is the gcd. After
-        ``HEU_GCD_MAX`` points without one, the primitive PRS gcd is used.
+        On the primitive integer numerators: images at fixed points modulo
+        a prime bound the gcd's degree in each variable (all 0: coprime).
+        GCDHEU (Char, Geddes and Gonnet, J. Symb. Comput. 1989) then
+        evaluates at large integers down to an integer gcd and rebuilds
+        candidates from symmetric base-xi digits; one that divides both
+        inputs and reaches every bound is the gcd. After ``HEU_GCD_MAX``
+        points without one, the primitive PRS gcd is used.
         """
         n = a.nvars
         if not a.coeffs or not b.coeffs:
@@ -501,16 +515,16 @@ class Poly:
             return Poly.const(n, 1), a, b
         sa = int_gcd(*a.coeffs.values())
         sb = int_gcd(*b.coeffs.values())
-        fa = {_exps(k, n): c // sa for k, c in a.coeffs.items()}
-        fb = {_exps(k, n): c // sb for k, c in b.coeffs.items()}
-        bounds = _gcd_degree_bounds(fa, fb)
+        fa = {k: c // sa for k, c in a.coeffs.items()}
+        fb = {k: c // sb for k, c in b.coeffs.items()}
+        bounds = _gcd_degree_bounds(fa, fb, n)
         if not any(bounds):
             return Poly.const(n, 1), a, b
-        found = _heu_gcd(fa, fb, bounds)
+        found = _heu_gcd(fa, fb, n, bounds)
         if found is None:
             g = Poly._gcd_prim(a._to_integer_primitive(), b._to_integer_primitive())
             return g, a.exact_div(g), b.exact_div(g)
-        g, ca, cb = ({_key(e): c for e, c in t.items()} for t in found)
+        g, ca, cb = found
         lead = max(g)
         if g[lead] < 0:
             g = {e: -c for e, c in g.items()}
@@ -581,7 +595,10 @@ class Poly:
             c = Fraction(self.coeffs[k], self.denom)
             mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, _exps(k, self.nvars)) if e)
             coeff = abs(c)
-            text = mono if coeff == 1 and mono else f"{coeff}*{mono}" if mono else str(coeff)
+            try:
+                text = mono if coeff == 1 and mono else f"{coeff}*{mono}" if mono else str(coeff)
+            except ValueError:
+                raise CoefficientOverflow(f"coefficient of more than {sys.get_int_max_str_digits()} digits") from None
             if not parts:
                 parts.append(text if c > 0 else f"-{text}")
             else:
@@ -666,6 +683,10 @@ class RatFunc:
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
+
+    def variables(self) -> list[int]:
+        """Indices of the variables that occur in the numerator or the denominator."""
+        return _variables(self.num.coeffs.keys() | self.den.coeffs.keys(), self.nvars)
 
     def constant_value(self) -> Fraction:
         return self.num.constant_value() / self.den.constant_value()

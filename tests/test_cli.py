@@ -1,6 +1,7 @@
 """CLI integration: exit codes, JSON report schema, witness round-trips."""
 
 import json
+import sys
 
 import pytest
 
@@ -154,6 +155,22 @@ def test_deeply_nested_ev_exits_2(capsys):
 )
 def test_degree_over_max_exits_2(ev, message, capsys):
     assert run(["dual", "--fixture", "SS2", "--ev", ev], capsys) == (2, "", f"error: {message}\n")
+
+
+def test_literal_past_the_int_string_limit_exits_2(capsys):
+    ev = "1" * 5000 + ",u2"
+    message = f"--ev[0]: at position 0: expected integer of at most {sys.get_int_max_str_digits()} digits"
+    assert run(["dual", "--fixture", "SS2", "--ev", ev], capsys) == (2, "", f"error: {message}\n")
+
+
+def test_coefficient_past_the_int_string_limit_exits_1(tmp_path, capsys):
+    # the eventual identity has a coefficient of 8001 digits, too long to write
+    big = "1" + "0" * 4000
+    out_path = tmp_path / "dual.json"
+    code, out, err = run(["dual", "--fixture", "SS2", "--ev", f"{big}*{big}*u1,u2", "--out", str(out_path)], capsys)
+    limit = sys.get_int_max_str_digits()
+    assert (code, out, err) == (1, "", f"verification failed: coefficient of more than {limit} digits\n")
+    assert not out_path.exists()
 
 
 def test_degree_over_max_in_structure_file_exits_2(tmp_path, capsys):

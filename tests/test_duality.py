@@ -25,6 +25,7 @@ from falgebroid.duality import (
     verify_certificate,
 )
 from falgebroid.errors import NotEventual, NotInvertible, NotNijenhuis, ShapeError
+from falgebroid.report import Report
 from falgebroid.ring import RatFunc
 
 
@@ -175,3 +176,17 @@ def test_non_nijenhuis_rejected():
     assert all(c.witness for c in report.failures())
     with pytest.raises(NotNijenhuis):
         deform_by_nijenhuis(A, bad)
+
+
+def test_add_verdict_records_a_sub_report_as_one_check():
+    sub = Report("sub")
+    sub.add("a", "x", True)
+    sub.add("b", "y", False, "w1")
+    sub.add("c", "z", False, "w2")
+    report = Report("top")
+    report.add_verdict("law", "failing", sub)
+    report.add_verdict("law", "passing", Report("empty"))
+    assert [c.to_dict() for c in report.checks] == [
+        {"law": "law", "instance": "failing", "pass": False, "witness": "w1"},
+        {"law": "law", "instance": "passing", "pass": True},
+    ]

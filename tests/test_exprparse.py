@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,14 @@ def test_exponent_above_max_degree_is_a_syntax_error():
     with pytest.raises(ExprSyntaxError) as e:
         parse_expr("u2 + u1^" + "9" * 5000, VARS)
     assert e.value.position == 8
+
+
+def test_literal_past_the_int_string_limit_is_a_syntax_error():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_expr("u2 + " + "1" * (limit + 1), VARS)
+    assert (e.value.position, e.value.expected) == (5, f"integer of at most {limit} digits")
+    assert parse_expr("9" * limit + "*u1", VARS).num.leading()[1] == int("9" * limit)
 
 
 def test_degree_overflow_is_a_syntax_error():

@@ -20,6 +20,7 @@ from falgebroid.errors import (
 from falgebroid.exprparse import parse_expr
 from falgebroid.hierarchy import (
     Connection,
+    _path_integrate,
     HydroFlow,
     check_flat_condition,
     commutator_residual,
@@ -236,6 +237,23 @@ def test_non_polynomial_antiderivative():
     )
     with pytest.raises(NonPolynomialAntiderivative):
         principal_hierarchy(T, Connection(), [T.basis(0)], 1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_path_integrate_recovers_potentials(seed):
+    # R_m = d_m F for seeded polynomials F with F(0) = 0 gives back F
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    potentials = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {
+            tuple(rng.randint(0, 4) for _ in range(n)): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            for _ in range(rng.randint(1, 8))
+        }
+        terms.pop((0,) * n, None)
+        potentials.append(RatFunc(Poly.from_terms(n, terms)))
+    rows = [[F.derivative(m) for m in range(n)] for F in potentials]
+    assert _path_integrate(rows, n) == potentials
 
 
 def random_diagonal_section(rng, n, deg=3):

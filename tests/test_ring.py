@@ -231,6 +231,20 @@ def test_exact_div_remainder_raises():
         (u1 + one).exact_div(u1)
 
 
+def test_exact_div_at_field_boundaries():
+    # the key difference is non-negative, but a field borrows from the one above
+    x1, x2 = Poly.var(2, 0), Poly.var(2, 1)
+    with pytest.raises(NotDivisible):
+        (x1**MAX_DEGREE).exact_div(x2**MAX_DEGREE)
+    with pytest.raises(NotDivisible):
+        Poly.from_terms(3, {(1, 0, 5): 1}).exact_div(Poly.from_terms(3, {(0, 1, 5): 1}))
+    with pytest.raises(NotDivisible):
+        (x1**MAX_DEGREE + x2).exact_div(x2**MAX_DEGREE + x1)
+    assert (x1**MAX_DEGREE).exact_div(x1 ** (MAX_DEGREE - 1)) == x1
+    one = Poly.const(2, 1)
+    assert (x1 ** (MAX_DEGREE - 1) * x2 + x1).exact_div(x1 ** (MAX_DEGREE - 2) * x2 + one) == x1
+
+
 polyfields = st.tuples(polys(max_terms=2), polys(max_terms=2)).map(
     lambda t: VectorField([RatFunc(t[0]), RatFunc(t[1])])
 )
