@@ -119,10 +119,7 @@ class VectorField(Section):
 
     def apply(self, f: RatFunc) -> RatFunc:
         """Apply as a derivation to a coefficient function."""
-        out = RatFunc.zero(f.nvars)
-        for m, v in self.entries:
-            out = out + v * f.derivative(m)
-        return out
+        return f.derive_along(self.entries)
 
     def format(self, names: list[str]) -> str:
         return "[" + super().format(names) + "]"

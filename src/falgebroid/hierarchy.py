@@ -7,7 +7,8 @@ first order, so their commutators involve at most u_xx. A jet function is
 a plain ``RatFunc`` in the 3n variables of ``jet_names`` (u, u_x, u_xx).
 The total derivative D_x and the flow derivative are ``VectorField``s on
 that ring, D_x = (u_x, u_xx, 0) and the prolonged flow (K, D_x K, 0) for
-the velocities K, so every derivative is ``VectorField.apply``.
+the velocities K, so every derivative is ``VectorField.apply``, one pass
+of ``RatFunc.derive_along`` that normalizes the summed jet polynomial once.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ follow Henrici: a sum cancels ``gcd(b, d)`` of the denominators before
 cross-multiplying and then only what that gcd can still share with the
 numerator, and a product cancels across ``gcd(a, d)`` and ``gcd(c, b)``
 first, so its result is reduced. Operands with constant denominators
-skip all of this.
+skip all of this. A derivation's sum over polynomials (``derive_along``)
+is accumulated in one integer dict and normalized once, not once per ``+``.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ def _variables(keys, nvars: int) -> list[int]:
     return [i for i, s in enumerate(range(_W * (nvars - 1), -1, -_W)) if seen >> s & MAX_DEGREE]
 
 
-def _degrees(keys, nvars: int) -> list[int]:
-    """The largest exponent of each variable over the monomial ``keys``."""
-    return [max(k >> _shift(nvars, i) & MAX_DEGREE for k in keys) for i in range(nvars)]
+def _degrees(keys, nvars: int, pick=max) -> list[int]:
+    """The largest (or with ``pick=min`` the smallest) exponent of each variable over the monomial ``keys``."""
+    return [pick(k >> _shift(nvars, i) & MAX_DEGREE for k in keys) for i in range(nvars)]
 
 
 def _cancel(coeffs: dict, denom: int) -> tuple[dict, int]:
@@ -501,7 +502,8 @@ class Poly:
         evaluates at large integers down to an integer gcd and rebuilds
         candidates from symmetric base-xi digits; one that divides both
         inputs and reaches every bound is the gcd. After ``HEU_GCD_MAX``
-        points without one, the primitive PRS gcd is used.
+        points without one, the primitive PRS gcd is used. A monomial
+        operand skips all of this: its gcd is read off the keys.
         """
         n = a.nvars
         if not a.coeffs or not b.coeffs:
@@ -513,6 +515,10 @@ class Poly:
             return (g, Poly.zero(n), scale) if not a.coeffs else (g, scale, Poly.zero(n))
         if a.is_constant() or b.is_constant():
             return Poly.const(n, 1), a, b
+        if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+            # a monomial's gcd with anything is x^(the smallest exponent of each variable)
+            g = Poly(n, {_key(tuple(_degrees(a.coeffs.keys() | b.coeffs.keys(), n, min))): 1})
+            return g, a.exact_div(g), b.exact_div(g)
         sa = int_gcd(*a.coeffs.values())
         sb = int_gcd(*b.coeffs.values())
         fa = {k: c // sa for k, c in a.coeffs.items()}
@@ -781,6 +787,37 @@ class RatFunc:
             return RatFunc.zero(t.nvars)
         _, t, g1 = Poly.gcd_cofactors(t, g)
         return RatFunc(*RatFunc._monic(t, g1 * b1 * b1), _normal=True)
+
+    def derive_along(self, field) -> "RatFunc":
+        """``sum(c * self.derivative(m))`` over the ``(m, c)`` pairs of ``field``.
+
+        When ``self`` and every ``c`` are polynomials and two or more ``c`` are
+        nonzero, each derivative term times each term of ``c`` is added into
+        one integer dict over the common denominator, normalized once.
+        """
+        n = self.nvars
+        if len(field) > 1 and self.den.is_constant() and all(c.den.is_constant() for _, c in field):
+            cs = [(m, c.num) for m, c in field if c.num.coeffs]
+            if len(cs) > 1:
+                lcm, top, acc = int_lcm(*(c.denom for _, c in cs)), _W * n, {}
+                get = acc.get
+                for m, c in cs:
+                    s, step = _shift(n, m), _var_key(n, m)
+                    d = [(k - step, a * e) for k, a in self.num.coeffs.items() if (e := k >> s & MAX_DEGREE)]
+                    if d and (max(d)[0] >> top) + (max(c.coeffs) >> top) > MAX_DEGREE:
+                        raise DegreeOverflow(f"product of total degree over {MAX_DEGREE}")
+                    mult = lcm // c.denom
+                    for k2, b in c.coeffs.items():
+                        b *= mult
+                        for k1, a in d:
+                            k = k1 + k2
+                            acc[k] = get(k, 0) + a * b
+                acc = {k: v for k, v in acc.items() if v}
+                return RatFunc(Poly(n, *_cancel(acc, lcm * self.num.denom)), _normal=True)
+        out = RatFunc.zero(n)
+        for m, c in field:
+            out = out + c * self.derivative(m)
+        return out
 
     def extend(self, nvars: int, offset: int = 0) -> "RatFunc":
         return RatFunc(self.num.extend(nvars, offset), self.den.extend(nvars, offset), _normal=True)

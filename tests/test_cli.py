@@ -389,3 +389,9 @@ def test_seed_flag_rejected(capsys):
     code, _, err = run(["check", "--fixture", "SS1", "--seed", "42"], capsys)
     assert code == 2
     assert "unrecognized arguments: --seed" in err
+
+
+def test_monomial_at_max_degree_exits_1(capsys):
+    # the gcds of u1^65535 are read off its key; then the dual's product passes the degree cap
+    message = "verification failed: product of total degree over 65535\n"
+    assert run(["dual", "--fixture", "SS2", "--ev", "u1^65535,u2"], capsys) == (1, "", message)

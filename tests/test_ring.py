@@ -576,3 +576,115 @@ def test_degree_over_max_raises_degree_overflow():
         Poly.from_terms(2, {(40000, 40000): 1})
     with pytest.raises(ShapeError):
         Poly.from_terms(2, {(1, 0, 0): 1})
+
+
+def loop_derive_along(f, field):
+    """The loop ``RatFunc.derive_along`` replaced, one ``+`` and one ``*`` per entry: kept as the oracle."""
+    out = RatFunc.zero(f.nvars)
+    for m, c in field:
+        out = out + c * f.derivative(m)
+    return out
+
+
+def derive_outcome(derive, f, field):
+    try:
+        h = derive(f, field)
+    except DegreeOverflow as e:
+        return DegreeOverflow, str(e)
+    return h.num.terms, h.den.terms, h
+
+
+def assert_derive_along_matches_loop(f, field):
+    got = derive_outcome(RatFunc.derive_along, f, field)
+    assert got == derive_outcome(loop_derive_along, f, field)
+    return got
+
+
+def seeded_poly(rng, n, max_terms):
+    """A polynomial in ``n`` variables of at most ``max_terms`` jet-sized terms, with non-unit denominators."""
+    terms = {
+        tuple(rng.randint(0, 2) for _ in range(n)): Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 1, 2, 3, 6]))
+        for _ in range(rng.randint(1, max_terms))
+    }
+    return Poly.from_terms(n, terms)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_derive_along_matches_loop(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    rational = seed % 4 == 3
+    f = RatFunc(seeded_poly(rng, n, 16), seeded_poly(rng, n, 2) if seed % 5 == 4 else None)
+    entries = []
+    for m in sorted(rng.sample(range(n), rng.randint(1, n))):
+        kind = rng.choice(["zero", "one", "poly", "poly", "poly"] + ["rational"] * rational)
+        if kind == "zero":
+            c = RatFunc.zero(n)
+        elif kind == "one":
+            c = RatFunc.one(n)
+        else:
+            c = RatFunc(seeded_poly(rng, n, 8), seeded_poly(rng, n, 2) if kind == "rational" else None)
+        entries.append((m, c))
+    assert_derive_along_matches_loop(f, entries)
+    field = VectorField._from_dict(dict(entries), n, n)
+    assert field.apply(f) == loop_derive_along(f, entries)
+    for m, c in entries:
+        assert_derive_along_matches_loop(f, [(m, c)])
+
+
+def test_derive_along_sums_over_unequal_denominators_and_drops_cancelled_terms():
+    names = ["u1", "u2"]
+    f = parse_expr("u1*u2 + 1/2*u1^2 + u2", names)
+    # (u1/2) d/du1 + (1/3 - u2/2) d/du2: the denominators differ and the terms in u1*u2 cancel
+    field = [(0, parse_expr("1/2*u1", names)), (1, parse_expr("1/3 - 1/2*u2", names))]
+    *_, h = assert_derive_along_matches_loop(f, field)
+    assert h == parse_expr("1/2*u1^2 + 1/3*u1 - 1/2*u2 + 1/3", names)
+    u1, u2 = RatFunc.var(2, 0), RatFunc.var(2, 1)
+    assert_derive_along_matches_loop(u1 * u2, [(0, u1), (1, -u2)])
+    assert (u1 * u2).derive_along([(0, u1), (1, -u2)]).is_zero()
+
+
+def test_derive_along_degree_overflow_follows_each_derivative():
+    u1, u2 = RatFunc.var(2, 0), RatFunc.var(2, 1)
+    top = u1 ** (MAX_DEGREE - 1)
+    # u1^65534 * d(u1^2)/du1 has total degree 65535
+    *_, h = assert_derive_along_matches_loop(u1 * u1, [(0, top), (1, u1)])
+    assert h == (top * u1).scale(2)
+    got = assert_derive_along_matches_loop(u1 * u1, [(0, top * u1), (1, u1)])
+    assert got == (DegreeOverflow, f"product of total degree over {MAX_DEGREE}")
+    # d/du1 of u2^65535 + u1 is 1, so u1^65000 multiplies a constant, not a degree-65534 polynomial
+    f = u2**MAX_DEGREE + u1
+    *_, h = assert_derive_along_matches_loop(f, [(0, u1**65000), (1, u2)])
+    assert h == u1**65000 + u2**MAX_DEGREE * RatFunc.const(2, MAX_DEGREE)
+
+
+def refuse_general_gcd(*args):
+    raise AssertionError("a monomial operand took the general gcd path")
+
+
+def seeded_monomial_pairs():
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        exp = tuple(rng.randint(0, 3) for _ in range(n))
+        mono = Poly.from_terms(n, {exp: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))})
+        other = seeded_poly(rng, n, 6) * Poly.from_terms(n, {tuple(rng.randint(0, 2) for _ in range(n)): 1})
+        yield mono, other
+        yield other, mono
+
+
+def test_monomial_gcd_reads_the_keys(monkeypatch):
+    pairs = list(seeded_monomial_pairs())
+    pairs.append((Poly.var(2, 0) ** MAX_DEGREE, Poly.var(2, 0) ** MAX_DEGREE))
+    pairs.append((Poly.var(2, 0) ** MAX_DEGREE, Poly.var(2, 0) ** 3 * Poly.var(2, 1) + Poly.var(2, 0) ** 5))
+    # the primitive PRS gcd and exact division give the general path's normal form
+    expected = []
+    for a, b in pairs:
+        g = prs_gcd(a, b)
+        expected.append((g, a.exact_div(g), b.exact_div(g)))
+    monkeypatch.setattr(ring, "_heu_gcd", refuse_general_gcd)
+    monkeypatch.setattr(ring, "_gcd_degree_bounds", refuse_general_gcd)
+    for (a, b), want in zip(pairs, expected):
+        got = Poly.gcd_cofactors(a, b)
+        assert [p.terms for p in got] == [p.terms for p in want]
+        assert got == want
