@@ -165,6 +165,7 @@ class AlgebroidPresentation:
         self._check_shapes()
         present = [(name, getattr(self, name)) for name in _TENSORS]
         self._tables = {name: _compile(t, rank) for name, t in present if t is not None}
+        self._points = {}
         fields = enumerate(map(VectorField, anchor or ()))
         self._anchors = {i: vf for i, vf in fields if vf.entries}  # the nonzero a(E_i)
 
@@ -248,6 +249,12 @@ class AlgebroidPresentation:
         if self.n > 0 and self.anchor is None:
             raise MissingStructure("anchor")
         return table
+
+    def constants(self, name: str) -> list:
+        """Over a point, the named table as Fractions t[i][j] = {k: c}, converted once; MissingStructure without it."""
+        if name not in self._points:
+            self._points[name] = [[{k: c.constant_value() for k, c in cell} for cell in r] for r in self._require(name)]
+        return self._points[name]
 
     def bracket_of(self, X: Section, Y: Section) -> Section:
         out = self._contract(self._require("bracket"), X, Y)
@@ -360,8 +367,12 @@ def _prelie_tuples(frame, scaled):
     )
 
 
-def _record(A: AlgebroidPresentation, report: Report, law: str, instance: str, res: Section):
-    """Record one instance; the residual is formatted only when it is nonzero."""
+def _record(A: AlgebroidPresentation, report: Report, law: str, instance: str, res):
+    """Record one instance; the residual, a Section or over a point a dict {k: c}, is formatted only when nonzero."""
+    if isinstance(res, dict):
+        if not any(res.values()):
+            return report.add(law, instance, True)
+        res = Section._from_dict({k: RatFunc.const(0, c) for k, c in res.items() if c}, A.rank, 0)
     if res.is_zero():
         report.add(law, instance, True)
     else:
@@ -377,11 +388,40 @@ def _sweep(A: AlgebroidPresentation, report: Report, table, prefix: str = "") ->
     """
     for cases, *laws in table:
         for case in cases:
-            instance = prefix + "(" + ",".join(name for name, _ in case) + ")"
-            args = [arg for _, arg in case]
+            names, args = zip(*case)
+            instance = f"{prefix}({','.join(names)})"
             for law, residual in laws:
                 _record(A, report, law, instance, residual(*args))
     return report
+
+
+# -- laws over a point: each residual is a polynomial in the structure constants,
+# summed on frame indices from ``A.constants``, where E_i∘E_j is the cell t[i][j].
+
+
+def _point_frame(A: AlgebroidPresentation):
+    """The frame indices i, labelled E_i."""
+    return [(A.basis_name(i), i) for i in range(A.rank)]
+
+
+def _sum(*terms) -> dict:
+    """Σ s·Σ_a u_a·rows[a] over terms (s, u, rows) of a sign, a vector {a: x} and rows {k: c}.
+
+    With rows t[i] a term is s·E_i∘u; with rows the column (t[a][j])_a it is s·u∘E_j.
+    """
+    out = {}
+    for s, u, rows in terms:
+        for a, x in u.items():
+            for k, c in rows[a].items():
+                out[k] = out.get(k, 0) + x * c if s > 0 else out.get(k, 0) - x * c
+    return out
+
+
+def _point_psi(A: AlgebroidPresentation):
+    """Over a point, the residuals Ψ(E_i,E_j,E_k) and Ψ(E_i,E_j,E_k) - Ψ(E_j,E_i,E_k) on frame indices."""
+    M, P, MC = A.constants("product"), A.constants("prelie"), list(zip(*A.constants("product")))
+    psi = lambda i, j, k, s=1: ((s, M[j][k], P[i]), (-s, P[i][j], MC[k]), (-s, P[i][k], M[j]))  # noqa: E731
+    return lambda i, j, k: _sum(*psi(i, j, k)), lambda i, j, k: _sum(*psi(i, j, k), *psi(j, i, k, -1))
 
 
 # -- checkers ------------------------------------------------------------
@@ -389,11 +429,16 @@ def _sweep(A: AlgebroidPresentation, report: Report, table, prefix: str = "") ->
 
 def check_comm_assoc(A: AlgebroidPresentation) -> Report:
     """Commutativity and associativity of the product on the frame."""
-    mul = A.multiply
-    frame = _frame_args(A)
+    mul, frame = A.multiply, _frame_args(A)
+    sym = lambda X, Y: mul(X, Y) - mul(Y, X)  # noqa: E731
+    assoc = lambda X, Y, Z: mul(mul(X, Y), Z) - mul(X, mul(Y, Z))  # noqa: E731
+    if A.n == 0:
+        frame, M, MC = _point_frame(A), A.constants("product"), list(zip(*A.constants("product")))
+        sym = lambda i, j: _sum((1, {j: 1}, M[i]), (-1, {i: 1}, M[j]))  # noqa: E731
+        assoc = lambda i, j, k: _sum((1, M[i][j], MC[k]), (-1, M[j][k], M[i]))  # noqa: E731
     return _sweep(A, Report("commutative associative algebroid"), [
-        (combinations(frame, 2), ("product-symmetry", lambda X, Y: mul(X, Y) - mul(Y, X))),
-        (iproduct(frame, repeat=3), ("associativity", lambda X, Y, Z: mul(mul(X, Y), Z) - mul(X, mul(Y, Z)))),
+        (combinations(frame, 2), ("product-symmetry", sym)),
+        (iproduct(frame, repeat=3), ("associativity", assoc)),
     ])
 
 
@@ -404,11 +449,15 @@ def check_lie_algebroid(A: AlgebroidPresentation) -> Report:
     sensitive to anchor inconsistencies: the scaled residual picks up
     (a([Y,Z]) - [a(Y),a(Z)])(f)·X on top of f times the basis residual.
     """
-    br = A.bracket_of
-    frame = _frame_args(A)
+    br, frame, jacobi = A.bracket_of, _frame_args(A), A.jacobiator
+    antisym = lambda X, Y: br(X, Y) + br(Y, X)  # noqa: E731
+    if A.n == 0:
+        frame, B, BC = _point_frame(A), A.constants("bracket"), list(zip(*A.constants("bracket")))
+        antisym = lambda i, j: _sum((1, {j: 1}, B[i]), (1, {i: 1}, B[j]))  # noqa: E731
+        jacobi = lambda i, j, k: _sum((1, B[i][j], BC[k]), (1, B[j][k], BC[i]), (1, B[k][i], BC[j]))  # noqa: E731
     return _sweep(A, Report("Lie algebroid"), [
-        (combinations_with_replacement(frame, 2), ("bracket-antisymmetry", lambda X, Y: br(X, Y) + br(Y, X))),
-        (iproduct(frame + _scaled_args(A), frame, frame), ("jacobi", A.jacobiator)),
+        (combinations_with_replacement(frame, 2), ("bracket-antisymmetry", antisym)),
+        (iproduct(frame + _scaled_args(A), frame, frame), ("jacobi", jacobi)),
     ])
 
 
@@ -433,10 +482,14 @@ def check_pre_lie_algebroid(A: AlgebroidPresentation) -> Report:
     the sub-adjacent bracket, since the scaled residual contains
     ([a(X),a(Y)] - a(X*Y - Y*X))(f)·Z.
     """
-    assoc = A.prelie_associator
+    assoc, frame = A.prelie_associator, _frame_args(A)
+    sym = lambda X, Y, Z: assoc(X, Y, Z) - assoc(Y, X, Z)  # noqa: E731
+    if A.n == 0:  # (E_i⋆E_j)⋆E_k - E_i⋆(E_j⋆E_k) - (E_j⋆E_i)⋆E_k + E_j⋆(E_i⋆E_k)
+        frame, P, PC = _point_frame(A), A.constants("prelie"), list(zip(*A.constants("prelie")))
+        sym = lambda i, j, k: _sum(  # noqa: E731
+            (1, P[i][j], PC[k]), (-1, P[j][k], P[i]), (-1, P[j][i], PC[k]), (1, P[i][k], P[j]))
     return _sweep(A, Report("pre-Lie algebroid"), [
-        (_prelie_tuples(_frame_args(A), _scaled_args(A)),
-         ("pre-lie-symmetry", lambda X, Y, Z: assoc(X, Y, Z) - assoc(Y, X, Z))),
+        (_prelie_tuples(frame, _scaled_args(A)), ("pre-lie-symmetry", sym)),
     ])
 
 
@@ -445,9 +498,10 @@ def check_pre_f(A: AlgebroidPresentation) -> Report:
     report = Report("pre-F-algebroid")
     report.extend_from(check_comm_assoc(A))
     report.extend_from(check_pre_lie_algebroid(A))
-    return _sweep(A, report, [
-        (iproduct(_frame_args(A), repeat=3), ("psi-symmetry", lambda X, Y, Z: A.psi(X, Y, Z) - A.psi(Y, X, Z))),
-    ])
+    frame, sym = _frame_args(A), lambda X, Y, Z: A.psi(X, Y, Z) - A.psi(Y, X, Z)
+    if A.n == 0:
+        frame, sym = _point_frame(A), _point_psi(A)[1]
+    return _sweep(A, report, [(iproduct(frame, repeat=3), ("psi-symmetry", sym))])
 
 
 def check_prelie_com(A: AlgebroidPresentation) -> Report:
@@ -455,7 +509,8 @@ def check_prelie_com(A: AlgebroidPresentation) -> Report:
     report = Report("PreLie-Com algebroid")
     report.extend_from(check_comm_assoc(A))
     report.extend_from(check_pre_lie_algebroid(A))
-    return _sweep(A, report, [(iproduct(_frame_args(A), repeat=3), ("psi-vanishing", A.psi))])
+    frame, psi = (_point_frame(A), _point_psi(A)[0]) if A.n == 0 else (_frame_args(A), A.psi)
+    return _sweep(A, report, [(iproduct(frame, repeat=3), ("psi-vanishing", psi))])
 
 
 def sub_adjacent(A: AlgebroidPresentation) -> AlgebroidPresentation:

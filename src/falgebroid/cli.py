@@ -68,15 +68,13 @@ def _read(path: str) -> bytes:
 
 
 def _write_json(path: str | None, doc) -> None:
-    """Write ``doc`` as indented JSON to ``path``, or print it when no path is given."""
+    """Write ``doc``, a Report or a structure document, as indented JSON to ``path``, or print it without one."""
+    write = doc.write_json if isinstance(doc, Report) else lambda fh: fh.write(json.dumps(doc, indent=2) + "\n")
     if not path:
-        print(json.dumps(doc, indent=2))
-        return
+        return write(sys.stdout)
     try:
         with open(path, "w") as fh:
-            # streamed, not built as one string: a report can hold tens of thousands of checks
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            write(fh)
     except OSError as exc:
         raise InputError(str(exc)) from None
 
@@ -92,7 +90,7 @@ def _load_presentation(args) -> AlgebroidPresentation:
 def _emit(report: Report, json_path: str | None) -> int:
     print(report.summary())
     if json_path:
-        _write_json(json_path, report.to_dict())
+        _write_json(json_path, report)
     return 0 if report.overall else 1
 
 

@@ -431,13 +431,13 @@ def _vector_to_multider(vec, r: int, degree: int) -> MultiDer:
 def _d_matrix(A: AlgebroidPresentation, degree: int) -> list[list[Fraction]]:
     """Matrix of the coboundary from degree to degree+1: target coordinate rows, source columns.
 
-    Read off the pre-Lie structure constants P (E_a⋆E_b = Σ_k P[a][b][k] E_k), with
+    Read off the pre-Lie structure constants P = ``A.constants("prelie")`` (E_a⋆E_b = Σ_k P[a][b][k] E_k), with
     [E_a, E_b] = E_a⋆E_b − E_b⋆E_a: for the frame tuple head + (last,) of a target row, each
     x_i in head contributes x_i⋆ω(…, last), ω(…, x_i)⋆last and −ω(…, x_i⋆last), and each pair
     x_i, x_j contributes ω([x_i, x_j], …, last), with the signs of d_def_eval.
     """
     r = A.rank
-    P = [[{k: c.constant_value() for k, c in cell} for cell in row] for row in A._require("prelie")]
+    P = A.constants("prelie")
     heads = {h: i for i, h in enumerate(combinations(range(r), degree - 1))}
     zero, ncols = Fraction(0), len(heads) * r * r
     rows = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 
 
 @dataclass
@@ -13,12 +14,6 @@ class Check:
     instance: str
     passed: bool
     witness: str | None = None
-
-    def to_dict(self) -> dict:
-        d = {"law": self.law, "instance": self.instance, "pass": self.passed}
-        if self.witness is not None:
-            d["witness"] = self.witness
-        return d
 
 
 @dataclass
@@ -50,12 +45,18 @@ class Report:
             raise error(f"{fail.instance}: {fail.witness}")
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "overall": "pass" if self.overall else "fail",
-            "checks": [c.to_dict() for c in self.checks],
-        }
+    def write_json(self, fh) -> None:
+        """Write {subject, overall, checks: [{law, instance, pass, witness?}]} as ``json.dump(indent=2)`` and a
+        newline would, line by line; the strings go through the C encoder that ``json.dumps`` uses for a str."""
+        sep = "\n"
+        fh.write(f'{{\n  "subject": {_json_str(self.subject)},\n  "overall": "{"pass" if self.overall else "fail"}",\n')
+        fh.write('  "checks": [')
+        for c in self.checks:
+            witness = "" if c.witness is None else f',\n      "witness": {_json_str(c.witness)}'
+            fh.write(f'{sep}    {{\n      "law": {_json_str(c.law)},\n      "instance": {_json_str(c.instance)},\n'
+                     f'      "pass": {"true" if c.passed else "false"}{witness}\n    }}')
+            sep = ",\n"
+        fh.write("\n  ]\n}\n" if self.checks else "]\n}\n")
 
     def summary(self) -> str:
         lines = [f"subject: {self.subject}"]

@@ -137,8 +137,10 @@ def _div_exact(f: dict, h: dict, n: int) -> dict | None:
     tail = [(k, c) for k, c in h.items() if k != lead]
     rem = dict(f)
     quot = {}
+    # a monomial divisor adds no terms to rem, so one sort gives the order of the maxima: one pass
+    desc = None if tail else iter(sorted(f, reverse=True))
     while rem:
-        e = max(rem)
+        e = max(rem) if tail else next(desc)
         q, r = divmod(rem.pop(e), lc)
         # lead divides e when no field borrowed from the one above: a borrow flips
         # that field's lowest bit, one of the bits of low, in e ^ lead ^ qe

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import combinations, combinations_with_replacement
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,9 @@ from falgebroid.algebroid import (
     AlgebroidPresentation,
     Section,
     VectorField,
+    _frame_args,
+    _prelie_tuples,
+    _sweep,
     check_anchor_leibniz,
     check_comm_assoc,
     check_f_algebroid,
@@ -25,6 +30,7 @@ from falgebroid.algebroid import (
 )
 from falgebroid.constructions import FiniteAlgebra, load_fixture
 from falgebroid.errors import MissingStructure, ShapeError
+from falgebroid.report import Report
 from falgebroid.ring import RatFunc
 from test_ring import DEADLINE, fractions, ratfuncs
 
@@ -480,3 +486,96 @@ def test_vector_field_size_mismatch_raises():
     with pytest.raises(ShapeError):
         X + VectorField.zero(1)
     assert X + VectorField.zero(2) == X and VectorField.zero(2).rank == VectorField.zero(2).nvars == 2
+
+
+# -- law residuals over a point against their Section evaluation -----------
+#
+# Over a point the checkers evaluate their residuals on frame indices from
+# the Fraction tables. The oracle is the Section evaluation they replaced,
+# row for row through the same engine, so instance order, pass/fail and
+# witness text must agree exactly.
+
+
+def _section_rows(A):
+    """Each point checker's law rows as Section residuals, keyed by row name."""
+    mul, br, assoc, frame = A.multiply, A.bracket_of, A.prelie_associator, _frame_args(A)
+    return {
+        "comm-assoc": lambda: [
+            (combinations(frame, 2), ("product-symmetry", lambda X, Y: mul(X, Y) - mul(Y, X))),
+            (iproduct(frame, repeat=3), ("associativity", lambda X, Y, Z: mul(mul(X, Y), Z) - mul(X, mul(Y, Z)))),
+        ],
+        "lie": lambda: [
+            (combinations_with_replacement(frame, 2), ("bracket-antisymmetry", lambda X, Y: br(X, Y) + br(Y, X))),
+            (iproduct(frame, frame, frame), ("jacobi", A.jacobiator)),
+        ],
+        "pre-lie": lambda: [
+            (_prelie_tuples(frame, []), ("pre-lie-symmetry", lambda X, Y, Z: assoc(X, Y, Z) - assoc(Y, X, Z))),
+        ],
+        "psi-symmetry": lambda: [
+            (iproduct(frame, repeat=3), ("psi-symmetry", lambda X, Y, Z: A.psi(X, Y, Z) - A.psi(Y, X, Z))),
+        ],
+        "psi-vanishing": lambda: [(iproduct(frame, repeat=3), ("psi-vanishing", A.psi))],
+        "hertling-manin": lambda: [(iproduct(frame, repeat=4), ("hertling-manin", A.phi))],
+    }
+
+
+SECTION_ORACLE = {
+    "comm-assoc": ("comm-assoc",),
+    "lie": ("lie",),
+    "f-algebroid": ("comm-assoc", "lie", "hertling-manin"),
+    "pre-lie": ("pre-lie",),
+    "pre-f": ("comm-assoc", "pre-lie", "psi-symmetry"),
+    "prelie-com": ("comm-assoc", "pre-lie", "psi-vanishing"),
+}
+
+
+def _oracle_report(A, law):
+    rows = _section_rows(A)
+    return _sweep(A, Report("oracle"), [row for name in SECTION_ORACLE[law] for row in rows[name]()])
+
+
+def _outcomes(report):
+    return [(c.law, c.instance, c.passed, c.witness) for c in report.checks]
+
+
+def _point_mutant(name, seed):
+    """The fixture with one seeded product, bracket or pre-Lie constant perturbed by a rational."""
+    A = load_fixture(name)
+    rng = random.Random(f"{name}:{seed}")
+    tensor = rng.choice([t for t in ("product", "bracket", "prelie") if getattr(A, t) is not None])
+    k, i, j = (rng.randrange(A.rank) for _ in range(3))
+    delta = RatFunc.const(0, Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 5])))
+    T = getattr(A, tensor)
+    return A.with_structures(**{tensor: _mutate_tensor(T, k, i, j, T[k][i][j] + delta)})
+
+
+POINT_CASES = [(name, None) for name in ("FM2", "DN1", "DN1_2", "DN2_2")]
+POINT_CASES += [(name, seed) for name in ("FM2", "DN1", "DN1_2", "DN2_2") for seed in range(6)]
+
+
+@pytest.mark.parametrize("name,seed", POINT_CASES, ids=[f"{n}-{s}" for n, s in POINT_CASES])
+def test_point_residuals_match_section_evaluation(name, seed):
+    from falgebroid.cli import _LAWS
+
+    A = load_fixture(name) if seed is None else _point_mutant(name, seed)
+    assert A.n == 0
+    for law in _carried_laws(A):
+        assert _outcomes(_LAWS[law](A)) == _outcomes(_oracle_report(A, law)), law
+
+
+def test_point_mutants_fail_with_witnesses():
+    """The seeded mutants reach failing instances of every point law family."""
+    from falgebroid.cli import _LAWS
+
+    failed = set()
+    for name, seed in POINT_CASES:
+        if seed is not None:
+            A = _point_mutant(name, seed)
+            failed |= {c.law for law in _carried_laws(A) for c in _LAWS[law](A).failures() if c.witness}
+    assert failed >= {"product-symmetry", "associativity", "bracket-antisymmetry", "jacobi", "pre-lie-symmetry",
+                      "psi-symmetry", "psi-vanishing"}
+
+
+def test_dn2_prelie_com_matches_section_evaluation():
+    A = load_fixture("DN2")
+    assert _outcomes(check_prelie_com(A)) == _outcomes(_oracle_report(A, "prelie-com"))

@@ -27,6 +27,7 @@ from falgebroid.duality import (
 from falgebroid.errors import NotEventual, NotInvertible, NotNijenhuis, ShapeError
 from falgebroid.report import Report
 from falgebroid.ring import RatFunc
+from test_report import check_to_dict
 
 
 def euler(n):
@@ -186,7 +187,7 @@ def test_add_verdict_records_a_sub_report_as_one_check():
     report = Report("top")
     report.add_verdict("law", "failing", sub)
     report.add_verdict("law", "passing", Report("empty"))
-    assert [c.to_dict() for c in report.checks] == [
+    assert [check_to_dict(c) for c in report.checks] == [
         {"law": "law", "instance": "failing", "pass": False, "witness": "w1"},
         {"law": "law", "instance": "passing", "pass": True},
     ]

@@ -688,3 +688,65 @@ def test_monomial_gcd_reads_the_keys(monkeypatch):
         got = Poly.gcd_cofactors(a, b)
         assert [p.terms for p in got] == [p.terms for p in want]
         assert got == want
+
+
+def loop_div_exact(f, h, n):
+    """The division loop that takes ``max`` of the remainder for every quotient term: the oracle of ``_div_exact``."""
+    low = sum(1 << ring._W * j for j in range(1, n + 1))
+    lead = max(h)
+    lc = h[lead]
+    tail = [(k, c) for k, c in h.items() if k != lead]
+    rem = dict(f)
+    quot = {}
+    while rem:
+        e = max(rem)
+        q, r = divmod(rem.pop(e), lc)
+        qe = e - lead
+        if r or qe < 0 or (e ^ lead ^ qe) & low:
+            return None
+        quot[qe] = q
+        for hk, hc in tail:
+            t = qe + hk
+            c = rem.get(t, 0) - q * hc
+            if c:
+                rem[t] = c
+            else:
+                rem.pop(t, None)
+    return quot
+
+
+def seeded_division(rng):
+    """An integer dividend and divisor on packed keys, one in two of them not dividing."""
+    n = rng.randint(1, 4)
+    top = MAX_DEGREE // (2 * n) if rng.random() < 0.2 else 4
+
+    def poly(terms):
+        exps = [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(terms)]
+        return Poly.from_terms(n, {e: rng.choice([-1, 1]) * rng.randint(1, 9) for e in exps})
+
+    h = poly(1 if rng.random() < 0.7 else rng.randint(2, 3))
+    f = dict((poly(rng.randint(1, 12)) * h).coeffs)
+    kind = rng.choice(["exact", "coefficient", "term", "constant"])
+    if kind == "coefficient":
+        k = rng.choice(list(f))
+        f[k] = 2 * f[k] + 1
+    elif kind == "term":
+        f.update(poly(1).coeffs)
+    elif kind == "constant":
+        f[0] = f.get(0, 0) + 1 or 1
+    return f, h.coeffs, n
+
+
+def test_div_exact_matches_the_loop():
+    for seed in range(400):
+        f, h, n = seeded_division(random.Random(seed))
+        got, want = ring._div_exact(f, h, n), loop_div_exact(f, h, n)
+        assert got == want, seed
+        assert got is None or list(got.items()) == list(want.items()), seed
+
+
+def test_div_exact_by_a_monomial_on_4000_terms():
+    x1 = Poly.var(2, 0)
+    p = Poly.from_terms(2, {(i, j): i - j or 1 for i in range(80) for j in range(50)})
+    assert (p * x1).exact_div(x1) == p
+    assert ring._div_exact({**(p * x1).coeffs, 0: 1}, x1.coeffs, 2) is None
