@@ -58,9 +58,9 @@ class Section:
     def zero(rank: int, nvars: int) -> "Section":
         return Section._of((), rank, nvars)
 
-    @staticmethod
-    def basis(rank: int, nvars: int, i: int) -> "Section":
-        return Section._of(((i, RatFunc.one(nvars)),), rank, nvars)
+    @classmethod
+    def basis(cls, rank: int, nvars: int, i: int) -> "Section":
+        return cls._of(((i, RatFunc.one(nvars)),), rank, nvars)
 
     @property
     def components(self) -> tuple:

@@ -188,6 +188,8 @@ def cmd_deform(args) -> int:
 
 
 def cmd_hierarchy(args) -> int:
+    if args.flows and args.alpha_max is not None:
+        raise InputError("--alpha-max applies only to the principal hierarchy, not to --flows")
     if args.alpha_max is not None and args.alpha_max < 0:
         raise InputError(f"--alpha-max must be non-negative, got {args.alpha_max}")
     A = _load_presentation(args)

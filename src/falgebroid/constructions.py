@@ -1,17 +1,21 @@
 """Fixture presentations and derived constructions.
 
-Provides the worked examples used throughout the test suite plus the
-general constructors: action algebroids from finite algebras acting by
-vector fields, direct products, Poisson seed algebroids and the
-semi-simple family.
+Every shipped fixture is a finite algebra lifted along anchor vector fields:
+structure constants over a point (FM2, DN<n>), over the flat coordinate frame
+(SS<n>, TR2), along u·d/du (TR), along Hamiltonian fields (POISSON_SEED) or along
+an action (ACT2). ``_lift`` is the one place constants become ``RatFunc``
+tensors. ``load_fixture`` builds no fixture of rank above ``MAX_FIXTURE_RANK``.
+Besides the fixtures: action algebroids, direct products, Poisson seed
+algebroids and the semi-simple family.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 from .algebroid import AlgebroidPresentation, Section, VectorField, check_f_algebroid, check_pre_f, vf_bracket
 from .errors import (
@@ -24,18 +28,7 @@ from .errors import (
 from .linalg import solve
 from .ring import Poly, RatFunc
 
-
-def _zero_tensor(r: int, n: int):
-    z = RatFunc.zero(n)
-    return [[[z for _ in range(r)] for _ in range(r)] for _ in range(r)]
-
-
-def _const_tensor(constants, n: int):
-    """Lift a nested list of rational constants to a RatFunc tensor."""
-    return [
-        [[RatFunc.const(n, c) for c in row] for row in mat]
-        for mat in constants
-    ]
+MAX_FIXTURE_RANK = 100  # the largest fixture load_fixture builds; DN3 is rank 60
 
 
 @dataclass
@@ -43,33 +36,56 @@ class FiniteAlgebra:
     """Structure constants of an algebra over a point."""
 
     dim: int
-    product: list  # dim^3 nested Fractions, output index major
+    product: list  # dim^3 nested ints or Fractions, output index major
     bracket: list | None = None
     prelie: list | None = None
-    identity: list | None = None  # dim Fractions
+    identity: list | None = None  # dim ints or Fractions
 
     def to_presentation(self) -> AlgebroidPresentation:
-        n = 0
-        ident = None
-        if self.identity is not None:
-            ident = Section(RatFunc.const(n, c) for c in self.identity)
-        return AlgebroidPresentation(
-            base_vars=[],
-            rank=self.dim,
-            product=_const_tensor(self.product, n),
-            bracket=_const_tensor(self.bracket, n) if self.bracket is not None else None,
-            prelie=_const_tensor(self.prelie, n) if self.prelie is not None else None,
-            anchor=[[] for _ in range(self.dim)],
-            identity=ident,
-        )
+        return _lift(self, [], None)
 
-    def commutator(self, i: int, j: int) -> list[Fraction]:
+    def commutator(self, i: int, j: int) -> list:
         """Components of [e_i, e_j] from whichever structure is present."""
         if self.bracket is not None:
             return [self.bracket[k][i][j] for k in range(self.dim)]
         if self.prelie is not None:
             return [self.prelie[k][i][j] - self.prelie[k][j][i] for k in range(self.dim)]
         raise ShapeError("algebra has neither bracket nor prelie")
+
+
+def _lift(alg: FiniteAlgebra, base_vars: list[str], rho: list[VectorField] | None) -> AlgebroidPresentation:
+    """The presentation of ``alg``'s constants over ``base_vars`` with E_i anchored by ``rho[i]``, or by 0 without rho.
+
+    Each distinct constant becomes one shared ``RatFunc``; every zero entry is the one ``RatFunc.zero(n)``.
+    """
+    n = len(base_vars)
+    zero, lifted = RatFunc.zero(n), {}
+
+    def const(c):
+        if c not in lifted:
+            lifted[c] = RatFunc.const(n, c)
+        return lifted[c]
+
+    def lift(row):
+        return [const(c) if c else zero for c in row] if any(row) else [zero] * len(row)
+
+    def tensor(t):
+        return None if t is None else [[lift(row) for row in m] for m in t]
+
+    anchor = [[zero] * n for _ in range(alg.dim)]
+    for row, v in zip(anchor, rho or ()):
+        for m, c in v.entries:
+            row[m] = c
+    identity = None if alg.identity is None else Section(lift(alg.identity))
+    return AlgebroidPresentation(
+        base_vars=list(base_vars),
+        rank=alg.dim,
+        product=tensor(alg.product),
+        bracket=tensor(alg.bracket),
+        prelie=tensor(alg.prelie),
+        anchor=anchor,
+        identity=identity,
+    )
 
 
 @dataclass
@@ -102,21 +118,14 @@ class ActionSpec:
                     )
 
 
-def _lift_algebra(spec: ActionSpec, use_prelie: bool) -> AlgebroidPresentation:
-    alg = spec.algebra
-    n = len(spec.base_vars)
-    ident = None
-    if alg.identity is not None:
-        ident = Section(RatFunc.const(n, c) for c in alg.identity)
-    return AlgebroidPresentation(
-        base_vars=list(spec.base_vars),
-        rank=alg.dim,
-        product=_const_tensor(alg.product, n),
-        bracket=None if use_prelie else _const_tensor(alg.bracket, n),
-        prelie=_const_tensor(alg.prelie, n) if use_prelie else None,
-        anchor=[list(v.components) for v in spec.rho],
-        identity=ident,
-    )
+def _action(spec: ActionSpec, check, keep: str, drop: str) -> AlgebroidPresentation:
+    """Lift ``spec`` keeping the ``keep`` constants, once ``check`` passes on the algebra over a point."""
+    if getattr(spec.algebra, keep) is None:
+        raise ShapeError(f"action requires {keep} constants")
+    base_report = check(spec.algebra.to_presentation())
+    if not base_report.overall:
+        raise NotFManifoldAlgebra(base_report.failures()[0].instance)
+    return _lift(replace(spec.algebra, **{drop: None}), spec.base_vars, spec.rho)
 
 
 def action_f_algebroid(spec: ActionSpec) -> AlgebroidPresentation:
@@ -125,22 +134,12 @@ def action_f_algebroid(spec: ActionSpec) -> AlgebroidPresentation:
     The Lie-derivative terms of the bracket live in the anchored Leibniz
     evaluation, so the stored bracket tensor is just the algebra's.
     """
-    if spec.algebra.bracket is None:
-        raise ShapeError("action requires bracket constants")
-    base_report = check_f_algebroid(spec.algebra.to_presentation())
-    if not base_report.overall:
-        raise NotFManifoldAlgebra(base_report.failures()[0].instance)
-    return _lift_algebra(spec, use_prelie=False)
+    return _action(spec, check_f_algebroid, "bracket", "prelie")
 
 
 def action_pre_f(spec: ActionSpec) -> AlgebroidPresentation:
     """Pre-F version of the action construction."""
-    if spec.algebra.prelie is None:
-        raise ShapeError("action requires prelie constants")
-    base_report = check_pre_f(spec.algebra.to_presentation())
-    if not base_report.overall:
-        raise NotFManifoldAlgebra(base_report.failures()[0].instance)
-    return _lift_algebra(spec, use_prelie=True)
+    return _action(spec, check_pre_f, "prelie", "bracket")
 
 
 def direct_product(A1: AlgebroidPresentation, A2: AlgebroidPresentation) -> AlgebroidPresentation:
@@ -166,7 +165,7 @@ def direct_product(A1: AlgebroidPresentation, A2: AlgebroidPresentation) -> Alge
     def block_tensor(t1, t2):
         if t1 is None or t2 is None:
             return None
-        out = _zero_tensor(r, n)
+        out = [[[zero] * r for _ in range(r)] for _ in range(r)]
         for k in range(r1):
             for i in range(r1):
                 for j in range(r1):
@@ -239,18 +238,15 @@ def poisson_seed(functions: list[RatFunc], base_vars: list[str] | None = None) -
     n = len(base_vars)
     if n % 2 != 0 or n == 0:
         raise ShapeError("canonical bracket needs an even number of base variables")
-    m = n // 2
     r = len(functions)
     for f in functions:
         if f.nvars != n:
             raise ShapeError("seed function variable count mismatch")
-
-    def pbracket(f: RatFunc, g: RatFunc) -> RatFunc:
-        out = RatFunc.zero(n)
-        for a in range(m):
-            q, p = 2 * a, 2 * a + 1
-            out = out + f.derivative(q) * g.derivative(p) - f.derivative(p) * g.derivative(q)
-        return out
+    # the Hamiltonian field of f, df/dp d/dq - df/dq d/dp on each pair (q, p); {f, g} = rho_g(f)
+    rho = [
+        VectorField(f.derivative(v + 1) if v % 2 == 0 else -f.derivative(v - 1) for v in range(n))
+        for f in functions
+    ]
 
     # common denominator makes the span computation a polynomial problem
     den = Poly.const(n, 1)
@@ -261,7 +257,7 @@ def poisson_seed(functions: list[RatFunc], base_vars: list[str] | None = None) -
     if any(not g.is_polynomial() for g in cleared):
         raise ShapeError("failed to clear seed denominators")
 
-    def expand(h: RatFunc, what: str) -> list[RatFunc]:
+    def expand(h: RatFunc, what: str) -> list[Fraction]:
         hd = h * den_rf
         if not hd.is_polynomial():
             raise NotClosed(f"{what} = {h.format(base_vars)}")
@@ -271,50 +267,27 @@ def poisson_seed(functions: list[RatFunc], base_vars: list[str] | None = None) -
         sol = solve(rows, target, Fraction(0), Fraction(1))
         if sol is None:
             raise NotClosed(f"{what} = {h.format(base_vars)}")
-        return [RatFunc.const(n, c) for c in sol]
+        return sol
 
-    zero = RatFunc.zero(n)
-    product = _zero_tensor(r, n)
-    bracket = _zero_tensor(r, n)
+    product = [[[0] * r for _ in range(r)] for _ in range(r)]
+    bracket = [[[0] * r for _ in range(r)] for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
             coeffs = expand(functions[i] * functions[j], f"E{i + 1}*E{j + 1}")
             for k in range(r):
                 product[k][i][j] = coeffs[k]
                 product[k][j][i] = coeffs[k]
-        for j in range(r):
-            if j <= i:
-                continue
-            coeffs = expand(pbracket(functions[i], functions[j]), f"{{E{i + 1},E{j + 1}}}")
+        for j in range(i + 1, r):
+            coeffs = expand(rho[j].apply(functions[i]), f"{{E{i + 1},E{j + 1}}}")
             for k in range(r):
                 bracket[k][i][j] = coeffs[k]
                 bracket[k][j][i] = -coeffs[k]
 
-    anchor = []
-    for f in functions:
-        comps = [zero] * n
-        for a in range(m):
-            q, p = 2 * a, 2 * a + 1
-            comps[q] = f.derivative(p)
-            comps[p] = -f.derivative(q)
-        anchor.append(comps)
-
-    identity = None
-    one = RatFunc.const(n, 1)
     try:
-        coeffs = expand(one, "1")
-        identity = Section(coeffs)
+        identity = expand(RatFunc.const(n, 1), "1")
     except NotClosed:
-        pass
-
-    return AlgebroidPresentation(
-        base_vars=list(base_vars),
-        rank=r,
-        product=product,
-        bracket=bracket,
-        anchor=anchor,
-        identity=identity,
-    )
+        identity = None
+    return _lift(FiniteAlgebra(r, product, bracket, identity=identity), base_vars, rho)
 
 
 # -- named fixtures -------------------------------------------------------
@@ -322,73 +295,34 @@ def poisson_seed(functions: list[RatFunc], base_vars: list[str] | None = None) -
 
 def fm2_algebra() -> FiniteAlgebra:
     """Two-dimensional algebra with e1 a unit, e2 nilpotent, [e1,e2] = e2."""
-    F = Fraction
-    product = [
-        [[F(1), F(0)], [F(0), F(0)]],  # E1 components
-        [[F(0), F(1)], [F(1), F(0)]],  # E2 components
-    ]
-    bracket = [
-        [[F(0), F(0)], [F(0), F(0)]],
-        [[F(0), F(1)], [F(-1), F(0)]],
-    ]
-    return FiniteAlgebra(dim=2, product=product, bracket=bracket, identity=[F(1), F(0)])
+    product = [[[1, 0], [0, 0]], [[0, 1], [1, 0]]]  # E1 components, then E2 components
+    bracket = [[[0, 0], [0, 0]], [[0, 1], [-1, 0]]]
+    return FiniteAlgebra(dim=2, product=product, bracket=bracket, identity=[1, 0])
 
 
 def semisimple(n: int) -> AlgebroidPresentation:
     """Tangent presentation with diagonal idempotent product and flat frame."""
     if n < 1:
         raise ShapeError("semisimple needs n >= 1")
-    zero = RatFunc.zero(n)
-    one = RatFunc.const(n, 1)
-    product = [
-        [[one if i == j == k else zero for j in range(n)] for i in range(n)]
-        for k in range(n)
-    ]
-    return AlgebroidPresentation(
-        base_vars=[f"u{i + 1}" for i in range(n)],
-        rank=n,
-        product=product,
-        bracket=_zero_tensor(n, n),
-        prelie=_zero_tensor(n, n),
-        anchor=[[one if i == j else zero for j in range(n)] for i in range(n)],
-        identity=Section(one for _ in range(n)),
-    )
+    zeros = [[[0] * n for _ in range(n)] for _ in range(n)]
+    product = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        product[i][i][i] = 1
+    alg = FiniteAlgebra(n, product, zeros, zeros, [1] * n)
+    return _lift(alg, [f"u{i + 1}" for i in range(n)], [VectorField.basis(n, n, i) for i in range(n)])
 
 
 def tangent_line() -> AlgebroidPresentation:
     """Rank-1 presentation over one variable with anchor f -> u·f·d/du."""
-    n = 1
-    u = RatFunc.var(n, 0)
-    one = RatFunc.const(n, 1)
-    return AlgebroidPresentation(
-        base_vars=["u1"],
-        rank=1,
-        product=[[[one]]],
-        bracket=_zero_tensor(1, n),
-        prelie=_zero_tensor(1, n),
-        anchor=[[u]],
-        identity=Section([one]),
-    )
+    alg = FiniteAlgebra(1, [[[1]]], [[[0]]], [[[0]]], [1])
+    return _lift(alg, ["u1"], [VectorField([RatFunc.var(1, 0)])])
 
 
 def tangent_plane() -> AlgebroidPresentation:
-    """Rank-2 tangent presentation with a unit frame field and zero pre-Lie tensor."""
-    n = 2
-    zero = RatFunc.zero(n)
-    one = RatFunc.const(n, 1)
-    product = [
-        [[one, zero], [zero, zero]],
-        [[zero, one], [one, zero]],
-    ]
-    return AlgebroidPresentation(
-        base_vars=["u1", "u2"],
-        rank=2,
-        product=product,
-        bracket=_zero_tensor(2, n),
-        prelie=_zero_tensor(2, n),
-        anchor=[[one, zero], [zero, one]],
-        identity=Section([one, zero]),
-    )
+    """Rank-2 tangent presentation: FM2's product in the flat frame, zero bracket and pre-Lie tensor."""
+    zeros = [[[0, 0], [0, 0]]] * 2
+    alg = FiniteAlgebra(2, [[[1, 0], [0, 0]], [[0, 1], [1, 0]]], zeros, zeros, [1, 0])
+    return _lift(alg, ["u1", "u2"], [VectorField.basis(2, 2, i) for i in range(2)])
 
 
 def derivation_algebroid(n: int, degree_cap: int = 3) -> AlgebroidPresentation:
@@ -413,30 +347,18 @@ def derivation_algebroid(n: int, degree_cap: int = 3) -> AlgebroidPresentation:
     basis = [(alpha, i) for alpha in monos for i in range(n)]
     pos = {b: i for i, b in enumerate(basis)}
     r = len(basis)
-    zero = RatFunc.zero(0)
-    one = RatFunc.const(0, 1)
-    product = _zero_tensor(r, 0)
-    prelie = _zero_tensor(r, 0)
+    product = [[[0] * r for _ in range(r)] for _ in range(r)]
+    prelie = [[[0] * r for _ in range(r)] for _ in range(r)]
     for a, (alpha, i) in enumerate(basis):
         for b, (beta, j) in enumerate(basis):
             gamma = tuple(x + y for x, y in zip(alpha, beta))
             if gamma not in mono_pos:
                 continue
             if i == j:
-                product[pos[(gamma, i)]][a][b] = one
-            if beta[i] != 0:
-                prelie[pos[(gamma, j)]][a][b] = RatFunc.const(0, beta[i])
-    identity = Section(
-        one if basis[k][0] == (0,) * n else zero for k in range(r)
-    )
-    return AlgebroidPresentation(
-        base_vars=[],
-        rank=r,
-        product=product,
-        prelie=prelie,
-        anchor=[[] for _ in range(r)],
-        identity=identity,
-    )
+                product[pos[(gamma, i)]][a][b] = 1
+            prelie[pos[(gamma, j)]][a][b] = beta[i]
+    identity = [int(not any(alpha)) for alpha, _ in basis]
+    return _lift(FiniteAlgebra(r, product, prelie=prelie, identity=identity), [], None)
 
 
 def act2() -> AlgebroidPresentation:
@@ -466,8 +388,13 @@ def fixture_names() -> dict:
     return dict(_FIXTURE_HELP)
 
 
+def _capped(digits: str) -> int:
+    """min(int(digits), MAX_FIXTURE_RANK + 1), converting only the leading digits; no rank is below its numbers."""
+    return min(int(digits.lstrip("0")[:len(str(MAX_FIXTURE_RANK)) + 1] or 0), MAX_FIXTURE_RANK + 1)
+
+
 def load_fixture(name: str) -> AlgebroidPresentation:
-    """Return a named fixture presentation."""
+    """Return a named fixture presentation; UnknownFixture for an unknown name or a rank above MAX_FIXTURE_RANK."""
     if name == "FM2":
         return fm2_algebra().to_presentation()
     if name == "ACT2":
@@ -478,11 +405,16 @@ def load_fixture(name: str) -> AlgebroidPresentation:
         return tangent_plane()
     if name == "POISSON_SEED":
         return poisson_seed([RatFunc.const(2, 1)], ["q", "p"])
-    match = re.fullmatch(r"SS(\d+)", name)
-    if match and int(match.group(1)) >= 1:
-        return semisimple(int(match.group(1)))
-    match = re.fullmatch(r"DN(\d+)(?:_(\d+))?", name)
-    if match and int(match.group(1)) >= 1:
-        cap = int(match.group(2)) if match.group(2) else 3
-        return derivation_algebroid(int(match.group(1)), cap)
-    raise UnknownFixture(f"unknown fixture {name!r}; known: {', '.join(_FIXTURE_HELP)}")
+    ss = re.fullmatch(r"SS(\d+)", name)
+    dn = re.fullmatch(r"DN(\d+)(?:_(\d+))?", name)
+    rank = 0
+    if ss:
+        n = rank = _capped(ss[1])
+    elif dn:
+        n, cap = _capped(dn[1]), _capped(dn[2] or "3")
+        rank = n * comb(n + cap, n)
+    if rank < 1:
+        raise UnknownFixture(f"unknown fixture {name!r}; known: {', '.join(_FIXTURE_HELP)}")
+    if rank > MAX_FIXTURE_RANK:
+        raise UnknownFixture(f"fixture {name!r} has rank above the limit {MAX_FIXTURE_RANK}")
+    return semisimple(n) if ss else derivation_algebroid(n, cap)

@@ -341,6 +341,21 @@ def test_hierarchy_negative_alpha_max_exits_2(capsys):
     assert "--alpha-max must be non-negative" in err
 
 
+def test_hierarchy_alpha_max_with_flows_exits_2(capsys):
+    code, out, err = run(["hierarchy", "--fixture", "SS2", "--flows", "u1,0;u1,u2", "--alpha-max", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --alpha-max applies only to the principal hierarchy, not to --flows\n"
+
+
+@pytest.mark.parametrize(
+    "name", ["SS" + "1" * 5000, "DN1_" + "1" * 5000, "SS101"], ids=["SS1x5000", "DN1_1x5000", "SS101"]
+)
+def test_fixture_past_rank_limit_exits_2(name, capsys):
+    code, out, err = run(["check", "--fixture", name], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: fixture {name!r} has rank above the limit 100\n"
+
+
 def test_hierarchy_commands(tmp_path, capsys):
     code, _, _ = run(["hierarchy", "--fixture", "SS2", "--alpha-max", "2"], capsys)
     assert code == 0

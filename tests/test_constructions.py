@@ -1,10 +1,13 @@
 """Construction tests: actions, direct products, Poisson seeds, fixtures."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from falgebroid.algebroid import (
+    AlgebroidPresentation,
+    Section,
     VectorField,
     check_f_algebroid,
     check_pre_f,
@@ -13,6 +16,7 @@ from falgebroid.algebroid import (
     tensors_equal,
 )
 from falgebroid.constructions import (
+    MAX_FIXTURE_RANK,
     ActionSpec,
     FiniteAlgebra,
     action_f_algebroid,
@@ -25,12 +29,14 @@ from falgebroid.constructions import (
     poisson_seed,
     semisimple,
 )
+from falgebroid.constructions import _monomial_coords, _poly_lcm
 from falgebroid.errors import (
     NotAHomomorphism,
     NotClosed,
     NotFManifoldAlgebra,
     UnknownFixture,
 )
+from falgebroid.linalg import solve
 from falgebroid.ring import Poly, RatFunc
 
 
@@ -175,3 +181,243 @@ def test_fixture_registry():
     with pytest.raises(UnknownFixture):
         load_fixture("SS0")
     assert load_fixture("DN2").rank == 20
+
+
+# -- oracle: the hand-built fixture bodies each construction replaced ------
+
+
+def _ref_zero_tensor(r, n):
+    z = RatFunc.zero(n)
+    return [[[z for _ in range(r)] for _ in range(r)] for _ in range(r)]
+
+
+def _ref_const_tensor(constants, n):
+    return [[[RatFunc.const(n, c) for c in row] for row in mat] for mat in constants]
+
+
+def _ref_action(spec, use_prelie):
+    alg, n = spec.algebra, len(spec.base_vars)
+    ident = None if alg.identity is None else Section(RatFunc.const(n, c) for c in alg.identity)
+    return AlgebroidPresentation(
+        base_vars=list(spec.base_vars),
+        rank=alg.dim,
+        product=_ref_const_tensor(alg.product, n),
+        bracket=None if use_prelie else _ref_const_tensor(alg.bracket, n),
+        prelie=_ref_const_tensor(alg.prelie, n) if use_prelie else None,
+        anchor=[list(v.components) for v in spec.rho],
+        identity=ident,
+    )
+
+
+def _ref_fm2():
+    alg = fm2_algebra()
+    return AlgebroidPresentation(
+        base_vars=[],
+        rank=2,
+        product=_ref_const_tensor(alg.product, 0),
+        bracket=_ref_const_tensor(alg.bracket, 0),
+        anchor=[[], []],
+        identity=Section(RatFunc.const(0, c) for c in alg.identity),
+    )
+
+
+def _ref_act2():
+    zero, u2 = RatFunc.zero(2), RatFunc.var(2, 1)
+    rho = [VectorField([zero, u2]), VectorField([u2, u2 * u2])]
+    return _ref_action(ActionSpec(fm2_algebra(), ["u1", "u2"], rho), use_prelie=False)
+
+
+def _ref_semisimple(n):
+    zero = RatFunc.zero(n)
+    one = RatFunc.const(n, 1)
+    product = [[[one if i == j == k else zero for j in range(n)] for i in range(n)] for k in range(n)]
+    return AlgebroidPresentation(
+        base_vars=[f"u{i + 1}" for i in range(n)],
+        rank=n,
+        product=product,
+        bracket=_ref_zero_tensor(n, n),
+        prelie=_ref_zero_tensor(n, n),
+        anchor=[[one if i == j else zero for j in range(n)] for i in range(n)],
+        identity=Section(one for _ in range(n)),
+    )
+
+
+def _ref_tangent_line():
+    u, one = RatFunc.var(1, 0), RatFunc.const(1, 1)
+    return AlgebroidPresentation(
+        base_vars=["u1"],
+        rank=1,
+        product=[[[one]]],
+        bracket=_ref_zero_tensor(1, 1),
+        prelie=_ref_zero_tensor(1, 1),
+        anchor=[[u]],
+        identity=Section([one]),
+    )
+
+
+def _ref_tangent_plane():
+    zero, one = RatFunc.zero(2), RatFunc.const(2, 1)
+    return AlgebroidPresentation(
+        base_vars=["u1", "u2"],
+        rank=2,
+        product=[[[one, zero], [zero, zero]], [[zero, one], [one, zero]]],
+        bracket=_ref_zero_tensor(2, 2),
+        prelie=_ref_zero_tensor(2, 2),
+        anchor=[[one, zero], [zero, one]],
+        identity=Section([one, zero]),
+    )
+
+
+def _ref_derivation_algebroid(n, degree_cap):
+    monos = []
+    for total in range(degree_cap + 1):
+        for combo in combinations_with_replacement(range(n), total):
+            alpha = [0] * n
+            for c in combo:
+                alpha[c] += 1
+            monos.append(tuple(alpha))
+    mono_pos = {m: i for i, m in enumerate(monos)}
+    basis = [(alpha, i) for alpha in monos for i in range(n)]
+    pos = {b: i for i, b in enumerate(basis)}
+    r = len(basis)
+    zero, one = RatFunc.zero(0), RatFunc.const(0, 1)
+    product = _ref_zero_tensor(r, 0)
+    prelie = _ref_zero_tensor(r, 0)
+    for a, (alpha, i) in enumerate(basis):
+        for b, (beta, j) in enumerate(basis):
+            gamma = tuple(x + y for x, y in zip(alpha, beta))
+            if gamma not in mono_pos:
+                continue
+            if i == j:
+                product[pos[(gamma, i)]][a][b] = one
+            if beta[i] != 0:
+                prelie[pos[(gamma, j)]][a][b] = RatFunc.const(0, beta[i])
+    identity = Section(one if basis[k][0] == (0,) * n else zero for k in range(r))
+    return AlgebroidPresentation(
+        base_vars=[], rank=r, product=product, prelie=prelie, anchor=[[] for _ in range(r)], identity=identity
+    )
+
+
+def _ref_poisson_seed(functions, base_vars):
+    n, r = len(base_vars), len(functions)
+    m = n // 2
+
+    def pbracket(f, g):
+        out = RatFunc.zero(n)
+        for a in range(m):
+            q, p = 2 * a, 2 * a + 1
+            out = out + f.derivative(q) * g.derivative(p) - f.derivative(p) * g.derivative(q)
+        return out
+
+    den = Poly.const(n, 1)
+    for f in functions:
+        den = _poly_lcm(den, f.den)
+    den_rf = RatFunc(den)
+    cleared = [f * den_rf for f in functions]
+
+    def expand(h, what):
+        hd = h * den_rf
+        if not hd.is_polynomial():
+            raise NotClosed(f"{what} = {h.format(base_vars)}")
+        vecs = _monomial_coords([g.num for g in cleared] + [hd.num])
+        cols, target = vecs[:-1], vecs[-1]
+        rows = [[cols[j][i] for j in range(r)] for i in range(len(target))]
+        sol = solve(rows, target, Fraction(0), Fraction(1))
+        if sol is None:
+            raise NotClosed(f"{what} = {h.format(base_vars)}")
+        return [RatFunc.const(n, c) for c in sol]
+
+    zero = RatFunc.zero(n)
+    product = _ref_zero_tensor(r, n)
+    bracket = _ref_zero_tensor(r, n)
+    for i in range(r):
+        for j in range(i, r):
+            coeffs = expand(functions[i] * functions[j], f"E{i + 1}*E{j + 1}")
+            for k in range(r):
+                product[k][i][j] = coeffs[k]
+                product[k][j][i] = coeffs[k]
+        for j in range(i + 1, r):
+            coeffs = expand(pbracket(functions[i], functions[j]), f"{{E{i + 1},E{j + 1}}}")
+            for k in range(r):
+                bracket[k][i][j] = coeffs[k]
+                bracket[k][j][i] = -coeffs[k]
+    anchor = []
+    for f in functions:
+        comps = [zero] * n
+        for a in range(m):
+            q, p = 2 * a, 2 * a + 1
+            comps[q] = f.derivative(p)
+            comps[p] = -f.derivative(q)
+        anchor.append(comps)
+    try:
+        identity = Section(expand(RatFunc.const(n, 1), "1"))
+    except NotClosed:
+        identity = None
+    return AlgebroidPresentation(
+        base_vars=list(base_vars), rank=r, product=product, bracket=bracket, anchor=anchor, identity=identity
+    )
+
+
+_REFERENCE_FIXTURES = {
+    "FM2": _ref_fm2,
+    "ACT2": _ref_act2,
+    **{f"SS{n}": (lambda n=n: _ref_semisimple(n)) for n in (1, 2, 3, 4)},
+    "TR": _ref_tangent_line,
+    "TR2": _ref_tangent_plane,
+    "POISSON_SEED": lambda: _ref_poisson_seed([RatFunc.const(2, 1)], ["q", "p"]),
+    "DN1": lambda: _ref_derivation_algebroid(1, 3),
+    "DN1_2": lambda: _ref_derivation_algebroid(1, 2),
+    "DN2_2": lambda: _ref_derivation_algebroid(2, 2),
+    "DN2": lambda: _ref_derivation_algebroid(2, 3),
+}
+
+
+def assert_same_presentation(A, B):
+    """Equal field by field: every tensor entry, anchor entry and identity component."""
+    for name in ("base_vars", "rank", "product", "bracket", "prelie", "anchor", "identity"):
+        assert getattr(A, name) == getattr(B, name), name
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_FIXTURES))
+def test_fixture_matches_hand_built_reference(name):
+    assert_same_presentation(load_fixture(name), _REFERENCE_FIXTURES[name]())
+
+
+def test_multi_function_poisson_seed_matches_reference():
+    names = ["q1", "p1", "q2", "p2"]
+    seed = [RatFunc.const(4, 2), RatFunc.const(4, Fraction(-1, 3)), RatFunc.zero(4)]
+    assert_same_presentation(poisson_seed(seed, names), _ref_poisson_seed(seed, names))
+    q, p = RatFunc.var(2, 0), RatFunc.var(2, 1)
+    for seed in ([RatFunc.const(2, 1), q, p, q * p], [q * q], [RatFunc.const(2, 1), q / p]):
+        with pytest.raises(NotClosed) as got:
+            poisson_seed(seed)
+        with pytest.raises(NotClosed) as want:
+            _ref_poisson_seed(seed, ["q", "p"])
+        assert str(got.value) == str(want.value)
+
+
+def test_action_constructors_match_reference():
+    alg = fm2_algebra()
+    prelie = [[[0, 0], [0, 0]], [[0, 1], [0, 0]]]  # e1*e2 = e2, whose commutator is the FM2 bracket
+    palg = FiniteAlgebra(dim=2, product=alg.product, bracket=alg.bracket, prelie=prelie, identity=alg.identity)
+    u = RatFunc.var(1, 0)
+    spec = ActionSpec(palg, ["u"], [VectorField([u]), VectorField.zero(1)])
+    assert_same_presentation(action_f_algebroid(spec), _ref_action(spec, use_prelie=False))
+    assert_same_presentation(action_pre_f(spec), _ref_action(spec, use_prelie=True))
+
+
+@pytest.mark.parametrize("name", ["DN1_100", "DN2_9", "DN" + "1" * 5000], ids=["DN1_100", "DN2_9", "DN1x5000"])
+def test_fixture_past_rank_limit_is_rejected_before_building(name):
+    # DN1_100 has rank 101 and DN2_9 rank 110; tests/test_cli.py has SS101 and the 5000-digit names
+    with pytest.raises(UnknownFixture, match=f"rank above the limit {MAX_FIXTURE_RANK}"):
+        load_fixture(name)
+
+
+def test_fixture_names_within_the_rank_limit_and_unknown_names():
+    assert MAX_FIXTURE_RANK == 100
+    assert load_fixture("DN3").rank == 60
+    assert load_fixture("SS0002").rank == 2
+    assert load_fixture("DN1_0").rank == 1
+    for name in ("DN0", "DN0_" + "1" * 5000, "SS2_3"):
+        with pytest.raises(UnknownFixture, match="unknown fixture"):
+            load_fixture(name)
