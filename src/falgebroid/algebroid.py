@@ -7,10 +7,18 @@ sections expands the Leibniz rules through the anchor, so differential
 identities can be verified exactly on symbolic arguments. A vector field is
 a section of the tangent frame d/du^1..d/du^n: ``VectorField`` is the
 ``Section`` of rank n, and the anchor sends sections to it.
+
+Within one law sweep, ``multiply``, ``bracket_of``, ``prelie_of``, ``p_tensor``,
+``psi`` and ``prelie_associator`` are memoized on the presentation, keyed by the
+method and the ``id`` of each argument section. An entry keeps its arguments
+alive, so no id is reused while it exists, and a hit returns the same immutable
+``Section``, so chained calls hit too. The outermost sweep opens the memo and
+drops it on leaving; outside a sweep every method computes afresh.
 """
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import chain, combinations, combinations_with_replacement
 from itertools import product as iproduct
 
@@ -136,10 +144,23 @@ def vf_bracket(v: VectorField, w: VectorField) -> VectorField:
 def _compile(tensor: Tensor, rank: int) -> Table:
     """The table of a tensor's nonzero structure constants."""
     r = range(rank)
-    return [
-        [tuple((k, m[i][j]) for k, m in enumerate(tensor) if not m[i][j].is_zero()) for j in r]
-        for i in r
-    ]
+    return [[tuple((k, m[i][j]) for k, m in enumerate(tensor) if m[i][j].num.coeffs) for j in r] for i in r]
+
+
+def _memo(method):
+    """``method`` reusing, inside a sweep, its result on the same argument objects."""
+
+    @wraps(method)
+    def memoized(self, *args):
+        if self._memo is None:
+            return method(self, *args)
+        key = (method, *map(id, args))
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = (method(self, *args), args)  # args pin their ids
+        return hit[0]
+
+    return memoized
 
 
 class AlgebroidPresentation:
@@ -166,6 +187,7 @@ class AlgebroidPresentation:
         present = [(name, getattr(self, name)) for name in _TENSORS]
         self._tables = {name: _compile(t, rank) for name, t in present if t is not None}
         self._points = {}
+        self._memo = None  # the sweep memo, a dict only while a sweep runs
         fields = enumerate(map(VectorField, anchor or ()))
         self._anchors = {i: vf for i, vf in fields if vf.entries}  # the nonzero a(E_i)
 
@@ -222,6 +244,7 @@ class AlgebroidPresentation:
                     out[k] = t if cur is None else cur + t
         return out
 
+    @_memo
     def multiply(self, X: Section, Y: Section) -> Section:
         if X.rank != self.rank or Y.rank != self.rank:
             raise ShapeError("section rank mismatch")
@@ -256,12 +279,14 @@ class AlgebroidPresentation:
             self._points[name] = [[{k: c.constant_value() for k, c in cell} for cell in r] for r in self._require(name)]
         return self._points[name]
 
+    @_memo
     def bracket_of(self, X: Section, Y: Section) -> Section:
         out = self._contract(self._require("bracket"), X, Y)
         self._derivation_terms(out, X, Y)
         self._derivation_terms(out, Y, X, -1)
         return Section._from_dict(out, self.rank, self.n)
 
+    @_memo
     def prelie_of(self, X: Section, Y: Section) -> Section:
         out = self._contract(self._require("prelie"), X, Y)
         self._derivation_terms(out, X, Y)
@@ -281,6 +306,7 @@ class AlgebroidPresentation:
 
     # -- derived tensors ------------------------------------------------
 
+    @_memo
     def p_tensor(self, X: Section, Y: Section, Z: Section) -> Section:
         """P_X(Y,Z) = [X, Y·Z] - [X,Y]·Z - Y·[X,Z]."""
         return (
@@ -297,6 +323,7 @@ class AlgebroidPresentation:
             - self.multiply(Y, self.p_tensor(X, Z, W))
         )
 
+    @_memo
     def psi(self, X: Section, Y: Section, Z: Section) -> Section:
         """Psi(X,Y,Z) = X*(Y·Z) - (X*Y)·Z - Y·(X*Z), a (3,1) tensor."""
         return (
@@ -305,6 +332,7 @@ class AlgebroidPresentation:
             - self.multiply(Y, self.prelie_of(X, Z))
         )
 
+    @_memo
     def prelie_associator(self, X: Section, Y: Section, Z: Section) -> Section:
         return self.prelie_of(self.prelie_of(X, Y), Z) - self.prelie_of(X, self.prelie_of(Y, Z))
 
@@ -384,14 +412,19 @@ def _sweep(A: AlgebroidPresentation, report: Report, table, prefix: str = "") ->
 
     Each row is (argument tuples, (law, residual), ...). Every tuple of
     labelled arguments is one instance, named ``prefix(name,...)``, and
-    the row's laws are checked on it in turn.
+    the row's laws are checked on it in turn, under the sweep memo.
     """
-    for cases, *laws in table:
-        for case in cases:
-            names, args = zip(*case)
-            instance = f"{prefix}({','.join(names)})"
-            for law, residual in laws:
-                _record(A, report, law, instance, residual(*args))
+    memo = A._memo
+    A._memo = {} if memo is None else memo
+    try:
+        for cases, *laws in table:
+            for case in cases:
+                names, args = zip(*case)
+                instance = f"{prefix}({','.join(names)})"
+                for law, residual in laws:
+                    _record(A, report, law, instance, residual(*args))
+    finally:
+        A._memo = memo
     return report
 
 

@@ -225,11 +225,11 @@ def _monomial_coords(polys: list[Poly]):
 def poisson_seed(functions: list[RatFunc], base_vars: list[str] | None = None) -> AlgebroidPresentation:
     """Finite-rank algebroid from functions closed under product and Poisson bracket.
 
-    The base carries the canonical bracket pairing consecutive variables
-    (q1, p1, q2, p2, ...). Every pairwise pointwise product and Poisson
-    bracket must lie in the rational-constant span of the seed; otherwise
-    NotClosed reports the escaping function. The anchor sends each basis
-    element to the Hamiltonian vector field of its function.
+    The base carries the canonical bracket pairing consecutive variables (q1, p1, q2, p2,
+    ...), and the anchor sends E_i to the Hamiltonian vector field of its function. Every
+    pairwise product and Poisson bracket must lie in the rational-constant span of the seed,
+    else NotClosed names the escaping function. A finite span closed under products holds
+    constants only, so every accepted seed has a zero bracket and a zero anchor.
     """
     if not functions:
         raise ShapeError("empty seed")

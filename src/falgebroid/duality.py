@@ -95,11 +95,10 @@ def is_pseudo_eventual_identity(A: AlgebroidPresentation, E: Section) -> Report:
     """
     e = _require_identity(A)
     factor = A.bracket_of(e, E)
-    left = cache(partial(A.multiply, factor))  # [e,ℰ]·X, shared by every Y
     frame = _frame_args(A)
 
     def residual(X: Section, Y: Section) -> Section:
-        return A.p_tensor(E, X, Y) - A.multiply(left(X), Y)
+        return A.p_tensor(E, X, Y) - A.multiply(A.multiply(factor, X), Y)
 
     return _sweep(A, Report("pseudo-eventual identity"), [
         (iproduct(frame, frame), ("pseudo-eventual-identity", residual)),
@@ -115,15 +114,13 @@ def is_pre_f_eventual_identity(A: AlgebroidPresentation, E: Section) -> Report:
     """
     e = _require_identity(A)
     factor = A.prelie_of(E, e)
-    left = cache(partial(A.multiply, factor))  # (ℰ*e)·X, shared by every Y
-    first = cache(lambda X: A.prelie_of(X, E))  # X*ℰ in the first slot, shared by every Y
     frame = _frame_args(A)
 
     def relation(X: Section, Y: Section) -> Section:
-        return A.psi(E, X, Y) + A.multiply(left(X), Y)
+        return A.psi(E, X, Y) + A.multiply(A.multiply(factor, X), Y)
 
     def symmetry(X: Section, Y: Section) -> Section:
-        return A.multiply(first(X), Y) - A.multiply(A.prelie_of(Y, E), X)
+        return A.multiply(A.prelie_of(X, E), Y) - A.multiply(A.prelie_of(Y, E), X)
 
     return _sweep(A, Report("pre-F eventual identity"), [
         (iproduct(frame, frame), ("psi-eventual-relation", relation), ("prelie-eventual-symmetry", symmetry)),

@@ -1,8 +1,10 @@
 """Structure-law checks: fixtures pass, mutants fail with witnesses."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, combinations_with_replacement
 from itertools import product as iproduct
 
@@ -15,6 +17,7 @@ from falgebroid.algebroid import (
     VectorField,
     _frame_args,
     _prelie_tuples,
+    _record,
     _sweep,
     check_anchor_leibniz,
     check_comm_assoc,
@@ -29,6 +32,13 @@ from falgebroid.algebroid import (
     vf_bracket,
 )
 from falgebroid.constructions import FiniteAlgebra, load_fixture
+from falgebroid.duality import (
+    dubrovin_dual,
+    is_nijenhuis,
+    is_pre_f_eventual_identity,
+    is_pseudo_eventual_identity,
+    multiplication_matrix,
+)
 from falgebroid.errors import MissingStructure, ShapeError
 from falgebroid.report import Report
 from falgebroid.ring import RatFunc
@@ -448,6 +458,17 @@ def test_sparse_evaluation_matches_dense_oracle(name, data):
         assert v.apply(f) == dv.apply(f) and w.apply(ys[-1]) == dw.apply(ys[-1])
 
 
+def test_compiled_tables_hold_exactly_the_nonzero_constants():
+    for name in SHIPPED + ("SS4", "DN2"):
+        A = load_fixture(name)
+        r = range(A.rank)
+        for t in ("product", "bracket", "prelie"):
+            T = getattr(A, t)
+            if T is not None:
+                cells = [[tuple((k, T[k][i][j]) for k in r if not T[k][i][j].is_zero()) for j in r] for i in r]
+                assert A._tables[t] == cells, (name, t)
+
+
 def test_section_components_round_trip_with_zeros():
     zero, f = RatFunc.zero(2), RatFunc.var(2, 1)
     for dense in ([f, zero, zero], [zero, zero, f], [zero, f, zero], [zero, zero], [f]):
@@ -538,13 +559,26 @@ def _outcomes(report):
     return [(c.law, c.instance, c.passed, c.witness) for c in report.checks]
 
 
-def _point_mutant(name, seed):
-    """The fixture with one seeded product, bracket or pre-Lie constant perturbed by a rational."""
-    A = load_fixture(name)
+def _presentation(name):
+    """A fixture by name, or for "SS3-dual" the Dubrovin dual of SS3 at ℰ = (u1, u2², u3 + 2)."""
+    if name != "SS3-dual":
+        return load_fixture(name)
+    u = [RatFunc.var(3, m) for m in range(3)]
+    return dubrovin_dual(load_fixture("SS3"), Section([u[0], u[1] * u[1], u[2] + RatFunc.const(3, 2)])).dual
+
+
+def _mutant(name, seed):
+    """The presentation with one seeded product, bracket or pre-Lie constant perturbed.
+
+    The perturbation is a rational, times a seeded base variable when there is one.
+    """
+    A = _presentation(name)
     rng = random.Random(f"{name}:{seed}")
     tensor = rng.choice([t for t in ("product", "bracket", "prelie") if getattr(A, t) is not None])
     k, i, j = (rng.randrange(A.rank) for _ in range(3))
-    delta = RatFunc.const(0, Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 5])))
+    delta = RatFunc.const(A.n, Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 5])))
+    if A.n:
+        delta = delta * RatFunc.var(A.n, rng.randrange(A.n))
     T = getattr(A, tensor)
     return A.with_structures(**{tensor: _mutate_tensor(T, k, i, j, T[k][i][j] + delta)})
 
@@ -557,7 +591,7 @@ POINT_CASES += [(name, seed) for name in ("FM2", "DN1", "DN1_2", "DN2_2") for se
 def test_point_residuals_match_section_evaluation(name, seed):
     from falgebroid.cli import _LAWS
 
-    A = load_fixture(name) if seed is None else _point_mutant(name, seed)
+    A = load_fixture(name) if seed is None else _mutant(name, seed)
     assert A.n == 0
     for law in _carried_laws(A):
         assert _outcomes(_LAWS[law](A)) == _outcomes(_oracle_report(A, law)), law
@@ -570,7 +604,7 @@ def test_point_mutants_fail_with_witnesses():
     failed = set()
     for name, seed in POINT_CASES:
         if seed is not None:
-            A = _point_mutant(name, seed)
+            A = _mutant(name, seed)
             failed |= {c.law for law in _carried_laws(A) for c in _LAWS[law](A).failures() if c.witness}
     assert failed >= {"product-symmetry", "associativity", "bracket-antisymmetry", "jacobi", "pre-lie-symmetry",
                       "psi-symmetry", "psi-vanishing"}
@@ -579,3 +613,121 @@ def test_point_mutants_fail_with_witnesses():
 def test_dn2_prelie_com_matches_section_evaluation():
     A = load_fixture("DN2")
     assert _outcomes(check_prelie_com(A)) == _outcomes(_oracle_report(A, "prelie-com"))
+
+
+# -- the sweep memo against plain evaluation ---------------------------------
+#
+# Inside a sweep the frame operations are memoized by argument identity. The
+# oracle runs each checker's own law table through a test-only copy of the
+# sweep loop that opens no memo, so every method computes afresh; the reports
+# must agree law for law, instance for instance, in pass flag and witness text.
+
+
+def _plain_sweep(A, report, table, prefix=""):
+    """The sweep loop with no memo."""
+    for cases, *laws in table:
+        for case in cases:
+            names, args = zip(*case)
+            for law, residual in laws:
+                assert A._memo is None
+                _record(A, report, law, f"{prefix}({','.join(names)})", residual(*args))
+    return report
+
+
+def _sweeping_checks(A):
+    """Every checker that sweeps A: its carried ``falg check`` laws and the anchor Leibniz rule, and with an
+    identity the eventual-identity checks and the Nijenhuis torsion of multiplication by ℰ = (u_(i mod n))_i."""
+    from falgebroid.cli import _LAWS
+
+    checks = [partial(_LAWS[law], A) for law in _carried_laws(A)]
+    if A.bracket is not None:
+        checks.append(partial(check_anchor_leibniz, A))
+    if A.identity is not None:
+        E = Section([RatFunc.var(A.n, i % A.n) for i in range(A.rank)])
+        N = multiplication_matrix(A, E)
+        if A.bracket is not None:
+            checks += [partial(is_pseudo_eventual_identity, A, E), partial(is_nijenhuis, A, N, "f")]
+        if A.prelie is not None:
+            checks += [partial(is_pre_f_eventual_identity, A, E), partial(is_nijenhuis, A, N, "pre_f")]
+    return checks
+
+
+MEMO_NAMES = ("SS2", "SS3", "SS4", "TR", "TR2", "ACT2", "POISSON_SEED", "SS3-dual")
+MEMO_CASES = [(name, None) for name in MEMO_NAMES] + [(name, seed) for name in MEMO_NAMES for seed in range(3)]
+
+
+@pytest.mark.parametrize("name,seed", MEMO_CASES, ids=[f"{n}-{s}" for n, s in MEMO_CASES])
+def test_memoized_sweep_matches_plain_evaluation(name, seed, monkeypatch):
+    import falgebroid.algebroid
+    import falgebroid.duality
+
+    A = _presentation(name) if seed is None else _mutant(name, seed)
+    assert A.n > 0
+    memoized = [_outcomes(check()) for check in _sweeping_checks(A)]
+    for module in (falgebroid.algebroid, falgebroid.duality):
+        monkeypatch.setattr(module, "_sweep", _plain_sweep)
+    assert [_outcomes(check()) for check in _sweeping_checks(A)] == memoized
+
+
+def test_memo_mutants_fail_with_witnesses():
+    """The seeded mutants reach failing instances of every law family the memoized sweep evaluates."""
+    failed = set()
+    for name, seed in MEMO_CASES:
+        if seed is not None:
+            A = _mutant(name, seed)
+            failed |= {c.law for check in _sweeping_checks(A) for c in check().failures() if c.witness}
+    assert failed >= {"product-symmetry", "associativity", "bracket-antisymmetry", "jacobi", "hertling-manin",
+                      "pre-lie-symmetry", "psi-symmetry", "psi-vanishing", "pseudo-eventual-identity",
+                      "psi-eventual-relation", "prelie-eventual-symmetry", "nijenhuis-comm", "nijenhuis-lie",
+                      "nijenhuis-prelie"}
+
+
+class _Tracked(Section):
+    """A section that takes weak references."""
+
+
+def test_sweep_memo_lives_for_one_sweep():
+    A = load_fixture("SS3")
+    X = _Tracked(A.basis(0).components)
+    probe, seen = weakref.ref(X), []
+
+    def residual(Y):
+        seen.append(A._memo)
+        assert A.multiply(Y, A.bracket_of(Y, Y)) is A.multiply(Y, A.bracket_of(Y, Y))
+        T = _Tracked(Y.components)
+        A.psi(T, Y, T)
+        pinned = weakref.ref(T)
+        del T
+        gc.collect()
+        assert pinned() is not None  # a memo entry keeps its arguments, so their ids are not reused
+
+        def nested(Z):
+            assert A._memo is seen[0]  # a nested sweep runs under the outer memo
+            return A.multiply(Z, Z)
+
+        assert not _sweep(A, Report("inner"), [([[("Y", Y)]], ("inner", nested))]).overall
+        assert A._memo is seen[0]
+        return A.multiply(Y, Y)
+
+    _sweep(A, Report("probe"), [([[("X", X)]], ("probe", residual))])
+    assert seen[0] and A._memo is None
+    assert A.multiply(X, X) is not A.multiply(X, X)  # outside a sweep every call computes afresh
+    del X, seen[:]
+    gc.collect()
+    assert probe() is None
+
+    def raising(Y):
+        A.prelie_of(Y, A.multiply(Y, Y))
+        raise ValueError("residual failed")
+
+    X = _Tracked(A.basis(1).components)
+    probe = weakref.ref(X)
+    try:  # not pytest.raises, whose saved traceback would keep the sweep's frame and X alive
+        _sweep(A, Report("probe"), [([[("X", X)]], ("probe", raising))])
+    except ValueError:
+        pass
+    assert A._memo is None
+    del X
+    gc.collect()
+    assert probe() is None
+    assert check_f_algebroid(A).overall and A._memo is None

@@ -129,6 +129,15 @@ def test_poisson_seed_constants():
     assert A.anchor_of(A.basis(0)).is_zero()
 
 
+def test_poisson_seed_accepts_constants_only():
+    """A finite span closed under products holds constants only, so an accepted seed has zero bracket and anchor."""
+    with pytest.raises(NotClosed, match=r": E2\*E2 = q\^2$"):
+        poisson_seed([qp({(0, 0): 1}), qp({(1, 0): 1})])
+    A = load_fixture("POISSON_SEED")
+    assert all(c.is_zero() for m in A.bracket for row in m for c in row)
+    assert all(c.is_zero() for row in A.anchor for c in row)
+
+
 def test_poisson_seed_fixture():
     A = load_fixture("POISSON_SEED")
     assert A.rank == 1 and A.base_vars == ["q", "p"]
