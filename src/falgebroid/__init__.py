@@ -9,11 +9,13 @@ commuting hierarchies of hydrodynamic flows.
 """
 
 from .algebroid import (
+    LAWS,
     AlgebroidPresentation,
     Section,
     VectorField,
     check_comm_assoc,
     check_f_algebroid,
+    check_laws,
     check_lie_algebroid,
     check_pre_f,
     check_pre_lie_algebroid,

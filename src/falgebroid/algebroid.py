@@ -8,12 +8,13 @@ identities can be verified exactly on symbolic arguments. A vector field is
 a section of the tangent frame d/du^1..d/du^n: ``VectorField`` is the
 ``Section`` of rank n, and the anchor sends sections to it.
 
-Within one law sweep, ``multiply``, ``bracket_of``, ``prelie_of``, ``p_tensor``,
-``psi`` and ``prelie_associator`` are memoized on the presentation, keyed by the
-method and the ``id`` of each argument section. An entry keeps its arguments
-alive, so no id is reused while it exists, and a hit returns the same immutable
-``Section``, so chained calls hit too. The outermost sweep opens the memo and
-drops it on leaving; outside a sweep every method computes afresh.
+Within one law sweep (``check_laws`` runs a whole check as one), ``multiply``,
+``bracket_of``, ``prelie_of``, ``p_tensor``, ``psi`` and ``prelie_associator`` are
+memoized on the presentation, keyed by the method and the ``id`` of each argument
+section. An entry keeps its arguments alive, so no id is reused while it exists,
+and a hit returns the same immutable ``Section``, so chained calls hit too. The
+outermost sweep opens the memo and drops it on leaving; outside a sweep every
+method computes afresh.
 """
 
 from __future__ import annotations
@@ -358,15 +359,6 @@ class AlgebroidPresentation:
         return f"E{i + 1}"
 
 
-def tensors_equal(t1: Tensor, t2: Tensor) -> bool:
-    return all(
-        c1 == c2
-        for m1, m2 in zip(t1, t2)
-        for r1, r2 in zip(m1, m2)
-        for c1, c2 in zip(r1, r2)
-    )
-
-
 # -- law engine ------------------------------------------------------------
 #
 # Every law is a residual that must vanish on labelled test sections: the
@@ -457,11 +449,10 @@ def _point_psi(A: AlgebroidPresentation):
     return lambda i, j, k: _sum(*psi(i, j, k)), lambda i, j, k: _sum(*psi(i, j, k), *psi(j, i, k, -1))
 
 
-# -- checkers ------------------------------------------------------------
+# -- law families: each maps a presentation to its ``_sweep`` rows ---------
 
 
-def check_comm_assoc(A: AlgebroidPresentation) -> Report:
-    """Commutativity and associativity of the product on the frame."""
+def _comm_assoc(A: AlgebroidPresentation) -> list:
     mul, frame = A.multiply, _frame_args(A)
     sym = lambda X, Y: mul(X, Y) - mul(Y, X)  # noqa: E731
     assoc = lambda X, Y, Z: mul(mul(X, Y), Z) - mul(X, mul(Y, Z))  # noqa: E731
@@ -469,13 +460,13 @@ def check_comm_assoc(A: AlgebroidPresentation) -> Report:
         frame, M, MC = _point_frame(A), A.constants("product"), list(zip(*A.constants("product")))
         sym = lambda i, j: _sum((1, {j: 1}, M[i]), (-1, {i: 1}, M[j]))  # noqa: E731
         assoc = lambda i, j, k: _sum((1, M[i][j], MC[k]), (-1, M[j][k], M[i]))  # noqa: E731
-    return _sweep(A, Report("commutative associative algebroid"), [
+    return [
         (combinations(frame, 2), ("product-symmetry", sym)),
         (iproduct(frame, repeat=3), ("associativity", assoc)),
-    ])
+    ]
 
 
-def check_lie_algebroid(A: AlgebroidPresentation) -> Report:
+def _lie(A: AlgebroidPresentation) -> list:
     """Antisymmetry and Jacobi, including variable-scaled arguments.
 
     Scaling the first slot by each base variable makes the Jacobi sweep
@@ -488,25 +479,18 @@ def check_lie_algebroid(A: AlgebroidPresentation) -> Report:
         frame, B, BC = _point_frame(A), A.constants("bracket"), list(zip(*A.constants("bracket")))
         antisym = lambda i, j: _sum((1, {j: 1}, B[i]), (1, {i: 1}, B[j]))  # noqa: E731
         jacobi = lambda i, j, k: _sum((1, B[i][j], BC[k]), (1, B[j][k], BC[i]), (1, B[k][i], BC[j]))  # noqa: E731
-    return _sweep(A, Report("Lie algebroid"), [
+    return [
         (combinations_with_replacement(frame, 2), ("bracket-antisymmetry", antisym)),
         (iproduct(frame + _scaled_args(A), frame, frame), ("jacobi", jacobi)),
-    ])
+    ]
 
 
-def check_f_algebroid(A: AlgebroidPresentation) -> Report:
-    """Commutative associative + Lie algebroid + Hertling-Manin on the frame.
-
-    Basis quadruples suffice for the Hertling-Manin part because the
-    failure tensor Phi is a (4,1) tensor field.
-    """
-    report = Report("F-algebroid")
-    report.extend_from(check_comm_assoc(A))
-    report.extend_from(check_lie_algebroid(A))
-    return _sweep(A, report, [(iproduct(_frame_args(A), repeat=4), ("hertling-manin", A.phi))])
+def _hertling_manin(A: AlgebroidPresentation) -> list:
+    """Hertling-Manin on frame quadruples, which suffice because the failure tensor Phi is a (4,1) tensor field."""
+    return [(iproduct(_frame_args(A), repeat=4), ("hertling-manin", A.phi))]
 
 
-def check_pre_lie_algebroid(A: AlgebroidPresentation) -> Report:
+def _pre_lie(A: AlgebroidPresentation) -> list:
     """Symmetry of the associator in its first two slots.
 
     Besides basis triples, each slot is scaled by each base variable in
@@ -521,29 +505,69 @@ def check_pre_lie_algebroid(A: AlgebroidPresentation) -> Report:
         frame, P, PC = _point_frame(A), A.constants("prelie"), list(zip(*A.constants("prelie")))
         sym = lambda i, j, k: _sum(  # noqa: E731
             (1, P[i][j], PC[k]), (-1, P[j][k], P[i]), (-1, P[j][i], PC[k]), (1, P[i][k], P[j]))
-    return _sweep(A, Report("pre-Lie algebroid"), [
-        (_prelie_tuples(frame, _scaled_args(A)), ("pre-lie-symmetry", sym)),
-    ])
+    return [(_prelie_tuples(frame, _scaled_args(A)), ("pre-lie-symmetry", sym))]
+
+
+def _psi_symmetry(A: AlgebroidPresentation) -> list:
+    """Psi symmetric in its first two slots, on frame triples."""
+    frame, sym = _frame_args(A), lambda X, Y, Z: A.psi(X, Y, Z) - A.psi(Y, X, Z)
+    if A.n == 0:
+        frame, sym = _point_frame(A), _point_psi(A)[1]
+    return [(iproduct(frame, repeat=3), ("psi-symmetry", sym))]
+
+
+def _psi_vanishing(A: AlgebroidPresentation) -> list:
+    """Psi = 0 on frame triples."""
+    frame, psi = (_point_frame(A), _point_psi(A)[0]) if A.n == 0 else (_frame_args(A), A.psi)
+    return [(iproduct(frame, repeat=3), ("psi-vanishing", psi))]
+
+
+# Each ``falg check`` law and its law families, in sweep order.
+LAWS = {
+    "comm-assoc": (_comm_assoc,),
+    "lie": (_lie,),
+    "f-algebroid": (_comm_assoc, _lie, _hertling_manin),
+    "pre-lie": (_pre_lie,),
+    "pre-f": (_comm_assoc, _pre_lie, _psi_symmetry),
+    "prelie-com": (_comm_assoc, _pre_lie, _psi_vanishing),
+}
+
+
+def check_laws(A: AlgebroidPresentation, laws, report: Report) -> Report:
+    """Sweep the named ``LAWS`` into ``report`` as one ``_sweep`` under one memo, each family once, at its first
+    occurrence; a family builds its rows only when the sweep reaches it."""
+    families = dict.fromkeys(family for law in laws for family in LAWS[law])
+    return _sweep(A, report, (row for family in families for row in family(A)))
+
+
+def check_comm_assoc(A: AlgebroidPresentation) -> Report:
+    """Commutativity and associativity of the product on the frame."""
+    return check_laws(A, ["comm-assoc"], Report("commutative associative algebroid"))
+
+
+def check_lie_algebroid(A: AlgebroidPresentation) -> Report:
+    """Antisymmetry and Jacobi, including variable-scaled arguments (see ``_lie``)."""
+    return check_laws(A, ["lie"], Report("Lie algebroid"))
+
+
+def check_f_algebroid(A: AlgebroidPresentation) -> Report:
+    """Commutative associative + Lie algebroid + Hertling-Manin on the frame."""
+    return check_laws(A, ["f-algebroid"], Report("F-algebroid"))
+
+
+def check_pre_lie_algebroid(A: AlgebroidPresentation) -> Report:
+    """Symmetry of the associator in its first two slots, including scaled arguments (see ``_pre_lie``)."""
+    return check_laws(A, ["pre-lie"], Report("pre-Lie algebroid"))
 
 
 def check_pre_f(A: AlgebroidPresentation) -> Report:
     """Pre-F structure: product laws, pre-Lie laws and Psi symmetric in X,Y."""
-    report = Report("pre-F-algebroid")
-    report.extend_from(check_comm_assoc(A))
-    report.extend_from(check_pre_lie_algebroid(A))
-    frame, sym = _frame_args(A), lambda X, Y, Z: A.psi(X, Y, Z) - A.psi(Y, X, Z)
-    if A.n == 0:
-        frame, sym = _point_frame(A), _point_psi(A)[1]
-    return _sweep(A, report, [(iproduct(frame, repeat=3), ("psi-symmetry", sym))])
+    return check_laws(A, ["pre-f"], Report("pre-F-algebroid"))
 
 
 def check_prelie_com(A: AlgebroidPresentation) -> Report:
     """PreLie-Com structure: product laws, pre-Lie laws and Psi = 0."""
-    report = Report("PreLie-Com algebroid")
-    report.extend_from(check_comm_assoc(A))
-    report.extend_from(check_pre_lie_algebroid(A))
-    frame, psi = (_point_frame(A), _point_psi(A)[0]) if A.n == 0 else (_frame_args(A), A.psi)
-    return _sweep(A, report, [(iproduct(frame, repeat=3), ("psi-vanishing", psi))])
+    return check_laws(A, ["prelie-com"], Report("PreLie-Com algebroid"))
 
 
 def sub_adjacent(A: AlgebroidPresentation) -> AlgebroidPresentation:

@@ -7,8 +7,8 @@ other ``FalgError`` exits 1. Files are read by ``_read`` and written by
 well-formed eventual identity that is not invertible at the generic
 point (``dual --ev 0,0``) is a verification failure, exit 1.
 Reports print as text to stdout; --json writes the same report as a
-machine-readable document. ``check`` with several laws reports each
-(law, instance) pair once, at its first occurrence.
+machine-readable document. ``check`` with several laws sweeps each of
+their law families once, in first-occurrence order (``algebroid.LAWS``).
 """
 
 from __future__ import annotations
@@ -17,17 +17,7 @@ import argparse
 import json
 import sys
 
-from .algebroid import (
-    AlgebroidPresentation,
-    Section,
-    VectorField,
-    check_comm_assoc,
-    check_f_algebroid,
-    check_lie_algebroid,
-    check_pre_f,
-    check_pre_lie_algebroid,
-    check_prelie_com,
-)
+from .algebroid import LAWS, AlgebroidPresentation, Section, VectorField, check_laws
 from .constructions import fixture_names, load_fixture
 from .deformation import (
     FormalDeformation,
@@ -47,16 +37,6 @@ from .errors import FalgError, InputError, SchemaError
 from .exprparse import decode_json, parse_array, parse_presentation, presentation_to_document
 from .hierarchy import Connection, flow_from_section, flows_commute, principal_hierarchy
 from .report import Report
-
-_LAWS = {
-    "comm-assoc": check_comm_assoc,
-    "lie": check_lie_algebroid,
-    "f-algebroid": check_f_algebroid,
-    "pre-lie": check_pre_lie_algebroid,
-    "pre-f": check_pre_f,
-    "prelie-com": check_prelie_com,
-}
-
 
 def _read(path: str) -> bytes:
     """The contents of the file at ``path``; InputError if it cannot be read."""
@@ -107,14 +87,7 @@ def _default_laws(A: AlgebroidPresentation) -> list[str]:
 
 def cmd_check(args) -> int:
     A = _load_presentation(args)
-    laws = args.law or _default_laws(A)
-    report = Report(f"check {args.fixture or args.file}")
-    seen = set()
-    for law in laws:
-        for c in _LAWS[law](A).checks:
-            if (c.law, c.instance) not in seen:
-                seen.add((c.law, c.instance))
-                report.checks.append(c)
+    report = check_laws(A, args.law or _default_laws(A), Report(f"check {args.fixture or args.file}"))
     return _emit(report, args.json)
 
 
@@ -161,12 +134,10 @@ def cmd_deform(args) -> int:
     A = _load_presentation(args)
     if args.nijenhuis:
         rows = parse_array(decode_json(_read(args.nijenhuis)), (A.rank, A.rank), A.base_vars, "$")
-        report = Report("nijenhuis deformation")
         torsion, deformed = nijenhuis_deformation(A, BundleMap(rows))
-        report.extend_from(torsion)
+        report = Report("nijenhuis deformation", list(torsion.checks))
         if deformed is not None:
-            for law in _default_laws(deformed):
-                report.extend_from(_LAWS[law](deformed))
+            check_laws(deformed, _default_laws(deformed), report)
             _write_json(args.out, presentation_to_document(deformed))
         return _emit(report, args.json)
     mus = _load_cochain(args.mu1, A)
@@ -231,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--law",
         action="append",
-        choices=sorted(_LAWS),
+        choices=sorted(LAWS),
         help="law to check (repeatable); default inferred from structures",
     )
     p.set_defaults(func=cmd_check)

@@ -2,9 +2,10 @@
 
 Every shipped fixture is a finite algebra lifted along anchor vector fields:
 structure constants over a point (FM2, DN<n>), over the flat coordinate frame
-(SS<n>, TR2), along u·d/du (TR), along Hamiltonian fields (POISSON_SEED) or along
-an action (ACT2). ``_lift`` is the one place constants become ``RatFunc``
-tensors. ``load_fixture`` builds no fixture of rank above ``MAX_FIXTURE_RANK``.
+(SS<n>, TR2), along u·d/du (TR), with the zero anchor on the (q, p) plane
+(POISSON_SEED) or along an action (ACT2). ``_lift`` is the one place constants
+become ``RatFunc`` tensors. ``load_fixture`` builds no fixture of rank above
+``MAX_FIXTURE_RANK``.
 Besides the fixtures: action algebroids, direct products, Poisson seed
 algebroids and the semi-simple family.
 """
@@ -227,9 +228,11 @@ def poisson_seed(functions: list[RatFunc], base_vars: list[str] | None = None) -
 
     The base carries the canonical bracket pairing consecutive variables (q1, p1, q2, p2,
     ...), and the anchor sends E_i to the Hamiltonian vector field of its function. Every
-    pairwise product and Poisson bracket must lie in the rational-constant span of the seed,
-    else NotClosed names the escaping function. A finite span closed under products holds
-    constants only, so every accepted seed has a zero bracket and a zero anchor.
+    pairwise product must lie in the rational-constant span V of the seed, else NotClosed
+    names the escaping function. Then multiplication by a seed function maps V into itself,
+    so the function is algebraic over Q and hence constant in Q(q, p, ...): its Poisson
+    brackets and Hamiltonian field vanish, and every accepted seed gets the zero bracket
+    and the zero anchor.
     """
     if not functions:
         raise ShapeError("empty seed")
@@ -242,12 +245,6 @@ def poisson_seed(functions: list[RatFunc], base_vars: list[str] | None = None) -
     for f in functions:
         if f.nvars != n:
             raise ShapeError("seed function variable count mismatch")
-    # the Hamiltonian field of f, df/dp d/dq - df/dq d/dp on each pair (q, p); {f, g} = rho_g(f)
-    rho = [
-        VectorField(f.derivative(v + 1) if v % 2 == 0 else -f.derivative(v - 1) for v in range(n))
-        for f in functions
-    ]
-
     # common denominator makes the span computation a polynomial problem
     den = Poly.const(n, 1)
     for f in functions:
@@ -270,24 +267,19 @@ def poisson_seed(functions: list[RatFunc], base_vars: list[str] | None = None) -
         return sol
 
     product = [[[0] * r for _ in range(r)] for _ in range(r)]
-    bracket = [[[0] * r for _ in range(r)] for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
             coeffs = expand(functions[i] * functions[j], f"E{i + 1}*E{j + 1}")
             for k in range(r):
                 product[k][i][j] = coeffs[k]
                 product[k][j][i] = coeffs[k]
-        for j in range(i + 1, r):
-            coeffs = expand(rho[j].apply(functions[i]), f"{{E{i + 1},E{j + 1}}}")
-            for k in range(r):
-                bracket[k][i][j] = coeffs[k]
-                bracket[k][j][i] = -coeffs[k]
 
     try:
         identity = expand(RatFunc.const(n, 1), "1")
     except NotClosed:
         identity = None
-    return _lift(FiniteAlgebra(r, product, bracket, identity=identity), base_vars, rho)
+    bracket = [[[0] * r for _ in range(r)] for _ in range(r)]
+    return _lift(FiniteAlgebra(r, product, bracket, identity=identity), base_vars, None)
 
 
 # -- named fixtures -------------------------------------------------------

@@ -23,7 +23,6 @@ from .algebroid import (
     _scaled_args,
     _sweep,
     find_identity,
-    tensors_equal,
 )
 from .errors import MissingStructure, NotEventual, NotNijenhuis, ShapeError
 from .linalg import invert
@@ -185,7 +184,7 @@ def verify_certificate(cert: DualityCertificate) -> Report:
     )
     report.add_verdict("e-dagger-eventual", "e† eventual on dual", cert.checker(dual, cert.e_dagger))
     double = _dual_product(dual, cert.e_dagger)
-    report.add("involution", "dual twice at e† = original product", tensors_equal(double, A.product))
+    report.add("involution", "dual twice at e† = original product", double == A.product)
     return report
 
 

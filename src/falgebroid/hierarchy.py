@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import combinations
 
-from .algebroid import AlgebroidPresentation, Section, VectorField, _record
+from .algebroid import AlgebroidPresentation, Section, VectorField, _point_frame, _sweep
 from .duality import is_pseudo_eventual_identity
 from .errors import (
     JetOrderOverflow,
@@ -151,15 +151,13 @@ class Connection:
 def check_flat_condition(T: AlgebroidPresentation, nabla: Connection, X: Section) -> Report:
     """Symmetry of (nabla_{d_j} X) . d_l in j and l, on all basis pairs."""
     _require_tangent(T)
-    report = Report("flatness-compatibility of a section")
-    for j in range(T.n):
-        for l in range(T.n):
-            if j >= l:
-                continue
-            lhs = T.multiply(nabla.covariant_derivative(T, j, X), T.basis(l))
-            rhs = T.multiply(nabla.covariant_derivative(T, l, X), T.basis(j))
-            _record(T, report, "egorov-symmetry", f"({T.basis_name(j)},{T.basis_name(l)})", lhs - rhs)
-    return report
+
+    def egorov(j: int, l: int) -> Section:
+        lhs = T.multiply(nabla.covariant_derivative(T, j, X), T.basis(l))
+        return lhs - T.multiply(nabla.covariant_derivative(T, l, X), T.basis(j))
+
+    rows = [(combinations(_point_frame(T), 2), ("egorov-symmetry", egorov))]
+    return _sweep(T, Report("flatness-compatibility of a section"), rows)
 
 
 def eventual_identity_flows(T: AlgebroidPresentation, E1: Section, E2: Section) -> Report:

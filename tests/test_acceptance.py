@@ -11,7 +11,6 @@ from falgebroid.algebroid import (
     Section,
     check_f_algebroid,
     check_prelie_com,
-    tensors_equal,
 )
 from falgebroid.constructions import fm2_algebra, load_fixture, semisimple
 from falgebroid.deformation import (
@@ -98,7 +97,7 @@ def test_criterion_3_dubrovin_involution():
     ok = True
     for builder in (dubrovin_dual, pre_f_dual):
         cert = builder(A, E)
-        ok &= tensors_equal(cert.dual.product, expected_product)
+        ok &= cert.dual.product == expected_product
         ok &= cert.dual.identity.components == expected_identity
         ok &= cert.e_dagger.components == (one / u1 ** 2, one / u2 ** 2)
         ok &= verify_certificate(cert).overall  # includes involution
@@ -117,10 +116,10 @@ def test_criterion_4_nijenhuis_suite():
     ok &= check_f_algebroid(deformed).overall
     twice = deform_by_nijenhuis(deformed, N)
     squared = deform_by_nijenhuis(A, N.compose(N))
-    ok &= tensors_equal(twice.product, squared.product)
-    ok &= tensors_equal(twice.bracket, squared.bracket)
+    ok &= twice.product == squared.product
+    ok &= twice.bracket == squared.bracket
     cert = dubrovin_dual(A, Section([u1, u2]))
-    ok &= tensors_equal(deformed.product, cert.dual.product)
+    ok &= deformed.product == cert.dual.product
     report_line(4, "Nijenhuis deformation suite", ok)
 
 

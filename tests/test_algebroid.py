@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from falgebroid.algebroid import (
+    LAWS,
     AlgebroidPresentation,
     Section,
     VectorField,
@@ -28,7 +29,6 @@ from falgebroid.algebroid import (
     check_prelie_com,
     find_identity,
     sub_adjacent,
-    tensors_equal,
     vf_bracket,
 )
 from falgebroid.constructions import FiniteAlgebra, load_fixture
@@ -196,7 +196,7 @@ def test_sub_adjacent_bracket_is_prelie_commutator():
             ]
             for k in range(r)
         ]
-        assert tensors_equal(B.bracket, expected)
+        assert B.bracket == expected
         assert check_lie_algebroid(B).overall
 
 
@@ -238,12 +238,25 @@ def test_identity_consequences():
 SHIPPED = ("FM2", "ACT2", "SS1", "SS2", "SS3", "TR", "TR2", "POISSON_SEED", "DN2_2")
 
 
+# The public checker of each ``falg check`` law in the library table.
+CHECKERS = {
+    "comm-assoc": check_comm_assoc,
+    "lie": check_lie_algebroid,
+    "f-algebroid": check_f_algebroid,
+    "pre-lie": check_pre_lie_algebroid,
+    "pre-f": check_pre_f,
+    "prelie-com": check_prelie_com,
+}
+
+
+def test_every_law_has_its_public_checker():
+    assert list(CHECKERS) == list(LAWS)
+
+
 def _carried_laws(A):
     """The ``falg check`` laws whose structures A carries."""
-    from falgebroid.cli import _LAWS
-
     needs = {"lie": A.bracket, "f-algebroid": A.bracket, "pre-lie": A.prelie, "pre-f": A.prelie, "prelie-com": A.prelie}
-    return [law for law in _LAWS if needs.get(law, A.product) is not None]
+    return [law for law in LAWS if needs.get(law, A.product) is not None]
 
 
 def _mutants():
@@ -272,10 +285,9 @@ def _engine_cases():
 
 @pytest.mark.parametrize("A,law,passes", _engine_cases())
 def test_engine_report_invariants(A, law, passes):
-    from falgebroid.cli import _LAWS
     from falgebroid.exprparse import parse_expr
 
-    report = _LAWS[law](A)
+    report = CHECKERS[law](A)
     assert report.overall == passes
     pairs = [(c.law, c.instance) for c in report.checks]
     assert len(pairs) == len(set(pairs))
@@ -589,23 +601,19 @@ POINT_CASES += [(name, seed) for name in ("FM2", "DN1", "DN1_2", "DN2_2") for se
 
 @pytest.mark.parametrize("name,seed", POINT_CASES, ids=[f"{n}-{s}" for n, s in POINT_CASES])
 def test_point_residuals_match_section_evaluation(name, seed):
-    from falgebroid.cli import _LAWS
-
     A = load_fixture(name) if seed is None else _mutant(name, seed)
     assert A.n == 0
     for law in _carried_laws(A):
-        assert _outcomes(_LAWS[law](A)) == _outcomes(_oracle_report(A, law)), law
+        assert _outcomes(CHECKERS[law](A)) == _outcomes(_oracle_report(A, law)), law
 
 
 def test_point_mutants_fail_with_witnesses():
     """The seeded mutants reach failing instances of every point law family."""
-    from falgebroid.cli import _LAWS
-
     failed = set()
     for name, seed in POINT_CASES:
         if seed is not None:
             A = _mutant(name, seed)
-            failed |= {c.law for law in _carried_laws(A) for c in _LAWS[law](A).failures() if c.witness}
+            failed |= {c.law for law in _carried_laws(A) for c in CHECKERS[law](A).failures() if c.witness}
     assert failed >= {"product-symmetry", "associativity", "bracket-antisymmetry", "jacobi", "pre-lie-symmetry",
                       "psi-symmetry", "psi-vanishing"}
 
@@ -637,9 +645,7 @@ def _plain_sweep(A, report, table, prefix=""):
 def _sweeping_checks(A):
     """Every checker that sweeps A: its carried ``falg check`` laws and the anchor Leibniz rule, and with an
     identity the eventual-identity checks and the Nijenhuis torsion of multiplication by ℰ = (u_(i mod n))_i."""
-    from falgebroid.cli import _LAWS
-
-    checks = [partial(_LAWS[law], A) for law in _carried_laws(A)]
+    checks = [partial(CHECKERS[law], A) for law in _carried_laws(A)]
     if A.bracket is not None:
         checks.append(partial(check_anchor_leibniz, A))
     if A.identity is not None:

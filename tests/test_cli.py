@@ -26,6 +26,38 @@ def test_check_prelie_com(capsys):
     assert code == 0
 
 
+def test_check_makes_one_sweep_and_builds_each_family_once(monkeypatch, capsys):
+    """SS3's default laws, f-algebroid and pre-f, share the product laws; they are swept once, in one sweep."""
+    import falgebroid.algebroid as alg
+
+    sweeps, built = [], []
+    sweep = alg._sweep
+    monkeypatch.setattr(alg, "_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+
+    def counted(family):
+        return lambda A: built.append(family.__name__) or family(A)
+
+    wrapped = {family: counted(family) for families in alg.LAWS.values() for family in families}
+    for law, families in list(alg.LAWS.items()):
+        monkeypatch.setitem(alg.LAWS, law, tuple(wrapped[family] for family in families))
+    code, out, _ = run(["check", "--fixture", "SS3"], capsys)
+    assert code == 0 and "[pass] associativity @ (E1,E1,E1)" in out
+    assert len(sweeps) == 1
+    assert built == ["_comm_assoc", "_lie", "_hertling_manin", "_pre_lie", "_psi_symmetry"]
+
+
+def test_check_builds_each_family_when_the_sweep_reaches_it(tmp_path, capsys):
+    """Over a point, an earlier family's error comes before a later family's missing structure, as law by law."""
+    big = "1" + "0" * 4000
+    product = [[["0", "1"], ["1", "0"]], [[f"{big}*{big}", "0"], ["0", "0"]]]  # E1·E1 = 10^8000·E2: not associative
+    path = tmp_path / "pt.json"
+    path.write_text(json.dumps({"base_vars": [], "rank": 2, "product": product}))
+    code, _, err = run(["check", str(path), "--law", "comm-assoc", "--law", "lie"], capsys)
+    assert code == 1 and "verification failed: coefficient of more than" in err
+    code, _, err = run(["check", str(path), "--law", "lie", "--law", "comm-assoc"], capsys)
+    assert code == 2 and err == "error: bracket\n"
+
+
 def test_check_bad_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"bad": true}')
@@ -97,11 +129,10 @@ def test_dual_at_identity_is_original(tmp_path, capsys):
         ["dual", "--fixture", "SS2", "--ev", "1,1", "--out", str(out_path)], capsys
     )
     assert code == 0
-    from falgebroid.algebroid import tensors_equal
     from falgebroid.constructions import load_fixture
 
     dual = parse_presentation(out_path.read_text())
-    assert tensors_equal(dual.product, load_fixture("SS2").product)
+    assert dual.product == load_fixture("SS2").product
 
 
 def test_dual_pre_f_failure_exits_1(capsys):

@@ -13,7 +13,6 @@ from falgebroid.algebroid import (
     check_pre_f,
     check_prelie_com,
     sub_adjacent,
-    tensors_equal,
 )
 from falgebroid.constructions import (
     MAX_FIXTURE_RANK,
@@ -93,8 +92,8 @@ def test_direct_product_ss1_ss1_matches_ss2():
     S = load_fixture("SS2")
     assert P.rank == 2 and P.n == 2
     assert P.base_vars == ["u1#1", "u1#2"]
-    assert tensors_equal(P.product, S.product)
-    assert tensors_equal(P.bracket, S.bracket)
+    assert P.product == S.product
+    assert P.bracket == S.bracket
     assert P.identity == S.identity
     assert [[c for c in row] for row in P.anchor] == [[c for c in row] for row in S.anchor]
     assert check_f_algebroid(P).overall
@@ -179,7 +178,7 @@ def test_sub_adjacent_of_action_pre_f_commutes_with_f_construction():
     assert check_pre_f(pre).overall
     via_sub = sub_adjacent(pre)
     direct = action_f_algebroid(spec)
-    assert tensors_equal(via_sub.bracket, direct.bracket)
+    assert via_sub.bracket == direct.bracket
 
 
 def test_fixture_registry():

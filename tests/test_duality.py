@@ -8,7 +8,6 @@ from falgebroid.algebroid import (
     Section,
     check_f_algebroid,
     check_pre_f,
-    tensors_equal,
 )
 from falgebroid.constructions import load_fixture
 from falgebroid.duality import (
@@ -62,7 +61,7 @@ def test_dubrovin_dual_closed_form_on_ss2():
         [[u1, zero], [zero, zero]],
         [[zero, zero], [zero, u2]],
     ]
-    assert tensors_equal(dual.product, expected)
+    assert dual.product == expected
     # dual identity: (1/u1, 1/u2)
     one = RatFunc.one(2)
     assert dual.identity.components == (one / u1, one / u2)
@@ -78,10 +77,25 @@ def test_pre_f_dual_on_ss2():
     assert check_pre_f(cert.dual).overall
 
 
+def test_involution_compares_whole_tensors(monkeypatch):
+    """A double dual that extends the original product by one rank is not the original product."""
+    import falgebroid.duality
+
+    one, z = RatFunc.one(0), RatFunc.zero(0)
+    assert [[[one]]] != [[[one, z]], [[z, one]]]
+    A = load_fixture("SS2")
+    cert = dubrovin_dual(A, euler(2))
+    assert verify_certificate(cert).overall
+    zero = RatFunc.zero(2)
+    padded = [[row + [zero] for row in m] + [[zero] * 3] for m in A.product] + [[[zero] * 3] * 3]
+    monkeypatch.setattr(falgebroid.duality, "_dual_product", lambda dual, E: padded)
+    assert [c.law for c in verify_certificate(cert).failures()] == ["involution"]
+
+
 def test_trivial_dual_at_identity():
     A = load_fixture("SS2")
     cert = dubrovin_dual(A, A.identity)
-    assert tensors_equal(cert.dual.product, A.product)
+    assert cert.dual.product == A.product
     assert cert.dual.identity == A.identity
 
 
@@ -153,8 +167,8 @@ def test_nijenhuis_deformation_passes_and_squares():
     # double deformation equals deformation by N^2
     twice = deform_by_nijenhuis(deformed, N)
     squared = deform_by_nijenhuis(A, N.compose(N))
-    assert tensors_equal(twice.product, squared.product)
-    assert tensors_equal(twice.bracket, squared.bracket)
+    assert twice.product == squared.product
+    assert twice.bracket == squared.bracket
 
 
 def test_deformed_product_matches_dual_product():
@@ -164,7 +178,7 @@ def test_deformed_product_matches_dual_product():
     assert N.matrix == diag_n(A).matrix
     deformed = deform_by_nijenhuis(A, N)
     cert = dubrovin_dual(A, E)
-    assert tensors_equal(deformed.product, cert.dual.product)
+    assert deformed.product == cert.dual.product
 
 
 def test_non_nijenhuis_rejected():

@@ -1,16 +1,18 @@
-"""The JSON report writer against ``json.dumps(indent=2)`` of the report document."""
+"""Reports: the JSON writer against ``json.dumps(indent=2)``, and one law sweep against single-law reports."""
 
 import io
 import json
+from itertools import permutations
 
 import pytest
 
-from falgebroid.algebroid import Section
-from falgebroid.cli import _LAWS, _default_laws, main
+from falgebroid.algebroid import Section, check_laws
+from falgebroid.cli import _default_laws, main
 from falgebroid.constructions import load_fixture
 from falgebroid.duality import BundleMap, dubrovin_dual, nijenhuis_deformation
 from falgebroid.exprparse import parse_array, parse_expr, presentation_to_document
 from falgebroid.report import Report
+from test_algebroid import CHECKERS, MEMO_CASES, POINT_CASES, _carried_laws, _mutant, _outcomes, _presentation
 
 FIXTURES = ("FM2", "ACT2", "SS1", "SS2", "SS3", "SS4", "TR", "TR2", "POISSON_SEED", "DN1", "DN1_2", "DN2_2")
 
@@ -42,15 +44,20 @@ def assert_written_as_oracle(report: Report):
     assert written(report) == json.dumps(report_to_dict(report), indent=2) + "\n"
 
 
-def _default_report(name):
-    """The report of ``falg check --fixture name``: each (law, instance) pair at its first occurrence."""
-    A = load_fixture(name)
-    report = Report(f"check {name}")
-    for law in _default_laws(A):
-        report.extend_from(_LAWS[law](A))
+def merged_report(subject, reports):
+    """The checks of ``reports`` in turn, each (law, instance) pair at its first occurrence."""
+    report = Report(subject)
+    for single in reports:
+        report.extend_from(single)
     firsts = {(c.law, c.instance): c for c in reversed(report.checks)}
     report.checks = [c for c in report.checks if firsts[c.law, c.instance] is c]
     return report
+
+
+def _default_report(name):
+    """The report of ``falg check --fixture name``: the merge of its default laws' single-law reports."""
+    A = load_fixture(name)
+    return merged_report(f"check {name}", [CHECKERS[law](A) for law in _default_laws(A)])
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -59,7 +66,7 @@ def test_fixture_reports_write_as_json_dumps(name):
 
 
 def test_dn2_prelie_com_report_writes_as_json_dumps():
-    assert_written_as_oracle(_LAWS["prelie-com"](load_fixture("DN2")))
+    assert_written_as_oracle(CHECKERS["prelie-com"](load_fixture("DN2")))
 
 
 def test_empty_and_failing_reports_write_as_json_dumps():
@@ -98,3 +105,29 @@ def test_cli_json_matches_the_oracle_and_out_documents_stay_indented(tmp_path, c
     deformed = nijenhuis_deformation(A, BundleMap(rows))[1]
     assert out_path.read_text() == json.dumps(presentation_to_document(deformed), indent=2) + "\n"
     capsys.readouterr()
+
+
+# -- one sweep against the merge of single-law reports ---------------------
+#
+# ``check_laws`` sweeps the union of the laws' families once, in first-occurrence
+# order. The oracle is the merge ``falg check`` made before: every law's own
+# report in turn, each (law, instance) pair kept at its first occurrence.
+
+SWEEP_NAMES = ("FM2", "ACT2", "SS1", "SS2", "SS3", "SS4", "TR", "TR2", "POISSON_SEED", "DN1", "DN1_2", "DN2_2", "SS3-dual")
+SWEEP_CASES = [(name, None) for name in SWEEP_NAMES]
+SWEEP_CASES += [case for case in MEMO_CASES + POINT_CASES if case[1] is not None]
+
+
+@pytest.mark.parametrize("name,seed", SWEEP_CASES, ids=[f"{n}-{s}" for n, s in SWEEP_CASES])
+def test_one_sweep_matches_the_first_occurrence_merge(name, seed):
+    """All carried laws in both orders, and every ordered list of 1-3 carried laws on a fixture; to bound the
+    time, lists of 1-2 laws on the rank-3 and rank-4 fixtures and on DN2_2, and none on the mutants."""
+    A = _presentation(name) if seed is None else _mutant(name, seed)
+    carried = _carried_laws(A)
+    singles = {law: CHECKERS[law](A) for law in carried}
+    longest = 0 if seed is not None else 2 if name in ("SS3", "SS3-dual", "SS4", "DN2_2") else 3
+    lists = [list(laws) for k in range(1, longest + 1) for laws in permutations(carried, k)]
+    for laws in lists + [carried, carried[::-1]]:
+        swept = check_laws(A, laws, Report("check"))
+        merged = merged_report("check", [singles[law] for law in laws])
+        assert _outcomes(swept) == _outcomes(merged), laws
