@@ -13,8 +13,9 @@ Within one law sweep (``check_laws`` runs a whole check as one), ``multiply``,
 memoized on the presentation, keyed by the method and the ``id`` of each argument
 section. An entry keeps its arguments alive, so no id is reused while it exists,
 and a hit returns the same immutable ``Section``, so chained calls hit too. The
-outermost sweep opens the memo and drops it on leaving; outside a sweep every
-method computes afresh.
+law families take their frame sections from lists memoized the same way, so
+their keys match across families. The outermost sweep opens the memo and
+drops it on leaving; outside a sweep every method computes afresh.
 """
 
 from __future__ import annotations
@@ -219,6 +220,16 @@ class AlgebroidPresentation:
         """Section u^m · E_i, the spanning test argument for differential laws."""
         return self.basis(i).scale_fn(self.var_fn(m))
 
+    @_memo
+    def _frame(self) -> list:
+        """The frame E_i; inside a sweep built once, so law families share memo keys."""
+        return [self.basis(i) for i in range(self.rank)]
+
+    @_memo
+    def _scaled(self) -> list:
+        """The sections u^m·E_i, m-major; inside a sweep built once, like ``_frame``."""
+        return [self.scaled_basis(m, i) for m in range(self.n) for i in range(self.rank)]
+
     def anchor_of(self, X: Section) -> VectorField:
         out = VectorField.zero(self.n)
         for i, xi in X.entries:
@@ -368,13 +379,13 @@ class AlgebroidPresentation:
 
 def _frame_args(A: AlgebroidPresentation):
     """The frame sections E_i, labelled by name."""
-    return [(A.basis_name(i), A.basis(i)) for i in range(A.rank)]
+    return [(A.basis_name(i), E) for i, E in enumerate(A._frame())]
 
 
 def _scaled_args(A: AlgebroidPresentation, variables=None):
     """The frame scaled by each base variable (or by those listed), u^m·E_i."""
-    ms = range(A.n) if variables is None else variables
-    return [(f"{A.base_vars[m]}*{A.basis_name(i)}", A.scaled_basis(m, i)) for m in ms for i in range(A.rank)]
+    ms, r, scaled = range(A.n) if variables is None else variables, A.rank, A._scaled()
+    return [(f"{A.base_vars[m]}*{A.basis_name(i)}", scaled[m * r + i]) for m in ms for i in range(r)]
 
 
 def _prelie_tuples(frame, scaled):

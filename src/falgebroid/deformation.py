@@ -12,21 +12,25 @@ Cochains alternate in every slot but the last, as in Dzhumadildaev's pre-Lie
 complex; MultiDer.build enforces it, evaluating only where the leading slots
 strictly increase. Over a point a degree-p cochain is therefore its
 coordinate vector: the E_k-components at those frame tuples. Coboundary
-matrices are read off the pre-Lie structure constants, one target coordinate
-per row, with d_def kept as their oracle; point cohomology comes from one
-elimination of [image of d | kernel of d].
+matrices are read off the pre-Lie structure constants as sparse rows, one per
+target coordinate, with d_def kept as their oracle; point cohomology comes
+from one elimination of [image of d | kernel of d]. Over a point the
+deformation checks never evaluate a MultiDer: the order-k residuals and the
+obstruction are summed on Fraction tables of mu_0..mu_n, and every coboundary
+test multiplies a coordinate vector by the sparse rows. MultiDer.eval and
+d_def remain the path over a positive-dimensional base and the tests' oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import chain, combinations, product as iproduct
 from operator import add, sub
 
 from .algebroid import AlgebroidPresentation, Section, VectorField, vf_bracket
-from .algebroid import _frame_args, _prelie_tuples, _scaled_args, _sweep
+from .algebroid import _frame_args, _point_frame, _prelie_tuples, _scaled_args, _sum, _sweep
 from .constructions import FiniteAlgebra
 from .errors import (
     ArityMismatch,
@@ -309,6 +313,22 @@ def _order_k_residual(deform: FormalDeformation, k: int, X: Section, Y: Section,
     return total
 
 
+def _point_tables(deform: FormalDeformation) -> list:
+    """Over a point, the Fraction tables t[i][j] = {k: c} of mu_0..mu_n: the product's, then each mu's coordinates."""
+    r = deform.base.rank
+    mus = [[[{k: c.constant_value() for k, c in m.D[(i, j)].entries} for j in range(r)] for i in range(r)]
+           for m in deform.mus]
+    return [deform.base.constants("product")] + mus
+
+
+def _point_residual(tables: list, k: int):
+    """Over a point, ``_order_k_residual`` on frame indices, summed on the tables of mu_0..mu_n."""
+    n = len(tables) - 1
+    pairs = [(tables[i], list(zip(*tables[i])), tables[k - i]) for i in range(max(0, k - n), min(k, n) + 1)]
+    return lambda a, b, c: _sum(*(term for T, TC, S in pairs for term in (  # S = mu_(k-i) inside T = mu_i
+        (1, S[a][b], TC[c]), (-1, S[b][c], T[a]), (-1, S[b][a], TC[c]), (1, S[a][c], T[b]))))
+
+
 def check_n_deformation(deform: FormalDeformation) -> Report:
     """Order-by-order pre-Lie conditions for the deformed product.
 
@@ -318,9 +338,10 @@ def check_n_deformation(deform: FormalDeformation) -> Report:
     """
     A = deform.base
     report = Report(f"pre-Lie {deform.order}-deformation")
-    frame, scaled = _frame_args(A), _scaled_args(A)
+    frame, scaled = (_point_frame(A), []) if A.n == 0 else (_frame_args(A), _scaled_args(A))
+    tables = _point_tables(deform) if A.n == 0 else None
     for k in range(deform.order + 1):
-        rule = partial(_order_k_residual, deform, k)
+        rule = _point_residual(tables, k) if A.n == 0 else partial(_order_k_residual, deform, k)
         _sweep(A, report, [(_prelie_tuples(frame, scaled), ("pre-lie-rule", rule))], prefix=f"order {k} ")
     return report
 
@@ -368,14 +389,17 @@ def obstruction(deform: FormalDeformation) -> MultiDer:
             total = total - vf_bracket(mi.sigma_eval([X]), mj.sigma_eval([Y]))
         return total
 
-    theta = MultiDer.build(
-        3,
-        r,
-        A.n,
-        lambda idx: _order_k_residual(deform, n + 1, basis[idx[0]], basis[idx[1]], basis[idx[2]]),
-        lambda idx: theta_sigma(basis[idx[0]], basis[idx[1]]),
-    )
-    if not d_def(as_prelie(A), theta).is_zero():
+    if A.n == 0:  # the coordinate vector of theta, closed when the sparse rows of d annihilate it
+        rule, vec = _point_residual(_point_tables(deform), n + 1), []
+        for idx in _coord_args(r, 3):
+            res = rule(*idx)
+            vec += [res.get(k, 0) for k in range(r)]
+        theta, closed = _vector_to_multider(vec, r, 3), not any(_d_times(_d_matrix(as_prelie(A), 3), vec))
+    else:
+        theta = MultiDer.build(3, r, A.n, lambda idx: _order_k_residual(deform, n + 1, *(basis[i] for i in idx)),
+                               lambda idx: theta_sigma(basis[idx[0]], basis[idx[1]]))
+        closed = d_def(as_prelie(A), theta).is_zero()
+    if not closed:
         raise FalgError("obstruction cochain is not closed; deformation data invalid")
     return theta
 
@@ -391,12 +415,16 @@ def extend(deform: FormalDeformation, psi: MultiDer) -> FormalDeformation:
         raise ShapeError("extension cochain must have degree 2")
     A = deform.base
     theta = obstruction(deform)
-    residual = theta - d_def(as_prelie(A), psi)
-    if not residual.is_zero():
-        bad = next(
+    if A.n == 0:
+        d_psi = _d_times(_d_matrix(as_prelie(A), 2), _coords(psi, A.rank, 2))
+        bad = _witness(A, list(map(sub, _coords(theta, A.rank, 3), d_psi)))
+    else:
+        residual = theta - d_def(as_prelie(A), psi)
+        bad = None if residual.is_zero() else next(
             (A.fmt(s) for s in residual.D.values() if not s.is_zero()),
             next((v.format(A.base_vars) for v in residual.sigma.values() if not v.is_zero()), "0"),
         )
+    if bad is not None:
         raise ObstructionNonzero(bad)
     extended = FormalDeformation(A, deform.mus + [psi])
     check_n_deformation(extended).require(NotADeformation)
@@ -428,8 +456,8 @@ def _vector_to_multider(vec, r: int, degree: int) -> MultiDer:
     return MultiDer.build(degree, r, 0, lambda idx: Section([RatFunc.const(0, c) for c in cols[idx]]))
 
 
-def _d_matrix(A: AlgebroidPresentation, degree: int) -> list[list[Fraction]]:
-    """Matrix of the coboundary from degree to degree+1: target coordinate rows, source columns.
+def _d_matrix(A: AlgebroidPresentation, degree: int) -> list[dict]:
+    """Matrix of the coboundary from degree to degree+1: one sparse row {source column: c} per target coordinate.
 
     Read off the pre-Lie structure constants P = ``A.constants("prelie")`` (E_a⋆E_b = Σ_k P[a][b][k] E_k), with
     [E_a, E_b] = E_a⋆E_b − E_b⋆E_a: for the frame tuple head + (last,) of a target row, each
@@ -438,38 +466,56 @@ def _d_matrix(A: AlgebroidPresentation, degree: int) -> list[list[Fraction]]:
     """
     r = A.rank
     P = A.constants("prelie")
+    signed = P, [[{k: -c for k, c in cell.items()} for cell in row] for row in P]  # (-1)^i·P, by i % 2
     heads = {h: i for i, h in enumerate(combinations(range(r), degree - 1))}
-    zero, ncols = Fraction(0), len(heads) * r * r
     rows = []
     for *head, last in _coord_args(r, degree + 1):
         acc = [{} for _ in range(r)]  # acc[k][column] for the row of component k
 
-        def add(k, lead, slot, m, c):
-            """Add c·ω(E_lead…, E_slot)_m to component k; lead is sorted with its sign."""
-            lead, sign = _sorted_sign(lead)
-            if sign:
-                j = (heads[lead] * r + slot) * r + m
-                acc[k][j] = acc[k].get(j, 0) + sign * c
+        def add(k, j, c):
+            """Add c to column j of component k."""
+            row = acc[k]
+            row[j] = row[j] + c if j in row else c
 
         for i, a in enumerate(head):
-            s = 1 if i % 2 == 0 else -1
-            rest = head[:i] + head[i + 1:]
-            for m in range(r):
-                for k, c in P[a][m].items():
-                    add(k, rest, last, m, s * c)
-                for k, c in P[m][last].items():
-                    add(k, rest, a, m, s * c)
-            for m, c in P[a][last].items():
+            S, T = signed[i % 2], signed[1 - i % 2]
+            h = heads[tuple(head[:i] + head[i + 1:])] * r  # the rest of head increases, as head does
+            for m in range(r):  # column (h + slot) * r + m holds ω(E_rest…, E_slot)_m
+                for k, c in S[a][m].items():
+                    add(k, (h + last) * r + m, c)
+                for k, c in S[m][last].items():
+                    add(k, (h + a) * r + m, c)
+            for m, c in T[a][last].items():
                 for k in range(r):
-                    add(k, rest, m, k, -s * c)
+                    add(k, (h + m) * r + k, c)
             for j in range(i + 1, len(head)):
-                b, others = head[j], rest[:j - 1] + rest[j:]
-                bracket = {m: P[a][b].get(m, 0) - P[b][a].get(m, 0) for m in {*P[a][b], *P[b][a]}}
-                for m, c in bracket.items():
-                    for k in range(r):
-                        add(k, [m] + others, last, k, (1 if (i + j) % 2 == 0 else -1) * c)
-        rows += [[entries.get(j, zero) for j in range(ncols)] for entries in acc]
+                b, others = head[j], tuple(head[:i] + head[i + 1:j] + head[j + 1:])
+                for m in {*P[a][b], *P[b][a]}:
+                    lead, sign = _sorted_sign((m,) + others)  # once per m, for all r components
+                    c = (sign if (i + j) % 2 == 0 else -sign) * (P[a][b].get(m, 0) - P[b][a].get(m, 0))
+                    for k in range(r) if c else ():
+                        add(k, (heads[lead] * r + last) * r + k, c)
+        rows += [{j: c for j, c in entries.items() if c} for entries in acc]
     return rows
+
+
+def _dense(rows: list[dict], ncols: int) -> list[list[Fraction]]:
+    """Sparse matrix rows as dense lists, for elimination."""
+    zero = Fraction(0)
+    return [[row.get(j, zero) for j in range(ncols)] for row in rows]
+
+
+def _d_times(rows: list[dict], vec: list) -> list:
+    """The sparse rows of a coboundary matrix applied to a coordinate vector, skipping its zeros."""
+    return [sum(c * vec[j] for j, c in row.items() if vec[j]) for row in rows]
+
+
+def _witness(A: AlgebroidPresentation, vec: list) -> str | None:
+    """The first nonzero column of a point coordinate vector as a formatted Section, None when there is none: the
+    cochain's first nonzero ``D`` value, since an unsorted leading tuple follows its sorted twin."""
+    r = A.rank
+    t = next((t for t in range(0, len(vec), r) if any(vec[t:t + r])), None)
+    return None if t is None else A.fmt(Section([RatFunc.const(0, c) for c in vec[t:t + r]]))
 
 
 @dataclass
@@ -494,16 +540,14 @@ def cohomology_point(algebra: FiniteAlgebra, degree: int) -> CohomologyResult:
         raise BaseNotPoint("cohomology solver works over a point only")
     r = A.rank
     zero, one = Fraction(0), Fraction(1)
-    d_in = _d_matrix(A, degree - 1)
+    n_in, n_out = (len(_coord_args(r, p)) * r for p in (degree - 1, degree))
+    d_in = _dense(_d_matrix(A, degree - 1), n_in)
     d_out = _d_matrix(A, degree)
-    sparse_in = [{t: v for t, v in enumerate(col) if v} for col in zip(*d_in)]  # d is sparse
-    sparse_out = [[(t, w) for t, w in enumerate(row) if w] for row in d_out]
-    if any(sum(w * col[t] for t, w in row if t in col) for row in sparse_out for col in sparse_in):
+    if any(any(_d_times(d_out, col)) for col in zip(*d_in)):
         raise FalgError("coboundary composition is nonzero; internal error")
     # a zero row fixes the column count when the target space is zero-dimensional (degree > rank);
     # there every cochain is closed
-    kernel = nullspace(d_out + [[zero] * (len(_coord_args(r, degree)) * r)], zero, one)
-    n_in = len(d_in[0]) if d_in else 0
+    kernel = nullspace(_dense(d_out, n_out) + [[zero] * n_out], zero, one)
     _, pivots = rref([row + [v[i] for v in kernel] for i, row in enumerate(d_in)], one)
     image_dim = sum(c < n_in for c in pivots)
     reps = [_vector_to_multider(kernel[c - n_in], r, degree) for c in pivots if c >= n_in]
@@ -529,41 +573,33 @@ def equivalence_check(
     checked independently since coboundaries over a commutative base
     carry no symbol.
     """
-    P = as_prelie(A)
+    P, r = as_prelie(A), A.rank
     report = Report("deformation equivalence")
+    rows = cache(partial(_d_matrix, P))
+
+    def d(m: MultiDer) -> list:
+        """Over a point, the coordinate vector of d(m)."""
+        return _d_times(rows(m.degree), _coords(m, r, m.degree))
+
     for name, m in (("mu1", mu1), ("mu1'", mu1_prime)):
-        closed = d_def(P, m)
-        ok = closed.is_zero()
+        ok = not any(d(m)) if A.n == 0 else d_def(P, m).is_zero()
         report.add("cocycle", name, ok, None if ok else "coboundary of candidate is nonzero")
-    sig_ok = all(
-        (mu1.sigma[idx] - mu1_prime.sigma[idx]).is_zero() for idx in mu1.sigma
-    )
-    report.add(
-        "symbol-match",
-        "sigma(mu1) = sigma(mu1')",
-        sig_ok,
-        None if sig_ok else "symbols differ",
-    )
+    sig_ok = all((mu1.sigma[idx] - mu1_prime.sigma[idx]).is_zero() for idx in mu1.sigma)
+    report.add("symbol-match", "sigma(mu1) = sigma(mu1')", sig_ok, None if sig_ok else "symbols differ")
     diff = mu1 - mu1_prime
     if phi is not None:
-        residual = diff - d_def(P, phi)
-        ok = residual.is_zero()
-        witness = None
-        if not ok:
-            witness = next(A.fmt(s) for s in residual.D.values() if not s.is_zero())
-        report.add("coboundary-witness", "mu1 - mu1' = d(phi)", ok, witness)
+        if phi.degree + 1 != diff.degree:
+            raise ArityMismatch("degree mismatch")
+        if A.n == 0:
+            witness = _witness(A, list(map(sub, _coords(diff, r, diff.degree), d(phi))))
+        else:
+            residual = diff - d_def(P, phi)
+            witness = None if residual.is_zero() else next(A.fmt(s) for s in residual.D.values() if not s.is_zero())
+        report.add("coboundary-witness", "mu1 - mu1' = d(phi)", witness is None, witness)
         return report
     if A.n != 0:
         raise BaseNotPoint("solving for an equivalence needs a point base; supply phi")
-    r = A.rank
-    zero, one = Fraction(0), Fraction(1)
-    d1 = _d_matrix(P, 1)
-    target = _coords(diff, r, 2)
-    sol = solve(d1, target, zero, one)
-    ok = sol is not None
-    witness = None
-    if not ok:
-        nz = next((A.fmt(s) for s in diff.D.values() if not s.is_zero()), "0")
-        witness = nz
-    report.add("coboundary-solve", "mu1 - mu1' in image of d", ok, witness)
+    sol = solve(_dense(rows(1), r * r), _coords(diff, r, 2), Fraction(0), Fraction(1))
+    witness = None if sol is not None else next((A.fmt(s) for s in diff.D.values() if not s.is_zero()), "0")
+    report.add("coboundary-solve", "mu1 - mu1' in image of d", witness is None, witness)
     return report

@@ -32,9 +32,6 @@ class Report:
         """Record ``sub``'s overall verdict as one check, witnessed by its first failure."""
         self.add(law, instance, sub.overall, None if sub.overall else sub.failures()[0].witness)
 
-    def extend_from(self, other: "Report"):
-        self.checks.extend(other.checks)
-
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.passed]
 

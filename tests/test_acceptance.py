@@ -46,7 +46,7 @@ from falgebroid.hierarchy import (
 from falgebroid.linalg import nullspace, rank as mat_rank
 from falgebroid.ring import RatFunc
 
-from test_deformation import mu1_euler, rand_multider, truncated_poly_algebra
+from test_deformation import dense_d_matrix, mu1_euler, rand_multider, truncated_poly_algebra
 from test_exprparse import random_ratfunc, run_parser_fuzz
 from test_hierarchy import random_diagonal_section
 
@@ -158,14 +158,12 @@ def test_criterion_5_deformation_suite():
 
 
 def test_criterion_6_cohomology_point():
-    from falgebroid.deformation import _d_matrix
-
     alg = fm2_algebra()
     P = as_prelie(alg.to_presentation())
     zero, one = Fraction(0), Fraction(1)
     res = cohomology_point(alg, 2)
-    d1 = _d_matrix(P, 1)
-    d2 = _d_matrix(P, 2)
+    d1 = dense_d_matrix(P, 1)
+    d2 = dense_d_matrix(P, 2)
     ok = res.coboundary_dim == mat_rank(d1, one)
     ok &= res.cocycle_dim == len(nullspace(d2, zero, one))
     ok &= res.dim == res.cocycle_dim - res.coboundary_dim

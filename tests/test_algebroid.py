@@ -20,6 +20,7 @@ from falgebroid.algebroid import (
     _prelie_tuples,
     _record,
     _sweep,
+    check_laws,
     check_anchor_leibniz,
     check_comm_assoc,
     check_f_algebroid,
@@ -737,3 +738,33 @@ def test_sweep_memo_lives_for_one_sweep():
     gc.collect()
     assert probe() is None
     assert check_f_algebroid(A).overall and A._memo is None
+
+
+def test_law_families_share_frame_sections_in_one_sweep(monkeypatch):
+    """The frame sections are built once per sweep, so one ``check_laws`` call computes each frame pre-Lie
+    product E_i⋆E_j once, although both ``pre-lie-symmetry`` and ``psi-symmetry`` evaluate it."""
+    import falgebroid.algebroid
+
+    computed, frames = [], []
+    raw, raw_frame = AlgebroidPresentation.prelie_of.__wrapped__, AlgebroidPresentation._frame.__wrapped__
+
+    def counted(self, X, Y):
+        computed.append((X, Y))
+        return raw(self, X, Y)
+
+    def built(self):
+        frames.append(raw_frame(self))
+        return frames[-1]
+
+    monkeypatch.setattr(AlgebroidPresentation, "prelie_of", falgebroid.algebroid._memo(counted))
+    monkeypatch.setattr(AlgebroidPresentation, "_frame", falgebroid.algebroid._memo(built))
+    A = load_fixture("SS4")
+    counts = {}
+    for laws in (["pre-lie"], ["f-algebroid", "pre-f"]):
+        computed.clear(), frames.clear()
+        assert check_laws(A, laws, Report("families")).overall
+        assert len(frames) == 1
+        frame = set(map(id, frames[0]))
+        assert sum(id(X) in frame and id(Y) in frame for X, Y in computed) == A.rank ** 2
+        counts[laws[-1]] = len(computed)
+    assert counts == {"pre-lie": 1808, "pre-f": 1872}  # 1888 for pre-f when each family built its own frame

@@ -7,12 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from falgebroid.algebroid import AlgebroidPresentation, Section, VectorField, check_f_algebroid
+from falgebroid.algebroid import AlgebroidPresentation, Section, VectorField, _frame_args, check_f_algebroid
 from falgebroid.constructions import FiniteAlgebra, fm2_algebra, load_fixture
 from falgebroid.deformation import (
     FormalDeformation,
     MultiDer,
+    _coord_args,
+    _coords,
     _order_k_residual,
+    _vector_to_multider,
     as_prelie,
     check_n_deformation,
     cohomology_point,
@@ -27,11 +30,13 @@ from falgebroid.deformation import (
 from falgebroid.errors import (
     ArityMismatch,
     BaseNotPoint,
+    FalgError,
     NotADeformation,
     ObstructionNonzero,
     ShapeError,
 )
-from falgebroid.linalg import nullspace, rank as mat_rank
+from falgebroid.linalg import nullspace, rank as mat_rank, solve
+from falgebroid.report import Report
 from falgebroid.ring import Poly, RatFunc
 
 
@@ -286,15 +291,21 @@ def test_build_evaluates_only_strictly_increasing_leading_slots(degree):
 # -- cohomology over a point -----------------------------------------------
 
 
-def test_cohomology_dimensions_consistent_with_raw_linear_algebra():
-    from falgebroid.deformation import _d_matrix
+def dense_d_matrix(A, degree):
+    """``_d_matrix`` with its sparse rows written out over every source column."""
+    from falgebroid.deformation import _coord_args, _d_matrix
 
+    ncols = len(_coord_args(A.rank, degree)) * A.rank
+    return [[row.get(j, Fraction(0)) for j in range(ncols)] for row in _d_matrix(A, degree)]
+
+
+def test_cohomology_dimensions_consistent_with_raw_linear_algebra():
     alg = fm2_algebra()
     A = as_prelie(alg.to_presentation())
     zero, one = Fraction(0), Fraction(1)
     res = cohomology_point(alg, 2)
-    d1 = _d_matrix(A, 1)
-    d2 = _d_matrix(A, 2)
+    d1 = dense_d_matrix(A, 1)
+    d2 = dense_d_matrix(A, 2)
     assert res.coboundary_dim == mat_rank(d1, one)
     assert res.cocycle_dim == len(nullspace(d2, zero, one))
     assert res.dim == res.cocycle_dim - res.coboundary_dim
@@ -360,7 +371,9 @@ def random_prelie_presentation(rng, r):
 def assert_d_matrix_matches_d_def(A, degree, columns=None):
     from falgebroid.deformation import _d_matrix
 
-    got = _d_matrix(A, degree)
+    rows = _d_matrix(A, degree)
+    assert all(all(row.values()) for row in rows)  # sparse: no stored zero
+    got = dense_d_matrix(A, degree)
     cols, m = d_matrix_through_d_def(A, degree, columns)
     assert len(got) == m
     for j, col in cols.items():
@@ -448,3 +461,171 @@ def test_equivalence_over_base_needs_witness():
         equivalence_check(A, md, md)
     # with an explicit witness the check runs over any base
     assert equivalence_check(A, md, md, phi=MultiDer.zero(1, A.rank, A.n)).overall
+
+
+# -- the point path against MultiDer.eval and d_def --------------------------
+#
+# Over a point the four deformation checks run on coordinate vectors and sparse
+# coboundary rows. The oracles below take the MultiDer route, as the checks do
+# over a positive-dimensional base: every residual through MultiDer.eval (in
+# _order_k_residual) and every coboundary through d_def, both called here.
+
+
+def oracle_check_n_deformation(deform):
+    A = deform.base
+    report = Report(f"pre-Lie {deform.order}-deformation")
+    for k in range(deform.order + 1):
+        for case in itertools.product(_frame_args(A), repeat=3):
+            names, args = zip(*case)
+            res = _order_k_residual(deform, k, *args)
+            report.add("pre-lie-rule", f"order {k} ({','.join(names)})", res.is_zero(), A.fmt(res))
+    return report
+
+
+def oracle_obstruction(deform):
+    A = deform.base
+    basis = [A.basis(i) for i in range(A.rank)]
+    theta = MultiDer.build(
+        3, A.rank, 0, lambda idx: _order_k_residual(deform, deform.order + 1, *(basis[i] for i in idx))
+    )
+    if not d_def(as_prelie(A), theta).is_zero():
+        raise FalgError("obstruction cochain is not closed; deformation data invalid")
+    return theta
+
+
+def oracle_extend(deform, psi):
+    A = deform.base
+    residual = oracle_obstruction(deform) - d_def(as_prelie(A), psi)
+    if not residual.is_zero():
+        raise ObstructionNonzero(next(A.fmt(s) for s in residual.D.values() if not s.is_zero()))
+    extended = FormalDeformation(A, deform.mus + [psi])
+    oracle_check_n_deformation(extended).require(NotADeformation)
+    return extended
+
+
+def oracle_equivalence_check(A, mu1, mu1_prime, phi=None):
+    P = as_prelie(A)
+    report = Report("deformation equivalence")
+    for name, m in (("mu1", mu1), ("mu1'", mu1_prime)):
+        ok = d_def(P, m).is_zero()
+        report.add("cocycle", name, ok, "coboundary of candidate is nonzero")
+    report.add("symbol-match", "sigma(mu1) = sigma(mu1')", True)
+    diff = mu1 - mu1_prime
+    if phi is not None:
+        residual = diff - d_def(P, phi)
+        witness = next((A.fmt(s) for s in residual.D.values() if not s.is_zero()), None)
+        report.add("coboundary-witness", "mu1 - mu1' = d(phi)", witness is None, witness)
+        return report
+    cols, m = d_matrix_through_d_def(P, 1)
+    d1 = [[cols[j][i] for j in sorted(cols)] for i in range(m)]
+    ok = solve(d1, _coords(diff, A.rank, 2), Fraction(0), Fraction(1)) is not None
+    witness = None if ok else next((A.fmt(s) for s in diff.D.values() if not s.is_zero()), "0")
+    report.add("coboundary-solve", "mu1 - mu1' in image of d", ok, witness)
+    return report
+
+
+def outcome(fn, *args):
+    """What fn returns, comparable with ==, or the type and message of the FalgError it raises."""
+    try:
+        out = fn(*args)
+    except FalgError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, Report):
+        return out.subject, [(c.law, c.instance, c.passed, c.witness) for c in out.checks]
+    return out.mus if isinstance(out, FormalDeformation) else out
+
+
+def point_cochain(rng, degree, r):
+    vec = [Fraction(rng.choice([0, 0, 1, -1, 2, Fraction(1, 2)])) for _ in range(len(_coord_args(r, degree)) * r)]
+    return _vector_to_multider(vec, r, degree)
+
+
+def mutant(rng, md):
+    """md with one seeded coordinate perturbed."""
+    vec = _coords(md, md.rank, md.degree)
+    vec[rng.randrange(len(vec))] += rng.choice([1, -1, Fraction(1, 3)])
+    return _vector_to_multider(vec, md.rank, md.degree)
+
+
+def point_case(name, seed):
+    """A point base and a seeded mu1: a 2-cocycle d(phi) + Σ c·rep on an algebra, random on random constants."""
+    rng = random.Random(f"{name}:{seed}")
+    if name == "random":
+        A = random_prelie_presentation(rng, 2 + seed % 3)
+        return A, point_cochain(rng, 2, A.rank), rng
+    alg = POINT_ALGEBRAS[name]()
+    A = alg.to_presentation()
+    mu1 = d_def(as_prelie(A), point_cochain(rng, 1, A.rank))
+    for rep in cohomology_point(alg, 2).representatives:
+        mu1 = mu1 + rep.scale(Fraction(rng.randint(-2, 2)))
+    return A, mu1, rng
+
+
+POINT_PATH_CASES = [(name, seed) for name in ("FM2", "Q[u]/u^3", "Q[u]/u^4") for seed in range(2)]
+POINT_PATH_CASES += [("random", seed) for seed in range(4)]
+
+
+@pytest.mark.parametrize("name,seed", POINT_PATH_CASES, ids=[f"{n}-{s}" for n, s in POINT_PATH_CASES])
+def test_point_deformation_checks_match_the_multider_oracle(name, seed):
+    A, mu1, rng = point_case(name, seed)
+    r, P = A.rank, as_prelie(A)
+    kinds = set()
+    for mus in ([mu1], [mutant(rng, mu1)], [mu1, point_cochain(rng, 2, r)], [mu1, mutant(rng, mu1)]):
+        deform = FormalDeformation(A, mus)
+        got = outcome(check_n_deformation, deform)
+        assert got == outcome(oracle_check_n_deformation, deform)
+        theta = outcome(obstruction, deform)
+        assert theta == outcome(oracle_obstruction, deform)
+        kinds |= {all(c[2] for c in got[1]), theta[0] if isinstance(theta, tuple) else MultiDer}
+    phi = point_cochain(rng, 1, r)
+    for deform in (FormalDeformation(A, [mu1]), FormalDeformation(A, [d_def(P, phi)])):
+        psis = [MultiDer.zero(2, r, 0), point_cochain(rng, 2, r)]
+        theta = outcome(obstruction, deform)
+        if isinstance(theta, MultiDer):  # solve d(psi) = theta for an extension that succeeds when theta is exact
+            sol = solve(dense_d_matrix(P, 2), _coords(theta, r, 3), Fraction(0), Fraction(1))
+            if sol is not None:
+                psis += [_vector_to_multider(sol, r, 2), mutant(rng, _vector_to_multider(sol, r, 2))]
+        for psi in psis:
+            got = outcome(extend, deform, psi)
+            assert got == outcome(oracle_extend, deform, psi)
+            kinds.add(got[0] if isinstance(got, tuple) else FormalDeformation)
+    shifted = mu1 - d_def(P, phi)
+    for mu1_prime in (shifted, mutant(rng, shifted)):
+        for witness in (None, phi, mutant(rng, phi)):
+            got = outcome(equivalence_check, A, mu1, mu1_prime, witness)
+            assert got == outcome(oracle_equivalence_check, A, mu1, mu1_prime, witness)
+            kinds.add(all(c[2] for c in got[1]))
+    # the seeded cases reach passing and failing reports, obstructions, extensions and refusals to extend;
+    # over FM2 every degree-3 cochain is closed, as its rank-2 frame has no three distinct leading slots
+    if name == "random":
+        assert False in kinds and kinds & {FalgError, ObstructionNonzero}
+    else:
+        assert {True, False, MultiDer, FormalDeformation, ObstructionNonzero} <= kinds
+        assert (FalgError in kinds) == (name != "FM2")
+
+
+def test_point_deformation_checks_call_neither_eval_nor_d_def(monkeypatch):
+    import falgebroid.deformation
+
+    A = truncated_poly_algebra(3).to_presentation()
+    P = as_prelie(A)
+    mu1, phi = mu1_euler(A), point_cochain(random.Random(1), 1, A.rank)
+    shifted = mu1 - d_def(P, phi)
+    psi = cohomology_point(truncated_poly_algebra(3), 2).representatives[0]
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(MultiDer, "eval", counted("eval", MultiDer.eval))
+    monkeypatch.setattr(MultiDer, "sigma_eval", counted("sigma_eval", MultiDer.sigma_eval))
+    monkeypatch.setattr(falgebroid.deformation, "d_def", counted("d_def", d_def))
+    deform = FormalDeformation(A, [mu1])
+    assert check_n_deformation(deform).overall
+    assert obstruction(deform).is_zero()
+    assert extend(deform, psi).order == 2
+    assert equivalence_check(A, mu1, shifted).overall
+    assert equivalence_check(A, mu1, shifted, phi).overall
+    assert calls == []
+    falgebroid.deformation.d_def(P, phi)  # the counters see the MultiDer route
+    assert "d_def" in calls and "eval" in calls

@@ -48,7 +48,7 @@ def merged_report(subject, reports):
     """The checks of ``reports`` in turn, each (law, instance) pair at its first occurrence."""
     report = Report(subject)
     for single in reports:
-        report.extend_from(single)
+        report.checks.extend(single.checks)
     firsts = {(c.law, c.instance): c for c in reversed(report.checks)}
     report.checks = [c for c in report.checks if firsts[c.law, c.instance] is c]
     return report
