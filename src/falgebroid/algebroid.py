@@ -23,6 +23,7 @@ from __future__ import annotations
 from functools import wraps
 from itertools import chain, combinations, combinations_with_replacement
 from itertools import product as iproduct
+from operator import itemgetter
 
 from .errors import MissingStructure, ShapeError
 from .linalg import solve
@@ -398,66 +399,88 @@ def _prelie_tuples(frame, scaled):
     )
 
 
-def _record(A: AlgebroidPresentation, report: Report, law: str, instance: str, res):
-    """Record one instance; the residual, a Section or over a point a dict {k: c}, is formatted only when nonzero."""
+def _witness(A: AlgebroidPresentation, res) -> str | None:
+    """The text of a nonzero residual, a Section or over a point a dict {k: c}; None for zero (a passing check)."""
     if isinstance(res, dict):
-        if not any(res.values()):
-            return report.add(law, instance, True)
         res = Section._from_dict({k: RatFunc.const(0, c) for k, c in res.items() if c}, A.rank, 0)
-    if res.is_zero():
-        report.add(law, instance, True)
-    else:
-        report.add(law, instance, False, A.fmt(res))
+    return None if res.is_zero() else A.fmt(res)
 
 
 def _sweep(A: AlgebroidPresentation, report: Report, table, prefix: str = "") -> Report:
-    """Run a law table into ``report`` and return it.
-
-    Each row is (argument tuples, (law, residual), ...). Every tuple of
-    labelled arguments is one instance, named ``prefix(name,...)``, and
-    the row's laws are checked on it in turn, under the sweep memo.
-    """
+    """Run a law table into ``report``, one block per row, and return it. A row is (argument tuples, (law,
+    residual)). Each tuple of labelled arguments is one instance, named ``prefix(name,...)`` and checked by calling
+    the residual on it under the sweep memo. Over a point the residual can be the dict of a ``_point_tensor`` beside
+    tuples of frame names: only the dict's tuples fail."""
     memo = A._memo
     A._memo = {} if memo is None else memo
     try:
-        for cases, *laws in table:
+        for cases, (law, residual) in table:
+            names, fails = [], {}
+            report.blocks.append((law, names, fails))
+            if isinstance(residual, dict):
+                cases, labels = list(cases), _point_labels(A)
+                names += [f"{prefix}({s})" for s in map(",".join, cases)]
+                failing = {tuple(labels[i] for i in key): res for key, res in residual.items()}
+                fails.update((i, _witness(A, failing[t]))
+                             for i, t in enumerate(cases if failing else ()) if t in failing)
+                continue
             for case in cases:
-                names, args = zip(*case)
-                instance = f"{prefix}({','.join(names)})"
-                for law, residual in laws:
-                    _record(A, report, law, instance, residual(*args))
+                labels, args = zip(*case)
+                witness = _witness(A, residual(*args))
+                if witness is not None:
+                    fails[len(names)] = witness
+                names.append(f"{prefix}({','.join(labels)})")
     finally:
         A._memo = memo
     return report
 
 
 # -- laws over a point: each residual is a polynomial in the structure constants,
-# summed on frame indices from ``A.constants``, where E_i∘E_j is the cell t[i][j].
+# summed at once on every tuple of frame indices from the tables of ``A.constants``.
 
 
-def _point_frame(A: AlgebroidPresentation):
-    """The frame indices i, labelled E_i."""
-    return [(A.basis_name(i), i) for i in range(A.rank)]
+def _point_labels(A: AlgebroidPresentation) -> list:
+    """The frame names E_i, in index order."""
+    return [A.basis_name(i) for i in range(A.rank)]
 
 
-def _sum(*terms) -> dict:
-    """Σ s·Σ_a u_a·rows[a] over terms (s, u, rows) of a sign, a vector {a: x} and rows {k: c}.
-
-    With rows t[i] a term is s·E_i∘u; with rows the column (t[a][j])_a it is s·u∘E_j.
-    """
+def _point_tensor(*terms) -> dict:
+    """Σ s·term on every tuple of frame indices at once, over the nonzero constants only:
+    {index tuple: {k: c}} of exactly the nonzero residuals. A term (s, shape, ∘, ⋄) of tables
+    t[i][j] = {k: c} has the shape (a, b) for s·E_a∘E_b (no ⋄), ((a, b), c) for s·(E_a∘E_b)⋄E_c
+    or (a, (b, c)) for s·E_a⋄(E_b∘E_c), with a, b, c its slots."""
     out = {}
-    for s, u, rows in terms:
-        for a, x in u.items():
-            for k, c in rows[a].items():
-                out[k] = out.get(k, 0) + x * c if s > 0 else out.get(k, 0) - x * c
-    return out
+    for s, shape, inner, *outer in terms:
+        hits = [((x, y), m, c) for x, y, m, c in _nonzeros(inner)]
+        if outer:  # E_x∘E_y = Σ c·E_m nested into ⋄ with the third slot z, on the left or on the right
+            left, by_m = isinstance(shape[0], tuple), {}
+            shape = (*shape[0], shape[1]) if left else (*shape[1], shape[0])
+            for x, y, k, d in _nonzeros(outer[0]):
+                by_m.setdefault(x if left else y, []).append((y if left else x, k, d))
+            hits = [((x, y, z), k, c * d) for (x, y), m, c in hits for z, k, d in by_m.get(m, ())]
+        key = itemgetter(*(shape.index(p) for p in range(len(shape))))
+        for vals, k, c in hits:
+            cell = out.setdefault(key(vals), {})
+            cell[k] = cell.get(k, 0) + c if s > 0 else cell.get(k, 0) - c
+    return {key: res for key, cell in out.items() if (res := {k: c for k, c in cell.items() if c})}
 
 
-def _point_psi(A: AlgebroidPresentation):
-    """Over a point, the residuals Ψ(E_i,E_j,E_k) and Ψ(E_i,E_j,E_k) - Ψ(E_j,E_i,E_k) on frame indices."""
-    M, P, MC = A.constants("product"), A.constants("prelie"), list(zip(*A.constants("product")))
-    psi = lambda i, j, k, s=1: ((s, M[j][k], P[i]), (-s, P[i][j], MC[k]), (-s, P[i][k], M[j]))  # noqa: E731
-    return lambda i, j, k: _sum(*psi(i, j, k)), lambda i, j, k: _sum(*psi(i, j, k), *psi(j, i, k, -1))
+def _nonzeros(t) -> list:
+    """The constants t[x][y] = {k: c} as (x, y, k, c), an integral c as an int (faster, and as exact)."""
+    return [(x, y, k, c.numerator if c.denominator == 1 else c)
+            for x, row in enumerate(t) for y, cell in enumerate(row) if cell for k, c in cell.items()]
+
+
+def _prelie_terms(S, T) -> tuple:
+    """The terms of T(S(E_i,E_j),E_k) - T(E_i,S(E_j,E_k)) - T(S(E_j,E_i),E_k) + T(E_j,S(E_i,E_k)): the pre-Lie
+    associator's symmetry for S = T, and with S, T the cochains of two orders, one term of a deformation's rule."""
+    return (1, ((0, 1), 2), S, T), (-1, (0, (1, 2)), S, T), (-1, ((1, 0), 2), S, T), (1, (1, (0, 2)), S, T)
+
+
+def _point_psi(A: AlgebroidPresentation, i: int = 0, j: int = 1, s: int = 1) -> tuple:
+    """The terms of s·Ψ(E_a,E_b,E_c) (see ``psi``), with a and b in slots i and j."""
+    M, P = A.constants("product"), A.constants("prelie")
+    return (s, (i, (j, 2)), M, P), (-s, ((i, j), 2), P, M), (-s, (j, (i, 2)), P, M)
 
 
 # -- law families: each maps a presentation to its ``_sweep`` rows ---------
@@ -468,9 +491,9 @@ def _comm_assoc(A: AlgebroidPresentation) -> list:
     sym = lambda X, Y: mul(X, Y) - mul(Y, X)  # noqa: E731
     assoc = lambda X, Y, Z: mul(mul(X, Y), Z) - mul(X, mul(Y, Z))  # noqa: E731
     if A.n == 0:
-        frame, M, MC = _point_frame(A), A.constants("product"), list(zip(*A.constants("product")))
-        sym = lambda i, j: _sum((1, {j: 1}, M[i]), (-1, {i: 1}, M[j]))  # noqa: E731
-        assoc = lambda i, j, k: _sum((1, M[i][j], MC[k]), (-1, M[j][k], M[i]))  # noqa: E731
+        frame, M = _point_labels(A), A.constants("product")
+        sym = _point_tensor((1, (0, 1), M), (-1, (1, 0), M))
+        assoc = _point_tensor((1, ((0, 1), 2), M, M), (-1, (0, (1, 2)), M, M))
     return [
         (combinations(frame, 2), ("product-symmetry", sym)),
         (iproduct(frame, repeat=3), ("associativity", assoc)),
@@ -487,9 +510,9 @@ def _lie(A: AlgebroidPresentation) -> list:
     br, frame, jacobi = A.bracket_of, _frame_args(A), A.jacobiator
     antisym = lambda X, Y: br(X, Y) + br(Y, X)  # noqa: E731
     if A.n == 0:
-        frame, B, BC = _point_frame(A), A.constants("bracket"), list(zip(*A.constants("bracket")))
-        antisym = lambda i, j: _sum((1, {j: 1}, B[i]), (1, {i: 1}, B[j]))  # noqa: E731
-        jacobi = lambda i, j, k: _sum((1, B[i][j], BC[k]), (1, B[j][k], BC[i]), (1, B[k][i], BC[j]))  # noqa: E731
+        frame, B = _point_labels(A), A.constants("bracket")
+        antisym = _point_tensor((1, (0, 1), B), (1, (1, 0), B))
+        jacobi = _point_tensor((1, ((0, 1), 2), B, B), (1, ((1, 2), 0), B, B), (1, ((2, 0), 1), B, B))
     return [
         (combinations_with_replacement(frame, 2), ("bracket-antisymmetry", antisym)),
         (iproduct(frame + _scaled_args(A), frame, frame), ("jacobi", jacobi)),
@@ -512,10 +535,9 @@ def _pre_lie(A: AlgebroidPresentation) -> list:
     """
     assoc, frame = A.prelie_associator, _frame_args(A)
     sym = lambda X, Y, Z: assoc(X, Y, Z) - assoc(Y, X, Z)  # noqa: E731
-    if A.n == 0:  # (E_i⋆E_j)⋆E_k - E_i⋆(E_j⋆E_k) - (E_j⋆E_i)⋆E_k + E_j⋆(E_i⋆E_k)
-        frame, P, PC = _point_frame(A), A.constants("prelie"), list(zip(*A.constants("prelie")))
-        sym = lambda i, j, k: _sum(  # noqa: E731
-            (1, P[i][j], PC[k]), (-1, P[j][k], P[i]), (-1, P[j][i], PC[k]), (1, P[i][k], P[j]))
+    if A.n == 0:
+        frame, P = _point_labels(A), A.constants("prelie")
+        sym = _point_tensor(*_prelie_terms(P, P))
     return [(_prelie_tuples(frame, _scaled_args(A)), ("pre-lie-symmetry", sym))]
 
 
@@ -523,13 +545,13 @@ def _psi_symmetry(A: AlgebroidPresentation) -> list:
     """Psi symmetric in its first two slots, on frame triples."""
     frame, sym = _frame_args(A), lambda X, Y, Z: A.psi(X, Y, Z) - A.psi(Y, X, Z)
     if A.n == 0:
-        frame, sym = _point_frame(A), _point_psi(A)[1]
+        frame, sym = _point_labels(A), _point_tensor(*_point_psi(A), *_point_psi(A, 1, 0, -1))
     return [(iproduct(frame, repeat=3), ("psi-symmetry", sym))]
 
 
 def _psi_vanishing(A: AlgebroidPresentation) -> list:
     """Psi = 0 on frame triples."""
-    frame, psi = (_point_frame(A), _point_psi(A)[0]) if A.n == 0 else (_frame_args(A), A.psi)
+    frame, psi = (_point_labels(A), _point_tensor(*_point_psi(A))) if A.n == 0 else (_frame_args(A), A.psi)
     return [(iproduct(frame, repeat=3), ("psi-vanishing", psi))]
 
 

@@ -135,7 +135,7 @@ def cmd_deform(args) -> int:
     if args.nijenhuis:
         rows = parse_array(decode_json(_read(args.nijenhuis)), (A.rank, A.rank), A.base_vars, "$")
         torsion, deformed = nijenhuis_deformation(A, BundleMap(rows))
-        report = Report("nijenhuis deformation", list(torsion.checks))
+        report = Report("nijenhuis deformation").extend(torsion)
         if deformed is not None:
             check_laws(deformed, _default_laws(deformed), report)
             _write_json(args.out, presentation_to_document(deformed))

@@ -30,7 +30,7 @@ from itertools import chain, combinations, product as iproduct
 from operator import add, sub
 
 from .algebroid import AlgebroidPresentation, Section, VectorField, vf_bracket
-from .algebroid import _frame_args, _point_frame, _prelie_tuples, _scaled_args, _sum, _sweep
+from .algebroid import _frame_args, _point_labels, _point_tensor, _prelie_terms, _prelie_tuples, _scaled_args, _sweep
 from .constructions import FiniteAlgebra
 from .errors import (
     ArityMismatch,
@@ -321,12 +321,12 @@ def _point_tables(deform: FormalDeformation) -> list:
     return [deform.base.constants("product")] + mus
 
 
-def _point_residual(tables: list, k: int):
-    """Over a point, ``_order_k_residual`` on frame indices, summed on the tables of mu_0..mu_n."""
+def _point_residual(tables: list, k: int) -> dict:
+    """Over a point, ``_order_k_residual`` on every frame index triple at once, from the tables of mu_0..mu_n: the
+    nonzero residuals, keyed by triple (``_point_tensor``)."""
     n = len(tables) - 1
-    pairs = [(tables[i], list(zip(*tables[i])), tables[k - i]) for i in range(max(0, k - n), min(k, n) + 1)]
-    return lambda a, b, c: _sum(*(term for T, TC, S in pairs for term in (  # S = mu_(k-i) inside T = mu_i
-        (1, S[a][b], TC[c]), (-1, S[b][c], T[a]), (-1, S[b][a], TC[c]), (1, S[a][c], T[b]))))
+    return _point_tensor(*(term for i in range(max(0, k - n), min(k, n) + 1)  # mu_(k-i) inside mu_i
+                           for term in _prelie_terms(tables[k - i], tables[i])))
 
 
 def check_n_deformation(deform: FormalDeformation) -> Report:
@@ -338,7 +338,7 @@ def check_n_deformation(deform: FormalDeformation) -> Report:
     """
     A = deform.base
     report = Report(f"pre-Lie {deform.order}-deformation")
-    frame, scaled = (_point_frame(A), []) if A.n == 0 else (_frame_args(A), _scaled_args(A))
+    frame, scaled = (_point_labels(A), []) if A.n == 0 else (_frame_args(A), _scaled_args(A))
     tables = _point_tables(deform) if A.n == 0 else None
     for k in range(deform.order + 1):
         rule = _point_residual(tables, k) if A.n == 0 else partial(_order_k_residual, deform, k)
@@ -390,9 +390,9 @@ def obstruction(deform: FormalDeformation) -> MultiDer:
         return total
 
     if A.n == 0:  # the coordinate vector of theta, closed when the sparse rows of d annihilate it
-        rule, vec = _point_residual(_point_tables(deform), n + 1), []
+        residuals, vec = _point_residual(_point_tables(deform), n + 1), []
         for idx in _coord_args(r, 3):
-            res = rule(*idx)
+            res = residuals.get(idx, {})
             vec += [res.get(k, 0) for k in range(r)]
         theta, closed = _vector_to_multider(vec, r, 3), not any(_d_times(_d_matrix(as_prelie(A), 3), vec))
     else:

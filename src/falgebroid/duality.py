@@ -19,9 +19,9 @@ from .algebroid import (
     AlgebroidPresentation,
     Section,
     _frame_args,
-    _record,
     _scaled_args,
     _sweep,
+    _witness,
     find_identity,
 )
 from .errors import MissingStructure, NotEventual, NotNijenhuis, ShapeError
@@ -121,9 +121,9 @@ def is_pre_f_eventual_identity(A: AlgebroidPresentation, E: Section) -> Report:
     def symmetry(X: Section, Y: Section) -> Section:
         return A.multiply(A.prelie_of(X, E), Y) - A.multiply(A.prelie_of(Y, E), X)
 
-    return _sweep(A, Report("pre-F eventual identity"), [
-        (iproduct(frame, frame), ("psi-eventual-relation", relation), ("prelie-eventual-symmetry", symmetry)),
-    ])
+    laws = ("psi-eventual-relation", relation), ("prelie-eventual-symmetry", symmetry)
+    table = [([pair], law) for pair in iproduct(frame, frame) for law in laws]  # the laws alternate pair by pair
+    return _sweep(A, Report("pre-F eventual identity"), table)
 
 
 def multiplication_matrix(A: AlgebroidPresentation, E: Section) -> BundleMap:
@@ -170,10 +170,10 @@ def verify_certificate(cert: DualityCertificate) -> Report:
     """
     A, dual = cert.original, cert.dual
     report = Report("duality certificate")
-    res = A.multiply(cert.ev_identity, cert.inverse) - _require_identity(A)
-    _record(A, report, "inverse-law", "ev·inverse = e", res)
-    res = cert.e_dagger - A.multiply(cert.inverse, cert.inverse)
-    _record(A, report, "e-dagger-law", "e† = inverse²", res)
+    witness = _witness(A, A.multiply(cert.ev_identity, cert.inverse) - _require_identity(A))
+    report.add("inverse-law", "ev·inverse = e", witness is None, witness)
+    witness = _witness(A, cert.e_dagger - A.multiply(cert.inverse, cert.inverse))
+    report.add("e-dagger-law", "e† = inverse²", witness is None, witness)
     found = find_identity(dual)
     ok = found is not None and (found - cert.inverse).is_zero()
     report.add(

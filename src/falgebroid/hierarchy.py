@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import combinations
 
-from .algebroid import AlgebroidPresentation, Section, VectorField, _point_frame, _sweep
+from .algebroid import AlgebroidPresentation, Section, VectorField, _point_labels, _sweep
 from .duality import is_pseudo_eventual_identity
 from .errors import (
     JetOrderOverflow,
@@ -156,7 +156,7 @@ def check_flat_condition(T: AlgebroidPresentation, nabla: Connection, X: Section
         lhs = T.multiply(nabla.covariant_derivative(T, j, X), T.basis(l))
         return lhs - T.multiply(nabla.covariant_derivative(T, l, X), T.basis(j))
 
-    rows = [(combinations(_point_frame(T), 2), ("egorov-symmetry", egorov))]
+    rows = [(combinations(zip(_point_labels(T), range(T.rank)), 2), ("egorov-symmetry", egorov))]
     return _sweep(T, Report("flatness-compatibility of a section"), rows)
 
 
@@ -177,9 +177,7 @@ def eventual_identity_flows(T: AlgebroidPresentation, E1: Section, E2: Section) 
     }
     report = Report("eventual-identity flows")
     for (na, Fa), (nb, Fb) in combinations(flows.items(), 2):
-        sub = flows_commute(Fa, Fb, T.base_vars)
-        for c in sub.checks:
-            report.add(c.law, f"[{na},{nb}] {c.instance}", c.passed, c.witness)
+        report.extend(flows_commute(Fa, Fb, T.base_vars), f"[{na},{nb}] ")
     return report
 
 

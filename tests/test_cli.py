@@ -441,3 +441,85 @@ def test_monomial_at_max_degree_exits_1(capsys):
     # the gcds of u1^65535 are read off its key; then the dual's product passes the degree cap
     message = "verification failed: product of total degree over 65535\n"
     assert run(["dual", "--fixture", "SS2", "--ev", "u1^65535,u2"], capsys) == (1, "", message)
+
+
+# -- golden bytes ------------------------------------------------------------
+#
+# The first 16 hex digits of the sha256 of the stdout and of the --json report
+# of each command, recorded before reports kept their checks as blocks: every
+# report keeps its bytes.
+
+_QU3 = [[["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]], [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+        [["0", "0", "1"], ["0", "1", "0"], ["1", "0", "0"]]]
+_W3 = [[["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]], [["0", "2", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+       [["0", "0", "4"], ["0", "2", "0"], ["0", "0", "0"]]]
+GOLDEN_FILES = {
+    # the documents of the command-line exit-code steps in CI
+    "pt.json": {"base_vars": [], "rank": 2, "product": [[["0", "1"], ["1", "0"]], [["1", "0"], ["0", "0"]]]},
+    "ss.json": {"base_vars": ["u1", "u2"], "rank": 2, "product": [[["1", "0"], ["0", "0"]], [["u2", "0"], ["0", "1"]]],
+                "bracket": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]], "anchor": [["1", "0"], ["0", "1"]]},
+    # Q[u]/u^2 with the one pre-Lie constant E1⋆E2 = E1: breaks pre-lie-symmetry and psi-vanishing
+    "pl.json": {"base_vars": [], "rank": 2, "product": [[["1", "0"], ["0", "0"]], [["0", "1"], ["1", "0"]]],
+                "prelie": [[["0", "1"], ["0", "0"]], [["0", "0"], ["0", "0"]]]},
+    "qu3.json": {"base_vars": [], "rank": 3, "product": _QU3},
+    "w3.json": {"D": _W3},
+    "nc3.json": {"D": [[["0", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]], _W3[1], _W3[2]]},
+    "n.json": [["u1", "0"], ["0", "u2"]],
+    "t.json": [["u2", "0"], ["0", "u1"]],
+}
+GOLDEN_FIXTURES = ("FM2", "ACT2", "SS1", "SS2", "SS3", "SS4", "TR", "TR2", "POISSON_SEED", "DN1", "DN1_2", "DN2_2")
+GOLDEN_ARGV = [["check", "--fixture", name] for name in GOLDEN_FIXTURES] + [
+    ["check", "--fixture", "DN2", "--law", "prelie-com"],
+    ["check", "pt.json"],
+    ["check", "ss.json"],
+    ["check", "pl.json", "--law", "prelie-com"],
+    ["deform", "--fixture", "SS2", "--nijenhuis", "n.json"],
+    ["deform", "--fixture", "SS2", "--nijenhuis", "t.json"],
+    ["deform", "qu3.json", "--mu1", "w3.json", "--order", "2"],
+    ["deform", "qu3.json", "--mu1", "nc3.json"],
+    ["dual", "--fixture", "SS2", "--ev", "u1 + 1,2"],
+    ["hierarchy", "--fixture", "SS2", "--alpha-max", "2"],
+    ["hierarchy", "--fixture", "SS2", "--flows", "u2,0;u1,0"],
+]
+GOLDEN = {
+    'check --fixture FM2': (0, 'd39afbea20a6d245', 'ffda9de77579a3c1'),
+    'check --fixture ACT2': (0, 'c1236872d05d8897', 'ec055d6c59cadfbf'),
+    'check --fixture SS1': (0, 'c5fea317c3c5a6e1', 'c4974d1808ef6243'),
+    'check --fixture SS2': (0, 'b987e8b8970782b0', 'de2f17e50b912e05'),
+    'check --fixture SS3': (0, 'cfab1d69a0f73e4c', '7d3a23f2098c54b0'),
+    'check --fixture SS4': (0, '8277e97e57ab28cb', '608c37af15d8a2a3'),
+    'check --fixture TR': (0, '6d6227de09630518', 'cdf681a0735117c8'),
+    'check --fixture TR2': (0, '8baa198a56464846', 'ea8fc62b58380638'),
+    'check --fixture POISSON_SEED': (0, '2e1a8a6949c278fd', '7c464b863a89dd9f'),
+    'check --fixture DN1': (0, '7f81845ef9e3d6f2', 'b2b2d80f5a913f0e'),
+    'check --fixture DN1_2': (0, 'bdf9cd7013f533e6', '6542bf80095d8a8a'),
+    'check --fixture DN2_2': (0, '33da44d8ef01decf', '00c76dfdaae78dd7'),
+    'check --fixture DN2 --law prelie-com': (0, 'fd40f2cebe658e91', '66928d70aebbfa7f'),
+    'check pt.json': (1, 'f71c8d3672c2b529', 'f96d0dc0103cbc98'),
+    'check ss.json': (1, '4c91e3c0212e114d', 'db764071f6f1b4ed'),
+    'check pl.json --law prelie-com': (1, 'c0200a1ae3c91a49', 'd63cfb0531395413'),
+    'deform --fixture SS2 --nijenhuis n.json': (0, '60e93cadb86ef055', '9a5c558851aeb4de'),
+    'deform --fixture SS2 --nijenhuis t.json': (1, '428576b6a07ba21b', '45dfff9b67e3fbe9'),
+    'deform qu3.json --mu1 w3.json --order 2': (0, '45a3d178aba209a8', '25801413821e56de'),
+    'deform qu3.json --mu1 nc3.json': (1, '6c1445fe30e52f07', 'e950170722fbf9b0'),
+    'dual --fixture SS2 --ev u1 + 1,2': (0, '1ceb080a527daef8', 'a3aabed0b3001ef8'),
+    'hierarchy --fixture SS2 --alpha-max 2': (0, '5d3798fa116a1c06', '18c83e7c629475a6'),
+    'hierarchy --fixture SS2 --flows u2,0;u1,0': (1, 'df2d339b4c854a37', 'ea9e7ae0fb9bf6b5'),
+}
+
+
+def _golden(argv, tmp_path, monkeypatch, capsys) -> tuple:
+    """The exit code and the sha256 of the stdout and of the --json bytes of ``falg argv``, run in ``tmp_path``."""
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    for name, doc in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    code, out, _ = run([*argv, "--json", "r.json"], capsys)
+    digest = lambda data: hashlib.sha256(data).hexdigest()[:16]  # noqa: E731
+    return code, digest(out.encode()), digest((tmp_path / "r.json").read_bytes())
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGV, ids=[" ".join(argv) for argv in GOLDEN_ARGV])
+def test_outputs_keep_their_golden_bytes(argv, tmp_path, monkeypatch, capsys):
+    assert _golden(argv, tmp_path, monkeypatch, capsys) == GOLDEN[" ".join(argv)]

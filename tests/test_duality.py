@@ -46,6 +46,9 @@ def test_tr2_pre_f_eventual_fails_for_quadratic_component():
     assert is_pseudo_eventual_identity(A, E).overall
     report = is_pre_f_eventual_identity(A, E)
     assert not report.overall
+    # the two relations alternate pair by pair, so the first failure is the first in that order
+    laws, pairs = ("psi-eventual-relation", "prelie-eventual-symmetry"), ("(E1,E1)", "(E1,E2)", "(E2,E1)", "(E2,E2)")
+    assert [(c.law, c.instance) for c in report.checks] == [(law, pair) for pair in pairs for law in laws]
     with pytest.raises(NotEventual):
         pre_f_dual(A, E)
 

@@ -1,6 +1,7 @@
 """Jet calculus, hydrodynamic flows, and the principal hierarchy."""
 
 import random
+from itertools import combinations
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,19 @@ def test_eventual_identity_flows_examples():
     assert eventual_identity_flows(T, e, e).overall
     f1 = Section([rfu({(3, 0): 2, (1, 0): 1}), rfu({(0, 2): 1})])
     assert eventual_identity_flows(T, f1, euler).overall
+
+
+def test_eventual_identity_flows_name_each_pair_before_its_components():
+    """The report moves each pair's commutation blocks across, its instances behind "[Fa,Fb] "."""
+    T = load_fixture("SS2")
+    euler = Section([RatFunc.var(2, 0), RatFunc.var(2, 1)])
+    flows = {"E1": flow_from_section(T, euler), "E2": flow_from_section(T, T.identity),
+             "E1.E2": flow_from_section(T, T.multiply(euler, T.identity))}
+    expected = [(c.law, f"[{a},{b}] {c.instance}", c.passed, c.witness)
+                for (a, F), (b, G) in combinations(flows.items(), 2) for c in flows_commute(F, G, U).checks]
+    report = eventual_identity_flows(T, euler, T.identity)
+    assert [(c.law, c.instance, c.passed, c.witness) for c in report.checks] == expected and len(expected) == 6
+    assert expected[0][1] == "[E1,E2] component u1"
 
 
 def test_eventual_identity_flows_premise():

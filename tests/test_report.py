@@ -1,4 +1,5 @@
-"""Reports: the JSON writer against ``json.dumps(indent=2)``, and one law sweep against single-law reports."""
+"""Reports: the JSON writer against ``json.dumps(indent=2)``, block reports against reports built check by check, and
+one law sweep against single-law reports."""
 
 import io
 import json
@@ -11,8 +12,19 @@ from falgebroid.cli import _default_laws, main
 from falgebroid.constructions import load_fixture
 from falgebroid.duality import BundleMap, dubrovin_dual, nijenhuis_deformation
 from falgebroid.exprparse import parse_array, parse_expr, presentation_to_document
-from falgebroid.report import Report
-from test_algebroid import CHECKERS, MEMO_CASES, POINT_CASES, _carried_laws, _mutant, _outcomes, _presentation
+from falgebroid.errors import FalgError
+from falgebroid.report import Check, Report
+from test_algebroid import (
+    CHECKERS,
+    MEMO_CASES,
+    POINT_CASES,
+    _carried_laws,
+    _mutant,
+    _outcomes,
+    _plain_sweep,
+    _point_oracle,
+    _presentation,
+)
 
 FIXTURES = ("FM2", "ACT2", "SS1", "SS2", "SS3", "SS4", "TR", "TR2", "POISSON_SEED", "DN1", "DN1_2", "DN2_2")
 
@@ -46,12 +58,9 @@ def assert_written_as_oracle(report: Report):
 
 def merged_report(subject, reports):
     """The checks of ``reports`` in turn, each (law, instance) pair at its first occurrence."""
-    report = Report(subject)
-    for single in reports:
-        report.checks.extend(single.checks)
-    firsts = {(c.law, c.instance): c for c in reversed(report.checks)}
-    report.checks = [c for c in report.checks if firsts[c.law, c.instance] is c]
-    return report
+    checks = [c for single in reports for c in single.checks]
+    firsts = {(c.law, c.instance): c for c in reversed(checks)}
+    return Report(subject, [c for c in checks if firsts[c.law, c.instance] is c])
 
 
 def _default_report(name):
@@ -77,6 +86,7 @@ def test_empty_and_failing_reports_write_as_json_dumps():
     report.add("obstruction-vanishes", "theta_2", False, None)
     report.add("witnessed but empty", "(E2)", False, "")
     assert_written_as_oracle(report)
+    assert report.summary() == summary_of(report.subject, report.checks)
     failing = Report("all failing")
     failing.add("jacobi", "(E1,E2,E3)", False, "1")
     assert_written_as_oracle(failing)
@@ -107,6 +117,68 @@ def test_cli_json_matches_the_oracle_and_out_documents_stay_indented(tmp_path, c
     capsys.readouterr()
 
 
+# -- block reports against reports built check by check --------------------
+#
+# A law sweep records each row as one block. The oracle report is built through
+# the constructor, one ``Check`` at a time, from the oracle's outcomes: over a
+# point the Section evaluation, elsewhere the sweep loop that records each
+# instance by itself. Both must read alike in every output.
+
+
+def summary_of(subject, checks) -> str:
+    """The text of a report with ``checks``: the oracle for ``Report.summary``."""
+    lines = [f"subject: {subject}"]
+    for c in checks:
+        witness = f"  witness: {c.witness}" if c.witness else ""
+        lines.append(f"  [{'pass' if c.passed else 'FAIL'}] {c.law} @ {c.instance}{witness}")
+    return "\n".join(lines + [f"overall: {'pass' if all(c.passed for c in checks) else 'fail'}"])
+
+
+def require_message(report):
+    try:
+        report.require(FalgError)
+    except FalgError as exc:
+        return str(exc)
+    return None
+
+
+BLOCK_CASES = POINT_CASES + [("SS4", seed) for seed in range(3)]
+
+
+@pytest.mark.parametrize("name,seed", BLOCK_CASES, ids=[f"{n}-{s}" for n, s in BLOCK_CASES])
+def test_block_reports_read_as_reports_built_check_by_check(name, seed, monkeypatch):
+    A = _presentation(name) if seed is None else _mutant(name, seed)
+    laws = _carried_laws(A)
+    swept = {law: CHECKERS[law](A) for law in laws}
+    if A.n == 0:
+        oracles = _point_oracle(name, seed)
+    else:
+        import falgebroid.algebroid
+
+        monkeypatch.setattr(falgebroid.algebroid, "_sweep", _plain_sweep)
+        oracles = {law: CHECKERS[law](A) for law in laws}
+    for law in laws:
+        report = swept[law]
+        checks = [Check(*outcome) for outcome in _outcomes(oracles[law])]
+        one_by_one = Report(report.subject, checks)
+        assert len(one_by_one.blocks) == len(checks) and len(report.blocks) < len(checks)
+        assert report.summary() == one_by_one.summary() == summary_of(report.subject, checks)
+        text = written(report)
+        assert text == written(one_by_one) and json.loads(text) == report_to_dict(one_by_one)
+        assert report.failures()[:1] == one_by_one.failures()[:1] == [c for c in checks if not c.passed][:1]
+        assert require_message(report) == require_message(one_by_one)
+        assert report.overall == one_by_one.overall
+
+
+def test_extend_moves_blocks_behind_a_prefix():
+    inner = Report("inner", [Check("a", "x", True), Check("a", "y", False, "1"), Check("b", "z", False)])
+    outer = Report("outer", [Check("c", "w", True)]).extend(inner, "[p] ")
+    assert [(c.law, c.instance, c.passed, c.witness) for c in outer.checks] == [
+        ("c", "w", True, None), ("a", "[p] x", True, None), ("a", "[p] y", False, "1"), ("b", "[p] z", False, None)]
+    assert [c.instance for c in inner.checks] == ["x", "y", "z"]
+    assert require_message(outer) == "[p] y: 1"
+
+
 # -- one sweep against the merge of single-law reports ---------------------
 #
 # ``check_laws`` sweeps the union of the laws' families once, in first-occurrence
@@ -115,7 +187,7 @@ def test_cli_json_matches_the_oracle_and_out_documents_stay_indented(tmp_path, c
 
 SWEEP_NAMES = ("FM2", "ACT2", "SS1", "SS2", "SS3", "SS4", "TR", "TR2", "POISSON_SEED", "DN1", "DN1_2", "DN2_2", "SS3-dual")
 SWEEP_CASES = [(name, None) for name in SWEEP_NAMES]
-SWEEP_CASES += [case for case in MEMO_CASES + POINT_CASES if case[1] is not None]
+SWEEP_CASES += [case for case in MEMO_CASES + POINT_CASES if case[1] is not None and case[0] != "DN2"]
 
 
 @pytest.mark.parametrize("name,seed", SWEEP_CASES, ids=[f"{n}-{s}" for n, s in SWEEP_CASES])
