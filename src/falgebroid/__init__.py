@@ -31,7 +31,6 @@ from .constructions import (
     direct_product,
     fixture_names,
     load_fixture,
-    poisson_seed,
 )
 from .deformation import (
     FormalDeformation,

@@ -383,10 +383,10 @@ def _frame_args(A: AlgebroidPresentation):
     return [(A.basis_name(i), E) for i, E in enumerate(A._frame())]
 
 
-def _scaled_args(A: AlgebroidPresentation, variables=None):
-    """The frame scaled by each base variable (or by those listed), u^m·E_i."""
-    ms, r, scaled = range(A.n) if variables is None else variables, A.rank, A._scaled()
-    return [(f"{A.base_vars[m]}*{A.basis_name(i)}", scaled[m * r + i]) for m in ms for i in range(r)]
+def _scaled_args(A: AlgebroidPresentation):
+    """The frame scaled by each base variable, u^m·E_i."""
+    r, scaled = A.rank, A._scaled()
+    return [(f"{A.base_vars[m]}*{A.basis_name(i)}", scaled[m * r + i]) for m in range(A.n) for i in range(r)]
 
 
 def _prelie_tuples(frame, scaled):
@@ -627,23 +627,3 @@ def find_identity(A: AlgebroidPresentation):
     if sol is None:
         return None
     return Section(sol)
-
-
-def check_anchor_leibniz(A: AlgebroidPresentation) -> Report:
-    """Regression: [X, Y] = sum_k Y^k·[X,E_k] + a(X)(Y^k)·E_k on (E_i, u^m·E_j).
-
-    On these pairs the expansion reads [E_i, f·E_j] = f·[E_i,E_j] +
-    a(E_i)(f)·E_j. It holds by construction of the evaluator; kept as a
-    guard against regressions in the Leibniz expansion.
-    """
-
-    def leibniz(X: Section, Y: Section) -> Section:
-        aX = A.anchor_of(X)
-        rhs = Section.zero(A.rank, A.n)
-        for k, yk in Y.entries:
-            rhs = rhs + A.bracket_of(X, A.basis(k)).scale_fn(yk) + A.basis(k).scale_fn(aX.apply(yk))
-        return A.bracket_of(X, Y) - rhs
-
-    frame = _frame_args(A)
-    pairs = [pair for m in range(A.n) for pair in iproduct(frame, _scaled_args(A, [m]))]
-    return _sweep(A, Report("anchor Leibniz rule"), [(pairs, ("leibniz", leibniz))])

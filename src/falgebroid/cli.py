@@ -153,8 +153,8 @@ def cmd_deform(args) -> int:
             for j in range(i + 1, limit.rank):
                 val = limit.bracket_of(limit.basis(i), limit.basis(j))
                 print(f"semiclassical [{names[i]},{names[j]}] = {limit.fmt(val)}")
-        theta = obstruction(deform)
-        report.add("obstruction-vanishes", f"theta_{order}", theta.is_zero(), None)
+        witness = obstruction(deform).witness(A.base_vars)
+        report.add("obstruction-vanishes", f"theta_{order}", witness is None, witness)
     return _emit(report, args.json)
 
 
@@ -220,7 +220,9 @@ def _build_parser() -> argparse.ArgumentParser:
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--nijenhuis", metavar="FILE", help="bundle-map matrix file (JSON)")
         source.add_argument("--mu1", metavar="FILE", help="deformation cochain file (JSON)")
-        p.add_argument("--order", type=int, help="deformation order (pads with zeros; --mu1 only)")
+        p.add_argument(
+            "--order", type=int, help="deformation order: pads with zero cochains or drops those past it (--mu1 only)"
+        )
         p.add_argument("--out", help="write the deformed structure file here (--nijenhuis only)")
         p.set_defaults(func=cmd_deform)
 

@@ -3,31 +3,23 @@
 Every shipped fixture is a finite algebra lifted along anchor vector fields:
 structure constants over a point (FM2, DN<n>), over the flat coordinate frame
 (SS<n>, TR2), along u·d/du (TR), with the zero anchor on the (q, p) plane
-(POISSON_SEED) or along an action (ACT2). ``_lift`` is the one place constants
-become ``RatFunc`` tensors. ``load_fixture`` builds no fixture of rank above
-``MAX_FIXTURE_RANK``.
-Besides the fixtures: action algebroids, direct products, Poisson seed
-algebroids and the semi-simple family.
+(POISSON_SEED, the rank-1 algebra of constants) or along an action (ACT2).
+``_lift`` is the one place constants become ``RatFunc`` tensors.
+``load_fixture`` builds no fixture of rank above ``MAX_FIXTURE_RANK``.
+Besides the fixtures: action algebroids, direct products and the semi-simple
+family.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
 from .algebroid import AlgebroidPresentation, Section, VectorField, check_f_algebroid, check_pre_f, vf_bracket
-from .errors import (
-    NotAHomomorphism,
-    NotClosed,
-    NotFManifoldAlgebra,
-    ShapeError,
-    UnknownFixture,
-)
-from .linalg import solve
-from .ring import Poly, RatFunc
+from .errors import NotAHomomorphism, NotFManifoldAlgebra, ShapeError, UnknownFixture
+from .ring import RatFunc
 
 MAX_FIXTURE_RANK = 100  # the largest fixture load_fixture builds; DN3 is rank 60
 
@@ -202,86 +194,6 @@ def direct_product(A1: AlgebroidPresentation, A2: AlgebroidPresentation) -> Alge
     )
 
 
-# -- Poisson seeds --------------------------------------------------------
-
-
-def _poly_lcm(a: Poly, b: Poly) -> Poly:
-    _, a1, _ = Poly.gcd_cofactors(a, b)
-    return a1 * b
-
-
-def _monomial_coords(polys: list[Poly]):
-    terms = [p.terms for p in polys]
-    monos = sorted({exp for t in terms for exp in t})
-    pos = {m: i for i, m in enumerate(monos)}
-    vecs = []
-    for t in terms:
-        v = [Fraction(0)] * len(monos)
-        for exp, c in t.items():
-            v[pos[exp]] = c
-        vecs.append(v)
-    return vecs
-
-
-def poisson_seed(functions: list[RatFunc], base_vars: list[str] | None = None) -> AlgebroidPresentation:
-    """Finite-rank algebroid from functions closed under product and Poisson bracket.
-
-    The base carries the canonical bracket pairing consecutive variables (q1, p1, q2, p2,
-    ...), and the anchor sends E_i to the Hamiltonian vector field of its function. Every
-    pairwise product must lie in the rational-constant span V of the seed, else NotClosed
-    names the escaping function. Then multiplication by a seed function maps V into itself,
-    so the function is algebraic over Q and hence constant in Q(q, p, ...): its Poisson
-    brackets and Hamiltonian field vanish, and every accepted seed gets the zero bracket
-    and the zero anchor.
-    """
-    if not functions:
-        raise ShapeError("empty seed")
-    if base_vars is None:
-        base_vars = ["q", "p"]
-    n = len(base_vars)
-    if n % 2 != 0 or n == 0:
-        raise ShapeError("canonical bracket needs an even number of base variables")
-    r = len(functions)
-    for f in functions:
-        if f.nvars != n:
-            raise ShapeError("seed function variable count mismatch")
-    # common denominator makes the span computation a polynomial problem
-    den = Poly.const(n, 1)
-    for f in functions:
-        den = _poly_lcm(den, f.den)
-    den_rf = RatFunc(den)
-    cleared = [f * den_rf for f in functions]
-    if any(not g.is_polynomial() for g in cleared):
-        raise ShapeError("failed to clear seed denominators")
-
-    def expand(h: RatFunc, what: str) -> list[Fraction]:
-        hd = h * den_rf
-        if not hd.is_polynomial():
-            raise NotClosed(f"{what} = {h.format(base_vars)}")
-        vecs = _monomial_coords([g.num for g in cleared] + [hd.num])
-        cols, target = vecs[:-1], vecs[-1]
-        rows = [[cols[j][i] for j in range(r)] for i in range(len(target))]
-        sol = solve(rows, target, Fraction(0), Fraction(1))
-        if sol is None:
-            raise NotClosed(f"{what} = {h.format(base_vars)}")
-        return sol
-
-    product = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for i in range(r):
-        for j in range(i, r):
-            coeffs = expand(functions[i] * functions[j], f"E{i + 1}*E{j + 1}")
-            for k in range(r):
-                product[k][i][j] = coeffs[k]
-                product[k][j][i] = coeffs[k]
-
-    try:
-        identity = expand(RatFunc.const(n, 1), "1")
-    except NotClosed:
-        identity = None
-    bracket = [[[0] * r for _ in range(r)] for _ in range(r)]
-    return _lift(FiniteAlgebra(r, product, bracket, identity=identity), base_vars, None)
-
-
 # -- named fixtures -------------------------------------------------------
 
 
@@ -396,7 +308,7 @@ def load_fixture(name: str) -> AlgebroidPresentation:
     if name == "TR2":
         return tangent_plane()
     if name == "POISSON_SEED":
-        return poisson_seed([RatFunc.const(2, 1)], ["q", "p"])
+        return _lift(FiniteAlgebra(1, [[[1]]], [[[0]]], identity=[1]), ["q", "p"], None)
     ss = re.fullmatch(r"SS(\d+)", name)
     dn = re.fullmatch(r"DN(\d+)(?:_(\d+))?", name)
     rank = 0

@@ -102,6 +102,10 @@ class MultiDer:
     def is_zero(self) -> bool:
         return all(s.is_zero() for s in chain(self.D.values(), self.sigma.values()))
 
+    def witness(self, names: list[str]) -> str | None:
+        """The text of the first nonzero D value, else of the first nonzero sigma value; None when zero."""
+        return next((v.format(names) for v in chain(self.D.values(), self.sigma.values()) if not v.is_zero()), None)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiDer)
@@ -419,11 +423,7 @@ def extend(deform: FormalDeformation, psi: MultiDer) -> FormalDeformation:
         d_psi = _d_times(_d_matrix(as_prelie(A), 2), _coords(psi, A.rank, 2))
         bad = _witness(A, list(map(sub, _coords(theta, A.rank, 3), d_psi)))
     else:
-        residual = theta - d_def(as_prelie(A), psi)
-        bad = None if residual.is_zero() else next(
-            (A.fmt(s) for s in residual.D.values() if not s.is_zero()),
-            next((v.format(A.base_vars) for v in residual.sigma.values() if not v.is_zero()), "0"),
-        )
+        bad = (theta - d_def(as_prelie(A), psi)).witness(A.base_vars)
     if bad is not None:
         raise ObstructionNonzero(bad)
     extended = FormalDeformation(A, deform.mus + [psi])
@@ -593,13 +593,12 @@ def equivalence_check(
         if A.n == 0:
             witness = _witness(A, list(map(sub, _coords(diff, r, diff.degree), d(phi))))
         else:
-            residual = diff - d_def(P, phi)
-            witness = None if residual.is_zero() else next(A.fmt(s) for s in residual.D.values() if not s.is_zero())
+            witness = (diff - d_def(P, phi)).witness(A.base_vars)
         report.add("coboundary-witness", "mu1 - mu1' = d(phi)", witness is None, witness)
         return report
     if A.n != 0:
         raise BaseNotPoint("solving for an equivalence needs a point base; supply phi")
     sol = solve(_dense(rows(1), r * r), _coords(diff, r, 2), Fraction(0), Fraction(1))
-    witness = None if sol is not None else next((A.fmt(s) for s in diff.D.values() if not s.is_zero()), "0")
+    witness = None if sol is not None else diff.witness(A.base_vars)
     report.add("coboundary-solve", "mu1 - mu1' in image of d", witness is None, witness)
     return report

@@ -77,17 +77,6 @@ class NotAHomomorphism(FalgError):
     """Action maps fail to respect the bracket."""
 
 
-class NotClosed(FalgError):
-    """A proposed spanning set is not closed under the product.
-
-    The witness records a product that escapes the span.
-    """
-
-    def __init__(self, witness: str):
-        self.witness = witness
-        super().__init__(f"span not closed under product: {witness}")
-
-
 class UnknownFixture(InputError):
     """Fixture name not recognized."""
 

@@ -504,8 +504,9 @@ class Poly:
         evaluates at large integers down to an integer gcd and rebuilds
         candidates from symmetric base-xi digits; one that divides both
         inputs and reaches every bound is the gcd. After ``HEU_GCD_MAX``
-        points without one, the primitive PRS gcd is used. A monomial
-        operand skips all of this: its gcd is read off the keys.
+        points without one, the primitive PRS gcd is used: it is exact, but
+        it ran past 20 s on 6-variable jet polynomials (ROADMAP item 3(c)).
+        A monomial operand skips all of this: its gcd is read off the keys.
         """
         n = a.nvars
         if not a.coeffs or not b.coeffs:

@@ -523,3 +523,20 @@ def _golden(argv, tmp_path, monkeypatch, capsys) -> tuple:
 @pytest.mark.parametrize("argv", GOLDEN_ARGV, ids=[" ".join(argv) for argv in GOLDEN_ARGV])
 def test_outputs_keep_their_golden_bytes(argv, tmp_path, monkeypatch, capsys):
     assert _golden(argv, tmp_path, monkeypatch, capsys) == GOLDEN[" ".join(argv)]
+
+
+def test_deform_failing_obstruction_has_a_witness(tmp_path, capsys):
+    # an H^2 representative of Q[u]/u^3: mu1(E2,E2) = -E1, mu1(E2,E3) = E2; it passes orders 0 and 1, and its
+    # obstruction is first nonzero at (E2,E3,E2)
+    struct, mu = tmp_path / "qu3.json", tmp_path / "ob3.json"
+    struct.write_text(json.dumps({"base_vars": [], "rank": 3, "product": _QU3}))
+    zero = [["0", "0", "0"]] * 3
+    mu.write_text(json.dumps({"D": [[["0", "0", "0"], ["0", "-1", "0"], ["0", "0", "0"]],
+                                    [["0", "0", "0"], ["0", "0", "1"], ["0", "0", "0"]], zero]}))
+    code, out, _ = run(["deform", str(struct), "--mu1", str(mu), "--json", str(tmp_path / "r.json")], capsys)
+    assert code == 1
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        "  [FAIL] obstruction-vanishes @ theta_1  witness: -1, 0, 0"
+    ]
+    last = json.loads((tmp_path / "r.json").read_text())["checks"][-1]
+    assert last == {"law": "obstruction-vanishes", "instance": "theta_1", "pass": False, "witness": "-1, 0, 0"}

@@ -1,4 +1,4 @@
-"""Construction tests: actions, direct products, Poisson seeds, fixtures."""
+"""Construction tests: actions, direct products, fixtures."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -25,18 +25,10 @@ from falgebroid.constructions import (
     fixture_names,
     fm2_algebra,
     load_fixture,
-    poisson_seed,
     semisimple,
 )
-from falgebroid.constructions import _monomial_coords, _poly_lcm
-from falgebroid.errors import (
-    NotAHomomorphism,
-    NotClosed,
-    NotFManifoldAlgebra,
-    UnknownFixture,
-)
-from falgebroid.linalg import solve
-from falgebroid.ring import Poly, RatFunc
+from falgebroid.errors import NotAHomomorphism, NotFManifoldAlgebra, UnknownFixture
+from falgebroid.ring import RatFunc
 
 
 def test_fm2_algebra_is_f_manifold_algebra():
@@ -104,37 +96,12 @@ def test_direct_product_prelie():
     assert check_prelie_com(P).overall
 
 
-def qp(expr_terms):
-    return RatFunc(Poly.from_terms(2, {e: Fraction(c) for e, c in expr_terms.items()}))
-
-
-def test_poisson_candidate_span_not_closed():
-    one = qp({(0, 0): 1})
-    q = qp({(1, 0): 1})
-    p = qp({(0, 1): 1})
-    # q*q = q^2 escapes span{1, q, p, pq}
-    with pytest.raises(NotClosed):
-        poisson_seed([one, q, p, q * p])
-    # q^2 * q^2 = q^4 escapes span{q^2}
-    with pytest.raises(NotClosed):
-        poisson_seed([q * q])
-
-
 def test_poisson_seed_constants():
-    A = poisson_seed([qp({(0, 0): 1})])
-    assert A.rank == 1
-    assert check_f_algebroid(A).overall
-    # constant functions have zero Hamiltonian vector field
-    assert A.anchor_of(A.basis(0)).is_zero()
-
-
-def test_poisson_seed_accepts_constants_only():
-    """A finite span closed under products holds constants only, so an accepted seed has zero bracket and anchor."""
-    with pytest.raises(NotClosed, match=r": E2\*E2 = q\^2$"):
-        poisson_seed([qp({(0, 0): 1}), qp({(1, 0): 1})])
+    """POISSON_SEED is the rank-1 algebra of constants: zero bracket, zero anchor, identity E1."""
     A = load_fixture("POISSON_SEED")
     assert all(c.is_zero() for m in A.bracket for row in m for c in row)
     assert all(c.is_zero() for row in A.anchor for c in row)
+    assert A.multiply(A.basis(0), A.basis(0)) == A.basis(0) == A.identity
 
 
 def test_poisson_seed_fixture():
@@ -306,63 +273,15 @@ def _ref_derivation_algebroid(n, degree_cap):
     )
 
 
-def _ref_poisson_seed(functions, base_vars):
-    n, r = len(base_vars), len(functions)
-    m = n // 2
-
-    def pbracket(f, g):
-        out = RatFunc.zero(n)
-        for a in range(m):
-            q, p = 2 * a, 2 * a + 1
-            out = out + f.derivative(q) * g.derivative(p) - f.derivative(p) * g.derivative(q)
-        return out
-
-    den = Poly.const(n, 1)
-    for f in functions:
-        den = _poly_lcm(den, f.den)
-    den_rf = RatFunc(den)
-    cleared = [f * den_rf for f in functions]
-
-    def expand(h, what):
-        hd = h * den_rf
-        if not hd.is_polynomial():
-            raise NotClosed(f"{what} = {h.format(base_vars)}")
-        vecs = _monomial_coords([g.num for g in cleared] + [hd.num])
-        cols, target = vecs[:-1], vecs[-1]
-        rows = [[cols[j][i] for j in range(r)] for i in range(len(target))]
-        sol = solve(rows, target, Fraction(0), Fraction(1))
-        if sol is None:
-            raise NotClosed(f"{what} = {h.format(base_vars)}")
-        return [RatFunc.const(n, c) for c in sol]
-
-    zero = RatFunc.zero(n)
-    product = _ref_zero_tensor(r, n)
-    bracket = _ref_zero_tensor(r, n)
-    for i in range(r):
-        for j in range(i, r):
-            coeffs = expand(functions[i] * functions[j], f"E{i + 1}*E{j + 1}")
-            for k in range(r):
-                product[k][i][j] = coeffs[k]
-                product[k][j][i] = coeffs[k]
-        for j in range(i + 1, r):
-            coeffs = expand(pbracket(functions[i], functions[j]), f"{{E{i + 1},E{j + 1}}}")
-            for k in range(r):
-                bracket[k][i][j] = coeffs[k]
-                bracket[k][j][i] = -coeffs[k]
-    anchor = []
-    for f in functions:
-        comps = [zero] * n
-        for a in range(m):
-            q, p = 2 * a, 2 * a + 1
-            comps[q] = f.derivative(p)
-            comps[p] = -f.derivative(q)
-        anchor.append(comps)
-    try:
-        identity = Section(expand(RatFunc.const(n, 1), "1"))
-    except NotClosed:
-        identity = None
+def _ref_poisson_seed():
+    zero, one = RatFunc.zero(2), RatFunc.const(2, 1)
     return AlgebroidPresentation(
-        base_vars=list(base_vars), rank=r, product=product, bracket=bracket, anchor=anchor, identity=identity
+        base_vars=["q", "p"],
+        rank=1,
+        product=[[[one]]],
+        bracket=[[[zero]]],
+        anchor=[[zero, zero]],
+        identity=Section([one]),
     )
 
 
@@ -372,7 +291,7 @@ _REFERENCE_FIXTURES = {
     **{f"SS{n}": (lambda n=n: _ref_semisimple(n)) for n in (1, 2, 3, 4)},
     "TR": _ref_tangent_line,
     "TR2": _ref_tangent_plane,
-    "POISSON_SEED": lambda: _ref_poisson_seed([RatFunc.const(2, 1)], ["q", "p"]),
+    "POISSON_SEED": _ref_poisson_seed,
     "DN1": lambda: _ref_derivation_algebroid(1, 3),
     "DN1_2": lambda: _ref_derivation_algebroid(1, 2),
     "DN2_2": lambda: _ref_derivation_algebroid(2, 2),
@@ -389,19 +308,6 @@ def assert_same_presentation(A, B):
 @pytest.mark.parametrize("name", sorted(_REFERENCE_FIXTURES))
 def test_fixture_matches_hand_built_reference(name):
     assert_same_presentation(load_fixture(name), _REFERENCE_FIXTURES[name]())
-
-
-def test_multi_function_poisson_seed_matches_reference():
-    names = ["q1", "p1", "q2", "p2"]
-    seed = [RatFunc.const(4, 2), RatFunc.const(4, Fraction(-1, 3)), RatFunc.zero(4)]
-    assert_same_presentation(poisson_seed(seed, names), _ref_poisson_seed(seed, names))
-    q, p = RatFunc.var(2, 0), RatFunc.var(2, 1)
-    for seed in ([RatFunc.const(2, 1), q, p, q * p], [q * q], [RatFunc.const(2, 1), q / p]):
-        with pytest.raises(NotClosed) as got:
-            poisson_seed(seed)
-        with pytest.raises(NotClosed) as want:
-            _ref_poisson_seed(seed, ["q", "p"])
-        assert str(got.value) == str(want.value)
 
 
 def test_action_constructors_match_reference():

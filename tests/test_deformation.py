@@ -460,7 +460,15 @@ def test_equivalence_over_base_needs_witness():
     with pytest.raises(BaseNotPoint):
         equivalence_check(A, md, md)
     # with an explicit witness the check runs over any base
-    assert equivalence_check(A, md, md, phi=MultiDer.zero(1, A.rank, A.n)).overall
+    phi = MultiDer.zero(1, A.rank, A.n)
+    assert equivalence_check(A, md, md, phi=phi).overall
+    # mu1 - mu1' - d(phi) nonzero only in its symbol fails with the symbol as its witness
+    u1 = RatFunc.var(2, 0)
+    mu1 = MultiDer.build(2, 2, 2, lambda idx: Section.zero(2, 2), lambda idx: VectorField([u1, RatFunc.zero(2)]))
+    report = equivalence_check(A, mu1, md, phi)
+    assert not report.overall
+    last = report.failures()[-1]
+    assert (last.law, last.witness) == ("coboundary-witness", "[u1, 0]")
 
 
 # -- the point path against MultiDer.eval and d_def --------------------------
