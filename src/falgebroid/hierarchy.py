@@ -1,21 +1,26 @@
-"""Hydrodynamic flows, jet-space commutation, and the principal hierarchy.
+"""Hydrodynamic flows, their commutation, and the principal hierarchy.
 
 A section of a tangent presentation induces the quasilinear flow
-``u^i_t = V^i_j(u) u^j_x`` with ``V^i_j = sum_k c^i_{jk} X^k``. Flow
-commutators are computed exactly in the second-order jet ring: flows are
-first order, so their commutators involve at most u_xx. A jet function is
-a plain ``RatFunc`` in the 3n variables of ``jet_names`` (u, u_x, u_xx).
-The total derivative D_x and the flow derivative are ``VectorField``s on
-that ring, D_x = (u_x, u_xx, 0) and the prolonged flow (K, D_x K, 0) for
-the velocities K, so every derivative is ``VectorField.apply``, one pass
-of ``RatFunc.derive_along`` that normalizes the summed jet polynomial once.
+``u^i_t = V^i_j(u) u^j_x`` with ``V^i_j = sum_k c^i_{jk} X^k``. Flows with
+velocity matrices A and B commute when Tsarev's conditions hold in the base
+ring (Math. USSR Izv. 37, 1991; as in Lorenzoni, Pedroni and Raimondo, Arch.
+Math. Brno, 2011). Component i of the commutator is
+``[B,A]^i_b u^b_xx + (d_c [B,A]^i_b + Q'^i_bc) u^b_x u^c_x`` with
+``Q'^i_bc = A^a_b W_B^i_ac - B^a_b W_A^i_ac`` for each flow's cached curl
+``W^i_ac = d_a V^i_c - d_c V^i_a``, so it vanishes exactly when row i of
+[B,A] does and then ``Q'^i_bc + Q'^i_cb`` for every b <= c.
+
+Only a failing component builds its jet residual, for its witness: a
+``RatFunc`` in the 3n variables of ``jet_names`` (u, u_x, u_xx), where the
+total derivative D_x = (u_x, u_xx, 0) and the prolonged flow (K, D_x K, 0)
+for the velocities K are ``VectorField``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .algebroid import AlgebroidPresentation, Section, VectorField, _point_labels, _sweep
 from .duality import is_pseudo_eventual_identity
@@ -60,6 +65,17 @@ def total_x(f: RatFunc) -> RatFunc:
     return _total_x_field(n).apply(f)
 
 
+def _curl(M: list) -> list:
+    """``w[i][j]`` maps each l where ``d_l M^i_j - d_j M^i_l`` is nonzero to it, in ascending l (n x n M)."""
+    n = len(M)
+    w = [[{} for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(M):
+        for j, l in combinations(range(n), 2):
+            if d := row[j].derivative(l) - row[l].derivative(j):
+                w[i][j][l], w[i][l][j] = d, -d
+    return w
+
+
 @dataclass(frozen=True)
 class HydroFlow:
     """Quasilinear flow u^i_t = V^i_j(u) u^j_x."""
@@ -74,14 +90,14 @@ class HydroFlow:
     def prolonged(self) -> VectorField:
         """The flow as a derivation of the jet ring: (K, D_x K, 0) for velocities K."""
         n, m = self.n, 3 * self.n
-        K = []
-        for row in self.V:
-            k = RatFunc.zero(m)
-            for j, v in enumerate(row):
-                if not v.is_zero():
-                    k = k + v.extend(m) * RatFunc.var(m, n + j)
-            K.append(k)
+        K = [RatFunc.sum_products(m, [(v.extend(m), RatFunc.var(m, n + j)) for j, v in enumerate(row)])
+             for row in self.V]
         return VectorField(K + [total_x(k) for k in K] + [RatFunc.zero(m)] * n)
+
+    @cached_property
+    def curl(self) -> list:
+        """``curl[i][c]`` maps each a with a nonzero curl ``W^i_ac = d_a V^i_c - d_c V^i_a`` to it."""
+        return _curl(self.V)
 
     def velocity(self, i: int) -> RatFunc:
         """The right-hand side of the i-th equation as a jet function."""
@@ -110,20 +126,45 @@ def flow_from_section(T: AlgebroidPresentation, X: Section) -> HydroFlow:
     return HydroFlow(tuple(tuple(row) for row in V))
 
 
+def _residual(F: HydroFlow, G: HydroFlow, i: int) -> RatFunc:
+    return F.derive(G.velocity(i)) - G.derive(F.velocity(i))
+
+
 def commutator_residual(F: HydroFlow, G: HydroFlow) -> list[RatFunc]:
     """Per-component jet residual of the commutator of two flows."""
     if F.n != G.n:
         raise ShapeError("flows live on different base dimensions")
-    return [F.derive(G.velocity(i)) - G.derive(F.velocity(i)) for i in range(F.n)]
+    return [_residual(F, G, i) for i in range(F.n)]
+
+
+def _commutes_at(F: HydroFlow, G: HydroFlow, i: int) -> bool:
+    """Tsarev's conditions at component i: row i of [B,A] vanishes, then Q'^i_bc + Q'^i_cb for b <= c."""
+    A, B, rows = F.V, G.V, range(F.n)
+    for b in rows:
+        if RatFunc.sum_products(F.n, [(B[i][a], A[a][b]) for a in rows], [(A[i][a], B[a][b]) for a in rows]):
+            return False
+    WA, WB = F.curl[i], G.curl[i]
+    for b, c in combinations_with_replacement(rows, 2):
+        sides = {(b, c), (c, b)}
+        plus = [(A[a][x], w) for x, y in sides for a, w in WB[y].items()]
+        minus = [(B[a][x], w) for x, y in sides for a, w in WA[y].items()]
+        if (plus or minus) and RatFunc.sum_products(F.n, plus, minus):
+            return False
+    return True
 
 
 def flows_commute(F: HydroFlow, G: HydroFlow, names: list[str] | None = None) -> Report:
-    report = Report("flow commutation")
+    """Tsarev's conditions per component; a failing component's witness is its jet residual."""
+    if F.n != G.n:
+        raise ShapeError("flows live on different base dimensions")
     names = names or [f"u{i + 1}" for i in range(F.n)]
-    jets = jet_names(names)
-    for i, res in enumerate(commutator_residual(F, G)):
-        ok = res.is_zero()
-        report.add("flow-commutation", f"component {names[i]}", ok, None if ok else res.format(jets))
+    if len(names) != F.n:
+        raise ShapeError(f"{len(names)} variable names for flows on {F.n} variables")
+    report = Report("flow commutation")
+    for i in range(F.n):
+        ok = _commutes_at(F, G, i)
+        witness = None if ok else _residual(F, G, i).format(jet_names(names))
+        report.add("flow-commutation", f"component {names[i]}", ok, witness)
     return report
 
 
@@ -243,14 +284,12 @@ def principal_hierarchy(
         prev = X
         for alpha in range(1, alpha_max + 1):
             rhs = T.matrix_of(partial(T.multiply, prev))
-            for i in range(T.rank):
-                for j in range(n):
-                    for l in range(j + 1, n):
-                        diff = rhs[i][j].derivative(l) - rhs[i][l].derivative(j)
-                        if not diff.is_zero():
+            for i, plane in enumerate(_curl(rhs)):
+                for j, row in enumerate(plane):
+                    for l, diff in row.items():
+                        if l > j:
                             raise NotCompatible(
-                                f"alpha={alpha}, component {i + 1}, pair ({j + 1},{l + 1}): "
-                                f"{diff.format(T.base_vars)}"
+                                f"alpha={alpha}, component {i + 1}, pair ({j + 1},{l + 1}): {diff.format(T.base_vars)}"
                             )
             prev = data.table[(p, alpha)] = Section(_path_integrate(rhs, n))
     for key, X in data.table.items():

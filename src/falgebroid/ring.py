@@ -21,8 +21,8 @@ follow Henrici: a sum cancels ``gcd(b, d)`` of the denominators before
 cross-multiplying and then only what that gcd can still share with the
 numerator, and a product cancels across ``gcd(a, d)`` and ``gcd(c, b)``
 first, so its result is reduced. Operands with constant denominators
-skip all of this. A derivation's sum over polynomials (``derive_along``)
-is accumulated in one integer dict and normalized once, not once per ``+``.
+skip all of this. A sum of products of polynomials (``sum_products``, and
+so ``derive_along``) goes into one integer dict, normalized once.
 """
 
 from __future__ import annotations
@@ -791,36 +791,35 @@ class RatFunc:
         _, t, g1 = Poly.gcd_cofactors(t, g)
         return RatFunc(*RatFunc._monic(t, g1 * b1 * b1), _normal=True)
 
-    def derive_along(self, field) -> "RatFunc":
-        """``sum(c * self.derivative(m))`` over the ``(m, c)`` pairs of ``field``.
+    @staticmethod
+    def sum_products(n: int, plus, minus=()) -> "RatFunc":
+        """``sum(p * q for p, q in plus) - sum(p * q for p, q in minus)`` in ``n`` variables.
 
-        When ``self`` and every ``c`` are polynomials and two or more ``c`` are
-        nonzero, each derivative term times each term of ``c`` is added into
-        one integer dict over the common denominator, normalized once.
+        Two or more products of polynomials go into one integer dict over the lcm of
+        their denominators, normalized once; else it is a sum of ``RatFunc`` products.
         """
-        n = self.nvars
-        if len(field) > 1 and self.den.is_constant() and all(c.den.is_constant() for _, c in field):
-            cs = [(m, c.num) for m, c in field if c.num.coeffs]
-            if len(cs) > 1:
-                lcm, top, acc = int_lcm(*(c.denom for _, c in cs)), _W * n, {}
-                get = acc.get
-                for m, c in cs:
-                    s, step = _shift(n, m), _var_key(n, m)
-                    d = [(k - step, a * e) for k, a in self.num.coeffs.items() if (e := k >> s & MAX_DEGREE)]
-                    if d and (max(d)[0] >> top) + (max(c.coeffs) >> top) > MAX_DEGREE:
-                        raise DegreeOverflow(f"product of total degree over {MAX_DEGREE}")
-                    mult = lcm // c.denom
-                    for k2, b in c.coeffs.items():
-                        b *= mult
-                        for k1, a in d:
-                            k = k1 + k2
-                            acc[k] = get(k, 0) + a * b
-                acc = {k: v for k, v in acc.items() if v}
-                return RatFunc(Poly(n, *_cancel(acc, lcm * self.num.denom)), _normal=True)
-        out = RatFunc.zero(n)
-        for m, c in field:
-            out = out + c * self.derivative(m)
-        return out
+        pairs = [(s, p, q) for s, pq in ((1, plus), (-1, minus)) for p, q in pq if p.num.coeffs and q.num.coeffs]
+        if len(pairs) < 2 or not all(p.den.is_constant() and q.den.is_constant() for _, p, q in pairs):
+            return sum((p * q if s > 0 else -(p * q) for s, p, q in pairs), RatFunc.zero(n))
+        lcm, top, acc = int_lcm(*(p.num.denom * q.num.denom for _, p, q in pairs)), _W * n, {}
+        get = acc.get
+        for s, p, q in pairs:
+            p, q = p.num, q.num
+            if (max(p.coeffs) >> top) + (max(q.coeffs) >> top) > MAX_DEGREE:
+                raise DegreeOverflow(f"product of total degree over {MAX_DEGREE}")
+            mult, a = s * lcm // (p.denom * q.denom), p.coeffs.items()
+            for k2, b in q.coeffs.items():
+                b *= mult
+                for k1, c in a:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c * b
+        return RatFunc(Poly(n, *_cancel({k: v for k, v in acc.items() if v}, lcm)), _normal=True)
+
+    def derive_along(self, field) -> "RatFunc":
+        """``sum(c * self.derivative(m))`` over the ``(m, c)`` pairs of ``field``, by ``sum_products``."""
+        if len(field) == 1:  # an anchor's field, mostly a unit: no list, and 1 * f is f
+            return field[0][1] * self.derivative(field[0][0])
+        return RatFunc.sum_products(self.nvars, [(c, self.derivative(m)) for m, c in field])
 
     def extend(self, nvars: int, offset: int = 0) -> "RatFunc":
         return RatFunc(self.num.extend(nvars, offset), self.den.extend(nvars, offset), _normal=True)

@@ -480,6 +480,7 @@ GOLDEN_ARGV = [["check", "--fixture", name] for name in GOLDEN_FIXTURES] + [
     ["dual", "--fixture", "SS2", "--ev", "u1 + 1,2"],
     ["hierarchy", "--fixture", "SS2", "--alpha-max", "2"],
     ["hierarchy", "--fixture", "SS2", "--flows", "u2,0;u1,0"],
+    ["hierarchy", "--fixture", "SS2", "--flows", "u1/(u2+1),0;u1,0"],
 ]
 GOLDEN = {
     'check --fixture FM2': (0, 'd39afbea20a6d245', 'ffda9de77579a3c1'),
@@ -505,6 +506,7 @@ GOLDEN = {
     'dual --fixture SS2 --ev u1 + 1,2': (0, '1ceb080a527daef8', 'a3aabed0b3001ef8'),
     'hierarchy --fixture SS2 --alpha-max 2': (0, '5d3798fa116a1c06', '18c83e7c629475a6'),
     'hierarchy --fixture SS2 --flows u2,0;u1,0': (1, 'df2d339b4c854a37', 'ea9e7ae0fb9bf6b5'),
+    'hierarchy --fixture SS2 --flows u1/(u2+1),0;u1,0': (1, '4bb7b6439edc9163', 'ea687285fff674f1'),
 }
 
 
@@ -523,6 +525,18 @@ def _golden(argv, tmp_path, monkeypatch, capsys) -> tuple:
 @pytest.mark.parametrize("argv", GOLDEN_ARGV, ids=[" ".join(argv) for argv in GOLDEN_ARGV])
 def test_outputs_keep_their_golden_bytes(argv, tmp_path, monkeypatch, capsys):
     assert _golden(argv, tmp_path, monkeypatch, capsys) == GOLDEN[" ".join(argv)]
+
+
+GOLDEN_FLOWS = [argv for argv in GOLDEN_ARGV if "--flows" in argv]
+
+
+@pytest.mark.parametrize("argv", GOLDEN_FLOWS, ids=[" ".join(argv) for argv in GOLDEN_FLOWS])
+def test_flow_witnesses_keep_their_golden_bytes_without_json(argv, capsys):
+    """Without --json a failing flow pair prints the same bytes, its witness built from the jet residual."""
+    import hashlib
+
+    code, out, _ = run(argv, capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == GOLDEN[" ".join(argv)][:2]
 
 
 def test_deform_failing_obstruction_has_a_witness(tmp_path, capsys):

@@ -237,6 +237,26 @@ def test_principal_hierarchy_errors():
         principal_hierarchy(T, Connection(gamma), [T.basis(0), T.basis(1)], 1)
 
 
+def test_principal_hierarchy_names_the_first_incompatible_pair():
+    """The recursion's right-hand side R = c(X, .) must be closed; the error names the first (i, j < l)
+    with d_l R^i_j - d_j R^i_l nonzero, in that order, and its value."""
+    rng = random.Random(3)
+    one, zero = RatFunc.one(3), RatFunc.zero(3)
+    for trial in range(6):
+        product = [[[RatFunc(random_base_function(rng, 3).num) if rng.random() < 0.4 else zero for _ in range(3)]
+                    for _ in range(3)] for _ in range(3)]
+        T = AlgebroidPresentation(["u1", "u2", "u3"], 3, product,
+                                  anchor=[[one if a == b else zero for b in range(3)] for a in range(3)])
+        rhs = T.matrix_of(lambda Ej: T.multiply(T.basis(1), Ej))
+        diffs = [(i, j, l, rhs[i][j].derivative(l) - rhs[i][l].derivative(j))
+                 for i in range(3) for j, l in combinations(range(3), 2)]
+        i, j, l, d = next(x for x in diffs if x[3])
+        message = f"alpha=1, component {i + 1}, pair ({j + 1},{l + 1}): {d.format(T.base_vars)}"
+        with pytest.raises(NotCompatible) as err:
+            principal_hierarchy(T, Connection(), [T.basis(1)], 1)
+        assert str(err.value) == message
+
+
 def test_non_polynomial_antiderivative():
     # rank-1 tangent presentation with product 1/u: the first recursion
     # step would need a logarithm
@@ -355,3 +375,118 @@ def test_failing_flow_witness_reparses():
     witness = flows_commute(F, G, U).failures()[0].witness
     assert witness == "u1*u1_x*u2_x"
     assert parse_expr(witness, jet_names(U)) == commutator_residual(F, G)[0]
+
+
+
+# -- the base-ring commutation decision ---------------------------------------
+
+
+def verdicts_match_residuals(F, G) -> int:
+    """Assert that each component's verdict is the oracle's (its jet residual is zero); return the failures."""
+    names = [f"u{i + 1}" for i in range(F.n)]
+    residuals = commutator_residual(F, G)
+    checks = flows_commute(F, G, names).checks
+    assert [c.passed for c in checks] == [r.is_zero() for r in residuals]
+    for c, r in zip(checks, residuals):
+        assert c.witness == (None if c.passed else r.format(jet_names(names)))
+    return sum(not c.passed for c in checks)
+
+
+def a2_frobenius() -> AlgebroidPresentation:
+    """The A2 Frobenius manifold of F = t1^2 t2 / 2 + t2^4 / 72 in flat coordinates: E2 . E2 = (t2 / 3) E1."""
+    zero, one = RatFunc.zero(2), RatFunc.one(2)
+    product = [[[one, zero], [zero, RatFunc.var(2, 1).scale(Fraction(1, 3))]], [[zero, one], [one, zero]]]
+    return AlgebroidPresentation(["t1", "t2"], 2, product, anchor=[[one, zero], [zero, one]])
+
+
+def flow_of(rows) -> HydroFlow:
+    return HydroFlow(tuple(tuple(row) for row in rows))
+
+
+def translation(n) -> HydroFlow:
+    """u_t = u_x, which commutes with every flow."""
+    return flow_of([[RatFunc.one(n) if i == j else RatFunc.zero(n) for j in range(n)] for i in range(n)])
+
+
+def test_flows_commute_requires_one_name_per_variable():
+    F, G = designated_pair()
+    for names in (["a"], ["a", "b", "c"]):
+        with pytest.raises(ShapeError, match=f"{len(names)} variable names for flows on 2 variables"):
+            flows_commute(F, G, names)
+    with pytest.raises(ShapeError, match="different base dimensions"):
+        flows_commute(F, translation(3), U)
+    assert flows_commute(F, G, ["a", "b"]).failures()[0].witness == "a*a_x*b_x"
+
+
+def test_verdicts_match_residuals_on_seeded_semisimple_flows():
+    """SS_n flows of diagonal, rational and polynomial mixing sections, against each other and u_t = u_x."""
+    rng = random.Random(20261019)
+    failed = 0
+    for trial in range(25):
+        n, diag, mixed = seeded_flows(rng)
+        poly = flow_from_section(semisimple(n), Section([RatFunc(random_base_function(rng, n).num) for _ in range(n)]))
+        for F, G in combinations([diag, mixed, poly, translation(n)], 2):
+            failed += verdicts_match_residuals(F, G) + verdicts_match_residuals(G, F)
+    assert failed
+
+
+def test_verdicts_match_residuals_on_perturbed_principal_hierarchy_flows():
+    """Each pair of A2 hierarchy flows, then with one coefficient c*t^e added to one entry of the first."""
+    T = a2_frobenius()
+    data = principal_hierarchy(T, Connection(), [T.basis(0), T.basis(1)], 3)
+    assert data.commutation.overall and len(data.commutation.checks) == 28
+    rng = random.Random(5)
+    failed = 0
+    for a, b in combinations(sorted(data.flows), 2):
+        F, G = data.flows[a], data.flows[b]
+        assert verdicts_match_residuals(F, G) == 0
+        rows = [list(row) for row in F.V]
+        i, j = rng.randrange(2), rng.randrange(2)
+        rows[i][j] = rows[i][j] + rfu({(rng.randint(0, 2), rng.randint(0, 2)): rng.choice([-2, -1, 1, 3])})
+        failed += verdicts_match_residuals(flow_of(rows), G) + verdicts_match_residuals(G, flow_of(rows))
+    assert failed > 20
+
+
+def test_verdicts_match_residuals_with_zero_and_nonzero_curl():
+    """Constant flows have zero curl and are decided by [B,A] alone; a flow with nonzero curl commutes
+    with u_t = u_x and with 2F + 3(u_t = u_x), where Q' is antisymmetric and nonzero."""
+    zero, one = RatFunc.zero(2), RatFunc.one(2)
+    nilpotent, transpose = flow_of([[zero, one], [zero, zero]]), flow_of([[zero, zero], [one, zero]])
+    assert nilpotent.curl == [[{}, {}], [{}, {}]]
+    assert verdicts_match_residuals(nilpotent, transpose) == 2
+    assert verdicts_match_residuals(nilpotent, translation(2)) == 0
+    rng = random.Random(11)
+    curled = 0
+    for trial in range(10):
+        F = flow_of([[RatFunc(random_base_function(rng, 2).num) for _ in range(2)] for _ in range(2)])
+        if all(not d for plane in F.curl for d in plane):
+            continue
+        curled += 1
+        combo = flow_of([[v.scale(2) + RatFunc.const(2, 3 * (i == j)) for j, v in enumerate(row)]
+                         for i, row in enumerate(F.V)])
+        for G in (translation(2), combo):
+            assert verdicts_match_residuals(F, G) == verdicts_match_residuals(G, F) == 0
+    assert curled >= 5
+    A2 = a2_frobenius()
+    hierarchy_flow = principal_hierarchy(A2, Connection(), [A2.basis(1)], 2).flows[(0, 2)]
+    # a flow of the principal hierarchy is a Hessian in flat coordinates, so its curl vanishes
+    assert all(not d for plane in hierarchy_flow.curl for d in plane)
+    assert any(d for plane in flow_from_section(load_fixture("SS2"), Section([RatFunc.var(2, 1), zero])).curl
+               for d in plane)
+
+
+def test_passing_hierarchy_builds_no_prolonged_field(monkeypatch):
+    """Tsarev's conditions decide a passing hierarchy in the base ring; the jet ring is only for witnesses."""
+    calls = []
+    jet_field = HydroFlow.prolonged.func
+    monkeypatch.setattr(HydroFlow, "prolonged", property(lambda self: calls.append(self) or jet_field(self)))
+    T = a2_frobenius()
+    assert principal_hierarchy(T, Connection(), [T.basis(0), T.basis(1)], 3).commutation.overall
+    assert principal_hierarchy(load_fixture("SS3"), Connection(), [load_fixture("SS3").basis(i) for i in range(3)],
+                               2).commutation.overall
+    euler = Section([RatFunc.var(2, 0), RatFunc.var(2, 1)])
+    assert eventual_identity_flows(load_fixture("SS2"), euler, load_fixture("SS2").identity).overall
+    assert calls == []
+    F, G = designated_pair()
+    assert flows_commute(F, G, U).failures()[0].witness == "u1*u1_x*u2_x"
+    assert calls  # the witness route goes through the counted property

@@ -1,5 +1,6 @@
 """Property tests for exact polynomial and rational-function arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -656,6 +657,88 @@ def test_derive_along_degree_overflow_follows_each_derivative():
     f = u2**MAX_DEGREE + u1
     *_, h = assert_derive_along_matches_loop(f, [(0, u1**65000), (1, u2)])
     assert h == u1**65000 + u2**MAX_DEGREE * RatFunc.const(2, MAX_DEGREE)
+
+
+def parent_derive_along(f, field):
+    """``derive_along`` before it called ``sum_products``: its own one-dict loop over polynomials."""
+    n = f.nvars
+    if len(field) > 1 and f.den.is_constant() and all(c.den.is_constant() for _, c in field):
+        cs = [(m, c.num) for m, c in field if c.num.coeffs]
+        if len(cs) > 1:
+            lcm, top, acc = math.lcm(*(c.denom for _, c in cs)), ring._W * n, {}
+            for m, c in cs:
+                s, step = ring._shift(n, m), ring._var_key(n, m)
+                d = [(k - step, a * e) for k, a in f.num.coeffs.items() if (e := k >> s & MAX_DEGREE)]
+                if d and (max(d)[0] >> top) + (max(c.coeffs) >> top) > MAX_DEGREE:
+                    raise DegreeOverflow(f"product of total degree over {MAX_DEGREE}")
+                for k2, b in c.coeffs.items():
+                    b *= lcm // c.denom
+                    for k1, a in d:
+                        acc[k1 + k2] = acc.get(k1 + k2, 0) + a * b
+            acc = {k: v for k, v in acc.items() if v}
+            return RatFunc(Poly(n, *ring._cancel(acc, lcm * f.num.denom)), _normal=True)
+    return loop_derive_along(f, field)
+
+
+def raw(h: RatFunc) -> tuple:
+    """The representation itself: numerator keys, ints and denominator, and the denominator's."""
+    return h.num.coeffs, h.num.denom, h.den.coeffs, h.den.denom
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_derive_along_matches_the_parent_kernel_term_for_term(seed):
+    rng = random.Random(1000 + seed)
+    n = rng.randint(1, 9)
+    f = RatFunc(seeded_poly(rng, n, 16), seeded_poly(rng, n, 2) if seed % 8 == 7 else None)
+    field = [(m, RatFunc(seeded_poly(rng, n, 8), seeded_poly(rng, n, 2) if seed % 5 == 4 else None))
+             for m in sorted(rng.sample(range(n), rng.randint(1, n)))]
+    assert raw(f.derive_along(field)) == raw(parent_derive_along(f, field))
+
+
+def ratfunc_sum_of_products(n, plus, minus):
+    out = RatFunc.zero(n)
+    for p, q in plus:
+        out = out + p * q
+    for p, q in minus:
+        out = out - p * q
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sum_products_matches_ratfunc_sums(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+
+    def operand():
+        kind = rng.choice(["zero", "one", "poly", "poly", "poly"] + ["rational"] * (seed % 4 == 3))
+        if kind in ("zero", "one"):
+            return RatFunc.zero(n) if kind == "zero" else RatFunc.one(n)
+        return RatFunc(seeded_poly(rng, n, 6), seeded_poly(rng, n, 2) if kind == "rational" else None)
+
+    plus = [(operand(), operand()) for _ in range(rng.randint(0, 5))]
+    minus = [(operand(), operand()) for _ in range(rng.randint(0, 5))]
+    assert raw(RatFunc.sum_products(n, plus, minus)) == raw(ratfunc_sum_of_products(n, plus, minus))
+    assert raw(RatFunc.sum_products(n, plus + minus, minus + plus)) == raw(RatFunc.zero(n))
+
+
+def test_sum_products_over_unequal_denominators_cancels_and_checks_the_degree():
+    names = ["u1", "u2"]
+    p = lambda text: parse_expr(text, names)  # noqa: E731
+    # (u1/2)(u2/3) - (u1/6)(u2) cancels across three denominators
+    assert RatFunc.sum_products(2, [(p("1/2*u1"), p("1/3*u2"))], [(p("1/6*u1"), p("u2"))]).is_zero()
+    got = RatFunc.sum_products(2, [(p("1/2*u1"), p("u1")), (p("1/3*u2"), p("u2 + 1/5"))])
+    assert raw(got) == raw(p("1/2*u1^2 + 1/3*u2^2 + 1/15*u2")) and got.num.denom == 30
+    # a sum of products of polynomials is exact: the common denominator 2*3 is cancelled to 1 here
+    assert raw(RatFunc.sum_products(2, [(p("3/2*u1"), p("2/3*u2")), (p("1/2"), p("u1*u2"))])) == raw(p("3/2*u1*u2"))
+    u1, u2 = RatFunc.var(2, 0), RatFunc.var(2, 1)
+    top = u1 ** (MAX_DEGREE - 1)
+    assert RatFunc.sum_products(2, [(top, u2), (u1, u2)]) == top * u2 + u1 * u2
+    with pytest.raises(DegreeOverflow, match=f"product of total degree over {MAX_DEGREE}"):
+        RatFunc.sum_products(2, [(u1, u2)], [(top, u2 * u2)])
+    with pytest.raises(DegreeOverflow):
+        RatFunc.sum_products(2, [(top, u2 * u2)])
+    # a rational operand takes the RatFunc sums
+    assert RatFunc.sum_products(2, [(u1 / (u2 + RatFunc.one(2)), u2 + RatFunc.one(2)), (u1, u2)]) == u1 + u1 * u2
 
 
 def refuse_general_gcd(*args):
