@@ -16,19 +16,29 @@ and a hit returns the same immutable ``Section``, so chained calls hit too. The
 law families take their frame sections from lists memoized the same way, so
 their keys match across families. The outermost sweep opens the memo and
 drops it on leaving; outside a sweep every method computes afresh.
+
+Where each law is evaluated: over a point, and over a base whose product,
+bracket, pre-Lie and anchor entries are all polynomials (``polynomial``), the
+families product-symmetry, associativity, bracket-antisymmetry,
+hertling-manin, psi-symmetry and psi-vanishing contract their whole residual
+tensor from the tables at once (``_point_tensor``); over a point so do jacobi
+and pre-lie-symmetry. Every other law, and every law over a base with a
+rational entry, is evaluated on sections, instance by instance.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import wraps
 from itertools import chain, combinations, combinations_with_replacement
 from itertools import product as iproduct
+from math import lcm as int_lcm
 from operator import itemgetter
 
 from .errors import MissingStructure, ShapeError
 from .linalg import solve
 from .report import Report
-from .ring import RatFunc
+from .ring import Poly, RatFunc
 
 _TENSORS = ("product", "bracket", "prelie")
 Tensor = list  # rank x rank x rank nested lists of RatFunc, output-index major
@@ -193,6 +203,9 @@ class AlgebroidPresentation:
         self._memo = None  # the sweep memo, a dict only while a sweep runs
         fields = enumerate(map(VectorField, anchor or ()))
         self._anchors = {i: vf for i, vf in fields if vf.entries}  # the nonzero a(E_i)
+        entries = chain((c for t in self._tables.values() for row in t for cell in row for _, c in cell),
+                        (c for vf in self._anchors.values() for _, c in vf.entries))
+        self.polynomial = all(c.den.is_constant() for c in entries)  # then the tensorial laws contract
 
     def _check_shapes(self):
         r, n = self.rank, self.n
@@ -287,10 +300,23 @@ class AlgebroidPresentation:
         return table
 
     def constants(self, name: str) -> list:
-        """Over a point, the named table as Fractions t[i][j] = {k: c}, converted once; MissingStructure without it."""
+        """The named table t[i][j] = {k: c}, converted once: over a point c is a Fraction, over a ``polynomial``
+        base the numerator ``Poly``. MissingStructure without it, or over a base without an anchor (but for the
+        product, which needs none)."""
         if name not in self._points:
-            self._points[name] = [[{k: c.constant_value() for k, c in cell} for cell in r] for r in self._require(name)]
+            value = (lambda c: c.num) if self.n else RatFunc.constant_value
+            table = self._tables["product"] if name == "product" else self._require(name)
+            self._points[name] = [[{k: value(c) for k, c in cell} for cell in r] for r in table]
         return self._points[name]
+
+    def product_derivatives(self) -> dict:
+        """{(x, a, b): {k: a(E_x)(c)}} for the product constants c of E_a·E_b, the nonzero numerators, built once."""
+        if "anchor" not in self._points:
+            M = self._tables["product"]
+            self._points["anchor"] = {(x, a, b): d for x, vf in self._anchors.items() for a, row in enumerate(M)
+                                      for b, cell in enumerate(row)
+                                      if (d := {k: p.num for k, c in cell if (p := vf.apply(c)).num.coeffs})}
+        return self._points["anchor"]
 
     @_memo
     def bracket_of(self, X: Section, Y: Section) -> Section:
@@ -400,17 +426,18 @@ def _prelie_tuples(frame, scaled):
 
 
 def _witness(A: AlgebroidPresentation, res) -> str | None:
-    """The text of a nonzero residual, a Section or over a point a dict {k: c}; None for zero (a passing check)."""
+    """The text of a nonzero residual, a Section or a ``_point_tensor`` cell {k: c}; None for zero (a passing check)."""
     if isinstance(res, dict):
-        res = Section._from_dict({k: RatFunc.const(0, c) for k, c in res.items() if c}, A.rank, 0)
+        value = (lambda c: RatFunc(c, _normal=True)) if A.n else (lambda c: RatFunc.const(0, c))
+        res = Section._from_dict({k: value(c) for k, c in res.items()}, A.rank, A.n)
     return None if res.is_zero() else A.fmt(res)
 
 
 def _sweep(A: AlgebroidPresentation, report: Report, table, prefix: str = "") -> Report:
     """Run a law table into ``report``, one block per row, and return it. A row is (argument tuples, (law,
     residual)). Each tuple of labelled arguments is one instance, named ``prefix(name,...)`` and checked by calling
-    the residual on it under the sweep memo. Over a point the residual can be the dict of a ``_point_tensor`` beside
-    tuples of frame names: only the dict's tuples fail."""
+    the residual on it under the sweep memo. The residual can be the dict of a ``_point_tensor`` beside tuples of
+    frame names: only the dict's tuples fail."""
     memo = A._memo
     A._memo = {} if memo is None else memo
     try:
@@ -435,8 +462,8 @@ def _sweep(A: AlgebroidPresentation, report: Report, table, prefix: str = "") ->
     return report
 
 
-# -- laws over a point: each residual is a polynomial in the structure constants,
-# summed at once on every tuple of frame indices from the tables of ``A.constants``.
+# -- tensorial laws from the tables: each residual is a polynomial in the structure constants (over a base also in
+# their anchor derivatives), summed at once on every tuple of frame indices from the tables of ``A.constants``.
 
 
 def _point_labels(A: AlgebroidPresentation) -> list:
@@ -445,29 +472,49 @@ def _point_labels(A: AlgebroidPresentation) -> list:
 
 
 def _point_tensor(*terms) -> dict:
-    """Σ s·term on every tuple of frame indices at once, over the nonzero constants only:
-    {index tuple: {k: c}} of exactly the nonzero residuals. A term (s, shape, ∘, ⋄) of tables
-    t[i][j] = {k: c} has the shape (a, b) for s·E_a∘E_b (no ⋄), ((a, b), c) for s·(E_a∘E_b)⋄E_c
-    or (a, (b, c)) for s·E_a⋄(E_b∘E_c), with a, b, c its slots."""
-    out = {}
-    for s, shape, inner, *outer in terms:
-        hits = [((x, y), m, c) for x, y, m, c in _nonzeros(inner)]
-        if outer:  # E_x∘E_y = Σ c·E_m nested into ⋄ with the third slot z, on the left or on the right
-            left, by_m = isinstance(shape[0], tuple), {}
-            shape = (*shape[0], shape[1]) if left else (*shape[1], shape[0])
-            for x, y, k, d in _nonzeros(outer[0]):
-                by_m.setdefault(x if left else y, []).append((y if left else x, k, d))
-            hits = [((x, y, z), k, c * d) for (x, y), m, c in hits for z, k, d in by_m.get(m, ())]
-        key = itemgetter(*(shape.index(p) for p in range(len(shape))))
-        for vals, k, c in hits:
-            cell = out.setdefault(key(vals), {})
-            cell[k] = cell.get(k, 0) + c if s > 0 else cell.get(k, 0) - c
-    return {key: res for key, cell in out.items() if (res := {k: c for k, c in cell.items() if c})}
+    """Σ s·term on every tuple of frame indices at once, over the nonzero constants only: {index tuple: {k: c}}
+    of exactly the nonzero residuals. Every tensorial law family contracts here over a point and over a
+    ``polynomial`` base (product-symmetry, associativity, bracket-antisymmetry, hertling-manin, psi-symmetry,
+    psi-vanishing), and so do jacobi and pre-lie-symmetry over a point. A table is t[i][j] = {k: c} or a dict
+    {(i, j, ...): {k: c}}, as this returns. A constant c is a number, or over a base a ``Poly``; then each
+    component is summed in one integer dict over one denominator (``Poly.accumulate``).
+
+    A term (s, shape, ∘, ⋄) has the shape (a, b, ...) for s·∘(E_a, E_b, ...) (no ⋄), or the shape of ⋄
+    with one slot replaced by the slots of ∘, whose output feeds it: ((a, b), c) for s·(E_a∘E_b)⋄E_c,
+    (a, (b, c)) for s·E_a⋄(E_b∘E_c); a, b, c, ... are the positions in the index tuple."""
+    out, rows, seen = {}, [], {}
+    for s, shape, *tables in terms:
+        inner, *outer = (seen[id(t)] if id(t) in seen else seen.setdefault(id(t), _nonzeros(t)) for t in tables)
+        hits = [(idx, m, c, None) for idx, m, c in inner]
+        if outer:  # ∘(...) = Σ c·E_m fills the slot ``at`` of ⋄, whose other slots follow ∘'s in the hit
+            at, by_m = next(p for p, slot in enumerate(shape) if isinstance(slot, tuple)), {}
+            for idx, k, d in outer[0]:
+                by_m.setdefault(idx[at], []).append((idx[:at] + idx[at + 1:], k, d))
+            hits = [(idx + rest, k, c, d) for idx, m, c, _ in hits for rest, k, d in by_m.get(m, ())]
+            shape = (*shape[at], *shape[:at], *shape[at + 1:])
+        rows.append((s, itemgetter(*map(shape.index, range(len(shape)))), hits))
+    polys = [c for _, _, hits in rows for _, _, c, _ in hits[:1] if isinstance(c, Poly)]
+    if not polys:
+        for s, key, hits in rows:
+            for vals, k, c, d in hits:
+                cell = out.setdefault(key(vals), {})
+                cell[k] = cell.get(k, 0) + (s * c if d is None else s * c * d)
+        return {key: res for key, cell in out.items() if (res := {k: c for k, c in cell.items() if c})}
+    den = lambda c, d: c.denom if d is None else c.denom * d.denom  # noqa: E731
+    lcm, n = int_lcm(*{den(c, d) for _, _, hits in rows for _, _, c, d in hits}), polys[0].nvars
+    for s, key, hits in rows:
+        for vals, k, c, d in hits:
+            c.accumulate(out.setdefault(key(vals), {}).setdefault(k, {}), s * lcm // den(c, d), d)
+    cells = ((key, {k: Poly.from_ints(n, {e: v for e, v in acc.items() if v}, lcm) for k, acc in cell.items()})
+             for key, cell in out.items())
+    return {key: res for key, cell in cells if (res := {k: p for k, p in cell.items() if p.coeffs})}
 
 
 def _nonzeros(t) -> list:
-    """The constants t[x][y] = {k: c} as (x, y, k, c), an integral c as an int (faster, and as exact)."""
-    return [(x, y, k, c.numerator if c.denominator == 1 else c)
+    """The constants of a table as (index tuple, k, c), an integral Fraction c as an int (faster, and as exact)."""
+    if isinstance(t, dict):
+        return [(idx, k, c) for idx, cell in t.items() for k, c in cell.items()]
+    return [((x, y), k, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
             for x, row in enumerate(t) for y, cell in enumerate(row) if cell for k, c in cell.items()]
 
 
@@ -478,9 +525,10 @@ def _prelie_terms(S, T) -> tuple:
 
 
 def _point_psi(A: AlgebroidPresentation, i: int = 0, j: int = 1, s: int = 1) -> tuple:
-    """The terms of s·Ψ(E_a,E_b,E_c) (see ``psi``), with a and b in slots i and j."""
-    M, P = A.constants("product"), A.constants("prelie")
-    return (s, (i, (j, 2)), M, P), (-s, ((i, j), 2), P, M), (-s, (j, (i, 2)), P, M)
+    """The terms of s·Ψ(E_a,E_b,E_c) (see ``psi``), with a and b in slots i and j: Ψ_abc^k = a(E_a)(M_bc^k) +
+    Σ_m (M_bc^m P_am^k - P_ab^m M_mc^k - P_ac^m M_bm^k) for the product M and pre-Lie P tables."""
+    M, P, dM = A.constants("product"), A.constants("prelie"), A.product_derivatives()
+    return (s, (i, j, 2), dM), (s, (i, (j, 2)), M, P), (-s, ((i, j), 2), P, M), (-s, (j, (i, 2)), P, M)
 
 
 # -- law families: each maps a presentation to its ``_sweep`` rows ---------
@@ -490,7 +538,7 @@ def _comm_assoc(A: AlgebroidPresentation) -> list:
     mul, frame = A.multiply, _frame_args(A)
     sym = lambda X, Y: mul(X, Y) - mul(Y, X)  # noqa: E731
     assoc = lambda X, Y, Z: mul(mul(X, Y), Z) - mul(X, mul(Y, Z))  # noqa: E731
-    if A.n == 0:
+    if A.polynomial:
         frame, M = _point_labels(A), A.constants("product")
         sym = _point_tensor((1, (0, 1), M), (-1, (1, 0), M))
         assoc = _point_tensor((1, ((0, 1), 2), M, M), (-1, (0, (1, 2)), M, M))
@@ -508,20 +556,33 @@ def _lie(A: AlgebroidPresentation) -> list:
     (a([Y,Z]) - [a(Y),a(Z)])(f)·X on top of f times the basis residual.
     """
     br, frame, jacobi = A.bracket_of, _frame_args(A), A.jacobiator
-    antisym = lambda X, Y: br(X, Y) + br(Y, X)  # noqa: E731
-    if A.n == 0:
-        frame, B = _point_labels(A), A.constants("bracket")
+    antisym, pairs = (lambda X, Y: br(X, Y) + br(Y, X)), frame
+    if A.polynomial:
+        pairs, B = _point_labels(A), A.constants("bracket")
         antisym = _point_tensor((1, (0, 1), B), (1, (1, 0), B))
-        jacobi = _point_tensor((1, ((0, 1), 2), B, B), (1, ((1, 2), 0), B, B), (1, ((2, 0), 1), B, B))
+    if A.n == 0:
+        frame, jacobi = pairs, _point_tensor((1, ((0, 1), 2), B, B), (1, ((1, 2), 0), B, B), (1, ((2, 0), 1), B, B))
     return [
-        (combinations_with_replacement(frame, 2), ("bracket-antisymmetry", antisym)),
+        (combinations_with_replacement(pairs, 2), ("bracket-antisymmetry", antisym)),
         (iproduct(frame + _scaled_args(A), frame, frame), ("jacobi", jacobi)),
     ]
 
 
 def _hertling_manin(A: AlgebroidPresentation) -> list:
-    """Hertling-Manin on frame quadruples, which suffice because the failure tensor Phi is a (4,1) tensor field."""
-    return [(iproduct(_frame_args(A), repeat=4), ("hertling-manin", A.phi))]
+    """Hertling-Manin on frame quadruples, which suffice because the failure tensor Phi is a (4,1) tensor field.
+
+    From the tables, with ρ_x(f) = a(E_x)(f) and P_m(c,d) = P_E_m(E_c,E_d) (see ``p_tensor``), which the Leibniz rules
+    of ``bracket_of`` expand to P_m(c,d)^k = Σ_n (M_cd^n B_mn^k - B_mc^n M_nd^k - B_md^n M_cn^k) + ρ_m(M_cd^k), and
+    Φ_abcd^k = Σ_m (M_ab^m P_m(c,d)^k - M_cd^m ρ_m(M_ab^k) + ρ_c(M_ab^m) M_md^k + ρ_d(M_ab^m) M_cm^k
+    - M_am^k P_b(c,d)^m - M_bm^k P_a(c,d)^m).
+    """
+    if not A.polynomial:
+        return [(iproduct(_frame_args(A), repeat=4), ("hertling-manin", A.phi))]
+    M, B, dM = A.constants("product"), A.constants("bracket"), A.product_derivatives()
+    P = _point_tensor((1, (0, (1, 2)), M, B), (-1, ((0, 1), 2), B, M), (-1, (1, (0, 2)), B, M), (1, (0, 1, 2), dM))
+    phi = _point_tensor((1, ((0, 1), 2, 3), M, P), (-1, ((2, 3), 0, 1), M, dM), (1, ((2, 0, 1), 3), dM, M),
+                        (1, (2, (3, 0, 1)), dM, M), (-1, (0, (1, 2, 3)), P, M), (-1, (1, (0, 2, 3)), P, M))
+    return [(iproduct(_point_labels(A), repeat=4), ("hertling-manin", phi))]
 
 
 def _pre_lie(A: AlgebroidPresentation) -> list:
@@ -544,14 +605,14 @@ def _pre_lie(A: AlgebroidPresentation) -> list:
 def _psi_symmetry(A: AlgebroidPresentation) -> list:
     """Psi symmetric in its first two slots, on frame triples."""
     frame, sym = _frame_args(A), lambda X, Y, Z: A.psi(X, Y, Z) - A.psi(Y, X, Z)
-    if A.n == 0:
+    if A.polynomial:
         frame, sym = _point_labels(A), _point_tensor(*_point_psi(A), *_point_psi(A, 1, 0, -1))
     return [(iproduct(frame, repeat=3), ("psi-symmetry", sym))]
 
 
 def _psi_vanishing(A: AlgebroidPresentation) -> list:
     """Psi = 0 on frame triples."""
-    frame, psi = (_point_labels(A), _point_tensor(*_point_psi(A))) if A.n == 0 else (_frame_args(A), A.psi)
+    frame, psi = (_point_labels(A), _point_tensor(*_point_psi(A))) if A.polynomial else (_frame_args(A), A.psi)
     return [(iproduct(frame, repeat=3), ("psi-vanishing", psi))]
 
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import cache
 
 from .algebroid import LAWS, AlgebroidPresentation, Section, VectorField, check_laws
 from .constructions import fixture_names, load_fixture
@@ -185,6 +187,7 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+@cache  # built once per process: parse_args does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="falg",
@@ -205,14 +208,14 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(LAWS),
         help="law to check (repeatable); default inferred from structures",
     )
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func="cmd_check")
 
     p = sub.add_parser("dual", help="build and verify an eventual-identity dual")
     common(p)
     p.add_argument("--ev", required=True, help="eventual identity, comma-separated components")
     p.add_argument("--pre-f", dest="pre_f", action="store_true", help="use the pre-F dual")
     p.add_argument("--out", help="write the dual structure file here")
-    p.set_defaults(func=cmd_dual)
+    p.set_defaults(func="cmd_dual")
 
     for name in ("deform", "nijenhuis"):
         p = sub.add_parser(name, help="Nijenhuis or formal deformation checks")
@@ -224,27 +227,34 @@ def _build_parser() -> argparse.ArgumentParser:
             "--order", type=int, help="deformation order: pads with zero cochains or drops those past it (--mu1 only)"
         )
         p.add_argument("--out", help="write the deformed structure file here (--nijenhuis only)")
-        p.set_defaults(func=cmd_deform)
+        p.set_defaults(func="cmd_deform")
 
     p = sub.add_parser("hierarchy", help="flow commutation and the principal hierarchy")
     common(p)
     p.add_argument("--alpha-max", type=int, dest="alpha_max", help="hierarchy depth")
     p.add_argument("--flows", help="two sections 'x1,..,xr;y1,..,yr' to compare directly")
-    p.set_defaults(func=cmd_hierarchy)
+    p.set_defaults(func="cmd_hierarchy")
 
     p = sub.add_parser("fixtures", help="list built-in fixtures")
-    p.set_defaults(func=cmd_fixtures)
+    p.set_defaults(func="cmd_fixtures")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    code = None
     try:
-        return args.func(args)
+        code = globals()[args.func](args)  # by name: the cached parser must not pin a command a caller rewraps
+        sys.stdout.flush()  # a reader that closed stdout fails here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # send the rest to devnull, where the last flush cannot fail; exit with the code the command returns on an
+        # open stdout, running it again if the pipe closed before it returned
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return main(argv) if code is None else code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

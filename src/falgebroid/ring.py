@@ -408,6 +408,23 @@ class Poly:
                 terms[k] = get(k, 0) + c1 * c2
         return Poly(self.nvars, {k: c for k, c in terms.items() if c}, da * db)
 
+    def accumulate(self, acc: dict, mult: int, other: "Poly | None" = None) -> None:
+        """Add ``mult`` times the integer coefficients of ``self * other`` (``self`` without ``other``) into ``acc``,
+        keyed by monomial, with ``__mul__``'s degree check: the one multiply-accumulate of fused sums."""
+        get, a = acc.get, self.coeffs.items()
+        if other is None:
+            for k, c in a:
+                acc[k] = get(k, 0) + c * mult
+            return
+        top = _W * self.nvars
+        if (max(self.coeffs) >> top) + (max(other.coeffs) >> top) > MAX_DEGREE:
+            raise DegreeOverflow(f"product of total degree over {MAX_DEGREE}")
+        for k2, b in other.coeffs.items():
+            b *= mult
+            for k1, c in a:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c * b
+
     def scale(self, c) -> "Poly":
         c = Fraction(c)
         if c == 0:
@@ -801,19 +818,10 @@ class RatFunc:
         pairs = [(s, p, q) for s, pq in ((1, plus), (-1, minus)) for p, q in pq if p.num.coeffs and q.num.coeffs]
         if len(pairs) < 2 or not all(p.den.is_constant() and q.den.is_constant() for _, p, q in pairs):
             return sum((p * q if s > 0 else -(p * q) for s, p, q in pairs), RatFunc.zero(n))
-        lcm, top, acc = int_lcm(*(p.num.denom * q.num.denom for _, p, q in pairs)), _W * n, {}
-        get = acc.get
+        lcm, acc = int_lcm(*(p.num.denom * q.num.denom for _, p, q in pairs)), {}
         for s, p, q in pairs:
-            p, q = p.num, q.num
-            if (max(p.coeffs) >> top) + (max(q.coeffs) >> top) > MAX_DEGREE:
-                raise DegreeOverflow(f"product of total degree over {MAX_DEGREE}")
-            mult, a = s * lcm // (p.denom * q.denom), p.coeffs.items()
-            for k2, b in q.coeffs.items():
-                b *= mult
-                for k1, c in a:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + c * b
-        return RatFunc(Poly(n, *_cancel({k: v for k, v in acc.items() if v}, lcm)), _normal=True)
+            p.num.accumulate(acc, s * lcm // (p.num.denom * q.num.denom), q.num)
+        return RatFunc(Poly.from_ints(n, {k: v for k, v in acc.items() if v}, lcm), _normal=True)
 
     def derive_along(self, field) -> "RatFunc":
         """``sum(c * self.derivative(m))`` over the ``(m, c)`` pairs of ``field``, by ``sum_products``."""

@@ -5,7 +5,7 @@ import random
 import weakref
 from fractions import Fraction
 from functools import cache, partial
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from itertools import product as iproduct
 
 import pytest
@@ -18,6 +18,7 @@ from falgebroid.algebroid import (
     VectorField,
     _frame_args,
     _prelie_tuples,
+    _scaled_args,
     _sweep,
     _witness,
     check_laws,
@@ -40,6 +41,7 @@ from falgebroid.duality import (
     multiplication_matrix,
 )
 from falgebroid.errors import MissingStructure, ShapeError
+from falgebroid.exprparse import parse_expr
 from falgebroid.report import Report
 from falgebroid.ring import RatFunc
 from test_ring import DEADLINE, fractions, ratfuncs
@@ -525,17 +527,18 @@ def test_vector_field_size_mismatch_raises():
     assert X + VectorField.zero(2) == X and VectorField.zero(2).rank == VectorField.zero(2).nvars == 2
 
 
-# -- law residuals over a point against their Section evaluation -----------
+# -- law residuals from the tables against their Section evaluation ---------
 #
-# Over a point the checkers evaluate their residuals on frame indices from
-# the Fraction tables. The oracle is the Section evaluation they replaced,
-# row for row through the same engine, so instance order, pass/fail and
-# witness text must agree exactly.
+# Over a point, and over a base with polynomial tables, the checkers contract
+# their tensorial residuals on frame indices from the tables. The oracle is
+# the Section evaluation they replaced, row for row through the same engine,
+# so instance order, pass/fail and witness text must agree exactly.
 
 
 def _section_rows(A):
-    """Each point checker's law rows as Section residuals, keyed by row name."""
-    mul, br, assoc, frame = A.multiply, A.bracket_of, A.prelie_associator, _frame_args(A)
+    """Each law family's rows as Section residuals, keyed by family name; over a base jacobi and pre-lie-symmetry
+    also take the scaled sections u^m·E_i, as the library's own Section rows do."""
+    mul, br, assoc, frame, scaled = A.multiply, A.bracket_of, A.prelie_associator, _frame_args(A), _scaled_args(A)
     return {
         "comm-assoc": lambda: [
             (combinations(frame, 2), ("product-symmetry", lambda X, Y: mul(X, Y) - mul(Y, X))),
@@ -543,10 +546,10 @@ def _section_rows(A):
         ],
         "lie": lambda: [
             (combinations_with_replacement(frame, 2), ("bracket-antisymmetry", lambda X, Y: br(X, Y) + br(Y, X))),
-            (iproduct(frame, frame, frame), ("jacobi", A.jacobiator)),
+            (iproduct(frame + scaled, frame, frame), ("jacobi", A.jacobiator)),
         ],
         "pre-lie": lambda: [
-            (_prelie_tuples(frame, []), ("pre-lie-symmetry", lambda X, Y, Z: assoc(X, Y, Z) - assoc(Y, X, Z))),
+            (_prelie_tuples(frame, scaled), ("pre-lie-symmetry", lambda X, Y, Z: assoc(X, Y, Z) - assoc(Y, X, Z))),
         ],
         "psi-symmetry": lambda: [
             (iproduct(frame, repeat=3), ("psi-symmetry", lambda X, Y, Z: A.psi(X, Y, Z) - A.psi(Y, X, Z))),
@@ -564,6 +567,12 @@ SECTION_ORACLE = {
     "pre-f": ("comm-assoc", "pre-lie", "psi-symmetry"),
     "prelie-com": ("comm-assoc", "pre-lie", "psi-vanishing"),
 }
+
+
+def _section_families():
+    """``LAWS`` with every law family swapped for its Section rows, one function per family."""
+    rows = {name: (lambda A, name=name: _section_rows(A)[name]()) for names in SECTION_ORACLE.values() for name in names}
+    return {law: tuple(rows[name] for name in names) for law, names in SECTION_ORACLE.items()}
 
 
 def _oracle_reports(A, laws):
@@ -646,12 +655,93 @@ def test_dn2_prelie_com_matches_section_evaluation():
     assert _outcomes(check_prelie_com(A)) == _outcomes(_oracle_report(A, "prelie-com"))
 
 
+# Frobenius potentials in flat coordinates and the weights 1 - q_a of their Euler fields (Dubrovin,
+# "Geometry of 2D topological field theories", Lecture 4).
+FROBENIUS = {
+    "A2": ("t1^2*t2/2 + t2^4/72", (1, Fraction(2, 3))),
+    "A3": ("t1^2*t3/2 + t1*t2^2/2 + t2^2*t3^2/4 + t3^5/60", (1, Fraction(3, 4), Fraction(1, 2))),
+    "B3": ("t1^2*t3/2 + t1*t2^2/2 + t2^3*t3/6 + t2^2*t3^3/6 + t3^7/210", (1, Fraction(2, 3), Fraction(1, 3))),
+}
+
+
+def frobenius(name):
+    """The Frobenius manifold of a potential F with the zero bracket and the identity anchor, and its Euler field:
+    E_a·E_b = Σ_k F_abk' / η_kk' E_k for the third derivatives F_abc and the antidiagonal metric η_ab = F_1ab."""
+    text, weights = FROBENIUS[name]
+    n = len(weights)
+    names = [f"t{a + 1}" for a in range(n)]
+    F = parse_expr(text, names)
+    third = [[[F.derivative(a).derivative(b).derivative(c) for c in range(n)] for b in range(n)] for a in range(n)]
+    eta = [third[0][k][n - 1 - k].constant_value() for k in range(n)]
+    product = [[[third[i][j][n - 1 - k].scale(1 / eta[k]) for j in range(n)] for i in range(n)] for k in range(n)]
+    zero, one = RatFunc.zero(n), RatFunc.one(n)
+    A = AlgebroidPresentation(names, n, product, bracket=[[[zero] * n] * n] * n,
+                              anchor=[[one if a == b else zero for b in range(n)] for a in range(n)],
+                              identity=Section([one] + [zero] * (n - 1)))
+    return A, Section([RatFunc.var(n, a).scale(w) for a, w in enumerate(weights)])
+
+
+def _base_presentation(name):
+    """A ``_presentation``, a Frobenius manifold (A2, A3, B3) or its Dubrovin dual at the Euler field (A2-dual...)."""
+    if name.split("-")[0] not in FROBENIUS:
+        return _presentation(name)
+    A, E = frobenius(name.split("-")[0])
+    return dubrovin_dual(A, E).dual if name.endswith("-dual") else A
+
+
+MEMO_NAMES = ("SS2", "SS3", "SS4", "TR", "TR2", "ACT2", "POISSON_SEED", "SS3-dual")
+BASE_CASES = [(name, None) for name in MEMO_NAMES + tuple(chain(*((f, f"{f}-dual") for f in FROBENIUS)))]
+BASE_CASES += [(name, seed) for name in MEMO_NAMES for seed in range(3)]
+
+
+@cache
+def _base_case(name, seed):
+    """A base case's presentation and the Section-evaluation report of each law it carries, computed once."""
+    A = _base_presentation(name) if seed is None else _mutant(name, seed)
+    return A, _oracle_reports(A, _carried_laws(A))
+
+
+@pytest.mark.parametrize("name,seed", BASE_CASES, ids=[f"{n}-{s}" for n, s in BASE_CASES])
+def test_base_residuals_match_section_evaluation(name, seed):
+    A, oracle = _base_case(name, seed)
+    assert A.n > 0 and A.polynomial
+    for law, report in oracle.items():
+        assert _outcomes(CHECKERS[law](A)) == _outcomes(report), law
+
+
+def test_base_mutants_fail_with_witnesses():
+    """The seeded product, bracket and pre-Lie mutants reach failing instances of every family contracted over a
+    base, and the Frobenius manifolds and their duals pass."""
+    failed = set()
+    for name, seed in BASE_CASES:
+        A, oracle = _base_case(name, seed)
+        failed |= {c.law for report in oracle.values() for c in report.failures() if c.witness}
+        assert name.split("-")[0] not in FROBENIUS or all(report.overall for report in oracle.values())
+    assert failed >= {"product-symmetry", "associativity", "bracket-antisymmetry", "hertling-manin", "psi-symmetry",
+                      "psi-vanishing"}
+
+
+def test_rational_table_entry_keeps_section_rows():
+    """A product constant u1/(u2+1) sends every law back to its Section rows, witnesses included."""
+    A = load_fixture("SS2")
+    u1, u2 = RatFunc.var(2, 0), RatFunc.var(2, 1)
+    A = A.with_structures(product=_mutate_tensor(A.product, 1, 0, 0, u1 / (u2 + RatFunc.one(2))))
+    assert not A.polynomial
+    assert all(callable(residual) for _, (_, residual) in chain(*(family(A) for family in LAWS["f-algebroid"])))
+    oracle = _oracle_reports(A, _carried_laws(A))
+    for law, report in oracle.items():
+        assert _outcomes(CHECKERS[law](A)) == _outcomes(report), law
+    assert "/(u2 + 1)" in oracle["f-algebroid"].failures()[0].witness
+
+
 # -- the sweep memo against plain evaluation ---------------------------------
 #
 # Inside a sweep the frame operations are memoized by argument identity. The
-# oracle runs each checker's own law table through a test-only copy of the
-# sweep loop that opens no memo, so every method computes afresh; the reports
-# must agree law for law, instance for instance, in pass flag and witness text.
+# oracle runs each checker's law table through a test-only copy of the sweep
+# loop that opens no memo, so every method computes afresh, with each law
+# family's Section rows (``_section_rows``) in place of its contraction; the
+# reports must agree law for law, instance for instance, in pass flag and
+# witness text.
 
 
 def _plain_sweep(A, report, table, prefix=""):
@@ -680,7 +770,6 @@ def _sweeping_checks(A):
     return checks
 
 
-MEMO_NAMES = ("SS2", "SS3", "SS4", "TR", "TR2", "ACT2", "POISSON_SEED", "SS3-dual")
 MEMO_CASES = [(name, None) for name in MEMO_NAMES] + [(name, seed) for name in MEMO_NAMES for seed in range(3)]
 
 
@@ -694,6 +783,7 @@ def test_memoized_sweep_matches_plain_evaluation(name, seed, monkeypatch):
     memoized = [_outcomes(check()) for check in _sweeping_checks(A)]
     for module in (falgebroid.algebroid, falgebroid.duality):
         monkeypatch.setattr(module, "_sweep", _plain_sweep)
+    monkeypatch.setattr(falgebroid.algebroid, "LAWS", _section_families())
     assert [_outcomes(check()) for check in _sweeping_checks(A)] == memoized
 
 
@@ -763,7 +853,8 @@ def test_sweep_memo_lives_for_one_sweep():
 
 def test_law_families_share_frame_sections_in_one_sweep(monkeypatch):
     """The frame sections are built once per sweep, so one ``check_laws`` call computes each frame pre-Lie
-    product E_i⋆E_j once, although both ``pre-lie-symmetry`` and ``psi-symmetry`` evaluate it."""
+    product E_i⋆E_j once, although both ``pre-lie-symmetry`` and ``psi-symmetry`` evaluate it on their Section
+    rows (forced here; SS4's polynomial tables would contract ``psi-symmetry``)."""
     import falgebroid.algebroid
 
     computed, frames = [], []
@@ -780,6 +871,7 @@ def test_law_families_share_frame_sections_in_one_sweep(monkeypatch):
     monkeypatch.setattr(AlgebroidPresentation, "prelie_of", falgebroid.algebroid._memo(counted))
     monkeypatch.setattr(AlgebroidPresentation, "_frame", falgebroid.algebroid._memo(built))
     A = load_fixture("SS4")
+    A.polynomial = False
     counts = {}
     for laws in (["pre-lie"], ["f-algebroid", "pre-f"]):
         computed.clear(), frames.clear()

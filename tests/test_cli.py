@@ -554,3 +554,31 @@ def test_deform_failing_obstruction_has_a_witness(tmp_path, capsys):
     ]
     last = json.loads((tmp_path / "r.json").read_text())["checks"][-1]
     assert last == {"law": "obstruction-vanishes", "instance": "theta_1", "pass": False, "witness": "-1, 0, 0"}
+
+
+@pytest.mark.parametrize("mutant,want", [(False, 0), (True, 1)])
+def test_closed_stdout_exits_with_the_verdict_and_no_traceback(mutant, want, tmp_path):
+    """A reader that closes stdout after one line (``falg ... | head -1``) leaves the exit code of the verdict,
+    not a BrokenPipeError traceback: DN2's ``prelie-com`` report is about 900 kB, far past a pipe's buffer."""
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import falgebroid
+    from falgebroid.constructions import load_fixture
+    from falgebroid.exprparse import presentation_to_document
+
+    source = ["--fixture", "DN2"]
+    if mutant:  # DN2 with E1·E1 = E2 added: its product laws fail
+        doc = presentation_to_document(load_fixture("DN2"))
+        doc["product"][1][0][0] = "1"
+        (tmp_path / "dn2.json").write_text(json.dumps(doc))
+        source = [str(tmp_path / "dn2.json")]
+    env = {**os.environ, "PYTHONPATH": str(Path(falgebroid.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "falgebroid.cli", "check", *source, "--law", "prelie-com"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == want
+    assert first.startswith(b"subject: check") and b"Traceback" not in proc.stderr.read()
+    proc.stderr.close()

@@ -24,6 +24,7 @@ from test_algebroid import (
     _plain_sweep,
     _point_oracle,
     _presentation,
+    _section_families,
 )
 
 FIXTURES = ("FM2", "ACT2", "SS1", "SS2", "SS3", "SS4", "TR", "TR2", "POISSON_SEED", "DN1", "DN1_2", "DN2_2")
@@ -156,6 +157,7 @@ def test_block_reports_read_as_reports_built_check_by_check(name, seed, monkeypa
         import falgebroid.algebroid
 
         monkeypatch.setattr(falgebroid.algebroid, "_sweep", _plain_sweep)
+        monkeypatch.setattr(falgebroid.algebroid, "LAWS", _section_families())
         oracles = {law: CHECKERS[law](A) for law in laws}
     for law in laws:
         report = swept[law]
