@@ -22,14 +22,17 @@ bracket, pre-Lie and anchor entries are all polynomials (``polynomial``), the
 families product-symmetry, associativity, bracket-antisymmetry,
 hertling-manin, psi-symmetry and psi-vanishing contract their whole residual
 tensor from the tables at once (``_point_tensor``); over a point so do jacobi
-and pre-lie-symmetry. Every other law, and every law over a base with a
-rational entry, is evaluated on sections, instance by instance.
+and pre-lie-symmetry. Over a ``polynomial`` base ``duality`` contracts the
+pseudo-eventual identity, the dual product and e† the same way, a section
+entering as its numerators over one shared denominator
+(``Section.shared_denominator``). Every other law, and every law over a base
+with a rational entry, is evaluated on sections, instance by instance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import wraps
+from functools import partial, wraps
 from itertools import chain, combinations, combinations_with_replacement
 from itertools import product as iproduct
 from math import lcm as int_lcm
@@ -117,6 +120,15 @@ class Section:
 
     def __neg__(self) -> "Section":
         return self._of(tuple((k, -c) for k, c in self.entries), self.rank, self.nvars)
+
+    def shared_denominator(self) -> tuple | None:
+        """``(δ, {k: N_k})`` with each nonzero component N_k/δ, when the nonconstant component denominators are all
+        one δ (δ = 1 when there are none); else None. A structural test: it takes no gcd."""
+        dens = [c.den for _, c in self.entries if not c.den.is_constant()]
+        den = dens[0] if dens else Poly.const(self.nvars, 1)
+        if any(d != den for d in dens):
+            return None
+        return den, {k: c.num if c.den == den else c.num * den for k, c in self.entries}
 
     def scale_fn(self, f: RatFunc) -> "Section":
         entries = tuple((k, f * c) for k, c in self.entries) if f.num.coeffs else ()
@@ -426,9 +438,9 @@ def _prelie_tuples(frame, scaled):
 
 
 def _witness(A: AlgebroidPresentation, res) -> str | None:
-    """The text of a nonzero residual, a Section or a ``_point_tensor`` cell {k: c}; None for zero (a passing check)."""
+    """The text of a nonzero residual, a Section or a contraction's cell {k: c}; None for zero (a passing check)."""
     if isinstance(res, dict):
-        value = (lambda c: RatFunc(c, _normal=True)) if A.n else (lambda c: RatFunc.const(0, c))
+        value = (lambda c: RatFunc(c, _normal=True) if type(c) is Poly else c) if A.n else partial(RatFunc.const, 0)
         res = Section._from_dict({k: value(c) for k, c in res.items()}, A.rank, A.n)
     return None if res.is_zero() else A.fmt(res)
 
@@ -476,12 +488,13 @@ def _point_tensor(*terms) -> dict:
     of exactly the nonzero residuals. Every tensorial law family contracts here over a point and over a
     ``polynomial`` base (product-symmetry, associativity, bracket-antisymmetry, hertling-manin, psi-symmetry,
     psi-vanishing), and so do jacobi and pre-lie-symmetry over a point. A table is t[i][j] = {k: c} or a dict
-    {(i, j, ...): {k: c}}, as this returns. A constant c is a number, or over a base a ``Poly``; then each
-    component is summed in one integer dict over one denominator (``Poly.accumulate``).
+    {(i, j, ...): {k: c}}, as this returns, keyed by tuples ((), for no slot); a section X is the 0-slot table
+    {(): {m: X^m}}. A constant c is a number, or over a base a ``Poly``; then each component is summed in one
+    integer dict over one denominator (``Poly.accumulate``).
 
     A term (s, shape, ∘, ⋄) has the shape (a, b, ...) for s·∘(E_a, E_b, ...) (no ⋄), or the shape of ⋄
     with one slot replaced by the slots of ∘, whose output feeds it: ((a, b), c) for s·(E_a∘E_b)⋄E_c,
-    (a, (b, c)) for s·E_a⋄(E_b∘E_c); a, b, c, ... are the positions in the index tuple."""
+    (a, (b, c)) for s·E_a⋄(E_b∘E_c), (a, ()) for s·E_a⋄X; a, b, c, ... are the positions in the index tuple."""
     out, rows, seen = {}, [], {}
     for s, shape, *tables in terms:
         inner, *outer = (seen[id(t)] if id(t) in seen else seen.setdefault(id(t), _nonzeros(t)) for t in tables)
@@ -492,7 +505,8 @@ def _point_tensor(*terms) -> dict:
                 by_m.setdefault(idx[at], []).append((idx[:at] + idx[at + 1:], k, d))
             hits = [(idx + rest, k, c, d) for idx, m, c, _ in hits for rest, k, d in by_m.get(m, ())]
             shape = (*shape[at], *shape[:at], *shape[at + 1:])
-        rows.append((s, itemgetter(*map(shape.index, range(len(shape)))), hits))
+        perm = [shape.index(p) for p in range(len(shape))]
+        rows.append((s, itemgetter(*perm) if len(perm) > 1 else tuple, hits))  # a tuple key for 0 and 1 slots too
     polys = [c for _, _, hits in rows for _, _, c, _ in hits[:1] if isinstance(c, Poly)]
     if not polys:
         for s, key, hits in rows:
@@ -568,18 +582,23 @@ def _lie(A: AlgebroidPresentation) -> list:
     ]
 
 
+def _point_p(A: AlgebroidPresentation) -> dict:
+    """{(m, c, d): {k: P_m(c,d)^k}} for P_m(c,d) = P_E_m(E_c,E_d) (see ``p_tensor``), which the Leibniz rules expand
+    to Σ_n (M_cd^n B_mn^k - B_mc^n M_nd^k - B_md^n M_cn^k) + ρ_m(M_cd^k) for ρ_x(f) = a(E_x)(f)."""
+    M, B, dM = A.constants("product"), A.constants("bracket"), A.product_derivatives()
+    return _point_tensor((1, (0, (1, 2)), M, B), (-1, ((0, 1), 2), B, M), (-1, (1, (0, 2)), B, M), (1, (0, 1, 2), dM))
+
+
 def _hertling_manin(A: AlgebroidPresentation) -> list:
     """Hertling-Manin on frame quadruples, which suffice because the failure tensor Phi is a (4,1) tensor field.
 
-    From the tables, with ρ_x(f) = a(E_x)(f) and P_m(c,d) = P_E_m(E_c,E_d) (see ``p_tensor``), which the Leibniz rules
-    of ``bracket_of`` expand to P_m(c,d)^k = Σ_n (M_cd^n B_mn^k - B_mc^n M_nd^k - B_md^n M_cn^k) + ρ_m(M_cd^k), and
+    From the tables, with ρ_x(f) = a(E_x)(f) and P_m(c,d) of ``_point_p``,
     Φ_abcd^k = Σ_m (M_ab^m P_m(c,d)^k - M_cd^m ρ_m(M_ab^k) + ρ_c(M_ab^m) M_md^k + ρ_d(M_ab^m) M_cm^k
     - M_am^k P_b(c,d)^m - M_bm^k P_a(c,d)^m).
     """
     if not A.polynomial:
         return [(iproduct(_frame_args(A), repeat=4), ("hertling-manin", A.phi))]
-    M, B, dM = A.constants("product"), A.constants("bracket"), A.product_derivatives()
-    P = _point_tensor((1, (0, (1, 2)), M, B), (-1, ((0, 1), 2), B, M), (-1, (1, (0, 2)), B, M), (1, (0, 1, 2), dM))
+    M, dM, P = A.constants("product"), A.product_derivatives(), _point_p(A)
     phi = _point_tensor((1, ((0, 1), 2, 3), M, P), (-1, ((2, 3), 0, 1), M, dM), (1, ((2, 0, 1), 3), dM, M),
                         (1, (2, (3, 0, 1)), dM, M), (-1, (0, (1, 2, 3)), P, M), (-1, (1, (0, 2, 3)), P, M))
     return [(iproduct(_point_labels(A), repeat=4), ("hertling-manin", phi))]

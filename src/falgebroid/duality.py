@@ -19,6 +19,9 @@ from .algebroid import (
     AlgebroidPresentation,
     Section,
     _frame_args,
+    _point_labels,
+    _point_p,
+    _point_tensor,
     _scaled_args,
     _sweep,
     _witness,
@@ -27,7 +30,7 @@ from .algebroid import (
 from .errors import MissingStructure, NotEventual, NotNijenhuis, ShapeError
 from .linalg import invert
 from .report import Report
-from .ring import RatFunc
+from .ring import Poly, RatFunc
 
 
 class BundleMap:
@@ -86,18 +89,61 @@ def _require_identity(A: AlgebroidPresentation) -> Section:
     return A.identity
 
 
+def _shared(A: AlgebroidPresentation, X: Section) -> tuple | None:
+    """(δ, {(): {m: N^m}}) for X = N/δ over one shared denominator δ, over a ``polynomial`` base (not a point): X as
+    the 0-slot table that enters ``_point_tensor``. None otherwise, and X is evaluated on sections."""
+    shared = A.n and A.polynomial and X.shared_denominator()
+    return (shared[0], {(): shared[1]}) if shared else None
+
+
+def _over(den: Poly, cells: dict) -> dict:
+    """The cells {key: {k: N}} of a contraction with each N/den in normal form, one gcd per nonzero entry."""
+    return {key: {k: RatFunc(num, den) for k, num in cell.items()} for key, cell in cells.items()}
+
+
+def _pseudo_eventual_tensor(A: AlgebroidPresentation, e: Section, E: Section) -> dict | None:
+    """The nonzero residuals {(c, d): {k: R_cd^k}} of R_cd = P_ℰ(E_c,E_d) - [e,ℰ]·E_c·E_d, contracted from the
+    tables; None unless A is ``polynomial`` and e = Φ/ε and ℰ = F/δ each have one shared denominator.
+
+    With ρ_x = a(E_x), H_x^m = δ·ρ_x(F^m) - F^m·ρ_x(δ) (so ρ_x(ℰ^m) = H_x^m/δ²),
+    K_x^m = ε·ρ_x(Φ^m) - Φ^m·ρ_x(ε) and P_m(c,d) of ``_point_p``, the Leibniz rules give
+    ε²δ²·[e,ℰ]^k = G^k = Σ_{i,j} εδΦ^i F^j B_ij^k + Σ_i εΦ^i H_i^k - Σ_j δF^j K_j^k and
+    ε²δ²·R_cd^k = Σ_m ε²δF^m P_m(c,d)^k + ε²(Σ_m H_c^m M_md^k + Σ_m H_d^m M_cm^k - Σ_n M_cd^n H_n^k)
+    - Σ_{m,n} G^m M_mc^n M_nd^k, each summed in one integer dict per component. R_cd^k is zero exactly
+    when its numerator is, and only a nonzero one is divided out.
+    """
+    unit, shared = _shared(A, e), _shared(A, E)
+    if unit is None or shared is None:
+        return None
+    (z, Phi), (d, F), M = unit, shared, A.constants("product")
+    rho = lambda vf, p: vf.apply(RatFunc(p, _normal=True)).num  # noqa: E731
+    times = lambda t, p: {key: {k: c * p for k, c in cell.items()} for key, cell in t.items()}  # noqa: E731
+    H, K = ({(x,): {m: h for m, f in N[()].items() if (h := den * rho(vf, f) - f * rho(vf, den)).coeffs}
+             for x, vf in A._anchors.items()} for den, N in (shared, unit))
+    G = _point_tensor((1, ((),), times(Phi, z * d), _point_tensor((1, (0, ()), F, A.constants("bracket")))),
+                      (1, ((),), times(Phi, z), H), (-1, ((),), times(F, d), K))
+    zz, GM = z * z, _point_tensor((1, ((), 0), G, M))  # GM_c^n = (G·E_c)^n
+    H = times(H, zz)
+    cells = _point_tensor((1, ((), 0, 1), times(F, zz * d), _point_p(A)), (1, ((0,), 1), H, M),
+                          (1, (0, (1,)), H, M), (-1, ((0, 1),), M, H), (-1, ((0,), 1), GM, M))
+    return _over(zz * d * d, cells)
+
+
 def is_pseudo_eventual_identity(A: AlgebroidPresentation, E: Section) -> Report:
     """Check P_ℰ(X,Y) = [e,ℰ]·X·Y on basis pairs.
 
     With ℰ fixed, both sides are function-bilinear in (X,Y), so the
-    frame pairs span all cases.
+    frame pairs span all cases. The residual tensor is contracted from the
+    tables where ``_pseudo_eventual_tensor`` can; otherwise (distinct
+    component denominators, a rational table entry) pairs are evaluated on sections.
     """
     e = _require_identity(A)
-    factor = A.bracket_of(e, E)
-    frame = _frame_args(A)
+    frame, residual = _point_labels(A), _pseudo_eventual_tensor(A, e, E)
+    if residual is None:
+        frame, factor = _frame_args(A), A.bracket_of(e, E)
 
-    def residual(X: Section, Y: Section) -> Section:
-        return A.p_tensor(E, X, Y) - A.multiply(A.multiply(factor, X), Y)
+        def residual(X: Section, Y: Section) -> Section:
+            return A.p_tensor(E, X, Y) - A.multiply(A.multiply(factor, X), Y)
 
     return _sweep(A, Report("pseudo-eventual identity"), [
         (iproduct(frame, frame), ("pseudo-eventual-identity", residual)),
@@ -140,7 +186,27 @@ def invert_section(A: AlgebroidPresentation, E: Section) -> Section:
 
 
 def _dual_product(A: AlgebroidPresentation, E: Section):
-    return A.tensor_of(lambda X, Y: A.multiply(A.multiply(X, Y), E))
+    """The tensor of the dual product X·Y·ℰ. Over a ``polynomial`` base with ℰ = F/δ over one shared
+    denominator it is contracted from the table, M'_ij^k = Σ_{m,n} M_ij^m F^n M_mn^k / δ, each entry normalized
+    once; otherwise it is built from sections (``tensor_of``)."""
+    shared = _shared(A, E)
+    if shared is None:
+        return A.tensor_of(lambda X, Y: A.multiply(A.multiply(X, Y), E))
+    (den, F), M = shared, A.constants("product")
+    cells = _over(den, _point_tensor((1, ((0, 1),), M, _point_tensor((1, (0, ()), F, M)))))
+    zero, r = RatFunc.zero(A.n), range(A.rank)
+    return [[[cells.get((i, j), {}).get(k, zero) for j in r] for i in r] for k in r]
+
+
+def _square(A: AlgebroidPresentation, X: Section) -> Section:
+    """X·X; over a ``polynomial`` base with X = I/ε over one shared denominator, Σ I^i I^j M_ij^k / ε² from the
+    table, each component normalized once."""
+    shared = _shared(A, X)
+    if shared is None:
+        return A.multiply(X, X)
+    den, I = shared
+    cells = _over(den * den, _point_tensor((1, ((),), I, _point_tensor((1, (0, ()), I, A.constants("product"))))))
+    return Section._from_dict(cells.get((), {}), A.rank, A.n)
 
 
 def _dual(A: AlgebroidPresentation, E: Section, checker) -> DualityCertificate:
@@ -148,7 +214,7 @@ def _dual(A: AlgebroidPresentation, E: Section, checker) -> DualityCertificate:
     checker(A, E).require(NotEventual)
     inverse = invert_section(A, E)
     dual = A.with_structures(product=_dual_product(A, E), identity=inverse)
-    e_dagger = A.multiply(inverse, inverse)
+    e_dagger = _square(A, inverse)
     return DualityCertificate(A, E, inverse, dual, e_dagger, checker)
 
 

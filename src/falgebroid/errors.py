@@ -143,3 +143,7 @@ class JetOrderOverflow(FalgError):
 
 class MissingStructure(InputError):
     """Presentation lacks a tensor required by the requested operation."""
+
+    def __init__(self, name: str):
+        self.name = name
+        super().__init__(f"missing structure: {name}")

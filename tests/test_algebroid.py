@@ -17,6 +17,7 @@ from falgebroid.algebroid import (
     Section,
     VectorField,
     _frame_args,
+    _point_tensor,
     _prelie_tuples,
     _scaled_args,
     _sweep,
@@ -43,7 +44,7 @@ from falgebroid.duality import (
 from falgebroid.errors import MissingStructure, ShapeError
 from falgebroid.exprparse import parse_expr
 from falgebroid.report import Report
-from falgebroid.ring import RatFunc
+from falgebroid.ring import Poly, RatFunc
 from test_ring import DEADLINE, fractions, ratfuncs
 
 
@@ -655,6 +656,40 @@ def test_dn2_prelie_com_matches_section_evaluation():
     assert _outcomes(check_prelie_com(A)) == _outcomes(_oracle_report(A, "prelie-com"))
 
 
+def _nonzero_cells(acc):
+    return {key: res for key, cell in acc.items() if (res := {k: c for k, c in cell.items() if c})}
+
+
+@pytest.mark.parametrize("ring", ["number", "poly"])
+def test_point_tensor_keys_by_tuples_and_takes_sections(ring):
+    """A contraction with one output slot or none is keyed by a tuple ((i,), ()), and a section enters as the 0-slot
+    table {(): {m: c}}: E_i·X, X·X and 2·X against plain loops, with number and with ``Poly`` constants."""
+    rng, r, nonzero = random.Random(f"point-tensor:{ring}"), 3, [-3, -1, 1, 2]
+    if ring == "number":
+        const = lambda: Fraction(rng.choice(nonzero), rng.choice([1, 2]))  # noqa: E731
+        value = lambda c: c  # noqa: E731
+    else:
+        const = lambda: Poly.from_terms(2, {(rng.randint(0, 2), rng.randint(0, 1)): rng.choice(nonzero)})  # noqa: E731
+        value = lambda c: RatFunc(c, _normal=True)  # noqa: E731
+    M = [[{k: const() for k in range(r) if rng.random() < 0.6} for _ in range(r)] for _ in range(r)]
+    X = {m: const() for m in range(r) if rng.random() < 0.8}
+    zero = 0 if ring == "number" else RatFunc.zero(2)
+    right, square = {}, {}
+    for i, j in iproduct(range(r), repeat=2):
+        for k, c in M[i][j].items():
+            if j in X:
+                cell = right.setdefault((i,), {})
+                cell[k] = cell.get(k, zero) + value(c) * value(X[j])
+            if i in X and j in X:
+                cell = square.setdefault((), {})
+                cell[k] = cell.get(k, zero) + value(X[i]) * value(c) * value(X[j])
+    lift = lambda t: {key: {k: value(c) for k, c in cell.items()} for key, cell in t.items()}  # noqa: E731
+    table = _point_tensor((1, (0, ()), {(): X}, M))
+    assert lift(table) == _nonzero_cells(right)
+    assert lift(_point_tensor((1, ((),), {(): X}, table))) == _nonzero_cells(square)
+    assert lift(_point_tensor((2, (), {(): X}))) == {(): {m: value(c) + value(c) for m, c in X.items()}}
+
+
 # Frobenius potentials in flat coordinates and the weights 1 - q_a of their Euler fields (Dubrovin,
 # "Geometry of 2D topological field theories", Lecture 4).
 FROBENIUS = {
@@ -739,8 +774,9 @@ def test_rational_table_entry_keeps_section_rows():
 # Inside a sweep the frame operations are memoized by argument identity. The
 # oracle runs each checker's law table through a test-only copy of the sweep
 # loop that opens no memo, so every method computes afresh, with each law
-# family's Section rows (``_section_rows``) in place of its contraction; the
-# reports must agree law for law, instance for instance, in pass flag and
+# family's Section rows (``_section_rows``) in place of its contraction, and the
+# pseudo-eventual identity's Section rows in place of ``_pseudo_eventual_tensor``;
+# the reports must agree law for law, instance for instance, in pass flag and
 # witness text.
 
 
@@ -784,6 +820,7 @@ def test_memoized_sweep_matches_plain_evaluation(name, seed, monkeypatch):
     for module in (falgebroid.algebroid, falgebroid.duality):
         monkeypatch.setattr(module, "_sweep", _plain_sweep)
     monkeypatch.setattr(falgebroid.algebroid, "LAWS", _section_families())
+    monkeypatch.setattr(falgebroid.duality, "_pseudo_eventual_tensor", lambda A, E, g: None)  # its Section rows
     assert [_outcomes(check()) for check in _sweeping_checks(A)] == memoized
 
 

@@ -55,7 +55,7 @@ def test_check_builds_each_family_when_the_sweep_reaches_it(tmp_path, capsys):
     code, _, err = run(["check", str(path), "--law", "comm-assoc", "--law", "lie"], capsys)
     assert code == 1 and "verification failed: coefficient of more than" in err
     code, _, err = run(["check", str(path), "--law", "lie", "--law", "comm-assoc"], capsys)
-    assert code == 2 and err == "error: bracket\n"
+    assert code == 2 and err == "error: missing structure: bracket\n"
 
 
 def test_check_bad_file_exits_2(tmp_path, capsys):

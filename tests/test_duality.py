@@ -1,17 +1,24 @@
 """Eventual-identity duals and Nijenhuis deformations."""
 
 import random
+from itertools import product as iproduct
 
 import pytest
 
 from falgebroid.algebroid import (
     Section,
+    _frame_args,
+    _sweep,
     check_f_algebroid,
     check_pre_f,
 )
 from falgebroid.constructions import load_fixture
 from falgebroid.duality import (
     BundleMap,
+    _dual_product,
+    _pseudo_eventual_tensor,
+    _shared,
+    _square,
     deform_by_nijenhuis,
     dubrovin_dual,
     ev_identity_closure,
@@ -26,6 +33,7 @@ from falgebroid.duality import (
 from falgebroid.errors import NotEventual, NotInvertible, NotNijenhuis, ShapeError
 from falgebroid.report import Report
 from falgebroid.ring import RatFunc
+from test_algebroid import _mutate_tensor, _outcomes, frobenius
 from test_report import check_to_dict
 
 
@@ -208,3 +216,108 @@ def test_add_verdict_records_a_sub_report_as_one_check():
         {"law": "law", "instance": "failing", "pass": False, "witness": "w1"},
         {"law": "law", "instance": "passing", "pass": True},
     ]
+
+
+# -- contractions over one shared denominator against Section evaluation ------
+
+
+def _eventual_oracle(A, E):
+    """The pseudo-eventual identity evaluated on sections, pair by pair: P_ℰ(X,Y) - [e,ℰ]·X·Y."""
+    factor, frame = A.bracket_of(A.identity, E), _frame_args(A)
+
+    def residual(X, Y):
+        return A.p_tensor(E, X, Y) - A.multiply(A.multiply(factor, X), Y)
+
+    return _sweep(A, Report("oracle"), [(iproduct(frame, frame), ("pseudo-eventual-identity", residual))])
+
+
+def _perturbed(E, k, f):
+    """ℰ with f added to its component k."""
+    components = list(E.components)
+    components[k] = components[k] + f
+    return Section(components)
+
+
+def _frobenius_case(name):
+    """A Frobenius manifold (A2, A3, B3) at its Euler field, or its Dubrovin dual at e† (A2-dual...)."""
+    A, E = frobenius(name.split("-")[0])
+    if name.endswith("-dual"):
+        cert = dubrovin_dual(A, E)
+        return cert.dual, cert.e_dagger
+    return A, E
+
+
+def _ss_dual(n):
+    """The Dubrovin dual of SS<n> at ℰ = (u1, u2², ...): its identity 1/f_i(u_i) has distinct denominators."""
+    u = [RatFunc.var(n, m) for m in range(n)]
+    cert = dubrovin_dual(load_fixture(f"SS{n}"), Section([u[m] ** (m + 1) for m in range(n)]))
+    return cert.dual, cert.e_dagger
+
+
+def _eventual_cases():
+    """(name, A, ℰ, whether the contraction applies) for the pseudo-eventual oracle."""
+    for name in ("A2", "A3", "B3", "A2-dual", "A3-dual", "B3-dual"):
+        A, E = _frobenius_case(name)
+        yield name, A, E, True
+        if name in ("A2", "A3", "B3", "A2-dual"):
+            t = [RatFunc.var(A.n, m) for m in range(A.n)]
+            for k, f in enumerate((t[-1], RatFunc.const(A.n, 2), t[0] * t[0])):
+                yield f"{name} perturbed {k}", A, _perturbed(E, k % A.rank, f), True
+    SS2 = load_fixture("SS2")
+    u1, u2, one = RatFunc.var(2, 0), RatFunc.var(2, 1), RatFunc.one(2)
+    yield "SS2 mixed", SS2, Section([u2 / (u1 + one), u2]), True
+    yield "SS2 distinct", SS2, Section([one / u1, one / (u2 + one)]), False
+    for n in (2, 3):
+        A, E = _ss_dual(n)
+        yield f"SS{n}-dual", A, E, False
+        yield f"SS{n}-dual perturbed", A, _perturbed(E, 0, RatFunc.var(n, n - 1)), False
+    rational = SS2.with_structures(product=_mutate_tensor(SS2.product, 1, 0, 0, u1 / (u2 + one)))
+    yield "SS2 rational table", rational, Section([u1, u2]), False
+    yield "SS2 rational table mixed", rational, Section([u2 / (u1 + one), u2]), False
+
+
+def test_pseudo_eventual_contraction_matches_section_evaluation():
+    """The contracted check and Section evaluation agree in every pass flag and witness text: at Euler fields, on
+    the duals at e†, on one-component perturbations of ℰ, and on the inputs that keep Section rows (distinct
+    denominators, a rational table entry)."""
+    passed, witnessed = set(), set()
+    for name, A, E, contracted in _eventual_cases():
+        assert (_pseudo_eventual_tensor(A, A.identity, E) is not None) == contracted, name
+        report, oracle = is_pseudo_eventual_identity(A, E), _eventual_oracle(A, E)
+        assert _outcomes(report) == _outcomes(oracle), name
+        passed |= {name} if report.overall else set()
+        witnessed |= {name} if contracted and any(c.witness for c in report.failures()) else set()
+    assert passed == {"A2", "A3", "B3", "A2-dual", "A3-dual", "B3-dual", "SS2 distinct", "SS2-dual", "SS3-dual"}
+    assert {"A2-dual perturbed 0", "B3 perturbed 2", "SS2 mixed"} <= witnessed
+
+
+def _sections(A):
+    """Polynomial, mixed, shared-denominator and distinct-denominator sections over A, and whether each shares
+    one denominator."""
+    t, one, zero = [RatFunc.var(A.n, m) for m in range(A.n)], RatFunc.one(A.n), RatFunc.zero(A.n)
+    pad = lambda cs: Section((cs + [t[-1]] * A.rank)[:A.rank])  # noqa: E731
+    D = t[0] * t[0] + t[-1] + one
+    return [
+        (pad([t[0], t[-1] * t[-1] - one, RatFunc.const(A.n, 3)]), True),
+        (pad([t[0] / (t[-1] + one), zero, t[-1]]), True),
+        (pad([one / D, t[0] / D, (t[-1] - one) / D]), True),
+        (pad([one / t[0], one / (t[-1] + one), t[0]]), False),
+    ]
+
+
+def _noncommutative(name):
+    """The fixture with E1·E2 given an extra u1·E1, so that the product is not commutative."""
+    A = load_fixture(name)
+    return A.with_structures(product=_mutate_tensor(A.product, 0, 0, 1, A.product[0][0][1] + RatFunc.var(A.n, 0)))
+
+
+@pytest.mark.parametrize("name", ["A3", "SS3", "SS3-noncommutative"])
+def test_dual_product_and_square_match_section_evaluation(name):
+    """``_dual_product`` equals ``tensor_of`` of X·Y·ℰ and ``_square`` equals ``multiply``, entry for entry; on
+    the noncommutative product the order of the factors is checked too."""
+    A = frobenius(name)[0] if name == "A3" else _noncommutative("SS3") if "-" in name else load_fixture(name)
+    assert A.polynomial
+    for X, shared in _sections(A):
+        assert (_shared(A, X) is not None) == shared
+        assert _dual_product(A, X) == A.tensor_of(lambda Y, Z: A.multiply(A.multiply(Y, Z), X))
+        assert _square(A, X) == A.multiply(X, X)
