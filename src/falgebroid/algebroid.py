@@ -8,31 +8,24 @@ identities can be verified exactly on symbolic arguments. A vector field is
 a section of the tangent frame d/du^1..d/du^n: ``VectorField`` is the
 ``Section`` of rank n, and the anchor sends sections to it.
 
-Within one law sweep (``check_laws`` runs a whole check as one), ``multiply``,
-``bracket_of``, ``prelie_of``, ``p_tensor``, ``psi`` and ``prelie_associator`` are
-memoized on the presentation, keyed by the method and the ``id`` of each argument
-section. An entry keeps its arguments alive, so no id is reused while it exists,
-and a hit returns the same immutable ``Section``, so chained calls hit too. The
-law families take their frame sections from lists memoized the same way, so
-their keys match across families. The outermost sweep opens the memo and
-drops it on leaving; outside a sweep every method computes afresh.
-
-Where each law is evaluated: over a point, and over a base whose product,
-bracket, pre-Lie and anchor entries are all polynomials (``polynomial``), the
-families product-symmetry, associativity, bracket-antisymmetry,
-hertling-manin, psi-symmetry and psi-vanishing contract their whole residual
-tensor from the tables at once (``_point_tensor``); over a point so do jacobi
-and pre-lie-symmetry. Over a ``polynomial`` base ``duality`` contracts the
-pseudo-eventual identity, the dual product and e† the same way, a section
-entering as its numerators over one shared denominator
-(``Section.shared_denominator``). Every other law, and every law over a base
-with a rational entry, is evaluated on sections, instance by instance.
+``check_laws`` evaluates every law family one way, on every presentation:
+the residual on frame arguments, and on arguments u^m·E_i where a Leibniz
+rule could break the law, is a polynomial in the table entries, the anchor
+entries and their anchor derivatives, so its whole tensor is contracted from
+the tables at once (``_point_tensor``). A table entry enters as a Fraction
+over a point, as its numerator over a ``polynomial`` base, and as itself
+over a base with a rational entry. Over a ``polynomial`` base ``duality``
+contracts the pseudo-eventual identity, the dual product and e† the same
+way, a section entering as its numerators over one shared denominator
+(``Section.shared_denominator``). The other checks (the pre-F eventual
+identity, Nijenhuis torsion, deformation orders over a base) are evaluated
+on sections, instance by instance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, wraps
+from functools import partial
 from itertools import chain, combinations, combinations_with_replacement
 from itertools import product as iproduct
 from math import lcm as int_lcm
@@ -172,22 +165,6 @@ def _compile(tensor: Tensor, rank: int) -> Table:
     return [[tuple((k, m[i][j]) for k, m in enumerate(tensor) if m[i][j].num.coeffs) for j in r] for i in r]
 
 
-def _memo(method):
-    """``method`` reusing, inside a sweep, its result on the same argument objects."""
-
-    @wraps(method)
-    def memoized(self, *args):
-        if self._memo is None:
-            return method(self, *args)
-        key = (method, *map(id, args))
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = (method(self, *args), args)  # args pin their ids
-        return hit[0]
-
-    return memoized
-
-
 class AlgebroidPresentation:
     """Structure tensors of an algebroid in a fixed global frame.
 
@@ -212,12 +189,11 @@ class AlgebroidPresentation:
         present = [(name, getattr(self, name)) for name in _TENSORS]
         self._tables = {name: _compile(t, rank) for name, t in present if t is not None}
         self._points = {}
-        self._memo = None  # the sweep memo, a dict only while a sweep runs
         fields = enumerate(map(VectorField, anchor or ()))
         self._anchors = {i: vf for i, vf in fields if vf.entries}  # the nonzero a(E_i)
         entries = chain((c for t in self._tables.values() for row in t for cell in row for _, c in cell),
                         (c for vf in self._anchors.values() for _, c in vf.entries))
-        self.polynomial = all(c.den.is_constant() for c in entries)  # then the tensorial laws contract
+        self.polynomial = all(c.den.is_constant() for c in entries)  # then entries contract as numerators
 
     def _check_shapes(self):
         r, n = self.rank, self.n
@@ -246,16 +222,6 @@ class AlgebroidPresentation:
         """Section u^m · E_i, the spanning test argument for differential laws."""
         return self.basis(i).scale_fn(self.var_fn(m))
 
-    @_memo
-    def _frame(self) -> list:
-        """The frame E_i; inside a sweep built once, so law families share memo keys."""
-        return [self.basis(i) for i in range(self.rank)]
-
-    @_memo
-    def _scaled(self) -> list:
-        """The sections u^m·E_i, m-major; inside a sweep built once, like ``_frame``."""
-        return [self.scaled_basis(m, i) for m in range(self.n) for i in range(self.rank)]
-
     def anchor_of(self, X: Section) -> VectorField:
         out = VectorField.zero(self.n)
         for i, xi in X.entries:
@@ -282,7 +248,6 @@ class AlgebroidPresentation:
                     out[k] = t if cur is None else cur + t
         return out
 
-    @_memo
     def multiply(self, X: Section, Y: Section) -> Section:
         if X.rank != self.rank or Y.rank != self.rank:
             raise ShapeError("section rank mismatch")
@@ -311,33 +276,49 @@ class AlgebroidPresentation:
             raise MissingStructure("anchor")
         return table
 
-    def constants(self, name: str) -> list:
-        """The named table t[i][j] = {k: c}, converted once: over a point c is a Fraction, over a ``polynomial``
-        base the numerator ``Poly``. MissingStructure without it, or over a base without an anchor (but for the
-        product, which needs none)."""
+    def _value(self, c: RatFunc):
+        """A table entry as ``_point_tensor`` sums it: over a point a Fraction, over a ``polynomial`` base the
+        numerator ``Poly``, else the ``RatFunc`` itself."""
+        return c.constant_value() if not self.n else c.num if self.polynomial else c
+
+    def _entries(self, name: str) -> list:
+        """The entries of the named table as (index tuple, ((k, RatFunc), ...)): the nonzero E_k-parts of E_a∘E_b
+        keyed (a, b), or for "anchor" the components a_x^m of each nonzero a(E_x) keyed (x,). MissingStructure
+        as ``_require``, but for the product and the anchor, which need no other structure."""
+        if name == "anchor":
+            return [((x,), vf.entries) for x, vf in self._anchors.items()]
+        table = self._tables["product"] if name == "product" else self._require(name)
+        return [((a, b), cell) for a, row in enumerate(table) for b, cell in enumerate(row)]
+
+    def constants(self, name: str):
+        """The named table converted once by ``_value``: t[a][b] = {k: c} for a tensor, {(x,): {m: a_x^m}} for
+        "anchor" and {(): {m: u^m}} for "variables"."""
         if name not in self._points:
-            value = (lambda c: c.num) if self.n else RatFunc.constant_value
-            table = self._tables["product"] if name == "product" else self._require(name)
-            self._points[name] = [[{k: value(c) for k, c in cell} for cell in r] for r in table]
+            if name == "variables":
+                table = {(): {m: self._value(self.var_fn(m)) for m in range(self.n)}}
+            else:
+                table = {idx: {k: self._value(c) for k, c in cell} for idx, cell in self._entries(name)}
+            if name in _TENSORS:
+                table = [[table[a, b] for b in range(self.rank)] for a in range(self.rank)]
+            self._points[name] = table
         return self._points[name]
 
-    def product_derivatives(self) -> dict:
-        """{(x, a, b): {k: a(E_x)(c)}} for the product constants c of E_a·E_b, the nonzero numerators, built once."""
-        if "anchor" not in self._points:
-            M = self._tables["product"]
-            self._points["anchor"] = {(x, a, b): d for x, vf in self._anchors.items() for a, row in enumerate(M)
-                                      for b, cell in enumerate(row)
-                                      if (d := {k: p.num for k, c in cell if (p := vf.apply(c)).num.coeffs})}
-        return self._points["anchor"]
+    def derivatives(self, name: str) -> dict:
+        """{(x, *idx): {k: ρ_x(c)}} for ρ_x = a(E_x) and each entry c at idx of the named table (``_entries``), the
+        nonzero values converted by ``_value``, built once: ρ_x(T_ab^k), or ρ_x(a_y^m) for "anchor"."""
+        key = ("derivatives", name)
+        if key not in self._points:
+            entries = self._entries(name)
+            self._points[key] = {(x, *idx): d for x, vf in self._anchors.items() for idx, cell in entries
+                                 if (d := {k: self._value(p) for k, c in cell if (p := vf.apply(c)).num.coeffs})}
+        return self._points[key]
 
-    @_memo
     def bracket_of(self, X: Section, Y: Section) -> Section:
         out = self._contract(self._require("bracket"), X, Y)
         self._derivation_terms(out, X, Y)
         self._derivation_terms(out, Y, X, -1)
         return Section._from_dict(out, self.rank, self.n)
 
-    @_memo
     def prelie_of(self, X: Section, Y: Section) -> Section:
         out = self._contract(self._require("prelie"), X, Y)
         self._derivation_terms(out, X, Y)
@@ -357,7 +338,6 @@ class AlgebroidPresentation:
 
     # -- derived tensors ------------------------------------------------
 
-    @_memo
     def p_tensor(self, X: Section, Y: Section, Z: Section) -> Section:
         """P_X(Y,Z) = [X, Y·Z] - [X,Y]·Z - Y·[X,Z]."""
         return (
@@ -374,7 +354,6 @@ class AlgebroidPresentation:
             - self.multiply(Y, self.p_tensor(X, Z, W))
         )
 
-    @_memo
     def psi(self, X: Section, Y: Section, Z: Section) -> Section:
         """Psi(X,Y,Z) = X*(Y·Z) - (X*Y)·Z - Y·(X*Z), a (3,1) tensor."""
         return (
@@ -383,7 +362,6 @@ class AlgebroidPresentation:
             - self.multiply(Y, self.prelie_of(X, Z))
         )
 
-    @_memo
     def prelie_associator(self, X: Section, Y: Section, Z: Section) -> Section:
         return self.prelie_of(self.prelie_of(X, Y), Z) - self.prelie_of(X, self.prelie_of(Y, Z))
 
@@ -418,13 +396,18 @@ class AlgebroidPresentation:
 
 def _frame_args(A: AlgebroidPresentation):
     """The frame sections E_i, labelled by name."""
-    return [(A.basis_name(i), E) for i, E in enumerate(A._frame())]
+    return [(A.basis_name(i), A.basis(i)) for i in range(A.rank)]
+
+
+def _scaled_labels(A: AlgebroidPresentation) -> list:
+    """The names u_m*E_i of the scaled frame, m-major: u^m·E_i is at r + m·r + i in a contraction's labels."""
+    return [f"{A.base_vars[m]}*{A.basis_name(i)}" for m in range(A.n) for i in range(A.rank)]
 
 
 def _scaled_args(A: AlgebroidPresentation):
-    """The frame scaled by each base variable, u^m·E_i."""
-    r, scaled = A.rank, A._scaled()
-    return [(f"{A.base_vars[m]}*{A.basis_name(i)}", scaled[m * r + i]) for m in range(A.n) for i in range(r)]
+    """The frame scaled by each base variable, u^m·E_i, labelled by name."""
+    sections = (A.scaled_basis(m, i) for m in range(A.n) for i in range(A.rank))
+    return list(zip(_scaled_labels(A), sections))
 
 
 def _prelie_tuples(frame, scaled):
@@ -448,34 +431,28 @@ def _witness(A: AlgebroidPresentation, res) -> str | None:
 def _sweep(A: AlgebroidPresentation, report: Report, table, prefix: str = "") -> Report:
     """Run a law table into ``report``, one block per row, and return it. A row is (argument tuples, (law,
     residual)). Each tuple of labelled arguments is one instance, named ``prefix(name,...)`` and checked by calling
-    the residual on it under the sweep memo. The residual can be the dict of a ``_point_tensor`` beside tuples of
-    frame names: only the dict's tuples fail."""
-    memo = A._memo
-    A._memo = {} if memo is None else memo
-    try:
-        for cases, (law, residual) in table:
-            names, fails = [], {}
-            report.blocks.append((law, names, fails))
-            if isinstance(residual, dict):
-                cases, labels = list(cases), _point_labels(A)
-                names += [f"{prefix}({s})" for s in map(",".join, cases)]
-                failing = {tuple(labels[i] for i in key): res for key, res in residual.items()}
-                fails.update((i, _witness(A, failing[t]))
-                             for i, t in enumerate(cases if failing else ()) if t in failing)
-                continue
-            for case in cases:
-                labels, args = zip(*case)
-                witness = _witness(A, residual(*args))
-                if witness is not None:
-                    fails[len(names)] = witness
-                names.append(f"{prefix}({','.join(labels)})")
-    finally:
-        A._memo = memo
+    the residual on it. The residual can be the dict of a ``_point_tensor`` beside tuples of frame and scaled
+    frame names, indexed as ``_scaled_labels`` says: only the dict's tuples fail."""
+    for cases, (law, residual) in table:
+        names, fails = [], {}
+        report.blocks.append((law, names, fails))
+        if isinstance(residual, dict):
+            cases, labels = list(cases), _point_labels(A) + _scaled_labels(A)
+            names += [f"{prefix}({s})" for s in map(",".join, cases)]
+            failing = {tuple(labels[i] for i in key): res for key, res in residual.items()}
+            fails.update((i, _witness(A, failing[t])) for i, t in enumerate(cases if failing else ()) if t in failing)
+            continue
+        for case in cases:
+            labels, args = zip(*case)
+            witness = _witness(A, residual(*args))
+            if witness is not None:
+                fails[len(names)] = witness
+            names.append(f"{prefix}({','.join(labels)})")
     return report
 
 
-# -- tensorial laws from the tables: each residual is a polynomial in the structure constants (over a base also in
-# their anchor derivatives), summed at once on every tuple of frame indices from the tables of ``A.constants``.
+# -- laws from the tables: each residual is a polynomial in the table entries and, over a base, in the anchor
+# entries and their anchor derivatives, summed at once on every tuple of frame (and scaled frame) indices.
 
 
 def _point_labels(A: AlgebroidPresentation) -> list:
@@ -484,13 +461,12 @@ def _point_labels(A: AlgebroidPresentation) -> list:
 
 
 def _point_tensor(*terms) -> dict:
-    """Σ s·term on every tuple of frame indices at once, over the nonzero constants only: {index tuple: {k: c}}
-    of exactly the nonzero residuals. Every tensorial law family contracts here over a point and over a
-    ``polynomial`` base (product-symmetry, associativity, bracket-antisymmetry, hertling-manin, psi-symmetry,
-    psi-vanishing), and so do jacobi and pre-lie-symmetry over a point. A table is t[i][j] = {k: c} or a dict
-    {(i, j, ...): {k: c}}, as this returns, keyed by tuples ((), for no slot); a section X is the 0-slot table
-    {(): {m: X^m}}. A constant c is a number, or over a base a ``Poly``; then each component is summed in one
-    integer dict over one denominator (``Poly.accumulate``).
+    """Σ s·term on every tuple of indices at once, over the nonzero constants only: {index tuple: {k: c}} of exactly
+    the nonzero residuals. Every law family of ``check_laws`` is summed here, on every presentation. A table is
+    t[i][j] = {k: c} or a dict {(i, j, ...): {k: c}}, as this returns, keyed by tuples ((), for no slot); a section
+    X is the 0-slot table {(): {m: X^m}}. A constant c is a number over a point; a ``Poly`` over a ``polynomial``
+    base, where each component is summed in one integer dict over one denominator (``Poly.accumulate``); or else a
+    ``RatFunc``, summed as one, with s = ±1.
 
     A term (s, shape, ∘, ⋄) has the shape (a, b, ...) for s·∘(E_a, E_b, ...) (no ⋄), or the shape of ⋄
     with one slot replaced by the slots of ∘, whose output feeds it: ((a, b), c) for s·(E_a∘E_b)⋄E_c,
@@ -511,8 +487,10 @@ def _point_tensor(*terms) -> dict:
     if not polys:
         for s, key, hits in rows:
             for vals, k, c, d in hits:
+                t = c if d is None else c * d
+                t = t if s == 1 else -t if s == -1 else s * t
                 cell = out.setdefault(key(vals), {})
-                cell[k] = cell.get(k, 0) + (s * c if d is None else s * c * d)
+                cell[k] = t if (cur := cell.get(k)) is None else cur + t
         return {key: res for key, cell in out.items() if (res := {k: c for k, c in cell.items() if c})}
     den = lambda c, d: c.denom if d is None else c.denom * d.denom  # noqa: E731
     lcm, n = int_lcm(*{den(c, d) for _, _, hits in rows for _, _, c, d in hits}), polys[0].nvars
@@ -534,58 +512,69 @@ def _nonzeros(t) -> list:
 
 def _prelie_terms(S, T) -> tuple:
     """The terms of T(S(E_i,E_j),E_k) - T(E_i,S(E_j,E_k)) - T(S(E_j,E_i),E_k) + T(E_j,S(E_i,E_k)): the pre-Lie
-    associator's symmetry for S = T, and with S, T the cochains of two orders, one term of a deformation's rule."""
+    associator's symmetry for S = T over a point, and with S, T the cochains of two orders, one term of a
+    deformation's rule."""
     return (1, ((0, 1), 2), S, T), (-1, (0, (1, 2)), S, T), (-1, ((1, 0), 2), S, T), (1, (1, (0, 2)), S, T)
 
 
 def _point_psi(A: AlgebroidPresentation, i: int = 0, j: int = 1, s: int = 1) -> tuple:
-    """The terms of s·Ψ(E_a,E_b,E_c) (see ``psi``), with a and b in slots i and j: Ψ_abc^k = a(E_a)(M_bc^k) +
-    Σ_m (M_bc^m P_am^k - P_ab^m M_mc^k - P_ac^m M_bm^k) for the product M and pre-Lie P tables."""
-    M, P, dM = A.constants("product"), A.constants("prelie"), A.product_derivatives()
+    """The terms of s·Ψ(E_a,E_b,E_c) (see ``psi``), with a and b in slots i and j: Ψ_abc^k = ρ_a(M_bc^k) +
+    Σ_m (M_bc^m P_am^k - P_ab^m M_mc^k - P_ac^m M_bm^k) for the product M and pre-Lie P tables, ρ_x = a(E_x)."""
+    M, P, dM = A.constants("product"), A.constants("prelie"), A.derivatives("product")
     return (s, (i, j, 2), dM), (s, (i, (j, 2)), M, P), (-s, ((i, j), 2), P, M), (-s, (j, (i, 2)), P, M)
+
+
+def _scaled_slot(A: AlgebroidPresentation, t: dict) -> dict:
+    """{(r + m·r + i, *key): {i: c}} for each entry c = t[key][m] and frame index i: a table whose output m is a
+    base variable, moved onto the E_i of u^m·E_i, at the index ``_scaled_labels`` gives u^m·E_i."""
+    r = A.rank
+    return {(r + m * r + i, *key): {i: c} for key, cell in t.items() for m, c in cell.items() for i in range(r)}
+
+
+def _anchor_defect(A: AlgebroidPresentation, T) -> dict:
+    """{(j, k): {m: (a(T(E_j,E_k)) - [a(E_j), a(E_k)])(u^m)}} for a 2-slot table T: with the anchor entries
+    a_x^m = ρ_x(u^m), Σ_n T_jk^n a_n^m - ρ_j(a_k^m) + ρ_k(a_j^m)."""
+    a, da = A.constants("anchor"), A.derivatives("anchor")
+    return _point_tensor((1, ((0, 1),), T, a), (-1, (0, 1), da), (1, (1, 0), da))
 
 
 # -- law families: each maps a presentation to its ``_sweep`` rows ---------
 
 
 def _comm_assoc(A: AlgebroidPresentation) -> list:
-    mul, frame = A.multiply, _frame_args(A)
-    sym = lambda X, Y: mul(X, Y) - mul(Y, X)  # noqa: E731
-    assoc = lambda X, Y, Z: mul(mul(X, Y), Z) - mul(X, mul(Y, Z))  # noqa: E731
-    if A.polynomial:
-        frame, M = _point_labels(A), A.constants("product")
-        sym = _point_tensor((1, (0, 1), M), (-1, (1, 0), M))
-        assoc = _point_tensor((1, ((0, 1), 2), M, M), (-1, (0, (1, 2)), M, M))
+    frame, M = _point_labels(A), A.constants("product")
     return [
-        (combinations(frame, 2), ("product-symmetry", sym)),
-        (iproduct(frame, repeat=3), ("associativity", assoc)),
+        (combinations(frame, 2), ("product-symmetry", _point_tensor((1, (0, 1), M), (-1, (1, 0), M)))),
+        (iproduct(frame, repeat=3), ("associativity", _point_tensor((1, ((0, 1), 2), M, M), (-1, (0, (1, 2)), M, M)))),
     ]
 
 
 def _lie(A: AlgebroidPresentation) -> list:
-    """Antisymmetry and Jacobi, including variable-scaled arguments.
+    """Antisymmetry on frame pairs; Jacobi on frame triples and with the first slot scaled by each base variable.
 
-    Scaling the first slot by each base variable makes the Jacobi sweep
-    sensitive to anchor inconsistencies: the scaled residual picks up
-    (a([Y,Z]) - [a(Y),a(Z)])(f)·X on top of f times the basis residual.
+    With ρ_x = a(E_x), the Leibniz rules of ``bracket_of`` give the frame jacobiator
+    J_abc^k = Σ_m B_ab^m B_mc^k - ρ_c(B_ab^k), summed over the cyclic shifts of (a, b, c), and for f = u^m
+    J(f·E_i, E_j, E_k) = f·J_ijk + α_jk^m E_i - a_j^m (B_ik + B_ki), with α = ``_anchor_defect`` of B: on top of
+    f times the frame residual, (a([Y,Z]) - [a(Y),a(Z)])(f)·X - a(Y)(f)·([X,Z] + [Z,X]), where a(Y)(u^m) = a_j^m.
     """
-    br, frame, jacobi = A.bracket_of, _frame_args(A), A.jacobiator
-    antisym, pairs = (lambda X, Y: br(X, Y) + br(Y, X)), frame
-    if A.polynomial:
-        pairs, B = _point_labels(A), A.constants("bracket")
-        antisym = _point_tensor((1, (0, 1), B), (1, (1, 0), B))
-    if A.n == 0:
-        frame, jacobi = pairs, _point_tensor((1, ((0, 1), 2), B, B), (1, ((1, 2), 0), B, B), (1, ((2, 0), 1), B, B))
+    B, dB, frame = A.constants("bracket"), A.derivatives("bracket"), _point_labels(A)
+    antisym = _point_tensor((1, (0, 1), B), (1, (1, 0), B))
+    J = _point_tensor(*chain.from_iterable(((1, ((a, b), c), B, B), (-1, (c, a, b), dB))
+                                           for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))))
+    U, alpha, anchor = (_scaled_slot(A, t) for t in (A.constants("variables"), _anchor_defect(A, B),
+                                                      A.constants("anchor")))
+    jacobi = _point_tensor((1, (0, 1, 2), J), (1, ((0,), 1, 2), U, J), (1, (0, 1, 2), alpha),
+                           (-1, ((0, 1), 2), anchor, antisym))
     return [
-        (combinations_with_replacement(pairs, 2), ("bracket-antisymmetry", antisym)),
-        (iproduct(frame + _scaled_args(A), frame, frame), ("jacobi", jacobi)),
+        (combinations_with_replacement(frame, 2), ("bracket-antisymmetry", antisym)),
+        (iproduct(frame + _scaled_labels(A), frame, frame), ("jacobi", jacobi)),
     ]
 
 
 def _point_p(A: AlgebroidPresentation) -> dict:
     """{(m, c, d): {k: P_m(c,d)^k}} for P_m(c,d) = P_E_m(E_c,E_d) (see ``p_tensor``), which the Leibniz rules expand
     to Σ_n (M_cd^n B_mn^k - B_mc^n M_nd^k - B_md^n M_cn^k) + ρ_m(M_cd^k) for ρ_x(f) = a(E_x)(f)."""
-    M, B, dM = A.constants("product"), A.constants("bracket"), A.product_derivatives()
+    M, B, dM = A.constants("product"), A.constants("bracket"), A.derivatives("product")
     return _point_tensor((1, (0, (1, 2)), M, B), (-1, ((0, 1), 2), B, M), (-1, (1, (0, 2)), B, M), (1, (0, 1, 2), dM))
 
 
@@ -596,43 +585,39 @@ def _hertling_manin(A: AlgebroidPresentation) -> list:
     Φ_abcd^k = Σ_m (M_ab^m P_m(c,d)^k - M_cd^m ρ_m(M_ab^k) + ρ_c(M_ab^m) M_md^k + ρ_d(M_ab^m) M_cm^k
     - M_am^k P_b(c,d)^m - M_bm^k P_a(c,d)^m).
     """
-    if not A.polynomial:
-        return [(iproduct(_frame_args(A), repeat=4), ("hertling-manin", A.phi))]
-    M, dM, P = A.constants("product"), A.product_derivatives(), _point_p(A)
+    M, dM, P = A.constants("product"), A.derivatives("product"), _point_p(A)
     phi = _point_tensor((1, ((0, 1), 2, 3), M, P), (-1, ((2, 3), 0, 1), M, dM), (1, ((2, 0, 1), 3), dM, M),
                         (1, (2, (3, 0, 1)), dM, M), (-1, (0, (1, 2, 3)), P, M), (-1, (1, (0, 2, 3)), P, M))
     return [(iproduct(_point_labels(A), repeat=4), ("hertling-manin", phi))]
 
 
 def _pre_lie(A: AlgebroidPresentation) -> list:
-    """Symmetry of the associator in its first two slots.
+    """Symmetry of the associator in its first two slots, on frame triples and with each slot in turn scaled by
+    each base variable.
 
-    Besides basis triples, each slot is scaled by each base variable in
-    turn. First- and second-slot scalings exercise the two Leibniz rules;
-    the third-slot scaling exposes any mismatch between the anchor and
-    the sub-adjacent bracket, since the scaled residual contains
-    ([a(X),a(Y)] - a(X*Y - Y*X))(f)·Z.
+    With ρ_x = a(E_x), the Leibniz rules of ``prelie_of`` give the frame residual sym_ijk = the terms of
+    ``_prelie_terms`` - ρ_i(P_jk) + ρ_j(P_ik). For f = u^m the first- and second-slot scalings give f·sym_ijk,
+    and the third gives f·sym_ijk + β_ij^m E_k with β = ``_anchor_defect`` of P - Pᵀ: the scaled residual contains
+    (a(X*Y - Y*X) - [a(X),a(Y)])(f)·Z, the mismatch between the anchor and the sub-adjacent bracket.
     """
-    assoc, frame = A.prelie_associator, _frame_args(A)
-    sym = lambda X, Y, Z: assoc(X, Y, Z) - assoc(Y, X, Z)  # noqa: E731
-    if A.n == 0:
-        frame, P = _point_labels(A), A.constants("prelie")
-        sym = _point_tensor(*_prelie_terms(P, P))
-    return [(_prelie_tuples(frame, _scaled_args(A)), ("pre-lie-symmetry", sym))]
+    P, dP, frame = A.constants("prelie"), A.derivatives("prelie"), _point_labels(A)
+    sym = _point_tensor(*_prelie_terms(P, P), (-1, (0, 1, 2), dP), (1, (1, 0, 2), dP))
+    beta = _anchor_defect(A, _point_tensor((1, (0, 1), P), (-1, (1, 0), P)))
+    U, beta = _scaled_slot(A, A.constants("variables")), _scaled_slot(A, beta)
+    sym = _point_tensor((1, (0, 1, 2), sym), (1, ((0,), 1, 2), U, sym), (1, (0, (1,), 2), U, sym),
+                        (1, (0, 1, (2,)), U, sym), (1, (2, 0, 1), beta))
+    return [(_prelie_tuples(frame, _scaled_labels(A)), ("pre-lie-symmetry", sym))]
 
 
 def _psi_symmetry(A: AlgebroidPresentation) -> list:
     """Psi symmetric in its first two slots, on frame triples."""
-    frame, sym = _frame_args(A), lambda X, Y, Z: A.psi(X, Y, Z) - A.psi(Y, X, Z)
-    if A.polynomial:
-        frame, sym = _point_labels(A), _point_tensor(*_point_psi(A), *_point_psi(A, 1, 0, -1))
-    return [(iproduct(frame, repeat=3), ("psi-symmetry", sym))]
+    sym = _point_tensor(*_point_psi(A), *_point_psi(A, 1, 0, -1))
+    return [(iproduct(_point_labels(A), repeat=3), ("psi-symmetry", sym))]
 
 
 def _psi_vanishing(A: AlgebroidPresentation) -> list:
     """Psi = 0 on frame triples."""
-    frame, psi = (_point_labels(A), _point_tensor(*_point_psi(A))) if A.polynomial else (_frame_args(A), A.psi)
-    return [(iproduct(frame, repeat=3), ("psi-vanishing", psi))]
+    return [(iproduct(_point_labels(A), repeat=3), ("psi-vanishing", _point_tensor(*_point_psi(A))))]
 
 
 # Each ``falg check`` law and its law families, in sweep order.
@@ -647,8 +632,8 @@ LAWS = {
 
 
 def check_laws(A: AlgebroidPresentation, laws, report: Report) -> Report:
-    """Sweep the named ``LAWS`` into ``report`` as one ``_sweep`` under one memo, each family once, at its first
-    occurrence; a family builds its rows only when the sweep reaches it."""
+    """Sweep the named ``LAWS`` into ``report`` as one ``_sweep``, each family once, at its first occurrence; a
+    family builds its rows only when the sweep reaches it."""
     families = dict.fromkeys(family for law in laws for family in LAWS[law])
     return _sweep(A, report, (row for family in families for row in family(A)))
 

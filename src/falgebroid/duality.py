@@ -139,11 +139,12 @@ def is_pseudo_eventual_identity(A: AlgebroidPresentation, E: Section) -> Report:
     """
     e = _require_identity(A)
     frame, residual = _point_labels(A), _pseudo_eventual_tensor(A, e, E)
-    if residual is None:
-        frame, factor = _frame_args(A), A.bracket_of(e, E)
+    if residual is None:  # each frame section recurs in many pairs: bracket it with ℰ and scale it once
+        frame, mul = _frame_args(A), A.multiply
+        bracket, scaled = cache(partial(A.bracket_of, E)), cache(partial(mul, A.bracket_of(e, E)))
 
-        def residual(X: Section, Y: Section) -> Section:
-            return A.p_tensor(E, X, Y) - A.multiply(A.multiply(factor, X), Y)
+        def residual(X: Section, Y: Section) -> Section:  # P_ℰ(X,Y) - [e,ℰ]·X·Y, P as in ``p_tensor``
+            return bracket(mul(X, Y)) - mul(bracket(X), Y) - mul(X, bracket(Y)) - mul(scaled(X), Y)
 
     return _sweep(A, Report("pseudo-eventual identity"), [
         (iproduct(frame, frame), ("pseudo-eventual-identity", residual)),
@@ -157,15 +158,16 @@ def is_pre_f_eventual_identity(A: AlgebroidPresentation, E: Section) -> Report:
     PreLie-Com structure the first relation is automatic, but checking
     it costs little and guards mutated inputs.
     """
-    e = _require_identity(A)
-    factor = A.prelie_of(E, e)
-    frame = _frame_args(A)
+    e, mul, frame = _require_identity(A), A.multiply, _frame_args(A)
+    # each frame section recurs in many pairs: take its pre-Lie products with ℰ and scale it once
+    left, right = cache(partial(A.prelie_of, E)), cache(lambda X: A.prelie_of(X, E))
+    scaled = cache(partial(mul, A.prelie_of(E, e)))
 
-    def relation(X: Section, Y: Section) -> Section:
-        return A.psi(E, X, Y) + A.multiply(A.multiply(factor, X), Y)
+    def relation(X: Section, Y: Section) -> Section:  # Psi(ℰ,X,Y) + (ℰ*e)·X·Y, Psi as in ``psi``
+        return left(mul(X, Y)) - mul(left(X), Y) - mul(X, left(Y)) + mul(scaled(X), Y)
 
     def symmetry(X: Section, Y: Section) -> Section:
-        return A.multiply(A.prelie_of(X, E), Y) - A.multiply(A.prelie_of(Y, E), X)
+        return mul(right(X), Y) - mul(right(Y), X)
 
     laws = ("psi-eventual-relation", relation), ("prelie-eventual-symmetry", symmetry)
     table = [([pair], law) for pair in iproduct(frame, frame) for law in laws]  # the laws alternate pair by pair

@@ -1,8 +1,6 @@
 """Structure-law checks: fixtures pass, mutants fail with witnesses."""
 
-import gc
 import random
-import weakref
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, combinations, combinations_with_replacement
@@ -16,6 +14,7 @@ from falgebroid.algebroid import (
     AlgebroidPresentation,
     Section,
     VectorField,
+    _anchor_defect,
     _frame_args,
     _point_tensor,
     _prelie_tuples,
@@ -530,15 +529,15 @@ def test_vector_field_size_mismatch_raises():
 
 # -- law residuals from the tables against their Section evaluation ---------
 #
-# Over a point, and over a base with polynomial tables, the checkers contract
-# their tensorial residuals on frame indices from the tables. The oracle is
-# the Section evaluation they replaced, row for row through the same engine,
-# so instance order, pass/fail and witness text must agree exactly.
+# The checkers contract every residual from the tables, on frame and scaled
+# frame indices. The oracle is the Section evaluation of the same laws, row for
+# row through the same engine, so instance order, pass/fail and witness text
+# must agree exactly.
 
 
 def _section_rows(A):
     """Each law family's rows as Section residuals, keyed by family name; over a base jacobi and pre-lie-symmetry
-    also take the scaled sections u^m·E_i, as the library's own Section rows do."""
+    also take the scaled sections u^m·E_i, in the order of the contracted rows."""
     mul, br, assoc, frame, scaled = A.multiply, A.bracket_of, A.prelie_associator, _frame_args(A), _scaled_args(A)
     return {
         "comm-assoc": lambda: [
@@ -605,16 +604,28 @@ def _presentation(name):
 
 
 def _mutant(name, seed):
-    """The presentation with one seeded product, bracket or pre-Lie constant perturbed.
+    """The presentation with one seeded entry perturbed.
 
-    The perturbation is a rational, times a seeded base variable when there is one.
+    For an int seed, a product, bracket or pre-Lie constant by a rational, times a seeded base variable when there
+    is one. For a seed "anchor<k>", an anchor entry by a seeded polynomial of degree at most 2; for "rational<k>",
+    a table constant by the rational function u_a/(u_b + 1).
     """
     A = _presentation(name)
     rng = random.Random(f"{name}:{seed}")
+    if str(seed).startswith("anchor"):
+        x, m = rng.randrange(A.rank), rng.randrange(A.n)
+        u = [RatFunc.var(A.n, rng.randrange(A.n)) for _ in range(2)]
+        delta = RatFunc.const(A.n, Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 5])))
+        delta = delta * rng.choice([u[0], u[0] * u[1], u[0] + u[1] * u[1]])
+        anchor = [list(row) for row in A.anchor]
+        anchor[x][m] = anchor[x][m] + delta
+        return A.with_structures(anchor=anchor)
     tensor = rng.choice([t for t in ("product", "bracket", "prelie") if getattr(A, t) is not None])
     k, i, j = (rng.randrange(A.rank) for _ in range(3))
     delta = RatFunc.const(A.n, Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 5])))
-    if A.n:
+    if str(seed).startswith("rational"):
+        delta = RatFunc.var(A.n, rng.randrange(A.n)) / (RatFunc.var(A.n, rng.randrange(A.n)) + RatFunc.one(A.n))
+    elif A.n:
         delta = delta * RatFunc.var(A.n, rng.randrange(A.n))
     T = getattr(A, tensor)
     return A.with_structures(**{tensor: _mutate_tensor(T, k, i, j, T[k][i][j] + delta)})
@@ -727,6 +738,9 @@ def _base_presentation(name):
 MEMO_NAMES = ("SS2", "SS3", "SS4", "TR", "TR2", "ACT2", "POISSON_SEED", "SS3-dual")
 BASE_CASES = [(name, None) for name in MEMO_NAMES + tuple(chain(*((f, f"{f}-dual") for f in FROBENIUS)))]
 BASE_CASES += [(name, seed) for name in MEMO_NAMES for seed in range(3)]
+# anchor mutants make α, β (``_anchor_defect``) nonzero; the rational ones contract RatFunc entries
+BASE_CASES += [("SS3", "anchor0"), ("SS4", "anchor2"), ("ACT2", "anchor0"), ("TR2", "anchor1"), ("SS3-dual", "anchor1")]
+BASE_CASES += [("SS2", "rational0"), ("SS4", "rational0"), ("SS3-dual", "rational1")]
 
 
 @cache
@@ -739,54 +753,128 @@ def _base_case(name, seed):
 @pytest.mark.parametrize("name,seed", BASE_CASES, ids=[f"{n}-{s}" for n, s in BASE_CASES])
 def test_base_residuals_match_section_evaluation(name, seed):
     A, oracle = _base_case(name, seed)
-    assert A.n > 0 and A.polynomial
+    assert A.n > 0 and A.polynomial == (not str(seed).startswith("rational"))
     for law, report in oracle.items():
         assert _outcomes(CHECKERS[law](A)) == _outcomes(report), law
 
 
 def test_base_mutants_fail_with_witnesses():
-    """The seeded product, bracket and pre-Lie mutants reach failing instances of every family contracted over a
-    base, and the Frobenius manifolds and their duals pass."""
-    failed = set()
+    """The seeded mutants reach failing instances of every law family over a base, jacobi and pre-lie-symmetry
+    also at scaled arguments, and the Frobenius manifolds and their duals pass. Every term of the scaled-slot
+    residuals is nonzero on some case: the antisymmetry defect D and the anchor derivatives ρ(B), ρ(P) of the
+    tables, and the anchor defects α of B and β of P - Pᵀ."""
+    failed, scaled, terms = set(), set(), set()
     for name, seed in BASE_CASES:
         A, oracle = _base_case(name, seed)
-        failed |= {c.law for report in oracle.values() for c in report.failures() if c.witness}
+        failures = [c for report in oracle.values() for c in report.failures() if c.witness]
+        failed |= {c.law for c in failures}
+        scaled |= {c.law for c in failures if "*" in c.instance}
         assert name.split("-")[0] not in FROBENIUS or all(report.overall for report in oracle.values())
-    assert failed >= {"product-symmetry", "associativity", "bracket-antisymmetry", "hertling-manin", "psi-symmetry",
-                      "psi-vanishing"}
+        tables = {}
+        if A.bracket is not None:
+            B = A.constants("bracket")
+            tables["ρ(B)"], tables["α"] = A.derivatives("bracket"), _anchor_defect(A, B)
+            tables["D"] = A.constants("anchor") and _point_tensor((1, (0, 1), B), (1, (1, 0), B))
+        if A.prelie is not None:
+            P = A.constants("prelie")
+            tables["ρ(P)"] = A.derivatives("prelie")
+            tables["β"] = _anchor_defect(A, _point_tensor((1, (0, 1), P), (-1, (1, 0), P)))
+        terms |= {term for term, table in tables.items() if table}
+    assert failed >= {"product-symmetry", "associativity", "bracket-antisymmetry", "jacobi", "hertling-manin",
+                      "pre-lie-symmetry", "psi-symmetry", "psi-vanishing"}
+    assert scaled >= {"jacobi", "pre-lie-symmetry"}
+    assert terms == {"ρ(B)", "ρ(P)", "α", "β", "D"}
 
 
-def test_rational_table_entry_keeps_section_rows():
-    """A product constant u1/(u2+1) sends every law back to its Section rows, witnesses included."""
+def _family_rows(A):
+    """Every row of every law family A carries, as ``check_laws`` sweeps them."""
+    return [row for family in dict.fromkeys(chain(*(LAWS[law] for law in _carried_laws(A)))) for row in family(A)]
+
+
+@pytest.mark.parametrize("name,seed", [("FM2", None), ("DN2_2", 1), ("SS3", None), ("SS3-dual", "anchor1"),
+                                       ("SS2", "rational0"), ("SS3-dual", "rational1")])
+def test_check_laws_builds_no_section_rows(name, seed, monkeypatch):
+    """Over a point, over a polynomial base and over a base with a rational entry, every law family's residual is
+    a ``_point_tensor`` dict, and no check evaluates the operations on sections."""
+    A = _presentation(name) if seed is None else _mutant(name, seed)
+    assert all(isinstance(residual, dict) for _, (_, residual) in _family_rows(A))
+
+    def refuse(*args):
+        raise AssertionError("a law was evaluated on sections")
+
+    for op in ("multiply", "bracket_of", "prelie_of"):
+        monkeypatch.setattr(AlgebroidPresentation, op, refuse)
+    assert check_laws(A, _carried_laws(A), Report("check")).checks
+
+
+def test_rational_tables_contract():
+    """A product constant u1/(u2+1) is contracted as a ``RatFunc``, every law with the Section evaluation's
+    outcomes and witnesses."""
     A = load_fixture("SS2")
     u1, u2 = RatFunc.var(2, 0), RatFunc.var(2, 1)
     A = A.with_structures(product=_mutate_tensor(A.product, 1, 0, 0, u1 / (u2 + RatFunc.one(2))))
     assert not A.polynomial
-    assert all(callable(residual) for _, (_, residual) in chain(*(family(A) for family in LAWS["f-algebroid"])))
+    assert all(isinstance(residual, dict) for _, (_, residual) in _family_rows(A))
     oracle = _oracle_reports(A, _carried_laws(A))
     for law, report in oracle.items():
         assert _outcomes(CHECKERS[law](A)) == _outcomes(report), law
     assert "/(u2 + 1)" in oracle["f-algebroid"].failures()[0].witness
 
 
-# -- the sweep memo against plain evaluation ---------------------------------
+def _random_presentation(seed):
+    """A rank-3 presentation over (u1, u2) with seeded polynomial tables, a bracket that is not antisymmetric, and
+    a seeded polynomial anchor; for an odd seed one anchor entry is rational."""
+    rng, n, r = random.Random(f"random-presentation:{seed}"), 2, 3
+    u = [RatFunc.var(n, m) for m in range(n)]
+
+    def poly():
+        terms = [RatFunc.const(n, Fraction(rng.randint(-3, 3), rng.choice([1, 2]))) for _ in range(3)]
+        return terms[0] + terms[1] * u[rng.randrange(n)] + terms[2] * u[0] * u[rng.randrange(n)]
+
+    def tensor():
+        return [[[poly() if rng.random() < 0.4 else RatFunc.zero(n) for _ in range(r)] for _ in range(r)]
+                for _ in range(r)]
+
+    anchor = [[poly() for _ in range(n)] for _ in range(r)]
+    if seed % 2:
+        anchor[rng.randrange(r)][rng.randrange(n)] = u[0] / (u[1] + RatFunc.const(n, 2))
+    return AlgebroidPresentation(["u1", "u2"], r, tensor(), bracket=tensor(), prelie=tensor(), anchor=anchor)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scaled_slot_identities_match_the_section_residuals(seed):
+    """The contracted jacobi and pre-lie-symmetry residuals, at frame and at scaled arguments, equal the
+    ``jacobiator`` and ``prelie_associator`` of the same sections, entry for entry."""
+    A = _random_presentation(seed)
+    assert any(not c.is_zero() for c in chain(*chain(*A.bracket))) and A.polynomial == (seed % 2 == 0)
+    frame, scaled = _frame_args(A), _scaled_args(A)
+    (_, (_, antisym)), (_, (_, jacobi)) = LAWS["lie"][0](A)
+    [(_, (_, sym))] = LAWS["pre-lie"][0](A)
+    assert antisym and jacobi and sym
+    assoc = lambda X, Y, Z: A.prelie_associator(X, Y, Z) - A.prelie_associator(Y, X, Z)  # noqa: E731
+    for cases, tensor, residual in ((iproduct(frame + scaled, frame, frame), jacobi, A.jacobiator),
+                                    (_prelie_tuples(frame, scaled), sym, assoc)):
+        labels = {name: i for i, (name, _) in enumerate(frame + scaled)}
+        for case in cases:
+            names, args = zip(*case)
+            assert _witness(A, tensor.get(tuple(labels[t] for t in names), {})) == _witness(A, residual(*args))
+
+
+# -- every sweeping check against plain Section evaluation -------------------
 #
-# Inside a sweep the frame operations are memoized by argument identity. The
-# oracle runs each checker's law table through a test-only copy of the sweep
-# loop that opens no memo, so every method computes afresh, with each law
-# family's Section rows (``_section_rows``) in place of its contraction, and the
-# pseudo-eventual identity's Section rows in place of ``_pseudo_eventual_tensor``;
-# the reports must agree law for law, instance for instance, in pass flag and
-# witness text.
+# The oracle runs each checker's law table through a test-only copy of the sweep
+# loop that records each instance by itself, with each law family's Section rows
+# (``_section_rows``) in place of its contraction, and the pseudo-eventual
+# identity's Section rows in place of ``_pseudo_eventual_tensor``; the reports
+# must agree law for law, instance for instance, in pass flag and witness text.
 
 
 def _plain_sweep(A, report, table, prefix=""):
-    """The sweep loop with no memo, recording each instance by itself."""
+    """The sweep loop, recording each instance by itself."""
     for cases, *laws in table:
         for case in cases:
             names, args = zip(*case)
             for law, residual in laws:
-                assert A._memo is None
                 witness = _witness(A, residual(*args))
                 report.add(law, f"{prefix}({','.join(names)})", witness is None, witness)
     return report
@@ -816,16 +904,16 @@ def test_memoized_sweep_matches_plain_evaluation(name, seed, monkeypatch):
 
     A = _presentation(name) if seed is None else _mutant(name, seed)
     assert A.n > 0
-    memoized = [_outcomes(check()) for check in _sweeping_checks(A)]
+    contracted = [_outcomes(check()) for check in _sweeping_checks(A)]
     for module in (falgebroid.algebroid, falgebroid.duality):
         monkeypatch.setattr(module, "_sweep", _plain_sweep)
     monkeypatch.setattr(falgebroid.algebroid, "LAWS", _section_families())
     monkeypatch.setattr(falgebroid.duality, "_pseudo_eventual_tensor", lambda A, E, g: None)  # its Section rows
-    assert [_outcomes(check()) for check in _sweeping_checks(A)] == memoized
+    assert [_outcomes(check()) for check in _sweeping_checks(A)] == contracted
 
 
-def test_memo_mutants_fail_with_witnesses():
-    """The seeded mutants reach failing instances of every law family the memoized sweep evaluates."""
+def test_sweeping_mutants_fail_with_witnesses():
+    """The seeded mutants reach failing instances of every law family the sweeping checks evaluate."""
     failed = set()
     for name, seed in MEMO_CASES:
         if seed is not None:
@@ -835,86 +923,3 @@ def test_memo_mutants_fail_with_witnesses():
                       "pre-lie-symmetry", "psi-symmetry", "psi-vanishing", "pseudo-eventual-identity",
                       "psi-eventual-relation", "prelie-eventual-symmetry", "nijenhuis-comm", "nijenhuis-lie",
                       "nijenhuis-prelie"}
-
-
-class _Tracked(Section):
-    """A section that takes weak references."""
-
-
-def test_sweep_memo_lives_for_one_sweep():
-    A = load_fixture("SS3")
-    X = _Tracked(A.basis(0).components)
-    probe, seen = weakref.ref(X), []
-
-    def residual(Y):
-        seen.append(A._memo)
-        assert A.multiply(Y, A.bracket_of(Y, Y)) is A.multiply(Y, A.bracket_of(Y, Y))
-        T = _Tracked(Y.components)
-        A.psi(T, Y, T)
-        pinned = weakref.ref(T)
-        del T
-        gc.collect()
-        assert pinned() is not None  # a memo entry keeps its arguments, so their ids are not reused
-
-        def nested(Z):
-            assert A._memo is seen[0]  # a nested sweep runs under the outer memo
-            return A.multiply(Z, Z)
-
-        assert not _sweep(A, Report("inner"), [([[("Y", Y)]], ("inner", nested))]).overall
-        assert A._memo is seen[0]
-        return A.multiply(Y, Y)
-
-    _sweep(A, Report("probe"), [([[("X", X)]], ("probe", residual))])
-    assert seen[0] and A._memo is None
-    assert A.multiply(X, X) is not A.multiply(X, X)  # outside a sweep every call computes afresh
-    del X, seen[:]
-    gc.collect()
-    assert probe() is None
-
-    def raising(Y):
-        A.prelie_of(Y, A.multiply(Y, Y))
-        raise ValueError("residual failed")
-
-    X = _Tracked(A.basis(1).components)
-    probe = weakref.ref(X)
-    try:  # not pytest.raises, whose saved traceback would keep the sweep's frame and X alive
-        _sweep(A, Report("probe"), [([[("X", X)]], ("probe", raising))])
-    except ValueError:
-        pass
-    assert A._memo is None
-    del X
-    gc.collect()
-    assert probe() is None
-    assert check_f_algebroid(A).overall and A._memo is None
-
-
-def test_law_families_share_frame_sections_in_one_sweep(monkeypatch):
-    """The frame sections are built once per sweep, so one ``check_laws`` call computes each frame pre-Lie
-    product E_i⋆E_j once, although both ``pre-lie-symmetry`` and ``psi-symmetry`` evaluate it on their Section
-    rows (forced here; SS4's polynomial tables would contract ``psi-symmetry``)."""
-    import falgebroid.algebroid
-
-    computed, frames = [], []
-    raw, raw_frame = AlgebroidPresentation.prelie_of.__wrapped__, AlgebroidPresentation._frame.__wrapped__
-
-    def counted(self, X, Y):
-        computed.append((X, Y))
-        return raw(self, X, Y)
-
-    def built(self):
-        frames.append(raw_frame(self))
-        return frames[-1]
-
-    monkeypatch.setattr(AlgebroidPresentation, "prelie_of", falgebroid.algebroid._memo(counted))
-    monkeypatch.setattr(AlgebroidPresentation, "_frame", falgebroid.algebroid._memo(built))
-    A = load_fixture("SS4")
-    A.polynomial = False
-    counts = {}
-    for laws in (["pre-lie"], ["f-algebroid", "pre-f"]):
-        computed.clear(), frames.clear()
-        assert check_laws(A, laws, Report("families")).overall
-        assert len(frames) == 1
-        frame = set(map(id, frames[0]))
-        assert sum(id(X) in frame and id(Y) in frame for X, Y in computed) == A.rank ** 2
-        counts[laws[-1]] = len(computed)
-    assert counts == {"pre-lie": 1808, "pre-f": 1872}  # 1888 for pre-f when each family built its own frame

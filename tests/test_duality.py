@@ -33,7 +33,7 @@ from falgebroid.duality import (
 from falgebroid.errors import NotEventual, NotInvertible, NotNijenhuis, ShapeError
 from falgebroid.report import Report
 from falgebroid.ring import RatFunc
-from test_algebroid import _mutate_tensor, _outcomes, frobenius
+from test_algebroid import _mutant, _mutate_tensor, _outcomes, _presentation, frobenius
 from test_report import check_to_dict
 
 
@@ -289,6 +289,27 @@ def test_pseudo_eventual_contraction_matches_section_evaluation():
         witnessed |= {name} if contracted and any(c.witness for c in report.failures()) else set()
     assert passed == {"A2", "A3", "B3", "A2-dual", "A3-dual", "B3-dual", "SS2 distinct", "SS2-dual", "SS3-dual"}
     assert {"A2-dual perturbed 0", "B3 perturbed 2", "SS2 mixed"} <= witnessed
+
+
+def _pre_f_oracle(A, E):
+    """The pre-F eventual-identity relations evaluated with ``psi`` and ``prelie_of``, pair by pair."""
+    factor, mul = A.prelie_of(E, A.identity), A.multiply
+    laws = (("psi-eventual-relation", lambda X, Y: A.psi(E, X, Y) + mul(mul(factor, X), Y)),
+            ("prelie-eventual-symmetry", lambda X, Y: mul(A.prelie_of(X, E), Y) - mul(A.prelie_of(Y, E), X)))
+    return _sweep(A, Report("oracle"), [([pair], law) for pair in iproduct(_frame_args(A), repeat=2) for law in laws])
+
+
+def test_pre_f_eventual_identity_matches_section_evaluation():
+    """The pre-F check's cached pre-Lie products agree with ``psi`` in every pass flag and witness text, on the
+    pre-F fixtures and their seeded mutants, at ℰ = (u_(i mod n))_i and at the identity."""
+    failed = set()
+    for name in ("SS2", "SS3", "TR2", "SS3-dual"):
+        for A in [_presentation(name)] + [_mutant(name, seed) for seed in range(3)]:
+            for E in (Section([RatFunc.var(A.n, i % A.n) for i in range(A.rank)]), A.identity):
+                report = is_pre_f_eventual_identity(A, E)
+                assert _outcomes(report) == _outcomes(_pre_f_oracle(A, E)), name
+                failed |= {c.law for c in report.failures() if c.witness}
+    assert failed == {"psi-eventual-relation", "prelie-eventual-symmetry"}
 
 
 def _sections(A):
