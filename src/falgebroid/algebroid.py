@@ -8,24 +8,23 @@ identities can be verified exactly on symbolic arguments. A vector field is
 a section of the tangent frame d/du^1..d/du^n: ``VectorField`` is the
 ``Section`` of rank n, and the anchor sends sections to it.
 
-``check_laws`` evaluates every law family one way, on every presentation:
-the residual on frame arguments, and on arguments u^m·E_i where a Leibniz
-rule could break the law, is a polynomial in the table entries, the anchor
-entries and their anchor derivatives, so its whole tensor is contracted from
-the tables at once (``_point_tensor``). A table entry enters as a Fraction
-over a point, as its numerator over a ``polynomial`` base, and as itself
-over a base with a rational entry. Over a ``polynomial`` base ``duality``
-contracts the pseudo-eventual identity, the dual product and e† the same
-way, a section entering as its numerators over one shared denominator
-(``Section.shared_denominator``). The other checks (the pre-F eventual
-identity, Nijenhuis torsion, deformation orders over a base) are evaluated
-on sections, instance by instance.
+Every check is evaluated one way, on every presentation: the residual on
+frame arguments, and on arguments u^m·E_i where a Leibniz rule could break
+the law, is a polynomial in the table entries, the anchor entries, the
+check's own inputs (a section, a bundle map, a cochain) and their anchor
+derivatives, so its whole tensor is contracted from the tables at once
+(``_point_tensor``) and ``_sweep`` reads the instances off it. Each check
+picks its entry type once (``AlgebroidPresentation._view``): a Fraction
+over a point; a numerator ``Poly`` over a ``polynomial`` base when its own
+inputs are polynomials too, or, for a section, its numerators over one
+shared denominator (``Section.shared_denominator``); else the ``RatFunc``,
+the presentation's tables included.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from fractions import Fraction
-from functools import partial
 from itertools import chain, combinations, combinations_with_replacement
 from itertools import product as iproduct
 from math import lcm as int_lcm
@@ -218,10 +217,6 @@ class AlgebroidPresentation:
     def var_fn(self, m: int) -> RatFunc:
         return RatFunc.var(self.n, m)
 
-    def scaled_basis(self, m: int, i: int) -> Section:
-        """Section u^m · E_i, the spanning test argument for differential laws."""
-        return self.basis(i).scale_fn(self.var_fn(m))
-
     def anchor_of(self, X: Section) -> VectorField:
         out = VectorField.zero(self.n)
         for i, xi in X.entries:
@@ -276,8 +271,19 @@ class AlgebroidPresentation:
             raise MissingStructure("anchor")
         return table
 
+    def _view(self, *extra) -> "AlgebroidPresentation":
+        """The presentation a check with its own entries ``extra`` (RatFuncs) contracts over, which decides its entry
+        type once: A itself, unless A is ``polynomial`` and an extra entry is not; then a copy of A, made once, that
+        reads every entry as its ``RatFunc``. The check converts its own entries with the view's ``_value`` too."""
+        if not self.polynomial or all(c.den.is_constant() for c in extra):
+            return self
+        if "rational" not in self._points:
+            self._points["rational"] = view = copy(self)
+            view.polynomial, view._points = False, {}
+        return self._points["rational"]
+
     def _value(self, c: RatFunc):
-        """A table entry as ``_point_tensor`` sums it: over a point a Fraction, over a ``polynomial`` base the
+        """An entry as ``_point_tensor`` sums it: over a point a Fraction, over a ``polynomial`` base the
         numerator ``Poly``, else the ``RatFunc`` itself."""
         return c.constant_value() if not self.n else c.num if self.polynomial else c
 
@@ -303,14 +309,18 @@ class AlgebroidPresentation:
             self._points[name] = table
         return self._points[name]
 
+    def _entry_tables(self, cells) -> tuple[dict, dict]:
+        """A check's own entries, (idx, ((k, c), ...)) cells of RatFuncs, as the table {idx: {k: c}} converted by
+        ``_value`` and the ``_derivatives`` of its entries along ρ_x = a(E_x)."""
+        table = {idx: {k: self._value(c) for k, c in cell} for idx, cell in cells}
+        return table, _derivatives(self._anchors, cells, self._value)
+
     def derivatives(self, name: str) -> dict:
-        """{(x, *idx): {k: ρ_x(c)}} for ρ_x = a(E_x) and each entry c at idx of the named table (``_entries``), the
-        nonzero values converted by ``_value``, built once: ρ_x(T_ab^k), or ρ_x(a_y^m) for "anchor"."""
+        """``_derivatives`` of the named table's entries (``_entries``) along ρ_x = a(E_x), built once: ρ_x(T_ab^k),
+        or ρ_x(a_y^m) for "anchor"."""
         key = ("derivatives", name)
         if key not in self._points:
-            entries = self._entries(name)
-            self._points[key] = {(x, *idx): d for x, vf in self._anchors.items() for idx, cell in entries
-                                 if (d := {k: self._value(p) for k, c in cell if (p := vf.apply(c)).num.coeffs})}
+            self._points[key] = _derivatives(self._anchors, self._entries(name), self._value)
         return self._points[key]
 
     def bracket_of(self, X: Section, Y: Section) -> Section:
@@ -323,12 +333,6 @@ class AlgebroidPresentation:
         out = self._contract(self._require("prelie"), X, Y)
         self._derivation_terms(out, X, Y)
         return Section._from_dict(out, self.rank, self.n)
-
-    def tensor_of(self, op) -> Tensor:
-        """The tensor t with t[k][i][j] the E_k-part of op(E_i, E_j)."""
-        r = range(self.rank)
-        vals = [[op(self.basis(i), self.basis(j)).components for j in r] for i in r]
-        return [[[vals[i][j][k] for j in r] for i in r] for k in r]
 
     def matrix_of(self, f) -> list:
         """The matrix m with m[k][j] the E_k-part of f(E_j)."""
@@ -394,20 +398,9 @@ class AlgebroidPresentation:
 # variable, u^m·E_i, in slots where a Leibniz rule could break the law.
 
 
-def _frame_args(A: AlgebroidPresentation):
-    """The frame sections E_i, labelled by name."""
-    return [(A.basis_name(i), A.basis(i)) for i in range(A.rank)]
-
-
 def _scaled_labels(A: AlgebroidPresentation) -> list:
     """The names u_m*E_i of the scaled frame, m-major: u^m·E_i is at r + m·r + i in a contraction's labels."""
     return [f"{A.base_vars[m]}*{A.basis_name(i)}" for m in range(A.n) for i in range(A.rank)]
-
-
-def _scaled_args(A: AlgebroidPresentation):
-    """The frame scaled by each base variable, u^m·E_i, labelled by name."""
-    sections = (A.scaled_basis(m, i) for m in range(A.n) for i in range(A.rank))
-    return list(zip(_scaled_labels(A), sections))
 
 
 def _prelie_tuples(frame, scaled):
@@ -420,34 +413,32 @@ def _prelie_tuples(frame, scaled):
     )
 
 
+def _ratfunc(n: int, c) -> RatFunc:
+    """A contraction's entry as a ``RatFunc`` in n variables: a number, a numerator ``Poly`` or the ``RatFunc``."""
+    return c if type(c) is RatFunc else RatFunc(c, _normal=True) if type(c) is Poly else RatFunc.const(n, c)
+
+
 def _witness(A: AlgebroidPresentation, res) -> str | None:
     """The text of a nonzero residual, a Section or a contraction's cell {k: c}; None for zero (a passing check)."""
     if isinstance(res, dict):
-        value = (lambda c: RatFunc(c, _normal=True) if type(c) is Poly else c) if A.n else partial(RatFunc.const, 0)
-        res = Section._from_dict({k: value(c) for k, c in res.items()}, A.rank, A.n)
+        res = Section._from_dict({k: _ratfunc(A.n, c) for k, c in res.items()}, A.rank, A.n)
     return None if res.is_zero() else A.fmt(res)
 
 
 def _sweep(A: AlgebroidPresentation, report: Report, table, prefix: str = "") -> Report:
-    """Run a law table into ``report``, one block per row, and return it. A row is (argument tuples, (law,
-    residual)). Each tuple of labelled arguments is one instance, named ``prefix(name,...)`` and checked by calling
-    the residual on it. The residual can be the dict of a ``_point_tensor`` beside tuples of frame and scaled
-    frame names, indexed as ``_scaled_labels`` says: only the dict's tuples fail."""
+    """Run a law table into ``report``, one block per row, and return it. A row is (cases, (law, residual)): each
+    case, a tuple of frame and scaled frame names, is one instance named ``prefix(name,...)``, and the residual is
+    the dict of a ``_point_tensor``, keyed by their indices in ``_point_labels`` + ``_scaled_labels``: only its
+    tuples fail."""
+    labels, named = _point_labels(A) + _scaled_labels(A), {}
     for cases, (law, residual) in table:
-        names, fails = [], {}
+        cases = list(cases)
+        names, fails = [f"{prefix}({s})" for s in map(",".join, cases)], {}
         report.blocks.append((law, names, fails))
-        if isinstance(residual, dict):
-            cases, labels = list(cases), _point_labels(A) + _scaled_labels(A)
-            names += [f"{prefix}({s})" for s in map(",".join, cases)]
-            failing = {tuple(labels[i] for i in key): res for key, res in residual.items()}
-            fails.update((i, _witness(A, failing[t])) for i, t in enumerate(cases if failing else ()) if t in failing)
-            continue
-        for case in cases:
-            labels, args = zip(*case)
-            witness = _witness(A, residual(*args))
-            if witness is not None:
-                fails[len(names)] = witness
-            names.append(f"{prefix}({','.join(labels)})")
+        if id(residual) not in named:  # a residual can feed many rows: name its tuples once, and keep it alive
+            named[id(residual)] = residual, {tuple(labels[i] for i in key): res for key, res in residual.items()}
+        failing = named[id(residual)][1]
+        fails.update((i, _witness(A, failing[t])) for i, t in enumerate(cases if failing else ()) if t in failing)
     return report
 
 
@@ -462,11 +453,11 @@ def _point_labels(A: AlgebroidPresentation) -> list:
 
 def _point_tensor(*terms) -> dict:
     """Σ s·term on every tuple of indices at once, over the nonzero constants only: {index tuple: {k: c}} of exactly
-    the nonzero residuals. Every law family of ``check_laws`` is summed here, on every presentation. A table is
-    t[i][j] = {k: c} or a dict {(i, j, ...): {k: c}}, as this returns, keyed by tuples ((), for no slot); a section
-    X is the 0-slot table {(): {m: X^m}}. A constant c is a number over a point; a ``Poly`` over a ``polynomial``
-    base, where each component is summed in one integer dict over one denominator (``Poly.accumulate``); or else a
-    ``RatFunc``, summed as one, with s = ±1.
+    the nonzero residuals. Every check is summed here, on every presentation. A table is t[i][j] = {k: c} or a dict
+    {(i, j, ...): {k: c}}, as this returns, keyed by tuples ((), for no slot); a section X is the 0-slot table
+    {(): {m: X^m}}. A constant c is a number over a point; a numerator ``Poly`` (``_view``), where each
+    component is summed in one integer dict over one denominator (``Poly.accumulate``); or else a ``RatFunc``,
+    summed as one, with s = ±1.
 
     A term (s, shape, ∘, ⋄) has the shape (a, b, ...) for s·∘(E_a, E_b, ...) (no ⋄), or the shape of ⋄
     with one slot replaced by the slots of ∘, whose output feeds it: ((a, b), c) for s·(E_a∘E_b)⋄E_c,
@@ -510,10 +501,16 @@ def _nonzeros(t) -> list:
             for x, row in enumerate(t) for y, cell in enumerate(row) if cell for k, c in cell.items()]
 
 
+def _derivatives(fields: dict, cells, value) -> dict:
+    """{(x, *idx): {k: ρ_x(c)}} for each vector field ρ_x = ``fields[x]`` and each entry c = E_k-part at idx of
+    ``cells``, (idx, ((k, c), ...)) pairs of RatFuncs: the nonzero values, converted by ``value``."""
+    return {(x, *idx): d for x, vf in fields.items() for idx, cell in cells
+            if (d := {k: value(p) for k, c in cell if (p := vf.apply(c)).num.coeffs})}
+
+
 def _prelie_terms(S, T) -> tuple:
-    """The terms of T(S(E_i,E_j),E_k) - T(E_i,S(E_j,E_k)) - T(S(E_j,E_i),E_k) + T(E_j,S(E_i,E_k)): the pre-Lie
-    associator's symmetry for S = T over a point, and with S, T the cochains of two orders, one term of a
-    deformation's rule."""
+    """The terms of T(S(E_i,E_j),E_k) - T(E_i,S(E_j,E_k)) - T(S(E_j,E_i),E_k) + T(E_j,S(E_i,E_k)) from the
+    tables alone: the frame part of ``_rule`` for one pair."""
     return (1, ((0, 1), 2), S, T), (-1, (0, (1, 2)), S, T), (-1, ((1, 0), 2), S, T), (1, (1, (0, 2)), S, T)
 
 
@@ -531,11 +528,12 @@ def _scaled_slot(A: AlgebroidPresentation, t: dict) -> dict:
     return {(r + m * r + i, *key): {i: c} for key, cell in t.items() for m, c in cell.items() for i in range(r)}
 
 
-def _anchor_defect(A: AlgebroidPresentation, T) -> dict:
-    """{(j, k): {m: (a(T(E_j,E_k)) - [a(E_j), a(E_k)])(u^m)}} for a 2-slot table T: with the anchor entries
-    a_x^m = ρ_x(u^m), Σ_n T_jk^n a_n^m - ρ_j(a_k^m) + ρ_k(a_j^m)."""
-    a, da = A.constants("anchor"), A.derivatives("anchor")
-    return _point_tensor((1, ((0, 1),), T, a), (-1, (0, 1), da), (1, (1, 0), da))
+def _anchor_defect(T, a, da, skew: bool = False) -> tuple:
+    """The terms of {(j, k): {m: (a(T(E_j,E_k)) - [ρ_j, b_k])(u^m)}} for a 2-slot table T (T - Tᵀ when ``skew``),
+    the anchor table a_x^m = ρ_x(u^m) and da[(x, y)] = {m: ρ_x(b_y^m)}: Σ_n T_jk^n a_n^m - ρ_j(b_k^m) + ρ_k(b_j^m).
+    With b = a, the failure of a to map T to the commutator of vector fields."""
+    transpose = ((-1, ((1, 0),), T, a),) if skew else ()
+    return (1, ((0, 1),), T, a), *transpose, (-1, (0, 1), da), (1, (1, 0), da)
 
 
 # -- law families: each maps a presentation to its ``_sweep`` rows ---------
@@ -561,8 +559,9 @@ def _lie(A: AlgebroidPresentation) -> list:
     antisym = _point_tensor((1, (0, 1), B), (1, (1, 0), B))
     J = _point_tensor(*chain.from_iterable(((1, ((a, b), c), B, B), (-1, (c, a, b), dB))
                                            for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))))
-    U, alpha, anchor = (_scaled_slot(A, t) for t in (A.constants("variables"), _anchor_defect(A, B),
-                                                      A.constants("anchor")))
+    a = A.constants("anchor")
+    alpha = _point_tensor(*_anchor_defect(B, a, A.derivatives("anchor")))
+    U, alpha, anchor = (_scaled_slot(A, t) for t in (A.constants("variables"), alpha, a))
     jacobi = _point_tensor((1, (0, 1, 2), J), (1, ((0,), 1, 2), U, J), (1, (0, 1, 2), alpha),
                            (-1, ((0, 1), 2), anchor, antisym))
     return [
@@ -591,22 +590,41 @@ def _hertling_manin(A: AlgebroidPresentation) -> list:
     return [(iproduct(_point_labels(A), repeat=4), ("hertling-manin", phi))]
 
 
+def _frame_rule(pairs) -> dict:
+    """The residual Σ_pairs T(S(X,Y),Z) - T(X,S(Y,Z)) - T(S(Y,X),Z) + T(Y,S(X,Z)) on frame triples, for operations
+    with T(fX,Y) = f·T(X,Y) and T(X,fY) = f·T(X,Y) + a_T(X)(f)·Y: the pre-Lie rule, one pair (P, P), and a
+    deformation's order k, the pairs (mu_(k-i), mu_i). A pair is (S, T, dS, a, da): 2-slot tables S (inside) and
+    T, T's anchor table a_x^m, dS[(x, b, c)] = {k: ρ_x(S_bc^k)} and da[(x, y)] = {m: ρ_x(b_y^m)} for ρ_x = a_T(E_x)
+    and b = a_S. The Leibniz rules give R_ijk = Σ_pairs (``_prelie_terms`` - ρ_i(S_jk) + ρ_j(S_ik))."""
+    terms = []
+    for S, T, dS, _, _ in pairs:
+        terms += _prelie_terms(S, T)
+        if dS:  # none over a point
+            terms += (-1, (0, 1, 2), dS), (1, (1, 0, 2), dS)
+    return _point_tensor(*terms)
+
+
+def _rule(A: AlgebroidPresentation, pairs) -> dict:
+    """``_frame_rule`` on frame triples and with each slot in turn scaled by each base variable (``_prelie_tuples``).
+    When the pairs (S, T) and (T, S) both occur, or S = T, f = u^m scaling the first or second slot gives f·R_ijk,
+    and the third gives f·R_ijk + β_ij^m E_k, β = Σ_pairs ``_anchor_defect`` of S - Sᵀ: (a_T(S(X,Y) - S(Y,X)) -
+    [a_T(X), a_S(Y)])(f)·Z, the mismatch between the anchors and the commutator of S."""
+    R = _frame_rule(pairs)
+    if not A.n:
+        return R
+    beta = _point_tensor(*(term for S, _, _, a, da in pairs for term in _anchor_defect(S, a, da, skew=True)))
+    U, beta = _scaled_slot(A, A.constants("variables")), _scaled_slot(A, beta)
+    return _point_tensor((1, (0, 1, 2), R), (1, ((0,), 1, 2), U, R), (1, (0, (1,), 2), U, R),
+                         (1, (0, 1, (2,)), U, R), (1, (2, 0, 1), beta))
+
+
 def _pre_lie(A: AlgebroidPresentation) -> list:
     """Symmetry of the associator in its first two slots, on frame triples and with each slot in turn scaled by
-    each base variable.
-
-    With ρ_x = a(E_x), the Leibniz rules of ``prelie_of`` give the frame residual sym_ijk = the terms of
-    ``_prelie_terms`` - ρ_i(P_jk) + ρ_j(P_ik). For f = u^m the first- and second-slot scalings give f·sym_ijk,
-    and the third gives f·sym_ijk + β_ij^m E_k with β = ``_anchor_defect`` of P - Pᵀ: the scaled residual contains
-    (a(X*Y - Y*X) - [a(X),a(Y)])(f)·Z, the mismatch between the anchor and the sub-adjacent bracket.
-    """
-    P, dP, frame = A.constants("prelie"), A.derivatives("prelie"), _point_labels(A)
-    sym = _point_tensor(*_prelie_terms(P, P), (-1, (0, 1, 2), dP), (1, (1, 0, 2), dP))
-    beta = _anchor_defect(A, _point_tensor((1, (0, 1), P), (-1, (1, 0), P)))
-    U, beta = _scaled_slot(A, A.constants("variables")), _scaled_slot(A, beta)
-    sym = _point_tensor((1, (0, 1, 2), sym), (1, ((0,), 1, 2), U, sym), (1, (0, (1,), 2), U, sym),
-                        (1, (0, 1, (2,)), U, sym), (1, (2, 0, 1), beta))
-    return [(_prelie_tuples(frame, _scaled_labels(A)), ("pre-lie-symmetry", sym))]
+    each base variable: ``_rule`` of the pair (P, P) with the anchor, so that β is the mismatch between the anchor
+    and the sub-adjacent bracket."""
+    P, a = A.constants("prelie"), A.constants("anchor")
+    sym = _rule(A, [(P, P, A.derivatives("prelie"), a, A.derivatives("anchor"))])
+    return [(_prelie_tuples(_point_labels(A), _scaled_labels(A)), ("pre-lie-symmetry", sym))]
 
 
 def _psi_symmetry(A: AlgebroidPresentation) -> list:

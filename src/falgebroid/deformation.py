@@ -14,23 +14,25 @@ strictly increase. Over a point a degree-p cochain is therefore its
 coordinate vector: the E_k-components at those frame tuples. Coboundary
 matrices are read off the pre-Lie structure constants as sparse rows, one per
 target coordinate, with d_def kept as their oracle; point cohomology comes
-from one elimination of [image of d | kernel of d]. Over a point the
-deformation checks never evaluate a MultiDer: the order-k residuals and the
-obstruction are summed on Fraction tables of mu_0..mu_n, and every coboundary
-test multiplies a coordinate vector by the sparse rows. MultiDer.eval and
-d_def remain the path over a positive-dimensional base and the tests' oracle.
+from one elimination of [image of d | kernel of d]. The order-k residuals and
+the obstruction's values are contracted from the tables of mu_0..mu_n and
+their symbols, at every base dimension (``algebroid._rule``), and over a point
+every coboundary test multiplies a coordinate vector by the sparse rows.
+Over a positive-dimensional base the obstruction's symbol and every
+coboundary go through MultiDer.eval and d_def.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from itertools import chain, combinations, product as iproduct
 from operator import add, sub
 
 from .algebroid import AlgebroidPresentation, Section, VectorField, vf_bracket
-from .algebroid import _frame_args, _point_labels, _point_tensor, _prelie_terms, _prelie_tuples, _scaled_args, _sweep
+from .algebroid import _derivatives, _frame_rule, _point_labels, _prelie_tuples, _ratfunc, _rule, _scaled_labels
+from .algebroid import _sweep
 from .constructions import FiniteAlgebra
 from .errors import (
     ArityMismatch,
@@ -278,59 +280,37 @@ class FormalDeformation:
     def order(self) -> int:
         return len(self.mus)
 
-    def mu(self, k: int) -> MultiDer | None:
-        """The degree-2 cochain at order k, or None beyond the stored order."""
-        if k == 0:
-            return self.mu0
-        if k <= self.order:
-            return self.mus[k - 1]
-        return None
-
-    @cached_property
-    def mu0(self) -> MultiDer:
-        """The base product as a degree-2 cochain, built once per deformation."""
-        A = self.base
-        return MultiDer.build(
-            2, A.rank, A.n, lambda idx: A.multiply(A.basis(idx[0]), A.basis(idx[1]))
-        )
-
     def __post_init__(self):
         for m in self.mus:
             if m.degree != 2 or m.rank != self.base.rank or m.nvars != self.base.n:
                 raise ShapeError("deformation cochains must be degree-2 in the base frame")
 
 
-def _order_k_residual(deform: FormalDeformation, k: int, X: Section, Y: Section, Z: Section) -> Section:
-    """Order-k associator-symmetry residual of the deformed product."""
-    A = deform.base
-    total = Section.zero(A.rank, A.n)
-    # only i and k - i up to the stored order have cochains
-    for i in range(max(0, k - deform.order), min(k, deform.order) + 1):
-        mi, mj = deform.mu(i), deform.mu(k - i)
-        term = (
-            mi.eval([mj.eval([X, Y]), Z])
-            - mi.eval([X, mj.eval([Y, Z])])
-            - mi.eval([mj.eval([Y, X]), Z])
-            + mi.eval([Y, mj.eval([X, Z])])
-        )
-        total = total + term
-    return total
+def _tables(deform: FormalDeformation) -> tuple:
+    """The presentation the deformation's contractions run over (``_view``, from every D and sigma value) and, for
+    mu_0..mu_n, (D cells, sigma cells, D table, sigma table, sigma fields): the (idx, ((k, c), ...)) cells of D at
+    (i, j) and of sigma at (x,), the table t[i][j] = {k: c} of D, the table {(x,): {m: c}} of sigma, and its nonzero
+    vector fields by x. mu_0 is the base product, with zero symbol."""
+    r = range(deform.base.rank)
+    cells = [([((i, j), m.D[(i, j)].entries) for i in r for j in r],
+              [((x,), m.sigma[(x,)].entries) for x in r if m.sigma[(x,)].entries]) for m in deform.mus]
+    A = deform.base._view(*(c for D, sigma in cells for _, cell in chain(D, sigma) for _, c in cell))
+    orders, value = [(A._entries("product"), [], A.constants("product"), {}, {})], A._value
+    for m, (D, sigma) in zip(deform.mus, cells):
+        table, fields = {idx: {k: value(c) for k, c in cell} for idx, cell in D}, {x: m.sigma[x,] for (x,), _ in sigma}
+        orders.append((D, sigma, [[table[i, j] for j in r] for i in r],
+                       {idx: {k: value(c) for k, c in cell} for idx, cell in sigma}, fields))
+    return A, orders
 
 
-def _point_tables(deform: FormalDeformation) -> list:
-    """Over a point, the Fraction tables t[i][j] = {k: c} of mu_0..mu_n: the product's, then each mu's coordinates."""
-    r = deform.base.rank
-    mus = [[[{k: c.constant_value() for k, c in m.D[(i, j)].entries} for j in range(r)] for i in range(r)]
-           for m in deform.mus]
-    return [deform.base.constants("product")] + mus
-
-
-def _point_residual(tables: list, k: int) -> dict:
-    """Over a point, ``_order_k_residual`` on every frame index triple at once, from the tables of mu_0..mu_n: the
-    nonzero residuals, keyed by triple (``_point_tensor``)."""
-    n = len(tables) - 1
-    return _point_tensor(*(term for i in range(max(0, k - n), min(k, n) + 1)  # mu_(k-i) inside mu_i
-                           for term in _prelie_terms(tables[k - i], tables[i])))
+def _pairs(deform: FormalDeformation, k: int, tables: tuple) -> list:
+    """The pairs of the order-k rule of the deformed product (``_rule``), mu_(k-i) inside mu_i with mu_i's symbol,
+    from the ``_tables`` of the deformation."""
+    (A, orders), n, pairs = tables, deform.order, []
+    for i in range(max(0, k - n), min(k, n) + 1):  # only i and k - i up to the stored order have cochains
+        (D, sigma, S, _, _), (_, _, T, a, fields) = orders[k - i], orders[i]
+        pairs.append((S, T, _derivatives(fields, D, A._value), a, _derivatives(fields, sigma, A._value)))
+    return pairs
 
 
 def check_n_deformation(deform: FormalDeformation) -> Report:
@@ -340,13 +320,12 @@ def check_n_deformation(deform: FormalDeformation) -> Report:
     triples with each slot scaled by each base variable; the scaled
     instances exercise the symbol (anchor) compatibilities.
     """
-    A = deform.base
+    A, tables = deform.base, _tables(deform)
     report = Report(f"pre-Lie {deform.order}-deformation")
-    frame, scaled = (_point_labels(A), []) if A.n == 0 else (_frame_args(A), _scaled_args(A))
-    tables = _point_tables(deform) if A.n == 0 else None
     for k in range(deform.order + 1):
-        rule = _point_residual(tables, k) if A.n == 0 else partial(_order_k_residual, deform, k)
-        _sweep(A, report, [(_prelie_tuples(frame, scaled), ("pre-lie-rule", rule))], prefix=f"order {k} ")
+        rule = _rule(tables[0], _pairs(deform, k, tables))
+        _sweep(A, report, [(_prelie_tuples(_point_labels(A), _scaled_labels(A)), ("pre-lie-rule", rule))],
+               prefix=f"order {k} ")
     return report
 
 
@@ -359,10 +338,10 @@ def semiclassical_limit(deform: FormalDeformation) -> AlgebroidPresentation:
     if deform.order < 1:
         raise NotADeformation("semi-classical limit needs order >= 1")
     check_n_deformation(deform).require(NotADeformation)
-    A = deform.base
-    mu1 = deform.mus[0]
-    bracket = A.tensor_of(lambda X, Y: mu1.eval([X, Y]) - mu1.eval([Y, X]))
-    anchor = [list(mu1.sigma[(i,)].components) for i in range(A.rank)]
+    A, r = deform.base, range(deform.base.rank)
+    D = {idx: s.components for idx, s in deform.mus[0].D.items()}  # mu1(E_i, E_j) = D_ij: sigma sees only 1
+    bracket = [[[D[i, j][k] - D[j, i][k] for j in r] for i in r] for k in r]
+    anchor = [list(deform.mus[0].sigma[(i,)].components) for i in r]
     return AlgebroidPresentation(
         base_vars=A.base_vars,
         rank=A.rank,
@@ -382,7 +361,7 @@ def obstruction(deform: FormalDeformation) -> MultiDer:
     A = deform.base
     n = deform.order
     r = A.rank
-    basis = [A.basis(i) for i in range(r)]
+    residuals = _frame_rule(_pairs(deform, n + 1, _tables(deform)))  # theta's values on frame triples
 
     def theta_sigma(X: Section, Y: Section) -> VectorField:
         total = VectorField.zero(A.n)
@@ -394,13 +373,15 @@ def obstruction(deform: FormalDeformation) -> MultiDer:
         return total
 
     if A.n == 0:  # the coordinate vector of theta, closed when the sparse rows of d annihilate it
-        residuals, vec = _point_residual(_point_tables(deform), n + 1), []
+        vec = []
         for idx in _coord_args(r, 3):
             res = residuals.get(idx, {})
             vec += [res.get(k, 0) for k in range(r)]
         theta, closed = _vector_to_multider(vec, r, 3), not any(_d_times(_d_matrix(as_prelie(A), 3), vec))
     else:
-        theta = MultiDer.build(3, r, A.n, lambda idx: _order_k_residual(deform, n + 1, *(basis[i] for i in idx)),
+        basis = [A.basis(i) for i in range(r)]
+        values = lambda idx: {k: _ratfunc(A.n, c) for k, c in residuals.get(idx, {}).items()}  # noqa: E731
+        theta = MultiDer.build(3, r, A.n, lambda idx: Section._from_dict(values(idx), r, A.n),
                                lambda idx: theta_sigma(basis[idx[0]], basis[idx[1]]))
         closed = d_def(as_prelie(A), theta).is_zero()
     if not closed:

@@ -12,17 +12,20 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
+from itertools import chain
 from itertools import product as iproduct
 
 from .algebroid import (
     AlgebroidPresentation,
     Section,
-    _frame_args,
     _point_labels,
     _point_p,
+    _point_psi,
     _point_tensor,
-    _scaled_args,
+    _ratfunc,
+    _scaled_labels,
+    _scaled_slot,
     _sweep,
     _witness,
     find_identity,
@@ -89,66 +92,72 @@ def _require_identity(A: AlgebroidPresentation) -> Section:
     return A.identity
 
 
-def _shared(A: AlgebroidPresentation, X: Section) -> tuple | None:
-    """(δ, {(): {m: N^m}}) for X = N/δ over one shared denominator δ, over a ``polynomial`` base (not a point): X as
-    the 0-slot table that enters ``_point_tensor``. None otherwise, and X is evaluated on sections."""
-    shared = A.n and A.polynomial and X.shared_denominator()
-    return (shared[0], {(): shared[1]}) if shared else None
+def _sections(A: AlgebroidPresentation, *sections) -> tuple:
+    """The presentation a contraction with ``sections`` runs over (``_view``) and each section X as (δ, X), X the
+    0-slot table {(): {k: X^k}} that enters ``_point_tensor`` and δ its denominator: over a ``polynomial`` base where
+    every section is N/δ over one shared δ (``Section.shared_denominator``), the numerators N over δ; else the
+    entries as the view reads them, over 1."""
+    shared = [X.shared_denominator() for X in sections] if A.n and A.polynomial else [None]
+    if all(shared):
+        return A, [(den, {(): N}) for den, N in shared]
+    B = A._view(*(c for X in sections for _, c in X.entries))
+    return B, [(RatFunc.one(A.n) if A.n else 1, {(): {k: B._value(c) for k, c in X.entries}}) for X in sections]
 
 
-def _over(den: Poly, cells: dict) -> dict:
-    """The cells {key: {k: N}} of a contraction with each N/den in normal form, one gcd per nonzero entry."""
-    return {key: {k: RatFunc(num, den) for k, num in cell.items()} for key, cell in cells.items()}
+def _over(A: AlgebroidPresentation, den, cells: dict) -> dict:
+    """The cells {key: {k: c}} of a contraction as RatFuncs: a numerator over a ``Poly`` den as c/den in normal form,
+    one gcd per nonzero entry; else ``_ratfunc``."""
+    value = (lambda c: RatFunc(c, den)) if type(den) is Poly else partial(_ratfunc, A.n)
+    return {key: {k: value(c) for k, c in cell.items()} for key, cell in cells.items()}
 
 
-def _pseudo_eventual_tensor(A: AlgebroidPresentation, e: Section, E: Section) -> dict | None:
+def _tensor(A: AlgebroidPresentation, cells: dict) -> list:
+    """The rank³ tensor t[k][i][j] of RatFuncs (``_ratfunc``) of a contraction's cells {(i, j): {k: c}}."""
+    r, zero = range(A.rank), RatFunc.zero(A.n)
+    cells = [[cells.get((i, j), {}) for j in r] for i in r]
+    return [[[_ratfunc(A.n, cells[i][j][k]) if k in cells[i][j] else zero for j in r] for i in r] for k in r]
+
+
+def _pseudo_eventual_tensor(A: AlgebroidPresentation, e: Section, E: Section) -> dict:
     """The nonzero residuals {(c, d): {k: R_cd^k}} of R_cd = P_ℰ(E_c,E_d) - [e,ℰ]·E_c·E_d, contracted from the
-    tables; None unless A is ``polynomial`` and e = Φ/ε and ℰ = F/δ each have one shared denominator.
+    tables, with e = Φ/ε and ℰ = F/δ as ``_sections`` gives them (ε = δ = 1 but over shared denominators).
 
     With ρ_x = a(E_x), H_x^m = δ·ρ_x(F^m) - F^m·ρ_x(δ) (so ρ_x(ℰ^m) = H_x^m/δ²),
     K_x^m = ε·ρ_x(Φ^m) - Φ^m·ρ_x(ε) and P_m(c,d) of ``_point_p``, the Leibniz rules give
     ε²δ²·[e,ℰ]^k = G^k = Σ_{i,j} εδΦ^i F^j B_ij^k + Σ_i εΦ^i H_i^k - Σ_j δF^j K_j^k and
     ε²δ²·R_cd^k = Σ_m ε²δF^m P_m(c,d)^k + ε²(Σ_m H_c^m M_md^k + Σ_m H_d^m M_cm^k - Σ_n M_cd^n H_n^k)
-    - Σ_{m,n} G^m M_mc^n M_nd^k, each summed in one integer dict per component. R_cd^k is zero exactly
-    when its numerator is, and only a nonzero one is divided out.
+    - Σ_{m,n} G^m M_mc^n M_nd^k. Over shared denominators each is summed in one integer dict per component,
+    R_cd^k is zero exactly when its numerator is, and only a nonzero one is divided out.
     """
-    unit, shared = _shared(A, e), _shared(A, E)
-    if unit is None or shared is None:
-        return None
-    (z, Phi), (d, F), M = unit, shared, A.constants("product")
-    rho = lambda vf, p: vf.apply(RatFunc(p, _normal=True)).num  # noqa: E731
+    A, ((z, Phi), (d, F)) = _sections(A, e, E)
+    M, B = A.constants("product"), A.constants("bracket")
     times = lambda t, p: {key: {k: c * p for k, c in cell.items()} for key, cell in t.items()}  # noqa: E731
-    H, K = ({(x,): {m: h for m, f in N[()].items() if (h := den * rho(vf, f) - f * rho(vf, den)).coeffs}
-             for x, vf in A._anchors.items()} for den, N in (shared, unit))
-    G = _point_tensor((1, ((),), times(Phi, z * d), _point_tensor((1, (0, ()), F, A.constants("bracket")))),
+    if type(d) is Poly:
+        rho = lambda vf, p: vf.apply(RatFunc(p, _normal=True)).num  # noqa: E731
+        H, K = ({(x,): {m: h for m, f in N[()].items() if (h := den * rho(vf, f) - f * rho(vf, den)).coeffs}
+                 for x, vf in A._anchors.items()} for den, N in ((d, F), (z, Phi)))
+    else:
+        H, K = (A._entry_tables([((), X.entries)])[1] for X in (E, e))
+    G = _point_tensor((1, ((),), times(Phi, z * d), _point_tensor((1, (0, ()), F, B))),
                       (1, ((),), times(Phi, z), H), (-1, ((),), times(F, d), K))
     zz, GM = z * z, _point_tensor((1, ((), 0), G, M))  # GM_c^n = (G·E_c)^n
     H = times(H, zz)
     cells = _point_tensor((1, ((), 0, 1), times(F, zz * d), _point_p(A)), (1, ((0,), 1), H, M),
                           (1, (0, (1,)), H, M), (-1, ((0, 1),), M, H), (-1, ((0,), 1), GM, M))
-    return _over(zz * d * d, cells)
+    return _over(A, zz * d * d, cells)
 
 
 def is_pseudo_eventual_identity(A: AlgebroidPresentation, E: Section) -> Report:
     """Check P_ℰ(X,Y) = [e,ℰ]·X·Y on basis pairs.
 
-    With ℰ fixed, both sides are function-bilinear in (X,Y), so the
-    frame pairs span all cases. The residual tensor is contracted from the
-    tables where ``_pseudo_eventual_tensor`` can; otherwise (distinct
-    component denominators, a rational table entry) pairs are evaluated on sections.
+    With ℰ fixed, both sides are function-bilinear in (X,Y), so the frame
+    pairs span all cases. The residual tensor is contracted from the tables
+    (``_pseudo_eventual_tensor``): over numerators where e and ℰ each have one
+    shared denominator over a ``polynomial`` base, else over RatFuncs.
     """
-    e = _require_identity(A)
-    frame, residual = _point_labels(A), _pseudo_eventual_tensor(A, e, E)
-    if residual is None:  # each frame section recurs in many pairs: bracket it with ℰ and scale it once
-        frame, mul = _frame_args(A), A.multiply
-        bracket, scaled = cache(partial(A.bracket_of, E)), cache(partial(mul, A.bracket_of(e, E)))
-
-        def residual(X: Section, Y: Section) -> Section:  # P_ℰ(X,Y) - [e,ℰ]·X·Y, P as in ``p_tensor``
-            return bracket(mul(X, Y)) - mul(bracket(X), Y) - mul(X, bracket(Y)) - mul(scaled(X), Y)
-
-    return _sweep(A, Report("pseudo-eventual identity"), [
-        (iproduct(frame, frame), ("pseudo-eventual-identity", residual)),
-    ])
+    frame, residual = _point_labels(A), _pseudo_eventual_tensor(A, _require_identity(A), E)
+    rows = [(iproduct(frame, frame), ("pseudo-eventual-identity", residual))]
+    return _sweep(A, Report("pseudo-eventual identity"), rows)
 
 
 def is_pre_f_eventual_identity(A: AlgebroidPresentation, E: Section) -> Report:
@@ -156,20 +165,23 @@ def is_pre_f_eventual_identity(A: AlgebroidPresentation, E: Section) -> Report:
 
     Psi(ℰ,X,Y) = -(ℰ*e)·X·Y, and (X*ℰ)·Y symmetric in X,Y. For a
     PreLie-Com structure the first relation is automatic, but checking
-    it costs little and guards mutated inputs.
+    it costs little and guards mutated inputs. Both are tensors in (X,Y),
+    contracted from the tables: with ρ_x = a(E_x), Psi(ℰ,E_c,E_d) =
+    Σ_x ℰ^x Psi_xcd, ℰ*e = Σ_{x,y} ℰ^x e^y P_xy + Σ_x ℰ^x ρ_x(e) and
+    E_c*ℰ = Σ_y ℰ^y P_cy + ρ_c(ℰ).
     """
-    e, mul, frame = _require_identity(A), A.multiply, _frame_args(A)
-    # each frame section recurs in many pairs: take its pre-Lie products with ℰ and scale it once
-    left, right = cache(partial(A.prelie_of, E)), cache(lambda X: A.prelie_of(X, E))
-    scaled = cache(partial(mul, A.prelie_of(E, e)))
-
-    def relation(X: Section, Y: Section) -> Section:  # Psi(ℰ,X,Y) + (ℰ*e)·X·Y, Psi as in ``psi``
-        return left(mul(X, Y)) - mul(left(X), Y) - mul(X, left(Y)) + mul(scaled(X), Y)
-
-    def symmetry(X: Section, Y: Section) -> Section:
-        return mul(right(X), Y) - mul(right(Y), X)
-
+    e = _require_identity(A)
+    A = A._view(*(c for X in (e, E) for _, c in X.entries))
+    (Et, dE), (et, de) = (A._entry_tables([((), X.entries)]) for X in (E, e))
+    M, P = A.constants("product"), A.constants("prelie")
+    psi = _point_tensor(*_point_psi(A))
+    Ee = _point_tensor((1, ((),), Et, _point_tensor((1, (0, ()), et, P))), (1, ((),), Et, de))  # ℰ*e
+    EeM = _point_tensor((1, ((), 0), Ee, M))  # ((ℰ*e)·E_c)^n
+    relation = _point_tensor((1, ((), 0, 1), Et, psi), (1, ((0,), 1), EeM, M))
+    right = _point_tensor((1, (0, ()), Et, P), (1, (0,), dE))  # E_c*ℰ
+    symmetry = _point_tensor((1, ((0,), 1), right, M), (-1, ((1,), 0), right, M))
     laws = ("psi-eventual-relation", relation), ("prelie-eventual-symmetry", symmetry)
+    frame = _point_labels(A)
     table = [([pair], law) for pair in iproduct(frame, frame) for law in laws]  # the laws alternate pair by pair
     return _sweep(A, Report("pre-F eventual identity"), table)
 
@@ -188,27 +200,19 @@ def invert_section(A: AlgebroidPresentation, E: Section) -> Section:
 
 
 def _dual_product(A: AlgebroidPresentation, E: Section):
-    """The tensor of the dual product X·Y·ℰ. Over a ``polynomial`` base with ℰ = F/δ over one shared
-    denominator it is contracted from the table, M'_ij^k = Σ_{m,n} M_ij^m F^n M_mn^k / δ, each entry normalized
-    once; otherwise it is built from sections (``tensor_of``)."""
-    shared = _shared(A, E)
-    if shared is None:
-        return A.tensor_of(lambda X, Y: A.multiply(A.multiply(X, Y), E))
-    (den, F), M = shared, A.constants("product")
-    cells = _over(den, _point_tensor((1, ((0, 1),), M, _point_tensor((1, (0, ()), F, M)))))
-    zero, r = RatFunc.zero(A.n), range(A.rank)
-    return [[[cells.get((i, j), {}).get(k, zero) for j in r] for i in r] for k in r]
+    """The tensor of the dual product X·Y·ℰ, contracted from the table with ℰ = F/δ as ``_sections`` gives it:
+    M'_ij^k = Σ_{m,n} M_ij^m F^n M_mn^k / δ, each entry normalized once."""
+    B, [(den, F)] = _sections(A, E)
+    M = B.constants("product")
+    return _tensor(A, _over(A, den, _point_tensor((1, ((0, 1),), M, _point_tensor((1, (0, ()), F, M))))))
 
 
 def _square(A: AlgebroidPresentation, X: Section) -> Section:
-    """X·X; over a ``polynomial`` base with X = I/ε over one shared denominator, Σ I^i I^j M_ij^k / ε² from the
-    table, each component normalized once."""
-    shared = _shared(A, X)
-    if shared is None:
-        return A.multiply(X, X)
-    den, I = shared
-    cells = _over(den * den, _point_tensor((1, ((),), I, _point_tensor((1, (0, ()), I, A.constants("product"))))))
-    return Section._from_dict(cells.get((), {}), A.rank, A.n)
+    """X·X = Σ I^i I^j M_ij^k / ε² from the table, with X = I/ε as ``_sections`` gives it, each component
+    normalized once."""
+    B, [(den, I)] = _sections(A, X)
+    square = _point_tensor((1, ((),), I, _point_tensor((1, (0, ()), I, B.constants("product")))))
+    return Section._from_dict(_over(A, den * den, square).get((), {}), A.rank, A.n)
 
 
 def _dual(A: AlgebroidPresentation, E: Section, checker) -> DualityCertificate:
@@ -278,54 +282,56 @@ def ev_identity_closure(A: AlgebroidPresentation, E1: Section, E2: Section) -> R
 
 # -- Nijenhuis operators --------------------------------------------------
 
-_MODES = ("comm", "lie", "prelie", "f", "pre_f")
+_MODES = {"comm": ("product",), "lie": ("bracket",), "prelie": ("prelie",), "f": ("product", "bracket"),
+          "pre_f": ("product", "prelie")}
+_TORSION_LAWS = {"product": "nijenhuis-comm", "bracket": "nijenhuis-lie", "prelie": "nijenhuis-prelie"}
 
 
-def _deformed_op(N, op):
-    """The deformed operation μ_N(X, Y) = μ(NX, Y) + μ(X, NY) - N μ(X, Y), N given as a function."""
+def _twist(mu, Nt: dict, dN: dict, skew: bool) -> tuple[dict, dict]:
+    """(μ_N, T) for an operation μ and a bundle map N: the deformed table μ_N(E_i,E_j) =
+    μ(NE_i,E_j) + μ(E_i,NE_j) - Nμ(E_i,E_j) and the torsion T_ij = μ(NE_i,NE_j) - Nμ_N(E_i,E_j),
+    from the table of μ, Nt = {(j,): {k: N^k_j}} and dN = {(x, j): {k: ρ_x(N^k_j)}}.
 
-    def deformed(X: Section, Y: Section) -> Section:
-        return op(N(X), Y) + op(X, N(Y)) - N(op(X, Y))
-
-    return deformed
-
-
-def _torsion(N: BundleMap, op):
-    """Residual of the Nijenhuis torsion identity μ(NX, NY) = N μ_N(X, Y)."""
-    apply = cache(N.apply)  # each test section recurs in many pairs; map it by N once
-    deformed = _deformed_op(apply, op)
-
-    def residual(X: Section, Y: Section) -> Section:
-        return op(apply(X), apply(Y)) - N.apply(deformed(X, Y))
-
-    return residual
-
-
-def is_nijenhuis(A: AlgebroidPresentation, N: BundleMap, on: str) -> Report:
-    """Torsion identity for the requested mode.
-
-    The commutative case is tensorial, so basis pairs suffice; bracket
-    and pre-Lie torsion are differential and also run with arguments
-    scaled by each base variable.
+    With μ(f·E_a, g·E_b) = fg·μ_ab + f·ρ_a(g)·E_b for the pre-Lie operation, less g·ρ_b(f)·E_a
+    for the bracket (``skew``), and with dN = {} for the product:
+    μ(NE_i,E_j) = Σ_a N^a_i μ_aj - ρ_j(N^k_i) E_k, μ(E_i,NE_j) = Σ_b N^b_j μ_ib + ρ_i(N^k_j) E_k
+    and μ(NE_i,NE_j) = Σ_{a,b} N^a_i N^b_j μ_ab + Σ_a N^a_i ρ_a(N^k_j) E_k - Σ_b N^b_j ρ_b(N^k_i) E_k.
     """
+    once = ((-1, (1, 0), dN),) if skew else ()  # -ρ_j(N^k_i) in μ(NE_i,E_j)
+    twice = ((-1, ((1,), 0), Nt, dN),) if skew else ()  # -Σ_b N^b_j ρ_b(N^k_i) in μ(NE_i,NE_j)
+    left = _point_tensor((1, ((0,), 1), Nt, mu))  # Σ_a N^a_i μ_aj
+    deformed = _point_tensor((1, (0, 1), left), (1, (0, (1,)), Nt, mu), (-1, ((0, 1),), mu, Nt), (1, (0, 1), dN),
+                             *once)
+    torsion = _point_tensor((1, (0, (1,)), Nt, left), (1, ((0,), 1), Nt, dN), *twice, (-1, ((0, 1),), deformed, Nt))
+    return deformed, torsion
+
+
+def _nijenhuis(A: AlgebroidPresentation, N: BundleMap, on: str) -> tuple[Report, dict]:
+    """The torsion report of N in mode ``on`` and the tables it twisted: μ_N by operation name (``_twist``), and
+    {(i,): {m: a(NE_i)^m}} as "anchor"."""
     if on not in _MODES:
         raise ShapeError(f"unknown Nijenhuis mode {on!r}")
     if N.rank != A.rank:
         raise ShapeError("bundle map rank mismatch")
-    frame = _frame_args(A)
-    both = frame + _scaled_args(A)
-    table = []
-    if on in ("comm", "f", "pre_f"):
-        table.append((iproduct(frame, frame), ("nijenhuis-comm", _torsion(N, A.multiply))))
-    if on in ("lie", "f"):
-        if A.bracket is None:
-            raise MissingStructure("bracket")
-        table.append((iproduct(both, both), ("nijenhuis-lie", _torsion(N, A.bracket_of))))
-    if on in ("prelie", "pre_f"):
-        if A.prelie is None:
-            raise MissingStructure("prelie")
-        table.append((iproduct(both, both), ("nijenhuis-prelie", _torsion(N, A.prelie_of))))
-    return _sweep(A, Report(f"Nijenhuis operator ({on})"), table)
+    B = A._view(*chain(*N.matrix))
+    Nt, dN = B._entry_tables([((j,), tuple((k, row[j]) for k, row in enumerate(N.matrix) if row[j].num.coeffs))
+                              for j in range(A.rank)])
+    U, frame = _scaled_slot(A, B.constants("variables")), _point_labels(A)
+    both, rows = frame + _scaled_labels(A), []
+    twisted = {"anchor": _point_tensor((1, ((0,),), Nt, B.constants("anchor")))}
+    for name in _MODES[on]:
+        twisted[name], T = _twist(B.constants(name), Nt, {} if name == "product" else dN, name == "bracket")
+        if name != "product" and A.n:  # a tensor: T(u^m·E_i, u^p·E_j) = u^m·u^p·T_ij, each slot scaled in turn
+            T = _point_tensor((1, (0, 1), T), (1, ((0,), 1), U, T))
+            T = _point_tensor((1, (0, 1), T), (1, (0, (1,)), U, T))
+        rows.append((iproduct(frame, frame) if name == "product" else iproduct(both, both), (_TORSION_LAWS[name], T)))
+    return _sweep(A, Report(f"Nijenhuis operator ({on})"), rows), twisted
+
+
+def is_nijenhuis(A: AlgebroidPresentation, N: BundleMap, on: str) -> Report:
+    """Torsion identity for the requested mode. The torsion of each operation is a tensor, contracted on frame
+    pairs (``_twist``); bracket and pre-Lie torsion also run at u^m·E_i, read off as u^m·u^p·T_ij."""
+    return _nijenhuis(A, N, on)[0]
 
 
 def nijenhuis_deformation(
@@ -339,24 +345,15 @@ def nijenhuis_deformation(
     N, the anchor a∘N and no identity; it is None when the report fails.
     """
     on = "f" if A.bracket is not None else "pre_f" if A.prelie is not None else "comm"
-    report = is_nijenhuis(A, N, on)
+    report, twisted = _nijenhuis(A, N, on)
     if not report.overall:
         return report, None
-    anchor = None
-    if A.anchor is not None:
-        anchor = [A.anchor_of(N.apply(A.basis(i))).components for i in range(A.rank)]
-
-    def twist(op):
-        return A.tensor_of(_deformed_op(N.apply, op))
-
-    return report, AlgebroidPresentation(
-        A.base_vars,
-        A.rank,
-        twist(A.multiply),
-        bracket=twist(A.bracket_of) if on == "f" else None,
-        prelie=twist(A.prelie_of) if on == "pre_f" else None,
-        anchor=anchor,
-    )
+    rows, zero = [twisted["anchor"].get((i,), {}) for i in range(A.rank)], RatFunc.zero(A.n)
+    anchor = None if A.anchor is None else [[_ratfunc(A.n, row[m]) if m in row else zero for m in range(A.n)]
+                                            for row in rows]
+    tensors = {name: _tensor(A, twisted[name]) for name in _MODES[on]}
+    return report, AlgebroidPresentation(A.base_vars, A.rank, tensors["product"], bracket=tensors.get("bracket"),
+                                         prelie=tensors.get("prelie"), anchor=anchor)
 
 
 def deform_by_nijenhuis(A: AlgebroidPresentation, N: BundleMap) -> AlgebroidPresentation:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import combinations, combinations_with_replacement
 
-from .algebroid import AlgebroidPresentation, Section, VectorField, _point_labels, _sweep
+from .algebroid import AlgebroidPresentation, Section, VectorField, _point_labels, _point_tensor, _sweep
 from .duality import is_pseudo_eventual_identity
 from .errors import (
     JetOrderOverflow,
@@ -190,14 +190,14 @@ class Connection:
 
 
 def check_flat_condition(T: AlgebroidPresentation, nabla: Connection, X: Section) -> Report:
-    """Symmetry of (nabla_{d_j} X) . d_l in j and l, on all basis pairs."""
+    """Symmetry of (nabla_{d_j} X) . d_l in j and l, on all basis pairs: Σ_i (V_j^i M_il - V_l^i M_ij) for the
+    sections V_j = nabla_{d_j} X and the product table M, contracted at once."""
     _require_tangent(T)
-
-    def egorov(j: int, l: int) -> Section:
-        lhs = T.multiply(nabla.covariant_derivative(T, j, X), T.basis(l))
-        return lhs - T.multiply(nabla.covariant_derivative(T, l, X), T.basis(j))
-
-    rows = [(combinations(zip(_point_labels(T), range(T.rank)), 2), ("egorov-symmetry", egorov))]
+    V = [nabla.covariant_derivative(T, j, X) for j in range(T.n)]
+    B = T._view(*(c for v in V for _, c in v.entries))
+    table, M = {(j,): {i: B._value(c) for i, c in v.entries} for j, v in enumerate(V)}, B.constants("product")
+    egorov = _point_tensor((1, ((0,), 1), table, M), (-1, ((1,), 0), table, M))
+    rows = [(combinations(_point_labels(T), 2), ("egorov-symmetry", egorov))]
     return _sweep(T, Report("flatness-compatibility of a section"), rows)
 
 

@@ -15,11 +15,8 @@ from falgebroid.algebroid import (
     Section,
     VectorField,
     _anchor_defect,
-    _frame_args,
     _point_tensor,
     _prelie_tuples,
-    _scaled_args,
-    _sweep,
     _witness,
     check_laws,
     check_comm_assoc,
@@ -44,6 +41,7 @@ from falgebroid.errors import MissingStructure, ShapeError
 from falgebroid.exprparse import parse_expr
 from falgebroid.report import Report
 from falgebroid.ring import Poly, RatFunc
+from section_oracle import frame_args, nijenhuis, pre_f_eventual, pseudo_eventual, scaled_args, section_sweep
 from test_ring import DEADLINE, fractions, ratfuncs
 
 
@@ -538,7 +536,7 @@ def test_vector_field_size_mismatch_raises():
 def _section_rows(A):
     """Each law family's rows as Section residuals, keyed by family name; over a base jacobi and pre-lie-symmetry
     also take the scaled sections u^m·E_i, in the order of the contracted rows."""
-    mul, br, assoc, frame, scaled = A.multiply, A.bracket_of, A.prelie_associator, _frame_args(A), _scaled_args(A)
+    mul, br, assoc, frame, scaled = A.multiply, A.bracket_of, A.prelie_associator, frame_args(A), scaled_args(A)
     return {
         "comm-assoc": lambda: [
             (combinations(frame, 2), ("product-symmetry", lambda X, Y: mul(X, Y) - mul(Y, X))),
@@ -579,7 +577,7 @@ def _oracle_reports(A, laws):
     """The Section-evaluation report of each of ``laws``, each law family swept once."""
     rows, families = _section_rows(A), {}
     for name in dict.fromkeys(name for law in laws for name in SECTION_ORACLE[law]):
-        families[name] = _sweep(A, Report("oracle"), rows[name]())
+        families[name] = section_sweep(A, Report("oracle"), rows[name]())
     reports = {law: Report("oracle") for law in laws}
     for law, report in reports.items():
         for name in SECTION_ORACLE[law]:
@@ -771,14 +769,15 @@ def test_base_mutants_fail_with_witnesses():
         scaled |= {c.law for c in failures if "*" in c.instance}
         assert name.split("-")[0] not in FROBENIUS or all(report.overall for report in oracle.values())
         tables = {}
+        a, da = A.constants("anchor"), A.derivatives("anchor")
         if A.bracket is not None:
             B = A.constants("bracket")
-            tables["ρ(B)"], tables["α"] = A.derivatives("bracket"), _anchor_defect(A, B)
-            tables["D"] = A.constants("anchor") and _point_tensor((1, (0, 1), B), (1, (1, 0), B))
+            tables["ρ(B)"], tables["α"] = A.derivatives("bracket"), _point_tensor(*_anchor_defect(B, a, da))
+            tables["D"] = a and _point_tensor((1, (0, 1), B), (1, (1, 0), B))
         if A.prelie is not None:
             P = A.constants("prelie")
             tables["ρ(P)"] = A.derivatives("prelie")
-            tables["β"] = _anchor_defect(A, _point_tensor((1, (0, 1), P), (-1, (1, 0), P)))
+            tables["β"] = _point_tensor(*_anchor_defect(P, a, da, skew=True))
         terms |= {term for term, table in tables.items() if table}
     assert failed >= {"product-symmetry", "associativity", "bracket-antisymmetry", "jacobi", "hertling-manin",
                       "pre-lie-symmetry", "psi-symmetry", "psi-vanishing"}
@@ -847,7 +846,7 @@ def test_scaled_slot_identities_match_the_section_residuals(seed):
     ``jacobiator`` and ``prelie_associator`` of the same sections, entry for entry."""
     A = _random_presentation(seed)
     assert any(not c.is_zero() for c in chain(*chain(*A.bracket))) and A.polynomial == (seed % 2 == 0)
-    frame, scaled = _frame_args(A), _scaled_args(A)
+    frame, scaled = frame_args(A), scaled_args(A)
     (_, (_, antisym)), (_, (_, jacobi)) = LAWS["lie"][0](A)
     [(_, (_, sym))] = LAWS["pre-lie"][0](A)
     assert antisym and jacobi and sym
@@ -862,11 +861,11 @@ def test_scaled_slot_identities_match_the_section_residuals(seed):
 
 # -- every sweeping check against plain Section evaluation -------------------
 #
-# The oracle runs each checker's law table through a test-only copy of the sweep
-# loop that records each instance by itself, with each law family's Section rows
-# (``_section_rows``) in place of its contraction, and the pseudo-eventual
-# identity's Section rows in place of ``_pseudo_eventual_tensor``; the reports
-# must agree law for law, instance for instance, in pass flag and witness text.
+# The oracle of each check is its Section evaluation: the law families' Section
+# rows (``_section_rows``) and the Section oracles of the eventual-identity and
+# Nijenhuis checks (``section_oracle``), each instance evaluated by itself; the
+# reports must agree law for law, instance for instance, in pass flag and
+# witness text.
 
 
 def _plain_sweep(A, report, table, prefix=""):
@@ -881,16 +880,18 @@ def _plain_sweep(A, report, table, prefix=""):
 
 
 def _sweeping_checks(A):
-    """Every checker that sweeps A: its carried ``falg check`` laws, and with an identity the eventual-identity
-    checks and the Nijenhuis torsion of multiplication by ℰ = (u_(i mod n))_i."""
-    checks = [partial(CHECKERS[law], A) for law in _carried_laws(A)]
+    """Every checker that sweeps A, each beside its Section oracle: its carried ``falg check`` laws, and with an
+    identity the eventual-identity checks and the Nijenhuis torsion of multiplication by ℰ = (u_(i mod n))_i."""
+    checks = [(partial(CHECKERS[law], A), partial(_oracle_report, A, law)) for law in _carried_laws(A)]
     if A.identity is not None:
         E = Section([RatFunc.var(A.n, i % A.n) for i in range(A.rank)])
         N = multiplication_matrix(A, E)
         if A.bracket is not None:
-            checks += [partial(is_pseudo_eventual_identity, A, E), partial(is_nijenhuis, A, N, "f")]
+            checks += [(partial(is_pseudo_eventual_identity, A, E), partial(pseudo_eventual, A, E)),
+                       (partial(is_nijenhuis, A, N, "f"), partial(nijenhuis, A, N, "f"))]
         if A.prelie is not None:
-            checks += [partial(is_pre_f_eventual_identity, A, E), partial(is_nijenhuis, A, N, "pre_f")]
+            checks += [(partial(is_pre_f_eventual_identity, A, E), partial(pre_f_eventual, A, E)),
+                       (partial(is_nijenhuis, A, N, "pre_f"), partial(nijenhuis, A, N, "pre_f"))]
     return checks
 
 
@@ -898,18 +899,11 @@ MEMO_CASES = [(name, None) for name in MEMO_NAMES] + [(name, seed) for name in M
 
 
 @pytest.mark.parametrize("name,seed", MEMO_CASES, ids=[f"{n}-{s}" for n, s in MEMO_CASES])
-def test_memoized_sweep_matches_plain_evaluation(name, seed, monkeypatch):
-    import falgebroid.algebroid
-    import falgebroid.duality
-
+def test_memoized_sweep_matches_plain_evaluation(name, seed):
     A = _presentation(name) if seed is None else _mutant(name, seed)
     assert A.n > 0
-    contracted = [_outcomes(check()) for check in _sweeping_checks(A)]
-    for module in (falgebroid.algebroid, falgebroid.duality):
-        monkeypatch.setattr(module, "_sweep", _plain_sweep)
-    monkeypatch.setattr(falgebroid.algebroid, "LAWS", _section_families())
-    monkeypatch.setattr(falgebroid.duality, "_pseudo_eventual_tensor", lambda A, E, g: None)  # its Section rows
-    assert [_outcomes(check()) for check in _sweeping_checks(A)] == contracted
+    for check, oracle in _sweeping_checks(A):
+        assert _outcomes(check()) == _outcomes(oracle())
 
 
 def test_sweeping_mutants_fail_with_witnesses():
@@ -918,8 +912,40 @@ def test_sweeping_mutants_fail_with_witnesses():
     for name, seed in MEMO_CASES:
         if seed is not None:
             A = _mutant(name, seed)
-            failed |= {c.law for check in _sweeping_checks(A) for c in check().failures() if c.witness}
+            failed |= {c.law for check, _ in _sweeping_checks(A) for c in check().failures() if c.witness}
     assert failed >= {"product-symmetry", "associativity", "bracket-antisymmetry", "jacobi", "hertling-manin",
                       "pre-lie-symmetry", "psi-symmetry", "psi-vanishing", "pseudo-eventual-identity",
                       "psi-eventual-relation", "prelie-eventual-symmetry", "nijenhuis-comm", "nijenhuis-lie",
                       "nijenhuis-prelie"}
+
+
+def test_converted_checks_evaluate_no_sections(monkeypatch):
+    """The Nijenhuis torsion and deformation, both eventual-identity checks, the dual product and e†, the Egorov
+    symmetry and the order rule over a base are contracted from the tables: with a rational N, sections of
+    distinct denominators and a cochain with a rational symbol, none of them evaluates an operation on sections."""
+    from falgebroid.deformation import FormalDeformation, MultiDer, semiclassical_limit
+    from falgebroid.duality import BundleMap, _dual_product, _square, nijenhuis_deformation
+    from falgebroid.hierarchy import Connection, check_flat_condition
+
+    SS3, TR2 = load_fixture("SS3"), load_fixture("TR2")
+    u, one, zero = [RatFunc.var(3, m) for m in range(3)], RatFunc.one(3), RatFunc.zero(3)
+    N = BundleMap([[one / (u[0] + one), zero, zero], [zero, u[1], zero], [zero, zero, u[2] * u[2]]])
+    E = Section([one / u[0], one / (u[1] + one), u[2]])
+    v = [RatFunc.var(2, m) for m in range(2)]
+    mu1 = MultiDer.build(2, 2, 2, lambda idx: Section.zero(2, 2),
+                         lambda idx: VectorField([RatFunc.one(2) / (v[1] + RatFunc.one(2)), v[idx[0]]]))
+
+    def refuse(*args):
+        raise AssertionError("a check evaluated an operation on sections")
+
+    for cls, names in ((AlgebroidPresentation, ("multiply", "bracket_of", "prelie_of", "anchor_of")),
+                       (BundleMap, ("apply",)), (MultiDer, ("eval", "sigma_eval"))):
+        for op in names:
+            monkeypatch.setattr(cls, op, refuse)
+    assert is_nijenhuis(SS3, N, "f").overall and is_nijenhuis(SS3, N, "pre_f").overall
+    assert nijenhuis_deformation(SS3, N)[1] is not None
+    assert is_pseudo_eventual_identity(SS3, E).overall and is_pre_f_eventual_identity(SS3, E).overall
+    assert not is_pre_f_eventual_identity(TR2, Section([v[0] * v[0], v[1]])).overall
+    assert _dual_product(SS3, E) and _square(SS3, E)
+    assert not check_flat_condition(SS3, Connection(), Section([u[1] / (u[0] + one), zero, zero])).overall
+    assert semiclassical_limit(FormalDeformation(load_fixture("SS2"), [mu1])).anchor

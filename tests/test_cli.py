@@ -466,6 +466,11 @@ GOLDEN_FILES = {
     "nc3.json": {"D": [[["0", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]], _W3[1], _W3[2]]},
     "n.json": [["u1", "0"], ["0", "u2"]],
     "t.json": [["u2", "0"], ["0", "u1"]],
+    # a diagonal Nijenhuis operator with a rational entry
+    "rn.json": [["1/(u1+1)", "0"], ["0", "u2"]],
+    # cochains over (u1, u2) with the identity symbol rows: D = 0 deforms SS2, mu1(E1,E1) = E2 breaks order 1
+    "s1.json": {"D": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]], "sigma": [["1", "0"], ["0", "1"]]},
+    "s2.json": {"D": [[["0", "0"], ["0", "0"]], [["1", "0"], ["0", "0"]]], "sigma": [["1", "0"], ["0", "1"]]},
 }
 GOLDEN_FIXTURES = ("FM2", "ACT2", "SS1", "SS2", "SS3", "SS4", "TR", "TR2", "POISSON_SEED", "DN1", "DN1_2", "DN2_2")
 GOLDEN_ARGV = [["check", "--fixture", name] for name in GOLDEN_FIXTURES] + [
@@ -475,9 +480,15 @@ GOLDEN_ARGV = [["check", "--fixture", name] for name in GOLDEN_FIXTURES] + [
     ["check", "pl.json", "--law", "prelie-com"],
     ["deform", "--fixture", "SS2", "--nijenhuis", "n.json"],
     ["deform", "--fixture", "SS2", "--nijenhuis", "t.json"],
+    ["deform", "--fixture", "SS2", "--nijenhuis", "rn.json"],
+    ["deform", "--fixture", "SS2", "--mu1", "s1.json", "--order", "2"],
+    ["deform", "--fixture", "SS2", "--mu1", "s2.json"],
     ["deform", "qu3.json", "--mu1", "w3.json", "--order", "2"],
     ["deform", "qu3.json", "--mu1", "nc3.json"],
     ["dual", "--fixture", "SS2", "--ev", "u1 + 1,2"],
+    ["dual", "--fixture", "SS2", "--ev", "1/u1,1/(u2+1)"],
+    ["dual", "--fixture", "SS2", "--ev", "u1,u2", "--pre-f"],
+    ["dual", "--fixture", "TR2", "--ev", "u1^2,u2", "--pre-f"],
     ["hierarchy", "--fixture", "SS2", "--alpha-max", "2"],
     ["hierarchy", "--fixture", "SS2", "--flows", "u2,0;u1,0"],
     ["hierarchy", "--fixture", "SS2", "--flows", "u1/(u2+1),0;u1,0"],
@@ -501,9 +512,15 @@ GOLDEN = {
     'check pl.json --law prelie-com': (1, 'c0200a1ae3c91a49', 'd63cfb0531395413'),
     'deform --fixture SS2 --nijenhuis n.json': (0, '60e93cadb86ef055', '9a5c558851aeb4de'),
     'deform --fixture SS2 --nijenhuis t.json': (1, '428576b6a07ba21b', '45dfff9b67e3fbe9'),
+    'deform --fixture SS2 --nijenhuis rn.json': (0, '24a5e3afc2d3acee', '9a5c558851aeb4de'),
+    'deform --fixture SS2 --mu1 s1.json --order 2': (0, 'f9e009b3f55e9b18', '11ce15dfced3d5f5'),
+    'deform --fixture SS2 --mu1 s2.json': (1, 'dae6bafa98eadf65', '651b693a1a588dde'),
     'deform qu3.json --mu1 w3.json --order 2': (0, '45a3d178aba209a8', '25801413821e56de'),
     'deform qu3.json --mu1 nc3.json': (1, '6c1445fe30e52f07', 'e950170722fbf9b0'),
     'dual --fixture SS2 --ev u1 + 1,2': (0, '1ceb080a527daef8', 'a3aabed0b3001ef8'),
+    'dual --fixture SS2 --ev 1/u1,1/(u2+1)': (0, 'e62fc17cba4cab5b', 'a3aabed0b3001ef8'),
+    'dual --fixture SS2 --ev u1,u2 --pre-f': (0, 'ad27822fd0c9c4a7', 'a3aabed0b3001ef8'),
+    'dual --fixture TR2 --ev u1^2,u2 --pre-f': (1, 'e3b0c44298fc1c14', '407e4dc0850a7596'),
     'hierarchy --fixture SS2 --alpha-max 2': (0, '5d3798fa116a1c06', '18c83e7c629475a6'),
     'hierarchy --fixture SS2 --flows u2,0;u1,0': (1, 'df2d339b4c854a37', 'ea9e7ae0fb9bf6b5'),
     'hierarchy --fixture SS2 --flows u1/(u2+1),0;u1,0': (1, '4bb7b6439edc9163', 'ea687285fff674f1'),
@@ -511,15 +528,17 @@ GOLDEN = {
 
 
 def _golden(argv, tmp_path, monkeypatch, capsys) -> tuple:
-    """The exit code and the sha256 of the stdout and of the --json bytes of ``falg argv``, run in ``tmp_path``."""
+    """The exit code and the sha256 of the stdout and of the --json bytes of ``falg argv``, run in ``tmp_path``; of
+    the stderr bytes instead when the command is refused before it writes a report."""
     import hashlib
 
     monkeypatch.chdir(tmp_path)
     for name, doc in GOLDEN_FILES.items():
         (tmp_path / name).write_text(json.dumps(doc))
-    code, out, _ = run([*argv, "--json", "r.json"], capsys)
+    code, out, err = run([*argv, "--json", "r.json"], capsys)
     digest = lambda data: hashlib.sha256(data).hexdigest()[:16]  # noqa: E731
-    return code, digest(out.encode()), digest((tmp_path / "r.json").read_bytes())
+    report = tmp_path / "r.json"
+    return code, digest(out.encode()), digest(report.read_bytes() if report.exists() else err.encode())
 
 
 @pytest.mark.parametrize("argv", GOLDEN_ARGV, ids=[" ".join(argv) for argv in GOLDEN_ARGV])

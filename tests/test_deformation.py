@@ -7,14 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from falgebroid.algebroid import AlgebroidPresentation, Section, VectorField, _frame_args, check_f_algebroid
+from falgebroid.algebroid import AlgebroidPresentation, Section, VectorField, check_f_algebroid
 from falgebroid.constructions import FiniteAlgebra, fm2_algebra, load_fixture
 from falgebroid.deformation import (
     FormalDeformation,
     MultiDer,
     _coord_args,
     _coords,
-    _order_k_residual,
     _vector_to_multider,
     as_prelie,
     check_n_deformation,
@@ -38,6 +37,8 @@ from falgebroid.errors import (
 from falgebroid.linalg import nullspace, rank as mat_rank, solve
 from falgebroid.report import Report
 from falgebroid.ring import Poly, RatFunc
+from section_oracle import frame_args, n_deformation, order_k_residual, scaled_basis
+from test_algebroid import _outcomes
 
 
 # -- the truncated polynomial algebra example ------------------------------
@@ -186,7 +187,7 @@ def test_coboundary_consistency_on_prelie_fixtures():
         for degree in (1, 2):
             md = rand_multider(rng, degree, r, nv)
             d1 = d_def(A, md)
-            args = [A.scaled_basis(0, i % r) for i in range(degree + 1)]
+            args = [scaled_basis(A, 0, i % r) for i in range(degree + 1)]
             assert d1.eval(args) == d_def_eval(A, md, args)
             assert (
                 d1.sigma_eval(args[:-1]) - d_def_sigma_eval(A, md, args[:-1])
@@ -258,7 +259,7 @@ def test_obstruction_matches_the_residual_at_every_basis_triple():
     assert not theta.is_zero()
     basis = [A.basis(i) for i in range(A.rank)]
     for idx in itertools.product(range(A.rank), repeat=3):
-        assert theta.D[idx] == _order_k_residual(deform, 2, *(basis[i] for i in idx)), idx
+        assert theta.D[idx] == order_k_residual(deform, 2, *(basis[i] for i in idx)), idx
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
@@ -474,18 +475,18 @@ def test_equivalence_over_base_needs_witness():
 # -- the point path against MultiDer.eval and d_def --------------------------
 #
 # Over a point the four deformation checks run on coordinate vectors and sparse
-# coboundary rows. The oracles below take the MultiDer route, as the checks do
-# over a positive-dimensional base: every residual through MultiDer.eval (in
-# _order_k_residual) and every coboundary through d_def, both called here.
+# coboundary rows. The oracles below take the MultiDer route: every residual
+# through MultiDer.eval (in order_k_residual) and every coboundary through
+# d_def, both called here.
 
 
 def oracle_check_n_deformation(deform):
     A = deform.base
     report = Report(f"pre-Lie {deform.order}-deformation")
     for k in range(deform.order + 1):
-        for case in itertools.product(_frame_args(A), repeat=3):
+        for case in itertools.product(frame_args(A), repeat=3):
             names, args = zip(*case)
-            res = _order_k_residual(deform, k, *args)
+            res = order_k_residual(deform, k, *args)
             report.add("pre-lie-rule", f"order {k} ({','.join(names)})", res.is_zero(), A.fmt(res))
     return report
 
@@ -494,7 +495,7 @@ def oracle_obstruction(deform):
     A = deform.base
     basis = [A.basis(i) for i in range(A.rank)]
     theta = MultiDer.build(
-        3, A.rank, 0, lambda idx: _order_k_residual(deform, deform.order + 1, *(basis[i] for i in idx))
+        3, A.rank, 0, lambda idx: order_k_residual(deform, deform.order + 1, *(basis[i] for i in idx))
     )
     if not d_def(as_prelie(A), theta).is_zero():
         raise FalgError("obstruction cochain is not closed; deformation data invalid")
@@ -637,3 +638,70 @@ def test_point_deformation_checks_call_neither_eval_nor_d_def(monkeypatch):
     assert calls == []
     falgebroid.deformation.d_def(P, phi)  # the counters see the MultiDer route
     assert "d_def" in calls and "eval" in calls
+
+
+# -- the order rule over a base against MultiDer.eval ---------------------------------
+#
+# Over a positive-dimensional base the order-k rule and the obstruction's D values
+# are contracted from the tables of D and sigma (``_rule``). The oracle evaluates
+# every residual through MultiDer.eval, on frame triples and with each slot in turn
+# scaled by each base variable.
+
+
+def base_cochain(rng, A, seed):
+    """A degree-2 cochain over A's base: seeds 0 and 1 carry only a symbol (D = 0), seeds 2 and 3 a sparse D too;
+    odd seeds divide some entries by u1 + 2."""
+    n, r = A.n, A.rank
+    den = RatFunc.var(n, 0) + RatFunc.const(n, 2)
+
+    def entry(p):
+        f = rand_poly(rng, n, 1) if rng.random() < p else RatFunc.zero(n)
+        return f / den if seed % 2 and rng.random() < 0.5 else f
+
+    return MultiDer.build(2, r, n, lambda idx: Section([entry(0.25 if seed >= 2 else 0) for _ in range(r)]),
+                          lambda idx: VectorField([entry(0.5) for _ in range(n)]))
+
+
+BASE_DEFORMATION_CASES = [(name, seed) for name in ("SS2", "TR2") for seed in range(4)] + [("SS3", 1), ("SS3", 3)]
+
+
+def base_deformations(name, seed):
+    """The deformations of a base case: its first cochain alone, and both."""
+    A, rng = load_fixture(name), random.Random(f"base-deformation:{name}:{seed}")
+    mus = [base_cochain(rng, A, seed) for _ in range(2)]
+    return [FormalDeformation(A, mus[:1]), FormalDeformation(A, mus)]
+
+
+@pytest.mark.parametrize("name,seed", BASE_DEFORMATION_CASES, ids=[f"{n}-{s}" for n, s in BASE_DEFORMATION_CASES])
+def test_base_deformation_rule_matches_the_multider_oracle(name, seed):
+    """check_n_deformation gives MultiDer.eval's instances, pass flags and witnesses, and the contracted residual
+    of the next order is the obstruction's D value at every frame triple."""
+    from falgebroid.algebroid import _ratfunc
+    from falgebroid.algebroid import _frame_rule
+    from falgebroid.deformation import _pairs, _tables
+
+    for deform in base_deformations(name, seed):
+        A, k = deform.base, deform.order + 1
+        assert _outcomes(check_n_deformation(deform)) == _outcomes(n_deformation(deform))
+        residual, basis = _frame_rule(_pairs(deform, k, _tables(deform))), [A.basis(i) for i in range(A.rank)]
+        for idx in itertools.product(range(A.rank), repeat=3):
+            want = order_k_residual(deform, k, *(basis[i] for i in idx))
+            assert Section._from_dict({c: _ratfunc(A.n, v) for c, v in residual.get(idx, {}).items()}, A.rank,
+                                      A.n) == want, idx
+        theta = outcome(obstruction, deform)
+        if isinstance(theta, MultiDer):
+            assert all(theta.D[idx] == order_k_residual(deform, k, *(basis[i] for i in idx)) for idx in theta.D)
+
+
+def test_base_deformation_cases_reach_every_verdict():
+    """The base cases pass and fail, with polynomial and with rational entries, and some fail only at a scaled
+    third slot, where the rule's symbol commutator term β lives."""
+    kinds = set()
+    for name, seed in BASE_DEFORMATION_CASES:
+        for deform in base_deformations(name, seed):
+            report = check_n_deformation(deform)
+            slots = [["*" in t for t in c.instance.split("(")[1].split(",")] for c in report.failures() if c.witness]
+            kinds.add((report.overall, seed % 2))
+            if slots and all(scaled == [False, False, True] for scaled in slots):
+                kinds.add("scaled third slot")
+    assert kinds >= {(True, 0), (True, 1), (False, 0), (False, 1), "scaled third slot"}

@@ -5,19 +5,12 @@ from itertools import product as iproduct
 
 import pytest
 
-from falgebroid.algebroid import (
-    Section,
-    _frame_args,
-    _sweep,
-    check_f_algebroid,
-    check_pre_f,
-)
+import falgebroid.duality as duality
+from falgebroid.algebroid import Section, check_f_algebroid, check_pre_f
 from falgebroid.constructions import load_fixture
 from falgebroid.duality import (
     BundleMap,
     _dual_product,
-    _pseudo_eventual_tensor,
-    _shared,
     _square,
     deform_by_nijenhuis,
     dubrovin_dual,
@@ -26,14 +19,18 @@ from falgebroid.duality import (
     is_nijenhuis,
     is_pre_f_eventual_identity,
     is_pseudo_eventual_identity,
+    multiplication_matrix,
+    nijenhuis_deformation,
     nijenhuis_from_eventual,
     pre_f_dual,
     verify_certificate,
 )
 from falgebroid.errors import NotEventual, NotInvertible, NotNijenhuis, ShapeError
 from falgebroid.report import Report
-from falgebroid.ring import RatFunc
-from test_algebroid import _mutant, _mutate_tensor, _outcomes, _presentation, frobenius
+from falgebroid.ring import Poly, RatFunc
+import section_oracle
+from section_oracle import pre_f_eventual, pseudo_eventual, tensor_of
+from test_algebroid import _mutant, _mutate_tensor, _outcomes, _presentation, _random_presentation, frobenius
 from test_report import check_to_dict
 
 
@@ -221,14 +218,9 @@ def test_add_verdict_records_a_sub_report_as_one_check():
 # -- contractions over one shared denominator against Section evaluation ------
 
 
-def _eventual_oracle(A, E):
-    """The pseudo-eventual identity evaluated on sections, pair by pair: P_ℰ(X,Y) - [e,ℰ]·X·Y."""
-    factor, frame = A.bracket_of(A.identity, E), _frame_args(A)
-
-    def residual(X, Y):
-        return A.p_tensor(E, X, Y) - A.multiply(A.multiply(factor, X), Y)
-
-    return _sweep(A, Report("oracle"), [(iproduct(frame, frame), ("pseudo-eventual-identity", residual))])
+def _shared(A, *sections):
+    """Whether the sections enter a contraction as numerators over shared denominators."""
+    return all(type(den) is Poly for den, _ in duality._sections(A, *sections)[1])
 
 
 def _perturbed(E, k, f):
@@ -255,7 +247,7 @@ def _ss_dual(n):
 
 
 def _eventual_cases():
-    """(name, A, ℰ, whether the contraction applies) for the pseudo-eventual oracle."""
+    """(name, A, ℰ, whether e and ℰ enter as numerators over shared denominators) for the pseudo-eventual oracle."""
     for name in ("A2", "A3", "B3", "A2-dual", "A3-dual", "B3-dual"):
         A, E = _frobenius_case(name)
         yield name, A, E, True
@@ -278,36 +270,29 @@ def _eventual_cases():
 
 def test_pseudo_eventual_contraction_matches_section_evaluation():
     """The contracted check and Section evaluation agree in every pass flag and witness text: at Euler fields, on
-    the duals at e†, on one-component perturbations of ℰ, and on the inputs that keep Section rows (distinct
+    the duals at e†, on one-component perturbations of ℰ, and on the inputs contracted over RatFuncs (distinct
     denominators, a rational table entry)."""
     passed, witnessed = set(), set()
-    for name, A, E, contracted in _eventual_cases():
-        assert (_pseudo_eventual_tensor(A, A.identity, E) is not None) == contracted, name
-        report, oracle = is_pseudo_eventual_identity(A, E), _eventual_oracle(A, E)
+    for name, A, E, shared in _eventual_cases():
+        assert _shared(A, A.identity, E) == shared, name
+        report, oracle = is_pseudo_eventual_identity(A, E), pseudo_eventual(A, E)
         assert _outcomes(report) == _outcomes(oracle), name
         passed |= {name} if report.overall else set()
-        witnessed |= {name} if contracted and any(c.witness for c in report.failures()) else set()
+        witnessed |= {(name, shared)} if any(c.witness for c in report.failures()) else set()
     assert passed == {"A2", "A3", "B3", "A2-dual", "A3-dual", "B3-dual", "SS2 distinct", "SS2-dual", "SS3-dual"}
-    assert {"A2-dual perturbed 0", "B3 perturbed 2", "SS2 mixed"} <= witnessed
-
-
-def _pre_f_oracle(A, E):
-    """The pre-F eventual-identity relations evaluated with ``psi`` and ``prelie_of``, pair by pair."""
-    factor, mul = A.prelie_of(E, A.identity), A.multiply
-    laws = (("psi-eventual-relation", lambda X, Y: A.psi(E, X, Y) + mul(mul(factor, X), Y)),
-            ("prelie-eventual-symmetry", lambda X, Y: mul(A.prelie_of(X, E), Y) - mul(A.prelie_of(Y, E), X)))
-    return _sweep(A, Report("oracle"), [([pair], law) for pair in iproduct(_frame_args(A), repeat=2) for law in laws])
+    assert {("A2-dual perturbed 0", True), ("B3 perturbed 2", True), ("SS2 mixed", True),
+            ("SS2-dual perturbed", False), ("SS2 rational table", False)} <= witnessed
 
 
 def test_pre_f_eventual_identity_matches_section_evaluation():
-    """The pre-F check's cached pre-Lie products agree with ``psi`` in every pass flag and witness text, on the
-    pre-F fixtures and their seeded mutants, at ℰ = (u_(i mod n))_i and at the identity."""
+    """The contracted pre-F check agrees with ``psi`` in every pass flag and witness text, on the pre-F fixtures and
+    their seeded mutants, at ℰ = (u_(i mod n))_i and at the identity."""
     failed = set()
     for name in ("SS2", "SS3", "TR2", "SS3-dual"):
         for A in [_presentation(name)] + [_mutant(name, seed) for seed in range(3)]:
             for E in (Section([RatFunc.var(A.n, i % A.n) for i in range(A.rank)]), A.identity):
                 report = is_pre_f_eventual_identity(A, E)
-                assert _outcomes(report) == _outcomes(_pre_f_oracle(A, E)), name
+                assert _outcomes(report) == _outcomes(pre_f_eventual(A, E)), name
                 failed |= {c.law for c in report.failures() if c.witness}
     assert failed == {"psi-eventual-relation", "prelie-eventual-symmetry"}
 
@@ -339,6 +324,103 @@ def test_dual_product_and_square_match_section_evaluation(name):
     A = frobenius(name)[0] if name == "A3" else _noncommutative("SS3") if "-" in name else load_fixture(name)
     assert A.polynomial
     for X, shared in _sections(A):
-        assert (_shared(A, X) is not None) == shared
-        assert _dual_product(A, X) == A.tensor_of(lambda Y, Z: A.multiply(A.multiply(Y, Z), X))
+        assert _shared(A, X) == shared
+        assert _dual_product(A, X) == tensor_of(A, lambda Y, Z: A.multiply(A.multiply(Y, Z), X))
         assert _square(A, X) == A.multiply(X, X)
+
+
+@pytest.mark.parametrize("name", ["SS2", "SS3", "TR2", "A3"])
+def test_eventual_checks_match_section_evaluation_on_every_kind_of_section(name):
+    """Polynomial, shared-denominator and distinct-denominator sections ℰ, contracted over numerators or over
+    RatFuncs, give the Section evaluation's pass flags and witnesses in both eventual-identity checks."""
+    A = frobenius(name)[0] if name == "A3" else load_fixture(name)
+    for E, shared in _sections(A):
+        assert _shared(A, A.identity, E) == shared
+        if A.bracket is not None:
+            assert _outcomes(is_pseudo_eventual_identity(A, E)) == _outcomes(pseudo_eventual(A, E))
+        if A.prelie is not None:
+            assert _outcomes(is_pre_f_eventual_identity(A, E)) == _outcomes(pre_f_eventual(A, E))
+
+
+# -- Nijenhuis torsion from the tables against Section evaluation ----------------
+
+
+def _bundle_maps(A):
+    """Multiplication by ℰ = (u_(i mod n))_i, a diagonal map with the entry 1/(u1 + 1), and a seeded map whose
+    entries include rational functions; over a point, constants in their place."""
+    n, r = A.n, A.rank
+    one, zero = RatFunc.one(n), RatFunc.zero(n)
+    u = [RatFunc.var(n, m) for m in range(n)] or [RatFunc.const(0, 2), RatFunc.const(0, -1)]
+    E = Section([u[i % len(u)] for i in range(r)])
+    diagonal = [[(one / (u[0] + one) if i == 0 else u[i % len(u)]) if i == j else zero for j in range(r)]
+                for i in range(r)]
+    rng = random.Random(f"bundle-map:{A.base_vars}:{r}")
+    pool = [zero, zero, one, u[0], u[-1] * u[0] - one, one / (u[-1] + one + one)]
+    return [multiplication_matrix(A, E), BundleMap(diagonal), BundleMap([[rng.choice(pool) for _ in range(r)]
+                                                                        for _ in range(r)])]
+
+
+def _modes(A):
+    """The Nijenhuis modes whose operations A carries."""
+    return [mode for mode, names in section_oracle.MODES.items() if all(getattr(A, x) is not None for x in names)]
+
+
+NIJENHUIS_CASES = [(name, None) for name in ("FM2", "ACT2", "SS2", "SS3", "TR2", "SS3-dual")]
+NIJENHUIS_CASES += [(name, seed) for name in ("SS2", "TR2", "SS3-dual") for seed in (0, 1, "anchor0", "rational0")]
+
+
+@pytest.mark.parametrize("name,seed", NIJENHUIS_CASES, ids=[f"{n}-{s}" for n, s in NIJENHUIS_CASES])
+def test_nijenhuis_torsion_matches_section_evaluation(name, seed):
+    """In every mode A carries, the contracted torsion gives the Section evaluation's instances, pass flags and
+    witnesses, for polynomial and rational N; a passing N deforms A into the presentation built from sections."""
+    A = _presentation(name) if seed is None else _mutant(name, seed)
+    for N in _bundle_maps(A):
+        for mode in _modes(A):
+            assert _outcomes(is_nijenhuis(A, N, mode)) == _outcomes(section_oracle.nijenhuis(A, N, mode)), mode
+        report, deformed = nijenhuis_deformation(A, N)
+        if report.overall:
+            want = section_oracle.nijenhuis_deformation(A, N)
+            assert (deformed.product, deformed.bracket, deformed.prelie) == (want.product, want.bracket, want.prelie)
+            assert deformed.anchor == (want.anchor and [list(row) for row in want.anchor])
+
+
+def test_nijenhuis_cases_reach_every_verdict():
+    """The torsion cases fail every torsion law with witnesses, also at scaled arguments, and a rational N passes."""
+    failed, scaled, passed = set(), set(), set()
+    for name, seed in NIJENHUIS_CASES:
+        A = _presentation(name) if seed is None else _mutant(name, seed)
+        for index, N in enumerate(_bundle_maps(A)):
+            for mode in _modes(A):
+                report = is_nijenhuis(A, N, mode)
+                failed |= {c.law for c in report.failures() if c.witness}
+                scaled |= {c.law for c in report.failures() if "*" in c.instance}
+                passed |= {(mode, index)} if report.overall and A.n else set()
+    assert failed == {"nijenhuis-comm", "nijenhuis-lie", "nijenhuis-prelie"}
+    assert scaled == {"nijenhuis-lie", "nijenhuis-prelie"}
+    assert {("f", 1), ("pre_f", 1)} <= passed
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_torsion_is_a_tensor_at_scaled_arguments(seed):
+    """The fact the torsion contraction rests on: on a random presentation whose bracket is not antisymmetric,
+    with a rational anchor entry on odd seeds, and a seeded N with a rational entry, the Section torsion of the
+    product, the bracket and the pre-Lie operation at (u^m·E_i, u^p·E_j) is u^m·u^p times its value at
+    (E_i, E_j)."""
+    A = _random_presentation(seed)
+    rng, n, r = random.Random(f"torsion-tensor:{seed}"), A.n, A.rank
+    u, one = [RatFunc.var(n, m) for m in range(n)], RatFunc.one(n)
+    pool = [RatFunc.zero(n), one, u[0], u[1] * u[0] + one, one / (u[rng.randrange(n)] + one)]
+    N = BundleMap([[rng.choice(pool) for _ in range(r)] for _ in range(r)])
+    N.matrix[rng.randrange(r)][rng.randrange(r)] = u[1] / (u[0] + one)
+    factors = [(None, one)] + list(enumerate(u))
+    nonzero = 0
+    for op in (A.multiply, A.bracket_of, A.prelie_of):
+        T = section_oracle.torsion(N, op)
+        for i, j in iproduct(range(r), repeat=2):
+            frame = T(A.basis(i), A.basis(j))
+            nonzero += not frame.is_zero()
+            for (m, f), (p, g) in iproduct(factors, repeat=2):
+                X = A.basis(i) if m is None else section_oracle.scaled_basis(A, m, i)
+                Y = A.basis(j) if p is None else section_oracle.scaled_basis(A, p, j)
+                assert T(X, Y) == frame.scale_fn(f * g), (op.__name__, i, j, m, p)
+    assert nonzero

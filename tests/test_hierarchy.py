@@ -33,6 +33,9 @@ from falgebroid.hierarchy import (
     total_x,
 )
 from falgebroid.ring import Poly, RatFunc
+from section_oracle import flat_condition
+from test_algebroid import _outcomes, frobenius
+from test_duality import _sections
 
 U = ["u1", "u2"]
 
@@ -163,6 +166,24 @@ def test_check_flat_condition():
     assert not report.overall and all(c.witness for c in report.failures())
     const = Section([RatFunc.const(2, 3), RatFunc.const(2, 5)])
     assert check_flat_condition(T, nabla, const).overall
+
+
+@pytest.mark.parametrize("name", ["SS2", "SS3", "A3"])
+def test_check_flat_condition_matches_section_evaluation(name):
+    """The contracted Egorov symmetry gives the Section evaluation's pass flags and witnesses, with the zero and a
+    seeded rational connection, at polynomial, shared-denominator and distinct-denominator sections."""
+    T = frobenius(name)[0] if name == "A3" else load_fixture(name)
+    n, rng = T.n, random.Random(f"flat-condition:{name}")
+    u, one, zero = [RatFunc.var(n, m) for m in range(n)], RatFunc.one(n), RatFunc.zero(n)
+    pool = [zero, zero, zero, one, u[0], u[-1] * u[0], one / (u[-1] + one)]
+    gamma = tuple(tuple(tuple(rng.choice(pool) for _ in range(n)) for _ in range(n)) for _ in range(n))
+    verdicts = set()
+    for nabla in (Connection(), Connection(gamma)):
+        for X in [Section(u)] + [X for X, _ in _sections(T)]:
+            report = check_flat_condition(T, nabla, X)
+            assert _outcomes(report) == _outcomes(flat_condition(T, nabla, X))
+            verdicts.add(report.overall)
+    assert verdicts == {True, False}
 
 
 def test_eventual_identity_flows_examples():
