@@ -298,10 +298,14 @@ class AlgebroidPresentation:
 
     def constants(self, name: str):
         """The named table converted once by ``_value``: t[a][b] = {k: c} for a tensor, {(x,): {m: a_x^m}} for
-        "anchor" and {(): {m: u^m}} for "variables"."""
+        "anchor", {(): {m: u^m}} for "variables", and for "commutator" the nonzero {(b, c, d): {k: K_cd(E_b)^k}}
+        of K_cd(E_b) = (E_b·E_c)·E_d - (E_b·E_d)·E_c."""
         if name not in self._points:
             if name == "variables":
                 table = {(): {m: self._value(self.var_fn(m)) for m in range(self.n)}}
+            elif name == "commutator":
+                M = self.constants("product")
+                table = _point_tensor((1, ((0, 1), 2), M, M), (-1, ((0, 2), 1), M, M))
             else:
                 table = {idx: {k: self._value(c) for k, c in cell} for idx, cell in self._entries(name)}
             if name in _TENSORS:

@@ -471,6 +471,10 @@ GOLDEN_FILES = {
     # cochains over (u1, u2) with the identity symbol rows: D = 0 deforms SS2, mu1(E1,E1) = E2 breaks order 1
     "s1.json": {"D": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]], "sigma": [["1", "0"], ["0", "1"]]},
     "s2.json": {"D": [[["0", "0"], ["0", "0"]], [["1", "0"], ["0", "0"]]], "sigma": [["1", "0"], ["0", "1"]]},
+    # a tangent presentation with E1·E2 = E2·E1 = E1 and E2·E2 = -E2: commutative, not associative, so its
+    # commutator table K is nonzero
+    "nc.json": {"base_vars": ["u1", "u2"], "rank": 2, "product": [[["0", "1"], ["1", "0"]], [["0", "0"], ["0", "-1"]]],
+                "anchor": [["1", "0"], ["0", "1"]]},
 }
 GOLDEN_FIXTURES = ("FM2", "ACT2", "SS1", "SS2", "SS3", "SS4", "TR", "TR2", "POISSON_SEED", "DN1", "DN1_2", "DN2_2")
 GOLDEN_ARGV = [["check", "--fixture", name] for name in GOLDEN_FIXTURES] + [
@@ -492,6 +496,9 @@ GOLDEN_ARGV = [["check", "--fixture", name] for name in GOLDEN_FIXTURES] + [
     ["hierarchy", "--fixture", "SS2", "--alpha-max", "2"],
     ["hierarchy", "--fixture", "SS2", "--flows", "u2,0;u1,0"],
     ["hierarchy", "--fixture", "SS2", "--flows", "u1/(u2+1),0;u1,0"],
+    ["hierarchy", "--fixture", "SS3", "--alpha-max", "3"],
+    ["hierarchy", "nc.json", "--flows", "u1,0;u1,u2"],
+    ["hierarchy", "nc.json", "--flows", "1,0;u2,u1"],
 ]
 GOLDEN = {
     'check --fixture FM2': (0, 'd39afbea20a6d245', 'ffda9de77579a3c1'),
@@ -524,6 +531,9 @@ GOLDEN = {
     'hierarchy --fixture SS2 --alpha-max 2': (0, '5d3798fa116a1c06', '18c83e7c629475a6'),
     'hierarchy --fixture SS2 --flows u2,0;u1,0': (1, 'df2d339b4c854a37', 'ea9e7ae0fb9bf6b5'),
     'hierarchy --fixture SS2 --flows u1/(u2+1),0;u1,0': (1, '4bb7b6439edc9163', 'ea687285fff674f1'),
+    'hierarchy --fixture SS3 --alpha-max 3': (0, '5829cec45b9c1163', '8fa558442c5ae785'),
+    'hierarchy nc.json --flows u1,0;u1,u2': (1, '3e2c6c3e48b26af2', '47c002ed71cd35b8'),
+    'hierarchy nc.json --flows 1,0;u2,u1': (1, 'bb15bdf8d4a308d6', '0942f10b6c36af1a'),
 }
 
 
@@ -550,10 +560,13 @@ GOLDEN_FLOWS = [argv for argv in GOLDEN_ARGV if "--flows" in argv]
 
 
 @pytest.mark.parametrize("argv", GOLDEN_FLOWS, ids=[" ".join(argv) for argv in GOLDEN_FLOWS])
-def test_flow_witnesses_keep_their_golden_bytes_without_json(argv, capsys):
+def test_flow_witnesses_keep_their_golden_bytes_without_json(argv, tmp_path, monkeypatch, capsys):
     """Without --json a failing flow pair prints the same bytes, its witness built from the jet residual."""
     import hashlib
 
+    monkeypatch.chdir(tmp_path)
+    for name, doc in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
     code, out, _ = run(argv, capsys)
     assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == GOLDEN[" ".join(argv)][:2]
 

@@ -1,7 +1,9 @@
 """Jet calculus, hydrodynamic flows, and the principal hierarchy."""
 
 import random
+from functools import partial
 from itertools import combinations
+from itertools import product as iproduct
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from falgebroid.errors import (
 from falgebroid.exprparse import parse_expr
 from falgebroid.hierarchy import (
     Connection,
+    _bracket_rows,
     _path_integrate,
     HydroFlow,
     check_flat_condition,
@@ -511,3 +514,101 @@ def test_passing_hierarchy_builds_no_prolonged_field(monkeypatch):
     F, G = designated_pair()
     assert flows_commute(F, G, U).failures()[0].witness == "u1*u1_x*u2_x"
     assert calls  # the witness route goes through the counted property
+
+
+def test_passing_hierarchy_takes_no_matrix_products(monkeypatch):
+    """A3's product is commutative and associative, so its commutator table K is empty and decides every row of
+    [B,A]; the hierarchy's flows have empty curls, so no Q' is summed either."""
+    import sys
+
+    calls = []
+    sum_products = RatFunc.sum_products
+
+    def counted(*args):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return sum_products(*args)
+
+    monkeypatch.setattr(RatFunc, "sum_products", staticmethod(counted))
+    A3, _ = frobenius("A3")
+    assert principal_hierarchy(A3, Connection(), [A3.basis(i) for i in range(3)], 2).commutation.overall
+    assert A3._points["commutator"] == {} and "_commutes_at" not in calls
+    F, G = designated_pair()
+    assert not flows_commute(F, G, U).overall
+    assert "_commutes_at" in calls  # flows with no source take the matrix products
+
+
+def nonassociative(rng, T: AlgebroidPresentation, count: int) -> AlgebroidPresentation:
+    """T with ``count`` random polynomial or rational terms added to random product entries."""
+    product = [[list(row) for row in plane] for plane in T.product]
+    for _ in range(count):
+        k, i, j = (rng.randrange(T.rank) for _ in range(3))
+        extra = random_base_function(rng, T.n)
+        product[k][i][j] = product[k][i][j] + (extra if rng.random() < 0.3 else RatFunc(extra.num))
+    return T.with_structures(product=product)
+
+
+def random_tangent(rng, n: int) -> AlgebroidPresentation:
+    """A tangent presentation over n variables with a random sparse product of polynomial entries."""
+    zero, one = RatFunc.zero(n), RatFunc.one(n)
+    product = [[[RatFunc(random_base_function(rng, n).num) if rng.random() < 0.3 else zero for _ in range(n)]
+                for _ in range(n)] for _ in range(n)]
+    return AlgebroidPresentation([f"u{i + 1}" for i in range(n)], n, product,
+                                 anchor=[[one if a == b else zero for b in range(n)] for a in range(n)])
+
+
+def has_commutator(T: AlgebroidPresentation) -> bool:
+    """Whether some (E_b·E_c)·E_d - (E_b·E_d)·E_c is nonzero, by evaluating the products."""
+    frame = [T.basis(i) for i in range(T.rank)]
+    return any(not (T.multiply(T.multiply(b, c), d) - T.multiply(T.multiply(b, d), c)).is_zero()
+               for b, c, d in iproduct(frame, repeat=3))
+
+
+def test_commutator_table_verdicts_match_residuals_on_nonassociative_presentations():
+    """On perturbed SS2, SS3 and A2 and on random products, whose commutator table K is nonzero, each component's
+    verdict from K is the jet oracle's and that of the same velocity matrices taking the matrix products, and the
+    rows failing in K are those of [B,A] = BA - AB."""
+    rng = random.Random(20261019)
+    makers = [partial(nonassociative, rng, T, 2) for T in (load_fixture("SS2"), load_fixture("SS3"), a2_frobenius())]
+    outcomes = {True: 0, False: 0}
+    for make in makers + [partial(random_tangent, rng, n) for n in (2, 2, 3)]:
+        while not has_commutator(T := make()):
+            pass
+        sections = [X for X, _ in _sections(T)] + [Section([RatFunc(random_base_function(rng, T.n).num)
+                                                             for _ in range(T.n)])]
+        flows = [flow_from_section(T, X) for X in sections]
+        twice = flow_from_section(T, sections[0].scale_fn(RatFunc.const(T.n, 2)))
+        for F, G in [*zip(flows, flows[1:]), (flows[0], twice)]:
+            A, B, rows = F.V, G.V, range(T.n)
+            bracket = [[sum((B[i][a] * A[a][b] - A[i][a] * B[a][b] for a in rows), RatFunc.zero(T.n)) for b in rows]
+                       for i in rows]
+            assert _bracket_rows(F, G) == {i for i in rows if any(bracket[i])}
+            verdicts = [c.passed for c in flows_commute(F, G).checks]
+            assert verdicts == [r.is_zero() for r in commutator_residual(F, G)]
+            assert verdicts == [c.passed for c in flows_commute(flow_of(F.V), flow_of(G.V)).checks]
+            for ok in verdicts:
+                outcomes[ok] += 1
+    assert outcomes[True] >= 5 and outcomes[False] >= 10, outcomes
+
+
+def test_flows_of_two_presentations_take_the_matrix_products():
+    """Flows of sections of two presentations, even with the same tables, are compared without a commutator table."""
+    T = nonassociative(random.Random(1), load_fixture("SS2"), 2)
+    X = Section([RatFunc.var(2, 0), RatFunc.one(2)])
+    F, G = flow_from_section(T, X), flow_from_section(T.with_structures(), X.scale_fn(RatFunc.var(2, 1)))
+    assert F == flow_of(F.V) and hash(F) == hash(flow_of(F.V)) and F.source[0] is not G.source[0]
+    assert _bracket_rows(F, G) is None and _bracket_rows(F, flow_of(G.V)) is None
+    verdicts_match_residuals(F, G)
+
+
+def test_noncommutative_hierarchy_flows_are_right_multiplications():
+    """With E_i·E_j = m_j E_i for m = (1, 0), which is not commutative, the recursion's matrix X·E_j is not the
+    velocity matrix E_j·X = (m·X) Id of X, so the hierarchy builds every flow from its section."""
+    zero, one = RatFunc.zero(2), RatFunc.one(2)
+    product = [[[one, zero], [zero, zero]], [[zero, zero], [one, zero]]]
+    T = AlgebroidPresentation(U, 2, product, anchor=[[one, zero], [zero, one]])
+    assert T.multiply(T.basis(0), T.basis(1)) != T.multiply(T.basis(1), T.basis(0))
+    data = principal_hierarchy(T, Connection(), [T.basis(0), T.basis(1)], 2)
+    assert data.commutation.overall
+    for key, X in data.table.items():
+        assert data.flows[key].V == tuple(map(tuple, T.matrix_of(lambda Ej: T.multiply(Ej, X))))
+    assert data.flows[(0, 0)].V != tuple(map(tuple, T.matrix_of(lambda Ej: T.multiply(T.basis(0), Ej))))
