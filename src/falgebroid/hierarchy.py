@@ -8,13 +8,14 @@ Raimondo, Arch. Math. Brno, 2011). Component i of the commutator is
 ``[B,A]^i_b u^b_xx + (d_c [B,A]^i_b + Q'^i_bc) u^b_x u^c_x`` with
 ``Q'^i_bc = A^a_b W_B^i_ac - B^a_b W_A^i_ac`` for each flow's cached curl
 ``W^i_ac = d_a V^i_c - d_c V^i_a``, so it vanishes exactly when row i of
-[B,A] does and then ``Q'^i_bc + Q'^i_cb`` for every b <= c. Q' is zero when
-both curls are, as for every flow of the principal hierarchy.
+[B,A] does and then ``Q'^i_bc + Q'^i_cb`` for every b <= c. Q' has no term
+to sum when both curls are empty, as for every flow of the principal hierarchy.
 
 For flows A = V_X and B = V_Y of one presentation, [B,A](E_b) = (E_b·X)·Y -
 (E_b·Y)·X = Σ_{c,d} X^c Y^d K_cd(E_b) for its commutator table K, built once:
-no product when K is empty (a commutative associative product), else K
-contracted with X and Y. Other flows multiply A and B.
+when K is empty (a commutative associative product) every row of [B,A]
+vanishes with no product. Other flows, and flows of a presentation with a
+nonzero K, multiply A and B.
 
 Only a failing component builds its jet residual, for its witness: a
 ``RatFunc`` in the 3n variables of ``jet_names`` (u, u_x, u_xx), where the
@@ -29,7 +30,7 @@ from functools import cache, cached_property, partial
 from itertools import combinations, combinations_with_replacement
 
 from .algebroid import AlgebroidPresentation, Section, VectorField, _point_labels, _point_tensor, _sweep
-from .duality import _sections, is_pseudo_eventual_identity
+from .duality import is_pseudo_eventual_identity
 from .errors import (
     JetOrderOverflow,
     NonPolynomialAntiderivative,
@@ -87,7 +88,7 @@ class HydroFlow:
     """Quasilinear flow u^i_t = V^i_j(u) u^j_x; ``source`` is (T, X) for the flow of a section X of T."""
 
     V: tuple
-    source: tuple | None = field(default=None, compare=False, repr=False)
+    source: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -126,12 +127,19 @@ def _require_tangent(T: AlgebroidPresentation):
                 raise NotTangent("anchor must be the identity matrix")
 
 
+def _sourced(V, T: AlgebroidPresentation, X: Section) -> HydroFlow:
+    """The flow with velocity matrix V, built as V_X from the section X of T, carrying its source (T, X)."""
+    flow = HydroFlow(tuple(tuple(row) for row in V))
+    object.__setattr__(flow, "source", (T, X))
+    return flow
+
+
 def flow_from_section(T: AlgebroidPresentation, X: Section) -> HydroFlow:
     """Hydrodynamic flow with velocity matrix V^i_j = sum_k c^i_{jk} X^k, so V_X(E_b) = E_b·X. With its source (T, X),
-    ``flows_commute`` takes [V_Y, V_X](E_b) = Σ_{c,d} X^c Y^d K_cd(E_b) from T's commutator table K."""
+    ``flows_commute`` knows that [V_Y, V_X](E_b) = Σ_{c,d} X^c Y^d K_cd(E_b) vanishes when T's commutator table K
+    is empty."""
     _require_tangent(T)
-    V = T.matrix_of(lambda Ej: T.multiply(Ej, X))
-    return HydroFlow(tuple(tuple(row) for row in V), (T, X))
+    return _sourced(T.matrix_of(lambda Ej: T.multiply(Ej, X)), T, X)
 
 
 def _residual(F: HydroFlow, G: HydroFlow, i: int) -> RatFunc:
@@ -145,29 +153,21 @@ def commutator_residual(F: HydroFlow, G: HydroFlow) -> list[RatFunc]:
     return [_residual(F, G, i) for i in range(F.n)]
 
 
-def _bracket_rows(F: HydroFlow, G: HydroFlow) -> set | None:
-    """The components with a nonzero row of [B,A](E_b) = Σ_{c,d} X^c Y^d K_cd(E_b) for the flows of sections X, Y
-    of one presentation: none when K is empty, else K contracted with X and Y over their shared denominators."""
-    if not (F.source and G.source and F.source[0] is G.source[0]):
-        return None
-    if not F.source[0].constants("commutator"):
-        return set()
-    T, [(_, X), (_, Y)] = _sections(F.source[0], F.source[1], G.source[1])
-    XK = _point_tensor((1, (0, (), 1), X, T.constants("commutator")))  # Σ_c X^c K_cd(E_b), keyed (b, d)
-    return {i for cell in _point_tensor((1, (0, ()), Y, XK)).values() for i in cell}
+def _bracket_vanishes(F: HydroFlow, G: HydroFlow) -> bool:
+    """Whether [B,A](E_b) = Σ_{c,d} X^c Y^d K_cd(E_b) vanishes because F and G are the flows of sections X, Y of one
+    presentation whose commutator table K is empty."""
+    return bool(F.source and G.source and F.source[0] is G.source[0]) and not F.source[0].constants("commutator")
 
 
-def _commutes_at(F: HydroFlow, G: HydroFlow, i: int, failing: set | None) -> bool:
-    """Tsarev's conditions at component i: row i of [B,A] vanishes, then Q'^i_bc + Q'^i_cb for b <= c. ``failing``
-    holds the failing rows from the commutator table, or is None for the matrix products; with no curl Q' is zero."""
+def _commutes_at(F: HydroFlow, G: HydroFlow, i: int, bracket_vanishes: bool) -> bool:
+    """Tsarev's conditions at component i: row i of [B,A] vanishes, then Q'^i_bc + Q'^i_cb for b <= c. Row i is
+    taken from the matrix products unless ``bracket_vanishes`` (an empty commutator table) already decides it."""
     A, B, rows = F.V, G.V, range(F.n)
-    if failing is None:  # not the flows of one presentation's sections: row i from the matrix products
-        failing = {i} if any(RatFunc.sum_products(F.n, [(B[i][a], A[a][b]) for a in rows],
-                                                  [(A[i][a], B[a][b]) for a in rows]) for b in rows) else ()
-    if i in failing:
-        return False
+    for b in rows if not bracket_vanishes else ():
+        if RatFunc.sum_products(F.n, [(B[i][a], A[a][b]) for a in rows], [(A[i][a], B[a][b]) for a in rows]):
+            return False
     WA, WB = F.curl[i], G.curl[i]
-    for b, c in combinations_with_replacement(rows, 2) if any(WA) or any(WB) else ():  # Q' = 0 with no curl
+    for b, c in combinations_with_replacement(rows, 2):
         sides = {(b, c), (c, b)}
         plus = [(A[a][x], w) for x, y in sides for a, w in WB[y].items()]
         minus = [(B[a][x], w) for x, y in sides for a, w in WA[y].items()]
@@ -183,9 +183,9 @@ def flows_commute(F: HydroFlow, G: HydroFlow, names: list[str] | None = None) ->
     names = names or [f"u{i + 1}" for i in range(F.n)]
     if len(names) != F.n:
         raise ShapeError(f"{len(names)} variable names for flows on {F.n} variables")
-    report, failing = Report("flow commutation"), _bracket_rows(F, G)
+    report, bracket_vanishes = Report("flow commutation"), _bracket_vanishes(F, G)
     for i in range(F.n):
-        ok = _commutes_at(F, G, i, failing)
+        ok = _commutes_at(F, G, i, bracket_vanishes)
         witness = None if ok else _residual(F, G, i).format(jet_names(names))
         report.add("flow-commutation", f"component {names[i]}", ok, witness)
     return report
@@ -308,16 +308,15 @@ def principal_hierarchy(
         prev = X
         for alpha in range(1, alpha_max + 1):
             rhs = T.matrix_of(partial(T.multiply, prev))
-            for i, plane in enumerate(curl := _curl(rhs)):
+            if symmetric:  # X·E_j = E_j·X: rhs is the velocity matrix of prev
+                flow = data.flows[(p, alpha - 1)] = _sourced(rhs, T, prev)
+            for i, plane in enumerate(flow.curl if symmetric else _curl(rhs)):
                 for j, row in enumerate(plane):
                     for l, diff in row.items():
                         if l > j:
                             raise NotCompatible(
                                 f"alpha={alpha}, component {i + 1}, pair ({j + 1},{l + 1}): {diff.format(T.base_vars)}"
                             )
-            if symmetric:  # X·E_j = E_j·X: rhs is the velocity matrix of prev, with its (empty) curl
-                flow = data.flows[(p, alpha - 1)] = HydroFlow(tuple(map(tuple, rhs)), (T, prev))
-                vars(flow)["curl"] = curl
             prev = data.table[(p, alpha)] = Section(_path_integrate(rhs, n))
     data.flows = {key: data.flows.get(key) or flow_from_section(T, X) for key, X in data.table.items()}
     commutation = Report("hierarchy flow commutation")

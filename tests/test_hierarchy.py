@@ -23,7 +23,7 @@ from falgebroid.errors import (
 from falgebroid.exprparse import parse_expr
 from falgebroid.hierarchy import (
     Connection,
-    _bracket_rows,
+    _bracket_vanishes,
     _path_integrate,
     HydroFlow,
     check_flat_condition,
@@ -563,16 +563,20 @@ def has_commutator(T: AlgebroidPresentation) -> bool:
                for b, c, d in iproduct(frame, repeat=3))
 
 
-def test_commutator_table_verdicts_match_residuals_on_nonassociative_presentations():
-    """On perturbed SS2, SS3 and A2 and on random products, whose commutator table K is nonzero, each component's
-    verdict from K is the jet oracle's and that of the same velocity matrices taking the matrix products, and the
-    rows failing in K are those of [B,A] = BA - AB."""
+def test_commutator_table_verdicts_match_residuals():
+    """On SS2, SS3 and A2, whose commutator table K is empty, every row of [B,A] = BA - AB of two flows of sections
+    vanishes and no product is taken for it. Perturbed and random products have a nonzero K, and their flows take
+    the matrix products. Either way each component's verdict is the jet oracle's and that of the same velocity
+    matrices as source-free flows."""
     rng = random.Random(20261019)
-    makers = [partial(nonassociative, rng, T, 2) for T in (load_fixture("SS2"), load_fixture("SS3"), a2_frobenius())]
+    fixtures = [load_fixture("SS2"), load_fixture("SS3"), a2_frobenius()]
+    makers = [partial(nonassociative, rng, T, 2) for T in fixtures] + [partial(random_tangent, rng, n) for n in (2, 3)]
     outcomes = {True: 0, False: 0}
-    for make in makers + [partial(random_tangent, rng, n) for n in (2, 2, 3)]:
-        while not has_commutator(T := make()):
-            pass
+    for empty, make in [(True, partial(lambda T: T, T)) for T in fixtures] + [(False, make) for make in makers]:
+        T = make()
+        while not empty and not has_commutator(T):
+            T = make()
+        assert has_commutator(T) != empty and (not T.constants("commutator")) == empty
         sections = [X for X, _ in _sections(T)] + [Section([RatFunc(random_base_function(rng, T.n).num)
                                                              for _ in range(T.n)])]
         flows = [flow_from_section(T, X) for X in sections]
@@ -581,7 +585,7 @@ def test_commutator_table_verdicts_match_residuals_on_nonassociative_presentatio
             A, B, rows = F.V, G.V, range(T.n)
             bracket = [[sum((B[i][a] * A[a][b] - A[i][a] * B[a][b] for a in rows), RatFunc.zero(T.n)) for b in rows]
                        for i in rows]
-            assert _bracket_rows(F, G) == {i for i in rows if any(bracket[i])}
+            assert _bracket_vanishes(F, G) == empty and empty <= (not any(map(any, bracket)))
             verdicts = [c.passed for c in flows_commute(F, G).checks]
             assert verdicts == [r.is_zero() for r in commutator_residual(F, G)]
             assert verdicts == [c.passed for c in flows_commute(flow_of(F.V), flow_of(G.V)).checks]
@@ -591,12 +595,17 @@ def test_commutator_table_verdicts_match_residuals_on_nonassociative_presentatio
 
 
 def test_flows_of_two_presentations_take_the_matrix_products():
-    """Flows of sections of two presentations, even with the same tables, are compared without a commutator table."""
-    T = nonassociative(random.Random(1), load_fixture("SS2"), 2)
+    """Flows of sections of two presentations, even with the same empty commutator table, are compared without it;
+    the source takes no part in equality, hashing or repr."""
+    T = load_fixture("SS2")
     X = Section([RatFunc.var(2, 0), RatFunc.one(2)])
     F, G = flow_from_section(T, X), flow_from_section(T.with_structures(), X.scale_fn(RatFunc.var(2, 1)))
-    assert F == flow_of(F.V) and hash(F) == hash(flow_of(F.V)) and F.source[0] is not G.source[0]
-    assert _bracket_rows(F, G) is None and _bracket_rows(F, flow_of(G.V)) is None
+    assert F == flow_of(F.V) and hash(F) == hash(flow_of(F.V)) and repr(F) == repr(flow_of(F.V))
+    assert F.source[0] is not G.source[0] and flow_of(F.V).source is None
+    assert _bracket_vanishes(F, flow_from_section(T, X)) and not _bracket_vanishes(F, G)
+    assert not _bracket_vanishes(F, flow_of(G.V))
+    with pytest.raises(TypeError):
+        HydroFlow(F.V, (T, X))  # only a flow built from its section carries one
     verdicts_match_residuals(F, G)
 
 
