@@ -608,16 +608,22 @@ def _frame_rule(pairs) -> dict:
     return _point_tensor(*terms)
 
 
+def _commutator_defect(pairs) -> dict:
+    """β = Σ_pairs ``_anchor_defect`` of S - Sᵀ on frame pairs, for the pairs of ``_frame_rule``: {(i, j): {m: c}}
+    of (a_T(S(X,Y) - S(Y,X)) - [a_T(X), a_S(Y)])(u^m), the mismatch between the anchors and the commutator of S.
+    Empty over a point."""
+    return _point_tensor(*(term for S, _, _, a, da in pairs for term in _anchor_defect(S, a, da, skew=True)))
+
+
 def _rule(A: AlgebroidPresentation, pairs) -> dict:
     """``_frame_rule`` on frame triples and with each slot in turn scaled by each base variable (``_prelie_tuples``).
     When the pairs (S, T) and (T, S) both occur, or S = T, f = u^m scaling the first or second slot gives f·R_ijk,
-    and the third gives f·R_ijk + β_ij^m E_k, β = Σ_pairs ``_anchor_defect`` of S - Sᵀ: (a_T(S(X,Y) - S(Y,X)) -
-    [a_T(X), a_S(Y)])(f)·Z, the mismatch between the anchors and the commutator of S."""
+    and the third gives f·R_ijk + β_ij^m E_k, β = ``_commutator_defect``: (a_T(S(X,Y) - S(Y,X)) - [a_T(X),
+    a_S(Y)])(f)·Z."""
     R = _frame_rule(pairs)
     if not A.n:
         return R
-    beta = _point_tensor(*(term for S, _, _, a, da in pairs for term in _anchor_defect(S, a, da, skew=True)))
-    U, beta = _scaled_slot(A, A.constants("variables")), _scaled_slot(A, beta)
+    U, beta = _scaled_slot(A, A.constants("variables")), _scaled_slot(A, _commutator_defect(pairs))
     return _point_tensor((1, (0, 1, 2), R), (1, ((0,), 1, 2), U, R), (1, (0, (1,), 2), U, R),
                          (1, (0, 1, (2,)), U, R), (1, (2, 0, 1), beta))
 

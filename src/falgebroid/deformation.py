@@ -10,16 +10,16 @@ entirely in the symbols of the deforming cochains.
 
 Cochains alternate in every slot but the last, as in Dzhumadildaev's pre-Lie
 complex; MultiDer.build enforces it, evaluating only where the leading slots
-strictly increase. Over a point a degree-p cochain is therefore its
-coordinate vector: the E_k-components at those frame tuples. Coboundary
-matrices are read off the pre-Lie structure constants as sparse rows, one per
-target coordinate, with d_def kept as their oracle; point cohomology comes
-from one elimination of [image of d | kernel of d]. The order-k residuals and
-the obstruction's values are contracted from the tables of mu_0..mu_n and
-their symbols, at every base dimension (``algebroid._rule``), and over a point
+strictly increase. With zero anchor d is linear over the base functions, so
+at every base dimension a degree-p cochain is its coordinate vector: the
+E_k-components of D at those frame tuples, then the d/du^v-components of its
+symbol at the strictly increasing (p-1)-tuples (none over a point). Coboundary
+matrices are read off the pre-Lie structure constants and their derivatives
+as sparse rows, one per target coordinate, with d_def kept as their oracle;
+point cohomology comes from one elimination of [image of d | kernel of d].
+The order-k residuals and the obstruction's values and symbol are contracted
+from the tables of mu_0..mu_n and their symbols (``algebroid._rule``), and
 every coboundary test multiplies a coordinate vector by the sparse rows.
-Over a positive-dimensional base the obstruction's symbol and every
-coboundary go through MultiDer.eval and d_def.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from itertools import chain, combinations, product as iproduct
 from operator import add, sub
 
 from .algebroid import AlgebroidPresentation, Section, VectorField, vf_bracket
-from .algebroid import _derivatives, _frame_rule, _point_labels, _prelie_tuples, _ratfunc, _rule, _scaled_labels
-from .algebroid import _sweep
+from .algebroid import _commutator_defect, _derivatives, _frame_rule, _point_labels, _prelie_tuples, _ratfunc, _rule
+from .algebroid import _scaled_labels, _sweep
 from .constructions import FiniteAlgebra
 from .errors import (
     ArityMismatch,
@@ -132,13 +132,8 @@ class MultiDer:
 
     def scale(self, c) -> "MultiDer":
         f = RatFunc.const(self.nvars, c)
-        return MultiDer(
-            self.degree,
-            self.rank,
-            self.nvars,
-            {idx: s.scale_fn(f) for idx, s in self.D.items()},
-            {idx: v.scale_fn(f) for idx, v in self.sigma.items()},
-        )
+        D, sigma = ({idx: s.scale_fn(f) for idx, s in values.items()} for values in (self.D, self.sigma))
+        return MultiDer(self.degree, self.rank, self.nvars, D, sigma)
 
     def _lead_terms(self, lead: list[Section]):
         """Nonzero coefficient products over leading index tuples."""
@@ -187,9 +182,8 @@ class MultiDer:
 
 
 def as_prelie(A: AlgebroidPresentation) -> AlgebroidPresentation:
-    """View a commutative associative algebroid as pre-Lie with zero anchor."""
-    if A.prelie is not None:
-        return A
+    """The pre-Lie algebroid whose complex deforms a commutative associative algebroid: its product as the pre-Lie
+    operation, with zero anchor, in place of any pre-Lie operation and anchor that A carries."""
     zero = RatFunc.zero(A.n)
     return A.with_structures(
         prelie=A.product, anchor=[[zero] * A.n for _ in range(A.rank)]
@@ -248,18 +242,17 @@ def d_def_sigma_eval(A: AlgebroidPresentation, omega: MultiDer, args: list[Secti
 
 
 def d_def(A: AlgebroidPresentation, omega: MultiDer) -> MultiDer:
-    """Coboundary of a cochain on a pre-Lie algebroid presentation."""
+    """Coboundary of a cochain on a pre-Lie algebroid presentation with any anchor, by the formula at frame tuples.
+
+    The deformation checks multiply coordinate vectors by the sparse rows of ``_d_matrix`` instead; with zero
+    anchor, d_def is their oracle.
+    """
     if A.prelie is None:
         raise MissingStructure("prelie")
     r, nv = omega.rank, omega.nvars
     basis = [A.basis(i) for i in range(r)]
-    return MultiDer.build(
-        omega.degree + 1,
-        r,
-        nv,
-        lambda idx: d_def_eval(A, omega, [basis[i] for i in idx]),
-        lambda idx: d_def_sigma_eval(A, omega, [basis[i] for i in idx]),
-    )
+    return MultiDer.build(omega.degree + 1, r, nv, lambda idx: d_def_eval(A, omega, [basis[i] for i in idx]),
+                          lambda idx: d_def_sigma_eval(A, omega, [basis[i] for i in idx]))
 
 
 # -- formal deformations --------------------------------------------------
@@ -342,51 +335,28 @@ def semiclassical_limit(deform: FormalDeformation) -> AlgebroidPresentation:
     D = {idx: s.components for idx, s in deform.mus[0].D.items()}  # mu1(E_i, E_j) = D_ij: sigma sees only 1
     bracket = [[[D[i, j][k] - D[j, i][k] for j in r] for i in r] for k in r]
     anchor = [list(deform.mus[0].sigma[(i,)].components) for i in r]
-    return AlgebroidPresentation(
-        base_vars=A.base_vars,
-        rank=A.rank,
-        product=A.product,
-        bracket=bracket,
-        anchor=anchor,
-        identity=A.identity,
-    )
+    return AlgebroidPresentation(A.base_vars, A.rank, A.product, bracket=bracket, anchor=anchor, identity=A.identity)
 
 
 def obstruction(deform: FormalDeformation) -> MultiDer:
     """Degree-3 obstruction cochain to extending past the stored order.
 
-    Raises FalgError unless the obstruction is closed for the coboundary of
-    the base viewed as pre-Lie, which holds for every valid deformation.
+    Its values on frame triples are the next order's residual (``_frame_rule``) and its symbol on frame pairs is
+    β (``_commutator_defect``), both contracted from the tables. Raises FalgError unless the sparse rows of d for
+    the base viewed as pre-Lie (``as_prelie``) annihilate it, which holds for every valid deformation.
     """
-    A = deform.base
-    n = deform.order
-    r = A.rank
-    residuals = _frame_rule(_pairs(deform, n + 1, _tables(deform)))  # theta's values on frame triples
-
-    def theta_sigma(X: Section, Y: Section) -> VectorField:
-        total = VectorField.zero(A.n)
-        for i in range(1, n + 1):
-            j = n + 1 - i
-            mi, mj = deform.mus[i - 1], deform.mus[j - 1]
-            total = total + mi.sigma_eval([mj.eval([X, Y]) - mj.eval([Y, X])])
-            total = total - vf_bracket(mi.sigma_eval([X]), mj.sigma_eval([Y]))
-        return total
-
-    if A.n == 0:  # the coordinate vector of theta, closed when the sparse rows of d annihilate it
-        vec = []
-        for idx in _coord_args(r, 3):
-            res = residuals.get(idx, {})
-            vec += [res.get(k, 0) for k in range(r)]
-        theta, closed = _vector_to_multider(vec, r, 3), not any(_d_times(_d_matrix(as_prelie(A), 3), vec))
-    else:
-        basis = [A.basis(i) for i in range(r)]
-        values = lambda idx: {k: _ratfunc(A.n, c) for k, c in residuals.get(idx, {}).items()}  # noqa: E731
-        theta = MultiDer.build(3, r, A.n, lambda idx: Section._from_dict(values(idx), r, A.n),
-                               lambda idx: theta_sigma(basis[idx[0]], basis[idx[1]]))
-        closed = d_def(as_prelie(A), theta).is_zero()
-    if not closed:
+    A, r = deform.base, deform.base.rank
+    pairs = _pairs(deform, deform.order + 1, _tables(deform))
+    zero, value = _scalars(A.n)
+    vec = []
+    for table, tuples, width in ((_frame_rule(pairs), _coord_args(r, 3), r),
+                                 (_commutator_defect(pairs), combinations(range(r), 2), A.n)):
+        for idx in tuples:
+            res = table.get(idx, {})
+            vec += [value(res[k]) if k in res else zero for k in range(width)]
+    if any(_d_times(_d_matrix(as_prelie(A), 3), vec, zero)):
         raise FalgError("obstruction cochain is not closed; deformation data invalid")
-    return theta
+    return _vector_to_multider(vec, r, 3, A.n)
 
 
 def extend(deform: FormalDeformation, psi: MultiDer) -> FormalDeformation:
@@ -398,13 +368,9 @@ def extend(deform: FormalDeformation, psi: MultiDer) -> FormalDeformation:
     """
     if psi.degree != 2:
         raise ShapeError("extension cochain must have degree 2")
-    A = deform.base
-    theta = obstruction(deform)
-    if A.n == 0:
-        d_psi = _d_times(_d_matrix(as_prelie(A), 2), _coords(psi, A.rank, 2))
-        bad = _witness(A, list(map(sub, _coords(theta, A.rank, 3), d_psi)))
-    else:
-        bad = (theta - d_def(as_prelie(A), psi)).witness(A.base_vars)
+    A, theta = deform.base, obstruction(deform)
+    d_psi = _d_times(_d_matrix(as_prelie(A), 2), _coords(psi, A.rank, 2), _scalars(A.n)[0])
+    bad = _witness(A, list(map(sub, _coords(theta, A.rank, 3), d_psi)))
     if bad is not None:
         raise ObstructionNonzero(bad)
     extended = FormalDeformation(A, deform.mus + [psi])
@@ -412,7 +378,7 @@ def extend(deform: FormalDeformation, psi: MultiDer) -> FormalDeformation:
     return extended
 
 
-# -- cohomology over a point ----------------------------------------------
+# -- coordinate vectors, coboundary rows, cohomology over a point ---------
 
 
 def _coord_args(r: int, degree: int) -> list[tuple]:
@@ -420,64 +386,99 @@ def _coord_args(r: int, degree: int) -> list[tuple]:
     return [head + (last,) for head in combinations(range(r), degree - 1) for last in range(r)]
 
 
-def _coords(md: MultiDer, r: int, degree: int) -> list[Fraction]:
-    """The coordinate vector of a point cochain: its E_k-components at the coordinate tuples."""
-    vec = []
+def _scalars(n: int) -> tuple:
+    """The zero of a coordinate vector over n base variables and the conversion of a contraction's entry into it:
+    over a point the number itself, else its ``RatFunc``."""
+    return (0, lambda c: c) if not n else (RatFunc.zero(n), partial(_ratfunc, n))
+
+
+def _coords(md: MultiDer, r: int, degree: int) -> list:
+    """The coordinate vector of a cochain: the E_k-components of D at the coordinate tuples, then the
+    d/du^v-components of its symbol at the strictly increasing leading tuples; Fractions over a point, else
+    RatFuncs."""
+    n = md.nvars
+    zero, vec = RatFunc.zero(n) if n else Fraction(0), []
     for idx in _coord_args(r, degree):
-        col = [Fraction(0)] * r
+        col = [zero] * r
         for k, c in md.D[idx].entries:
-            col[k] = c.constant_value()
+            col[k] = c if n else c.constant_value()
         vec += col
+    for head in combinations(range(r), degree - 1) if n else ():
+        vec += md.sigma[head].components
     return vec
 
 
-def _vector_to_multider(vec, r: int, degree: int) -> MultiDer:
-    """The point cochain with coordinates vec."""
-    cols = {idx: vec[t * r:(t + 1) * r] for t, idx in enumerate(_coord_args(r, degree))}
-    return MultiDer.build(degree, r, 0, lambda idx: Section([RatFunc.const(0, c) for c in cols[idx]]))
+def _vector_to_multider(vec, r: int, degree: int, n: int = 0) -> MultiDer:
+    """The cochain over n base variables with coordinate vector vec (``_coords``)."""
+    args = _coord_args(r, degree)
+    cols, at = {idx: vec[t * r:(t + 1) * r] for t, idx in enumerate(args)}, len(args) * r
+    fields = {head: vec[at + t * n:at + (t + 1) * n] for t, head in enumerate(combinations(range(r), degree - 1))}
+    return MultiDer.build(degree, r, n, lambda idx: Section([_ratfunc(n, c) for c in cols[idx]]),
+                          lambda idx: VectorField([_ratfunc(n, c) for c in fields[idx]]))
 
 
 def _d_matrix(A: AlgebroidPresentation, degree: int) -> list[dict]:
-    """Matrix of the coboundary from degree to degree+1: one sparse row {source column: c} per target coordinate.
+    """Matrix of the coboundary from degree to degree+1 for zero anchor: one sparse row {source column: c} per target
+    coordinate, in the order of ``_coords``.
 
     Read off the pre-Lie structure constants P = ``A.constants("prelie")`` (E_a⋆E_b = Σ_k P[a][b][k] E_k), with
     [E_a, E_b] = E_a⋆E_b − E_b⋆E_a: for the frame tuple head + (last,) of a target row, each
     x_i in head contributes x_i⋆ω(…, last), ω(…, x_i)⋆last and −ω(…, x_i⋆last), and each pair
-    x_i, x_j contributes ω([x_i, x_j], …, last), with the signs of d_def_eval.
+    x_i, x_j contributes ω([x_i, x_j], …, last), with the signs of d_def_eval. Over a base, the Leibniz
+    rule of ω's last slot adds −σ(…)(P[a][last][m])·E_m to −ω(…, x_i⋆last): the entry ∂_v P[a][last][m]
+    at the column of σ(…)'s d/du^v. The symbol rows of dω at head are the pair terms σ([x_i, x_j], …),
+    the anchor terms being zero. Entries are Fractions over a point, else RatFuncs.
     """
-    r = A.rank
-    P = A.constants("prelie")
+    r, n = A.rank, A.n
+    zero, value = _scalars(n)
+    P = [[{k: value(c) for k, c in cell.items()} for cell in row] for row in A.constants("prelie")]
+    dP = {}  # dP[a, b] = [(m, v, ∂_v P[a][b][m])]
+    fields = {v: VectorField.basis(n, n, v) for v in range(n)}
+    for (v, a, b), cell in _derivatives(fields, A._entries("prelie"), value).items():
+        dP.setdefault((a, b), []).extend((m, v, c) for m, c in cell.items())
     signed = P, [[{k: -c for k, c in cell.items()} for cell in row] for row in P]  # (-1)^i·P, by i % 2
+    dsigned = dP, {ab: [(m, v, -c) for m, v, c in terms] for ab, terms in dP.items()}
     heads = {h: i for i, h in enumerate(combinations(range(r), degree - 1))}
-    rows = []
-    for *head, last in _coord_args(r, degree + 1):
-        acc = [{} for _ in range(r)]  # acc[k][column] for the row of component k
-
-        def add(k, j, c):
-            """Add c to column j of component k."""
-            row = acc[k]
-            row[j] = row[j] + c if j in row else c
-
+    at, rows, symbol_rows = len(heads) * r * r, [], []  # at: the first symbol column
+    for head in combinations(range(r), degree):
+        brackets = {}  # {leading tuple index: c}, Σ_(i<j) ±ω([x_i, x_j], others, …) = Σ c·ω(E_lead, …)
         for i, a in enumerate(head):
-            S, T = signed[i % 2], signed[1 - i % 2]
-            h = heads[tuple(head[:i] + head[i + 1:])] * r  # the rest of head increases, as head does
-            for m in range(r):  # column (h + slot) * r + m holds ω(E_rest…, E_slot)_m
-                for k, c in S[a][m].items():
-                    add(k, (h + last) * r + m, c)
-                for k, c in S[m][last].items():
-                    add(k, (h + a) * r + m, c)
-            for m, c in T[a][last].items():
-                for k in range(r):
-                    add(k, (h + m) * r + k, c)
-            for j in range(i + 1, len(head)):
-                b, others = head[j], tuple(head[:i] + head[i + 1:j] + head[j + 1:])
+            for j in range(i + 1, degree):
+                b, others = head[j], head[:i] + head[i + 1:j] + head[j + 1:]
                 for m in {*P[a][b], *P[b][a]}:
-                    lead, sign = _sorted_sign((m,) + others)  # once per m, for all r components
-                    c = (sign if (i + j) % 2 == 0 else -sign) * (P[a][b].get(m, 0) - P[b][a].get(m, 0))
-                    for k in range(r) if c else ():
-                        add(k, (heads[lead] * r + last) * r + k, c)
-        rows += [{j: c for j, c in entries.items() if c} for entries in acc]
-    return rows
+                    lead, sign = _sorted_sign((m,) + others)
+                    if sign:
+                        c, h = P[a][b].get(m, zero) - P[b][a].get(m, zero), heads[lead]
+                        c = c if sign == (1 if (i + j) % 2 == 0 else -1) else -c
+                        brackets[h] = brackets[h] + c if h in brackets else c
+        brackets = {h: c for h, c in brackets.items() if c}
+        rest = [heads[head[:i] + head[i + 1:]] for i in range(degree)]  # the rest of head increases, as head does
+        for last in range(r):
+            acc = [{} for _ in range(r)]  # acc[k][column] for the row of component k
+
+            def add(k, j, c):
+                """Add c to column j of component k."""
+                row = acc[k]
+                row[j] = row[j] + c if j in row else c
+
+            for i, a in enumerate(head):
+                S, T, h = signed[i % 2], signed[1 - i % 2], rest[i] * r
+                for m in range(r):  # column (h + slot) * r + m holds ω(E_rest…, E_slot)_m
+                    for k, c in S[a][m].items():
+                        add(k, (h + last) * r + m, c)
+                    for k, c in S[m][last].items():
+                        add(k, (h + a) * r + m, c)
+                for m, c in T[a][last].items():
+                    for k in range(r):
+                        add(k, (h + m) * r + k, c)
+                for m, v, c in dsigned[1 - i % 2].get((a, last), ()):  # none over a point
+                    add(m, at + rest[i] * n + v, c)
+            for h, c in brackets.items():
+                for k in range(r):
+                    add(k, (h * r + last) * r + k, c)
+            rows += [{j: c for j, c in entries.items() if c} for entries in acc]
+        symbol_rows += [{at + h * n + v: c for h, c in brackets.items()} for v in range(n)]
+    return rows + symbol_rows
 
 
 def _dense(rows: list[dict], ncols: int) -> list[list[Fraction]]:
@@ -486,17 +487,22 @@ def _dense(rows: list[dict], ncols: int) -> list[list[Fraction]]:
     return [[row.get(j, zero) for j in range(ncols)] for row in rows]
 
 
-def _d_times(rows: list[dict], vec: list) -> list:
-    """The sparse rows of a coboundary matrix applied to a coordinate vector, skipping its zeros."""
-    return [sum(c * vec[j] for j, c in row.items() if vec[j]) for row in rows]
+def _d_times(rows: list[dict], vec: list, zero=0) -> list:
+    """The sparse rows of a coboundary matrix applied to a coordinate vector with zero ``zero``, skipping its zeros."""
+    return [sum((c * vec[j] for j, c in row.items() if vec[j]), zero) for row in rows]
 
 
 def _witness(A: AlgebroidPresentation, vec: list) -> str | None:
-    """The first nonzero column of a point coordinate vector as a formatted Section, None when there is none: the
-    cochain's first nonzero ``D`` value, since an unsorted leading tuple follows its sorted twin."""
-    r = A.rank
-    t = next((t for t in range(0, len(vec), r) if any(vec[t:t + r])), None)
-    return None if t is None else A.fmt(Section([RatFunc.const(0, c) for c in vec[t:t + r]]))
+    """The first nonzero slot of a coordinate vector (``_coords``) as text, None when there is none: a ``D`` value as a
+    Section, else a symbol value as a vector field. That is the cochain's ``MultiDer.witness``, since an unsorted
+    leading tuple follows its sorted twin."""
+    r, n = A.rank, A.n
+    at = len(vec) // (r * r + n) * r * r  # the first symbol slot
+    for start, stop, width, kind in ((0, at, r, Section), (at, len(vec), n, VectorField)):
+        for t in range(start, stop, width or 1):
+            if any(vec[t:t + width]):
+                return kind([_ratfunc(n, c) for c in vec[t:t + width]]).format(A.base_vars)
+    return None
 
 
 @dataclass
@@ -532,21 +538,12 @@ def cohomology_point(algebra: FiniteAlgebra, degree: int) -> CohomologyResult:
     _, pivots = rref([row + [v[i] for v in kernel] for i, row in enumerate(d_in)], one)
     image_dim = sum(c < n_in for c in pivots)
     reps = [_vector_to_multider(kernel[c - n_in], r, degree) for c in pivots if c >= n_in]
-    return CohomologyResult(
-        degree=degree,
-        dim=len(kernel) - image_dim,
-        cocycle_dim=len(kernel),
-        coboundary_dim=image_dim,
-        representatives=reps,
-    )
+    return CohomologyResult(degree=degree, dim=len(kernel) - image_dim, cocycle_dim=len(kernel),
+                            coboundary_dim=image_dim, representatives=reps)
 
 
-def equivalence_check(
-    A: AlgebroidPresentation,
-    mu1: MultiDer,
-    mu1_prime: MultiDer,
-    phi: MultiDer | None = None,
-) -> Report:
+def equivalence_check(A: AlgebroidPresentation, mu1: MultiDer, mu1_prime: MultiDer,
+                      phi: MultiDer | None = None) -> Report:
     """Decide whether two infinitesimal deformations differ by a coboundary.
 
     With a witness phi, verifies mu1 - mu1' = d phi directly. Without
@@ -554,16 +551,16 @@ def equivalence_check(
     checked independently since coboundaries over a commutative base
     carry no symbol.
     """
-    P, r = as_prelie(A), A.rank
+    P, r, zero = as_prelie(A), A.rank, _scalars(A.n)[0]
     report = Report("deformation equivalence")
     rows = cache(partial(_d_matrix, P))
 
     def d(m: MultiDer) -> list:
-        """Over a point, the coordinate vector of d(m)."""
-        return _d_times(rows(m.degree), _coords(m, r, m.degree))
+        """The coordinate vector of d(m)."""
+        return _d_times(rows(m.degree), _coords(m, r, m.degree), zero)
 
     for name, m in (("mu1", mu1), ("mu1'", mu1_prime)):
-        ok = not any(d(m)) if A.n == 0 else d_def(P, m).is_zero()
+        ok = not any(d(m))
         report.add("cocycle", name, ok, None if ok else "coboundary of candidate is nonzero")
     sig_ok = all((mu1.sigma[idx] - mu1_prime.sigma[idx]).is_zero() for idx in mu1.sigma)
     report.add("symbol-match", "sigma(mu1) = sigma(mu1')", sig_ok, None if sig_ok else "symbols differ")
@@ -571,10 +568,7 @@ def equivalence_check(
     if phi is not None:
         if phi.degree + 1 != diff.degree:
             raise ArityMismatch("degree mismatch")
-        if A.n == 0:
-            witness = _witness(A, list(map(sub, _coords(diff, r, diff.degree), d(phi))))
-        else:
-            witness = (diff - d_def(P, phi)).witness(A.base_vars)
+        witness = _witness(A, list(map(sub, _coords(diff, r, diff.degree), d(phi))))
         report.add("coboundary-witness", "mu1 - mu1' = d(phi)", witness is None, witness)
         return report
     if A.n != 0:

@@ -471,6 +471,9 @@ GOLDEN_FILES = {
     # cochains over (u1, u2) with the identity symbol rows: D = 0 deforms SS2, mu1(E1,E1) = E2 breaks order 1
     "s1.json": {"D": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]], "sigma": [["1", "0"], ["0", "1"]]},
     "s2.json": {"D": [[["0", "0"], ["0", "0"]], [["1", "0"], ["0", "0"]]], "sigma": [["1", "0"], ["0", "1"]]},
+    # over (u1, u2, u3): D = 0 with symbol rows (u2, 0, 0), (0, u3, 0), 0 deforms SS3 to order 1, and its
+    # obstruction, in the complex of SS3's product with zero anchor, is nonzero only in its symbol
+    "ss3s.json": {"D": [[["0"] * 3] * 3] * 3, "sigma": [["u2", "0", "0"], ["0", "u3", "0"], ["0", "0", "0"]]},
     # a tangent presentation with E1·E2 = E2·E1 = E1 and E2·E2 = -E2: commutative, not associative, so its
     # commutator table K is nonzero
     "nc.json": {"base_vars": ["u1", "u2"], "rank": 2, "product": [[["0", "1"], ["1", "0"]], [["0", "0"], ["0", "-1"]]],
@@ -489,6 +492,7 @@ GOLDEN_ARGV = [["check", "--fixture", name] for name in GOLDEN_FIXTURES] + [
     ["deform", "--fixture", "SS2", "--mu1", "s2.json"],
     ["deform", "qu3.json", "--mu1", "w3.json", "--order", "2"],
     ["deform", "qu3.json", "--mu1", "nc3.json"],
+    ["deform", "--fixture", "SS3", "--mu1", "ss3s.json"],
     ["dual", "--fixture", "SS2", "--ev", "u1 + 1,2"],
     ["dual", "--fixture", "SS2", "--ev", "1/u1,1/(u2+1)"],
     ["dual", "--fixture", "SS2", "--ev", "u1,u2", "--pre-f"],
@@ -524,6 +528,7 @@ GOLDEN = {
     'deform --fixture SS2 --mu1 s2.json': (1, 'dae6bafa98eadf65', '651b693a1a588dde'),
     'deform qu3.json --mu1 w3.json --order 2': (0, '45a3d178aba209a8', '25801413821e56de'),
     'deform qu3.json --mu1 nc3.json': (1, '6c1445fe30e52f07', 'e950170722fbf9b0'),
+    'deform --fixture SS3 --mu1 ss3s.json': (1, 'e12d4f5d7d71f2a6', 'aff84e11f5567307'),
     'dual --fixture SS2 --ev u1 + 1,2': (0, '1ceb080a527daef8', 'a3aabed0b3001ef8'),
     'dual --fixture SS2 --ev 1/u1,1/(u2+1)': (0, 'e62fc17cba4cab5b', 'a3aabed0b3001ef8'),
     'dual --fixture SS2 --ev u1,u2 --pre-f': (0, 'ad27822fd0c9c4a7', 'a3aabed0b3001ef8'),

@@ -4,16 +4,18 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from falgebroid.algebroid import AlgebroidPresentation, Section, VectorField, check_f_algebroid
+from falgebroid.algebroid import AlgebroidPresentation, Section, VectorField, check_f_algebroid, vf_bracket
 from falgebroid.constructions import FiniteAlgebra, fm2_algebra, load_fixture
 from falgebroid.deformation import (
     FormalDeformation,
     MultiDer,
     _coord_args,
     _coords,
+    _d_times,
     _vector_to_multider,
     as_prelie,
     check_n_deformation,
@@ -34,6 +36,7 @@ from falgebroid.errors import (
     ObstructionNonzero,
     ShapeError,
 )
+from falgebroid.duality import dubrovin_dual
 from falgebroid.linalg import nullspace, rank as mat_rank, solve
 from falgebroid.report import Report
 from falgebroid.ring import Poly, RatFunc
@@ -292,12 +295,21 @@ def test_build_evaluates_only_strictly_increasing_leading_slots(degree):
 # -- cohomology over a point -----------------------------------------------
 
 
+def n_coords(A, degree):
+    """The length of a degree-``degree`` coordinate vector over A's base: D slots, then symbol slots."""
+    return len(_coord_args(A.rank, degree)) * A.rank + math.comb(A.rank, degree - 1) * A.n
+
+
+def zero_of(A):
+    """The zero of A's coordinate vectors: a Fraction over a point, else a RatFunc."""
+    return RatFunc.zero(A.n) if A.n else Fraction(0)
+
+
 def dense_d_matrix(A, degree):
     """``_d_matrix`` with its sparse rows written out over every source column."""
-    from falgebroid.deformation import _coord_args, _d_matrix
+    from falgebroid.deformation import _d_matrix
 
-    ncols = len(_coord_args(A.rank, degree)) * A.rank
-    return [[row.get(j, Fraction(0)) for j in range(ncols)] for row in _d_matrix(A, degree)]
+    return [[row.get(j, zero_of(A)) for j in range(n_coords(A, degree))] for row in _d_matrix(A, degree)]
 
 
 def test_cohomology_dimensions_consistent_with_raw_linear_algebra():
@@ -326,9 +338,19 @@ def test_cohomology_degree_three():
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
-def test_point_cochain_coordinates_round_trip(degree):
-    from falgebroid.deformation import _coord_args, _coords, _vector_to_multider
+def test_base_cochain_coordinates_round_trip(degree):
+    """Over a base a cochain's coordinates are its D values, then its symbol values, as RatFuncs."""
+    rng, r, n = random.Random(degree), 3, 2
+    md = rand_multider(rng, degree, r, n)
+    vec, at = _coords(md, r, degree), len(_coord_args(r, degree)) * r
+    assert all(type(c) is RatFunc for c in vec)
+    assert vec[:at] == [c for idx in _coord_args(r, degree) for c in md.D[idx].components]
+    assert vec[at:] == [c for head in itertools.combinations(range(r), degree - 1) for c in md.sigma[head].components]
+    assert _vector_to_multider(vec, r, degree, n) == md
 
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_point_cochain_coordinates_round_trip(degree):
     rng = random.Random(degree)
     r = 3
     vec = [Fraction(rng.randint(-2, 2)) for _ in range(len(_coord_args(r, degree)) * r)]
@@ -346,30 +368,31 @@ def test_point_cochain_coordinates_round_trip(degree):
 
 def d_matrix_through_d_def(A, degree, columns=None):
     """The coboundary matrix column by column: d_def of each basis cochain, read as coordinates."""
-    from falgebroid.deformation import _coord_args, _coords, _vector_to_multider
-
-    r = A.rank
-    n, m = len(_coord_args(r, degree)) * r, len(_coord_args(r, degree + 1)) * r
+    r, n = A.rank, n_coords(A, degree)
     cols = {}
     for j in range(n) if columns is None else columns:
-        basis_cochain = _vector_to_multider([int(i == j) for i in range(n)], r, degree)
+        basis_cochain = _vector_to_multider([int(i == j) for i in range(n)], r, degree, A.n)
         cols[j] = _coords(d_def(A, basis_cochain), r, degree + 1)
-    return cols, m
+    return cols, n_coords(A, degree + 1)
 
 
-def random_prelie_presentation(rng, r):
-    """Point presentation with random, mostly non-commutative product and pre-Lie constants."""
+def random_prelie_presentation(rng, r, n=0):
+    """Presentation with random, mostly non-commutative product and pre-Lie constants and zero anchor: over a point,
+    or over n base variables with entries of degree at most 1."""
+    def entry():
+        c = RatFunc.const(n, rng.choice([0, 0, 1, -1, 2, Fraction(1, 2)]))
+        return c * RatFunc.var(n, rng.randrange(n)) if n and rng.random() < 0.5 else c
+
     def tensor():
-        return [
-            [[RatFunc.const(0, rng.choice([0, 0, 1, -1, 2, Fraction(1, 2)])) for _ in range(r)]
-             for _ in range(r)]
-            for _ in range(r)
-        ]
+        return [[[entry() for _ in range(r)] for _ in range(r)] for _ in range(r)]
 
-    return AlgebroidPresentation([], r, tensor(), prelie=tensor(), anchor=[[] for _ in range(r)])
+    names = [f"u{v + 1}" for v in range(n)]
+    return AlgebroidPresentation(names, r, tensor(), prelie=tensor(), anchor=[[RatFunc.zero(n)] * n for _ in range(r)])
 
 
-def assert_d_matrix_matches_d_def(A, degree, columns=None):
+def assert_d_matrix_matches_d_def(A, degree, columns=None, cochains=()):
+    """The sparse rows equal d_def column by column (on ``columns``, default all) and on the coordinates of each of
+    ``cochains``: over a base, where d is linear over the base functions, on cochains with nonzero symbols too."""
     from falgebroid.deformation import _d_matrix
 
     rows = _d_matrix(A, degree)
@@ -379,6 +402,9 @@ def assert_d_matrix_matches_d_def(A, degree, columns=None):
     assert len(got) == m
     for j, col in cols.items():
         assert [row[j] for row in got] == col, (degree, j)
+    for omega in cochains:
+        want = _coords(d_def(A, omega), A.rank, degree + 1)
+        assert _d_times(rows, _coords(omega, A.rank, degree), zero_of(A)) == want, degree
 
 
 POINT_ALGEBRAS = {
@@ -389,9 +415,26 @@ POINT_ALGEBRAS = {
 }
 
 
-@pytest.mark.parametrize("name", ["FM2", "Q[u]/u^3", "Q[u]/u^4"])
+def ss2_rational_dual():
+    """SS2's Dubrovin dual at the eventual identity (1/(u1 + 1), u2/(u2^2 + 1)): a product with rational entries."""
+    u1, u2, one = RatFunc.var(2, 0), RatFunc.var(2, 1), RatFunc.one(2)
+    return dubrovin_dual(load_fixture("SS2"), Section([one / (u1 + one), u2 / (u2 * u2 + one)])).dual
+
+
+BASE_PRESENTATIONS = {name: partial(load_fixture, name) for name in ("TR", "TR2", "SS2", "SS3")}
+BASE_PRESENTATIONS["SS2 dual"] = ss2_rational_dual
+
+
+@pytest.mark.parametrize("name", ["FM2", "Q[u]/u^3", "Q[u]/u^4", *BASE_PRESENTATIONS])
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_d_matrix_matches_d_def_oracle(name, degree):
+    """The rows of the complex of the product with zero anchor, over a point and over a base; there, also on
+    seeded cochains with nonzero symbols."""
+    if name in BASE_PRESENTATIONS:
+        A = as_prelie(BASE_PRESENTATIONS[name]())
+        rng = random.Random(f"{name}:{degree}")
+        assert_d_matrix_matches_d_def(A, degree, None, [rand_multider(rng, degree, A.rank, A.n) for _ in range(3)])
+        return
     A = as_prelie(POINT_ALGEBRAS[name]().to_presentation())
     columns = None
     if A.rank == 4 and degree == 3:
@@ -402,11 +445,16 @@ def test_d_matrix_matches_d_def_oracle(name, degree):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_d_matrix_matches_d_def_on_random_prelie_constants(seed):
+    """Non-commutative constants, over a point and over one or two base variables, where the bracket's symbol rows
+    and the derivatives of the constants are nonzero."""
     rng = random.Random(seed)
     r = 2 + seed % 3
     A = random_prelie_presentation(rng, r)
     for degree in (1, 2, 3) if r < 4 else (1, 2):
         assert_d_matrix_matches_d_def(A, degree)
+    B = random_prelie_presentation(rng, r, 1 + seed % 2)
+    for degree in (1, 2, 3) if r < 4 else (1, 2):
+        assert_d_matrix_matches_d_def(B, degree, None, [rand_multider(rng, degree, r, B.n)])
 
 
 @pytest.mark.parametrize(
@@ -472,12 +520,12 @@ def test_equivalence_over_base_needs_witness():
     assert (last.law, last.witness) == ("coboundary-witness", "[u1, 0]")
 
 
-# -- the point path against MultiDer.eval and d_def --------------------------
+# -- the coordinate path against MultiDer.eval and d_def ------------------------
 #
-# Over a point the four deformation checks run on coordinate vectors and sparse
-# coboundary rows. The oracles below take the MultiDer route: every residual
-# through MultiDer.eval (in order_k_residual) and every coboundary through
-# d_def, both called here.
+# At every base dimension the deformation checks run on coordinate vectors and
+# sparse coboundary rows. The oracles below take the MultiDer route: every
+# residual and the obstruction's symbol through MultiDer.eval and sigma_eval,
+# and every coboundary through d_def, all called here.
 
 
 def oracle_check_n_deformation(deform):
@@ -492,11 +540,21 @@ def oracle_check_n_deformation(deform):
 
 
 def oracle_obstruction(deform):
-    A = deform.base
+    """Theta's values are the next order's residual; its symbol on (X, Y) is
+    Σ_(i+j=n+1) sigma_i(mu_j(X,Y) - mu_j(Y,X)) - [sigma_i(X), sigma_j(Y)]."""
+    A, n = deform.base, deform.order
     basis = [A.basis(i) for i in range(A.rank)]
-    theta = MultiDer.build(
-        3, A.rank, 0, lambda idx: order_k_residual(deform, deform.order + 1, *(basis[i] for i in idx))
-    )
+
+    def theta_sigma(X, Y):
+        total = VectorField.zero(A.n)
+        for i in range(1, n + 1):
+            mi, mj = deform.mus[i - 1], deform.mus[n - i]
+            total = total + mi.sigma_eval([mj.eval([X, Y]) - mj.eval([Y, X])])
+            total = total - vf_bracket(mi.sigma_eval([X]), mj.sigma_eval([Y]))
+        return total
+
+    theta = MultiDer.build(3, A.rank, A.n, lambda idx: order_k_residual(deform, n + 1, *(basis[i] for i in idx)),
+                           lambda idx: theta_sigma(basis[idx[0]], basis[idx[1]]))
     if not d_def(as_prelie(A), theta).is_zero():
         raise FalgError("obstruction cochain is not closed; deformation data invalid")
     return theta
@@ -504,25 +562,25 @@ def oracle_obstruction(deform):
 
 def oracle_extend(deform, psi):
     A = deform.base
-    residual = oracle_obstruction(deform) - d_def(as_prelie(A), psi)
-    if not residual.is_zero():
-        raise ObstructionNonzero(next(A.fmt(s) for s in residual.D.values() if not s.is_zero()))
+    witness = (oracle_obstruction(deform) - d_def(as_prelie(A), psi)).witness(A.base_vars)
+    if witness is not None:
+        raise ObstructionNonzero(witness)
     extended = FormalDeformation(A, deform.mus + [psi])
-    oracle_check_n_deformation(extended).require(NotADeformation)
+    n_deformation(extended).require(NotADeformation)
     return extended
 
 
 def oracle_equivalence_check(A, mu1, mu1_prime, phi=None):
-    P = as_prelie(A)
+    P, basis = as_prelie(A), [A.basis(i) for i in range(A.rank)]
     report = Report("deformation equivalence")
     for name, m in (("mu1", mu1), ("mu1'", mu1_prime)):
         ok = d_def(P, m).is_zero()
         report.add("cocycle", name, ok, "coboundary of candidate is nonzero")
-    report.add("symbol-match", "sigma(mu1) = sigma(mu1')", True)
+    ok = all(mu1.sigma_eval([X]) == mu1_prime.sigma_eval([X]) for X in basis)
+    report.add("symbol-match", "sigma(mu1) = sigma(mu1')", ok, "symbols differ")
     diff = mu1 - mu1_prime
     if phi is not None:
-        residual = diff - d_def(P, phi)
-        witness = next((A.fmt(s) for s in residual.D.values() if not s.is_zero()), None)
+        witness = (diff - d_def(P, phi)).witness(A.base_vars)
         report.add("coboundary-witness", "mu1 - mu1' = d(phi)", witness is None, witness)
         return report
     cols, m = d_matrix_through_d_def(P, 1)
@@ -552,8 +610,9 @@ def point_cochain(rng, degree, r):
 def mutant(rng, md):
     """md with one seeded coordinate perturbed."""
     vec = _coords(md, md.rank, md.degree)
-    vec[rng.randrange(len(vec))] += rng.choice([1, -1, Fraction(1, 3)])
-    return _vector_to_multider(vec, md.rank, md.degree)
+    i, c = rng.randrange(len(vec)), rng.choice([1, -1, Fraction(1, 3)])
+    vec[i] += RatFunc.const(md.nvars, c) if md.nvars else c
+    return _vector_to_multider(vec, md.rank, md.degree, md.nvars)
 
 
 def point_case(name, seed):
@@ -613,14 +672,10 @@ def test_point_deformation_checks_match_the_multider_oracle(name, seed):
         assert (FalgError in kinds) == (name != "FM2")
 
 
-def test_point_deformation_checks_call_neither_eval_nor_d_def(monkeypatch):
+def count_multider_route(monkeypatch) -> list:
+    """The names of the calls of MultiDer.eval, MultiDer.sigma_eval and deformation.d_def made from here on."""
     import falgebroid.deformation
 
-    A = truncated_poly_algebra(3).to_presentation()
-    P = as_prelie(A)
-    mu1, phi = mu1_euler(A), point_cochain(random.Random(1), 1, A.rank)
-    shifted = mu1 - d_def(P, phi)
-    psi = cohomology_point(truncated_poly_algebra(3), 2).representatives[0]
     calls = []
 
     def counted(name, fn):
@@ -629,6 +684,18 @@ def test_point_deformation_checks_call_neither_eval_nor_d_def(monkeypatch):
     monkeypatch.setattr(MultiDer, "eval", counted("eval", MultiDer.eval))
     monkeypatch.setattr(MultiDer, "sigma_eval", counted("sigma_eval", MultiDer.sigma_eval))
     monkeypatch.setattr(falgebroid.deformation, "d_def", counted("d_def", d_def))
+    return calls
+
+
+def test_point_deformation_checks_call_neither_eval_nor_d_def(monkeypatch):
+    import falgebroid.deformation
+
+    A = truncated_poly_algebra(3).to_presentation()
+    P = as_prelie(A)
+    mu1, phi = mu1_euler(A), point_cochain(random.Random(1), 1, A.rank)
+    shifted = mu1 - d_def(P, phi)
+    psi = cohomology_point(truncated_poly_algebra(3), 2).representatives[0]
+    calls = count_multider_route(monkeypatch)
     deform = FormalDeformation(A, [mu1])
     assert check_n_deformation(deform).overall
     assert obstruction(deform).is_zero()
@@ -638,6 +705,24 @@ def test_point_deformation_checks_call_neither_eval_nor_d_def(monkeypatch):
     assert calls == []
     falgebroid.deformation.d_def(P, phi)  # the counters see the MultiDer route
     assert "d_def" in calls and "eval" in calls
+
+
+def test_base_deformation_checks_call_neither_eval_nor_d_def(monkeypatch):
+    """Over SS2, along D = 0 with the identity symbol rows, the checks take the coordinate path too."""
+    A = load_fixture("SS2")
+    P, one, zero = as_prelie(A), RatFunc.one(2), RatFunc.zero(2)
+    rows = [[one, zero], [zero, one]]
+    mu1 = MultiDer.build(2, 2, 2, lambda idx: Section.zero(2, 2), lambda idx: VectorField(rows[idx[0]]))
+    phi = rand_multider(random.Random(1), 1, A.rank, A.n)
+    d_phi = d_def(P, phi)
+    calls = count_multider_route(monkeypatch)
+    deform = FormalDeformation(A, [mu1])
+    assert check_n_deformation(deform).overall
+    assert obstruction(deform).is_zero()
+    assert extend(deform, d_phi).order == 2
+    assert equivalence_check(A, mu1, mu1 - d_phi, phi).overall
+    assert not equivalence_check(A, mu1, mu1 - d_phi, MultiDer.zero(1, 2, 2)).overall
+    assert calls == []
 
 
 # -- the order rule over a base against MultiDer.eval ---------------------------------
@@ -675,7 +760,8 @@ def base_deformations(name, seed):
 @pytest.mark.parametrize("name,seed", BASE_DEFORMATION_CASES, ids=[f"{n}-{s}" for n, s in BASE_DEFORMATION_CASES])
 def test_base_deformation_rule_matches_the_multider_oracle(name, seed):
     """check_n_deformation gives MultiDer.eval's instances, pass flags and witnesses, and the contracted residual
-    of the next order is the obstruction's D value at every frame triple."""
+    of the next order is the obstruction's D value at every frame triple. obstruction, extend and equivalence_check
+    with a witness phi return what the MultiDer oracles return, or raise what they raise."""
     from falgebroid.algebroid import _ratfunc
     from falgebroid.algebroid import _frame_rule
     from falgebroid.deformation import _pairs, _tables
@@ -688,14 +774,24 @@ def test_base_deformation_rule_matches_the_multider_oracle(name, seed):
             want = order_k_residual(deform, k, *(basis[i] for i in idx))
             assert Section._from_dict({c: _ratfunc(A.n, v) for c, v in residual.get(idx, {}).items()}, A.rank,
                                       A.n) == want, idx
-        theta = outcome(obstruction, deform)
-        if isinstance(theta, MultiDer):
-            assert all(theta.D[idx] == order_k_residual(deform, k, *(basis[i] for i in idx)) for idx in theta.D)
+        assert outcome(obstruction, deform) == outcome(oracle_obstruction, deform)
+    A, (deform, _) = deform.base, base_deformations(name, seed)
+    rng, P = random.Random(f"base-extension:{name}:{seed}"), as_prelie(A)
+    phi = rand_multider(rng, 1, A.rank, A.n)
+    mu1 = deform.mus[0]
+    for psi in (MultiDer.zero(2, A.rank, A.n), d_def(P, phi), mu1, mutant(rng, mu1)):
+        assert outcome(extend, deform, psi) == outcome(oracle_extend, deform, psi)
+    shifted = mu1 - d_def(P, phi)
+    for mu1_prime in (shifted, mutant(rng, shifted), mu1 + mutant(rng, MultiDer.zero(2, A.rank, A.n))):
+        for witness in (phi, mutant(rng, phi)):
+            got = outcome(equivalence_check, A, mu1, mu1_prime, witness)
+            assert got == outcome(oracle_equivalence_check, A, mu1, mu1_prime, witness)
 
 
 def test_base_deformation_cases_reach_every_verdict():
     """The base cases pass and fail, with polynomial and with rational entries, and some fail only at a scaled
-    third slot, where the rule's symbol commutator term β lives."""
+    third slot, where the rule's symbol commutator term β lives. Their obstructions are zero, nonzero in D, nonzero
+    only in the symbol, or not closed."""
     kinds = set()
     for name, seed in BASE_DEFORMATION_CASES:
         for deform in base_deformations(name, seed):
@@ -704,4 +800,50 @@ def test_base_deformation_cases_reach_every_verdict():
             kinds.add((report.overall, seed % 2))
             if slots and all(scaled == [False, False, True] for scaled in slots):
                 kinds.add("scaled third slot")
+            theta = outcome(obstruction, deform)
+            kinds.add(theta[0] if isinstance(theta, tuple) else theta.is_zero() or
+                      ("D" if any(not s.is_zero() for s in theta.D.values()) else "symbol"))
     assert kinds >= {(True, 0), (True, 1), (False, 0), (False, 1), "scaled third slot"}
+    assert kinds >= {True, "D", "symbol", FalgError}
+
+
+# -- the complex of the product with zero anchor ------------------------------
+#
+# A presentation that carries a pre-Lie tensor and an anchor of its own (SS<n>,
+# TR, TR2, DN<n>) deforms in the complex of its product with zero anchor, the
+# mu_0 of check_n_deformation.
+
+
+def test_ss3_symbol_deformation_has_a_closed_symbol_obstruction():
+    """D = 0 with symbol rows (u2, 0, 0), (0, u3, 0), 0 passes every order rule on SS3; its obstruction is closed in
+    the complex of the product, and nonzero only in its symbol, -[sigma(E1), sigma(E2)] = [u3, 0, 0]."""
+    A = load_fixture("SS3")
+    u1, u2, u3 = (RatFunc.var(3, v) for v in range(3))
+    zero = RatFunc.zero(3)
+    rows = [[u2, zero, zero], [zero, u3, zero], [zero, zero, zero]]
+    mu1 = MultiDer.build(2, 3, 3, lambda idx: Section.zero(3, 3), lambda idx: VectorField(rows[idx[0]]))
+    deform = FormalDeformation(A, [mu1])
+    assert check_n_deformation(deform).overall
+    theta = obstruction(deform)
+    assert theta.witness(A.base_vars) == "[u3, 0, 0]"
+    assert theta == oracle_obstruction(deform)
+
+
+def test_point_extension_by_a_coboundary_of_the_product():
+    """DN1_2 carries a pre-Lie tensor; a coboundary d(phi) of its product's complex extends the zero deformation."""
+    A = load_fixture("DN1_2")
+    assert A.n == 0 and A.prelie is not None
+    phi = point_cochain(random.Random(5), 1, A.rank)
+    d_phi = d_def(A.with_structures(prelie=A.product), phi)
+    assert not d_phi.is_zero()
+    extended = extend(FormalDeformation(A, [MultiDer.zero(2, A.rank, 0)]), d_phi)
+    assert extended.mus[1] == d_phi
+
+
+def test_point_cohomology_ignores_a_pre_lie_tensor():
+    """Q[u]/u^3 with the pre-Lie constant E2⋆E2 = E2 has the cohomology of Q[u]/u^3."""
+    alg = truncated_poly_algebra(3)
+    prelie = [[[Fraction(int(i == j == k == 1)) for j in range(3)] for i in range(3)] for k in range(3)]
+    with_prelie = FiniteAlgebra(dim=3, product=alg.product, prelie=prelie, identity=alg.identity)
+    res = cohomology_point(with_prelie, 2)
+    assert (res.dim, res.cocycle_dim, res.coboundary_dim) == (6, 13, 7)
