@@ -1,25 +1,18 @@
 """Deformation complex of pre-Lie algebroids and formal deformations.
 
-Cochains are multiderivations: multilinear in all but the last slot,
-with a vector-field-valued symbol governing a Leibniz rule in the last
-slot. The coboundary uses the pre-Lie operation and its commutator
-bracket. A commutative associative algebroid is treated as a pre-Lie
-algebroid with zero anchor, which makes the coboundary of any cochain
-have vanishing symbol; the anchor data of a deformation therefore lives
-entirely in the symbols of the deforming cochains.
-
-Cochains alternate in every slot but the last, as in Dzhumadildaev's pre-Lie
-complex; MultiDer.build enforces it, evaluating only where the leading slots
-strictly increase. With zero anchor d is linear over the base functions, so
-at every base dimension a degree-p cochain is its coordinate vector: the
-E_k-components of D at those frame tuples, then the d/du^v-components of its
-symbol at the strictly increasing (p-1)-tuples (none over a point). Coboundary
-matrices are read off the pre-Lie structure constants and their derivatives
-as sparse rows, one per target coordinate, with d_def kept as their oracle;
-point cohomology comes from one elimination of [image of d | kernel of d].
-The order-k residuals and the obstruction's values and symbol are contracted
-from the tables of mu_0..mu_n and their symbols (``algebroid._rule``), and
-every coboundary test multiplies a coordinate vector by the sparse rows.
+Cochains are multiderivations: multilinear in all but the last slot, where
+a vector-field-valued symbol governs a Leibniz rule, and alternating in the
+others, as in Dzhumadildaev's pre-Lie complex. The coboundary uses the
+pre-Lie operation and its commutator bracket. A commutative associative
+algebroid deforms as a pre-Lie algebroid with zero anchor, whose coboundary
+has vanishing symbol, so the anchor data of a deformation lives entirely
+in the symbols of its cochains. There d is linear over the base functions:
+a cochain is its coordinate vector (``MultiDer``), d is a matrix of sparse
+rows read off the structure constants, and D and sigma are views built for
+the oracle (``eval``, ``sigma_eval``, ``d_def``). The order-k residuals and
+the obstruction are contracted from the tables of mu_0..mu_n and their
+symbols (``algebroid._rule``); point cohomology is one elimination of
+[image of d | kernel of d].
 """
 
 from __future__ import annotations
@@ -28,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, combinations, product as iproduct
+from math import comb
 from operator import add, sub
 
 from .algebroid import AlgebroidPresentation, Section, VectorField, vf_bracket
@@ -55,74 +49,99 @@ def _sorted_sign(lead) -> tuple[tuple, int]:
 
 
 class MultiDer:
-    """Multiderivation of fixed degree in a fixed frame, alternating in its leading slots.
+    """Multiderivation of fixed degree in a fixed frame, alternating in its leading slots, stored as its coordinate
+    vector ``vec``: the E_k-components of D at the coordinate tuples (``_coord_args``), then the d/du^v-components of
+    the symbol at the strictly increasing leading tuples; Fractions over a point, else RatFuncs.
 
-    D maps every index tuple of length ``degree`` to a Section; sigma
-    maps every index tuple of length ``degree - 1`` to a VectorField.
-    ``build`` makes both alternate in the ``degree - 1`` leading slots; a
-    cochain assembled by hand must alternate there too.
+    ``D`` (a Section at every index tuple of length ``degree``) and ``sigma`` (a VectorField at every one of length
+    ``degree - 1``) are read-only views, built once. A cochain assembled by hand from D and sigma is read at the
+    coordinate tuples only, so it must alternate in its leading slots.
     """
 
-    __slots__ = ("degree", "rank", "nvars", "D", "sigma")
+    __slots__ = ("degree", "rank", "nvars", "vec", "_views")
 
     def __init__(self, degree: int, rank: int, nvars: int, D: dict, sigma: dict):
-        if degree < 1:
-            raise ShapeError("multiderivation degree must be >= 1")
-        self.degree = degree
-        self.rank = rank
-        self.nvars = nvars
-        self.D = D
-        self.sigma = sigma
+        zero, at = _scalars(nvars)[0], 0
+        vec = [zero] * _size(degree, rank, nvars)
+        for s, width in chain(((D[idx], rank) for idx in _coord_args(rank, degree)),
+                              ((sigma[head], nvars) for head in combinations(range(rank), degree - 1))):
+            if s.rank != width:
+                raise ShapeError(f"cochain values must have {width} components, not {s.rank}")
+            for k, c in s.entries:
+                vec[at + k] = c if nvars else c.constant_value()
+            at += width
+        self.degree, self.rank, self.nvars, self.vec, self._views = degree, rank, nvars, vec, None
+
+    @classmethod
+    def from_vector(cls, degree: int, rank: int, nvars: int, vec: list) -> "MultiDer":
+        """The cochain with coordinate vector vec, of length ``_size(degree, rank, nvars)``."""
+        md = cls.__new__(cls)
+        md.degree, md.rank, md.nvars, md.vec, md._views = degree, rank, nvars, vec, None
+        return md
 
     @staticmethod
     def zero(degree: int, rank: int, nvars: int) -> "MultiDer":
-        return MultiDer.build(degree, rank, nvars, lambda idx: Section.zero(rank, nvars))
+        return MultiDer.from_vector(degree, rank, nvars, [_scalars(nvars)[0]] * _size(degree, rank, nvars))
 
     @staticmethod
     def build(degree: int, rank: int, nvars: int, d_fn, sigma_fn=None) -> "MultiDer":
-        """Construct from functions on index tuples whose leading slots strictly increase.
-
-        Every other tuple takes the value at its sorted leading slots times the
-        sign of the sort, or zero when an index repeats.
-        """
+        """Construct from functions on index tuples, evaluated at the coordinate tuples and at the strictly increasing
+        leading tuples of the symbol."""
         zv = VectorField.zero(nvars)
+        return MultiDer(degree, rank, nvars, {idx: d_fn(idx) for idx in _coord_args(rank, degree)},
+                        {head: (sigma_fn or (lambda idx: zv))(head) for head in combinations(range(rank), degree - 1)})
 
-        def alternating(fn, zero, length):
+    @property
+    def D(self) -> dict:
+        return (self._views or self._build_views())[0]
+
+    @property
+    def sigma(self) -> dict:
+        return (self._views or self._build_views())[1]
+
+    def _build_views(self) -> tuple[dict, dict]:
+        """D and sigma at every index tuple: the coordinates at their tuples; elsewhere the value at the sorted
+        leading slots times the sign of the sort, or zero when an index repeats."""
+        r, n, p, vec = self.rank, self.nvars, self.degree, self.vec
+        args, at = _coord_args(r, p), comb(r, p - 1) * r * r  # at: the first symbol coordinate
+        D = {idx: Section([_ratfunc(n, c) for c in vec[t * r:(t + 1) * r]]) for t, idx in enumerate(args)}
+        sigma = {head: VectorField([_ratfunc(n, c) for c in vec[at + t * n:at + (t + 1) * n]])
+                 for t, head in enumerate(combinations(range(r), p - 1))}
+
+        def alternating(values, zero, length):
             out = {}
-            for idx in iproduct(range(rank), repeat=length):  # in lexicographic order, so out[key] is set
-                lead, sign = _sorted_sign(idx[:degree - 1])
-                key = lead + idx[degree - 1:]
-                if sign and key == idx:
-                    out[idx] = fn(idx)
-                else:
-                    out[idx] = zero if not sign else out[key] if sign > 0 else -out[key]
+            for idx in iproduct(range(r), repeat=length):  # in lexicographic order, so out[key] is set
+                lead, sign = _sorted_sign(idx[:p - 1])
+                key = lead + idx[p - 1:]
+                out[idx] = zero if not sign else values[idx] if key == idx else out[key] if sign > 0 else -out[key]
             return out
 
-        D = alternating(d_fn, Section.zero(rank, nvars), degree)
-        return MultiDer(degree, rank, nvars, D, alternating(sigma_fn or (lambda idx: zv), zv, degree - 1))
+        self._views = alternating(D, Section.zero(r, n), p), alternating(sigma, VectorField.zero(n), p - 1)
+        return self._views
 
     def is_zero(self) -> bool:
-        return all(s.is_zero() for s in chain(self.D.values(), self.sigma.values()))
+        return not any(self.vec)
 
     def witness(self, names: list[str]) -> str | None:
-        """The text of the first nonzero D value, else of the first nonzero sigma value; None when zero."""
-        return next((v.format(names) for v in chain(self.D.values(), self.sigma.values()) if not v.is_zero()), None)
+        """The text of the first nonzero D value, else of the first nonzero sigma value; None when zero. It sits at a
+        coordinate tuple, since an unsorted leading tuple follows its sorted twin."""
+        r, n, vec = self.rank, self.nvars, self.vec
+        at = comb(r, self.degree - 1) * r * r  # the first symbol coordinate
+        for start, stop, width, kind in ((0, at, r, Section), (at, len(vec), n, VectorField)):
+            for t in range(start, stop, width or 1):
+                if any(vec[t:t + width]):
+                    return kind([_ratfunc(n, c) for c in vec[t:t + width]]).format(names)
+        return None
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiDer)
-            and self.degree == other.degree
-            and self.D == other.D
-            and self.sigma == other.sigma
-        )
+        return isinstance(other, MultiDer) and (self.degree, self.rank, self.nvars, self.vec) == (
+            other.degree, other.rank, other.nvars, other.vec)
 
     def _combine(self, other: "MultiDer", op) -> "MultiDer":
-        """op applied slot by slot to both maps, D and sigma."""
-        if self.degree != other.degree:
-            raise ArityMismatch("degree mismatch")
-        D = {idx: op(s, other.D[idx]) for idx, s in self.D.items()}
-        sigma = {idx: op(v, other.sigma[idx]) for idx, v in self.sigma.items()}
-        return MultiDer(self.degree, self.rank, self.nvars, D, sigma)
+        """op applied coordinate by coordinate."""
+        if (self.degree, self.rank, self.nvars) != (other.degree, other.rank, other.nvars):
+            raise ShapeError("cochains of different degrees or frames")
+        return MultiDer.from_vector(self.degree, self.rank, self.nvars, list(map(op, self.vec, other.vec)))
 
     def __add__(self, other: "MultiDer") -> "MultiDer":
         return self._combine(other, add)
@@ -131,19 +150,14 @@ class MultiDer:
         return self._combine(other, sub)
 
     def scale(self, c) -> "MultiDer":
-        f = RatFunc.const(self.nvars, c)
-        D, sigma = ({idx: s.scale_fn(f) for idx, s in values.items()} for values in (self.D, self.sigma))
-        return MultiDer(self.degree, self.rank, self.nvars, D, sigma)
+        f = RatFunc.const(self.nvars, c) if self.nvars else c
+        return MultiDer.from_vector(self.degree, self.rank, self.nvars, [v * f for v in self.vec])
 
     def _lead_terms(self, lead: list[Section]):
         """Nonzero coefficient products over leading index tuples."""
         terms = [((), RatFunc.one(self.nvars))]
         for s in lead:
-            new = []
-            for idx, w in terms:
-                for i, c in s.entries:
-                    new.append((idx + (i,), w * c))
-            terms = new
+            terms = [(idx + (i,), w * c) for idx, w in terms for i, c in s.entries]
         return terms
 
     def eval(self, args: list[Section]) -> Section:
@@ -153,20 +167,13 @@ class MultiDer:
         last = args[-1]
         out = {}
         for idx, w in self._lead_terms(list(args[:-1])):
-            for i, c in last.entries:
-                wc = w * c
-                for k, v in self.D[idx + (i,)].entries:
-                    t = wc * v
-                    cur = out.get(k)
-                    out[k] = t if cur is None else cur + t
             vf = self.sigma[idx]
-            if not vf.is_zero():
-                for k, c in last.entries:
-                    d = vf.apply(c)
-                    if not d.is_zero():
-                        t = w * d
-                        cur = out.get(k)
-                        out[k] = t if cur is None else cur + t
+            for i, c in last.entries:
+                terms = [(k, w * c * v) for k, v in self.D[idx + (i,)].entries]
+                if vf.entries and (d := vf.apply(c)).num.coeffs:
+                    terms.append((i, w * d))
+                for k, t in terms:
+                    out[k] = t if (cur := out.get(k)) is None else cur + t
         return Section._from_dict(out, self.rank, self.nvars)
 
     def sigma_eval(self, args: list[Section]) -> VectorField:
@@ -175,9 +182,7 @@ class MultiDer:
             raise ArityMismatch(f"symbol expects {self.degree - 1} arguments")
         out = VectorField.zero(self.nvars)
         for idx, w in self._lead_terms(list(args)):
-            vf = self.sigma[idx]
-            if not vf.is_zero():
-                out = out + vf.scale_fn(w)
+            out = out + self.sigma[idx].scale_fn(w)
         return out
 
 
@@ -202,20 +207,18 @@ def d_def_eval(A: AlgebroidPresentation, omega: MultiDer, args: list[Section]) -
     last = args[n]
     total = Section.zero(omega.rank, omega.nvars)
     for i in range(1, n + 1):
-        sgn = 1 if i % 2 == 1 else -1
         rest = args[:i - 1] + args[i:]
         head = args[:i - 1] + args[i:n]
         t1 = A.prelie_of(args[i - 1], omega.eval(rest))
         t2 = A.prelie_of(omega.eval(head + [args[i - 1]]), last)
         t3 = omega.eval(head + [A.prelie_of(args[i - 1], last)])
         term = t1 + t2 - t3
-        total = total + term if sgn == 1 else total - term
+        total = total + term if i % 2 == 1 else total - term
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            sgn = 1 if (i + j) % 2 == 0 else -1
             others = [args[t] for t in range(n + 1) if t not in (i - 1, j - 1)]
             term = omega.eval([_prelie_bracket(A, args[i - 1], args[j - 1])] + others)
-            total = total + term if sgn == 1 else total - term
+            total = total + term if (i + j) % 2 == 0 else total - term
     return total
 
 
@@ -226,18 +229,16 @@ def d_def_sigma_eval(A: AlgebroidPresentation, omega: MultiDer, args: list[Secti
         raise ArityMismatch(f"symbol expects {n} arguments")
     total = VectorField.zero(omega.nvars)
     for i in range(1, n + 1):
-        sgn = 1 if i % 2 == 1 else -1
         rest = args[:i - 1] + args[i:]
         t1 = vf_bracket(A.anchor_of(args[i - 1]), omega.sigma_eval(rest))
         t2 = A.anchor_of(omega.eval(rest + [args[i - 1]]))
         term = t1 + t2
-        total = total + term if sgn == 1 else total - term
+        total = total + term if i % 2 == 1 else total - term
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            sgn = 1 if (i + j) % 2 == 0 else -1
             others = [args[t] for t in range(n) if t not in (i - 1, j - 1)]
             term = omega.sigma_eval([_prelie_bracket(A, args[i - 1], args[j - 1])] + others)
-            total = total + term if sgn == 1 else total - term
+            total = total + term if (i + j) % 2 == 0 else total - term
     return total
 
 
@@ -274,25 +275,35 @@ class FormalDeformation:
         return len(self.mus)
 
     def __post_init__(self):
-        for m in self.mus:
-            if m.degree != 2 or m.rank != self.base.rank or m.nvars != self.base.n:
-                raise ShapeError("deformation cochains must be degree-2 in the base frame")
+        _in_frame(self.base, 2, "deformation cochains", *self.mus)
+
+
+def _in_frame(A: AlgebroidPresentation, degree: int, what: str, *cochains: MultiDer):
+    """ShapeError unless every cochain has the given degree in A's frame: A's rank, over A's base variables."""
+    if any((m.degree, m.rank, m.nvars) != (degree, A.rank, A.n) for m in cochains):
+        raise ShapeError(f"{what} must be degree-{degree} in the base frame")
 
 
 def _tables(deform: FormalDeformation) -> tuple:
-    """The presentation the deformation's contractions run over (``_view``, from every D and sigma value) and, for
-    mu_0..mu_n, (D cells, sigma cells, D table, sigma table, sigma fields): the (idx, ((k, c), ...)) cells of D at
-    (i, j) and of sigma at (x,), the table t[i][j] = {k: c} of D, the table {(x,): {m: c}} of sigma, and its nonzero
-    vector fields by x. mu_0 is the base product, with zero symbol."""
-    r = range(deform.base.rank)
-    cells = [([((i, j), m.D[(i, j)].entries) for i in r for j in r],
-              [((x,), m.sigma[(x,)].entries) for x in r if m.sigma[(x,)].entries]) for m in deform.mus]
-    A = deform.base._view(*(c for D, sigma in cells for _, cell in chain(D, sigma) for _, c in cell))
-    orders, value = [(A._entries("product"), [], A.constants("product"), {}, {})], A._value
-    for m, (D, sigma) in zip(deform.mus, cells):
-        table, fields = {idx: {k: value(c) for k, c in cell} for idx, cell in D}, {x: m.sigma[x,] for (x,), _ in sigma}
-        orders.append((D, sigma, [[table[i, j] for j in r] for i in r],
-                       {idx: {k: value(c) for k, c in cell} for idx, cell in sigma}, fields))
+    """The presentation the deformation's contractions run over (``_view``, from every coordinate) and, for
+    mu_0..mu_n, (D cells, sigma cells, D table, sigma table, sigma fields): the (idx, ((k, c), ...)) cells of the
+    nonzero coordinates of D at (i, j) and of sigma at (x,), the table t[i][j] = {k: c} of D, the table
+    {(x,): {m: c}} of sigma, and its nonzero vector fields by x. mu_0 is the base product, with zero symbol."""
+    A, r, n = deform.base, deform.base.rank, deform.base.n
+
+    def cell(vec, start, width):
+        return tuple((k, c) for k, c in enumerate(vec[start:start + width]) if c)
+
+    cells = [([((i, j), cell(m.vec, (i * r + j) * r, r)) for i in range(r) for j in range(r)],
+              [((x,), c) for x in range(r) if (c := cell(m.vec, r ** 3 + x * n, n))]) for m in deform.mus]
+    if n:  # over a point the coordinates are the Fractions the contractions sum
+        A = A._view(*(c for m in deform.mus for c in m.vec))
+    orders, value = [(A._entries("product"), [], A.constants("product"), {}, {})], A._value if n else Fraction
+    for D, sigma in cells:
+        table = {idx: {k: value(c) for k, c in cell} for idx, cell in D}
+        orders.append((D, sigma, [[table[i, j] for j in range(r)] for i in range(r)],
+                       {idx: {k: value(c) for k, c in cell} for idx, cell in sigma},
+                       {x: VectorField._of(cell, n, n) for (x,), cell in sigma}))
     return A, orders
 
 
@@ -331,10 +342,10 @@ def semiclassical_limit(deform: FormalDeformation) -> AlgebroidPresentation:
     if deform.order < 1:
         raise NotADeformation("semi-classical limit needs order >= 1")
     check_n_deformation(deform).require(NotADeformation)
-    A, r = deform.base, range(deform.base.rank)
-    D = {idx: s.components for idx, s in deform.mus[0].D.items()}  # mu1(E_i, E_j) = D_ij: sigma sees only 1
-    bracket = [[[D[i, j][k] - D[j, i][k] for j in r] for i in r] for k in r]
-    anchor = [list(deform.mus[0].sigma[(i,)].components) for i in r]
+    A, r, n = deform.base, deform.base.rank, deform.base.n
+    vec, ix = deform.mus[0].vec, range(r)  # mu1(E_i, E_j)^k at (i·r + j)·r + k, then sigma's rows: it sees only 1
+    bracket = [[[_ratfunc(n, vec[(i * r + j) * r + k] - vec[(j * r + i) * r + k]) for j in ix] for i in ix] for k in ix]
+    anchor = [[_ratfunc(n, c) for c in vec[r ** 3 + i * n:r ** 3 + (i + 1) * n]] for i in ix]
     return AlgebroidPresentation(A.base_vars, A.rank, A.product, bracket=bracket, anchor=anchor, identity=A.identity)
 
 
@@ -356,7 +367,7 @@ def obstruction(deform: FormalDeformation) -> MultiDer:
             vec += [value(res[k]) if k in res else zero for k in range(width)]
     if any(_d_times(_d_matrix(as_prelie(A), 3), vec, zero)):
         raise FalgError("obstruction cochain is not closed; deformation data invalid")
-    return _vector_to_multider(vec, r, 3, A.n)
+    return MultiDer.from_vector(3, r, A.n, vec)
 
 
 def extend(deform: FormalDeformation, psi: MultiDer) -> FormalDeformation:
@@ -366,11 +377,10 @@ def extend(deform: FormalDeformation, psi: MultiDer) -> FormalDeformation:
     including the symbol part: the coboundary over a commutative base
     has zero symbol, so the obstruction's symbol must vanish outright.
     """
-    if psi.degree != 2:
-        raise ShapeError("extension cochain must have degree 2")
-    A, theta = deform.base, obstruction(deform)
-    d_psi = _d_times(_d_matrix(as_prelie(A), 2), _coords(psi, A.rank, 2), _scalars(A.n)[0])
-    bad = _witness(A, list(map(sub, _coords(theta, A.rank, 3), d_psi)))
+    A = deform.base
+    _in_frame(A, 2, "extension cochain", psi)
+    d_psi = _d_times(_d_matrix(as_prelie(A), 2), psi.vec, _scalars(A.n)[0])
+    bad = (obstruction(deform) - MultiDer.from_vector(3, A.rank, A.n, d_psi)).witness(A.base_vars)
     if bad is not None:
         raise ObstructionNonzero(bad)
     extended = FormalDeformation(A, deform.mus + [psi])
@@ -386,40 +396,22 @@ def _coord_args(r: int, degree: int) -> list[tuple]:
     return [head + (last,) for head in combinations(range(r), degree - 1) for last in range(r)]
 
 
+def _size(degree: int, rank: int, nvars: int) -> int:
+    """The number of coordinates of a degree-``degree`` cochain; ShapeError unless degree >= 1."""
+    if degree < 1:
+        raise ShapeError("multiderivation degree must be >= 1")
+    return comb(rank, degree - 1) * (rank * rank + nvars)
+
+
 def _scalars(n: int) -> tuple:
     """The zero of a coordinate vector over n base variables and the conversion of a contraction's entry into it:
-    over a point the number itself, else its ``RatFunc``."""
-    return (0, lambda c: c) if not n else (RatFunc.zero(n), partial(_ratfunc, n))
-
-
-def _coords(md: MultiDer, r: int, degree: int) -> list:
-    """The coordinate vector of a cochain: the E_k-components of D at the coordinate tuples, then the
-    d/du^v-components of its symbol at the strictly increasing leading tuples; Fractions over a point, else
-    RatFuncs."""
-    n = md.nvars
-    zero, vec = RatFunc.zero(n) if n else Fraction(0), []
-    for idx in _coord_args(r, degree):
-        col = [zero] * r
-        for k, c in md.D[idx].entries:
-            col[k] = c if n else c.constant_value()
-        vec += col
-    for head in combinations(range(r), degree - 1) if n else ():
-        vec += md.sigma[head].components
-    return vec
-
-
-def _vector_to_multider(vec, r: int, degree: int, n: int = 0) -> MultiDer:
-    """The cochain over n base variables with coordinate vector vec (``_coords``)."""
-    args = _coord_args(r, degree)
-    cols, at = {idx: vec[t * r:(t + 1) * r] for t, idx in enumerate(args)}, len(args) * r
-    fields = {head: vec[at + t * n:at + (t + 1) * n] for t, head in enumerate(combinations(range(r), degree - 1))}
-    return MultiDer.build(degree, r, n, lambda idx: Section([_ratfunc(n, c) for c in cols[idx]]),
-                          lambda idx: VectorField([_ratfunc(n, c) for c in fields[idx]]))
+    over a point a Fraction, else a ``RatFunc``."""
+    return (Fraction(0), Fraction) if not n else (RatFunc.zero(n), partial(_ratfunc, n))
 
 
 def _d_matrix(A: AlgebroidPresentation, degree: int) -> list[dict]:
     """Matrix of the coboundary from degree to degree+1 for zero anchor: one sparse row {source column: c} per target
-    coordinate, in the order of ``_coords``.
+    coordinate, in the order of the coordinate vector (``MultiDer``).
 
     Read off the pre-Lie structure constants P = ``A.constants("prelie")`` (E_a⋆E_b = Σ_k P[a][b][k] E_k), with
     [E_a, E_b] = E_a⋆E_b − E_b⋆E_a: for the frame tuple head + (last,) of a target row, each
@@ -492,19 +484,6 @@ def _d_times(rows: list[dict], vec: list, zero=0) -> list:
     return [sum((c * vec[j] for j, c in row.items() if vec[j]), zero) for row in rows]
 
 
-def _witness(A: AlgebroidPresentation, vec: list) -> str | None:
-    """The first nonzero slot of a coordinate vector (``_coords``) as text, None when there is none: a ``D`` value as a
-    Section, else a symbol value as a vector field. That is the cochain's ``MultiDer.witness``, since an unsorted
-    leading tuple follows its sorted twin."""
-    r, n = A.rank, A.n
-    at = len(vec) // (r * r + n) * r * r  # the first symbol slot
-    for start, stop, width, kind in ((0, at, r, Section), (at, len(vec), n, VectorField)):
-        for t in range(start, stop, width or 1):
-            if any(vec[t:t + width]):
-                return kind([_ratfunc(n, c) for c in vec[t:t + width]]).format(A.base_vars)
-    return None
-
-
 @dataclass
 class CohomologyResult:
     degree: int
@@ -537,7 +516,7 @@ def cohomology_point(algebra: FiniteAlgebra, degree: int) -> CohomologyResult:
     kernel = nullspace(_dense(d_out, n_out) + [[zero] * n_out], zero, one)
     _, pivots = rref([row + [v[i] for v in kernel] for i, row in enumerate(d_in)], one)
     image_dim = sum(c < n_in for c in pivots)
-    reps = [_vector_to_multider(kernel[c - n_in], r, degree) for c in pivots if c >= n_in]
+    reps = [MultiDer.from_vector(degree, r, 0, kernel[c - n_in]) for c in pivots if c >= n_in]
     return CohomologyResult(degree=degree, dim=len(kernel) - image_dim, cocycle_dim=len(kernel),
                             coboundary_dim=image_dim, representatives=reps)
 
@@ -551,29 +530,30 @@ def equivalence_check(A: AlgebroidPresentation, mu1: MultiDer, mu1_prime: MultiD
     checked independently since coboundaries over a commutative base
     carry no symbol.
     """
+    _in_frame(A, 2, "mu1 and mu1'", mu1, mu1_prime)
+    if phi is not None:
+        _in_frame(A, 1, "phi", phi)
+    elif A.n != 0:
+        raise BaseNotPoint("solving for an equivalence needs a point base; supply phi")
     P, r, zero = as_prelie(A), A.rank, _scalars(A.n)[0]
     report = Report("deformation equivalence")
     rows = cache(partial(_d_matrix, P))
 
-    def d(m: MultiDer) -> list:
-        """The coordinate vector of d(m)."""
-        return _d_times(rows(m.degree), _coords(m, r, m.degree), zero)
+    def d(m: MultiDer) -> MultiDer:
+        return MultiDer.from_vector(m.degree + 1, r, A.n, _d_times(rows(m.degree), m.vec, zero))
 
     for name, m in (("mu1", mu1), ("mu1'", mu1_prime)):
-        ok = not any(d(m))
+        ok = d(m).is_zero()
         report.add("cocycle", name, ok, None if ok else "coboundary of candidate is nonzero")
-    sig_ok = all((mu1.sigma[idx] - mu1_prime.sigma[idx]).is_zero() for idx in mu1.sigma)
-    report.add("symbol-match", "sigma(mu1) = sigma(mu1')", sig_ok, None if sig_ok else "symbols differ")
     diff = mu1 - mu1_prime
+    sig_ok = not any(diff.vec[r ** 3:])
+    report.add("symbol-match", "sigma(mu1) = sigma(mu1')", sig_ok, None if sig_ok else "symbols differ")
     if phi is not None:
-        if phi.degree + 1 != diff.degree:
-            raise ArityMismatch("degree mismatch")
-        witness = _witness(A, list(map(sub, _coords(diff, r, diff.degree), d(phi))))
-        report.add("coboundary-witness", "mu1 - mu1' = d(phi)", witness is None, witness)
-        return report
-    if A.n != 0:
-        raise BaseNotPoint("solving for an equivalence needs a point base; supply phi")
-    sol = solve(_dense(rows(1), r * r), _coords(diff, r, 2), Fraction(0), Fraction(1))
-    witness = None if sol is not None else diff.witness(A.base_vars)
-    report.add("coboundary-solve", "mu1 - mu1' in image of d", witness is None, witness)
+        law, instance, residual = "coboundary-witness", "mu1 - mu1' = d(phi)", diff - d(phi)
+    else:
+        law, instance, residual = "coboundary-solve", "mu1 - mu1' in image of d", diff
+        if solve(_dense(rows(1), r * r), diff.vec, Fraction(0), Fraction(1)) is not None:
+            residual = MultiDer.zero(2, r, 0)
+    witness = residual.witness(A.base_vars)
+    report.add(law, instance, witness is None, witness)
     return report

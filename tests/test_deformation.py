@@ -14,9 +14,7 @@ from falgebroid.deformation import (
     FormalDeformation,
     MultiDer,
     _coord_args,
-    _coords,
     _d_times,
-    _vector_to_multider,
     as_prelie,
     check_n_deformation,
     cohomology_point,
@@ -300,16 +298,17 @@ def n_coords(A, degree):
     return len(_coord_args(A.rank, degree)) * A.rank + math.comb(A.rank, degree - 1) * A.n
 
 
-def zero_of(A):
-    """The zero of A's coordinate vectors: a Fraction over a point, else a RatFunc."""
-    return RatFunc.zero(A.n) if A.n else Fraction(0)
+def coordinate(A, c):
+    """The number c as a coordinate over A's base: a Fraction over a point, else a RatFunc."""
+    return RatFunc.const(A.n, c) if A.n else Fraction(c)
 
 
 def dense_d_matrix(A, degree):
     """``_d_matrix`` with its sparse rows written out over every source column."""
     from falgebroid.deformation import _d_matrix
 
-    return [[row.get(j, zero_of(A)) for j in range(n_coords(A, degree))] for row in _d_matrix(A, degree)]
+    zero = coordinate(A, 0)
+    return [[row.get(j, zero) for j in range(n_coords(A, degree))] for row in _d_matrix(A, degree)]
 
 
 def test_cohomology_dimensions_consistent_with_raw_linear_algebra():
@@ -339,23 +338,30 @@ def test_cohomology_degree_three():
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_base_cochain_coordinates_round_trip(degree):
-    """Over a base a cochain's coordinates are its D values, then its symbol values, as RatFuncs."""
+    """Over a base a cochain's coordinates are its D values, then its symbol values, as RatFuncs; a cochain built
+    by hand from D and sigma, as the command line and the benchmark build them, has them as its views."""
     rng, r, n = random.Random(degree), 3, 2
     md = rand_multider(rng, degree, r, n)
-    vec, at = _coords(md, r, degree), len(_coord_args(r, degree)) * r
+    vec, at = md.vec, len(_coord_args(r, degree)) * r
     assert all(type(c) is RatFunc for c in vec)
     assert vec[:at] == [c for idx in _coord_args(r, degree) for c in md.D[idx].components]
     assert vec[at:] == [c for head in itertools.combinations(range(r), degree - 1) for c in md.sigma[head].components]
-    assert _vector_to_multider(vec, r, degree, n) == md
+    assert MultiDer.from_vector(degree, r, n, list(vec)) == md == MultiDer(degree, r, n, md.D, md.sigma)
+    if degree == 2:
+        D = {(i, j): rand_section(rng, r, n) for i in range(r) for j in range(r)}
+        sigma = {(i,): rand_vf(rng, n) for i in range(r)}
+        hand = MultiDer(2, r, n, D, sigma)
+        assert hand.D == D and hand.sigma == sigma
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_point_cochain_coordinates_round_trip(degree):
+    """Over a point the coordinates are Fractions, and the D view alternates in the leading slots."""
     rng = random.Random(degree)
     r = 3
     vec = [Fraction(rng.randint(-2, 2)) for _ in range(len(_coord_args(r, degree)) * r)]
-    md = _vector_to_multider(vec, r, degree)
-    assert _coords(md, r, degree) == vec
+    md = MultiDer.from_vector(degree, r, 0, vec)
+    assert MultiDer(degree, r, 0, md.D, md.sigma).vec == vec
     assert md.is_zero() == (not any(vec))
     for idx, s in md.D.items():
         head, last = idx[:-1], idx[-1]
@@ -364,6 +370,13 @@ def test_point_cochain_coordinates_round_trip(degree):
         for a in range(len(head) - 1):
             swapped = head[:a] + (head[a + 1], head[a]) + head[a + 2:]
             assert md.D[swapped + (last,)] == -s
+    if degree == 2:
+        D = {(i, j): Section([RatFunc.const(0, rng.randint(-2, 2)) for _ in range(r)])
+             for i in range(r) for j in range(r)}
+        sigma = {(i,): VectorField([]) for i in range(r)}
+        hand = MultiDer(2, r, 0, D, sigma)
+        assert hand.D == D and hand.sigma == sigma
+        assert all(type(c) is Fraction for c in hand.vec)
 
 
 def d_matrix_through_d_def(A, degree, columns=None):
@@ -371,8 +384,8 @@ def d_matrix_through_d_def(A, degree, columns=None):
     r, n = A.rank, n_coords(A, degree)
     cols = {}
     for j in range(n) if columns is None else columns:
-        basis_cochain = _vector_to_multider([int(i == j) for i in range(n)], r, degree, A.n)
-        cols[j] = _coords(d_def(A, basis_cochain), r, degree + 1)
+        basis_cochain = MultiDer.from_vector(degree, r, A.n, [coordinate(A, int(i == j)) for i in range(n)])
+        cols[j] = d_def(A, basis_cochain).vec
     return cols, n_coords(A, degree + 1)
 
 
@@ -403,8 +416,7 @@ def assert_d_matrix_matches_d_def(A, degree, columns=None, cochains=()):
     for j, col in cols.items():
         assert [row[j] for row in got] == col, (degree, j)
     for omega in cochains:
-        want = _coords(d_def(A, omega), A.rank, degree + 1)
-        assert _d_times(rows, _coords(omega, A.rank, degree), zero_of(A)) == want, degree
+        assert _d_times(rows, omega.vec, coordinate(A, 0)) == d_def(A, omega).vec, degree
 
 
 POINT_ALGEBRAS = {
@@ -560,9 +572,15 @@ def oracle_obstruction(deform):
     return theta
 
 
+def first_nonzero(md, names):
+    """The text of the first nonzero value of md.D, else of md.sigma; None when both are zero: the oracles' witness,
+    a reference for MultiDer.witness, which reads the coordinates."""
+    return next((v.format(names) for v in itertools.chain(md.D.values(), md.sigma.values()) if not v.is_zero()), None)
+
+
 def oracle_extend(deform, psi):
     A = deform.base
-    witness = (oracle_obstruction(deform) - d_def(as_prelie(A), psi)).witness(A.base_vars)
+    witness = first_nonzero(oracle_obstruction(deform) - d_def(as_prelie(A), psi), A.base_vars)
     if witness is not None:
         raise ObstructionNonzero(witness)
     extended = FormalDeformation(A, deform.mus + [psi])
@@ -580,13 +598,14 @@ def oracle_equivalence_check(A, mu1, mu1_prime, phi=None):
     report.add("symbol-match", "sigma(mu1) = sigma(mu1')", ok, "symbols differ")
     diff = mu1 - mu1_prime
     if phi is not None:
-        witness = (diff - d_def(P, phi)).witness(A.base_vars)
+        witness = first_nonzero(diff - d_def(P, phi), A.base_vars)
         report.add("coboundary-witness", "mu1 - mu1' = d(phi)", witness is None, witness)
         return report
     cols, m = d_matrix_through_d_def(P, 1)
     d1 = [[cols[j][i] for j in sorted(cols)] for i in range(m)]
-    ok = solve(d1, _coords(diff, A.rank, 2), Fraction(0), Fraction(1)) is not None
-    witness = None if ok else next((A.fmt(s) for s in diff.D.values() if not s.is_zero()), "0")
+    coords = [c.constant_value() for idx in _coord_args(A.rank, 2) for c in diff.D[idx].components]
+    ok = solve(d1, coords, Fraction(0), Fraction(1)) is not None
+    witness = None if ok else first_nonzero(diff, A.base_vars)
     report.add("coboundary-solve", "mu1 - mu1' in image of d", ok, witness)
     return report
 
@@ -604,15 +623,15 @@ def outcome(fn, *args):
 
 def point_cochain(rng, degree, r):
     vec = [Fraction(rng.choice([0, 0, 1, -1, 2, Fraction(1, 2)])) for _ in range(len(_coord_args(r, degree)) * r)]
-    return _vector_to_multider(vec, r, degree)
+    return MultiDer.from_vector(degree, r, 0, vec)
 
 
 def mutant(rng, md):
     """md with one seeded coordinate perturbed."""
-    vec = _coords(md, md.rank, md.degree)
+    vec = list(md.vec)
     i, c = rng.randrange(len(vec)), rng.choice([1, -1, Fraction(1, 3)])
     vec[i] += RatFunc.const(md.nvars, c) if md.nvars else c
-    return _vector_to_multider(vec, md.rank, md.degree, md.nvars)
+    return MultiDer.from_vector(md.degree, md.rank, md.nvars, vec)
 
 
 def point_case(name, seed):
@@ -650,9 +669,9 @@ def test_point_deformation_checks_match_the_multider_oracle(name, seed):
         psis = [MultiDer.zero(2, r, 0), point_cochain(rng, 2, r)]
         theta = outcome(obstruction, deform)
         if isinstance(theta, MultiDer):  # solve d(psi) = theta for an extension that succeeds when theta is exact
-            sol = solve(dense_d_matrix(P, 2), _coords(theta, r, 3), Fraction(0), Fraction(1))
+            sol = solve(dense_d_matrix(P, 2), theta.vec, Fraction(0), Fraction(1))
             if sol is not None:
-                psis += [_vector_to_multider(sol, r, 2), mutant(rng, _vector_to_multider(sol, r, 2))]
+                psis += [MultiDer.from_vector(2, r, 0, sol), mutant(rng, MultiDer.from_vector(2, r, 0, sol))]
         for psi in psis:
             got = outcome(extend, deform, psi)
             assert got == outcome(oracle_extend, deform, psi)
@@ -723,6 +742,85 @@ def test_base_deformation_checks_call_neither_eval_nor_d_def(monkeypatch):
     assert equivalence_check(A, mu1, mu1 - d_phi, phi).overall
     assert not equivalence_check(A, mu1, mu1 - d_phi, MultiDer.zero(1, 2, 2)).overall
     assert calls == []
+
+
+def count_view_builds(monkeypatch) -> list:
+    """The cochains whose D and sigma views are built from here on."""
+    builds, build = [], MultiDer._build_views
+    monkeypatch.setattr(MultiDer, "_build_views", lambda self: builds.append(self) or build(self))
+    return builds
+
+
+def fresh(md):
+    """md as a new cochain with the same coordinates, none of its views built yet."""
+    return MultiDer.from_vector(md.degree, md.rank, md.nvars, list(md.vec))
+
+
+@pytest.mark.parametrize("name", ["Q[u]/u^3", "SS2"])
+def test_deformation_functions_build_no_views(name, monkeypatch):
+    """Over Q[u]/u^3 and over SS2 along D = 0 with the identity symbol rows, the deformation functions read only
+    coordinate vectors: no D or sigma view is built, of their inputs or of what they return, on passing and on
+    failing checks."""
+    rng = random.Random(name)
+    if name == "SS2":
+        A, one, zero = load_fixture("SS2"), RatFunc.one(2), RatFunc.zero(2)
+        rows = [[one, zero], [zero, one]]
+        mu1 = MultiDer.build(2, 2, 2, lambda idx: Section.zero(2, 2), lambda idx: VectorField(rows[idx[0]]))
+        phi = rand_multider(rng, 1, A.rank, A.n)
+    else:
+        alg = truncated_poly_algebra(3)
+        A = alg.to_presentation()
+        mu1, phi = mu1_euler(A), point_cochain(rng, 1, A.rank)
+    d_phi = d_def(as_prelie(A), phi)
+    psi = MultiDer.build(2, A.rank, A.n, lambda idx: A.basis(1) if idx == (0, 1) else Section.zero(A.rank, A.n))
+    mu1, phi, d_phi, psi, shifted = (fresh(m) for m in (mu1, phi, d_phi, psi, mu1 - d_phi))
+    builds = count_view_builds(monkeypatch)
+    deform = FormalDeformation(A, [mu1])
+    assert check_n_deformation(deform).overall
+    theta = obstruction(deform)
+    assert theta.is_zero()
+    assert extend(deform, d_phi).order == 2
+    with pytest.raises(ObstructionNonzero):
+        extend(deform, psi)
+    assert semiclassical_limit(deform).rank == A.rank
+    assert equivalence_check(A, mu1, shifted, phi).overall
+    assert not equivalence_check(A, mu1, shifted, MultiDer.zero(1, A.rank, A.n)).overall
+    if not A.n:
+        assert equivalence_check(A, mu1, shifted).overall
+        assert not equivalence_check(A, mu1, psi).overall
+        assert [cohomology_point(alg, degree).dim for degree in (2, 3)] == [6, 6]
+    assert builds == []
+    assert theta.D and builds == [theta]  # the counter sees a view build
+
+
+def test_equivalence_and_extend_refuse_cochains_outside_the_frame(monkeypatch):
+    """mu1 and mu1' must be degree 2 in A's frame (its rank and base variables), phi degree 1, and extend's psi
+    degree 2, each refused with ShapeError before a coordinate is read. Two degree-3 cochains over FM2 raised
+    KeyError, and a nonzero rank-3 mu1 passed with its entry at (E3,E3) and raised IndexError with it at (E1,E1)."""
+    import falgebroid.deformation
+
+    A, rng = fm2_algebra().to_presentation(), random.Random(7)
+    flat, cubic = MultiDer.zero(2, 2, 0), point_cochain(rng, 3, 2)
+    with pytest.raises(ShapeError):
+        equivalence_check(A, cubic, cubic)
+    wide = []
+    for at in ((2, 2), (0, 0)):
+        D = {(i, j): Section.basis(3, 0, 0) if (i, j) == at else Section.zero(3, 0) for i in range(3) for j in range(3)}
+        wide.append(MultiDer(2, 3, 0, D, {(i,): VectorField([]) for i in range(3)}))
+        for pair in ((wide[-1], wide[-1]), (wide[-1], flat), (flat, wide[-1])):
+            with pytest.raises(ShapeError):
+                equivalence_check(A, *pair)
+    for phi in (flat, MultiDer.zero(1, 3, 0), MultiDer.zero(1, 2, 1)):
+        with pytest.raises(ShapeError):
+            equivalence_check(A, flat, flat, phi)
+
+    def refuse(deform):
+        raise AssertionError("the obstruction ran before psi was checked")
+
+    monkeypatch.setattr(falgebroid.deformation, "obstruction", refuse)
+    for psi in (cubic, *wide, MultiDer.zero(2, 2, 1)):
+        with pytest.raises(ShapeError):
+            extend(FormalDeformation(A, [flat]), psi)
 
 
 # -- the order rule over a base against MultiDer.eval ---------------------------------
