@@ -31,7 +31,7 @@ from math import lcm as int_lcm
 from operator import itemgetter
 
 from .errors import MissingStructure, ShapeError
-from .linalg import solve
+from .linalg import solve_fraction_free
 from .report import Report
 from .ring import Poly, RatFunc
 
@@ -706,17 +706,8 @@ def sub_adjacent(A: AlgebroidPresentation) -> AlgebroidPresentation:
 
 
 def find_identity(A: AlgebroidPresentation):
-    """Solve e·E_i = E_i for a section e; None when no identity exists."""
-    r, n = A.rank, A.n
-    rows = []
-    rhs = []
-    zero = RatFunc.zero(n)
-    one = RatFunc.const(n, 1)
-    for i in range(r):
-        for k in range(r):
-            rows.append([A.product[k][j][i] for j in range(r)])
-            rhs.append(one if i == k else zero)
-    sol = solve(rows, rhs, zero, one)
-    if sol is None:
-        return None
-    return Section(sol)
+    """Solve e·E_i = E_i for a section e by ``solve_fraction_free``; None when no identity exists."""
+    r, zero, one = range(A.rank), RatFunc.zero(A.n), RatFunc.one(A.n)
+    rows = [[A.product[k][j][i] for j in r] for i in r for k in r]
+    sol = solve_fraction_free(rows, [one if i == k else zero for i in r for k in r], A.n)[0]
+    return None if sol is None else Section(sol)

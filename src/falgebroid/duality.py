@@ -30,8 +30,8 @@ from .algebroid import (
     _witness,
     find_identity,
 )
-from .errors import MissingStructure, NotEventual, NotNijenhuis, ShapeError
-from .linalg import invert
+from .errors import MissingStructure, NotDivisible, NotEventual, NotInvertible, NotNijenhuis, ShapeError
+from .linalg import solve_fraction_free
 from .report import Report
 from .ring import Poly, RatFunc
 
@@ -104,10 +104,17 @@ def _sections(A: AlgebroidPresentation, *sections) -> tuple:
     return B, [(RatFunc.one(A.n) if A.n else 1, {(): {k: B._value(c) for k, c in X.entries}}) for X in sections]
 
 
+def _quotient(den: Poly, c: Poly) -> RatFunc:
+    """c/den in normal form, with no gcd where den is constant (``RatFunc``) or divides c (``exact_div``)."""
+    try:
+        return RatFunc(c, den) if den.is_constant() else RatFunc(c.exact_div(den), _normal=True)
+    except NotDivisible:
+        return RatFunc(c, den)
+
+
 def _over(A: AlgebroidPresentation, den, cells: dict) -> dict:
-    """The cells {key: {k: c}} of a contraction as RatFuncs: a numerator over a ``Poly`` den as c/den in normal form,
-    one gcd per nonzero entry; else ``_ratfunc``."""
-    value = (lambda c: RatFunc(c, den)) if type(den) is Poly else partial(_ratfunc, A.n)
+    """A contraction's cells {key: {k: c}} as RatFuncs: c/den by ``_quotient`` for a ``Poly`` den, else ``_ratfunc``."""
+    value = partial(_quotient, den) if type(den) is Poly else partial(_ratfunc, A.n)
     return {key: {k: value(c) for k, c in cell.items()} for key, cell in cells.items()}
 
 
@@ -192,11 +199,12 @@ def multiplication_matrix(A: AlgebroidPresentation, E: Section) -> BundleMap:
 
 
 def invert_section(A: AlgebroidPresentation, E: Section) -> Section:
-    """Section ℰ^{-1} with ℰ·ℰ^{-1} = e; NotInvertible if none exists."""
-    e = _require_identity(A)
-    M = multiplication_matrix(A, E).matrix
-    inverse = invert(M, RatFunc.zero(A.n), RatFunc.one(A.n))
-    return BundleMap(inverse).apply(e)
+    """Section ℰ^{-1} with ℰ·ℰ^{-1} = e, solving M x = e for M the matrix of multiplication by ℰ; NotInvertible
+    unless M is invertible, even where M x = e is solvable."""
+    x, pivots = solve_fraction_free(multiplication_matrix(A, E).matrix, _require_identity(A).components, A.n)
+    if len(pivots) < A.rank:
+        raise NotInvertible("matrix is singular")
+    return Section(x)
 
 
 def _dual_product(A: AlgebroidPresentation, E: Section):

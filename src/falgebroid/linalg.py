@@ -1,15 +1,14 @@
-"""Exact linear algebra over any field whose elements support +, -, *, /.
-
-Used with Fraction entries for finite dimensional cohomology and with
-RatFunc entries for identity sections and section inversion. Both types
-define ``__bool__`` as "is nonzero", so ``not x`` is the zero test.
-Elimination scales and subtracts only the pivot row's nonzero entries, so
-sparse matrices such as the point coboundaries cost about their nonzeros.
-"""
+"""Exact linear algebra. ``rref``, ``rank``, ``solve`` and ``nullspace`` work over any field whose elements support
++, -, *, / and define ``__bool__`` as "is nonzero"; the library runs them over Fraction entries, for finite dimensional
+cohomology. They scale and subtract only the pivot row's nonzero entries, so sparse matrices such as the point
+coboundaries cost about their nonzeros. ``solve_fraction_free`` solves systems with RatFunc entries, for identity
+sections and section inversion, with no gcd before its last division."""
 
 from __future__ import annotations
 
-from .errors import NotInvertible
+from math import prod
+
+from .ring import Poly, RatFunc
 
 
 def rref(matrix: list[list], one) -> tuple[list[list], list[int]]:
@@ -42,8 +41,6 @@ def rref(matrix: list[list], one) -> tuple[list[list], list[int]]:
 
 
 def rank(matrix: list[list], one) -> int:
-    if not matrix:
-        return 0
     return len(rref(matrix, one)[1])
 
 
@@ -63,10 +60,7 @@ def solve(matrix: list[list], rhs: list, zero, one) -> list | None:
 
 def nullspace(matrix: list[list], zero, one) -> list[list]:
     """Basis of the kernel of M, as a list of column vectors."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    if nrows == 0:
-        return [[one if i == j else zero for i in range(ncols)] for j in range(ncols)]
+    ncols = len(matrix[0]) if matrix else 0
     rows, pivots = rref(matrix, one)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -79,11 +73,36 @@ def nullspace(matrix: list[list], zero, one) -> list[list]:
     return basis
 
 
-def invert(matrix: list[list], zero, one) -> list[list]:
-    """Inverse of a square matrix, raising NotInvertible when singular."""
-    n = len(matrix)
-    aug = [list(matrix[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
-    rows, pivots = rref(aug, one)
-    if pivots != list(range(n)):
-        raise NotInvertible("matrix is singular")
-    return [row[n:] for row in rows]
+def solve_fraction_free(matrix: list[list], rhs: list, n: int) -> tuple[list | None, list[int]]:
+    """``solve`` for RatFunc entries in ``n`` variables, and the pivot columns, by fraction-free Gauss–Jordan
+    elimination (Bareiss, Math. Comp. 22, 1968) on each row of [M | rhs] times its distinct (``!=``) nonconstant
+    denominators. With pivot p and previous pivot q, a row with f ≠ 0 in the pivot column becomes
+    (p·row - f·prow)/q, exactly; any other row only scales by p/q, deferred as scalings telescope: the row is
+    rows[i]·q/at[i]. x_c is the pivot row's right-hand side over its pivot, normalized once."""
+    rows = []
+    for entries in (list(row) + [b] for row, b in zip(matrix, rhs)):
+        row = {j: c for j, c in enumerate(entries) if c.num.coeffs}
+        dens = list(dict.fromkeys(c.den for c in row.values() if not c.den.is_constant()))
+        rows.append({j: prod((d for d in dens if d != c.den), start=c.num) for j, c in row.items()})
+    ncols, q = len(matrix[0]) if matrix else 0, Poly.const(n, 1)
+    at, pivots = [q] * len(rows), {}  # pivots: {column: row}
+    up = lambda i: rows[i] if at[i] is q else {j: (v * q).exact_div(at[i]) for j, v in rows[i].items()}  # noqa: E731
+    for c in range(ncols):
+        r = next((i for i, row in enumerate(rows) if c in row and i not in pivots.values()), None)
+        if r is None:
+            continue
+        pivots[c], used = r, [i for i, row in enumerate(rows) if i != r and c in row]
+        prow = up(r) if used else rows[r]
+        p = prow[c] if used or at[r] is q else (prow[c] * q).exact_div(at[r])
+        rest = [(j, v) for j, v in prow.items() if j != c]
+        for i in used:
+            row = up(i)
+            f, new = row[c], {j: p * v for j, v in row.items() if j != c}
+            for j, v in rest:
+                new[j] = new[j] - f * v if j in new else -(f * v)
+            rows[i], at[i] = {j: v.exact_div(q) for j, v in new.items() if v.coeffs}, p
+        rows[r], at[r], q = prow, prow[c], p
+    if any(ncols in row for i, row in enumerate(rows) if i not in pivots.values()):
+        return None, list(pivots)
+    x = {c: RatFunc(rows[r].get(ncols, Poly.zero(n)), rows[r][c]) for c, r in pivots.items()}
+    return [x.get(c, RatFunc.zero(n)) for c in range(ncols)], list(pivots)

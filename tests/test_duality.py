@@ -6,7 +6,7 @@ from itertools import product as iproduct
 import pytest
 
 import falgebroid.duality as duality
-from falgebroid.algebroid import Section, check_f_algebroid, check_pre_f
+from falgebroid.algebroid import AlgebroidPresentation, Section, check_f_algebroid, check_pre_f
 from falgebroid.constructions import load_fixture
 from falgebroid.duality import (
     BundleMap,
@@ -118,6 +118,16 @@ def test_invert_section_not_invertible():
     A = load_fixture("TR2")
     with pytest.raises(NotInvertible):
         invert_section(A, A.basis(1))  # nilpotent frame direction
+
+
+def test_invert_section_singular_but_solvable():
+    # over a point with E1·E1 = E1 and every other product 0, taking e = E1: ℰ = E1 solves ℰ·x = e with x = E1,
+    # but its multiplication matrix is singular, so ℰ has no inverse
+    one, zero = RatFunc.one(0), RatFunc.zero(0)
+    product = [[[one, zero], [zero, zero]], [[zero, zero], [zero, zero]]]
+    A = AlgebroidPresentation([], 2, product, identity=Section.basis(2, 0, 0))
+    with pytest.raises(NotInvertible, match="^matrix is singular$"):
+        invert_section(A, A.basis(0))
 
 
 def test_ev_identity_closure_on_ss2():

@@ -1,4 +1,5 @@
-"""The sparse-update elimination against a dense oracle, over ℚ and ℚ(u1, u2)."""
+"""The sparse-update elimination against a dense oracle, over ℚ and ℚ(u1, u2), and the fraction-free solve against
+``solve``."""
 
 import random
 from fractions import Fraction
@@ -8,10 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from falgebroid import linalg
-from falgebroid.errors import NotInvertible
 from falgebroid.ring import RatFunc
 
-from test_ring import DEADLINE, NVARS, ratfuncs
+from test_ring import DEADLINE, NVARS, fractions, ratfuncs
 
 
 def dense_rref(matrix, one):
@@ -44,14 +44,8 @@ def dense_rref(matrix, one):
 
 
 def results(matrix, rhs, zero, one):
-    """rref, solve, nullspace and invert (or NotInvertible) of one matrix."""
-    out = [linalg.rref(matrix, one), linalg.solve(matrix, rhs, zero, one), linalg.nullspace(matrix, zero, one)]
-    if len(matrix) == len(matrix[0]):
-        try:
-            out.append(linalg.invert(matrix, zero, one))
-        except NotInvertible:
-            out.append(NotInvertible)
-    return out
+    """rref, solve and nullspace of one matrix."""
+    return [linalg.rref(matrix, one), linalg.solve(matrix, rhs, zero, one), linalg.nullspace(matrix, zero, one)]
 
 
 def assert_matches_dense_oracle(matrix, rhs, zero, one):
@@ -82,7 +76,7 @@ def random_fraction_matrix(rng):
 def test_fraction_elimination_matches_dense_oracle(seed):
     rng = random.Random(seed)
     m = random_fraction_matrix(rng)
-    if seed % 2:  # a square matrix, so invert runs too
+    if seed % 2:  # a square matrix
         n = min(len(m), len(m[0]))
         m = [row[:n] for row in m[:n]]
     rhs = [Fraction(rng.randint(-2, 2)) for _ in m]
@@ -99,3 +93,57 @@ def test_ratfunc_elimination_matches_dense_oracle(nrows, ncols, data):
     m = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
     rhs = data.draw(st.lists(entries, min_size=nrows, max_size=nrows))
     assert_matches_dense_oracle(m, rhs, ZERO, ONE)
+
+
+# -- the fraction-free solve -------------------------------------------------
+
+point_entries = st.builds(lambda c: RatFunc.const(0, c), fractions)  # zero included
+# entries over u1 + 1 or u2 + 1 besides their own denominator, so that rows carry distinct denominators
+shifted = st.builds(lambda c, i: c / (RatFunc.var(NVARS, i) + ONE), ratfuncs(), st.integers(min_value=0, max_value=1))
+
+
+@st.composite
+def systems(draw, entries, zero):
+    """M x = rhs with up to 3 rows and columns, and sometimes a last row f times the first whose right-hand side is
+    f·rhs_0 plus a shift: the system is then rank-deficient, and inconsistent when the shift is nonzero."""
+    nrows, ncols = draw(st.integers(min_value=1, max_value=3)), draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    rhs = draw(st.lists(entries, min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        f, shift = draw(entries), draw(st.one_of(st.just(zero), entries))
+        m.append([f * c for c in m[0]])
+        rhs.append(f * rhs[0] + shift)
+    return m, rhs
+
+
+def assert_fraction_free_matches_solve(matrix, rhs, n):
+    zero, one = RatFunc.zero(n), RatFunc.one(n)
+    sol, pivots = linalg.solve_fraction_free(matrix, rhs, n)
+    assert sol == linalg.solve(matrix, rhs, zero, one)
+    assert pivots == linalg.rref(matrix, one)[1]
+
+
+@given(systems(st.one_of(entries, shifted), ZERO))
+@settings(max_examples=40, deadline=DEADLINE)
+def test_fraction_free_solve_matches_solve(system):
+    assert_fraction_free_matches_solve(*system, NVARS)
+
+
+@given(systems(point_entries, RatFunc.zero(0)))
+@settings(max_examples=40, deadline=DEADLINE)
+def test_fraction_free_solve_matches_solve_over_a_point(system):
+    assert_fraction_free_matches_solve(*system, 0)
+
+
+U1, U2 = RatFunc.var(NVARS, 0), RatFunc.var(NVARS, 1)
+
+
+@pytest.mark.parametrize("matrix, rhs, solvable", [
+    ([[ONE / U1, ONE / U2], [ONE / (U1 + ONE), ONE]], [ONE, U1 / U2], True),  # distinct denominators in a row
+    ([[U1 / (U2 + ONE), U2 / U1, ONE / U1], [U1, ZERO, ONE / (U1 * U2)]], [ONE / U2, U2], True),
+    ([[U1, U2], [U1 + U1, U2 + U2]], [ONE, ONE + ONE], True),  # rank-deficient and consistent
+    ([[ONE / U1], [U2 / U1]], [ONE, ONE], False),  # inconsistent
+])
+def test_fraction_free_solve_cases(matrix, rhs, solvable):
+    assert_fraction_free_matches_solve(matrix, rhs, NVARS)
+    assert (linalg.solve_fraction_free(matrix, rhs, NVARS)[0] is not None) == solvable
