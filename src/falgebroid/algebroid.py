@@ -24,16 +24,17 @@ the presentation's tables included.
 from __future__ import annotations
 
 from copy import copy
+from functools import lru_cache, reduce
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 from itertools import product as iproduct
 from math import lcm as int_lcm
-from operator import itemgetter
+from operator import itemgetter, mul, or_
 
-from .errors import MissingStructure, ShapeError
+from .errors import DegreeOverflow, MissingStructure, ShapeError
 from .linalg import solve_fraction_free
 from .report import Report
-from .ring import Poly, RatFunc
+from .ring import _W, MAX_DEGREE, Poly, RatFunc
 
 _TENSORS = ("product", "bracket", "prelie")
 Tensor = list  # rank x rank x rank nested lists of RatFunc, output-index major
@@ -459,16 +460,19 @@ def _point_tensor(*terms) -> dict:
     """Σ s·term on every tuple of indices at once, over the nonzero constants only: {index tuple: {k: c}} of exactly
     the nonzero residuals. Every check is summed here, on every presentation. A table is t[i][j] = {k: c} or a dict
     {(i, j, ...): {k: c}}, as this returns, keyed by tuples ((), for no slot); a section X is the 0-slot table
-    {(): {m: X^m}}. A constant c is a number over a point; a numerator ``Poly`` (``_view``), where each
-    component is summed in one integer dict over one denominator (``Poly.accumulate``); or else a ``RatFunc``,
-    summed as one, with s = ±1.
+    {(): {m: X^m}}. A constant c is a number over a point; a numerator ``Poly`` (``_view``), summed by ``_packed``;
+    or else a ``RatFunc``, summed as one, with s = ±1.
 
     A term (s, shape, ∘, ⋄) has the shape (a, b, ...) for s·∘(E_a, E_b, ...) (no ⋄), or the shape of ⋄
     with one slot replaced by the slots of ∘, whose output feeds it: ((a, b), c) for s·(E_a∘E_b)⋄E_c,
     (a, (b, c)) for s·E_a⋄(E_b∘E_c), (a, ()) for s·E_a⋄X; a, b, c, ... are the positions in the index tuple."""
-    out, rows, seen = {}, [], {}
-    for s, shape, *tables in terms:
-        inner, *outer = (seen[id(t)] if id(t) in seen else seen.setdefault(id(t), _nonzeros(t)) for t in tables)
+    out, seen = {}, {}
+    terms = [(s, shape, *(seen[id(t)] if id(t) in seen else seen.setdefault(id(t), _nonzeros(t)) for t in tables))
+             for s, shape, *tables in terms]
+    first = next((c for _, _, inner, *_ in terms for _, _, c in inner[:1]), None)
+    if type(first) is Poly:
+        return _packed(terms, first.nvars)
+    for s, shape, inner, *outer in terms:
         hits = [(idx, m, c, None) for idx, m, c in inner]
         if outer:  # ∘(...) = Σ c·E_m fills the slot ``at`` of ⋄, whose other slots follow ∘'s in the hit
             at, by_m = next(p for p, slot in enumerate(shape) if isinstance(slot, tuple)), {}
@@ -477,24 +481,73 @@ def _point_tensor(*terms) -> dict:
             hits = [(idx + rest, k, c, d) for idx, m, c, _ in hits for rest, k, d in by_m.get(m, ())]
             shape = (*shape[at], *shape[:at], *shape[at + 1:])
         perm = [shape.index(p) for p in range(len(shape))]
-        rows.append((s, itemgetter(*perm) if len(perm) > 1 else tuple, hits))  # a tuple key for 0 and 1 slots too
-    polys = [c for _, _, hits in rows for _, _, c, _ in hits[:1] if isinstance(c, Poly)]
-    if not polys:
-        for s, key, hits in rows:
-            for vals, k, c, d in hits:
-                t = c if d is None else c * d
-                t = t if s == 1 else -t if s == -1 else s * t
-                cell = out.setdefault(key(vals), {})
-                cell[k] = t if (cur := cell.get(k)) is None else cur + t
-        return {key: res for key, cell in out.items() if (res := {k: c for k, c in cell.items() if c})}
-    den = lambda c, d: c.denom if d is None else c.denom * d.denom  # noqa: E731
-    lcm, n = int_lcm(*{den(c, d) for _, _, hits in rows for _, _, c, d in hits}), polys[0].nvars
-    for s, key, hits in rows:
+        key = itemgetter(*perm) if len(perm) > 1 else tuple  # a tuple key for 0 and 1 slots too
         for vals, k, c, d in hits:
-            c.accumulate(out.setdefault(key(vals), {}).setdefault(k, {}), s * lcm // den(c, d), d)
-    cells = ((key, {k: Poly.from_ints(n, {e: v for e, v in acc.items() if v}, lcm) for k, acc in cell.items()})
-             for key, cell in out.items())
-    return {key: res for key, cell in cells if (res := {k: p for k, p in cell.items() if p.coeffs})}
+            t = c if d is None else c * d
+            t = t if s == 1 else -t if s == -1 else s * t
+            cell = out.setdefault(key(vals), {})
+            cell[k] = t if (cur := cell.get(k)) is None else cur + t
+    return {key: res for key, cell in out.items() if (res := {k: c for k, c in cell.items() if c})}
+
+
+def _packed(terms, n: int) -> dict:
+    """``_point_tensor`` over numerator ``Poly`` constants in n variables: one dict of ints over the lcm of the hits'
+    denominators, keyed by a monomial key (``ring``: ``_W``·(n + 1) bits), a guard bit and w-bit fields, w the bit
+    length of the largest index: k in field 0, index position p in field p + 1, a 1 in field P + 1 for the length P.
+    A hit adds its entries' offsets (``_packing``) to its monomial keys. No field carries: ∘ and ⋄ fill disjoint
+    fields, and a field of a product is at most its total degree, whose carry past ``MAX_DEGREE`` sets the guard bit."""
+    low, rows, dens = _W * (n + 1) + 1, [], set()
+    nz = [*chain.from_iterable(t for _, _, *tables in terms for t in tables)]
+    w = max(chain(map(itemgetter(1), nz), chain.from_iterable(map(itemgetter(0), nz))), default=0).bit_length() or 1
+    for s, shape, inner, *outer in terms:
+        if not inner or outer and not outer[0]:
+            continue
+        at, ws, kw, mark, nest = _packing(shape, w, low)
+        groups, lcms = None, {}
+        if outer:  # ⋄'s entries by the slot ∘ fills, and the lcm of their denominators
+            (ws2, kw2, mark2), groups = nest, {}
+            for idx, k, d in outer[0]:
+                off = sum(map(mul, idx, ws2)) + k * kw2 + mark2
+                groups.setdefault(idx[at], []).append((off, d.coeffs.items(), d.denom))
+                if d.denom != 1:
+                    lcms[idx[at]] = int_lcm(lcms.get(idx[at], 1), d.denom)
+        rows.append((s, inner, ws, kw, mark, groups))
+        dens.update(c.denom * lcms.get(m, 1) for _, m, c in inner if groups is None or m in groups)
+    lcm, acc = int_lcm(*dens), {}
+    get = acc.get
+    for s, inner, ws, kw, mark, groups in rows:
+        for idx, k, c in inner:  # with no ⋄, each entry of ∘ is one hit on the unit polynomial
+            f, off, t1 = s * lcm // c.denom, sum(map(mul, idx, ws)) + mark, c.coeffs.items()
+            for off2, t2, den in ((k * kw, ((0, 1),), 1),) if groups is None else groups.get(k, ()):
+                g, off2 = f // den, off2 + off
+                for e2, b in t2:
+                    b *= g
+                    e2 += off2
+                    for e1, a in t1:
+                        e = e1 + e2
+                        acc[e] = get(e, 0) + a * b
+    if reduce(or_, acc, 0) >> low - 1 & 1:
+        raise DegreeOverflow(f"product of total degree over {MAX_DEGREE}")
+    cells, mask, field, out = {}, (1 << low) - 1, (1 << w) - 1, {}
+    for e, v in acc.items():
+        if v:
+            cells.setdefault(e >> low, {})[e & mask] = v
+    for code, coeffs in cells.items():
+        key = tuple([code >> w * p & field for p in range(1, (code.bit_length() - 1) // w)])
+        out.setdefault(key, {})[code & field] = Poly.from_ints(n, coeffs, lcm)
+    return out
+
+
+@lru_cache(maxsize=1024)  # keys: the term shapes the library writes, for a few widths w and base sizes n
+def _packing(shape: tuple, w: int, low: int) -> tuple:
+    """(at, weights, kw, mark, nest) for ``_packed``: entry (idx, k) of ∘ is at Σ idx[j]·weights[j] + k·kw + mark.
+    If ∘ fills slot ``at`` of ⋄, kw = mark = 0 and nest is ⋄'s (weights, kw, mark); else at and nest are None."""
+    at = next((p for p, slot in enumerate(shape) if isinstance(slot, tuple)), None)
+    field = lambda p: 0 if p is None else 1 << low + w * (p + 1)  # noqa: E731
+    if at is None:
+        return None, tuple(map(field, shape)), field(-1), field(len(shape)), None
+    nest = tuple(map(field, (*shape[:at], None, *shape[at + 1:]))), field(-1), field(len(shape) + len(shape[at]) - 1)
+    return at, tuple(map(field, shape[at])), 0, 0, nest
 
 
 def _nonzeros(t) -> list:

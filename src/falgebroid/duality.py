@@ -133,7 +133,7 @@ def _pseudo_eventual_tensor(A: AlgebroidPresentation, e: Section, E: Section) ->
     K_x^m = ε·ρ_x(Φ^m) - Φ^m·ρ_x(ε) and P_m(c,d) of ``_point_p``, the Leibniz rules give
     ε²δ²·[e,ℰ]^k = G^k = Σ_{i,j} εδΦ^i F^j B_ij^k + Σ_i εΦ^i H_i^k - Σ_j δF^j K_j^k and
     ε²δ²·R_cd^k = Σ_m ε²δF^m P_m(c,d)^k + ε²(Σ_m H_c^m M_md^k + Σ_m H_d^m M_cm^k - Σ_n M_cd^n H_n^k)
-    - Σ_{m,n} G^m M_mc^n M_nd^k. Over shared denominators each is summed in one integer dict per component,
+    - Σ_{m,n} G^m M_mc^n M_nd^k. Over shared denominators each is summed in one integer dict (``_packed``),
     R_cd^k is zero exactly when its numerator is, and only a nonzero one is divided out.
     """
     A, ((z, Phi), (d, F)) = _sections(A, e, E)

@@ -22,7 +22,8 @@ cross-multiplying and then only what that gcd can still share with the
 numerator, and a product cancels across ``gcd(a, d)`` and ``gcd(c, b)``
 first, so its result is reduced. Operands with constant denominators
 skip all of this. A sum of products of polynomials (``sum_products``, and
-so ``derive_along``) goes into one integer dict, normalized once.
+so ``derive_along``) is multiplied out into one integer dict over the lcm
+of the denominators and normalized once.
 """
 
 from __future__ import annotations
@@ -407,23 +408,6 @@ class Poly:
                 k = k1 + k2
                 terms[k] = get(k, 0) + c1 * c2
         return Poly(self.nvars, {k: c for k, c in terms.items() if c}, da * db)
-
-    def accumulate(self, acc: dict, mult: int, other: "Poly | None" = None) -> None:
-        """Add ``mult`` times the integer coefficients of ``self * other`` (``self`` without ``other``) into ``acc``,
-        keyed by monomial, with ``__mul__``'s degree check: the one multiply-accumulate of fused sums."""
-        get, a = acc.get, self.coeffs.items()
-        if other is None:
-            for k, c in a:
-                acc[k] = get(k, 0) + c * mult
-            return
-        top = _W * self.nvars
-        if (max(self.coeffs) >> top) + (max(other.coeffs) >> top) > MAX_DEGREE:
-            raise DegreeOverflow(f"product of total degree over {MAX_DEGREE}")
-        for k2, b in other.coeffs.items():
-            b *= mult
-            for k1, c in a:
-                k = k1 + k2
-                acc[k] = get(k, 0) + c * b
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
@@ -812,15 +796,23 @@ class RatFunc:
     def sum_products(n: int, plus, minus=()) -> "RatFunc":
         """``sum(p * q for p, q in plus) - sum(p * q for p, q in minus)`` in ``n`` variables.
 
-        Two or more products of polynomials go into one integer dict over the lcm of
-        their denominators, normalized once; else it is a sum of ``RatFunc`` products.
+        Two or more products of polynomials are multiplied out into one integer dict over the lcm of their
+        denominators, with ``__mul__``'s degree check, and normalized once; else a sum of ``RatFunc`` products.
         """
         pairs = [(s, p, q) for s, pq in ((1, plus), (-1, minus)) for p, q in pq if p.num.coeffs and q.num.coeffs]
         if len(pairs) < 2 or not all(p.den.is_constant() and q.den.is_constant() for _, p, q in pairs):
             return sum((p * q if s > 0 else -(p * q) for s, p, q in pairs), RatFunc.zero(n))
-        lcm, acc = int_lcm(*(p.num.denom * q.num.denom for _, p, q in pairs)), {}
+        lcm, acc, top = int_lcm(*(p.num.denom * q.num.denom for _, p, q in pairs)), {}, _W * n
+        get = acc.get
         for s, p, q in pairs:
-            p.num.accumulate(acc, s * lcm // (p.num.denom * q.num.denom), q.num)
+            if (max(p.num.coeffs) >> top) + (max(q.num.coeffs) >> top) > MAX_DEGREE:
+                raise DegreeOverflow(f"product of total degree over {MAX_DEGREE}")
+            mult, a = s * lcm // (p.num.denom * q.num.denom), p.num.coeffs.items()
+            for k2, c2 in q.num.coeffs.items():
+                c2 *= mult
+                for k1, c1 in a:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
         return RatFunc(Poly.from_ints(n, {k: v for k, v in acc.items() if v}, lcm), _normal=True)
 
     def derive_along(self, field) -> "RatFunc":

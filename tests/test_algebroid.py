@@ -37,10 +37,10 @@ from falgebroid.duality import (
     is_pseudo_eventual_identity,
     multiplication_matrix,
 )
-from falgebroid.errors import MissingStructure, ShapeError
+from falgebroid.errors import DegreeOverflow, MissingStructure, ShapeError
 from falgebroid.exprparse import parse_expr
 from falgebroid.report import Report
-from falgebroid.ring import Poly, RatFunc
+from falgebroid.ring import MAX_DEGREE, Poly, RatFunc
 from section_oracle import frame_args, nijenhuis, pre_f_eventual, pseudo_eventual, scaled_args, section_sweep
 from test_ring import DEADLINE, fractions, ratfuncs
 
@@ -697,6 +697,70 @@ def test_point_tensor_keys_by_tuples_and_takes_sections(ring):
     assert lift(table) == _nonzero_cells(right)
     assert lift(_point_tensor((1, ((),), {(): X}, table))) == _nonzero_cells(square)
     assert lift(_point_tensor((2, (), {(): X}))) == {(): {m: value(c) + value(c) for m, c in X.items()}}
+
+
+# Term shapes of each length P of the index tuple, with the slots of the tables they take: (shape, slots of ∘) for
+# a plain term, (shape, slots of ∘, slots of ⋄) for ∘ feeding one slot of ⋄; a 0-slot table is a section.
+PACKED_SHAPES = {
+    0: [((), 0), (((),), 0, 1)],
+    1: [((0,), 1), ((0, ()), 0, 2), (((), 0), 0, 2), (((0,),), 1, 1)],
+    2: [((0, 1), 2), ((1, 0), 2), (((0,), 1), 1, 2), ((0, (1,)), 1, 2), (((0, 1),), 2, 1), (((), 0, 1), 0, 3)],
+    3: [((0, 1, 2), 3), ((2, 0, 1), 3), (((0, 1), 2), 2, 2), ((0, (1, 2)), 2, 2), (((1, 0), 2), 2, 2),
+        ((1, (0, 2)), 2, 2)],
+}
+
+# Coefficients with the denominators 2 and 3, so the hits' lcm is not 1
+packed_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(-3, 2), Fraction(1), Fraction(-1), Fraction(3)]),
+    min_size=1, max_size=3,
+).map(lambda terms: Poly.from_terms(2, terms))
+
+
+@st.composite
+def packed_tables(draw, slots, hi):
+    """A table of ``slots`` slots with indices up to ``hi`` and nonzero ``Poly`` constants, often empty: a dict
+    {idx: {k: c}}, or for two slots also the nested list t[i][j] = {k: c} of a presentation's constants."""
+    index = st.integers(0, hi)
+    cells = st.dictionaries(index, packed_polys, min_size=1, max_size=2)
+    table = draw(st.dictionaries(st.tuples(*[index] * slots), cells, max_size=4))
+    if slots == 2 and draw(st.booleans()):
+        return [[table.get((i, j), {}) for j in range(hi + 1)] for i in range(hi + 1)]
+    return table
+
+
+@settings(max_examples=120, deadline=DEADLINE)
+@given(data=st.data())
+def test_packed_contraction_matches_ratfunc_contraction(data):
+    """Over ``Poly`` constants with non-unit denominators, every term shape of each index length, with empty tables
+    and indices as large as 9, sums to the cells of the same terms over their RatFuncs, the entries a presentation's
+    rational ``_view`` reads; adding the terms once more with the opposite sign cancels the sum to {}."""
+    P, hi = data.draw(st.integers(0, 3)), data.draw(st.sampled_from([1, 2, 9]))
+    kinds = data.draw(st.lists(st.sampled_from(PACKED_SHAPES[P]), min_size=1, max_size=4))
+    terms = [(data.draw(st.sampled_from([1, -1])), shape, *(data.draw(packed_tables(k, hi)) for k in slots))
+             for shape, *slots in kinds]
+    rational = lambda t: (  # noqa: E731
+        [[{k: RatFunc(c, _normal=True) for k, c in cell.items()} for cell in row] for row in t] if isinstance(t, list)
+        else {idx: {k: RatFunc(c, _normal=True) for k, c in cell.items()} for idx, cell in t.items()})
+    got = _point_tensor(*terms)
+    assert all(type(c) is Poly for cell in got.values() for c in cell.values())
+    want = _point_tensor(*((s, shape, *map(rational, tables)) for s, shape, *tables in terms))
+    assert {key: {k: RatFunc(c, _normal=True) for k, c in cell.items()} for key, cell in got.items()} == want
+    assert _point_tensor(*terms, *((-s, shape, *tables) for s, shape, *tables in terms)) == {}
+
+
+def test_packed_contraction_degree_boundary():
+    """A product of total degree exactly ``MAX_DEGREE`` is summed, in one variable and in two; one degree more
+    raises ``DegreeOverflow``, also when the products cancel or another hit in the call stays below the bound."""
+    low, high = Poly.from_terms(1, {(32767,): 1}), Poly.from_terms(1, {(32768,): Fraction(1, 2)})
+    T, U = {(0, 0): {0: low}}, {(0, 0): {0: high}}
+    assert _point_tensor((1, ((0, 1), 2), T, U)) == {(0, 0, 0): {0: Poly.from_terms(1, {(65535,): Fraction(1, 2)})}}
+    xy = Poly.from_terms(2, {(40000, 25535): 1})
+    assert _point_tensor((1, ((),), {(): {0: Poly.from_terms(2, {(0, 0): 1})}}, {(0,): {1: xy}})) == {(): {1: xy}}
+    for terms in [((1, ((0, 1), 2), U, U),), ((1, ((0, 1), 2), U, U), (-1, ((0, 1), 2), U, U)),
+                  ((1, ((0, 1), 2), T, T), (1, ((0, 1), 2), T, U), (1, ((0, 1), 2), U, U))]:
+        with pytest.raises(DegreeOverflow, match=f"^product of total degree over {MAX_DEGREE}$"):
+            _point_tensor(*terms)
 
 
 # Frobenius potentials in flat coordinates and the weights 1 - q_a of their Euler fields (Dubrovin,
