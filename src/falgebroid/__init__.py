@@ -37,7 +37,6 @@ from .deformation import (
     MultiDer,
     check_n_deformation,
     cohomology_point,
-    d_def,
     equivalence_check,
     extend,
     obstruction,

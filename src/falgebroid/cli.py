@@ -217,17 +217,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the dual structure file here")
     p.set_defaults(func="cmd_dual")
 
-    for name in ("deform", "nijenhuis"):
-        p = sub.add_parser(name, help="Nijenhuis or formal deformation checks")
-        common(p)
-        source = p.add_mutually_exclusive_group(required=True)
-        source.add_argument("--nijenhuis", metavar="FILE", help="bundle-map matrix file (JSON)")
-        source.add_argument("--mu1", metavar="FILE", help="deformation cochain file (JSON)")
-        p.add_argument(
-            "--order", type=int, help="deformation order: pads with zero cochains or drops those past it (--mu1 only)"
-        )
-        p.add_argument("--out", help="write the deformed structure file here (--nijenhuis only)")
-        p.set_defaults(func="cmd_deform")
+    p = sub.add_parser("deform", help="Nijenhuis or formal deformation checks")
+    common(p)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--nijenhuis", metavar="FILE", help="bundle-map matrix file (JSON)")
+    source.add_argument("--mu1", metavar="FILE", help="deformation cochain file (JSON)")
+    p.add_argument(
+        "--order", type=int, help="deformation order: pads with zero cochains or drops those past it (--mu1 only)"
+    )
+    p.add_argument("--out", help="write the deformed structure file here (--nijenhuis only)")
+    p.set_defaults(func="cmd_deform")
 
     p = sub.add_parser("hierarchy", help="flow commutation and the principal hierarchy")
     common(p)

@@ -8,8 +8,9 @@ algebroid deforms as a pre-Lie algebroid with zero anchor, whose coboundary
 has vanishing symbol, so the anchor data of a deformation lives entirely
 in the symbols of its cochains. There d is linear over the base functions:
 a cochain is its coordinate vector (``MultiDer``), d is a matrix of sparse
-rows read off the structure constants, and D and sigma are views built for
-the oracle (``eval``, ``sigma_eval``, ``d_def``). The order-k residuals and
+rows read off the structure constants, and D and sigma are views for outside
+callers and for the tests' Section oracle, which evaluates cochains and the
+coboundary of any pre-Lie algebroid on sections. The order-k residuals and
 the obstruction are contracted from the tables of mu_0..mu_n and their
 symbols (``algebroid._rule``); point cohomology is one elimination of
 [image of d | kernel of d].
@@ -24,15 +25,13 @@ from itertools import chain, combinations, product as iproduct
 from math import comb
 from operator import add, sub
 
-from .algebroid import AlgebroidPresentation, Section, VectorField, vf_bracket
+from .algebroid import AlgebroidPresentation, Section, VectorField
 from .algebroid import _commutator_defect, _derivatives, _frame_rule, _point_labels, _prelie_tuples, _ratfunc, _rule
 from .algebroid import _scaled_labels, _sweep
 from .constructions import FiniteAlgebra
 from .errors import (
-    ArityMismatch,
     BaseNotPoint,
     FalgError,
-    MissingStructure,
     NotADeformation,
     ObstructionNonzero,
     ShapeError,
@@ -153,38 +152,6 @@ class MultiDer:
         f = RatFunc.const(self.nvars, c) if self.nvars else c
         return MultiDer.from_vector(self.degree, self.rank, self.nvars, [v * f for v in self.vec])
 
-    def _lead_terms(self, lead: list[Section]):
-        """Nonzero coefficient products over leading index tuples."""
-        terms = [((), RatFunc.one(self.nvars))]
-        for s in lead:
-            terms = [(idx + (i,), w * c) for idx, w in terms for i, c in s.entries]
-        return terms
-
-    def eval(self, args: list[Section]) -> Section:
-        """Multilinear in the leading slots, sigma-Leibniz in the last."""
-        if len(args) != self.degree:
-            raise ArityMismatch(f"expected {self.degree} arguments, got {len(args)}")
-        last = args[-1]
-        out = {}
-        for idx, w in self._lead_terms(list(args[:-1])):
-            vf = self.sigma[idx]
-            for i, c in last.entries:
-                terms = [(k, w * c * v) for k, v in self.D[idx + (i,)].entries]
-                if vf.entries and (d := vf.apply(c)).num.coeffs:
-                    terms.append((i, w * d))
-                for k, t in terms:
-                    out[k] = t if (cur := out.get(k)) is None else cur + t
-        return Section._from_dict(out, self.rank, self.nvars)
-
-    def sigma_eval(self, args: list[Section]) -> VectorField:
-        """Function-multilinear extension of the symbol."""
-        if len(args) != self.degree - 1:
-            raise ArityMismatch(f"symbol expects {self.degree - 1} arguments")
-        out = VectorField.zero(self.nvars)
-        for idx, w in self._lead_terms(list(args)):
-            out = out + self.sigma[idx].scale_fn(w)
-        return out
-
 
 def as_prelie(A: AlgebroidPresentation) -> AlgebroidPresentation:
     """The pre-Lie algebroid whose complex deforms a commutative associative algebroid: its product as the pre-Lie
@@ -193,67 +160,6 @@ def as_prelie(A: AlgebroidPresentation) -> AlgebroidPresentation:
     return A.with_structures(
         prelie=A.product, anchor=[[zero] * A.n for _ in range(A.rank)]
     )
-
-
-def _prelie_bracket(A: AlgebroidPresentation, X: Section, Y: Section) -> Section:
-    return A.prelie_of(X, Y) - A.prelie_of(Y, X)
-
-
-def d_def_eval(A: AlgebroidPresentation, omega: MultiDer, args: list[Section]) -> Section:
-    """The coboundary formula evaluated directly on n+1 section arguments."""
-    n = omega.degree
-    if len(args) != n + 1:
-        raise ArityMismatch(f"expected {n + 1} arguments")
-    last = args[n]
-    total = Section.zero(omega.rank, omega.nvars)
-    for i in range(1, n + 1):
-        rest = args[:i - 1] + args[i:]
-        head = args[:i - 1] + args[i:n]
-        t1 = A.prelie_of(args[i - 1], omega.eval(rest))
-        t2 = A.prelie_of(omega.eval(head + [args[i - 1]]), last)
-        t3 = omega.eval(head + [A.prelie_of(args[i - 1], last)])
-        term = t1 + t2 - t3
-        total = total + term if i % 2 == 1 else total - term
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            others = [args[t] for t in range(n + 1) if t not in (i - 1, j - 1)]
-            term = omega.eval([_prelie_bracket(A, args[i - 1], args[j - 1])] + others)
-            total = total + term if (i + j) % 2 == 0 else total - term
-    return total
-
-
-def d_def_sigma_eval(A: AlgebroidPresentation, omega: MultiDer, args: list[Section]) -> VectorField:
-    """Symbol of the coboundary evaluated on n section arguments."""
-    n = omega.degree
-    if len(args) != n:
-        raise ArityMismatch(f"symbol expects {n} arguments")
-    total = VectorField.zero(omega.nvars)
-    for i in range(1, n + 1):
-        rest = args[:i - 1] + args[i:]
-        t1 = vf_bracket(A.anchor_of(args[i - 1]), omega.sigma_eval(rest))
-        t2 = A.anchor_of(omega.eval(rest + [args[i - 1]]))
-        term = t1 + t2
-        total = total + term if i % 2 == 1 else total - term
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            others = [args[t] for t in range(n) if t not in (i - 1, j - 1)]
-            term = omega.sigma_eval([_prelie_bracket(A, args[i - 1], args[j - 1])] + others)
-            total = total + term if (i + j) % 2 == 0 else total - term
-    return total
-
-
-def d_def(A: AlgebroidPresentation, omega: MultiDer) -> MultiDer:
-    """Coboundary of a cochain on a pre-Lie algebroid presentation with any anchor, by the formula at frame tuples.
-
-    The deformation checks multiply coordinate vectors by the sparse rows of ``_d_matrix`` instead; with zero
-    anchor, d_def is their oracle.
-    """
-    if A.prelie is None:
-        raise MissingStructure("prelie")
-    r, nv = omega.rank, omega.nvars
-    basis = [A.basis(i) for i in range(r)]
-    return MultiDer.build(omega.degree + 1, r, nv, lambda idx: d_def_eval(A, omega, [basis[i] for i in idx]),
-                          lambda idx: d_def_sigma_eval(A, omega, [basis[i] for i in idx]))
 
 
 # -- formal deformations --------------------------------------------------
@@ -416,10 +322,11 @@ def _d_matrix(A: AlgebroidPresentation, degree: int) -> list[dict]:
     Read off the pre-Lie structure constants P = ``A.constants("prelie")`` (E_a⋆E_b = Σ_k P[a][b][k] E_k), with
     [E_a, E_b] = E_a⋆E_b − E_b⋆E_a: for the frame tuple head + (last,) of a target row, each
     x_i in head contributes x_i⋆ω(…, last), ω(…, x_i)⋆last and −ω(…, x_i⋆last), and each pair
-    x_i, x_j contributes ω([x_i, x_j], …, last), with the signs of d_def_eval. Over a base, the Leibniz
-    rule of ω's last slot adds −σ(…)(P[a][last][m])·E_m to −ω(…, x_i⋆last): the entry ∂_v P[a][last][m]
-    at the column of σ(…)'s d/du^v. The symbol rows of dω at head are the pair terms σ([x_i, x_j], …),
-    the anchor terms being zero. Entries are Fractions over a point, else RatFuncs.
+    x_i, x_j contributes ω([x_i, x_j], …, last), with the signs of ``d_def_eval`` in the tests' oracle.
+    Over a base, the Leibniz rule of ω's last slot adds −σ(…)(P[a][last][m])·E_m to
+    −ω(…, x_i⋆last): the entry ∂_v P[a][last][m] at the column of σ(…)'s d/du^v. The symbol
+    rows of dω at head are the pair terms σ([x_i, x_j], …), the anchor terms being zero. Entries are
+    Fractions over a point, else RatFuncs.
     """
     r, n = A.rank, A.n
     zero, value = _scalars(n)

@@ -65,11 +65,6 @@ class BundleMap:
                     acc[k] = acc[k] + t if k in acc else t
         return Section._from_dict(acc, self.rank, X.nvars)
 
-    def compose(self, other: "BundleMap") -> "BundleMap":
-        """Matrix product self ∘ other, one image column at a time."""
-        cols = [self.apply(Section(col)).components for col in zip(*other.matrix)]
-        return BundleMap(zip(*cols))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BundleMap) and self.matrix == other.matrix
 

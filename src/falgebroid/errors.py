@@ -105,10 +105,6 @@ class NotADeformation(FalgError):
     """Formal deformation fails its order-by-order conditions."""
 
 
-class ArityMismatch(FalgError):
-    """Multiderivation applied to the wrong number of arguments."""
-
-
 class BaseNotPoint(FalgError):
     """Operation requires an algebra over a point (no base variables)."""
 

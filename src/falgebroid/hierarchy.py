@@ -146,13 +146,6 @@ def _residual(F: HydroFlow, G: HydroFlow, i: int) -> RatFunc:
     return F.derive(G.velocity(i)) - G.derive(F.velocity(i))
 
 
-def commutator_residual(F: HydroFlow, G: HydroFlow) -> list[RatFunc]:
-    """Per-component jet residual of the commutator of two flows."""
-    if F.n != G.n:
-        raise ShapeError("flows live on different base dimensions")
-    return [_residual(F, G, i) for i in range(F.n)]
-
-
 def _bracket_vanishes(F: HydroFlow, G: HydroFlow) -> bool:
     """Whether [B,A](E_b) = Σ_{c,d} X^c Y^d K_cd(E_b) vanishes because F and G are the flows of sections X, Y of one
     presentation whose commutator table K is empty."""

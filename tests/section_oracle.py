@@ -2,17 +2,191 @@
 
 The library contracts every residual from the tables (``algebroid._point_tensor``) and reads the instances off
 the contraction (``algebroid._sweep``). Here the same laws are evaluated with ``multiply``, ``bracket_of``,
-``prelie_of``, ``BundleMap.apply`` and ``MultiDer.eval`` at the labelled test sections themselves, through a
+``BundleMap.apply`` and this module's own Section evaluation at the labelled test sections themselves, through a
 sweep that calls each residual on each case, so the tests can compare instance names, pass flags and witnesses.
+
+The Section evaluation lives here, not in the library, which never runs it: the pre-Lie operation and the anchor
+on sections (``prelie_of``, ``anchor_of``), the derived tensors P_X, Φ and Ψ, the jacobiator and the pre-Lie
+associator, a cochain at sections (``cochain_eval``, ``sigma_eval``), the coboundary d of a pre-Lie algebroid
+with any anchor (``d_def``, by its formula at frame tuples), the composition of bundle maps and the jet residual
+of two flows. Each takes the presentation, cochain, bundle map or flow first.
 """
 
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 from itertools import product as iproduct
 
-from falgebroid.algebroid import AlgebroidPresentation, Section, _prelie_tuples, _scaled_labels, _witness
+from falgebroid.algebroid import AlgebroidPresentation, Section, VectorField, vf_bracket
+from falgebroid.algebroid import _prelie_tuples, _scaled_labels, _witness
 from falgebroid.deformation import MultiDer
+from falgebroid.duality import BundleMap
+from falgebroid.errors import MissingStructure, ShapeError
+from falgebroid.hierarchy import _residual
 from falgebroid.report import Report
+from falgebroid.ring import RatFunc
+
+
+# -- operations and derived tensors on sections --------------------------------
+
+
+def anchor_of(A, X):
+    out = VectorField.zero(A.n)
+    for i, xi in X.entries:
+        if i in A._anchors:
+            out = out + A._anchors[i].scale_fn(xi)
+    return out
+
+
+def prelie_of(A, X, Y):
+    out = A._contract(A._require("prelie"), X, Y)
+    A._derivation_terms(out, X, Y)
+    return Section._from_dict(out, A.rank, A.n)
+
+
+def p_tensor(A, X, Y, Z):
+    """P_X(Y,Z) = [X, Y·Z] - [X,Y]·Z - Y·[X,Z]."""
+    return (
+        A.bracket_of(X, A.multiply(Y, Z))
+        - A.multiply(A.bracket_of(X, Y), Z)
+        - A.multiply(Y, A.bracket_of(X, Z))
+    )
+
+
+def phi(A, X, Y, Z, W):
+    """Failure of the Hertling-Manin relation, a (4,1) tensor."""
+    return (
+        p_tensor(A, A.multiply(X, Y), Z, W)
+        - A.multiply(X, p_tensor(A, Y, Z, W))
+        - A.multiply(Y, p_tensor(A, X, Z, W))
+    )
+
+
+def psi(A, X, Y, Z):
+    """Psi(X,Y,Z) = X*(Y·Z) - (X*Y)·Z - Y·(X*Z), a (3,1) tensor."""
+    return (
+        prelie_of(A, X, A.multiply(Y, Z))
+        - A.multiply(prelie_of(A, X, Y), Z)
+        - A.multiply(Y, prelie_of(A, X, Z))
+    )
+
+
+def prelie_associator(A, X, Y, Z):
+    return prelie_of(A, prelie_of(A, X, Y), Z) - prelie_of(A, X, prelie_of(A, Y, Z))
+
+
+def jacobiator(A, X, Y, Z):
+    return (
+        A.bracket_of(A.bracket_of(X, Y), Z)
+        + A.bracket_of(A.bracket_of(Y, Z), X)
+        + A.bracket_of(A.bracket_of(Z, X), Y)
+    )
+
+
+def compose(N, M):
+    """Matrix product N ∘ M of bundle maps, one image column at a time."""
+    cols = [N.apply(Section(col)).components for col in zip(*M.matrix)]
+    return BundleMap(zip(*cols))
+
+
+def commutator_residual(F, G):
+    """Per-component jet residual of the commutator of two flows."""
+    if F.n != G.n:
+        raise ShapeError("flows live on different base dimensions")
+    return [_residual(F, G, i) for i in range(F.n)]
+
+
+# -- cochains and the coboundary on sections -----------------------------------
+
+
+def _lead_terms(omega, lead):
+    """Nonzero coefficient products over leading index tuples."""
+    terms = [((), RatFunc.one(omega.nvars))]
+    for s in lead:
+        terms = [(idx + (i,), w * c) for idx, w in terms for i, c in s.entries]
+    return terms
+
+
+def cochain_eval(omega, args):
+    """Multilinear in the leading slots, sigma-Leibniz in the last."""
+    last = args[-1]
+    out = {}
+    for idx, w in _lead_terms(omega, list(args[:-1])):
+        vf = omega.sigma[idx]
+        for i, c in last.entries:
+            terms = [(k, w * c * v) for k, v in omega.D[idx + (i,)].entries]
+            if vf.entries and (d := vf.apply(c)).num.coeffs:
+                terms.append((i, w * d))
+            for k, t in terms:
+                out[k] = t if (cur := out.get(k)) is None else cur + t
+    return Section._from_dict(out, omega.rank, omega.nvars)
+
+
+def sigma_eval(omega, args):
+    """Function-multilinear extension of the symbol."""
+    out = VectorField.zero(omega.nvars)
+    for idx, w in _lead_terms(omega, list(args)):
+        out = out + omega.sigma[idx].scale_fn(w)
+    return out
+
+
+def _prelie_bracket(A, X, Y):
+    return prelie_of(A, X, Y) - prelie_of(A, Y, X)
+
+
+def d_def_eval(A, omega, args):
+    """The coboundary formula evaluated directly on n+1 section arguments."""
+    n = omega.degree
+    last = args[n]
+    total = Section.zero(omega.rank, omega.nvars)
+    for i in range(1, n + 1):
+        rest = args[:i - 1] + args[i:]
+        head = args[:i - 1] + args[i:n]
+        t1 = prelie_of(A, args[i - 1], cochain_eval(omega, rest))
+        t2 = prelie_of(A, cochain_eval(omega, head + [args[i - 1]]), last)
+        t3 = cochain_eval(omega, head + [prelie_of(A, args[i - 1], last)])
+        term = t1 + t2 - t3
+        total = total + term if i % 2 == 1 else total - term
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            others = [args[t] for t in range(n + 1) if t not in (i - 1, j - 1)]
+            term = cochain_eval(omega, [_prelie_bracket(A, args[i - 1], args[j - 1])] + others)
+            total = total + term if (i + j) % 2 == 0 else total - term
+    return total
+
+
+def d_def_sigma_eval(A, omega, args):
+    """Symbol of the coboundary evaluated on n section arguments."""
+    n = omega.degree
+    total = VectorField.zero(omega.nvars)
+    for i in range(1, n + 1):
+        rest = args[:i - 1] + args[i:]
+        t1 = vf_bracket(anchor_of(A, args[i - 1]), sigma_eval(omega, rest))
+        t2 = anchor_of(A, cochain_eval(omega, rest + [args[i - 1]]))
+        term = t1 + t2
+        total = total + term if i % 2 == 1 else total - term
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            others = [args[t] for t in range(n) if t not in (i - 1, j - 1)]
+            term = sigma_eval(omega, [_prelie_bracket(A, args[i - 1], args[j - 1])] + others)
+            total = total + term if (i + j) % 2 == 0 else total - term
+    return total
+
+
+def d_def(A, omega):
+    """Coboundary of a cochain on a pre-Lie algebroid presentation with any anchor, by the formula at frame tuples.
+
+    The deformation checks multiply coordinate vectors by the sparse rows of ``deformation._d_matrix`` instead;
+    with zero anchor, d_def is their oracle.
+    """
+    if A.prelie is None:
+        raise MissingStructure("prelie")
+    r, nv = omega.rank, omega.nvars
+    basis = [A.basis(i) for i in range(r)]
+    return MultiDer.build(omega.degree + 1, r, nv, lambda idx: d_def_eval(A, omega, [basis[i] for i in idx]),
+                          lambda idx: d_def_sigma_eval(A, omega, [basis[i] for i in idx]))
+
+
+# -- labelled arguments and the sweep ------------------------------------------
 
 
 def frame_args(A):
@@ -61,16 +235,16 @@ def pseudo_eventual(A, E):
     factor, frame = A.bracket_of(A.identity, E), frame_args(A)
 
     def residual(X, Y):
-        return A.p_tensor(E, X, Y) - A.multiply(A.multiply(factor, X), Y)
+        return p_tensor(A, E, X, Y) - A.multiply(A.multiply(factor, X), Y)
 
     return section_sweep(A, Report("oracle"), [(iproduct(frame, frame), ("pseudo-eventual-identity", residual))])
 
 
 def pre_f_eventual(A, E):
     """The pre-F eventual-identity relations with ``psi`` and ``prelie_of``, the two laws alternating pair by pair."""
-    factor, mul = A.prelie_of(E, A.identity), A.multiply
-    laws = (("psi-eventual-relation", lambda X, Y: A.psi(E, X, Y) + mul(mul(factor, X), Y)),
-            ("prelie-eventual-symmetry", lambda X, Y: mul(A.prelie_of(X, E), Y) - mul(A.prelie_of(Y, E), X)))
+    factor, mul = prelie_of(A, E, A.identity), A.multiply
+    laws = (("psi-eventual-relation", lambda X, Y: psi(A, E, X, Y) + mul(mul(factor, X), Y)),
+            ("prelie-eventual-symmetry", lambda X, Y: mul(prelie_of(A, X, E), Y) - mul(prelie_of(A, Y, E), X)))
     table = [([pair], law) for pair in iproduct(frame_args(A), repeat=2) for law in laws]
     return section_sweep(A, Report("oracle"), table)
 
@@ -88,7 +262,8 @@ def flat_condition(T, nabla, X):
 
 # -- Nijenhuis operators --------------------------------------------------------
 
-OPERATIONS = {"product": "multiply", "bracket": "bracket_of", "prelie": "prelie_of"}
+OPERATIONS = {"product": lambda A: A.multiply, "bracket": lambda A: A.bracket_of,
+              "prelie": lambda A: partial(prelie_of, A)}
 MODES = {"comm": ("product",), "lie": ("bracket",), "prelie": ("prelie",), "f": ("product", "bracket"),
          "pre_f": ("product", "prelie")}
 LAWS = {"product": "nijenhuis-comm", "bracket": "nijenhuis-lie", "prelie": "nijenhuis-prelie"}
@@ -112,15 +287,15 @@ def nijenhuis(A, N, on):
     frame, table = frame_args(A), []
     for name in MODES[on]:
         args = frame if name == "product" else frame + scaled_args(A)
-        table.append((iproduct(args, args), (LAWS[name], torsion(N, getattr(A, OPERATIONS[name])))))
+        table.append((iproduct(args, args), (LAWS[name], torsion(N, OPERATIONS[name](A)))))
     return section_sweep(A, Report(f"Nijenhuis operator ({on})"), table)
 
 
 def nijenhuis_deformation(A, N):
     """The presentation deformed by N, from sections: the twisted operations and the anchor a∘N."""
     names = ["product"] + [name for name in ("bracket", "prelie") if getattr(A, name) is not None][:1]
-    twisted = {name: tensor_of(A, deformed_op(N.apply, getattr(A, OPERATIONS[name]))) for name in names}
-    anchor = None if A.anchor is None else [A.anchor_of(N.apply(A.basis(i))).components for i in range(A.rank)]
+    twisted = {name: tensor_of(A, deformed_op(N.apply, OPERATIONS[name](A))) for name in names}
+    anchor = None if A.anchor is None else [anchor_of(A, N.apply(A.basis(i))).components for i in range(A.rank)]
     return AlgebroidPresentation(A.base_vars, A.rank, twisted["product"], bracket=twisted.get("bracket"),
                                  prelie=twisted.get("prelie"), anchor=anchor)
 
@@ -137,16 +312,16 @@ def mu(deform, k):
 
 
 def order_k_residual(deform, k, X, Y, Z):
-    """Order-k associator-symmetry residual of the deformed product, through ``MultiDer.eval``."""
+    """Order-k associator-symmetry residual of the deformed product, through ``cochain_eval``."""
     A = deform.base
     total = Section.zero(A.rank, A.n)
     for i in range(max(0, k - deform.order), min(k, deform.order) + 1):
         mi, mj = mu(deform, i), mu(deform, k - i)
         term = (
-            mi.eval([mj.eval([X, Y]), Z])
-            - mi.eval([X, mj.eval([Y, Z])])
-            - mi.eval([mj.eval([Y, X]), Z])
-            + mi.eval([Y, mj.eval([X, Z])])
+            cochain_eval(mi, [cochain_eval(mj, [X, Y]), Z])
+            - cochain_eval(mi, [X, cochain_eval(mj, [Y, Z])])
+            - cochain_eval(mi, [cochain_eval(mj, [Y, X]), Z])
+            + cochain_eval(mi, [Y, cochain_eval(mj, [X, Z])])
         )
         total = total + term
     return total

@@ -18,27 +18,25 @@ from falgebroid.deformation import (
     as_prelie,
     check_n_deformation,
     cohomology_point,
-    d_def,
-    d_def_eval,
-    d_def_sigma_eval,
     equivalence_check,
     extend,
     obstruction,
     semiclassical_limit,
 )
 from falgebroid.errors import (
-    ArityMismatch,
     BaseNotPoint,
     FalgError,
     NotADeformation,
     ObstructionNonzero,
     ShapeError,
 )
-from falgebroid.duality import dubrovin_dual
+from falgebroid.duality import BundleMap, dubrovin_dual
+from falgebroid.hierarchy import HydroFlow
 from falgebroid.linalg import nullspace, rank as mat_rank, solve
 from falgebroid.report import Report
 from falgebroid.ring import Poly, RatFunc
-from section_oracle import frame_args, n_deformation, order_k_residual, scaled_basis
+from section_oracle import cochain_eval, d_def, d_def_eval, d_def_sigma_eval, frame_args, n_deformation
+from section_oracle import order_k_residual, scaled_basis, sigma_eval
 from test_algebroid import _outcomes
 
 
@@ -171,13 +169,11 @@ def test_multider_leibniz_rule():
     X = rand_section(rng, 2, 2)
     Y = rand_section(rng, 2, 2)
     f = rand_poly(rng, 2)
-    lhs = md.eval([X, Y.scale_fn(f)])
-    rhs = md.eval([X, Y]).scale_fn(f) + Y.scale_fn(md.sigma_eval([X]).apply(f))
+    lhs = cochain_eval(md, [X, Y.scale_fn(f)])
+    rhs = cochain_eval(md, [X, Y]).scale_fn(f) + Y.scale_fn(sigma_eval(md, [X]).apply(f))
     assert lhs == rhs
     # function-linearity in the leading slot
-    assert md.eval([X.scale_fn(f), Y]) == md.eval([X, Y]).scale_fn(f)
-    with pytest.raises(ArityMismatch):
-        md.eval([X])
+    assert cochain_eval(md, [X.scale_fn(f), Y]) == cochain_eval(md, [X, Y]).scale_fn(f)
 
 
 def test_coboundary_consistency_on_prelie_fixtures():
@@ -189,9 +185,9 @@ def test_coboundary_consistency_on_prelie_fixtures():
             md = rand_multider(rng, degree, r, nv)
             d1 = d_def(A, md)
             args = [scaled_basis(A, 0, i % r) for i in range(degree + 1)]
-            assert d1.eval(args) == d_def_eval(A, md, args)
+            assert cochain_eval(d1, args) == d_def_eval(A, md, args)
             assert (
-                d1.sigma_eval(args[:-1]) - d_def_sigma_eval(A, md, args[:-1])
+                sigma_eval(d1, args[:-1]) - d_def_sigma_eval(A, md, args[:-1])
             ).is_zero()
 
 
@@ -532,12 +528,12 @@ def test_equivalence_over_base_needs_witness():
     assert (last.law, last.witness) == ("coboundary-witness", "[u1, 0]")
 
 
-# -- the coordinate path against MultiDer.eval and d_def ------------------------
+# -- the coordinate path against cochain_eval and d_def -------------------------
 #
 # At every base dimension the deformation checks run on coordinate vectors and
-# sparse coboundary rows. The oracles below take the MultiDer route: every
-# residual and the obstruction's symbol through MultiDer.eval and sigma_eval,
-# and every coboundary through d_def, all called here.
+# sparse coboundary rows. The oracles below take the Section route of
+# ``section_oracle``: every residual and the obstruction's symbol through
+# cochain_eval and sigma_eval, and every coboundary through d_def.
 
 
 def oracle_check_n_deformation(deform):
@@ -561,8 +557,8 @@ def oracle_obstruction(deform):
         total = VectorField.zero(A.n)
         for i in range(1, n + 1):
             mi, mj = deform.mus[i - 1], deform.mus[n - i]
-            total = total + mi.sigma_eval([mj.eval([X, Y]) - mj.eval([Y, X])])
-            total = total - vf_bracket(mi.sigma_eval([X]), mj.sigma_eval([Y]))
+            total = total + sigma_eval(mi, [cochain_eval(mj, [X, Y]) - cochain_eval(mj, [Y, X])])
+            total = total - vf_bracket(sigma_eval(mi, [X]), sigma_eval(mj, [Y]))
         return total
 
     theta = MultiDer.build(3, A.rank, A.n, lambda idx: order_k_residual(deform, n + 1, *(basis[i] for i in idx)),
@@ -594,7 +590,7 @@ def oracle_equivalence_check(A, mu1, mu1_prime, phi=None):
     for name, m in (("mu1", mu1), ("mu1'", mu1_prime)):
         ok = d_def(P, m).is_zero()
         report.add("cocycle", name, ok, "coboundary of candidate is nonzero")
-    ok = all(mu1.sigma_eval([X]) == mu1_prime.sigma_eval([X]) for X in basis)
+    ok = all(sigma_eval(mu1, [X]) == sigma_eval(mu1_prime, [X]) for X in basis)
     report.add("symbol-match", "sigma(mu1) = sigma(mu1')", ok, "symbols differ")
     diff = mu1 - mu1_prime
     if phi is not None:
@@ -691,42 +687,53 @@ def test_point_deformation_checks_match_the_multider_oracle(name, seed):
         assert (FalgError in kinds) == (name != "FM2")
 
 
-def count_multider_route(monkeypatch) -> list:
-    """The names of the calls of MultiDer.eval, MultiDer.sigma_eval and deformation.d_def made from here on."""
-    import falgebroid.deformation
-
-    calls = []
-
-    def counted(name, fn):
-        return lambda *args: calls.append(name) or fn(*args)
-
-    monkeypatch.setattr(MultiDer, "eval", counted("eval", MultiDer.eval))
-    monkeypatch.setattr(MultiDer, "sigma_eval", counted("sigma_eval", MultiDer.sigma_eval))
-    monkeypatch.setattr(falgebroid.deformation, "d_def", counted("d_def", d_def))
-    return calls
+# Names the tests' Section oracle (``section_oracle``) holds and the library does not: the Section evaluation of
+# the laws, of cochains and of the coboundary, the composition of bundle maps, the jet residual of two flows, and the
+# error only that evaluation raised.
+ORACLE_ONLY = {
+    "prelie_of", "anchor_of", "p_tensor", "phi", "psi", "prelie_associator", "jacobiator", "eval", "sigma_eval",
+    "_lead_terms", "_prelie_bracket", "d_def", "d_def_eval", "d_def_sigma_eval", "compose", "commutator_residual",
+    "ArityMismatch",
+}
 
 
-def test_point_deformation_checks_call_neither_eval_nor_d_def(monkeypatch):
-    import falgebroid.deformation
+def test_the_library_keeps_no_section_evaluation():
+    """No falgebroid module, and no class defined in one, defines or imports a name of the Section oracle, and the
+    package exports none: the library evaluates every law, cochain and coboundary one way, by contraction."""
+    import importlib
+    import inspect
+    import pkgutil
 
+    import falgebroid
+
+    names = [m.name for m in pkgutil.iter_modules(falgebroid.__path__)]
+    assert {"algebroid", "cli", "deformation", "duality", "errors", "hierarchy"} <= set(names)
+    modules = [importlib.import_module(f"falgebroid.{name}") for name in names]
+    classes = [cls for mod in modules for cls in vars(mod).values()
+               if inspect.isclass(cls) and cls.__module__ == mod.__name__]
+    assert {AlgebroidPresentation, MultiDer, BundleMap, HydroFlow} <= set(classes)
+    found = {(owner.__name__, name) for owner in modules + classes for name in ORACLE_ONLY & set(vars(owner))}
+    assert found == set()
+    assert ORACLE_ONLY & set(dir(falgebroid)) == set()
+
+
+def test_point_deformation_checks_run_on_coordinates():
+    """Over Q[u]/u^3, the order rule, the obstruction, an extension and both equivalence checks pass on the weight
+    cocycle, a coboundary shift of it and an H^2 representative."""
     A = truncated_poly_algebra(3).to_presentation()
     P = as_prelie(A)
     mu1, phi = mu1_euler(A), point_cochain(random.Random(1), 1, A.rank)
     shifted = mu1 - d_def(P, phi)
     psi = cohomology_point(truncated_poly_algebra(3), 2).representatives[0]
-    calls = count_multider_route(monkeypatch)
     deform = FormalDeformation(A, [mu1])
     assert check_n_deformation(deform).overall
     assert obstruction(deform).is_zero()
     assert extend(deform, psi).order == 2
     assert equivalence_check(A, mu1, shifted).overall
     assert equivalence_check(A, mu1, shifted, phi).overall
-    assert calls == []
-    falgebroid.deformation.d_def(P, phi)  # the counters see the MultiDer route
-    assert "d_def" in calls and "eval" in calls
 
 
-def test_base_deformation_checks_call_neither_eval_nor_d_def(monkeypatch):
+def test_base_deformation_checks_run_on_coordinates():
     """Over SS2, along D = 0 with the identity symbol rows, the checks take the coordinate path too."""
     A = load_fixture("SS2")
     P, one, zero = as_prelie(A), RatFunc.one(2), RatFunc.zero(2)
@@ -734,14 +741,12 @@ def test_base_deformation_checks_call_neither_eval_nor_d_def(monkeypatch):
     mu1 = MultiDer.build(2, 2, 2, lambda idx: Section.zero(2, 2), lambda idx: VectorField(rows[idx[0]]))
     phi = rand_multider(random.Random(1), 1, A.rank, A.n)
     d_phi = d_def(P, phi)
-    calls = count_multider_route(monkeypatch)
     deform = FormalDeformation(A, [mu1])
     assert check_n_deformation(deform).overall
     assert obstruction(deform).is_zero()
     assert extend(deform, d_phi).order == 2
     assert equivalence_check(A, mu1, mu1 - d_phi, phi).overall
     assert not equivalence_check(A, mu1, mu1 - d_phi, MultiDer.zero(1, 2, 2)).overall
-    assert calls == []
 
 
 def count_view_builds(monkeypatch) -> list:

@@ -27,7 +27,6 @@ from falgebroid.hierarchy import (
     _path_integrate,
     HydroFlow,
     check_flat_condition,
-    commutator_residual,
     eventual_identity_flows,
     flow_from_section,
     flows_commute,
@@ -36,7 +35,7 @@ from falgebroid.hierarchy import (
     total_x,
 )
 from falgebroid.ring import Poly, RatFunc
-from section_oracle import flat_condition
+from section_oracle import commutator_residual, flat_condition
 from test_algebroid import _outcomes, frobenius
 from test_duality import _sections
 
