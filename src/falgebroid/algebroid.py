@@ -14,18 +14,18 @@ the law, is a polynomial in the table entries, the anchor entries, the
 check's own inputs (a section, a bundle map, a cochain) and their anchor
 derivatives, so its whole tensor is contracted from the tables at once
 (``_point_tensor``) and ``_sweep`` reads the instances off it. Each check
-picks its entry type once (``AlgebroidPresentation._view``): a Fraction
-over a point; a numerator ``Poly`` over a ``polynomial`` base when its own
-inputs are polynomials too, or, for a section, its numerators over one
-shared denominator (``Section.shared_denominator``); else the ``RatFunc``,
-the presentation's tables included.
+picks its entry type once (``AlgebroidPresentation._view``): over a point
+an int, or a Fraction where not integral; a numerator ``Poly`` over a
+``polynomial`` base when its own inputs are polynomials too, or, for a
+section, its numerators over one shared denominator
+(``Section.shared_denominator``); else the ``RatFunc``, the presentation's
+tables included.
 """
 
 from __future__ import annotations
 
 from copy import copy
 from functools import lru_cache, reduce
-from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 from itertools import product as iproduct
 from math import lcm as int_lcm
@@ -34,7 +34,7 @@ from operator import itemgetter, mul, or_
 from .errors import DegreeOverflow, MissingStructure, ShapeError
 from .linalg import solve_fraction_free
 from .report import Report
-from .ring import _W, MAX_DEGREE, Poly, RatFunc
+from .ring import _W, MAX_DEGREE, Poly, RatFunc, _rational
 
 _TENSORS = ("product", "bracket", "prelie")
 Tensor = list  # rank x rank x rank nested lists of RatFunc, output-index major
@@ -277,9 +277,9 @@ class AlgebroidPresentation:
         return self._points["rational"]
 
     def _value(self, c: RatFunc):
-        """An entry as ``_point_tensor`` sums it: over a point a Fraction, over a ``polynomial`` base the
-        numerator ``Poly``, else the ``RatFunc`` itself."""
-        return c.constant_value() if not self.n else c.num if self.polynomial else c
+        """An entry as ``_point_tensor`` sums it: over a point an int, or a Fraction where not integral
+        (``_rational``), over a ``polynomial`` base the numerator ``Poly``, else the ``RatFunc`` itself."""
+        return _rational(c.constant_value()) if not self.n else c.num if self.polynomial else c
 
     def _entries(self, name: str) -> list:
         """The entries of the named table as (index tuple, ((k, RatFunc), ...)): the nonzero E_k-parts of E_a∘E_b
@@ -503,11 +503,11 @@ def _packing(shape: tuple, w: int, low: int) -> tuple:
 
 
 def _nonzeros(t) -> list:
-    """The constants of a table as (index tuple, k, c), an integral Fraction c as an int (faster, and as exact)."""
+    """The constants of a table as (index tuple, k, c), an integral Fraction c as an int (``_rational``)."""
     if isinstance(t, dict):
         return [(idx, k, c) for idx, cell in t.items() for k, c in cell.items()]
-    return [((x, y), k, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
-            for x, row in enumerate(t) for y, cell in enumerate(row) if cell for k, c in cell.items()]
+    return [((x, y), k, _rational(c)) for x, row in enumerate(t) for y, cell in enumerate(row) if cell
+            for k, c in cell.items()]
 
 
 def _derivatives(fields: dict, cells, value) -> dict:

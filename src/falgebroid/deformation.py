@@ -38,7 +38,7 @@ from .errors import (
 )
 from .linalg import nullspace, rref, solve
 from .report import Report
-from .ring import RatFunc
+from .ring import RatFunc, _rational
 
 
 def _sorted_sign(lead) -> tuple[tuple, int]:
@@ -50,7 +50,8 @@ def _sorted_sign(lead) -> tuple[tuple, int]:
 class MultiDer:
     """Multiderivation of fixed degree in a fixed frame, alternating in its leading slots, stored as its coordinate
     vector ``vec``: the E_k-components of D at the coordinate tuples (``_coord_args``), then the d/du^v-components of
-    the symbol at the strictly increasing leading tuples; Fractions over a point, else RatFuncs.
+    the symbol at the strictly increasing leading tuples; over a point ints, or Fractions where not integral, else
+    RatFuncs.
 
     ``D`` (a Section at every index tuple of length ``degree``) and ``sigma`` (a VectorField at every one of length
     ``degree - 1``) are read-only views, built once. A cochain assembled by hand from D and sigma is read at the
@@ -67,7 +68,7 @@ class MultiDer:
             if s.rank != width:
                 raise ShapeError(f"cochain values must have {width} components, not {s.rank}")
             for k, c in s.entries:
-                vec[at + k] = c if nvars else c.constant_value()
+                vec[at + k] = c if nvars else _rational(c.constant_value())
             at += width
         self.degree, self.rank, self.nvars, self.vec, self._views = degree, rank, nvars, vec, None
 
@@ -140,7 +141,8 @@ class MultiDer:
         """op applied coordinate by coordinate."""
         if (self.degree, self.rank, self.nvars) != (other.degree, other.rank, other.nvars):
             raise ShapeError("cochains of different degrees or frames")
-        return MultiDer.from_vector(self.degree, self.rank, self.nvars, list(map(op, self.vec, other.vec)))
+        vec = list(map(_rational, map(op, self.vec, other.vec)))
+        return MultiDer.from_vector(self.degree, self.rank, self.nvars, vec)
 
     def __add__(self, other: "MultiDer") -> "MultiDer":
         return self._combine(other, add)
@@ -149,8 +151,8 @@ class MultiDer:
         return self._combine(other, sub)
 
     def scale(self, c) -> "MultiDer":
-        f = RatFunc.const(self.nvars, c) if self.nvars else c
-        return MultiDer.from_vector(self.degree, self.rank, self.nvars, [v * f for v in self.vec])
+        f = RatFunc.const(self.nvars, c) if self.nvars else _rational(Fraction(c))
+        return MultiDer.from_vector(self.degree, self.rank, self.nvars, [_rational(v * f) for v in self.vec])
 
 
 def as_prelie(A: AlgebroidPresentation) -> AlgebroidPresentation:
@@ -202,9 +204,9 @@ def _tables(deform: FormalDeformation) -> tuple:
 
     cells = [([((i, j), cell(m.vec, (i * r + j) * r, r)) for i in range(r) for j in range(r)],
               [((x,), c) for x in range(r) if (c := cell(m.vec, r ** 3 + x * n, n))]) for m in deform.mus]
-    if n:  # over a point the coordinates are the Fractions the contractions sum
+    if n:  # over a point the coordinates are the numbers the contractions sum
         A = A._view(*(c for m in deform.mus for c in m.vec))
-    orders, value = [(A._entries("product"), [], A.constants("product"), {}, {})], A._value if n else Fraction
+    orders, value = [(A._entries("product"), [], A.constants("product"), {}, {})], A._value if n else _rational
     for D, sigma in cells:
         table = {idx: {k: value(c) for k, c in cell} for idx, cell in D}
         orders.append((D, sigma, [[table[i, j] for j in range(r)] for i in range(r)],
@@ -311,8 +313,8 @@ def _size(degree: int, rank: int, nvars: int) -> int:
 
 def _scalars(n: int) -> tuple:
     """The zero of a coordinate vector over n base variables and the conversion of a contraction's entry into it:
-    over a point a Fraction, else a ``RatFunc``."""
-    return (Fraction(0), Fraction) if not n else (RatFunc.zero(n), partial(_ratfunc, n))
+    over a point an int, or a Fraction where not integral (``_rational``), else a ``RatFunc``."""
+    return (0, _rational) if not n else (RatFunc.zero(n), partial(_ratfunc, n))
 
 
 def _d_matrix(A: AlgebroidPresentation, degree: int) -> list[dict]:
@@ -326,7 +328,7 @@ def _d_matrix(A: AlgebroidPresentation, degree: int) -> list[dict]:
     Over a base, the Leibniz rule of ω's last slot adds −σ(…)(P[a][last][m])·E_m to
     −ω(…, x_i⋆last): the entry ∂_v P[a][last][m] at the column of σ(…)'s d/du^v. The symbol
     rows of dω at head are the pair terms σ([x_i, x_j], …), the anchor terms being zero. Entries are
-    Fractions over a point, else RatFuncs.
+    ints, or Fractions where not integral, over a point, else RatFuncs.
     """
     r, n = A.rank, A.n
     zero, value = _scalars(n)
@@ -375,15 +377,9 @@ def _d_matrix(A: AlgebroidPresentation, degree: int) -> list[dict]:
             for h, c in brackets.items():
                 for k in range(r):
                     add(k, (h * r + last) * r + k, c)
-            rows += [{j: c for j, c in entries.items() if c} for entries in acc]
+            rows += [{j: _rational(c) for j, c in entries.items() if c} for entries in acc]
         symbol_rows += [{at + h * n + v: c for h, c in brackets.items()} for v in range(n)]
     return rows + symbol_rows
-
-
-def _dense(rows: list[dict], ncols: int) -> list[list[Fraction]]:
-    """Sparse matrix rows as dense lists, for elimination."""
-    zero = Fraction(0)
-    return [[row.get(j, zero) for j in range(ncols)] for row in rows]
 
 
 def _d_times(rows: list[dict], vec: list, zero=0) -> list:
@@ -412,16 +408,18 @@ def cohomology_point(algebra: FiniteAlgebra, degree: int) -> CohomologyResult:
     if A.n != 0:
         raise BaseNotPoint("cohomology solver works over a point only")
     r = A.rank
-    zero, one = Fraction(0), Fraction(1)
     n_in, n_out = (len(_coord_args(r, p)) * r for p in (degree - 1, degree))
-    d_in = _dense(_d_matrix(A, degree - 1), n_in)
-    d_out = _d_matrix(A, degree)
-    if any(any(_d_times(d_out, col)) for col in zip(*d_in)):
-        raise FalgError("coboundary composition is nonzero; internal error")
-    # a zero row fixes the column count when the target space is zero-dimensional (degree > rank);
-    # there every cochain is closed
-    kernel = nullspace(_dense(d_out, n_out) + [[zero] * n_out], zero, one)
-    _, pivots = rref([row + [v[i] for v in kernel] for i, row in enumerate(d_in)], one)
+    d_in, d_out = _d_matrix(A, degree - 1), _d_matrix(A, degree)
+    for row in d_out:  # the row of d_out∘d_in: the rows of d_in summed with row's coefficients
+        acc = {}
+        for j, c in row.items():
+            for i, v in d_in[j].items():
+                acc[i] = acc.get(i, 0) + c * v
+        if any(acc.values()):
+            raise FalgError("coboundary composition is nonzero; internal error")
+    kernel = nullspace(d_out, n_out)
+    image = [{**row, **{n_in + t: v[i] for t, v in enumerate(kernel) if v[i]}} for i, row in enumerate(d_in)]
+    _, pivots = rref(image, n_in + len(kernel))
     image_dim = sum(c < n_in for c in pivots)
     reps = [MultiDer.from_vector(degree, r, 0, kernel[c - n_in]) for c in pivots if c >= n_in]
     return CohomologyResult(degree=degree, dim=len(kernel) - image_dim, cocycle_dim=len(kernel),
@@ -459,7 +457,7 @@ def equivalence_check(A: AlgebroidPresentation, mu1: MultiDer, mu1_prime: MultiD
         law, instance, residual = "coboundary-witness", "mu1 - mu1' = d(phi)", diff - d(phi)
     else:
         law, instance, residual = "coboundary-solve", "mu1 - mu1' in image of d", diff
-        if solve(_dense(rows(1), r * r), diff.vec, Fraction(0), Fraction(1)) is not None:
+        if solve(rows(1), r * r, diff.vec) is not None:
             residual = MultiDer.zero(2, r, 0)
     witness = residual.witness(A.base_vars)
     report.add(law, instance, witness is None, witness)

@@ -160,6 +160,8 @@ def _commutes_at(F: HydroFlow, G: HydroFlow, i: int, bracket_vanishes: bool) -> 
         if RatFunc.sum_products(F.n, [(B[i][a], A[a][b]) for a in rows], [(A[i][a], B[a][b]) for a in rows]):
             return False
     WA, WB = F.curl[i], G.curl[i]
+    if not any(WA) and not any(WB):  # every Q'^i_bc is an empty sum
+        return True
     for b, c in combinations_with_replacement(rows, 2):
         sides = {(b, c), (c, b)}
         plus = [(A[a][x], w) for x, y in sides for a, w in WB[y].items()]

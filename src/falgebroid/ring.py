@@ -284,6 +284,12 @@ def _scaled(h: dict, c: int) -> dict:
     return h if c == 1 else {e: v * c for e, v in h.items()}
 
 
+def _rational(c):
+    """A value over a point in normal form: an integral Fraction as its int, any other value (an int, a Fraction
+    that is not integral, a Poly, a RatFunc) as it is."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 class Poly:
     """Sparse polynomial in ``nvars`` variables over the rationals.
 

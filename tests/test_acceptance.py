@@ -41,9 +41,9 @@ from falgebroid.hierarchy import (
     jet_names,
     principal_hierarchy,
 )
-from falgebroid.linalg import nullspace, rank as mat_rank
 from falgebroid.ring import RatFunc
 
+from linalg_oracle import nullspace, rank as mat_rank
 from section_oracle import cochain_eval, commutator_residual, compose, d_def, phi
 from test_deformation import dense_d_matrix, mu1_euler, rand_multider, truncated_poly_algebra
 from test_exprparse import random_ratfunc, run_parser_fuzz

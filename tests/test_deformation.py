@@ -8,12 +8,14 @@ from functools import partial
 
 import pytest
 
+from falgebroid import linalg
 from falgebroid.algebroid import AlgebroidPresentation, Section, VectorField, check_f_algebroid, vf_bracket
 from falgebroid.constructions import FiniteAlgebra, fm2_algebra, load_fixture
 from falgebroid.deformation import (
     FormalDeformation,
     MultiDer,
     _coord_args,
+    _d_matrix,
     _d_times,
     as_prelie,
     check_n_deformation,
@@ -32,9 +34,9 @@ from falgebroid.errors import (
 )
 from falgebroid.duality import BundleMap, dubrovin_dual
 from falgebroid.hierarchy import HydroFlow
-from falgebroid.linalg import nullspace, rank as mat_rank, solve
 from falgebroid.report import Report
 from falgebroid.ring import Poly, RatFunc
+from linalg_oracle import nullspace, rank as mat_rank, rref as oracle_rref, solve
 from section_oracle import cochain_eval, d_def, d_def_eval, d_def_sigma_eval, frame_args, n_deformation
 from section_oracle import order_k_residual, scaled_basis, sigma_eval
 from test_algebroid import _outcomes
@@ -301,8 +303,6 @@ def coordinate(A, c):
 
 def dense_d_matrix(A, degree):
     """``_d_matrix`` with its sparse rows written out over every source column."""
-    from falgebroid.deformation import _d_matrix
-
     zero = coordinate(A, 0)
     return [[row.get(j, zero) for j in range(n_coords(A, degree))] for row in _d_matrix(A, degree)]
 
@@ -350,14 +350,24 @@ def test_base_cochain_coordinates_round_trip(degree):
         assert hand.D == D and hand.sigma == sigma
 
 
+def assert_point_normal_form(values):
+    """Every value over a point is an int exactly when it is integral, else a Fraction with denominator > 1: never an
+    integral Fraction, a float or a bool."""
+    for c in values:
+        assert type(c) is int or type(c) is Fraction and c.denominator > 1, (type(c), c)
+
+
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_point_cochain_coordinates_round_trip(degree):
-    """Over a point the coordinates are Fractions, and the D view alternates in the leading slots."""
+    """Over a point the coordinates are ints, or Fractions where not integral, and the D view alternates in the
+    leading slots."""
     rng = random.Random(degree)
     r = 3
-    vec = [Fraction(rng.randint(-2, 2)) for _ in range(len(_coord_args(r, degree)) * r)]
+    vec = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(len(_coord_args(r, degree)) * r)]
     md = MultiDer.from_vector(degree, r, 0, vec)
-    assert MultiDer(degree, r, 0, md.D, md.sigma).vec == vec
+    rebuilt = MultiDer(degree, r, 0, md.D, md.sigma).vec
+    assert rebuilt == vec
+    assert_point_normal_form(rebuilt)
     assert md.is_zero() == (not any(vec))
     for idx, s in md.D.items():
         head, last = idx[:-1], idx[-1]
@@ -367,12 +377,15 @@ def test_point_cochain_coordinates_round_trip(degree):
             swapped = head[:a] + (head[a + 1], head[a]) + head[a + 2:]
             assert md.D[swapped + (last,)] == -s
     if degree == 2:
-        D = {(i, j): Section([RatFunc.const(0, rng.randint(-2, 2)) for _ in range(r)])
+        D = {(i, j): Section([RatFunc.const(0, Fraction(rng.randint(-2, 2), rng.randint(1, 2))) for _ in range(r)])
              for i in range(r) for j in range(r)}
         sigma = {(i,): VectorField([]) for i in range(r)}
         hand = MultiDer(2, r, 0, D, sigma)
         assert hand.D == D and hand.sigma == sigma
-        assert all(type(c) is Fraction for c in hand.vec)
+        assert_point_normal_form(hand.vec)
+        assert {type(c) for c in hand.vec} == {int, Fraction}
+        for derived in (hand.scale(Fraction(2)), hand.scale(3), hand - hand, hand + hand):
+            assert_point_normal_form(derived.vec)
 
 
 def d_matrix_through_d_def(A, degree, columns=None):
@@ -402,10 +415,11 @@ def random_prelie_presentation(rng, r, n=0):
 def assert_d_matrix_matches_d_def(A, degree, columns=None, cochains=()):
     """The sparse rows equal d_def column by column (on ``columns``, default all) and on the coordinates of each of
     ``cochains``: over a base, where d is linear over the base functions, on cochains with nonzero symbols too."""
-    from falgebroid.deformation import _d_matrix
-
     rows = _d_matrix(A, degree)
     assert all(all(row.values()) for row in rows)  # sparse: no stored zero
+    if not A.n:  # the rows and the tables they are read off (``A.constants``)
+        assert_point_normal_form(c for row in rows for c in row.values())
+        assert_point_normal_form(c for row in A.constants("prelie") for cell in row for c in cell.values())
     got = dense_d_matrix(A, degree)
     cols, m = d_matrix_through_d_def(A, degree, columns)
     assert len(got) == m
@@ -481,6 +495,47 @@ def test_cohomology_point_dimensions(name, degree, expected):
     res = cohomology_point(POINT_ALGEBRAS[name](), degree)
     assert (res.dim, res.cocycle_dim, res.coboundary_dim) == expected
     assert len(res.representatives) == res.dim
+
+
+def oracle_representatives(alg, degree):
+    """``cohomology_point``'s representatives by the tests' Fraction elimination: the kernel of d_out, and its
+    vectors at the pivots of the rref of [image of d_in | kernel]."""
+    A, zero, one = as_prelie(alg.to_presentation()), Fraction(0), Fraction(1)
+    d_in, d_out = ([[Fraction(c) for c in row] for row in dense_d_matrix(A, p)] for p in (degree - 1, degree))
+    n_in, n_out = n_coords(A, degree - 1), n_coords(A, degree)
+    kernel = nullspace(d_out + [[zero] * n_out], zero, one)
+    _, pivots = oracle_rref([row + [v[i] for v in kernel] for i, row in enumerate(d_in)], one)
+    return [kernel[c - n_in] for c in pivots if c >= n_in]
+
+
+@pytest.mark.parametrize("name, degree", [("FM2", 2), ("FM2", 3), ("Q[u]/u^3", 2), ("Q[u]/u^3", 3), ("Q[u]/u^4", 2)])
+def test_point_cohomology_matches_the_fraction_elimination(name, degree):
+    """The representatives equal the Fraction elimination's, entry by entry, as ints, or Fractions where not
+    integral."""
+    reps = [rep.vec for rep in cohomology_point(POINT_ALGEBRAS[name](), degree).representatives]
+    assert reps == oracle_representatives(POINT_ALGEBRAS[name](), degree)
+    assert_point_normal_form(c for vec in reps for c in vec)
+
+
+@pytest.mark.parametrize("name", ["FM2", "Q[u]/u^3", "Q[u]/u^4"])
+def test_point_obstruction_and_extension_stay_in_normal_form(name):
+    """The obstruction, an extension solving d(psi) = theta and the obstruction past it, on seeded cocycles with
+    half-integral coordinates, obstructed ones and a coboundary: ints, or Fractions where not integral, and some of
+    each."""
+    A, mu1, rng = point_case(name, 0)
+    P = as_prelie(A)
+    seen, extended = set(), 0
+    for mu in (mu1, mu1.scale(Fraction(1, 2)), d_def(P, point_cochain(rng, 1, A.rank))):
+        theta = obstruction(FormalDeformation(A, [mu]))
+        values = [*mu.vec, *theta.vec]
+        psi = linalg.solve(_d_matrix(P, 2), n_coords(A, 2), theta.vec)
+        if psi is not None:
+            deform = extend(FormalDeformation(A, [mu]), MultiDer.from_vector(2, A.rank, 0, psi))
+            values += [*psi, *obstruction(deform).vec]
+            extended += 1
+        assert_point_normal_form(values)
+        seen |= {type(c) for c in values}
+    assert seen == {int, Fraction} and extended
 
 def test_equivalence_separates_coboundary_shifts():
     alg = fm2_algebra()

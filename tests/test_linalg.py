@@ -1,5 +1,6 @@
-"""The sparse-update elimination against a dense oracle, over ℚ and ℚ(u1, u2), and the fraction-free solve against
-``solve``."""
+"""The fraction-free eliminations against the tests' Gauss–Jordan oracle (``linalg_oracle``): ``rref``, ``solve``
+and ``nullspace`` over ℚ, eliminating over ℤ, and ``solve_fraction_free`` over ℚ(u1, u2); the oracle's sparse row
+update itself against a dense elimination."""
 
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linalg_oracle
 from falgebroid import linalg
 from falgebroid.ring import RatFunc
 
@@ -43,16 +45,44 @@ def dense_rref(matrix, one):
     return rows, pivots
 
 
-def results(matrix, rhs, zero, one):
-    """rref, solve and nullspace of one matrix."""
-    return [linalg.rref(matrix, one), linalg.solve(matrix, rhs, zero, one), linalg.nullspace(matrix, zero, one)]
+def oracle_results(matrix, rhs, zero, one):
+    """The oracle's rref, solve and nullspace of one matrix."""
+    return [linalg_oracle.rref(matrix, one), linalg_oracle.solve(matrix, rhs, zero, one),
+            linalg_oracle.nullspace(matrix, zero, one)]
 
 
-def assert_matches_dense_oracle(matrix, rhs, zero, one):
-    got = results(matrix, rhs, zero, one)
-    with mock.patch.object(linalg, "rref", dense_rref):
-        want = results(matrix, rhs, zero, one)
-    assert got == want
+def dense_results(matrix, rhs, zero, one):
+    """``oracle_results`` through the dense elimination."""
+    with mock.patch.object(linalg_oracle, "rref", dense_rref):
+        return oracle_results(matrix, rhs, zero, one)
+
+
+def assert_normal(value):
+    """Every number in a nested result is an int exactly when integral, else a Fraction with denominator > 1: never
+    a float, a bool or an integral Fraction."""
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            assert_normal(v)
+    elif value is not None:
+        assert type(value) is int or type(value) is Fraction and value.denominator > 1, (type(value), value)
+
+
+def kernel_results(matrix, rhs):
+    """The ℤ kernel's rref, solve and nullspace of a dense matrix, passed as sparse rows that keep its zeros, with the
+    rref written out densely, zero rows included, as the oracle writes it."""
+    ncols = len(matrix[0]) if matrix else 0
+    rows = [dict(enumerate(row)) for row in matrix]
+    reduced, pivots = linalg.rref(rows, ncols)
+    assert all(all(row.values()) for row in reduced)  # sparse: no stored zero
+    dense = [[row.get(j, 0) for j in range(ncols)] for row in reduced] + [[0] * ncols for _ in matrix[len(reduced):]]
+    return [(dense, pivots), linalg.solve(rows, ncols, rhs), linalg.nullspace(rows, ncols)]
+
+
+def assert_kernel_matches_oracle(matrix, rhs):
+    """The ℤ kernel's rref, solve and nullspace equal the Fraction oracle's, entry by entry, in normal form."""
+    got = kernel_results(matrix, rhs)
+    assert got == oracle_results(matrix, rhs, Fraction(0), Fraction(1))
+    assert_normal(got)
 
 
 def random_fraction_matrix(rng):
@@ -74,13 +104,16 @@ def random_fraction_matrix(rng):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_fraction_elimination_matches_dense_oracle(seed):
+    """The ℤ kernel, and the oracle's sparse row update, against the dense elimination over ℚ."""
     rng = random.Random(seed)
     m = random_fraction_matrix(rng)
     if seed % 2:  # a square matrix
         n = min(len(m), len(m[0]))
         m = [row[:n] for row in m[:n]]
     rhs = [Fraction(rng.randint(-2, 2)) for _ in m]
-    assert_matches_dense_oracle(m, rhs, Fraction(0), Fraction(1))
+    want = dense_results(m, rhs, Fraction(0), Fraction(1))
+    assert oracle_results(m, rhs, Fraction(0), Fraction(1)) == want
+    assert kernel_results(m, rhs) == want
 
 
 ZERO, ONE = RatFunc.zero(NVARS), RatFunc.one(NVARS)
@@ -92,7 +125,57 @@ entries = st.one_of(st.just(ZERO), ratfuncs())
 def test_ratfunc_elimination_matches_dense_oracle(nrows, ncols, data):
     m = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
     rhs = data.draw(st.lists(entries, min_size=nrows, max_size=nrows))
-    assert_matches_dense_oracle(m, rhs, ZERO, ONE)
+    assert oracle_results(m, rhs, ZERO, ONE) == dense_results(m, rhs, ZERO, ONE)
+
+
+# -- the ℤ kernel over ℚ ------------------------------------------------------
+
+# ints, non-unit ones included, and Fractions, integral ones included; zero often
+rationals = st.one_of(st.just(0), st.integers(min_value=-4, max_value=4), fractions)
+
+
+@st.composite
+def rational_systems(draw):
+    """M x = rhs with up to 5 rows and columns, none at all included: M is a product of random factors of inner
+    size k (rank at most k), with zero rows and columns spliced in, and rhs is M·x plus a shift that is zero,
+    on one row only, or random, so that a rank-deficient system is consistent or not."""
+    nrows, ncols, k = (draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
+    left = draw(st.lists(st.lists(rationals, min_size=k, max_size=k), min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(rationals, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
+    m = [[sum((row[t] * right[t][j] for t in range(k)), 0) for j in range(ncols)] for row in left]
+    for i in draw(st.sets(st.integers(min_value=0, max_value=max(nrows - 1, 0)))) if nrows else ():
+        m[i] = [0] * ncols
+    for j in draw(st.sets(st.integers(min_value=0, max_value=max(ncols - 1, 0)))) if ncols else ():
+        for row in m:
+            row[j] = Fraction(0)
+    x = draw(st.lists(rationals, min_size=ncols, max_size=ncols))
+    rhs = [sum((c * v for c, v in zip(row, x)), 0) for row in m]
+    shift = draw(st.sampled_from(["none", "one", "random"]))
+    if shift == "one" and nrows:
+        rhs[draw(st.integers(min_value=0, max_value=nrows - 1))] += draw(rationals)
+    elif shift == "random":
+        rhs = draw(st.lists(rationals, min_size=nrows, max_size=nrows))
+    return m, rhs
+
+
+@given(rational_systems())
+@settings(max_examples=200, deadline=DEADLINE)
+def test_integer_kernel_matches_the_fraction_oracle(system):
+    assert_kernel_matches_oracle(*system)
+
+
+@pytest.mark.parametrize("matrix, rhs, solvable", [
+    ([], [], True),  # no rows
+    ([[], []], [0, 1], False),  # no columns: only the zero right-hand side is reached
+    ([[2, 4], [3, 5]], [1, 1], True),  # non-unit pivots, where 1/2 of two ints would be a float
+    ([[2, 4, 6], [1, 2, 3], [0, 0, 0]], [2, 1, 0], True),  # rank-deficient, consistent
+    ([[2, 4, 6], [1, 2, 3]], [2, 2], False),  # inconsistent
+    ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(2), 3]], [Fraction(1, 6), 7], True),  # integral Fractions in
+    ([[0, 3, 0], [0, 0, 0], [0, 6, 5]], [3, 0, 1], True),  # zero rows and columns
+])
+def test_integer_kernel_cases(matrix, rhs, solvable):
+    assert_kernel_matches_oracle(matrix, rhs)
+    assert (kernel_results(matrix, rhs)[1] is not None) == solvable
 
 
 # -- the fraction-free solve -------------------------------------------------
@@ -119,8 +202,8 @@ def systems(draw, entries, zero):
 def assert_fraction_free_matches_solve(matrix, rhs, n):
     zero, one = RatFunc.zero(n), RatFunc.one(n)
     sol, pivots = linalg.solve_fraction_free(matrix, rhs, n)
-    assert sol == linalg.solve(matrix, rhs, zero, one)
-    assert pivots == linalg.rref(matrix, one)[1]
+    assert sol == linalg_oracle.solve(matrix, rhs, zero, one)
+    assert pivots == linalg_oracle.rref(matrix, one)[1]
 
 
 @given(systems(st.one_of(entries, shifted), ZERO))
