@@ -2,9 +2,9 @@
 
 A presentation fixes a global frame E_1..E_r over a polynomial base with
 variables u^1..u^n. The product, bracket and pre-Lie operation are given
-by structure tensors of rational functions; evaluation on general
-sections expands the Leibniz rules through the anchor, so differential
-identities can be verified exactly on symbolic arguments. A vector field is
+by structure tensors of rational functions; the bracket and the pre-Lie
+operation obey Leibniz rules through the anchor, which the checks expand in
+the tables, so differential identities are verified exactly. A vector field is
 a section of the tangent frame d/du^1..d/du^n: ``VectorField`` is the
 ``Section`` of rank n, and the anchor sends sections to it.
 
@@ -242,20 +242,6 @@ class AlgebroidPresentation:
             raise ShapeError("section rank mismatch")
         return Section._from_dict(self._contract(self._tables["product"], X, Y), self.rank, self.n)
 
-    def _derivation_terms(self, out: dict, X: Section, Y: Section, sign: int = 1):
-        """Add sign * sum_i X^i a(E_i)(Y^k) E_k into the components ``out``."""
-        for i, xi in X.entries:
-            a_i = self._anchors.get(i)
-            if a_i is None:
-                continue
-            for k, yk in Y.entries:
-                d = a_i.apply(yk)
-                if d.is_zero():
-                    continue
-                t = xi * d if sign > 0 else -(xi * d)
-                cur = out.get(k)
-                out[k] = t if cur is None else cur + t
-
     def _require(self, name: str) -> Table:
         """The table of the named operation; MissingStructure without it or a needed anchor."""
         table = self._tables.get(name)
@@ -320,12 +306,6 @@ class AlgebroidPresentation:
         if key not in self._points:
             self._points[key] = _derivatives(self._anchors, self._entries(name), self._value)
         return self._points[key]
-
-    def bracket_of(self, X: Section, Y: Section) -> Section:
-        out = self._contract(self._require("bracket"), X, Y)
-        self._derivation_terms(out, X, Y)
-        self._derivation_terms(out, Y, X, -1)
-        return Section._from_dict(out, self.rank, self.n)
 
     def matrix_of(self, f) -> list:
         """The matrix m with m[k][j] the E_k-part of f(E_j)."""
@@ -560,10 +540,11 @@ def _comm_assoc(A: AlgebroidPresentation) -> list:
 def _lie(A: AlgebroidPresentation) -> list:
     """Antisymmetry on frame pairs; Jacobi on frame triples and with the first slot scaled by each base variable.
 
-    With ρ_x = a(E_x), the Leibniz rules of ``bracket_of`` give the frame jacobiator
-    J_abc^k = Σ_m B_ab^m B_mc^k - ρ_c(B_ab^k), summed over the cyclic shifts of (a, b, c), and for f = u^m
-    J(f·E_i, E_j, E_k) = f·J_ijk + α_jk^m E_i - a_j^m (B_ik + B_ki), with α = ``_anchor_defect`` of B: on top of
-    f times the frame residual, (a([Y,Z]) - [a(Y),a(Z)])(f)·X - a(Y)(f)·([X,Z] + [Z,X]), where a(Y)(u^m) = a_j^m.
+    With ρ_x = a(E_x), the Leibniz rules [X,fY] = f·[X,Y] + a(X)(f)·Y and [fX,Y] = f·[X,Y] - a(Y)(f)·X give the
+    frame jacobiator J_abc^k = Σ_m B_ab^m B_mc^k - ρ_c(B_ab^k), summed over the cyclic shifts of (a, b, c), and
+    for f = u^m J(f·E_i, E_j, E_k) = f·J_ijk + α_jk^m E_i - a_j^m (B_ik + B_ki), with α = ``_anchor_defect`` of B:
+    on top of f times the frame residual, (a([Y,Z]) - [a(Y),a(Z)])(f)·X - a(Y)(f)·([X,Z] + [Z,X]), where
+    a(Y)(u^m) = a_j^m.
     """
     B, dB, frame = A.constants("bracket"), A.derivatives("bracket"), _point_labels(A)
     antisym = _point_tensor((1, (0, 1), B), (1, (1, 0), B))

@@ -152,8 +152,8 @@ def cmd_deform(args) -> int:
         limit = semiclassical_limit(deform)
         names = [limit.basis_name(i) for i in range(limit.rank)]
         for i in range(limit.rank):
-            for j in range(i + 1, limit.rank):
-                val = limit.bracket_of(limit.basis(i), limit.basis(j))
+            for j in range(i + 1, limit.rank):  # [E_i,E_j] is the bracket table's entry: a(E_i)(1) = 0
+                val = Section(limit.bracket[k][i][j] for k in range(limit.rank))
                 print(f"semiclassical [{names[i]},{names[j]}] = {limit.fmt(val)}")
         witness = obstruction(deform).witness(A.base_vars)
         report.add("obstruction-vanishes", f"theta_{order}", witness is None, witness)

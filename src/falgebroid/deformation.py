@@ -155,15 +155,6 @@ class MultiDer:
         return MultiDer.from_vector(self.degree, self.rank, self.nvars, [_rational(v * f) for v in self.vec])
 
 
-def as_prelie(A: AlgebroidPresentation) -> AlgebroidPresentation:
-    """The pre-Lie algebroid whose complex deforms a commutative associative algebroid: its product as the pre-Lie
-    operation, with zero anchor, in place of any pre-Lie operation and anchor that A carries."""
-    zero = RatFunc.zero(A.n)
-    return A.with_structures(
-        prelie=A.product, anchor=[[zero] * A.n for _ in range(A.rank)]
-    )
-
-
 # -- formal deformations --------------------------------------------------
 
 
@@ -261,8 +252,8 @@ def obstruction(deform: FormalDeformation) -> MultiDer:
     """Degree-3 obstruction cochain to extending past the stored order.
 
     Its values on frame triples are the next order's residual (``_frame_rule``) and its symbol on frame pairs is
-    β (``_commutator_defect``), both contracted from the tables. Raises FalgError unless the sparse rows of d for
-    the base viewed as pre-Lie (``as_prelie``) annihilate it, which holds for every valid deformation.
+    β (``_commutator_defect``), both contracted from the tables. Raises FalgError unless the sparse rows of d
+    (``_d_matrix``) annihilate it, which holds for every valid deformation.
     """
     A, r = deform.base, deform.base.rank
     pairs = _pairs(deform, deform.order + 1, _tables(deform))
@@ -273,7 +264,7 @@ def obstruction(deform: FormalDeformation) -> MultiDer:
         for idx in tuples:
             res = table.get(idx, {})
             vec += [value(res[k]) if k in res else zero for k in range(width)]
-    if any(_d_times(_d_matrix(as_prelie(A), 3), vec, zero)):
+    if any(_d_times(_d_matrix(A, 3), vec, zero)):
         raise FalgError("obstruction cochain is not closed; deformation data invalid")
     return MultiDer.from_vector(3, r, A.n, vec)
 
@@ -287,7 +278,7 @@ def extend(deform: FormalDeformation, psi: MultiDer) -> FormalDeformation:
     """
     A = deform.base
     _in_frame(A, 2, "extension cochain", psi)
-    d_psi = _d_times(_d_matrix(as_prelie(A), 2), psi.vec, _scalars(A.n)[0])
+    d_psi = _d_times(_d_matrix(A, 2), psi.vec, _scalars(A.n)[0])
     bad = (obstruction(deform) - MultiDer.from_vector(3, A.rank, A.n, d_psi)).witness(A.base_vars)
     if bad is not None:
         raise ObstructionNonzero(bad)
@@ -318,10 +309,10 @@ def _scalars(n: int) -> tuple:
 
 
 def _d_matrix(A: AlgebroidPresentation, degree: int) -> list[dict]:
-    """Matrix of the coboundary from degree to degree+1 for zero anchor: one sparse row {source column: c} per target
-    coordinate, in the order of the coordinate vector (``MultiDer``).
+    """Matrix of the coboundary from degree to degree+1 in the complex that deforms A, its product as the pre-Lie
+    operation with zero anchor: one sparse row {source column: c} per target coordinate, in coordinate order.
 
-    Read off the pre-Lie structure constants P = ``A.constants("prelie")`` (E_a⋆E_b = Σ_k P[a][b][k] E_k), with
+    Read off the product's structure constants P = ``A.constants("product")`` (E_a⋆E_b = Σ_k P[a][b][k] E_k), with
     [E_a, E_b] = E_a⋆E_b − E_b⋆E_a: for the frame tuple head + (last,) of a target row, each
     x_i in head contributes x_i⋆ω(…, last), ω(…, x_i)⋆last and −ω(…, x_i⋆last), and each pair
     x_i, x_j contributes ω([x_i, x_j], …, last), with the signs of ``d_def_eval`` in the tests' oracle.
@@ -332,10 +323,10 @@ def _d_matrix(A: AlgebroidPresentation, degree: int) -> list[dict]:
     """
     r, n = A.rank, A.n
     zero, value = _scalars(n)
-    P = [[{k: value(c) for k, c in cell.items()} for cell in row] for row in A.constants("prelie")]
+    P = [[{k: value(c) for k, c in cell.items()} for cell in row] for row in A.constants("product")]
     dP = {}  # dP[a, b] = [(m, v, ∂_v P[a][b][m])]
     fields = {v: VectorField.basis(n, n, v) for v in range(n)}
-    for (v, a, b), cell in _derivatives(fields, A._entries("prelie"), value).items():
+    for (v, a, b), cell in _derivatives(fields, A._entries("product"), value).items():
         dP.setdefault((a, b), []).extend((m, v, c) for m, c in cell.items())
     signed = P, [[{k: -c for k, c in cell.items()} for cell in row] for row in P]  # (-1)^i·P, by i % 2
     dsigned = dP, {ab: [(m, v, -c) for m, v, c in terms] for ab, terms in dP.items()}
@@ -404,9 +395,7 @@ def cohomology_point(algebra: FiniteAlgebra, degree: int) -> CohomologyResult:
     """
     if degree not in (2, 3):
         raise ShapeError("cohomology degree must be 2 or 3")
-    A = as_prelie(algebra.to_presentation())
-    if A.n != 0:
-        raise BaseNotPoint("cohomology solver works over a point only")
+    A = algebra.to_presentation()
     r = A.rank
     n_in, n_out = (len(_coord_args(r, p)) * r for p in (degree - 1, degree))
     d_in, d_out = _d_matrix(A, degree - 1), _d_matrix(A, degree)
@@ -440,9 +429,9 @@ def equivalence_check(A: AlgebroidPresentation, mu1: MultiDer, mu1_prime: MultiD
         _in_frame(A, 1, "phi", phi)
     elif A.n != 0:
         raise BaseNotPoint("solving for an equivalence needs a point base; supply phi")
-    P, r, zero = as_prelie(A), A.rank, _scalars(A.n)[0]
+    r, zero = A.rank, _scalars(A.n)[0]
     report = Report("deformation equivalence")
-    rows = cache(partial(_d_matrix, P))
+    rows = cache(partial(_d_matrix, A))
 
     def d(m: MultiDer) -> MultiDer:
         return MultiDer.from_vector(m.degree + 1, r, A.n, _d_times(rows(m.degree), m.vec, zero))

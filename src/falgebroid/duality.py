@@ -54,17 +54,6 @@ class BundleMap:
     def rank(self) -> int:
         return len(self.matrix)
 
-    def apply(self, X: Section) -> Section:
-        if X.rank != self.rank:
-            raise ShapeError("section rank mismatch")
-        acc = {}
-        for j, xj in X.entries:
-            for k, row in enumerate(self.matrix):
-                if row[j].num.coeffs:
-                    t = row[j] * xj
-                    acc[k] = acc[k] + t if k in acc else t
-        return Section._from_dict(acc, self.rank, X.nvars)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BundleMap) and self.matrix == other.matrix
 
@@ -120,31 +109,45 @@ def _tensor(A: AlgebroidPresentation, cells: dict) -> list:
     return [[[_ratfunc(A.n, cells[i][j][k]) if k in cells[i][j] else zero for j in r] for i in r] for k in r]
 
 
+def _times(t: dict, p) -> dict:
+    """The table t with every entry times p."""
+    return {key: {k: c * p for k, c in cell.items()} for key, cell in t.items()}
+
+
+def _bracket_numerators(A: AlgebroidPresentation, X: Section, Y: Section) -> tuple:
+    """(B, ε, δ, F, H, G) for [X,Y] contracted from the tables, with X = Φ/ε and Y = F/δ as ``_sections``
+    gives them over its view B (ε = δ = 1 but over shared denominators).
+
+    With ρ_x = a(E_x), H_x^m = δ·ρ_x(F^m) - F^m·ρ_x(δ) (so ρ_x(Y^m) = H_x^m/δ²) and
+    K_x^m = ε·ρ_x(Φ^m) - Φ^m·ρ_x(ε), the Leibniz rules give the cell G = {(): {k: G^k}} of
+    ε²δ²·[X,Y]^k = G^k = Σ_{i,j} εδΦ^i F^j B_ij^k + Σ_i εΦ^i H_i^k - Σ_j δF^j K_j^k.
+    """
+    B, ((z, Phi), (d, F)) = _sections(A, X, Y)
+    if type(d) is Poly:
+        rho = lambda vf, p: vf.apply(RatFunc(p, _normal=True)).num  # noqa: E731
+        H, K = ({(x,): {m: h for m, f in N[()].items() if (h := den * rho(vf, f) - f * rho(vf, den)).coeffs}
+                 for x, vf in B._anchors.items()} for den, N in ((d, F), (z, Phi)))
+    else:
+        H, K = (B._entry_tables([((), S.entries)])[1] for S in (Y, X))
+    G = _point_tensor((1, ((),), _times(Phi, z * d), _point_tensor((1, (0, ()), F, B.constants("bracket")))),
+                      (1, ((),), _times(Phi, z), H), (-1, ((),), _times(F, d), K))
+    return B, z, d, F, H, G
+
+
 def _pseudo_eventual_tensor(A: AlgebroidPresentation, e: Section, E: Section) -> dict:
     """The nonzero residuals {(c, d): {k: R_cd^k}} of R_cd = P_ℰ(E_c,E_d) - [e,ℰ]·E_c·E_d, contracted from the
-    tables, with e = Φ/ε and ℰ = F/δ as ``_sections`` gives them (ε = δ = 1 but over shared denominators).
+    tables, with e = Φ/ε, ℰ = F/δ, H and G = ε²δ²·[e,ℰ] of ``_bracket_numerators``.
 
-    With ρ_x = a(E_x), H_x^m = δ·ρ_x(F^m) - F^m·ρ_x(δ) (so ρ_x(ℰ^m) = H_x^m/δ²),
-    K_x^m = ε·ρ_x(Φ^m) - Φ^m·ρ_x(ε) and P_m(c,d) of ``_point_p``, the Leibniz rules give
-    ε²δ²·[e,ℰ]^k = G^k = Σ_{i,j} εδΦ^i F^j B_ij^k + Σ_i εΦ^i H_i^k - Σ_j δF^j K_j^k and
+    With P_m(c,d) of ``_point_p``, the Leibniz rules give
     ε²δ²·R_cd^k = Σ_m ε²δF^m P_m(c,d)^k + ε²(Σ_m H_c^m M_md^k + Σ_m H_d^m M_cm^k - Σ_n M_cd^n H_n^k)
     - Σ_{m,n} G^m M_mc^n M_nd^k. Over shared denominators each is summed in one integer dict (``_packed``),
     R_cd^k is zero exactly when its numerator is, and only a nonzero one is divided out.
     """
-    A, ((z, Phi), (d, F)) = _sections(A, e, E)
-    M, B = A.constants("product"), A.constants("bracket")
-    times = lambda t, p: {key: {k: c * p for k, c in cell.items()} for key, cell in t.items()}  # noqa: E731
-    if type(d) is Poly:
-        rho = lambda vf, p: vf.apply(RatFunc(p, _normal=True)).num  # noqa: E731
-        H, K = ({(x,): {m: h for m, f in N[()].items() if (h := den * rho(vf, f) - f * rho(vf, den)).coeffs}
-                 for x, vf in A._anchors.items()} for den, N in ((d, F), (z, Phi)))
-    else:
-        H, K = (A._entry_tables([((), X.entries)])[1] for X in (E, e))
-    G = _point_tensor((1, ((),), times(Phi, z * d), _point_tensor((1, (0, ()), F, B))),
-                      (1, ((),), times(Phi, z), H), (-1, ((),), times(F, d), K))
+    A, z, d, F, H, G = _bracket_numerators(A, e, E)
+    M = A.constants("product")
     zz, GM = z * z, _point_tensor((1, ((), 0), G, M))  # GM_c^n = (G·E_c)^n
-    H = times(H, zz)
-    cells = _point_tensor((1, ((), 0, 1), times(F, zz * d), _point_p(A)), (1, ((0,), 1), H, M),
+    H = _times(H, zz)
+    cells = _point_tensor((1, ((), 0, 1), _times(F, zz * d), _point_p(A)), (1, ((0,), 1), H, M),
                           (1, (0, (1,)), H, M), (-1, ((0, 1),), M, H), (-1, ((0,), 1), GM, M))
     return _over(A, zz * d * d, cells)
 
@@ -269,7 +272,8 @@ def _eventual_checker(A: AlgebroidPresentation):
 
 
 def ev_identity_closure(A: AlgebroidPresentation, E1: Section, E2: Section) -> Report:
-    """Products (and brackets, in the F case) of eventual identities stay eventual."""
+    """Products (and brackets, in the F case) of eventual identities stay eventual. The bracket is contracted from
+    the tables (``_bracket_numerators``) and divided out once."""
     checker = _eventual_checker(A)
     report = Report("eventual identity closure")
     for name, E in (("E1", E1), ("E2", E2)):
@@ -278,7 +282,8 @@ def ev_identity_closure(A: AlgebroidPresentation, E1: Section, E2: Section) -> R
     prod = A.multiply(E1, E2)
     report.add_verdict("product-closure", f"E1·E2 = [{A.fmt(prod)}]", checker(A, prod))
     if A.bracket is not None:
-        br = A.bracket_of(E1, E2)
+        _, z, d, _, _, G = _bracket_numerators(A, E1, E2)
+        br = Section._from_dict(_over(A, z * z * d * d, G).get((), {}), A.rank, A.n)
         report.add_verdict("bracket-closure", f"[E1,E2] = [{A.fmt(br)}]", checker(A, br))
     return report
 

@@ -292,10 +292,9 @@ def principal_hierarchy(
             "hierarchy integration supports vanishing Christoffel symbols only"
         )
     n = T.n
-    for p, X in enumerate(flat_basis):
-        for j in range(n):
-            if not nabla.covariant_derivative(T, j, X).is_zero():
-                raise NotFlat(f"flat basis section {p + 1} is not covariantly constant")
+    for p, X in enumerate(flat_basis):  # with zero Christoffel symbols, covariantly constant means constant
+        if not all(c.is_constant() for _, c in X.entries):
+            raise NotFlat(f"flat basis section {p + 1} is not covariantly constant")
     data = HierarchyData(flat_basis=list(flat_basis), alpha_max=alpha_max)
     symmetric = not _point_tensor((1, (0, 1), T.constants("product")), (-1, (1, 0), T.constants("product")))
     for p, X in enumerate(flat_basis):

@@ -1,15 +1,17 @@
 """The Section oracle: the library's checks evaluated on sections, instance by instance.
 
 The library contracts every residual from the tables (``algebroid._point_tensor``) and reads the instances off
-the contraction (``algebroid._sweep``). Here the same laws are evaluated with ``multiply``, ``bracket_of``,
-``BundleMap.apply`` and this module's own Section evaluation at the labelled test sections themselves, through a
-sweep that calls each residual on each case, so the tests can compare instance names, pass flags and witnesses.
+the contraction (``algebroid._sweep``). Here the same laws are evaluated with ``multiply`` and this module's own
+Section evaluation at the labelled test sections themselves, through a sweep that calls each residual on each
+case, so the tests can compare instance names, pass flags and witnesses.
 
-The Section evaluation lives here, not in the library, which never runs it: the pre-Lie operation and the anchor
-on sections (``prelie_of``, ``anchor_of``), the derived tensors P_X, Φ and Ψ, the jacobiator and the pre-Lie
-associator, a cochain at sections (``cochain_eval``, ``sigma_eval``), the coboundary d of a pre-Lie algebroid
-with any anchor (``d_def``, by its formula at frame tuples), the composition of bundle maps and the jet residual
-of two flows. Each takes the presentation, cochain, bundle map or flow first.
+The Section evaluation lives here, not in the library, which never runs it: the bracket, the pre-Lie operation
+and the anchor on sections (``bracket_of``, ``prelie_of``, ``anchor_of``, with the Leibniz terms of
+``_derivation_terms``), a bundle map on a section (``bundle_apply``), the derived tensors P_X, Φ and Ψ, the
+jacobiator and the pre-Lie associator, a cochain at sections (``cochain_eval``, ``sigma_eval``), the pre-Lie
+algebroid whose complex deforms a commutative associative one (``as_prelie``), the coboundary d of a pre-Lie
+algebroid with any anchor (``d_def``, by its formula at frame tuples), the composition of bundle maps and the jet
+residual of two flows. Each takes the presentation, cochain, bundle map or flow first.
 """
 
 from functools import cache, partial
@@ -37,18 +39,69 @@ def anchor_of(A, X):
     return out
 
 
+def _derivation_terms(A, out, X, Y, sign=1):
+    """Add sign * sum_i X^i a(E_i)(Y^k) E_k into the components ``out``."""
+    for i, xi in X.entries:
+        a_i = A._anchors.get(i)
+        if a_i is None:
+            continue
+        for k, yk in Y.entries:
+            d = a_i.apply(yk)
+            if d.is_zero():
+                continue
+            t = xi * d if sign > 0 else -(xi * d)
+            cur = out.get(k)
+            out[k] = t if cur is None else cur + t
+
+
+def _anchored(A, name, X, Y):
+    """The E_k-components of sum X^i Y^j E_i∘E_j for the named table, plus the Leibniz terms of X acting on Y."""
+    table, out = A._require(name), {}
+    for i, xi in X.entries:
+        for j, yj in Y.entries:
+            for k, c in table[i][j]:
+                t = xi * yj * c
+                out[k] = t if (cur := out.get(k)) is None else cur + t
+    _derivation_terms(A, out, X, Y)
+    return out
+
+
 def prelie_of(A, X, Y):
-    out = A._contract(A._require("prelie"), X, Y)
-    A._derivation_terms(out, X, Y)
+    return Section._from_dict(_anchored(A, "prelie", X, Y), A.rank, A.n)
+
+
+def bracket_of(A, X, Y):
+    out = _anchored(A, "bracket", X, Y)
+    _derivation_terms(A, out, Y, X, -1)
     return Section._from_dict(out, A.rank, A.n)
+
+
+def bundle_apply(N, X):
+    """The image N(X) of a section under a bundle map."""
+    if X.rank != N.rank:
+        raise ShapeError("section rank mismatch")
+    acc = {}
+    for j, xj in X.entries:
+        for k, row in enumerate(N.matrix):
+            if row[j].num.coeffs:
+                t = row[j] * xj
+                acc[k] = acc[k] + t if k in acc else t
+    return Section._from_dict(acc, N.rank, X.nvars)
+
+
+def as_prelie(A):
+    """The pre-Lie algebroid whose complex deforms a commutative associative algebroid: its product as the pre-Lie
+    operation, with zero anchor, in place of any pre-Lie operation and anchor that A carries."""
+    zero = RatFunc.zero(A.n)
+    return A.with_structures(prelie=A.product, anchor=[[zero] * A.n for _ in range(A.rank)])
 
 
 def p_tensor(A, X, Y, Z):
     """P_X(Y,Z) = [X, Y·Z] - [X,Y]·Z - Y·[X,Z]."""
     return (
-        A.bracket_of(X, A.multiply(Y, Z))
-        - A.multiply(A.bracket_of(X, Y), Z)
-        - A.multiply(Y, A.bracket_of(X, Z))
+        bracket_of(A, X, A.multiply(Y, Z))
+        - A.multiply(bracket_of(A, X, Y), Z)
+        - A.multiply(Y, bracket_of(A, X, Z))
     )
 
 
@@ -76,15 +129,15 @@ def prelie_associator(A, X, Y, Z):
 
 def jacobiator(A, X, Y, Z):
     return (
-        A.bracket_of(A.bracket_of(X, Y), Z)
-        + A.bracket_of(A.bracket_of(Y, Z), X)
-        + A.bracket_of(A.bracket_of(Z, X), Y)
+        bracket_of(A, bracket_of(A, X, Y), Z)
+        + bracket_of(A, bracket_of(A, Y, Z), X)
+        + bracket_of(A, bracket_of(A, Z, X), Y)
     )
 
 
 def compose(N, M):
     """Matrix product N ∘ M of bundle maps, one image column at a time."""
-    cols = [N.apply(Section(col)).components for col in zip(*M.matrix)]
+    cols = [bundle_apply(N, Section(col)).components for col in zip(*M.matrix)]
     return BundleMap(zip(*cols))
 
 
@@ -232,7 +285,7 @@ def tensor_of(A, op):
 
 def pseudo_eventual(A, E):
     """The pseudo-eventual identity pair by pair: P_ℰ(X,Y) - [e,ℰ]·X·Y."""
-    factor, frame = A.bracket_of(A.identity, E), frame_args(A)
+    factor, frame = bracket_of(A, A.identity, E), frame_args(A)
 
     def residual(X, Y):
         return p_tensor(A, E, X, Y) - A.multiply(A.multiply(factor, X), Y)
@@ -262,7 +315,7 @@ def flat_condition(T, nabla, X):
 
 # -- Nijenhuis operators --------------------------------------------------------
 
-OPERATIONS = {"product": lambda A: A.multiply, "bracket": lambda A: A.bracket_of,
+OPERATIONS = {"product": lambda A: A.multiply, "bracket": lambda A: partial(bracket_of, A),
               "prelie": lambda A: partial(prelie_of, A)}
 MODES = {"comm": ("product",), "lie": ("bracket",), "prelie": ("prelie",), "f": ("product", "bracket"),
          "pre_f": ("product", "prelie")}
@@ -276,9 +329,9 @@ def deformed_op(N, op):
 
 def torsion(N, op):
     """The Nijenhuis torsion μ(NX, NY) - N μ_N(X, Y) of an operation."""
-    apply = cache(N.apply)
+    apply = cache(partial(bundle_apply, N))
     deformed = deformed_op(apply, op)
-    return lambda X, Y: op(apply(X), apply(Y)) - N.apply(deformed(X, Y))
+    return lambda X, Y: op(apply(X), apply(Y)) - bundle_apply(N, deformed(X, Y))
 
 
 def nijenhuis(A, N, on):
@@ -294,8 +347,9 @@ def nijenhuis(A, N, on):
 def nijenhuis_deformation(A, N):
     """The presentation deformed by N, from sections: the twisted operations and the anchor a∘N."""
     names = ["product"] + [name for name in ("bracket", "prelie") if getattr(A, name) is not None][:1]
-    twisted = {name: tensor_of(A, deformed_op(N.apply, OPERATIONS[name](A))) for name in names}
-    anchor = None if A.anchor is None else [anchor_of(A, N.apply(A.basis(i))).components for i in range(A.rank)]
+    apply = partial(bundle_apply, N)
+    twisted = {name: tensor_of(A, deformed_op(apply, OPERATIONS[name](A))) for name in names}
+    anchor = None if A.anchor is None else [anchor_of(A, apply(A.basis(i))).components for i in range(A.rank)]
     return AlgebroidPresentation(A.base_vars, A.rank, twisted["product"], bracket=twisted.get("bracket"),
                                  prelie=twisted.get("prelie"), anchor=anchor)
 

@@ -16,7 +16,6 @@ from falgebroid.constructions import fm2_algebra, load_fixture, semisimple
 from falgebroid.deformation import (
     FormalDeformation,
     MultiDer,
-    as_prelie,
     check_n_deformation,
     cohomology_point,
     equivalence_check,
@@ -44,7 +43,7 @@ from falgebroid.hierarchy import (
 from falgebroid.ring import RatFunc
 
 from linalg_oracle import nullspace, rank as mat_rank
-from section_oracle import cochain_eval, commutator_residual, compose, d_def, phi
+from section_oracle import as_prelie, bracket_of, cochain_eval, commutator_residual, compose, d_def, phi
 from test_deformation import dense_d_matrix, mu1_euler, rand_multider, truncated_poly_algebra
 from test_exprparse import random_ratfunc, run_parser_fuzz
 from test_hierarchy import random_diagonal_section
@@ -132,7 +131,7 @@ def test_criterion_5_deformation_suite():
     for i in range(A.rank):
         for j in range(A.rank):
             x, y = A.basis(i), A.basis(j)
-            ok &= limit.bracket_of(x, y) == cochain_eval(mu1, [x, y]) - cochain_eval(mu1, [y, x])
+            ok &= bracket_of(limit, x, y) == cochain_eval(mu1, [x, y]) - cochain_eval(mu1, [y, x])
     theta = obstruction(FormalDeformation(A, [mu1]))
     ok &= theta.is_zero()
     ok &= extend(FormalDeformation(A, [mu1]), MultiDer.zero(2, A.rank, 0)).order == 2

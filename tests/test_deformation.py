@@ -17,7 +17,6 @@ from falgebroid.deformation import (
     _coord_args,
     _d_matrix,
     _d_times,
-    as_prelie,
     check_n_deformation,
     cohomology_point,
     equivalence_check,
@@ -37,8 +36,8 @@ from falgebroid.hierarchy import HydroFlow
 from falgebroid.report import Report
 from falgebroid.ring import Poly, RatFunc
 from linalg_oracle import nullspace, rank as mat_rank, rref as oracle_rref, solve
-from section_oracle import cochain_eval, d_def, d_def_eval, d_def_sigma_eval, frame_args, n_deformation
-from section_oracle import order_k_residual, scaled_basis, sigma_eval
+from section_oracle import as_prelie, bracket_of, cochain_eval, d_def, d_def_eval, d_def_sigma_eval, frame_args
+from section_oracle import n_deformation, order_k_residual, scaled_basis, sigma_eval
 from test_algebroid import _outcomes
 
 
@@ -92,7 +91,7 @@ def test_semiclassical_limit_bracket_oracle():
             x, y = A.basis(i), A.basis(j)
             # hand formula: [x, y] = x.D(y) - y.D(x)
             expected = A.multiply(x, euler_weight(A, y)) - A.multiply(y, euler_weight(A, x))
-            assert limit.bracket_of(x, y) == expected
+            assert bracket_of(limit, x, y) == expected
     assert check_f_algebroid(limit).overall
 
 
@@ -413,20 +412,21 @@ def random_prelie_presentation(rng, r, n=0):
 
 
 def assert_d_matrix_matches_d_def(A, degree, columns=None, cochains=()):
-    """The sparse rows equal d_def column by column (on ``columns``, default all) and on the coordinates of each of
-    ``cochains``: over a base, where d is linear over the base functions, on cochains with nonzero symbols too."""
-    rows = _d_matrix(A, degree)
+    """The sparse rows of A's complex equal d_def on ``as_prelie(A)``, A's product with zero anchor, column by column
+    (on ``columns``, default all) and on the coordinates of each of ``cochains``: over a base, where d is linear
+    over the base functions, on cochains with nonzero symbols too."""
+    rows, P = _d_matrix(A, degree), as_prelie(A)
     assert all(all(row.values()) for row in rows)  # sparse: no stored zero
     if not A.n:  # the rows and the tables they are read off (``A.constants``)
         assert_point_normal_form(c for row in rows for c in row.values())
-        assert_point_normal_form(c for row in A.constants("prelie") for cell in row for c in cell.values())
+        assert_point_normal_form(c for row in A.constants("product") for cell in row for c in cell.values())
     got = dense_d_matrix(A, degree)
-    cols, m = d_matrix_through_d_def(A, degree, columns)
+    cols, m = d_matrix_through_d_def(P, degree, columns)
     assert len(got) == m
     for j, col in cols.items():
         assert [row[j] for row in got] == col, (degree, j)
     for omega in cochains:
-        assert _d_times(rows, omega.vec, coordinate(A, 0)) == d_def(A, omega).vec, degree
+        assert _d_times(rows, omega.vec, coordinate(A, 0)) == d_def(P, omega).vec, degree
 
 
 POINT_ALGEBRAS = {
@@ -453,11 +453,11 @@ def test_d_matrix_matches_d_def_oracle(name, degree):
     """The rows of the complex of the product with zero anchor, over a point and over a base; there, also on
     seeded cochains with nonzero symbols."""
     if name in BASE_PRESENTATIONS:
-        A = as_prelie(BASE_PRESENTATIONS[name]())
+        A = BASE_PRESENTATIONS[name]()
         rng = random.Random(f"{name}:{degree}")
         assert_d_matrix_matches_d_def(A, degree, None, [rand_multider(rng, degree, A.rank, A.n) for _ in range(3)])
         return
-    A = as_prelie(POINT_ALGEBRAS[name]().to_presentation())
+    A = POINT_ALGEBRAS[name]().to_presentation()
     columns = None
     if A.rank == 4 and degree == 3:
         # the d_def route costs about 60 ms per column here; check a seeded 12 of the 96
@@ -468,13 +468,16 @@ def test_d_matrix_matches_d_def_oracle(name, degree):
 @pytest.mark.parametrize("seed", range(4))
 def test_d_matrix_matches_d_def_on_random_prelie_constants(seed):
     """Non-commutative constants, over a point and over one or two base variables, where the bracket's symbol rows
-    and the derivatives of the constants are nonzero."""
+    and the derivatives of the constants are nonzero. ``_d_matrix`` reads the product, so the random pre-Lie
+    constants go in the product slot, and d_def runs on them as the pre-Lie operation (``as_prelie``)."""
     rng = random.Random(seed)
     r = 2 + seed % 3
     A = random_prelie_presentation(rng, r)
+    A = A.with_structures(product=A.prelie)
     for degree in (1, 2, 3) if r < 4 else (1, 2):
         assert_d_matrix_matches_d_def(A, degree)
     B = random_prelie_presentation(rng, r, 1 + seed % 2)
+    B = B.with_structures(product=B.prelie)
     for degree in (1, 2, 3) if r < 4 else (1, 2):
         assert_d_matrix_matches_d_def(B, degree, None, [rand_multider(rng, degree, r, B.n)])
 
@@ -743,12 +746,13 @@ def test_point_deformation_checks_match_the_multider_oracle(name, seed):
 
 
 # Names the tests' Section oracle (``section_oracle``) holds and the library does not: the Section evaluation of
-# the laws, of cochains and of the coboundary, the composition of bundle maps, the jet residual of two flows, and the
-# error only that evaluation raised.
+# the laws, of the bracket, of cochains and of the coboundary, the pre-Lie copy of a presentation that the
+# coboundary's oracle runs on, the composition of bundle maps, the jet residual of two flows, and the error only
+# that evaluation raised.
 ORACLE_ONLY = {
     "prelie_of", "anchor_of", "p_tensor", "phi", "psi", "prelie_associator", "jacobiator", "eval", "sigma_eval",
     "_lead_terms", "_prelie_bracket", "d_def", "d_def_eval", "d_def_sigma_eval", "compose", "commutator_residual",
-    "ArityMismatch",
+    "ArityMismatch", "bracket_of", "_derivation_terms", "as_prelie",
 }
 
 
@@ -770,6 +774,7 @@ def test_the_library_keeps_no_section_evaluation():
     found = {(owner.__name__, name) for owner in modules + classes for name in ORACLE_ONLY & set(vars(owner))}
     assert found == set()
     assert ORACLE_ONLY & set(dir(falgebroid)) == set()
+    assert "apply" not in vars(BundleMap)  # a bundle map on a section is the oracle's ``bundle_apply``
 
 
 def test_point_deformation_checks_run_on_coordinates():

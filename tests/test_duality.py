@@ -1,6 +1,7 @@
 """Eventual-identity duals and Nijenhuis deformations."""
 
 import random
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
@@ -29,7 +30,7 @@ from falgebroid.errors import NotEventual, NotInvertible, NotNijenhuis, ShapeErr
 from falgebroid.report import Report
 from falgebroid.ring import Poly, RatFunc
 import section_oracle
-from section_oracle import compose, pre_f_eventual, pseudo_eventual, tensor_of
+from section_oracle import bundle_apply, compose, pre_f_eventual, pseudo_eventual, tensor_of
 from test_algebroid import _mutant, _mutate_tensor, _outcomes, _presentation, _random_presentation, frobenius
 from test_report import check_to_dict
 
@@ -138,6 +139,55 @@ def test_ev_identity_closure_on_ss2():
     assert ev_identity_closure(A, E1, E2).overall
 
 
+def diagonal_eventual(rng, n, kind):
+    """A seeded eventual identity Σ f_i(u_i)·E_i of SS<n>: polynomial components; or one component p(u_j)/(u_j - b),
+    the only nonconstant denominator ("shared"); or each component over its own u_i - b_i ("distinct"). The
+    coefficients of p are positive and b > 0, so no denominator cancels."""
+    u, j = [RatFunc.var(n, i) for i in range(n)], rng.randrange(n)
+
+    def const(choices):
+        return RatFunc.const(n, rng.choice(choices))
+
+    def component(i):
+        p = const([1, 2, Fraction(1, 2)]) + const([1, 2]) * u[i] + const([0, 1, 3]) * u[i] * u[i]
+        return p / (u[i] - const([1, 2, 3])) if kind == "distinct" or kind == "shared" and i == j else p
+
+    return Section([component(i) for i in range(n)])
+
+
+CLOSURE_KINDS = [("polynomial", "polynomial"), ("polynomial", "shared"), ("shared", "shared"),
+                 ("shared", "distinct"), ("distinct", "polynomial")]
+
+
+@pytest.mark.parametrize("name", ["SS2", "SS3"])
+@pytest.mark.parametrize("kinds", CLOSURE_KINDS, ids="-".join)
+@pytest.mark.parametrize("seed", range(2))
+def test_ev_identity_closure_matches_the_section_bracket(name, kinds, seed):
+    """Products and brackets of seeded eventual identities stay eventual, and the bracket in the closure's instance
+    text, contracted from the tables, is the Section oracle's ``bracket_of``: over shared denominators, where the
+    contraction sums numerators, and over distinct ones, where it sums RatFuncs."""
+    A, rng = load_fixture(name), random.Random(f"closure:{name}:{kinds}:{seed}")
+    E1, E2 = (diagonal_eventual(rng, A.n, kind) for kind in kinds)
+    for E, kind in zip((E1, E2), kinds):  # each section takes the path its kind names
+        assert all(c.is_polynomial() for c in E.components) == (kind == "polynomial")
+        assert (E.shared_denominator() is None) == (kind == "distinct")
+    report = ev_identity_closure(A, E1, E2)
+    assert report.overall
+    instances = {c.law: c.instance for c in report.checks}
+    assert instances["product-closure"] == f"E1·E2 = [{A.fmt(A.multiply(E1, E2))}]"
+    assert instances["bracket-closure"] == f"[E1,E2] = [{A.fmt(section_oracle.bracket_of(A, E1, E2))}]"
+
+
+@pytest.mark.parametrize("name", ["SS2", "SS3"])
+def test_ev_identity_closure_refuses_a_non_eventual_premise(name):
+    """Negative control: u1·u2·E1 + Σ_(i>1) u_i·E_i is not eventual, and the closure stops at its premise."""
+    A = load_fixture(name)
+    u = [RatFunc.var(A.n, i) for i in range(A.n)]
+    bad = Section([u[0] * u[1], *u[1:]])
+    with pytest.raises(NotEventual, match=r"^not an eventual identity: E2 eventual: -u1, 0"):
+        ev_identity_closure(A, euler(A.n), bad)
+
+
 def diag_n(A):
     u1, u2 = RatFunc.var(2, 0), RatFunc.var(2, 1)
     zero = RatFunc.zero(2)
@@ -154,7 +204,7 @@ def test_bundle_map_apply_and_compose_match_dense_formulas():
             M = [[rng.choice(pool) for _ in range(r)] for _ in range(r)]
             P = [[rng.choice(pool) for _ in range(r)] for _ in range(r)]
             X = Section([rng.choice(pool) for _ in range(r)])
-            image = BundleMap(M).apply(X)
+            image = bundle_apply(BundleMap(M), X)
             xs = X.components
             dense = [sum((M[k][j] * xs[j] for j in range(r)), RatFunc.zero(2)) for k in range(r)]
             assert image.components == tuple(dense)
