@@ -341,13 +341,9 @@ def _scaled_labels(A: AlgebroidPresentation) -> list:
 
 
 def _prelie_tuples(frame, scaled):
-    """Frame triples, then triples with each slot in turn scaled."""
-    return chain(
-        iproduct(frame, frame, frame),
-        iproduct(scaled, frame, frame),
-        iproduct(frame, scaled, frame),
-        iproduct(frame, frame, scaled),
-    )
+    """Frame triples, then triples with the third slot scaled: scaling the first or second slot of ``_rule``'s
+    residual only multiplies it by u^m."""
+    return chain(iproduct(frame, frame, frame), iproduct(frame, frame, scaled))
 
 
 def _ratfunc(n: int, c) -> RatFunc:
@@ -604,22 +600,21 @@ def _commutator_defect(pairs) -> dict:
 
 
 def _rule(A: AlgebroidPresentation, pairs) -> dict:
-    """``_frame_rule`` on frame triples and with each slot in turn scaled by each base variable (``_prelie_tuples``).
+    """``_frame_rule`` on frame triples and with the third slot scaled by each base variable (``_prelie_tuples``).
     When the pairs (S, T) and (T, S) both occur, or S = T, f = u^m scaling the first or second slot gives f·R_ijk,
-    and the third gives f·R_ijk + β_ij^m E_k, β = ``_commutator_defect``: (a_T(S(X,Y) - S(Y,X)) - [a_T(X),
-    a_S(Y)])(f)·Z."""
+    no instance of its own, and the third gives f·R_ijk + β_ij^m E_k, β = ``_commutator_defect``: (a_T(S(X,Y) -
+    S(Y,X)) - [a_T(X), a_S(Y)])(f)·Z."""
     R = _frame_rule(pairs)
     if not A.n:
         return R
     U, beta = _scaled_slot(A, A.constants("variables")), _scaled_slot(A, _commutator_defect(pairs))
-    return _point_tensor((1, (0, 1, 2), R), (1, ((0,), 1, 2), U, R), (1, (0, (1,), 2), U, R),
-                         (1, (0, 1, (2,)), U, R), (1, (2, 0, 1), beta))
+    return _point_tensor((1, (0, 1, 2), R), (1, (0, 1, (2,)), U, R), (1, (2, 0, 1), beta))
 
 
 def _pre_lie(A: AlgebroidPresentation) -> list:
-    """Symmetry of the associator in its first two slots, on frame triples and with each slot in turn scaled by
-    each base variable: ``_rule`` of the pair (P, P) with the anchor, so that β is the mismatch between the anchor
-    and the sub-adjacent bracket."""
+    """Symmetry of the associator in its first two slots, on frame triples and with the third slot scaled by each
+    base variable: ``_rule`` of the pair (P, P) with the anchor, so that β is the mismatch between the anchor and
+    the sub-adjacent bracket."""
     P, a = A.constants("prelie"), A.constants("anchor")
     sym = _rule(A, [(P, P, A.derivatives("prelie"), a, A.derivatives("anchor"))])
     return [(_prelie_tuples(_point_labels(A), _scaled_labels(A)), ("pre-lie-symmetry", sym))]
@@ -670,7 +665,7 @@ def check_f_algebroid(A: AlgebroidPresentation) -> Report:
 
 
 def check_pre_lie_algebroid(A: AlgebroidPresentation) -> Report:
-    """Symmetry of the associator in its first two slots, including scaled arguments (see ``_pre_lie``)."""
+    """Symmetry of the associator in its first two slots, including a scaled third slot (see ``_pre_lie``)."""
     return check_laws(A, ["pre-lie"], Report("pre-Lie algebroid"))
 
 

@@ -220,8 +220,9 @@ def check_n_deformation(deform: FormalDeformation) -> Report:
     """Order-by-order pre-Lie conditions for the deformed product.
 
     Checked on basis triples and, over a positive-dimensional base, on
-    triples with each slot scaled by each base variable; the scaled
-    instances exercise the symbol (anchor) compatibilities.
+    triples with the third slot scaled by each base variable; these
+    instances exercise the symbol (anchor) compatibilities. A scaled first
+    or second slot only multiplies the frame residual by u^m.
     """
     A, tables = deform.base, _tables(deform)
     report = Report(f"pre-Lie {deform.order}-deformation")

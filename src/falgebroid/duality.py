@@ -24,8 +24,6 @@ from .algebroid import (
     _point_psi,
     _point_tensor,
     _ratfunc,
-    _scaled_labels,
-    _scaled_slot,
     _sweep,
     _witness,
     find_identity,
@@ -324,21 +322,17 @@ def _nijenhuis(A: AlgebroidPresentation, N: BundleMap, on: str) -> tuple[Report,
     B = A._view(*chain(*N.matrix))
     Nt, dN = B._entry_tables([((j,), tuple((k, row[j]) for k, row in enumerate(N.matrix) if row[j].num.coeffs))
                               for j in range(A.rank)])
-    U, frame = _scaled_slot(A, B.constants("variables")), _point_labels(A)
-    both, rows = frame + _scaled_labels(A), []
+    frame, rows = _point_labels(A), []
     twisted = {"anchor": _point_tensor((1, ((0,),), Nt, B.constants("anchor")))}
     for name in _MODES[on]:
         twisted[name], T = _twist(B.constants(name), Nt, {} if name == "product" else dN, name == "bracket")
-        if name != "product" and A.n:  # a tensor: T(u^m·E_i, u^p·E_j) = u^m·u^p·T_ij, each slot scaled in turn
-            T = _point_tensor((1, (0, 1), T), (1, ((0,), 1), U, T))
-            T = _point_tensor((1, (0, 1), T), (1, (0, (1,)), U, T))
-        rows.append((iproduct(frame, frame) if name == "product" else iproduct(both, both), (_TORSION_LAWS[name], T)))
+        rows.append((iproduct(frame, frame), (_TORSION_LAWS[name], T)))
     return _sweep(A, Report(f"Nijenhuis operator ({on})"), rows), twisted
 
 
 def is_nijenhuis(A: AlgebroidPresentation, N: BundleMap, on: str) -> Report:
-    """Torsion identity for the requested mode. The torsion of each operation is a tensor, contracted on frame
-    pairs (``_twist``); bracket and pre-Lie torsion also run at u^m·E_i, read off as u^m·u^p·T_ij."""
+    """Torsion identity for the requested mode. The torsion of each operation is a tensor, contracted and checked
+    on frame pairs (``_twist``): at (u^m·E_i, u^p·E_j) it is u^m·u^p·T_ij, no instance of its own."""
     return _nijenhuis(A, N, on)[0]
 
 
@@ -347,10 +341,12 @@ def nijenhuis_deformation(
 ) -> tuple[Report, AlgebroidPresentation | None]:
     """The torsion report of N and, when it passes, the presentation deformed by N.
 
-    N is checked on every structure A carries: product and bracket when A
-    has a bracket, else product and pre-Lie operation, else the product.
-    The deformed presentation carries the checked structures twisted by
-    N, the anchor a∘N and no identity; it is None when the report fails.
+    N is checked on the product with the bracket when A has one, else with
+    the pre-Lie operation when A has one, else on the product alone; a
+    pre-Lie operation beside a bracket (SS<n>) is neither checked nor
+    deformed. The deformed presentation carries the checked structures
+    twisted by N, the anchor a∘N and no identity; it is None when the
+    report fails.
     """
     on = "f" if A.bracket is not None else "pre_f" if A.prelie is not None else "comm"
     report, twisted = _nijenhuis(A, N, on)

@@ -512,7 +512,7 @@ class Poly:
         candidates from symmetric base-xi digits; one that divides both
         inputs and reaches every bound is the gcd. After ``HEU_GCD_MAX``
         points without one, the primitive PRS gcd is used: it is exact, but
-        it ran past 20 s on 6-variable jet polynomials (ROADMAP item 3(c)).
+        it ran past 20 s on 6-variable jet polynomials (ROADMAP item 2(b)).
         A monomial operand skips all of this: its gcd is read off the keys.
         """
         n = a.nvars

@@ -335,12 +335,9 @@ def torsion(N, op):
 
 
 def nijenhuis(A, N, on):
-    """The torsion of each operation of the mode, on frame pairs, and for the bracket and the pre-Lie operation
-    also on the scaled frame."""
-    frame, table = frame_args(A), []
-    for name in MODES[on]:
-        args = frame if name == "product" else frame + scaled_args(A)
-        table.append((iproduct(args, args), (LAWS[name], torsion(N, OPERATIONS[name](A)))))
+    """The torsion of each operation of the mode on frame pairs."""
+    frame = frame_args(A)
+    table = [(iproduct(frame, frame), (LAWS[name], torsion(N, OPERATIONS[name](A)))) for name in MODES[on]]
     return section_sweep(A, Report(f"Nijenhuis operator ({on})"), table)
 
 
@@ -382,7 +379,7 @@ def order_k_residual(deform, k, X, Y, Z):
 
 
 def n_deformation(deform):
-    """The order-by-order rule on frame triples and with each slot in turn scaled."""
+    """The order-by-order rule on frame triples and with the third slot scaled (``_prelie_tuples``)."""
     A = deform.base
     report = Report(f"pre-Lie {deform.order}-deformation")
     for k in range(deform.order + 1):

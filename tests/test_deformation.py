@@ -37,8 +37,8 @@ from falgebroid.report import Report
 from falgebroid.ring import Poly, RatFunc
 from linalg_oracle import nullspace, rank as mat_rank, rref as oracle_rref, solve
 from section_oracle import as_prelie, bracket_of, cochain_eval, d_def, d_def_eval, d_def_sigma_eval, frame_args
-from section_oracle import n_deformation, order_k_residual, scaled_basis, sigma_eval
-from test_algebroid import _outcomes
+from section_oracle import n_deformation, order_k_residual, prelie_associator, scaled_basis, sigma_eval
+from test_algebroid import _outcomes, _random_presentation
 
 
 # -- the truncated polynomial algebra example ------------------------------
@@ -888,12 +888,13 @@ def test_equivalence_and_extend_refuse_cochains_outside_the_frame(monkeypatch):
             extend(FormalDeformation(A, [flat]), psi)
 
 
-# -- the order rule over a base against MultiDer.eval ---------------------------------
+# -- the order rule over a base against cochain_eval ----------------------------------
 #
 # Over a positive-dimensional base the order-k rule and the obstruction's D values
 # are contracted from the tables of D and sigma (``_rule``). The oracle evaluates
-# every residual through MultiDer.eval, on frame triples and with each slot in turn
-# scaled by each base variable.
+# every residual through cochain_eval, on frame triples and with the third slot
+# scaled by each base variable; a scaled first or second slot gives u^m times the
+# frame residual (``test_rules_scale_in_their_first_two_slots``).
 
 
 def base_cochain(rng, A, seed):
@@ -922,9 +923,9 @@ def base_deformations(name, seed):
 
 @pytest.mark.parametrize("name,seed", BASE_DEFORMATION_CASES, ids=[f"{n}-{s}" for n, s in BASE_DEFORMATION_CASES])
 def test_base_deformation_rule_matches_the_multider_oracle(name, seed):
-    """check_n_deformation gives MultiDer.eval's instances, pass flags and witnesses, and the contracted residual
-    of the next order is the obstruction's D value at every frame triple. obstruction, extend and equivalence_check
-    with a witness phi return what the MultiDer oracles return, or raise what they raise."""
+    """check_n_deformation gives the instances, pass flags and witnesses of ``cochain_eval``, and the contracted
+    residual of the next order is the obstruction's D value at every frame triple. obstruction, extend and
+    equivalence_check with a witness phi return what the MultiDer oracles return, or raise what they raise."""
     from falgebroid.algebroid import _ratfunc
     from falgebroid.algebroid import _frame_rule
     from falgebroid.deformation import _pairs, _tables
@@ -968,6 +969,34 @@ def test_base_deformation_cases_reach_every_verdict():
                       ("D" if any(not s.is_zero() for s in theta.D.values()) else "symbol"))
     assert kinds >= {(True, 0), (True, 1), (False, 0), (False, 1), "scaled third slot"}
     assert kinds >= {True, "D", "symbol", FalgError}
+
+
+def _section_rules(name):
+    """(A, residuals) pairs of Section residuals: pre-lie-symmetry on each random presentation of
+    ``_random_presentation``, or each checked order rule of the base deformations of the fixture ``name``."""
+    if name == "random":
+        return [(A, [lambda X, Y, Z, A=A: prelie_associator(A, X, Y, Z) - prelie_associator(A, Y, X, Z)])
+                for A in map(_random_presentation, range(4))]
+    pairs = [base_deformations(name, seed) for case, seed in BASE_DEFORMATION_CASES if case == name]
+    return [(pair[0].base, [partial(order_k_residual, deform, k) for deform in pair for k in range(deform.order + 1)])
+            for pair in pairs]
+
+
+@pytest.mark.parametrize("name", ["random", "SS2", "SS3"])
+def test_rules_scale_in_their_first_two_slots(name):
+    """The fact the pre-Lie and order rules rest on when they check no scaled first or second slot: the Section
+    residual at (u^m·E_i, E_j, E_k) and at (E_i, u^m·E_j, E_k) is u^m times its value at (E_i, E_j, E_k)."""
+    nonzero = 0
+    for A, rules in _section_rules(name):
+        basis = [A.basis(i) for i in range(A.rank)]
+        for rule, (i, j, k) in itertools.product(rules, itertools.product(range(A.rank), repeat=3)):
+            frame = rule(basis[i], basis[j], basis[k])
+            nonzero += not frame.is_zero()
+            for m in range(A.n):
+                scaled = frame.scale_fn(A.var_fn(m))
+                assert rule(scaled_basis(A, m, i), basis[j], basis[k]) == scaled, (i, j, k, m)
+                assert rule(basis[i], scaled_basis(A, m, j), basis[k]) == scaled, (i, j, k, m)
+    assert nonzero
 
 
 # -- the complex of the product with zero anchor ------------------------------
