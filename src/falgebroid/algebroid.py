@@ -38,7 +38,7 @@ from .ring import _W, MAX_DEGREE, Poly, RatFunc, _rational
 
 _TENSORS = ("product", "bracket", "prelie")
 Tensor = list  # rank x rank x rank nested lists of RatFunc, output-index major
-Table = list  # compiled tensor: table[i][j] = ((k, c), ...), the nonzero E_k-parts c of E_i∘E_j
+Table = dict  # compiled tensor: table[i, j] = ((k, c), ...), the nonzero E_k-parts c of E_i∘E_j, nonzero cells only
 
 
 class Section:
@@ -151,18 +151,11 @@ class VectorField(Section):
         return "[" + super().format(names) + "]"
 
 
-def vf_bracket(v: VectorField, w: VectorField) -> VectorField:
-    """Commutator [v, w]^m = v(w^m) - w(v^m)."""
-    if v.rank != w.rank:
-        raise ShapeError(f"cannot bracket vector fields of sizes {v.rank} and {w.rank}")
-    vw = VectorField._from_dict({m: v.apply(c) for m, c in w.entries}, w.rank, w.nvars)
-    return vw - VectorField._from_dict({m: w.apply(c) for m, c in v.entries}, v.rank, v.nvars)
-
-
 def _compile(tensor: Tensor, rank: int) -> Table:
-    """The table of a tensor's nonzero structure constants."""
+    """The table {(i, j): ((k, c), ...)} of a tensor's nonzero structure constants, keyed by the pairs with one."""
     r = range(rank)
-    return [[tuple((k, m[i][j]) for k, m in enumerate(tensor) if m[i][j].num.coeffs) for j in r] for i in r]
+    cells = (((i, j), tuple((k, m[i][j]) for k, m in enumerate(tensor) if m[i][j].num.coeffs)) for i in r for j in r)
+    return {ij: cell for ij, cell in cells if cell}
 
 
 class AlgebroidPresentation:
@@ -191,7 +184,7 @@ class AlgebroidPresentation:
         self._points = {}
         fields = enumerate(map(VectorField, anchor or ()))
         self._anchors = {i: vf for i, vf in fields if vf.entries}  # the nonzero a(E_i)
-        entries = chain((c for t in self._tables.values() for row in t for cell in row for _, c in cell),
+        entries = chain((c for t in self._tables.values() for cell in t.values() for _, c in cell),
                         (c for vf in self._anchors.values() for _, c in vf.entries))
         self.polynomial = all(c.den.is_constant() for c in entries)  # then entries contract as numerators
 
@@ -225,10 +218,9 @@ class AlgebroidPresentation:
         """The E_k-components of sum X^i Y^j E_i∘E_j, keyed by k, from the nonzeros only."""
         out = {}
         for i, xi in X.entries:
-            row = table[i]
             for j, yj in Y.entries:
-                cell = row[j]
-                if not cell:
+                cell = table.get((i, j))
+                if cell is None:
                     continue
                 w = xi * yj
                 for k, c in cell:
@@ -268,18 +260,17 @@ class AlgebroidPresentation:
         return _rational(c.constant_value()) if not self.n else c.num if self.polynomial else c
 
     def _entries(self, name: str) -> list:
-        """The entries of the named table as (index tuple, ((k, RatFunc), ...)): the nonzero E_k-parts of E_a∘E_b
-        keyed (a, b), or for "anchor" the components a_x^m of each nonzero a(E_x) keyed (x,). MissingStructure
+        """The nonzero entries of the named table as (index tuple, ((k, RatFunc), ...)): the nonzero E_k-parts of
+        E_a∘E_b keyed (a, b), or for "anchor" the components a_x^m of each nonzero a(E_x) keyed (x,). MissingStructure
         as ``_require``, but for the product and the anchor, which need no other structure."""
         if name == "anchor":
             return [((x,), vf.entries) for x, vf in self._anchors.items()]
-        table = self._tables["product"] if name == "product" else self._require(name)
-        return [((a, b), cell) for a, row in enumerate(table) for b, cell in enumerate(row)]
+        return list((self._tables["product"] if name == "product" else self._require(name)).items())
 
     def constants(self, name: str):
-        """The named table converted once by ``_value``: t[a][b] = {k: c} for a tensor, {(x,): {m: a_x^m}} for
-        "anchor", {(): {m: u^m}} for "variables", and for "commutator" the nonzero {(b, c, d): {k: K_cd(E_b)^k}}
-        of K_cd(E_b) = (E_b·E_c)·E_d - (E_b·E_d)·E_c."""
+        """The named table's nonzero cells converted once by ``_value``: {(a, b): {k: c}} for a tensor, {(x,): {m:
+        a_x^m}} for "anchor", {(): {m: u^m}} for "variables", and for "commutator" {(b, c, d): {k: K_cd(E_b)^k}} of
+        K_cd(E_b) = (E_b·E_c)·E_d - (E_b·E_d)·E_c."""
         if name not in self._points:
             if name == "variables":
                 table = {(): {m: self._value(self.var_fn(m)) for m in range(self.n)}}
@@ -288,8 +279,6 @@ class AlgebroidPresentation:
                 table = _point_tensor((1, ((0, 1), 2), M, M), (-1, ((0, 2), 1), M, M))
             else:
                 table = {idx: {k: self._value(c) for k, c in cell} for idx, cell in self._entries(name)}
-            if name in _TENSORS:
-                table = [[table[a, b] for b in range(self.rank)] for a in range(self.rank)]
             self._points[name] = table
         return self._points[name]
 
@@ -386,8 +375,8 @@ def _point_labels(A: AlgebroidPresentation) -> list:
 
 def _point_tensor(*terms) -> dict:
     """Σ s·term on every tuple of indices at once, over the nonzero constants only: {index tuple: {k: c}} of exactly
-    the nonzero residuals. Every check is summed here, on every presentation. A table is t[i][j] = {k: c} or a dict
-    {(i, j, ...): {k: c}}, as this returns, keyed by tuples ((), for no slot); a section X is the 0-slot table
+    the nonzero residuals. Every check is summed here, on every presentation. A table is a dict {(i, j, ...): {k: c}}
+    of its nonzero cells, as this returns, keyed by tuples ((), for no slot); a section X is the 0-slot table
     {(): {m: X^m}}. A constant c is a number over a point; a numerator ``Poly`` (``_view``), summed by ``_packed``;
     or else a ``RatFunc``, summed as one, with s = ±1.
 
@@ -478,12 +467,9 @@ def _packing(shape: tuple, w: int, low: int) -> tuple:
     return at, tuple(map(field, shape[at])), 0, 0, nest
 
 
-def _nonzeros(t) -> list:
-    """The constants of a table as (index tuple, k, c), an integral Fraction c as an int (``_rational``)."""
-    if isinstance(t, dict):
-        return [(idx, k, c) for idx, cell in t.items() for k, c in cell.items()]
-    return [((x, y), k, _rational(c)) for x, row in enumerate(t) for y, cell in enumerate(row) if cell
-            for k, c in cell.items()]
+def _nonzeros(t: dict) -> list:
+    """The constants of a table {index tuple: {k: c}} as (index tuple, k, c)."""
+    return [(idx, k, c) for idx, cell in t.items() for k, c in cell.items()]
 
 
 def _derivatives(fields: dict, cells, value) -> dict:

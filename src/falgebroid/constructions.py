@@ -7,7 +7,8 @@ structure constants over a point (FM2, DN<n>), over the flat coordinate frame
 ``_lift`` is the one place constants become ``RatFunc`` tensors.
 ``load_fixture`` builds no fixture of rank above ``MAX_FIXTURE_RANK``.
 Besides the fixtures: action algebroids, direct products and the semi-simple
-family.
+family. An action's condition is contracted from its lifted tables, as the
+anchor-defect α of Jacobi (``ActionSpec``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations_with_replacement
 from math import comb
 
-from .algebroid import AlgebroidPresentation, Section, VectorField, check_f_algebroid, check_pre_f, vf_bracket
+from .algebroid import AlgebroidPresentation, Section, VectorField, check_f_algebroid, check_pre_f
+from .algebroid import _anchor_defect, _point_tensor, _ratfunc
 from .errors import NotAHomomorphism, NotFManifoldAlgebra, ShapeError, UnknownFixture
 from .ring import RatFunc
 
@@ -36,14 +38,6 @@ class FiniteAlgebra:
 
     def to_presentation(self) -> AlgebroidPresentation:
         return _lift(self, [], None)
-
-    def commutator(self, i: int, j: int) -> list:
-        """Components of [e_i, e_j] from whichever structure is present."""
-        if self.bracket is not None:
-            return [self.bracket[k][i][j] for k in range(self.dim)]
-        if self.prelie is not None:
-            return [self.prelie[k][i][j] - self.prelie[k][j][i] for k in range(self.dim)]
-        raise ShapeError("algebra has neither bracket nor prelie")
 
 
 def _lift(alg: FiniteAlgebra, base_vars: list[str], rho: list[VectorField] | None) -> AlgebroidPresentation:
@@ -83,32 +77,37 @@ def _lift(alg: FiniteAlgebra, base_vars: list[str], rho: list[VectorField] | Non
 
 @dataclass
 class ActionSpec:
-    """A finite algebra acting on a polynomial base by vector fields."""
+    """A finite algebra acting on a polynomial base by vector fields.
+
+    The action condition ρ([e_i,e_j]) = [ρ(e_i),ρ(e_j)] is the anchor's bracket-morphism defect
+    (``_anchor_defect``) contracted from the lifted tables, for the bracket or else the commutator of the pre-Lie
+    operation; NotAHomomorphism names the first pair i < j where it is nonzero.
+    """
 
     algebra: FiniteAlgebra
     base_vars: list[str]
     rho: list[VectorField] = field(default_factory=list)
 
     def __post_init__(self):
-        n = len(self.base_vars)
-        if len(self.rho) != self.algebra.dim:
+        n, alg = len(self.base_vars), self.algebra
+        if len(self.rho) != alg.dim:
             raise ShapeError("rho must give one vector field per basis element")
         for v in self.rho:
             if v.rank != n:
                 raise ShapeError("rho vector field dimension mismatch")
-        for i in range(self.algebra.dim):
-            for j in range(i + 1, self.algebra.dim):
-                coeffs = self.algebra.commutator(i, j)
-                lhs = VectorField.zero(n)
-                for k, c in enumerate(coeffs):
-                    if c != 0:
-                        lhs = lhs + self.rho[k].scale_fn(RatFunc.const(n, c))
-                rhs = vf_bracket(self.rho[i], self.rho[j])
-                if not (lhs - rhs).is_zero():
-                    raise NotAHomomorphism(
-                        f"rho([e{i + 1},e{j + 1}]) != [rho(e{i + 1}),rho(e{j + 1})]: "
-                        f"{lhs.format(self.base_vars)} vs {rhs.format(self.base_vars)}"
-                    )
+        name = "bracket" if alg.bracket is not None else "prelie"
+        if getattr(alg, name) is None:
+            if alg.dim > 1:
+                raise ShapeError("algebra has neither bracket nor prelie")
+            return
+        A = _lift(alg, self.base_vars, self.rho)
+        a, da = A.constants("anchor"), A.derivatives("anchor")
+        defect = _point_tensor(*_anchor_defect(A.constants(name), a, da, skew=name == "prelie"))
+        for i, j in sorted(defect):
+            if i < j:
+                fails = VectorField._from_dict({m: _ratfunc(n, c) for m, c in defect[i, j].items()}, n, n)
+                raise NotAHomomorphism(f"rho([e{i + 1},e{j + 1}]) != [rho(e{i + 1}),rho(e{j + 1})]: "
+                                       f"defect {fails.format(self.base_vars)}")
 
 
 def _action(spec: ActionSpec, check, keep: str, drop: str) -> AlgebroidPresentation:

@@ -186,21 +186,20 @@ def _in_frame(A: AlgebroidPresentation, degree: int, what: str, *cochains: Multi
 def _tables(deform: FormalDeformation) -> tuple:
     """The presentation the deformation's contractions run over (``_view``, from every coordinate) and, for
     mu_0..mu_n, (D cells, sigma cells, D table, sigma table, sigma fields): the (idx, ((k, c), ...)) cells of the
-    nonzero coordinates of D at (i, j) and of sigma at (x,), the table t[i][j] = {k: c} of D, the table
-    {(x,): {m: c}} of sigma, and its nonzero vector fields by x. mu_0 is the base product, with zero symbol."""
+    nonzero coordinates of D at (i, j) and of sigma at (x,), the tables {(i, j): {k: c}} of D and {(x,): {m: c}}
+    of sigma, and sigma's nonzero vector fields by x. mu_0 is the base product, with zero symbol."""
     A, r, n = deform.base, deform.base.rank, deform.base.n
 
     def cell(vec, start, width):
         return tuple((k, c) for k, c in enumerate(vec[start:start + width]) if c)
 
-    cells = [([((i, j), cell(m.vec, (i * r + j) * r, r)) for i in range(r) for j in range(r)],
+    cells = [([((i, j), c) for i in range(r) for j in range(r) if (c := cell(m.vec, (i * r + j) * r, r))],
               [((x,), c) for x in range(r) if (c := cell(m.vec, r ** 3 + x * n, n))]) for m in deform.mus]
     if n:  # over a point the coordinates are the numbers the contractions sum
         A = A._view(*(c for m in deform.mus for c in m.vec))
     orders, value = [(A._entries("product"), [], A.constants("product"), {}, {})], A._value if n else _rational
     for D, sigma in cells:
-        table = {idx: {k: value(c) for k, c in cell} for idx, cell in D}
-        orders.append((D, sigma, [[table[i, j] for j in range(r)] for i in range(r)],
+        orders.append((D, sigma, {idx: {k: value(c) for k, c in cell} for idx, cell in D},
                        {idx: {k: value(c) for k, c in cell} for idx, cell in sigma},
                        {x: VectorField._of(cell, n, n) for (x,), cell in sigma}))
     return A, orders
@@ -313,23 +312,23 @@ def _d_matrix(A: AlgebroidPresentation, degree: int) -> list[dict]:
     """Matrix of the coboundary from degree to degree+1 in the complex that deforms A, its product as the pre-Lie
     operation with zero anchor: one sparse row {source column: c} per target coordinate, in coordinate order.
 
-    Read off the product's structure constants P = ``A.constants("product")`` (E_a⋆E_b = Σ_k P[a][b][k] E_k), with
+    Read off the product's structure constants P = ``A.constants("product")`` (E_a⋆E_b = Σ_k P[a, b][k] E_k), with
     [E_a, E_b] = E_a⋆E_b − E_b⋆E_a: for the frame tuple head + (last,) of a target row, each
     x_i in head contributes x_i⋆ω(…, last), ω(…, x_i)⋆last and −ω(…, x_i⋆last), and each pair
     x_i, x_j contributes ω([x_i, x_j], …, last), with the signs of ``d_def_eval`` in the tests' oracle.
-    Over a base, the Leibniz rule of ω's last slot adds −σ(…)(P[a][last][m])·E_m to
-    −ω(…, x_i⋆last): the entry ∂_v P[a][last][m] at the column of σ(…)'s d/du^v. The symbol
+    Over a base, the Leibniz rule of ω's last slot adds −σ(…)(P[a, last][m])·E_m to
+    −ω(…, x_i⋆last): the entry ∂_v P[a, last][m] at the column of σ(…)'s d/du^v. The symbol
     rows of dω at head are the pair terms σ([x_i, x_j], …), the anchor terms being zero. Entries are
     ints, or Fractions where not integral, over a point, else RatFuncs.
     """
     r, n = A.rank, A.n
     zero, value = _scalars(n)
-    P = [[{k: value(c) for k, c in cell.items()} for cell in row] for row in A.constants("product")]
-    dP = {}  # dP[a, b] = [(m, v, ∂_v P[a][b][m])]
+    P = {ab: {k: value(c) for k, c in cell.items()} for ab, cell in A.constants("product").items()}
+    dP = {}  # dP[a, b] = [(m, v, ∂_v P[a, b][m])]
     fields = {v: VectorField.basis(n, n, v) for v in range(n)}
     for (v, a, b), cell in _derivatives(fields, A._entries("product"), value).items():
         dP.setdefault((a, b), []).extend((m, v, c) for m, c in cell.items())
-    signed = P, [[{k: -c for k, c in cell.items()} for cell in row] for row in P]  # (-1)^i·P, by i % 2
+    signed = P, {ab: {k: -c for k, c in cell.items()} for ab, cell in P.items()}  # (-1)^i·P, by i % 2
     dsigned = dP, {ab: [(m, v, -c) for m, v, c in terms] for ab, terms in dP.items()}
     heads = {h: i for i, h in enumerate(combinations(range(r), degree - 1))}
     at, rows, symbol_rows = len(heads) * r * r, [], []  # at: the first symbol column
@@ -338,10 +337,11 @@ def _d_matrix(A: AlgebroidPresentation, degree: int) -> list[dict]:
         for i, a in enumerate(head):
             for j in range(i + 1, degree):
                 b, others = head[j], head[:i] + head[i + 1:j] + head[j + 1:]
-                for m in {*P[a][b], *P[b][a]}:
+                ab, ba = P.get((a, b), {}), P.get((b, a), {})
+                for m in {*ab, *ba}:
                     lead, sign = _sorted_sign((m,) + others)
                     if sign:
-                        c, h = P[a][b].get(m, zero) - P[b][a].get(m, zero), heads[lead]
+                        c, h = ab.get(m, zero) - ba.get(m, zero), heads[lead]
                         c = c if sign == (1 if (i + j) % 2 == 0 else -1) else -c
                         brackets[h] = brackets[h] + c if h in brackets else c
         brackets = {h: c for h, c in brackets.items() if c}
@@ -357,11 +357,11 @@ def _d_matrix(A: AlgebroidPresentation, degree: int) -> list[dict]:
             for i, a in enumerate(head):
                 S, T, h = signed[i % 2], signed[1 - i % 2], rest[i] * r
                 for m in range(r):  # column (h + slot) * r + m holds ω(E_rest…, E_slot)_m
-                    for k, c in S[a][m].items():
+                    for k, c in S.get((a, m), {}).items():
                         add(k, (h + last) * r + m, c)
-                    for k, c in S[m][last].items():
+                    for k, c in S.get((m, last), {}).items():
                         add(k, (h + a) * r + m, c)
-                for m, c in T[a][last].items():
+                for m, c in T.get((a, last), {}).items():
                     for k in range(r):
                         add(k, (h + m) * r + k, c)
                 for m, v, c in dsigned[1 - i % 2].get((a, last), ()):  # none over a point

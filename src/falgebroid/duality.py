@@ -119,14 +119,13 @@ def _bracket_numerators(A: AlgebroidPresentation, X: Section, Y: Section) -> tup
     With ρ_x = a(E_x), H_x^m = δ·ρ_x(F^m) - F^m·ρ_x(δ) (so ρ_x(Y^m) = H_x^m/δ²) and
     K_x^m = ε·ρ_x(Φ^m) - Φ^m·ρ_x(ε), the Leibniz rules give the cell G = {(): {k: G^k}} of
     ε²δ²·[X,Y]^k = G^k = Σ_{i,j} εδΦ^i F^j B_ij^k + Σ_i εΦ^i H_i^k - Σ_j δF^j K_j^k.
+    H and K take this one quotient rule over every view, with ρ_x(1) = 0 where δ = 1.
     """
     B, ((z, Phi), (d, F)) = _sections(A, X, Y)
-    if type(d) is Poly:
-        rho = lambda vf, p: vf.apply(RatFunc(p, _normal=True)).num  # noqa: E731
-        H, K = ({(x,): {m: h for m, f in N[()].items() if (h := den * rho(vf, f) - f * rho(vf, den)).coeffs}
-                 for x, vf in B._anchors.items()} for den, N in ((d, F), (z, Phi)))
-    else:
-        H, K = (B._entry_tables([((), S.entries)])[1] for S in (Y, X))
+    rho = lambda vf, p: B._value(vf.apply(_ratfunc(A.n, p)))  # noqa: E731
+    H, K = ({(x,): cell for x, vf in B._anchors.items()
+             if (cell := {m: h for m, f in N[()].items() if not (h := den * rho(vf, f) - f * rho(vf, den)).is_zero()})}
+            for den, N in ((d, F), (z, Phi)))
     G = _point_tensor((1, ((),), _times(Phi, z * d), _point_tensor((1, (0, ()), F, B.constants("bracket")))),
                       (1, ((),), _times(Phi, z), H), (-1, ((),), _times(F, d), K))
     return B, z, d, F, H, G

@@ -7,18 +7,19 @@ case, so the tests can compare instance names, pass flags and witnesses.
 
 The Section evaluation lives here, not in the library, which never runs it: the bracket, the pre-Lie operation
 and the anchor on sections (``bracket_of``, ``prelie_of``, ``anchor_of``, with the Leibniz terms of
-``_derivation_terms``), a bundle map on a section (``bundle_apply``), the derived tensors P_X, Φ and Ψ, the
+``_derivation_terms``), the commutator of vector fields (``vf_bracket``) and the action condition on them
+(``action_failure``), a bundle map on a section (``bundle_apply``), the derived tensors P_X, Φ and Ψ, the
 jacobiator and the pre-Lie associator, a cochain at sections (``cochain_eval``, ``sigma_eval``), the pre-Lie
 algebroid whose complex deforms a commutative associative one (``as_prelie``), the coboundary d of a pre-Lie
 algebroid with any anchor (``d_def``, by its formula at frame tuples), the composition of bundle maps and the jet
-residual of two flows. Each takes the presentation, cochain, bundle map or flow first.
+residual of two flows. Each takes the presentation, cochain, bundle map, flow or algebra first.
 """
 
 from functools import cache, partial
 from itertools import combinations
 from itertools import product as iproduct
 
-from falgebroid.algebroid import AlgebroidPresentation, Section, VectorField, vf_bracket
+from falgebroid.algebroid import AlgebroidPresentation, Section, VectorField
 from falgebroid.algebroid import _prelie_tuples, _scaled_labels, _witness
 from falgebroid.deformation import MultiDer
 from falgebroid.duality import BundleMap
@@ -29,6 +30,38 @@ from falgebroid.ring import RatFunc
 
 
 # -- operations and derived tensors on sections --------------------------------
+
+
+def vf_bracket(v, w):
+    """Commutator [v, w]^m = v(w^m) - w(v^m) of vector fields."""
+    if v.rank != w.rank:
+        raise ShapeError(f"cannot bracket vector fields of sizes {v.rank} and {w.rank}")
+    vw = VectorField._from_dict({m: v.apply(c) for m, c in w.entries}, w.rank, w.nvars)
+    return vw - VectorField._from_dict({m: w.apply(c) for m, c in v.entries}, v.rank, v.nvars)
+
+
+def commutator(algebra, i, j):
+    """Components of [e_i, e_j] of a ``FiniteAlgebra`` from its bracket, else from its pre-Lie operation."""
+    if algebra.bracket is not None:
+        return [algebra.bracket[k][i][j] for k in range(algebra.dim)]
+    if algebra.prelie is not None:
+        return [algebra.prelie[k][i][j] - algebra.prelie[k][j][i] for k in range(algebra.dim)]
+    raise ShapeError("algebra has neither bracket nor prelie")
+
+
+def action_failure(algebra, base_vars, rho):
+    """The first pair i < j, with ρ([e_i,e_j]) - [ρ(e_i),ρ(e_j)], where the vector fields ``rho`` (the fields of an
+    ``ActionSpec``) fail to map the algebra's commutator to theirs; None when they are an action."""
+    n = len(base_vars)
+    for i, j in combinations(range(algebra.dim), 2):
+        lhs = VectorField.zero(n)
+        for k, c in enumerate(commutator(algebra, i, j)):
+            if c != 0:
+                lhs = lhs + rho[k].scale_fn(RatFunc.const(n, c))
+        defect = lhs - vf_bracket(rho[i], rho[j])
+        if not defect.is_zero():
+            return i, j, defect
+    return None
 
 
 def anchor_of(A, X):
@@ -59,7 +92,7 @@ def _anchored(A, name, X, Y):
     table, out = A._require(name), {}
     for i, xi in X.entries:
         for j, yj in Y.entries:
-            for k, c in table[i][j]:
+            for k, c in table.get((i, j), ()):
                 t = xi * yj * c
                 out[k] = t if (cur := out.get(k)) is None else cur + t
     _derivation_terms(A, out, X, Y)

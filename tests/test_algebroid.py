@@ -27,7 +27,6 @@ from falgebroid.algebroid import (
     check_prelie_com,
     find_identity,
     sub_adjacent,
-    vf_bracket,
 )
 from falgebroid.constructions import FiniteAlgebra, load_fixture
 from falgebroid.duality import (
@@ -42,7 +41,7 @@ from falgebroid.exprparse import parse_expr
 from falgebroid.report import Report
 from falgebroid.ring import MAX_DEGREE, Poly, RatFunc
 from section_oracle import anchor_of, bracket_of, frame_args, jacobiator, nijenhuis, phi, pre_f_eventual
-from section_oracle import prelie_associator, prelie_of, pseudo_eventual, psi, scaled_args, section_sweep
+from section_oracle import prelie_associator, prelie_of, pseudo_eventual, psi, scaled_args, section_sweep, vf_bracket
 from test_ring import DEADLINE, fractions, ratfuncs
 
 
@@ -478,14 +477,31 @@ def test_sparse_evaluation_matches_dense_oracle(name, data):
 
 
 def test_compiled_tables_hold_exactly_the_nonzero_constants():
+    """Every table is a dict keyed by index tuples: ``_tables`` holds exactly the nonzero constants and no empty
+    cell, and ``constants`` and ``derivatives`` hold the nonzero cells of their ``_value``s, on every shipped fixture
+    and on the rational ``_view`` that a section with a denominator selects."""
     for name in SHIPPED + ("SS4", "DN2"):
         A = load_fixture(name)
-        r = range(A.rank)
+        r, views = range(A.rank), [A]
+        if A.n:
+            one = RatFunc.one(A.n)
+            views.append(A._view(one / (RatFunc.var(A.n, 0) + one)))
+            assert not views[1].polynomial, name
         for t in ("product", "bracket", "prelie"):
             T = getattr(A, t)
-            if T is not None:
-                cells = [[tuple((k, T[k][i][j]) for k in r if not T[k][i][j].is_zero()) for j in r] for i in r]
-                assert A._tables[t] == cells, (name, t)
+            if T is None:
+                continue
+            cells = {(i, j): cell for i in r for j in r
+                     if (cell := tuple((k, T[k][i][j]) for k in r if not T[k][i][j].is_zero()))}
+            assert type(A._tables[t]) is dict and A._tables[t] == cells and all(A._tables[t].values()), (name, t)
+            for B in views:
+                assert B.constants(t) == {ij: {k: B._value(c) for k, c in cell} for ij, cell in cells.items()}
+                derivatives = B.derivatives(t)
+                assert type(derivatives) is dict, (name, t)
+                assert all(len(key) == 3 and key[1:] in cells and cell for key, cell in derivatives.items()), (name, t)
+        for B in views:
+            anchor = B.constants("anchor")
+            assert type(anchor) is dict and all(len(key) == 1 and cell for key, cell in anchor.items()), name
 
 
 def test_section_components_round_trip_with_zeros():
@@ -684,12 +700,13 @@ def test_point_tensor_keys_by_tuples_and_takes_sections(ring):
     else:
         const = lambda: Poly.from_terms(2, {(rng.randint(0, 2), rng.randint(0, 1)): rng.choice(nonzero)})  # noqa: E731
         value = lambda c: RatFunc(c, _normal=True)  # noqa: E731
-    M = [[{k: const() for k in range(r) if rng.random() < 0.6} for _ in range(r)] for _ in range(r)]
+    cells = ({k: const() for k in range(r) if rng.random() < 0.6} for _ in range(r * r))
+    M = {ij: cell for ij, cell in zip(iproduct(range(r), repeat=2), cells) if cell}  # the nonzero cells, i-major
     X = {m: const() for m in range(r) if rng.random() < 0.8}
     zero = 0 if ring == "number" else RatFunc.zero(2)
     right, square = {}, {}
     for i, j in iproduct(range(r), repeat=2):
-        for k, c in M[i][j].items():
+        for k, c in M.get((i, j), {}).items():
             if j in X:
                 cell = right.setdefault((i,), {})
                 cell[k] = cell.get(k, zero) + value(c) * value(X[j])
@@ -723,14 +740,11 @@ packed_polys = st.dictionaries(
 
 @st.composite
 def packed_tables(draw, slots, hi):
-    """A table of ``slots`` slots with indices up to ``hi`` and nonzero ``Poly`` constants, often empty: a dict
-    {idx: {k: c}}, or for two slots also the nested list t[i][j] = {k: c} of a presentation's constants."""
+    """A table {idx: {k: c}} of ``slots`` slots with indices up to ``hi`` and nonzero ``Poly`` constants, often
+    empty."""
     index = st.integers(0, hi)
     cells = st.dictionaries(index, packed_polys, min_size=1, max_size=2)
-    table = draw(st.dictionaries(st.tuples(*[index] * slots), cells, max_size=4))
-    if slots == 2 and draw(st.booleans()):
-        return [[table.get((i, j), {}) for j in range(hi + 1)] for i in range(hi + 1)]
-    return table
+    return draw(st.dictionaries(st.tuples(*[index] * slots), cells, max_size=4))
 
 
 @settings(max_examples=120, deadline=DEADLINE)
@@ -743,9 +757,8 @@ def test_packed_contraction_matches_ratfunc_contraction(data):
     kinds = data.draw(st.lists(st.sampled_from(PACKED_SHAPES[P]), min_size=1, max_size=4))
     terms = [(data.draw(st.sampled_from([1, -1])), shape, *(data.draw(packed_tables(k, hi)) for k in slots))
              for shape, *slots in kinds]
-    rational = lambda t: (  # noqa: E731
-        [[{k: RatFunc(c, _normal=True) for k, c in cell.items()} for cell in row] for row in t] if isinstance(t, list)
-        else {idx: {k: RatFunc(c, _normal=True) for k, c in cell.items()} for idx, cell in t.items()})
+    rational = lambda t: {  # noqa: E731
+        idx: {k: RatFunc(c, _normal=True) for k, c in cell.items()} for idx, cell in t.items()}
     got = _point_tensor(*terms)
     assert all(type(c) is Poly for cell in got.values() for c in cell.values())
     want = _point_tensor(*((s, shape, *map(rational, tables)) for s, shape, *tables in terms))

@@ -1,5 +1,6 @@
 """Construction tests: actions, direct products, fixtures."""
 
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -27,8 +28,9 @@ from falgebroid.constructions import (
     load_fixture,
     semisimple,
 )
-from falgebroid.errors import NotAHomomorphism, NotFManifoldAlgebra, UnknownFixture
+from falgebroid.errors import NotAHomomorphism, NotFManifoldAlgebra, ShapeError, UnknownFixture
 from falgebroid.ring import RatFunc
+from section_oracle import action_failure
 
 
 def test_fm2_algebra_is_f_manifold_algebra():
@@ -36,14 +38,67 @@ def test_fm2_algebra_is_f_manifold_algebra():
     assert check_f_algebroid(A).overall
 
 
+def action_case(case):
+    """The fields (algebra, base variables, rho) of an action: FM2 with rho(e1) = 0 and rho(e2) = u d/du, where
+    [e1,e2] = e2 gives [0, rho(e2)] = 0 != rho(e2); ACT2's; FM2's zero action on the plane; or a seeded algebra of
+    rank 2-3 with a bracket, a pre-Lie operation (the commutator's skew path) or both, and vector fields with
+    entries from {0, 1, u, u², u1·u2, 1/(u1+1)} over 1-2 variables."""
+    if case == "FM2":
+        return fm2_algebra(), ["u"], [VectorField.zero(1), VectorField([RatFunc.var(1, 0)])]
+    if case in ("ACT2", "zero"):
+        zero, u2 = RatFunc.zero(2), RatFunc.var(2, 1)
+        fields = [[zero, u2], [u2, u2 * u2]] if case == "ACT2" else [[zero, zero]] * 2
+        return fm2_algebra(), ["u1", "u2"], [VectorField(v) for v in fields]
+    rng = random.Random(f"action:{case}")
+    dim, n, kind = rng.choice([2, 3]), rng.choice([1, 2]), rng.choice(["bracket", "prelie", "both"])
+    one, u = RatFunc.one(n), lambda: RatFunc.var(n, rng.randrange(n))  # noqa: E731
+    entries = [lambda: RatFunc.zero(n), lambda: one, u, lambda: u() * u(),
+               lambda: RatFunc.var(n, 0) * RatFunc.var(n, n - 1), lambda: one / (RatFunc.var(n, 0) + one)]
+    tensor = lambda: [[[rng.choice([0, 0, 0, 1, -1, Fraction(1, 2)]) for _ in range(dim)]  # noqa: E731
+                       for _ in range(dim)] for _ in range(dim)]
+    zeros = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    algebra = FiniteAlgebra(dim, zeros, bracket=tensor() if kind != "prelie" else None,
+                            prelie=tensor() if kind != "bracket" else None)
+    rho = [VectorField([rng.choice(entries[:1] * 3 + entries)() for _ in range(n)]) for _ in range(dim)]
+    return algebra, [f"u{m + 1}" for m in range(n)], rho
+
+
+ACTION_CASES = ["FM2", "ACT2", "zero", *range(40)]
+
+
 def test_action_requires_homomorphism():
-    alg = fm2_algebra()
-    n = 1
-    u = RatFunc.var(n, 0)
-    zero = RatFunc.zero(n)
-    # [e1,e2] = e2 but rho(e1) = 0 and rho(e2) = u d/du gives [0, rho(e2)] = 0 != rho(e2)
-    with pytest.raises(NotAHomomorphism):
-        ActionSpec(alg, ["u"], [VectorField([zero]), VectorField([u])])
+    """``ActionSpec`` contracts the anchor's bracket-morphism defect from the lifted tables. On every case it raises
+    NotAHomomorphism exactly when the oracle's loop on sections finds a pair i < j with ρ([e_i,e_j]) ≠
+    [ρ(e_i),ρ(e_j)], and names the oracle's first pair and its defect. The seeded actions reach both verdicts, and
+    each kind of algebra fails."""
+    verdicts, failing = {}, set()
+    for case in ACTION_CASES:
+        fields = action_case(case)
+        failure = action_failure(*fields)
+        verdicts[case] = failure is None
+        if failure is None:
+            ActionSpec(*fields)
+            continue
+        failing.add((fields[0].bracket is not None, fields[0].prelie is not None))
+        i, j, defect = failure
+        with pytest.raises(NotAHomomorphism) as err:
+            ActionSpec(*fields)
+        pair = f"rho([e{i + 1},e{j + 1}]) != [rho(e{i + 1}),rho(e{j + 1})]"
+        assert str(err.value) == f"{pair}: defect {defect.format(fields[1])}", case
+    with pytest.raises(NotAHomomorphism, match=r"^rho\(\[e1,e2\]\) != \[rho\(e1\),rho\(e2\)\]: defect \[u\]$"):
+        ActionSpec(*action_case("FM2"))
+    assert verdicts["ACT2"] and verdicts["zero"]
+    seeded = [case for case in ACTION_CASES if isinstance(case, int)]
+    assert any(verdicts[case] for case in seeded) and not all(verdicts[case] for case in seeded)
+    assert failing == {(True, False), (False, True), (True, True)}  # (bracket, pre-Lie) of the failing algebras
+
+
+def test_action_without_a_bracket_or_prelie_needs_rank_one():
+    """An algebra with neither a bracket nor a pre-Lie operation has no commutator: ShapeError from rank 2, none at
+    rank 1, which has no pair to check."""
+    with pytest.raises(ShapeError, match="neither bracket nor prelie"):
+        ActionSpec(FiniteAlgebra(2, [[[0, 0], [0, 0]]] * 2), ["u"], [VectorField.zero(1)] * 2)
+    ActionSpec(FiniteAlgebra(1, [[[1]]]), ["u"], [VectorField([RatFunc.var(1, 0)])])
 
 
 def test_abelian_action_builds_f_algebroid():

@@ -9,7 +9,7 @@ from functools import partial
 import pytest
 
 from falgebroid import linalg
-from falgebroid.algebroid import AlgebroidPresentation, Section, VectorField, check_f_algebroid, vf_bracket
+from falgebroid.algebroid import AlgebroidPresentation, Section, VectorField, check_f_algebroid
 from falgebroid.constructions import FiniteAlgebra, fm2_algebra, load_fixture
 from falgebroid.deformation import (
     FormalDeformation,
@@ -37,7 +37,7 @@ from falgebroid.report import Report
 from falgebroid.ring import Poly, RatFunc
 from linalg_oracle import nullspace, rank as mat_rank, rref as oracle_rref, solve
 from section_oracle import as_prelie, bracket_of, cochain_eval, d_def, d_def_eval, d_def_sigma_eval, frame_args
-from section_oracle import n_deformation, order_k_residual, prelie_associator, scaled_basis, sigma_eval
+from section_oracle import n_deformation, order_k_residual, prelie_associator, scaled_basis, sigma_eval, vf_bracket
 from test_algebroid import _outcomes, _random_presentation
 
 
@@ -419,7 +419,7 @@ def assert_d_matrix_matches_d_def(A, degree, columns=None, cochains=()):
     assert all(all(row.values()) for row in rows)  # sparse: no stored zero
     if not A.n:  # the rows and the tables they are read off (``A.constants``)
         assert_point_normal_form(c for row in rows for c in row.values())
-        assert_point_normal_form(c for row in A.constants("product") for cell in row for c in cell.values())
+        assert_point_normal_form(c for cell in A.constants("product").values() for c in cell.values())
     got = dense_d_matrix(A, degree)
     cols, m = d_matrix_through_d_def(P, degree, columns)
     assert len(got) == m
@@ -746,13 +746,14 @@ def test_point_deformation_checks_match_the_multider_oracle(name, seed):
 
 
 # Names the tests' Section oracle (``section_oracle``) holds and the library does not: the Section evaluation of
-# the laws, of the bracket, of cochains and of the coboundary, the pre-Lie copy of a presentation that the
-# coboundary's oracle runs on, the composition of bundle maps, the jet residual of two flows, and the error only
-# that evaluation raised.
+# the laws, of the bracket, of cochains and of the coboundary, the commutator of vector fields and of an algebra's
+# constants that the action condition was evaluated with, the pre-Lie copy of a presentation that the coboundary's
+# oracle runs on, the composition of bundle maps, the jet residual of two flows, and the error only that
+# evaluation raised.
 ORACLE_ONLY = {
     "prelie_of", "anchor_of", "p_tensor", "phi", "psi", "prelie_associator", "jacobiator", "eval", "sigma_eval",
     "_lead_terms", "_prelie_bracket", "d_def", "d_def_eval", "d_def_sigma_eval", "compose", "commutator_residual",
-    "ArityMismatch", "bracket_of", "_derivation_terms", "as_prelie",
+    "ArityMismatch", "bracket_of", "_derivation_terms", "as_prelie", "vf_bracket", "commutator", "action_failure",
 }
 
 

