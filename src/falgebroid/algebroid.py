@@ -1,10 +1,12 @@
 """Algebroid presentations and structure verification.
 
 A presentation fixes a global frame E_1..E_r over a polynomial base with
-variables u^1..u^n. The product, bracket and pre-Lie operation are given
-by structure tensors of rational functions; the bracket and the pre-Lie
-operation obey Leibniz rules through the anchor, which the checks expand in
-the tables, so differential identities are verified exactly. A vector field is
+variables u^1..u^n. The product, bracket and pre-Lie operation are stored
+only as tables of their nonzero structure constants, rational functions
+(``Table``); the bracket and the pre-Lie operation obey Leibniz rules
+through the anchor, which the checks expand in the tables, so differential
+identities are verified exactly. The dense rank³ tensors are read-only
+views, for writing a structure file. A vector field is
 a section of the tangent frame d/du^1..d/du^n: ``VectorField`` is the
 ``Section`` of rank n, and the anchor sends sections to it.
 
@@ -37,8 +39,7 @@ from .report import Report
 from .ring import _W, MAX_DEGREE, Poly, RatFunc, _rational
 
 _TENSORS = ("product", "bracket", "prelie")
-Tensor = list  # rank x rank x rank nested lists of RatFunc, output-index major
-Table = dict  # compiled tensor: table[i, j] = ((k, c), ...), the nonzero E_k-parts c of E_i∘E_j, nonzero cells only
+Table = dict  # structure table: table[i, j] = ((k, c), ...), the nonzero E_k-parts c of E_i∘E_j, nonzero cells only
 
 
 class Section:
@@ -151,57 +152,94 @@ class VectorField(Section):
         return "[" + super().format(names) + "]"
 
 
-def _compile(tensor: Tensor, rank: int) -> Table:
-    """The table {(i, j): ((k, c), ...)} of a tensor's nonzero structure constants, keyed by the pairs with one."""
+def _compile(tensor: list, rank: int, name: str = "tensor") -> Table:
+    """The table {(i, j): ((k, c), ...)} of a rank³ tensor's nonzero structure constants (RatFuncs or numbers),
+    keyed by the pairs with one; ShapeError unless the tensor is rank x rank x rank."""
+    if len(tensor) != rank or any(len(m) != rank or any(len(row) != rank for row in m) for m in tensor):
+        raise ShapeError(f"{name} tensor must be {rank}x{rank}x{rank}")
     r = range(rank)
-    cells = (((i, j), tuple((k, m[i][j]) for k, m in enumerate(tensor) if m[i][j].num.coeffs)) for i in r for j in r)
+    cells = (((i, j), tuple((k, m[i][j]) for k, m in enumerate(tensor) if m[i][j])) for i in r for j in r)
     return {ij: cell for ij, cell in cells if cell}
 
 
-class AlgebroidPresentation:
-    """Structure tensors of an algebroid in a fixed global frame.
+def _table(cells: dict) -> Table:
+    """A contraction's cells {(i, j): {k: c}} as a ``Table``, sorted by key and by k."""
+    return {ij: tuple(sorted(cells[ij].items())) for ij in sorted(cells)}
 
-    ``product``, ``bracket`` and ``prelie`` are rank³ nested lists with
-    the output index first: product[k][i][j] is the E_k-component of
-    E_i·E_j. ``anchor`` is a list of rank rows, row i holding the
-    components of the vector field a(E_i). ``n`` counts the base
-    variables; n = 0 encodes an algebra over a point. Each tensor is
-    compiled once, here, into a ``Table`` of its nonzero constants.
+
+class AlgebroidPresentation:
+    """Structure tables of an algebroid in a fixed global frame.
+
+    A presentation is its tables: ``_tables`` maps "product", "bracket" and
+    "prelie" to the ``Table`` of each operation it carries, the nonzero
+    constants c of E_i∘E_j = Σ c·E_k; ``_anchors`` holds the nonzero vector
+    fields a(E_i), and ``has("anchor")`` whether there is an anchor at all.
+    ``n`` counts the base variables; n = 0 encodes an algebra over a point.
+
+    The constructor takes the dense form, rank³ nested lists with the output
+    index first (product[k][i][j] is the E_k-component of E_i·E_j) and an
+    anchor of rank rows of n components, shape-checks it and compiles it
+    once. ``product``, ``bracket``, ``prelie`` and ``anchor`` are read-only
+    views that rebuild that form, None for a structure the presentation
+    lacks; the library builds its presentations from tables (``_of``).
     """
 
     def __init__(self, base_vars, rank, product, bracket=None, prelie=None, anchor=None, identity=None):
-        self.base_vars = list(base_vars)
-        self.n = len(self.base_vars)
-        self.rank = rank
-        self.product = product
-        self.bracket = bracket
-        self.prelie = prelie
-        self.anchor = anchor
-        self.identity = identity
-        self._check_shapes()
-        present = [(name, getattr(self, name)) for name in _TENSORS]
-        self._tables = {name: _compile(t, rank) for name, t in present if t is not None}
-        self._points = {}
-        fields = enumerate(map(VectorField, anchor or ()))
-        self._anchors = {i: vf for i, vf in fields if vf.entries}  # the nonzero a(E_i)
-        entries = chain((c for t in self._tables.values() for cell in t.values() for _, c in cell),
+        n = len(base_vars)
+        if rank < 1:
+            raise ShapeError("rank must be at least 1")
+        tensors = zip(_TENSORS, (product, bracket, prelie))
+        tables = {name: _compile(t, rank, name) for name, t in tensors if t is not None}
+        if anchor is not None and (len(anchor) != rank or any(len(row) != n for row in anchor)):
+            raise ShapeError(f"anchor must be {rank}x{n}")
+        if identity is not None and identity.rank != rank:
+            raise ShapeError("identity section has wrong rank")
+        fields = None if anchor is None else dict(enumerate(map(VectorField, anchor)))
+        self._store(base_vars, rank, tables, fields, identity)
+
+    @classmethod
+    def _of(cls, base_vars, rank: int, tables: dict, fields: dict | None, identity) -> "AlgebroidPresentation":
+        """The presentation of ``tables`` ({name: Table}), the anchor fields {i: a(E_i)} (None for no anchor; zero
+        fields may be left out) and ``identity``, taken as given."""
+        A = object.__new__(cls)
+        A._store(base_vars, rank, tables, fields, identity)
+        return A
+
+    def _store(self, base_vars, rank, tables, fields, identity):
+        self.base_vars, self.n, self.rank, self.identity = list(base_vars), len(base_vars), rank, identity
+        self._tables, self._anchored, self._points = tables, fields is not None, {}
+        self._anchors = {i: vf for i, vf in (fields or {}).items() if vf.entries}  # the nonzero a(E_i)
+        entries = chain((c for t in tables.values() for cell in t.values() for _, c in cell),
                         (c for vf in self._anchors.values() for _, c in vf.entries))
         self.polynomial = all(c.den.is_constant() for c in entries)  # then entries contract as numerators
 
-    def _check_shapes(self):
-        r, n = self.rank, self.n
-        if r < 1:
-            raise ShapeError("rank must be at least 1")
-        for name, tensor in (("product", self.product), ("bracket", self.bracket), ("prelie", self.prelie)):
-            if tensor is None:
-                continue
-            if len(tensor) != r or any(len(m) != r or any(len(row) != r for row in m) for m in tensor):
-                raise ShapeError(f"{name} tensor must be {r}x{r}x{r}")
-        if self.anchor is not None:
-            if len(self.anchor) != r or any(len(row) != n for row in self.anchor):
-                raise ShapeError(f"anchor must be {r}x{n}")
-        if self.identity is not None and self.identity.rank != r:
-            raise ShapeError("identity section has wrong rank")
+    def has(self, name: str) -> bool:
+        """Whether the presentation carries the named table, or for "anchor" an anchor."""
+        return self._anchored if name == "anchor" else name in self._tables
+
+    def _dense(self, name: str):
+        """The named table as the rank³ nested list t[k][i][j], zeros included; None without it."""
+        table = self._tables.get(name)
+        if table is None:
+            return None
+        r, zero = range(self.rank), RatFunc.zero(self.n)
+        out = [[[zero] * self.rank for _ in r] for _ in r]
+        for (i, j), cell in table.items():
+            for k, c in cell:
+                out[k][i][j] = c
+        return out
+
+    product = property(lambda self: self._dense("product"))
+    bracket = property(lambda self: self._dense("bracket"))
+    prelie = property(lambda self: self._dense("prelie"))
+
+    @property
+    def anchor(self):
+        """The rank rows of components of a(E_i), zeros included; None without an anchor."""
+        if not self._anchored:
+            return None
+        zero = VectorField.zero(self.n)
+        return [list(self._anchors.get(i, zero).components) for i in range(self.rank)]
 
     # -- frames and sections ------------------------------------------
 
@@ -239,7 +277,7 @@ class AlgebroidPresentation:
         table = self._tables.get(name)
         if table is None:
             raise MissingStructure(name)
-        if self.n > 0 and self.anchor is None:
+        if self.n > 0 and not self._anchored:
             raise MissingStructure("anchor")
         return table
 
@@ -667,16 +705,20 @@ def check_prelie_com(A: AlgebroidPresentation) -> Report:
 
 def sub_adjacent(A: AlgebroidPresentation) -> AlgebroidPresentation:
     """Fill in the bracket as the commutator of the pre-Lie operation."""
-    if A.prelie is None:
+    if not A.has("prelie"):
         raise MissingStructure("prelie")
-    r = A.rank
-    b = [[[A.prelie[k][i][j] - A.prelie[k][j][i] for j in range(r)] for i in range(r)] for k in range(r)]
-    return A.with_structures(bracket=b)
+    P = {ij: dict(cell) for ij, cell in A._tables["prelie"].items()}
+    bracket = _table(_point_tensor((1, (0, 1), P), (-1, (1, 0), P)))
+    return AlgebroidPresentation._of(A.base_vars, A.rank, {**A._tables, "bracket": bracket},
+                                     A._anchors if A.has("anchor") else None, A.identity)
 
 
 def find_identity(A: AlgebroidPresentation):
     """Solve e·E_i = E_i for a section e by ``solve_fraction_free``; None when no identity exists."""
     r, zero, one = range(A.rank), RatFunc.zero(A.n), RatFunc.one(A.n)
-    rows = [[A.product[k][j][i] for j in r] for i in r for k in r]
+    rows = [[zero] * A.rank for _ in range(A.rank ** 2)]  # row (i, k), column j: the E_k-part of E_j·E_i
+    for (j, i), cell in A._tables["product"].items():
+        for k, c in cell:
+            rows[i * A.rank + k][j] = c
     sol = solve_fraction_free(rows, [one if i == k else zero for i in r for k in r], A.n)[0]
     return None if sol is None else Section(sol)

@@ -78,9 +78,9 @@ def _emit(report: Report, json_path: str | None) -> int:
 
 def _default_laws(A: AlgebroidPresentation) -> list[str]:
     laws = []
-    if A.bracket is not None:
+    if A.has("bracket"):
         laws.append("f-algebroid")
-    if A.prelie is not None:
+    if A.has("prelie"):
         laws.append("pre-f")
     if not laws:
         laws.append("comm-assoc")
@@ -150,10 +150,10 @@ def cmd_deform(args) -> int:
     report = check_n_deformation(deform)
     if report.overall:
         limit = semiclassical_limit(deform)
-        names = [limit.basis_name(i) for i in range(limit.rank)]
+        names, bracket = [limit.basis_name(i) for i in range(limit.rank)], limit._tables["bracket"]
         for i in range(limit.rank):
             for j in range(i + 1, limit.rank):  # [E_i,E_j] is the bracket table's entry: a(E_i)(1) = 0
-                val = Section(limit.bracket[k][i][j] for k in range(limit.rank))
+                val = Section._of(bracket.get((i, j), ()), limit.rank, limit.n)
                 print(f"semiclassical [{names[i]},{names[j]}] = {limit.fmt(val)}")
         witness = obstruction(deform).witness(A.base_vars)
         report.add("obstruction-vanishes", f"theta_{order}", witness is None, witness)

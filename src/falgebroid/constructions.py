@@ -4,7 +4,9 @@ Every shipped fixture is a finite algebra lifted along anchor vector fields:
 structure constants over a point (FM2, DN<n>), over the flat coordinate frame
 (SS<n>, TR2), along u·d/du (TR), with the zero anchor on the (q, p) plane
 (POISSON_SEED, the rank-1 algebra of constants) or along an action (ACT2).
-``_lift`` is the one place constants become ``RatFunc`` tensors.
+The fixtures state their constants as tables (FM2's dense ones are
+compiled by ``FiniteAlgebra.tables``), and ``_lift`` is the one place they
+become ``RatFunc`` tables; no construction here builds a dense tensor.
 ``load_fixture`` builds no fixture of rank above ``MAX_FIXTURE_RANK``.
 Besides the fixtures: action algebroids, direct products and the semi-simple
 family. An action's condition is contracted from its lifted tables, as the
@@ -14,12 +16,12 @@ anchor-defect α of Jacobi (``ActionSpec``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import comb
 
 from .algebroid import AlgebroidPresentation, Section, VectorField, check_f_algebroid, check_pre_f
-from .algebroid import _anchor_defect, _point_tensor, _ratfunc
+from .algebroid import _TENSORS, _anchor_defect, _compile, _point_tensor, _ratfunc
 from .errors import NotAHomomorphism, NotFManifoldAlgebra, ShapeError, UnknownFixture
 from .ring import RatFunc
 
@@ -36,43 +38,32 @@ class FiniteAlgebra:
     prelie: list | None = None
     identity: list | None = None  # dim ints or Fractions
 
+    def tables(self) -> dict:
+        """The compiled ``Table`` of each structure the algebra carries, by name."""
+        return {name: _compile(t, self.dim, name) for name in _TENSORS if (t := getattr(self, name)) is not None}
+
     def to_presentation(self) -> AlgebroidPresentation:
-        return _lift(self, [], None)
+        return _lift(self.dim, self.tables(), self.identity, [], None)
 
 
-def _lift(alg: FiniteAlgebra, base_vars: list[str], rho: list[VectorField] | None) -> AlgebroidPresentation:
-    """The presentation of ``alg``'s constants over ``base_vars`` with E_i anchored by ``rho[i]``, or by 0 without rho.
-
-    Each distinct constant becomes one shared ``RatFunc``; every zero entry is the one ``RatFunc.zero(n)``.
-    """
-    n = len(base_vars)
-    zero, lifted = RatFunc.zero(n), {}
+def _lift(rank: int, tables: dict, identity: list | None, base_vars: list[str],
+          rho: list[VectorField] | None) -> AlgebroidPresentation:
+    """The presentation of constant ``tables`` ({name: Table of numbers}) and ``identity`` (rank numbers, or None)
+    over ``base_vars``, with E_i anchored by ``rho[i]``, or by 0 without rho. Each distinct constant becomes one
+    shared ``RatFunc``."""
+    n, lifted = len(base_vars), {}
 
     def const(c):
         if c not in lifted:
             lifted[c] = RatFunc.const(n, c)
         return lifted[c]
 
-    def lift(row):
-        return [const(c) if c else zero for c in row] if any(row) else [zero] * len(row)
-
-    def tensor(t):
-        return None if t is None else [[lift(row) for row in m] for m in t]
-
-    anchor = [[zero] * n for _ in range(alg.dim)]
-    for row, v in zip(anchor, rho or ()):
-        for m, c in v.entries:
-            row[m] = c
-    identity = None if alg.identity is None else Section(lift(alg.identity))
-    return AlgebroidPresentation(
-        base_vars=list(base_vars),
-        rank=alg.dim,
-        product=tensor(alg.product),
-        bracket=tensor(alg.bracket),
-        prelie=tensor(alg.prelie),
-        anchor=anchor,
-        identity=identity,
-    )
+    tables = {name: {ij: tuple((k, const(c)) for k, c in cell) for ij, cell in t.items()} for name, t in tables.items()}
+    if identity is not None:
+        if len(identity) != rank:
+            raise ShapeError("identity section has wrong rank")
+        identity = Section._of(tuple((k, const(c)) for k, c in enumerate(identity) if c), rank, n)
+    return AlgebroidPresentation._of(base_vars, rank, tables, dict(enumerate(rho or ())), identity)
 
 
 @dataclass
@@ -100,7 +91,7 @@ class ActionSpec:
             if alg.dim > 1:
                 raise ShapeError("algebra has neither bracket nor prelie")
             return
-        A = _lift(alg, self.base_vars, self.rho)
+        A = _lift(alg.dim, alg.tables(), alg.identity, self.base_vars, self.rho)
         a, da = A.constants("anchor"), A.derivatives("anchor")
         defect = _point_tensor(*_anchor_defect(A.constants(name), a, da, skew=name == "prelie"))
         for i, j in sorted(defect):
@@ -117,7 +108,9 @@ def _action(spec: ActionSpec, check, keep: str, drop: str) -> AlgebroidPresentat
     base_report = check(spec.algebra.to_presentation())
     if not base_report.overall:
         raise NotFManifoldAlgebra(base_report.failures()[0].instance)
-    return _lift(replace(spec.algebra, **{drop: None}), spec.base_vars, spec.rho)
+    alg = spec.algebra
+    tables = {name: t for name, t in alg.tables().items() if name != drop}
+    return _lift(alg.dim, tables, alg.identity, spec.base_vars, spec.rho)
 
 
 def action_f_algebroid(spec: ActionSpec) -> AlgebroidPresentation:
@@ -140,57 +133,21 @@ def direct_product(A1: AlgebroidPresentation, A2: AlgebroidPresentation) -> Alge
     Base variables are suffixed with the factor index to avoid
     collisions; mixed products, brackets and anchors vanish.
     """
-    vars1 = [f"{v}#1" for v in A1.base_vars]
-    vars2 = [f"{v}#2" for v in A2.base_vars]
-    base_vars = vars1 + vars2
-    n = len(base_vars)
-    r1, r2 = A1.rank, A2.rank
-    r = r1 + r2
-    zero = RatFunc.zero(n)
+    base_vars = [f"{v}#1" for v in A1.base_vars] + [f"{v}#2" for v in A2.base_vars]
+    n, r = len(base_vars), A1.rank + A2.rank
 
-    def lift1(f: RatFunc) -> RatFunc:
-        return f.extend(n, 0)
+    def shifted(A, dr, dn):  # A's tables, anchor fields and identity entries in the product's frame and base
+        lift = lambda cell, d: tuple((k + d, c.extend(n, dn)) for k, c in cell)  # noqa: E731
+        tables = {name: {(i + dr, j + dr): lift(cell, dr) for (i, j), cell in t.items()}
+                  for name, t in A._tables.items()}
+        fields = {i + dr: VectorField._of(lift(vf.entries, dn), n, n) for i, vf in A._anchors.items()}
+        return tables, fields, None if A.identity is None else lift(A.identity.entries, dr)
 
-    def lift2(f: RatFunc) -> RatFunc:
-        return f.extend(n, A1.n)
-
-    def block_tensor(t1, t2):
-        if t1 is None or t2 is None:
-            return None
-        out = [[[zero] * r for _ in range(r)] for _ in range(r)]
-        for k in range(r1):
-            for i in range(r1):
-                for j in range(r1):
-                    out[k][i][j] = lift1(t1[k][i][j])
-        for k in range(r2):
-            for i in range(r2):
-                for j in range(r2):
-                    out[r1 + k][r1 + i][r1 + j] = lift2(t2[k][i][j])
-        return out
-
-    anchor = None
-    if A1.anchor is not None and A2.anchor is not None:
-        anchor = []
-        for i in range(r1):
-            anchor.append([lift1(c) for c in A1.anchor[i]] + [zero] * A2.n)
-        for i in range(r2):
-            anchor.append([zero] * A1.n + [lift2(c) for c in A2.anchor[i]])
-
-    identity = None
-    if A1.identity is not None and A2.identity is not None:
-        identity = Section(
-            [lift1(c) for c in A1.identity.components] + [lift2(c) for c in A2.identity.components]
-        )
-
-    return AlgebroidPresentation(
-        base_vars=base_vars,
-        rank=r,
-        product=block_tensor(A1.product, A2.product),
-        bracket=block_tensor(A1.bracket, A2.bracket),
-        prelie=block_tensor(A1.prelie, A2.prelie),
-        anchor=anchor,
-        identity=identity,
-    )
+    (t1, f1, e1), (t2, f2, e2) = shifted(A1, 0, 0), shifted(A2, A1.rank, A1.n)
+    tables = {name: {**t1[name], **t2[name]} for name in t1 if name in t2}
+    fields = {**f1, **f2} if A1.has("anchor") and A2.has("anchor") else None
+    identity = None if e1 is None or e2 is None else Section._of(e1 + e2, r, n)
+    return AlgebroidPresentation._of(base_vars, r, tables, fields, identity)
 
 
 # -- named fixtures -------------------------------------------------------
@@ -207,25 +164,20 @@ def semisimple(n: int) -> AlgebroidPresentation:
     """Tangent presentation with diagonal idempotent product and flat frame."""
     if n < 1:
         raise ShapeError("semisimple needs n >= 1")
-    zeros = [[[0] * n for _ in range(n)] for _ in range(n)]
-    product = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        product[i][i][i] = 1
-    alg = FiniteAlgebra(n, product, zeros, zeros, [1] * n)
-    return _lift(alg, [f"u{i + 1}" for i in range(n)], [VectorField.basis(n, n, i) for i in range(n)])
+    tables = {"product": {(i, i): ((i, 1),) for i in range(n)}, "bracket": {}, "prelie": {}}
+    return _lift(n, tables, [1] * n, [f"u{i + 1}" for i in range(n)], [VectorField.basis(n, n, i) for i in range(n)])
 
 
 def tangent_line() -> AlgebroidPresentation:
     """Rank-1 presentation over one variable with anchor f -> u·f·d/du."""
-    alg = FiniteAlgebra(1, [[[1]]], [[[0]]], [[[0]]], [1])
-    return _lift(alg, ["u1"], [VectorField([RatFunc.var(1, 0)])])
+    return _lift(1, {"product": {(0, 0): ((0, 1),)}, "bracket": {}, "prelie": {}}, [1], ["u1"],
+                 [VectorField([RatFunc.var(1, 0)])])
 
 
 def tangent_plane() -> AlgebroidPresentation:
     """Rank-2 tangent presentation: FM2's product in the flat frame, zero bracket and pre-Lie tensor."""
-    zeros = [[[0, 0], [0, 0]]] * 2
-    alg = FiniteAlgebra(2, [[[1, 0], [0, 0]], [[0, 1], [1, 0]]], zeros, zeros, [1, 0])
-    return _lift(alg, ["u1", "u2"], [VectorField.basis(2, 2, i) for i in range(2)])
+    tables = {"product": {(0, 0): ((0, 1),), (0, 1): ((1, 1),), (1, 0): ((1, 1),)}, "bracket": {}, "prelie": {}}
+    return _lift(2, tables, [1, 0], ["u1", "u2"], [VectorField.basis(2, 2, i) for i in range(2)])
 
 
 def derivation_algebroid(n: int, degree_cap: int = 3) -> AlgebroidPresentation:
@@ -249,19 +201,18 @@ def derivation_algebroid(n: int, degree_cap: int = 3) -> AlgebroidPresentation:
     mono_pos = {m: i for i, m in enumerate(monos)}
     basis = [(alpha, i) for alpha in monos for i in range(n)]
     pos = {b: i for i, b in enumerate(basis)}
-    r = len(basis)
-    product = [[[0] * r for _ in range(r)] for _ in range(r)]
-    prelie = [[[0] * r for _ in range(r)] for _ in range(r)]
+    product, prelie = {}, {}
     for a, (alpha, i) in enumerate(basis):
         for b, (beta, j) in enumerate(basis):
             gamma = tuple(x + y for x, y in zip(alpha, beta))
             if gamma not in mono_pos:
                 continue
             if i == j:
-                product[pos[(gamma, i)]][a][b] = 1
-            prelie[pos[(gamma, j)]][a][b] = beta[i]
+                product[a, b] = ((pos[(gamma, i)], 1),)
+            if beta[i]:
+                prelie[a, b] = ((pos[(gamma, j)], beta[i]),)
     identity = [int(not any(alpha)) for alpha, _ in basis]
-    return _lift(FiniteAlgebra(r, product, prelie=prelie, identity=identity), [], None)
+    return _lift(len(basis), {"product": product, "prelie": prelie}, identity, [], None)
 
 
 def act2() -> AlgebroidPresentation:
@@ -307,7 +258,7 @@ def load_fixture(name: str) -> AlgebroidPresentation:
     if name == "TR2":
         return tangent_plane()
     if name == "POISSON_SEED":
-        return _lift(FiniteAlgebra(1, [[[1]]], [[[0]]], identity=[1]), ["q", "p"], None)
+        return _lift(1, {"product": {(0, 0): ((0, 1),)}, "bracket": {}}, [1], ["q", "p"], None)
     ss = re.fullmatch(r"SS(\d+)", name)
     dn = re.fullmatch(r"DN(\d+)(?:_(\d+))?", name)
     rank = 0

@@ -243,9 +243,11 @@ def semiclassical_limit(deform: FormalDeformation) -> AlgebroidPresentation:
     check_n_deformation(deform).require(NotADeformation)
     A, r, n = deform.base, deform.base.rank, deform.base.n
     vec, ix = deform.mus[0].vec, range(r)  # mu1(E_i, E_j)^k at (i·r + j)·r + k, then sigma's rows: it sees only 1
-    bracket = [[[_ratfunc(n, vec[(i * r + j) * r + k] - vec[(j * r + i) * r + k]) for j in ix] for i in ix] for k in ix]
-    anchor = [[_ratfunc(n, c) for c in vec[r ** 3 + i * n:r ** 3 + (i + 1) * n]] for i in ix]
-    return AlgebroidPresentation(A.base_vars, A.rank, A.product, bracket=bracket, anchor=anchor, identity=A.identity)
+    cells = (((i, j), tuple((k, _ratfunc(n, c)) for k in ix
+                            if (c := vec[(i * r + j) * r + k] - vec[(j * r + i) * r + k]))) for i in ix for j in ix)
+    fields = {i: VectorField([_ratfunc(n, c) for c in vec[r ** 3 + i * n:r ** 3 + (i + 1) * n]]) for i in ix}
+    tables = {"product": A._tables["product"], "bracket": {ij: cell for ij, cell in cells if cell}}
+    return AlgebroidPresentation._of(A.base_vars, r, tables, fields, A.identity)
 
 
 def obstruction(deform: FormalDeformation) -> MultiDer:

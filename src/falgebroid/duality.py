@@ -19,12 +19,15 @@ from itertools import product as iproduct
 from .algebroid import (
     AlgebroidPresentation,
     Section,
+    Table,
+    VectorField,
     _point_labels,
     _point_p,
     _point_psi,
     _point_tensor,
     _ratfunc,
     _sweep,
+    _table,
     _witness,
     find_identity,
 )
@@ -98,13 +101,6 @@ def _over(A: AlgebroidPresentation, den, cells: dict) -> dict:
     """A contraction's cells {key: {k: c}} as RatFuncs: c/den by ``_quotient`` for a ``Poly`` den, else ``_ratfunc``."""
     value = partial(_quotient, den) if type(den) is Poly else partial(_ratfunc, A.n)
     return {key: {k: value(c) for k, c in cell.items()} for key, cell in cells.items()}
-
-
-def _tensor(A: AlgebroidPresentation, cells: dict) -> list:
-    """The rank³ tensor t[k][i][j] of RatFuncs (``_ratfunc``) of a contraction's cells {(i, j): {k: c}}."""
-    r, zero = range(A.rank), RatFunc.zero(A.n)
-    cells = [[cells.get((i, j), {}) for j in r] for i in r]
-    return [[[_ratfunc(A.n, cells[i][j][k]) if k in cells[i][j] else zero for j in r] for i in r] for k in r]
 
 
 def _times(t: dict, p) -> dict:
@@ -202,12 +198,12 @@ def invert_section(A: AlgebroidPresentation, E: Section) -> Section:
     return Section(x)
 
 
-def _dual_product(A: AlgebroidPresentation, E: Section):
-    """The tensor of the dual product X·Y·ℰ, contracted from the table with ℰ = F/δ as ``_sections`` gives it:
+def _dual_product(A: AlgebroidPresentation, E: Section) -> Table:
+    """The table of the dual product X·Y·ℰ, contracted from the table with ℰ = F/δ as ``_sections`` gives it:
     M'_ij^k = Σ_{m,n} M_ij^m F^n M_mn^k / δ, each entry normalized once."""
     B, [(den, F)] = _sections(A, E)
     M = B.constants("product")
-    return _tensor(A, _over(A, den, _point_tensor((1, ((0, 1),), M, _point_tensor((1, (0, ()), F, M))))))
+    return _table(_over(A, den, _point_tensor((1, ((0, 1),), M, _point_tensor((1, (0, ()), F, M))))))
 
 
 def _square(A: AlgebroidPresentation, X: Section) -> Section:
@@ -222,7 +218,8 @@ def _dual(A: AlgebroidPresentation, E: Section, checker) -> DualityCertificate:
     """Dual with product X·Y·ℰ once ``checker`` accepts ℰ; other structures are kept."""
     checker(A, E).require(NotEventual)
     inverse = invert_section(A, E)
-    dual = A.with_structures(product=_dual_product(A, E), identity=inverse)
+    dual = AlgebroidPresentation._of(A.base_vars, A.rank, {**A._tables, "product": _dual_product(A, E)},
+                                     A._anchors if A.has("anchor") else None, inverse)
     e_dagger = _square(A, inverse)
     return DualityCertificate(A, E, inverse, dual, e_dagger, checker)
 
@@ -259,13 +256,13 @@ def verify_certificate(cert: DualityCertificate) -> Report:
     )
     report.add_verdict("e-dagger-eventual", "e† eventual on dual", cert.checker(dual, cert.e_dagger))
     double = _dual_product(dual, cert.e_dagger)
-    report.add("involution", "dual twice at e† = original product", double == A.product)
+    report.add("involution", "dual twice at e† = original product", double == A._tables["product"])
     return report
 
 
 def _eventual_checker(A: AlgebroidPresentation):
     """The eventual-identity check for A: pseudo-eventual with a bracket, pre-F without."""
-    return is_pseudo_eventual_identity if A.bracket is not None else is_pre_f_eventual_identity
+    return is_pseudo_eventual_identity if A.has("bracket") else is_pre_f_eventual_identity
 
 
 def ev_identity_closure(A: AlgebroidPresentation, E1: Section, E2: Section) -> Report:
@@ -278,7 +275,7 @@ def ev_identity_closure(A: AlgebroidPresentation, E1: Section, E2: Section) -> R
     report.require(NotEventual)
     prod = A.multiply(E1, E2)
     report.add_verdict("product-closure", f"E1·E2 = [{A.fmt(prod)}]", checker(A, prod))
-    if A.bracket is not None:
+    if A.has("bracket"):
         _, z, d, _, _, G = _bracket_numerators(A, E1, E2)
         br = Section._from_dict(_over(A, z * z * d * d, G).get((), {}), A.rank, A.n)
         report.add_verdict("bracket-closure", f"[E1,E2] = [{A.fmt(br)}]", checker(A, br))
@@ -347,16 +344,13 @@ def nijenhuis_deformation(
     twisted by N, the anchor a∘N and no identity; it is None when the
     report fails.
     """
-    on = "f" if A.bracket is not None else "pre_f" if A.prelie is not None else "comm"
+    on = "f" if A.has("bracket") else "pre_f" if A.has("prelie") else "comm"
     report, twisted = _nijenhuis(A, N, on)
     if not report.overall:
         return report, None
-    rows, zero = [twisted["anchor"].get((i,), {}) for i in range(A.rank)], RatFunc.zero(A.n)
-    anchor = None if A.anchor is None else [[_ratfunc(A.n, row[m]) if m in row else zero for m in range(A.n)]
-                                            for row in rows]
-    tensors = {name: _tensor(A, twisted[name]) for name in _MODES[on]}
-    return report, AlgebroidPresentation(A.base_vars, A.rank, tensors["product"], bracket=tensors.get("bracket"),
-                                         prelie=tensors.get("prelie"), anchor=anchor)
+    fields = {i: VectorField._from_dict(cell, A.n, A.n) for (i,), cell in _over(A, 1, twisted["anchor"]).items()}
+    tables = {name: _table(_over(A, 1, twisted[name])) for name in _MODES[on]}
+    return report, AlgebroidPresentation._of(A.base_vars, A.rank, tables, fields if A.has("anchor") else None, None)
 
 
 def deform_by_nijenhuis(A: AlgebroidPresentation, N: BundleMap) -> AlgebroidPresentation:

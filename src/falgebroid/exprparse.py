@@ -294,11 +294,11 @@ def presentation_to_document(A) -> dict:
         return [[[cell.format(names) for cell in row] for row in mat] for mat in t]
 
     doc["product"] = tensor(A.product)
-    if A.bracket is not None:
+    if A.has("bracket"):
         doc["bracket"] = tensor(A.bracket)
-    if A.prelie is not None:
+    if A.has("prelie"):
         doc["prelie"] = tensor(A.prelie)
-    if A.anchor is not None:
+    if A.has("anchor"):
         doc["anchor"] = [[cell.format(names) for cell in row] for row in A.anchor]
     if A.identity is not None:
         doc["identity"] = [cell.format(names) for cell in A.identity.components]

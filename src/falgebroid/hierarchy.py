@@ -118,13 +118,10 @@ class HydroFlow:
 
 
 def _require_tangent(T: AlgebroidPresentation):
-    if T.rank != T.n or T.anchor is None:
+    if T.rank != T.n or not T.has("anchor"):
         raise NotTangent("presentation rank must equal base dimension with identity anchor")
-    for i in range(T.rank):
-        for j in range(T.n):
-            want = RatFunc.one(T.n) if i == j else RatFunc.zero(T.n)
-            if T.anchor[i][j] != want:
-                raise NotTangent("anchor must be the identity matrix")
+    if T._anchors != {i: VectorField.basis(T.n, T.n, i) for i in range(T.n)}:
+        raise NotTangent("anchor must be the identity matrix")
 
 
 def _sourced(V, T: AlgebroidPresentation, X: Section) -> HydroFlow:

@@ -261,8 +261,8 @@ def test_every_law_has_its_public_checker():
 
 def _carried_laws(A):
     """The ``falg check`` laws whose structures A carries."""
-    needs = {"lie": A.bracket, "f-algebroid": A.bracket, "pre-lie": A.prelie, "pre-f": A.prelie, "prelie-com": A.prelie}
-    return [law for law in LAWS if needs.get(law, A.product) is not None]
+    needs = {"lie": "bracket", "f-algebroid": "bracket", "pre-lie": "prelie", "pre-f": "prelie", "prelie-com": "prelie"}
+    return [law for law in LAWS if A.has(needs.get(law, "product"))]
 
 
 def _mutants():
@@ -476,24 +476,53 @@ def test_sparse_evaluation_matches_dense_oracle(name, data):
         assert v.apply(f) == dv.apply(f) and w.apply(ys[-1]) == dw.apply(ys[-1])
 
 
+QU3 = {"base_vars": [], "rank": 3, "product": [[[str(int(i + j == k)) for j in range(3)] for i in range(3)]
+                                               for k in range(3)]}  # Q[u]/u^3: E_i·E_j = E_(i+j) below degree 3
+
+
+@cache
+def built_presentations():
+    """Every shipped fixture (with SS4 and DN2) and a presentation from each library builder: the Dubrovin dual of
+    SS3, SS3 deformed by multiplication with its Euler field, SS2 × TR, the sub-adjacent TR2 and the semi-classical
+    limit of Q[u]/u^3 along twice the weight cocycle mu1(E_i, E_j) = 2j·E_(i+j)."""
+    from falgebroid.constructions import direct_product
+    from falgebroid.deformation import FormalDeformation, MultiDer, semiclassical_limit
+    from falgebroid.duality import nijenhuis_deformation
+    from falgebroid.exprparse import parse_presentation
+
+    out = {name: load_fixture(name) for name in SHIPPED + ("SS4", "DN2")}
+    SS3, u = out["SS3"], [RatFunc.var(3, m) for m in range(3)]
+    out["SS3-dual"] = _presentation("SS3-dual")
+    out["SS3-nijenhuis"] = nijenhuis_deformation(SS3, multiplication_matrix(SS3, Section(u)))[1]
+    out["SS2xTR"] = direct_product(out["SS2"], out["TR"])
+    out["TR2-sub-adjacent"] = sub_adjacent(out["TR2"])
+    qu3 = parse_presentation(QU3)
+    w3 = MultiDer.build(2, 3, 0, lambda idx: Section([RatFunc.const(0, 2 * idx[1] * (idx[0] + idx[1] == k))
+                                                      for k in range(3)]))
+    out["QU3-semiclassical"] = semiclassical_limit(FormalDeformation(qu3, [w3]))
+    return out
+
+
 def test_compiled_tables_hold_exactly_the_nonzero_constants():
-    """Every table is a dict keyed by index tuples: ``_tables`` holds exactly the nonzero constants and no empty
-    cell, and ``constants`` and ``derivatives`` hold the nonzero cells of their ``_value``s, on every shipped fixture
-    and on the rational ``_view`` that a section with a denominator selects."""
-    for name in SHIPPED + ("SS4", "DN2"):
-        A = load_fixture(name)
+    """Every table is a dict keyed by index tuples: ``_tables`` holds exactly the nonzero constants, with no empty
+    cell and no zero entry, and ``constants`` and ``derivatives`` hold the nonzero cells of their ``_value``s, on
+    every ``built_presentations`` case and on the rational ``_view`` that a section with a denominator selects."""
+    for name, A in built_presentations().items():
         r, views = range(A.rank), [A]
         if A.n:
             one = RatFunc.one(A.n)
             views.append(A._view(one / (RatFunc.var(A.n, 0) + one)))
             assert not views[1].polynomial, name
+        assert all(vf.entries and vf.rank == A.n for vf in A._anchors.values()), name
         for t in ("product", "bracket", "prelie"):
             T = getattr(A, t)
             if T is None:
+                assert not A.has(t), (name, t)
                 continue
             cells = {(i, j): cell for i in r for j in r
                      if (cell := tuple((k, T[k][i][j]) for k in r if not T[k][i][j].is_zero()))}
-            assert type(A._tables[t]) is dict and A._tables[t] == cells and all(A._tables[t].values()), (name, t)
+            assert type(A._tables[t]) is dict and A._tables[t] == cells, (name, t)
+            assert all(cell and all(c for _, c in cell) for cell in A._tables[t].values()), (name, t)
             for B in views:
                 assert B.constants(t) == {ij: {k: B._value(c) for k, c in cell} for ij, cell in cells.items()}
                 derivatives = B.derivatives(t)
@@ -502,6 +531,35 @@ def test_compiled_tables_hold_exactly_the_nonzero_constants():
         for B in views:
             anchor = B.constants("anchor")
             assert type(anchor) is dict and all(len(key) == 1 and cell for key, cell in anchor.items()), name
+
+
+def test_the_library_reads_no_dense_view(monkeypatch):
+    """Every library builder writes tables and every check reads them: with the dense views refused, the
+    ``built_presentations``, the law checks on each, both duals with their certificates, the principal hierarchy,
+    point cohomology, an obstruction and ``find_identity`` still run. Only ``presentation_to_document`` reads one."""
+    from falgebroid.constructions import fm2_algebra
+    from falgebroid.deformation import FormalDeformation, MultiDer, cohomology_point, obstruction
+    from falgebroid.duality import pre_f_dual, verify_certificate
+    from falgebroid.hierarchy import Connection, principal_hierarchy
+
+    def refuse(*args):
+        raise AssertionError("the library read a dense view")
+
+    monkeypatch.setattr(AlgebroidPresentation, "_dense", refuse)
+    monkeypatch.setattr(AlgebroidPresentation, "anchor", property(refuse))
+    built = built_presentations.__wrapped__()
+    for name, A in built.items():
+        assert check_laws(A, _carried_laws(A), Report(name)).checks, name
+    SS3 = built["SS3"]
+    E = Section([RatFunc.var(3, m) for m in range(3)])
+    for dual in (dubrovin_dual, pre_f_dual):
+        cert = dual(SS3, E)
+        assert verify_certificate(cert).overall and find_identity(cert.dual) == cert.inverse
+    assert principal_hierarchy(SS3, Connection(), [SS3.basis(i) for i in range(3)], 2)
+    assert cohomology_point(fm2_algebra(), 2)
+    SS2 = built["SS2"]
+    mu1 = MultiDer.build(2, 2, 2, lambda idx: Section.zero(2, 2), lambda idx: VectorField.basis(2, 2, idx[0]))
+    assert obstruction(FormalDeformation(SS2, [mu1])) is not None
 
 
 def test_section_components_round_trip_with_zeros():

@@ -390,3 +390,19 @@ def test_fixture_names_within_the_rank_limit_and_unknown_names():
     for name in ("DN0", "DN0_" + "1" * 5000, "SS2_3"):
         with pytest.raises(UnknownFixture, match="unknown fixture"):
             load_fixture(name)
+
+
+def test_dn3_builds_only_its_tables():
+    """DN3 (rank 60, 504 nonzero constants) is built from its tables: its tracemalloc peak stays under 1 MB, where
+    its two dense rank³ tensors of 216000 entries each took about 8 MB."""
+    import tracemalloc
+
+    load_fixture("DN2")  # warm the imports and caches a first build fills
+    tracemalloc.start()
+    try:
+        A = load_fixture("DN3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.rank == 60 and sum(len(cell) for t in A._tables.values() for cell in t.values()) == 504
+    assert peak < 1_000_000, peak

@@ -7,7 +7,7 @@ from itertools import product as iproduct
 import pytest
 
 import falgebroid.duality as duality
-from falgebroid.algebroid import AlgebroidPresentation, Section, check_f_algebroid, check_pre_f
+from falgebroid.algebroid import AlgebroidPresentation, Section, _compile, check_f_algebroid, check_pre_f
 from falgebroid.constructions import load_fixture
 from falgebroid.duality import (
     BundleMap,
@@ -90,13 +90,10 @@ def test_involution_compares_whole_tensors(monkeypatch):
     """A double dual that extends the original product by one rank is not the original product."""
     import falgebroid.duality
 
-    one, z = RatFunc.one(0), RatFunc.zero(0)
-    assert [[[one]]] != [[[one, z]], [[z, one]]]
     A = load_fixture("SS2")
     cert = dubrovin_dual(A, euler(2))
     assert verify_certificate(cert).overall
-    zero = RatFunc.zero(2)
-    padded = [[row + [zero] for row in m] + [[zero] * 3] for m in A.product] + [[[zero] * 3] * 3]
+    padded = {**A._tables["product"], (2, 2): ((2, RatFunc.one(2)),)}  # E3·E3 = E3 past the rank
     monkeypatch.setattr(falgebroid.duality, "_dual_product", lambda dual, E: padded)
     assert [c.law for c in verify_certificate(cert).failures()] == ["involution"]
 
@@ -395,13 +392,13 @@ def _noncommutative(name):
 
 @pytest.mark.parametrize("name", ["A3", "SS3", "SS3-noncommutative"])
 def test_dual_product_and_square_match_section_evaluation(name):
-    """``_dual_product`` equals ``tensor_of`` of X·Y·ℰ and ``_square`` equals ``multiply``, entry for entry; on
-    the noncommutative product the order of the factors is checked too."""
+    """``_dual_product`` equals the compiled ``tensor_of`` of X·Y·ℰ and ``_square`` equals ``multiply``, entry for
+    entry; on the noncommutative product the order of the factors is checked too."""
     A = frobenius(name)[0] if name == "A3" else _noncommutative("SS3") if "-" in name else load_fixture(name)
     assert A.polynomial
     for X, shared in _sections(A):
         assert _shared(A, X) == shared
-        assert _dual_product(A, X) == tensor_of(A, lambda Y, Z: A.multiply(A.multiply(Y, Z), X))
+        assert _dual_product(A, X) == _compile(tensor_of(A, lambda Y, Z: A.multiply(A.multiply(Y, Z), X)), A.rank)
         assert _square(A, X) == A.multiply(X, X)
 
 

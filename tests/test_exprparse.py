@@ -15,6 +15,7 @@ from falgebroid.exprparse import (
     print_expr,
 )
 from falgebroid.ring import MAX_DEGREE, Poly, RatFunc
+from test_algebroid import built_presentations
 
 VARS = ["u1", "u2"]
 
@@ -183,11 +184,16 @@ def doc_ss1():
 
 
 def test_presentation_round_trip():
+    """Writing and parsing a presentation keeps its tables, with no empty cell and no zero entry, its anchor fields,
+    whether it has an anchor and its identity: for a parsed document, every shipped fixture and a presentation from
+    each library builder (``built_presentations``)."""
     A = parse_presentation(doc_ss1())
     assert A.rank == 1 and A.base_vars == ["u1"]
-    doc = presentation_to_document(A)
-    B = parse_presentation(json.dumps(doc))
-    assert B.product == A.product and B.identity == A.identity
+    for name, A in {"SS1 document": A, **built_presentations()}.items():
+        B = parse_presentation(json.dumps(presentation_to_document(A)))
+        assert (B._tables, B._anchors, B.has("anchor"), B.identity) == (A._tables, A._anchors, A.has("anchor"),
+                                                                          A.identity), name
+        assert all(cell and all(c for _, c in cell) for t in B._tables.values() for cell in t.values()), name
 
 
 def test_schema_rejects_unknown_field():
