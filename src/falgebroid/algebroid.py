@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from copy import copy
 from functools import lru_cache, reduce
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain
 from itertools import product as iproduct
 from math import lcm as int_lcm
 from operator import itemgetter, mul, or_
@@ -345,12 +345,6 @@ class AlgebroidPresentation:
     def fmt(self, s: Section) -> str:
         return s.format(self.base_vars)
 
-    def with_structures(self, **changes) -> "AlgebroidPresentation":
-        """Copy with the named structures (product, bracket, prelie, anchor, identity) replaced."""
-        fields = {name: getattr(self, name) for name in (*_TENSORS, "anchor", "identity")}
-        fields.update((name, value) for name, value in changes.items() if value is not None)
-        return AlgebroidPresentation(self.base_vars, self.rank, **fields)
-
     def basis_name(self, i: int) -> str:
         return f"E{i + 1}"
 
@@ -362,15 +356,14 @@ class AlgebroidPresentation:
 # variable, u^m·E_i, in slots where a Leibniz rule could break the law.
 
 
-def _scaled_labels(A: AlgebroidPresentation) -> list:
+def _scaled_labels(A: AlgebroidPresentation) -> tuple:
     """The names u_m*E_i of the scaled frame, m-major: u^m·E_i is at r + m·r + i in a contraction's labels."""
-    return [f"{A.base_vars[m]}*{A.basis_name(i)}" for m in range(A.n) for i in range(A.rank)]
+    return tuple(f"{A.base_vars[m]}*{A.basis_name(i)}" for m in range(A.n) for i in range(A.rank))
 
 
-def _prelie_tuples(frame, scaled):
-    """Frame triples, then triples with the third slot scaled: scaling the first or second slot of ``_rule``'s
-    residual only multiplies it by u^m."""
-    return chain(iproduct(frame, frame, frame), iproduct(frame, frame, scaled))
+def _prelie_tuples(frame, scaled) -> tuple:
+    """The case spec of frame triples, then with the third slot scaled: slot 1 or 2 only scales ``_rule`` by u^m."""
+    return (frame, frame, frame), (frame, frame, scaled)
 
 
 def _ratfunc(n: int, c) -> RatFunc:
@@ -385,20 +378,28 @@ def _witness(A: AlgebroidPresentation, res) -> str | None:
     return None if res.is_zero() else A.fmt(res)
 
 
+def _names(spec, prefix: str = "") -> list:
+    """The names ``prefix(a,b,...)`` of a case spec's tuples, in order: one join each of its axes' pre-joined labels."""
+    names = []
+    for axes in spec:
+        pieces = [[f"{a}," for a in axis] for axis in axes[:-1]] + [[f"{a})" for a in axes[-1]]]
+        pieces[0] = [f"{prefix}({piece}" for piece in pieces[0]]
+        names += map("".join, iproduct(*pieces))
+    return names
+
+
 def _sweep(A: AlgebroidPresentation, report: Report, table, prefix: str = "") -> Report:
-    """Run a law table into ``report``, one block per row, and return it. A row is (cases, (law, residual)): each
-    case, a tuple of frame and scaled frame names, is one instance named ``prefix(name,...)``, and the residual is
-    the dict of a ``_point_tensor``, keyed by their indices in ``_point_labels`` + ``_scaled_labels``: only its
-    tuples fail."""
-    labels, named = _point_labels(A) + _scaled_labels(A), {}
-    for cases, (law, residual) in table:
-        cases = list(cases)
-        names, fails = [f"{prefix}({s})" for s in map(",".join, cases)], {}
-        report.blocks.append((law, names, fails))
-        if id(residual) not in named:  # a residual can feed many rows: name its tuples once, and keep it alive
-            named[id(residual)] = residual, {tuple(labels[i] for i in key): res for key, res in residual.items()}
-        failing = named[id(residual)][1]
-        fails.update((i, _witness(A, failing[t])) for i, t in enumerate(cases if failing else ()) if t in failing)
+    """Run a law table into ``report``, one block per row (spec, (law, residual)), and return it: each tuple of a case
+    spec (products of label axes) is one instance ``prefix(a,...)``, named once per sweep into a list the spec's rows
+    share, and fails if its ``_point_labels`` + ``_scaled_labels`` indices key the ``_point_tensor`` residual."""
+    index, named = {label: i for i, label in enumerate(_point_labels(A) + _scaled_labels(A))}, {}
+    for spec, (law, residual) in table:
+        if spec not in named:
+            named[spec] = _names(spec, prefix)
+        report.blocks.append((law, named[spec], (fails := {})))
+        if residual:  # list the cases, as index tuples, only to read a nonzero residual's failures
+            keys = (tuple(map(index.__getitem__, t)) for axes in spec for t in iproduct(*axes))
+            fails.update((i, _witness(A, residual[key])) for i, key in enumerate(keys) if key in residual)
     return report
 
 
@@ -406,9 +407,9 @@ def _sweep(A: AlgebroidPresentation, report: Report, table, prefix: str = "") ->
 # entries and their anchor derivatives, summed at once on every tuple of frame (and scaled frame) indices.
 
 
-def _point_labels(A: AlgebroidPresentation) -> list:
+def _point_labels(A: AlgebroidPresentation) -> tuple:
     """The frame names E_i, in index order."""
-    return [A.basis_name(i) for i in range(A.rank)]
+    return tuple(A.basis_name(i) for i in range(A.rank))
 
 
 def _point_tensor(*terms) -> dict:
@@ -551,9 +552,10 @@ def _anchor_defect(T, a, da, skew: bool = False) -> tuple:
 
 def _comm_assoc(A: AlgebroidPresentation) -> list:
     frame, M = _point_labels(A), A.constants("product")
+    pairs = tuple(((a,), frame[i + 1:]) for i, a in enumerate(frame))  # the frame pairs a < b
     return [
-        (combinations(frame, 2), ("product-symmetry", _point_tensor((1, (0, 1), M), (-1, (1, 0), M)))),
-        (iproduct(frame, repeat=3), ("associativity", _point_tensor((1, ((0, 1), 2), M, M), (-1, (0, (1, 2)), M, M)))),
+        (pairs, ("product-symmetry", _point_tensor((1, (0, 1), M), (-1, (1, 0), M)))),
+        (((frame,) * 3,), ("associativity", _point_tensor((1, ((0, 1), 2), M, M), (-1, (0, (1, 2)), M, M)))),
     ]
 
 
@@ -576,8 +578,8 @@ def _lie(A: AlgebroidPresentation) -> list:
     jacobi = _point_tensor((1, (0, 1, 2), J), (1, ((0,), 1, 2), U, J), (1, (0, 1, 2), alpha),
                            (-1, ((0, 1), 2), anchor, antisym))
     return [
-        (combinations_with_replacement(frame, 2), ("bracket-antisymmetry", antisym)),
-        (iproduct(frame + _scaled_labels(A), frame, frame), ("jacobi", jacobi)),
+        (tuple(((a,), frame[i:]) for i, a in enumerate(frame)), ("bracket-antisymmetry", antisym)),
+        (((frame + _scaled_labels(A), frame, frame),), ("jacobi", jacobi)),
     ]
 
 
@@ -599,7 +601,7 @@ def _hertling_manin(A: AlgebroidPresentation) -> list:
     M, dM, P = A.constants("product"), A.derivatives("product"), _point_p(A)
     phi = _point_tensor((1, ((0, 1), 2, 3), M, P), (-1, ((2, 3), 0, 1), M, dM), (1, ((2, 0, 1), 3), dM, M),
                         (1, (2, (3, 0, 1)), dM, M), (-1, (0, (1, 2, 3)), P, M), (-1, (1, (0, 2, 3)), P, M))
-    return [(iproduct(_point_labels(A), repeat=4), ("hertling-manin", phi))]
+    return [(((_point_labels(A),) * 4,), ("hertling-manin", phi))]
 
 
 def _frame_rule(pairs) -> dict:
@@ -647,12 +649,12 @@ def _pre_lie(A: AlgebroidPresentation) -> list:
 def _psi_symmetry(A: AlgebroidPresentation) -> list:
     """Psi symmetric in its first two slots, on frame triples."""
     sym = _point_tensor(*_point_psi(A), *_point_psi(A, 1, 0, -1))
-    return [(iproduct(_point_labels(A), repeat=3), ("psi-symmetry", sym))]
+    return [(((_point_labels(A),) * 3,), ("psi-symmetry", sym))]
 
 
 def _psi_vanishing(A: AlgebroidPresentation) -> list:
     """Psi = 0 on frame triples."""
-    return [(iproduct(_point_labels(A), repeat=3), ("psi-vanishing", _point_tensor(*_point_psi(A))))]
+    return [(((_point_labels(A),) * 3,), ("psi-vanishing", _point_tensor(*_point_psi(A))))]
 
 
 # Each ``falg check`` law and its law families, in sweep order.

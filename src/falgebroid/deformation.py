@@ -224,11 +224,9 @@ def check_n_deformation(deform: FormalDeformation) -> Report:
     or second slot only multiplies the frame residual by u^m.
     """
     A, tables = deform.base, _tables(deform)
-    report = Report(f"pre-Lie {deform.order}-deformation")
+    report, spec = Report(f"pre-Lie {deform.order}-deformation"), _prelie_tuples(_point_labels(A), _scaled_labels(A))
     for k in range(deform.order + 1):
-        rule = _rule(tables[0], _pairs(deform, k, tables))
-        _sweep(A, report, [(_prelie_tuples(_point_labels(A), _scaled_labels(A)), ("pre-lie-rule", rule))],
-               prefix=f"order {k} ")
+        _sweep(A, report, [(spec, ("pre-lie-rule", _rule(tables[0], _pairs(deform, k, tables))))], f"order {k} ")
     return report
 
 

@@ -14,7 +14,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from itertools import product as iproduct
 
 from .algebroid import (
     AlgebroidPresentation,
@@ -154,7 +153,7 @@ def is_pseudo_eventual_identity(A: AlgebroidPresentation, E: Section) -> Report:
     shared denominator over a ``polynomial`` base, else over RatFuncs.
     """
     frame, residual = _point_labels(A), _pseudo_eventual_tensor(A, _require_identity(A), E)
-    rows = [(iproduct(frame, frame), ("pseudo-eventual-identity", residual))]
+    rows = [(((frame, frame),), ("pseudo-eventual-identity", residual))]
     return _sweep(A, Report("pseudo-eventual identity"), rows)
 
 
@@ -178,9 +177,8 @@ def is_pre_f_eventual_identity(A: AlgebroidPresentation, E: Section) -> Report:
     relation = _point_tensor((1, ((), 0, 1), Et, psi), (1, ((0,), 1), EeM, M))
     right = _point_tensor((1, (0, ()), Et, P), (1, (0,), dE))  # E_c*ℰ
     symmetry = _point_tensor((1, ((0,), 1), right, M), (-1, ((1,), 0), right, M))
-    laws = ("psi-eventual-relation", relation), ("prelie-eventual-symmetry", symmetry)
-    frame = _point_labels(A)
-    table = [([pair], law) for pair in iproduct(frame, frame) for law in laws]  # the laws alternate pair by pair
+    laws, frame = (("psi-eventual-relation", relation), ("prelie-eventual-symmetry", symmetry)), _point_labels(A)
+    table = [((((a,), (b,)),), law) for a in frame for b in frame for law in laws]  # the laws alternate pair by pair
     return _sweep(A, Report("pre-F eventual identity"), table)
 
 
@@ -322,7 +320,7 @@ def _nijenhuis(A: AlgebroidPresentation, N: BundleMap, on: str) -> tuple[Report,
     twisted = {"anchor": _point_tensor((1, ((0,),), Nt, B.constants("anchor")))}
     for name in _MODES[on]:
         twisted[name], T = _twist(B.constants(name), Nt, {} if name == "product" else dN, name == "bracket")
-        rows.append((iproduct(frame, frame), (_TORSION_LAWS[name], T)))
+        rows.append((((frame, frame),), (_TORSION_LAWS[name], T)))
     return _sweep(A, Report(f"Nijenhuis operator ({on})"), rows), twisted
 
 

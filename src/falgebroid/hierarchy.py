@@ -211,8 +211,8 @@ def check_flat_condition(T: AlgebroidPresentation, nabla: Connection, X: Section
     V = [nabla.covariant_derivative(T, j, X) for j in range(T.n)]
     B = T._view(*(c for v in V for _, c in v.entries))
     table, M = {(j,): {i: B._value(c) for i, c in v.entries} for j, v in enumerate(V)}, B.constants("product")
-    egorov = _point_tensor((1, ((0,), 1), table, M), (-1, ((1,), 0), table, M))
-    rows = [(combinations(_point_labels(T), 2), ("egorov-symmetry", egorov))]
+    egorov, frame = _point_tensor((1, ((0,), 1), table, M), (-1, ((1,), 0), table, M)), _point_labels(T)
+    rows = [(tuple(((a,), frame[i + 1:]) for i, a in enumerate(frame)), ("egorov-symmetry", egorov))]
     return _sweep(T, Report("flatness-compatibility of a section"), rows)
 
 

@@ -1,8 +1,8 @@
 """Check reports: the uniform result type for all verification operations.
 
 A report keeps its checks in blocks (law, instance names in order, {position: witness} of the failing ones in
-ascending position): a law sweep records one block per row, and ``add`` one per check. ``checks`` and ``failures``
-build ``Check`` objects on each read; every other reader walks the blocks, so a passing instance is its name alone.
+ascending position), one per law sweep row (a case spec's rows share one names list) and per ``add``. ``checks`` and
+``failures`` build ``Check`` objects on read; other readers walk the blocks, and the writers join runs of passing names.
 """
 
 from __future__ import annotations
@@ -59,29 +59,41 @@ class Report:
 
     def write_json(self, fh) -> None:
         """Write {subject, overall, checks: [{law, instance, pass, witness?}]} as ``json.dump(indent=2)`` and a
-        newline would, a run of passing checks at a time, the strings through the C encoder of ``json.dumps``."""
+        newline would, a run of passing checks (``_runs``) at a time, raw if no name of its list needs escaping."""
         fh.write(f'{{\n  "subject": {_json_str(self.subject)},\n'
                  f'  "overall": "{"pass" if self.overall else "fail"}",\n  "checks": [')
-        sep, ok = "", ',\n      "pass": true\n    }'
+        sep, ok, plain = "", ',\n      "pass": true\n    }', {}
         for law, names, fails in self.blocks:
-            head, start = f'\n    {{\n      "law": {_json_str(law)},\n      "instance": ', 0
-            for i in [*fails, len(names)]:  # the run of passing names before each failing one, then that one
-                if start < i:
-                    fh.write(f"{sep}{head}{f'{ok},{head}'.join(map(_json_str, names[start:i]))}{ok}")
+            head = f'\n    {{\n      "law": {_json_str(law)},\n      "instance": '
+            if (q := plain.get(id(names))) is None:  # once per list: the escape of a join joins the escapes
+                q = plain[id(names)] = '"' if _json_str(joined := "".join(names)) == f'"{joined}"' else ""
+            for run, i in _runs(names, fails):
+                if run:
+                    fh.write(f"{sep}{head}{q}{f'{q}{ok},{head}{q}'.join(run if q else map(_json_str, run))}{q}{ok}")
                     sep = ","
-                if i < len(names):
+                if i is not None:
                     witness = "" if fails[i] is None else f',\n      "witness": {_json_str(fails[i])}'
                     fh.write(f'{sep}{head}{_json_str(names[i])},\n      "pass": false{witness}\n    }}')
                     sep = ","
-                start = i + 1
         fh.write("\n  ]\n}\n" if sep else "]\n}\n")
 
     def summary(self) -> str:
         lines = [f"subject: {self.subject}"]
         for law, names, fails in self.blocks:
-            block = [f"  [pass] {law} @ {name}" for name in names]
-            for i, w in fails.items():
-                block[i] = f"  [FAIL] {law} @ {names[i]}" + (f"  witness: {w}" if w else "")
-            lines += block
+            sep = f"\n  [pass] {law} @ "
+            for run, i in _runs(names, fails):
+                if run:
+                    lines.append(sep[1:] + sep.join(run))
+                if i is not None:
+                    lines.append(f"  [FAIL] {law} @ {names[i]}" + (f"  witness: {w}" if (w := fails[i]) else ""))
         lines.append(f"overall: {'pass' if self.overall else 'fail'}")
         return "\n".join(lines)
+
+
+def _runs(names: list, fails: dict):
+    """(run, i) for each failing position i after the passing names before it, then (the rest, or names, None)."""
+    start = 0
+    for i in fails:
+        yield names[start:i], i
+        start = i + 1
+    yield names[start:] if start else names, None

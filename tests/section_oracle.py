@@ -12,7 +12,8 @@ and the anchor on sections (``bracket_of``, ``prelie_of``, ``anchor_of``, with t
 jacobiator and the pre-Lie associator, a cochain at sections (``cochain_eval``, ``sigma_eval``), the pre-Lie
 algebroid whose complex deforms a commutative associative one (``as_prelie``), the coboundary d of a pre-Lie
 algebroid with any anchor (``d_def``, by its formula at frame tuples), the composition of bundle maps and the jet
-residual of two flows. Each takes the presentation, cochain, bundle map, flow or algebra first.
+residual of two flows. Each takes the presentation, cochain, bundle map, flow or algebra first. ``with_structures``
+copies a presentation with some of its dense structures replaced, for the tests' mutants.
 """
 
 from functools import cache, partial
@@ -122,11 +123,19 @@ def bundle_apply(N, X):
     return Section._from_dict(acc, N.rank, X.nvars)
 
 
+def with_structures(A, **changes):
+    """A copy of A with the named structures (product, bracket, prelie, anchor, identity) replaced, each in the form
+    the public constructor takes; a change to None keeps A's own."""
+    fields = {name: getattr(A, name) for name in ("product", "bracket", "prelie", "anchor", "identity")}
+    fields.update((name, value) for name, value in changes.items() if value is not None)
+    return AlgebroidPresentation(A.base_vars, A.rank, **fields)
+
+
 def as_prelie(A):
     """The pre-Lie algebroid whose complex deforms a commutative associative algebroid: its product as the pre-Lie
     operation, with zero anchor, in place of any pre-Lie operation and anchor that A carries."""
     zero = RatFunc.zero(A.n)
-    return A.with_structures(prelie=A.product, anchor=[[zero] * A.n for _ in range(A.rank)])
+    return with_structures(A, prelie=A.product, anchor=[[zero] * A.n for _ in range(A.rank)])
 
 
 def p_tensor(A, X, Y, Z):
@@ -291,13 +300,19 @@ def scaled_args(A):
     return list(zip(_scaled_labels(A), sections))
 
 
+def cases(spec):
+    """The cases of a case spec, a tuple of products of label axes: the tuples of each product in turn."""
+    return (case for axes in spec for case in iproduct(*axes))
+
+
 def section_sweep(A, report, table, prefix=""):
-    """Run a law table into ``report``, one block per row (cases, (law, residual)): each case, a tuple of labelled
-    sections, is one instance named ``prefix(name,...)``, checked by calling the residual on the sections."""
-    for cases, (law, residual) in table:
+    """Run a law table into ``report``, one block per row (spec, (law, residual)): each case of the spec (``cases``),
+    a tuple of labelled sections, is one instance named ``prefix(name,...)``, checked by calling the residual on the
+    sections."""
+    for spec, (law, residual) in table:
         names, fails = [], {}
         report.blocks.append((law, names, fails))
-        for case in cases:
+        for case in cases(spec):
             labels, args = zip(*case)
             witness = _witness(A, residual(*args))
             if witness is not None:
@@ -323,7 +338,7 @@ def pseudo_eventual(A, E):
     def residual(X, Y):
         return p_tensor(A, E, X, Y) - A.multiply(A.multiply(factor, X), Y)
 
-    return section_sweep(A, Report("oracle"), [(iproduct(frame, frame), ("pseudo-eventual-identity", residual))])
+    return section_sweep(A, Report("oracle"), [(((frame, frame),), ("pseudo-eventual-identity", residual))])
 
 
 def pre_f_eventual(A, E):
@@ -331,7 +346,8 @@ def pre_f_eventual(A, E):
     factor, mul = prelie_of(A, E, A.identity), A.multiply
     laws = (("psi-eventual-relation", lambda X, Y: psi(A, E, X, Y) + mul(mul(factor, X), Y)),
             ("prelie-eventual-symmetry", lambda X, Y: mul(prelie_of(A, X, E), Y) - mul(prelie_of(A, Y, E), X)))
-    table = [([pair], law) for pair in iproduct(frame_args(A), repeat=2) for law in laws]
+    frame = frame_args(A)
+    table = [((((a,), (b,)),), law) for a in frame for b in frame for law in laws]
     return section_sweep(A, Report("oracle"), table)
 
 
@@ -343,7 +359,8 @@ def flat_condition(T, nabla, X):
         return lhs - T.multiply(nabla.covariant_derivative(T, l, X), T.basis(j))
 
     labelled = [(T.basis_name(i), i) for i in range(T.rank)]
-    return section_sweep(T, Report("oracle"), [(combinations(labelled, 2), ("egorov-symmetry", egorov))])
+    pairs = tuple(((a,), labelled[i + 1:]) for i, a in enumerate(labelled))
+    return section_sweep(T, Report("oracle"), [(pairs, ("egorov-symmetry", egorov))])
 
 
 # -- Nijenhuis operators --------------------------------------------------------
@@ -370,7 +387,7 @@ def torsion(N, op):
 def nijenhuis(A, N, on):
     """The torsion of each operation of the mode on frame pairs."""
     frame = frame_args(A)
-    table = [(iproduct(frame, frame), (LAWS[name], torsion(N, OPERATIONS[name](A)))) for name in MODES[on]]
+    table = [(((frame, frame),), (LAWS[name], torsion(N, OPERATIONS[name](A)))) for name in MODES[on]]
     return section_sweep(A, Report(f"Nijenhuis operator ({on})"), table)
 
 

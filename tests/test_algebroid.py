@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain
 from itertools import product as iproduct
 
 import pytest
@@ -15,6 +15,7 @@ from falgebroid.algebroid import (
     Section,
     VectorField,
     _anchor_defect,
+    _names,
     _point_tensor,
     _prelie_tuples,
     _witness,
@@ -40,8 +41,9 @@ from falgebroid.errors import DegreeOverflow, MissingStructure, ShapeError
 from falgebroid.exprparse import parse_expr
 from falgebroid.report import Report
 from falgebroid.ring import MAX_DEGREE, Poly, RatFunc
-from section_oracle import anchor_of, bracket_of, frame_args, jacobiator, nijenhuis, phi, pre_f_eventual
+from section_oracle import anchor_of, bracket_of, cases, frame_args, jacobiator, nijenhuis, phi, pre_f_eventual
 from section_oracle import prelie_associator, prelie_of, pseudo_eventual, psi, scaled_args, section_sweep, vf_bracket
+from section_oracle import with_structures
 from test_ring import DEADLINE, fractions, ratfuncs
 
 
@@ -76,7 +78,7 @@ def test_fixture_laws(name, checker):
 def test_mutant_product_breaks_symmetry_and_associativity():
     A = load_fixture("SS2")
     u1 = RatFunc.var(2, 0)
-    bad = A.with_structures(product=_mutate_tensor(A.product, 0, 0, 1, u1))
+    bad = with_structures(A, product=_mutate_tensor(A.product, 0, 0, 1, u1))
     report = check_comm_assoc(bad)
     assert not report.overall
     laws = {c.law for c in report.failures()}
@@ -88,7 +90,7 @@ def test_mutant_product_breaks_symmetry_and_associativity():
 def test_mutant_bracket_breaks_antisymmetry():
     A = load_fixture("SS2")
     one = RatFunc.one(2)
-    bad = A.with_structures(bracket=_mutate_tensor(A.bracket, 0, 0, 0, one))
+    bad = with_structures(A, bracket=_mutate_tensor(A.bracket, 0, 0, 0, one))
     report = check_lie_algebroid(bad)
     assert not report.overall
     assert any(c.law == "bracket-antisymmetry" for c in report.failures())
@@ -138,10 +140,10 @@ def test_anchor_matters_for_jacobi():
 def test_hertling_manin_mutant():
     A = load_fixture("SS2")
     u2 = RatFunc.var(2, 1)
-    bad = A.with_structures(bracket=_mutate_tensor(A.bracket, 0, 0, 1, u2))
+    bad = with_structures(A, bracket=_mutate_tensor(A.bracket, 0, 0, 1, u2))
     # restore antisymmetry so only the compatibility law can fail
     t = _mutate_tensor(bad.bracket, 0, 1, 0, -u2)
-    bad = bad.with_structures(bracket=t)
+    bad = with_structures(bad, bracket=t)
     report = check_f_algebroid(bad)
     assert not report.overall
     assert any(c.law == "hertling-manin" for c in report.failures())
@@ -270,12 +272,12 @@ def _mutants():
     ss2 = load_fixture("SS2")
     u1, u2 = RatFunc.var(2, 0), RatFunc.var(2, 1)
     t = _mutate_tensor(ss2.bracket, 0, 0, 1, u2)
-    hm = ss2.with_structures(bracket=_mutate_tensor(t, 0, 1, 0, -u2))
+    hm = with_structures(ss2, bracket=_mutate_tensor(t, 0, 1, 0, -u2))
     tr2 = load_fixture("TR2")
-    bad_prelie = tr2.with_structures(prelie=_mutate_tensor(tr2.prelie, 0, 0, 1, RatFunc.var(2, 0)))
+    bad_prelie = with_structures(tr2, prelie=_mutate_tensor(tr2.prelie, 0, 0, 1, RatFunc.var(2, 0)))
     return [
-        ("comm-assoc", ss2.with_structures(product=_mutate_tensor(ss2.product, 0, 0, 1, u1))),
-        ("lie", ss2.with_structures(bracket=_mutate_tensor(ss2.bracket, 0, 0, 0, RatFunc.one(2)))),
+        ("comm-assoc", with_structures(ss2, product=_mutate_tensor(ss2.product, 0, 0, 1, u1))),
+        ("lie", with_structures(ss2, bracket=_mutate_tensor(ss2.bracket, 0, 0, 0, RatFunc.one(2)))),
         ("f-algebroid", hm),
         ("pre-lie", bad_prelie),
         ("pre-f", bad_prelie),
@@ -416,7 +418,8 @@ def _seeded_mutant():
     def pos():
         return rng.randrange(2), rng.randrange(2), rng.randrange(2)
 
-    return A.with_structures(
+    return with_structures(
+        A,
         product=_mutate_tensor(A.product, *pos(), value()),
         bracket=_mutate_tensor(A.bracket, *pos(), value()),
         prelie=_mutate_tensor(A.prelie, *pos(), value()),
@@ -615,23 +618,25 @@ def _section_rows(A):
     also take the scaled sections u^m·E_i, in the order of the contracted rows."""
     mul, br, assoc = A.multiply, partial(bracket_of, A), partial(prelie_associator, A)
     frame, scaled = frame_args(A), scaled_args(A)
+    pairs = tuple(((a,), frame[i + 1:]) for i, a in enumerate(frame))
     return {
         "comm-assoc": lambda: [
-            (combinations(frame, 2), ("product-symmetry", lambda X, Y: mul(X, Y) - mul(Y, X))),
-            (iproduct(frame, repeat=3), ("associativity", lambda X, Y, Z: mul(mul(X, Y), Z) - mul(X, mul(Y, Z)))),
+            (pairs, ("product-symmetry", lambda X, Y: mul(X, Y) - mul(Y, X))),
+            (((frame,) * 3,), ("associativity", lambda X, Y, Z: mul(mul(X, Y), Z) - mul(X, mul(Y, Z)))),
         ],
         "lie": lambda: [
-            (combinations_with_replacement(frame, 2), ("bracket-antisymmetry", lambda X, Y: br(X, Y) + br(Y, X))),
-            (iproduct(frame + scaled, frame, frame), ("jacobi", partial(jacobiator, A))),
+            (tuple(((a,), frame[i:]) for i, a in enumerate(frame)),
+             ("bracket-antisymmetry", lambda X, Y: br(X, Y) + br(Y, X))),
+            (((frame + scaled, frame, frame),), ("jacobi", partial(jacobiator, A))),
         ],
         "pre-lie": lambda: [
             (_prelie_tuples(frame, scaled), ("pre-lie-symmetry", lambda X, Y, Z: assoc(X, Y, Z) - assoc(Y, X, Z))),
         ],
         "psi-symmetry": lambda: [
-            (iproduct(frame, repeat=3), ("psi-symmetry", lambda X, Y, Z: psi(A, X, Y, Z) - psi(A, Y, X, Z))),
+            (((frame,) * 3,), ("psi-symmetry", lambda X, Y, Z: psi(A, X, Y, Z) - psi(A, Y, X, Z))),
         ],
-        "psi-vanishing": lambda: [(iproduct(frame, repeat=3), ("psi-vanishing", partial(psi, A)))],
-        "hertling-manin": lambda: [(iproduct(frame, repeat=4), ("hertling-manin", partial(phi, A)))],
+        "psi-vanishing": lambda: [(((frame,) * 3,), ("psi-vanishing", partial(psi, A)))],
+        "hertling-manin": lambda: [(((frame,) * 4,), ("hertling-manin", partial(phi, A)))],
     }
 
 
@@ -695,7 +700,7 @@ def _mutant(name, seed):
         delta = delta * rng.choice([u[0], u[0] * u[1], u[0] + u[1] * u[1]])
         anchor = [list(row) for row in A.anchor]
         anchor[x][m] = anchor[x][m] + delta
-        return A.with_structures(anchor=anchor)
+        return with_structures(A, anchor=anchor)
     tensor = rng.choice([t for t in ("product", "bracket", "prelie") if getattr(A, t) is not None])
     k, i, j = (rng.randrange(A.rank) for _ in range(3))
     delta = RatFunc.const(A.n, Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 5])))
@@ -704,7 +709,7 @@ def _mutant(name, seed):
     elif A.n:
         delta = delta * RatFunc.var(A.n, rng.randrange(A.n))
     T = getattr(A, tensor)
-    return A.with_structures(**{tensor: _mutate_tensor(T, k, i, j, T[k][i][j] + delta)})
+    return with_structures(A, **{tensor: _mutate_tensor(T, k, i, j, T[k][i][j] + delta)})
 
 
 POINT_CASES = [(name, None) for name in ("FM2", "DN1", "DN1_2", "DN2_2")]
@@ -950,7 +955,7 @@ def test_rational_tables_contract():
     outcomes and witnesses."""
     A = load_fixture("SS2")
     u1, u2 = RatFunc.var(2, 0), RatFunc.var(2, 1)
-    A = A.with_structures(product=_mutate_tensor(A.product, 1, 0, 0, u1 / (u2 + RatFunc.one(2))))
+    A = with_structures(A, product=_mutate_tensor(A.product, 1, 0, 0, u1 / (u2 + RatFunc.one(2))))
     assert not A.polynomial
     assert all(isinstance(residual, dict) for _, (_, residual) in _family_rows(A))
     oracle = _oracle_reports(A, _carried_laws(A))
@@ -990,12 +995,43 @@ def test_scaled_slot_identities_match_the_section_residuals(seed):
     [(_, (_, sym))] = LAWS["pre-lie"][0](A)
     assert antisym and jacobi and sym
     assoc = lambda X, Y, Z: prelie_associator(A, X, Y, Z) - prelie_associator(A, Y, X, Z)  # noqa: E731
-    for cases, tensor, residual in ((iproduct(frame + scaled, frame, frame), jacobi, partial(jacobiator, A)),
-                                    (_prelie_tuples(frame, scaled), sym, assoc)):
+    for spec, tensor, residual in ((((frame + scaled, frame, frame),), jacobi, partial(jacobiator, A)),
+                                   (_prelie_tuples(frame, scaled), sym, assoc)):
         labels = {name: i for i, (name, _) in enumerate(frame + scaled)}
-        for case in cases:
+        for case in cases(spec):
             names, args = zip(*case)
             assert _witness(A, tensor.get(tuple(labels[t] for t in names), {})) == _witness(A, residual(*args))
+
+
+FRAME3, SCALED3 = ("E1", "E2", "E3"), ("u1*E1", "u1*E2", "u1*E3", "u2*E1", "u2*E2", "u2*E3")
+NAME_SPECS = [
+    ("single axis", ((FRAME3,),), ""),
+    ("singleton axes", ((("E1",), ("E3",)),), ""),
+    ("combinations", tuple(((a,), FRAME3[i + 1:]) for i, a in enumerate(FRAME3)), ""),  # the last axis is empty
+    ("with replacement", tuple(((a,), FRAME3[i:]) for i, a in enumerate(FRAME3)), ""),
+    ("all empty", (((), FRAME3),), ""),
+    ("scaled", ((FRAME3 + SCALED3, FRAME3, FRAME3),), ""),
+    ("order prefix", _prelie_tuples(FRAME3, SCALED3), "order 2 "),
+    ("order prefix, no base", _prelie_tuples(FRAME3, ()), "order 0 "),
+]
+
+
+@pytest.mark.parametrize("spec,prefix", [case[1:] for case in NAME_SPECS], ids=[case[0] for case in NAME_SPECS])
+def test_names_of_a_case_spec_are_its_plain_enumeration(spec, prefix):
+    """``_names`` joins pre-joined pieces of each axis; the oracle joins each case's labels."""
+    assert _names(spec, prefix) == [f"{prefix}({','.join(t)})" for axes in spec for t in iproduct(*axes)]
+
+
+def test_rows_of_one_case_spec_share_one_names_list():
+    """A sweep names each distinct case spec once: on DN2, associativity and psi-vanishing (frame triples) share one
+    list, and pre-lie-symmetry (triples, then none scaled) reads the same names; the pre-F eventual laws share each
+    pair's."""
+    blocks = {law: names for law, names, _ in check_prelie_com(load_fixture("DN2")).blocks}
+    assert blocks["associativity"] is blocks["psi-vanishing"] and len(blocks["associativity"]) == 20 ** 3
+    assert blocks["pre-lie-symmetry"] == blocks["associativity"]
+    SS2 = load_fixture("SS2")
+    blocks = is_pre_f_eventual_identity(SS2, Section([RatFunc.var(2, 0), RatFunc.var(2, 1)])).blocks
+    assert len(blocks) == 8 and all(blocks[i][1] is blocks[i + 1][1] == [blocks[i][1][0]] for i in range(0, 8, 2))
 
 
 # -- every sweeping check against plain Section evaluation -------------------
@@ -1008,9 +1044,9 @@ def test_scaled_slot_identities_match_the_section_residuals(seed):
 
 
 def _plain_sweep(A, report, table, prefix=""):
-    """The sweep loop, recording each instance by itself."""
-    for cases, *laws in table:
-        for case in cases:
+    """The sweep loop, recording each instance of each case spec (``cases``) by itself."""
+    for spec, *laws in table:
+        for case in cases(spec):
             names, args = zip(*case)
             for law, residual in laws:
                 witness = _witness(A, residual(*args))

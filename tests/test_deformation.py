@@ -38,6 +38,7 @@ from falgebroid.ring import Poly, RatFunc
 from linalg_oracle import nullspace, rank as mat_rank, rref as oracle_rref, solve
 from section_oracle import as_prelie, bracket_of, cochain_eval, d_def, d_def_eval, d_def_sigma_eval, frame_args
 from section_oracle import n_deformation, order_k_residual, prelie_associator, scaled_basis, sigma_eval, vf_bracket
+from section_oracle import with_structures
 from test_algebroid import _outcomes, _random_presentation
 
 
@@ -473,11 +474,11 @@ def test_d_matrix_matches_d_def_on_random_prelie_constants(seed):
     rng = random.Random(seed)
     r = 2 + seed % 3
     A = random_prelie_presentation(rng, r)
-    A = A.with_structures(product=A.prelie)
+    A = with_structures(A, product=A.prelie)
     for degree in (1, 2, 3) if r < 4 else (1, 2):
         assert_d_matrix_matches_d_def(A, degree)
     B = random_prelie_presentation(rng, r, 1 + seed % 2)
-    B = B.with_structures(product=B.prelie)
+    B = with_structures(B, product=B.prelie)
     for degree in (1, 2, 3) if r < 4 else (1, 2):
         assert_d_matrix_matches_d_def(B, degree, None, [rand_multider(rng, degree, r, B.n)])
 
@@ -754,6 +755,7 @@ ORACLE_ONLY = {
     "prelie_of", "anchor_of", "p_tensor", "phi", "psi", "prelie_associator", "jacobiator", "eval", "sigma_eval",
     "_lead_terms", "_prelie_bracket", "d_def", "d_def_eval", "d_def_sigma_eval", "compose", "commutator_residual",
     "ArityMismatch", "bracket_of", "_derivation_terms", "as_prelie", "vf_bracket", "commutator", "action_failure",
+    "with_structures",
 }
 
 
@@ -1027,7 +1029,7 @@ def test_point_extension_by_a_coboundary_of_the_product():
     A = load_fixture("DN1_2")
     assert A.n == 0 and A.prelie is not None
     phi = point_cochain(random.Random(5), 1, A.rank)
-    d_phi = d_def(A.with_structures(prelie=A.product), phi)
+    d_phi = d_def(with_structures(A, prelie=A.product), phi)
     assert not d_phi.is_zero()
     extended = extend(FormalDeformation(A, [MultiDer.zero(2, A.rank, 0)]), d_phi)
     assert extended.mus[1] == d_phi

@@ -30,7 +30,7 @@ from falgebroid.errors import NotEventual, NotInvertible, NotNijenhuis, ShapeErr
 from falgebroid.report import Report
 from falgebroid.ring import Poly, RatFunc
 import section_oracle
-from section_oracle import bundle_apply, compose, pre_f_eventual, pseudo_eventual, tensor_of
+from section_oracle import bundle_apply, compose, pre_f_eventual, pseudo_eventual, tensor_of, with_structures
 from test_algebroid import _mutant, _mutate_tensor, _outcomes, _presentation, _random_presentation, frobenius
 from test_report import check_to_dict
 
@@ -336,7 +336,7 @@ def _eventual_cases():
         A, E = _ss_dual(n)
         yield f"SS{n}-dual", A, E, False
         yield f"SS{n}-dual perturbed", A, _perturbed(E, 0, RatFunc.var(n, n - 1)), False
-    rational = SS2.with_structures(product=_mutate_tensor(SS2.product, 1, 0, 0, u1 / (u2 + one)))
+    rational = with_structures(SS2, product=_mutate_tensor(SS2.product, 1, 0, 0, u1 / (u2 + one)))
     yield "SS2 rational table", rational, Section([u1, u2]), False
     yield "SS2 rational table mixed", rational, Section([u2 / (u1 + one), u2]), False
 
@@ -387,7 +387,7 @@ def _sections(A):
 def _noncommutative(name):
     """The fixture with E1·E2 given an extra u1·E1, so that the product is not commutative."""
     A = load_fixture(name)
-    return A.with_structures(product=_mutate_tensor(A.product, 0, 0, 1, A.product[0][0][1] + RatFunc.var(A.n, 0)))
+    return with_structures(A, product=_mutate_tensor(A.product, 0, 0, 1, A.product[0][0][1] + RatFunc.var(A.n, 0)))
 
 
 @pytest.mark.parametrize("name", ["A3", "SS3", "SS3-noncommutative"])

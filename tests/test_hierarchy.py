@@ -35,7 +35,7 @@ from falgebroid.hierarchy import (
     total_x,
 )
 from falgebroid.ring import Poly, RatFunc
-from section_oracle import commutator_residual, flat_condition
+from section_oracle import commutator_residual, flat_condition, with_structures
 from test_algebroid import _outcomes, frobenius
 from test_duality import _sections
 
@@ -543,7 +543,7 @@ def nonassociative(rng, T: AlgebroidPresentation, count: int) -> AlgebroidPresen
         k, i, j = (rng.randrange(T.rank) for _ in range(3))
         extra = random_base_function(rng, T.n)
         product[k][i][j] = product[k][i][j] + (extra if rng.random() < 0.3 else RatFunc(extra.num))
-    return T.with_structures(product=product)
+    return with_structures(T, product=product)
 
 
 def random_tangent(rng, n: int) -> AlgebroidPresentation:
@@ -598,7 +598,7 @@ def test_flows_of_two_presentations_take_the_matrix_products():
     the source takes no part in equality, hashing or repr."""
     T = load_fixture("SS2")
     X = Section([RatFunc.var(2, 0), RatFunc.one(2)])
-    F, G = flow_from_section(T, X), flow_from_section(T.with_structures(), X.scale_fn(RatFunc.var(2, 1)))
+    F, G = flow_from_section(T, X), flow_from_section(with_structures(T), X.scale_fn(RatFunc.var(2, 1)))
     assert F == flow_of(F.V) and hash(F) == hash(flow_of(F.V)) and repr(F) == repr(flow_of(F.V))
     assert F.source[0] is not G.source[0] and flow_of(F.V).source is None
     assert _bracket_vanishes(F, flow_from_section(T, X)) and not _bracket_vanishes(F, G)

@@ -79,6 +79,37 @@ def test_dn2_prelie_com_report_writes_as_json_dumps():
     assert_written_as_oracle(CHECKERS["prelie-com"](load_fixture("DN2")))
 
 
+def test_dn2_prelie_com_summary_reads_as_check_by_check():
+    report = CHECKERS["prelie-com"](load_fixture("DN2"))
+    assert report.summary() == summary_of(report.subject, report.checks)
+
+
+def test_blocks_sharing_a_names_list_write_as_check_by_check():
+    """Two blocks share one names list, as the rows of one case spec do; one passes, and one fails at its first and
+    last positions, with and without a witness."""
+    names = ["(E1,E1)", "(E1,E2)", "(E2,E1)", "(E2,E2)"]
+    report = Report("shared")
+    report.blocks += [("associativity", names, {}), ("psi-vanishing", names, {0: "1, 0", 3: None})]
+    assert_written_as_oracle(report)
+    assert report.summary() == summary_of(report.subject, report.checks)
+    assert [c.instance for c in report.checks] == names + names and not report.overall
+
+
+def test_names_that_need_escaping_write_as_json_dumps():
+    """A run of several names that need escaping is written name by name through the encoder: ``extend`` puts a
+    quoted, non-ASCII prefix before a 3-name block, and before a block with a failure between passing names; a
+    3-name list that needs none comes first, so each list is tested for itself."""
+    inner = Report("inner")
+    inner.blocks += [("law", ["(E1)", "(E2)", "(E3)"], {}), ("law \\ 2", ["(E1)", "(E2)", "(E3)", "(E4)"], {1: "w"})]
+    report = Report("outer")
+    report.blocks.append(("plain", ["(E1)", "(E2)", "(E3)"], {}))
+    report.extend(inner, '"q" ∘ ')
+    assert [c.instance for c in report.checks][3:6] == ['"q" ∘ (E1)', '"q" ∘ (E2)', '"q" ∘ (E3)']
+    assert_written_as_oracle(report)
+    assert report.summary() == summary_of(report.subject, report.checks)
+    assert_written_as_oracle(inner)
+
+
 def test_empty_and_failing_reports_write_as_json_dumps():
     assert_written_as_oracle(Report("empty"))
     report = Report("mixed")
