@@ -362,8 +362,8 @@ def _scaled_labels(A: AlgebroidPresentation) -> tuple:
 
 
 def _prelie_tuples(frame, scaled) -> tuple:
-    """The case spec of frame triples, then with the third slot scaled: slot 1 or 2 only scales ``_rule`` by u^m."""
-    return (frame, frame, frame), (frame, frame, scaled)
+    """The case spec of frame triples, then over a base the third slot scaled: slot 1 or 2 only scales by u^m."""
+    return ((frame, frame, frame), (frame, frame, scaled)) if scaled else ((frame,) * 3,)
 
 
 def _ratfunc(n: int, c) -> RatFunc:
@@ -447,41 +447,39 @@ def _point_tensor(*terms) -> dict:
 
 
 def _packed(terms, n: int) -> dict:
-    """``_point_tensor`` over numerator ``Poly`` constants in n variables: one dict of ints over the lcm of the hits'
-    denominators, keyed by a monomial key (``ring``: ``_W``·(n + 1) bits), a guard bit and w-bit fields, w the bit
-    length of the largest index: k in field 0, index position p in field p + 1, a 1 in field P + 1 for the length P.
-    A hit adds its entries' offsets (``_packing``) to its monomial keys. No field carries: ∘ and ⋄ fill disjoint
-    fields, and a field of a product is at most its total degree, whose carry past ``MAX_DEGREE`` sets the guard bit."""
-    low, rows, dens = _W * (n + 1) + 1, [], set()
+    """``_point_tensor`` over numerator ``Poly`` constants in n variables: one dict of ints over the lcm of the
+    operands' denominators, keyed by a monomial key (``ring``: ``_W``·(n + 1) bits), a guard bit and w-bit fields,
+    w the bit length of the largest index: k in field 0, index position p in field p + 1, a 1 in field P + 1 for
+    the length P. A term is a double loop, at each m that ∘ outputs and ⋄ takes, over two flat lists (``_flat``)
+    of keys plus offsets (``_packing``). No field carries: ∘ and ⋄ fill disjoint fields, and a field of a product
+    is at most its total degree, whose carry past ``MAX_DEGREE`` sets the guard bit."""
+    low, rows, unit = _W * (n + 1) + 1, [], [(0, Poly(n, {0: 1}))]
     nz = [*chain.from_iterable(t for _, _, *tables in terms for t in tables)]
     w = max(chain(map(itemgetter(1), nz), chain.from_iterable(map(itemgetter(0), nz))), default=0).bit_length() or 1
     for s, shape, inner, *outer in terms:
         if not inner or outer and not outer[0]:
             continue
         at, ws, kw, mark, nest = _packing(shape, w, low)
-        groups, lcms = None, {}
-        if outer:  # ⋄'s entries by the slot ∘ fills, and the lcm of their denominators
-            (ws2, kw2, mark2), groups = nest, {}
-            for idx, k, d in outer[0]:
-                off = sum(map(mul, idx, ws2)) + k * kw2 + mark2
-                groups.setdefault(idx[at], []).append((off, d.coeffs.items(), d.denom))
-                if d.denom != 1:
-                    lcms[idx[at]] = int_lcm(lcms.get(idx[at], 1), d.denom)
-        rows.append((s, inner, ws, kw, mark, groups))
-        dens.update(c.denom * lcms.get(m, 1) for _, m, c in inner if groups is None or m in groups)
-    lcm, acc = int_lcm(*dens), {}
+        if not outer:  # the one list of ∘ meets the unit
+            by_m, by_k = {0: unit}, {0: [(sum(map(mul, idx, ws)) + k * kw + mark, c) for idx, k, c in inner]}
+        else:
+            (ws2, kw2, mark2), by_m, by_k = nest, {}, {}
+            for idx, k, d in outer[0]:  # ⋄'s entries by the slot ∘ fills, ∘'s by their output
+                by_m.setdefault(idx[at], []).append((sum(map(mul, idx, ws2)) + k * kw2 + mark2, d))
+            for idx, k, c in inner:
+                if k in by_m:
+                    by_k.setdefault(k, []).append((sum(map(mul, idx, ws)), c))
+        for m, entries in by_k.items():
+            rows.append((s, _flat(entries), _flat(by_m[m])))
+    lcm, acc = int_lcm(*{l1 * l2 for _, (l1, _), (l2, _) in rows}), {}
     get = acc.get
-    for s, inner, ws, kw, mark, groups in rows:
-        for idx, k, c in inner:  # with no ⋄, each entry of ∘ is one hit on the unit polynomial
-            f, off, t1 = s * lcm // c.denom, sum(map(mul, idx, ws)) + mark, c.coeffs.items()
-            for off2, t2, den in ((k * kw, ((0, 1),), 1),) if groups is None else groups.get(k, ()):
-                g, off2 = f // den, off2 + off
-                for e2, b in t2:
-                    b *= g
-                    e2 += off2
-                    for e1, a in t1:
-                        e = e1 + e2
-                        acc[e] = get(e, 0) + a * b
+    for s, (l1, t1), (l2, t2) in rows:
+        f = s * lcm // (l1 * l2)
+        for e2, b in t2:
+            b *= f
+            for e1, a in t1:
+                e = e1 + e2
+                acc[e] = get(e, 0) + a * b
     if reduce(or_, acc, 0) >> low - 1 & 1:
         raise DegreeOverflow(f"product of total degree over {MAX_DEGREE}")
     cells, mask, field, out = {}, (1 << low) - 1, (1 << w) - 1, {}
@@ -492,6 +490,18 @@ def _packed(terms, n: int) -> dict:
         key = tuple([code >> w * p & field for p in range(1, (code.bit_length() - 1) // w)])
         out.setdefault(key, {})[code & field] = Poly.from_ints(n, coeffs, lcm)
     return out
+
+
+def _flat(entries: list) -> tuple:
+    """(L, [(key + offset, coefficient·L/denominator), ...]) of (offset, ``Poly``) pairs, L their denominators' lcm."""
+    lcm, flat = 1, []
+    for _, p in entries:
+        lcm = int_lcm(lcm, p.denom)
+    for off, p in entries:
+        f = lcm // p.denom
+        for e, a in p.coeffs.items():
+            flat.append((e + off, a * f))
+    return lcm, flat
 
 
 @lru_cache(maxsize=1024)  # keys: the term shapes the library writes, for a few widths w and base sizes n

@@ -13,21 +13,24 @@ jacobiator and the pre-Lie associator, a cochain at sections (``cochain_eval``, 
 algebroid whose complex deforms a commutative associative one (``as_prelie``), the coboundary d of a pre-Lie
 algebroid with any anchor (``d_def``, by its formula at frame tuples), the composition of bundle maps and the jet
 residual of two flows. Each takes the presentation, cochain, bundle map, flow or algebra first. ``with_structures``
-copies a presentation with some of its dense structures replaced, for the tests' mutants.
+copies a presentation with some of its dense structures replaced, for the tests' mutants. ``packed_oracle`` is the
+packed contraction as it was summed hit by hit, the oracle of the flat-list kernel ``algebroid._packed``.
 """
 
-from functools import cache, partial
-from itertools import combinations
+from functools import cache, partial, reduce
+from itertools import chain, combinations
 from itertools import product as iproduct
+from math import lcm as int_lcm
+from operator import itemgetter, mul, or_
 
 from falgebroid.algebroid import AlgebroidPresentation, Section, VectorField
-from falgebroid.algebroid import _prelie_tuples, _scaled_labels, _witness
+from falgebroid.algebroid import _packing, _prelie_tuples, _scaled_labels, _witness
 from falgebroid.deformation import MultiDer
 from falgebroid.duality import BundleMap
-from falgebroid.errors import MissingStructure, ShapeError
+from falgebroid.errors import DegreeOverflow, MissingStructure, ShapeError
 from falgebroid.hierarchy import _residual
 from falgebroid.report import Report
-from falgebroid.ring import RatFunc
+from falgebroid.ring import _W, MAX_DEGREE, Poly, RatFunc
 
 
 # -- operations and derived tensors on sections --------------------------------
@@ -326,6 +329,55 @@ def tensor_of(A, op):
     r = range(A.rank)
     vals = [[op(A.basis(i), A.basis(j)).components for j in r] for i in r]
     return [[[vals[i][j][k] for j in r] for i in r] for k in r]
+
+
+# -- the packed contraction, hit by hit ---------------------------------------
+
+
+def packed_oracle(terms, n):
+    """The packed contraction as it was summed hit by hit, kept verbatim as the oracle of ``_packed``: for each
+    (∘ entry, ⋄ entry) pair, one offset sum, one scale of the entry's coefficients to the lcm and one nested
+    loop over their monomials. ``terms`` are as ``_packed`` takes them, each table as ``_nonzeros`` lists it."""
+    low, rows, dens = _W * (n + 1) + 1, [], set()
+    nz = [*chain.from_iterable(t for _, _, *tables in terms for t in tables)]
+    w = max(chain(map(itemgetter(1), nz), chain.from_iterable(map(itemgetter(0), nz))), default=0).bit_length() or 1
+    for s, shape, inner, *outer in terms:
+        if not inner or outer and not outer[0]:
+            continue
+        at, ws, kw, mark, nest = _packing(shape, w, low)
+        groups, lcms = None, {}
+        if outer:  # ⋄'s entries by the slot ∘ fills, and the lcm of their denominators
+            (ws2, kw2, mark2), groups = nest, {}
+            for idx, k, d in outer[0]:
+                off = sum(map(mul, idx, ws2)) + k * kw2 + mark2
+                groups.setdefault(idx[at], []).append((off, d.coeffs.items(), d.denom))
+                if d.denom != 1:
+                    lcms[idx[at]] = int_lcm(lcms.get(idx[at], 1), d.denom)
+        rows.append((s, inner, ws, kw, mark, groups))
+        dens.update(c.denom * lcms.get(m, 1) for _, m, c in inner if groups is None or m in groups)
+    lcm, acc = int_lcm(*dens), {}
+    get = acc.get
+    for s, inner, ws, kw, mark, groups in rows:
+        for idx, k, c in inner:  # with no ⋄, each entry of ∘ is one hit on the unit polynomial
+            f, off, t1 = s * lcm // c.denom, sum(map(mul, idx, ws)) + mark, c.coeffs.items()
+            for off2, t2, den in ((k * kw, ((0, 1),), 1),) if groups is None else groups.get(k, ()):
+                g, off2 = f // den, off2 + off
+                for e2, b in t2:
+                    b *= g
+                    e2 += off2
+                    for e1, a in t1:
+                        e = e1 + e2
+                        acc[e] = get(e, 0) + a * b
+    if reduce(or_, acc, 0) >> low - 1 & 1:
+        raise DegreeOverflow(f"product of total degree over {MAX_DEGREE}")
+    cells, mask, field, out = {}, (1 << low) - 1, (1 << w) - 1, {}
+    for e, v in acc.items():
+        if v:
+            cells.setdefault(e >> low, {})[e & mask] = v
+    for code, coeffs in cells.items():
+        key = tuple([code >> w * p & field for p in range(1, (code.bit_length() - 1) // w)])
+        out.setdefault(key, {})[code & field] = Poly.from_ints(n, coeffs, lcm)
+    return out
 
 
 # -- eventual identities and flatness ---------------------------------------

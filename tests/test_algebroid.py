@@ -16,6 +16,8 @@ from falgebroid.algebroid import (
     VectorField,
     _anchor_defect,
     _names,
+    _nonzeros,
+    _packed,
     _point_tensor,
     _prelie_tuples,
     _witness,
@@ -43,7 +45,7 @@ from falgebroid.report import Report
 from falgebroid.ring import MAX_DEGREE, Poly, RatFunc
 from section_oracle import anchor_of, bracket_of, cases, frame_args, jacobiator, nijenhuis, phi, pre_f_eventual
 from section_oracle import prelie_associator, prelie_of, pseudo_eventual, psi, scaled_args, section_sweep, vf_bracket
-from section_oracle import with_structures
+from section_oracle import packed_oracle, with_structures
 from test_ring import DEADLINE, fractions, ratfuncs
 
 
@@ -793,10 +795,12 @@ PACKED_SHAPES = {
         ((1, (0, 2)), 2, 2)],
 }
 
-# Coefficients with the denominators 2 and 3, so the hits' lcm is not 1
+# Coefficients with the denominators 2, 3, 4, 5 and 6, so the hits' lcm is not 1 and the entries that meet at one
+# contracted index often have distinct denominators
 packed_polys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
-    st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(-3, 2), Fraction(1), Fraction(-1), Fraction(3)]),
+    st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(-3, 2), Fraction(1), Fraction(-1), Fraction(3),
+                     Fraction(-5, 4), Fraction(1, 5), Fraction(7, 6)]),
     min_size=1, max_size=3,
 ).map(lambda terms: Poly.from_terms(2, terms))
 
@@ -804,10 +808,15 @@ packed_polys = st.dictionaries(
 @st.composite
 def packed_tables(draw, slots, hi):
     """A table {idx: {k: c}} of ``slots`` slots with indices up to ``hi`` and nonzero ``Poly`` constants, often
-    empty."""
+    empty. Often every key shares one index in one slot, so several entries meet at the index that slot contracts,
+    and the outputs of a table feeding that slot mostly reach no entry."""
     index = st.integers(0, hi)
-    cells = st.dictionaries(index, packed_polys, min_size=1, max_size=2)
-    return draw(st.dictionaries(st.tuples(*[index] * slots), cells, max_size=4))
+    cells = st.dictionaries(index, packed_polys, min_size=1, max_size=3)
+    keys = st.tuples(*[index] * slots)
+    if slots and draw(st.booleans()):
+        p, m = draw(st.integers(0, slots - 1)), draw(index)
+        keys = keys.map(lambda idx: (*idx[:p], m, *idx[p + 1:]))
+    return draw(st.dictionaries(keys, cells, max_size=6))
 
 
 @settings(max_examples=120, deadline=DEADLINE)
@@ -827,6 +836,19 @@ def test_packed_contraction_matches_ratfunc_contraction(data):
     want = _point_tensor(*((s, shape, *map(rational, tables)) for s, shape, *tables in terms))
     assert {key: {k: RatFunc(c, _normal=True) for k, c in cell.items()} for key, cell in got.items()} == want
     assert _point_tensor(*terms, *((-s, shape, *tables) for s, shape, *tables in terms)) == {}
+
+
+@settings(max_examples=150, deadline=DEADLINE)
+@given(data=st.data())
+def test_packed_kernel_returns_the_hit_by_hit_oracle_dict(data):
+    """The flat-list kernel returns exactly the dict of the hit-by-hit oracle, the same keys and equal ``Poly``s,
+    on every term shape of each index length and any integer scale: with several ⋄ entries at one contracted index
+    over distinct denominators, outputs of ∘ that no ⋄ entry reaches, and empty tables."""
+    P, hi = data.draw(st.integers(0, 3)), data.draw(st.sampled_from([1, 2, 9]))
+    kinds = data.draw(st.lists(st.sampled_from(PACKED_SHAPES[P]), min_size=1, max_size=4))
+    terms = [(data.draw(st.sampled_from([1, -1, 2, -3])), shape,
+              *(_nonzeros(data.draw(packed_tables(k, hi))) for k in slots)) for shape, *slots in kinds]
+    assert _packed(terms, 2) == packed_oracle(terms, 2)
 
 
 def test_packed_contraction_degree_boundary():
@@ -1023,12 +1045,11 @@ def test_names_of_a_case_spec_are_its_plain_enumeration(spec, prefix):
 
 
 def test_rows_of_one_case_spec_share_one_names_list():
-    """A sweep names each distinct case spec once: on DN2, associativity and psi-vanishing (frame triples) share one
-    list, and pre-lie-symmetry (triples, then none scaled) reads the same names; the pre-F eventual laws share each
-    pair's."""
+    """A sweep names each distinct case spec once: on DN2, a base with no variables, associativity, pre-lie-symmetry
+    and psi-vanishing (frame triples, none scaled) share one list; the pre-F eventual laws share each pair's."""
     blocks = {law: names for law, names, _ in check_prelie_com(load_fixture("DN2")).blocks}
-    assert blocks["associativity"] is blocks["psi-vanishing"] and len(blocks["associativity"]) == 20 ** 3
-    assert blocks["pre-lie-symmetry"] == blocks["associativity"]
+    assert blocks["associativity"] is blocks["pre-lie-symmetry"] is blocks["psi-vanishing"]
+    assert len(blocks["associativity"]) == 20 ** 3
     SS2 = load_fixture("SS2")
     blocks = is_pre_f_eventual_identity(SS2, Section([RatFunc.var(2, 0), RatFunc.var(2, 1)])).blocks
     assert len(blocks) == 8 and all(blocks[i][1] is blocks[i + 1][1] == [blocks[i][1][0]] for i in range(0, 8, 2))
